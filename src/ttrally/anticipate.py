@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Frame3D, RACKET_HAND_JOINT, TableGeometry, Vec3
+from .core import AXES, Frame3D, TableGeometry, Vec3
 from .errors import (
     EnsembleTooSmall,
     InputMismatch,
@@ -23,9 +23,10 @@ from .errors import (
     ParseError,
     SplitLeakage,
 )
+from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_record,
+                       parse_record, read_header, read_lines, write_lines)
 from .synth import ExchangeSample, construct_return_shot
 
-AXES = ("x", "y", "z")
 SIGMA_FLOOR = 1e-6
 
 
@@ -471,43 +472,22 @@ def extreme_hit_bias(
 
 
 def write_calibration(path: str, calib: ConformalCalibration, seed: Optional[int] = None):
-    lines = [f"conformal-v1 alpha={calib.alpha!r}"]
-    if seed is not None:
-        lines[0] += f" seed={seed}"
-    for (axis, horizon), q in sorted(calib.quantiles.items()):
-        n = calib.n_samples.get((axis, horizon), 0)
-        lines.append(f"{axis}\t{horizon!r}\t{q!r}\t{n}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [format_record(CONFORMAL_HEADER, calib.alpha, seed)] + [
+        format_record(CONFORMAL_ROW, *key, q, calib.n_samples.get(key, 0))
+        for key, q in sorted(calib.quantiles.items())
+    ])
 
 
 def read_calibration(path: str) -> ConformalCalibration:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("conformal-v1"):
-        raise ParseError(1, "expected conformal-v1 header")
-    alpha = None
-    for tok in lines[0].split()[1:]:
-        if tok.startswith("alpha="):
-            alpha = float(tok[6:])
-    if alpha is None:
-        raise ParseError(1, "header missing alpha")
-    calib = ConformalCalibration(alpha=alpha)
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(ln, f"expected 4 fields, got {len(parts)}")
-        axis, horizon, q, n = parts
-        if axis not in AXES:
-            raise ParseError(ln, f"unknown axis {axis!r}")
-        try:
-            key = (axis, horizon_key(float(horizon)))
-            calib.quantiles[key] = float(q)
-            calib.n_samples[key] = int(n)
-        except ValueError as exc:
-            raise ParseError(ln, str(exc)) from None
+    lines = read_lines(path)
+    calib = ConformalCalibration(alpha=read_header(lines, CONFORMAL_HEADER)["alpha"])
+    for lineno, line in body_lines(lines):
+        r = parse_record(CONFORMAL_ROW, line, lineno)
+        key = (r["axis"], horizon_key(r["horizon"]))
+        if key in calib.quantiles:
+            raise ParseError(lineno, f"duplicate row for {key}")
+        calib.quantiles[key] = r["q"]
+        calib.n_samples[key] = r["n"]
     return calib
 
 

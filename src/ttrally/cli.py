@@ -2,7 +2,8 @@
 
 Every command takes an explicit ``--seed`` and writes it into its output
 header, so any artifact can be regenerated byte-for-byte. Exit codes: 0 on
-success, 2 for bad input or usage, 3 when processing fails on valid input.
+success, 2 for bad usage or a malformed or unreadable input file, 3 when
+processing fails on valid input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import anticipate, control, pipeline, synth
 from .core import Point, TableGeometry, dataset_stats
-from .errors import ParseError, SchemaError, TTRallyError, VersionError
+from .errors import ParseError, TTRallyError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,17 +49,7 @@ def cmd_synth(args) -> int:
 def cmd_calibrate(args) -> int:
     track = pipeline.load_track(args.track)
     camera, rms = pipeline.calibrate_from_track(track, TableGeometry())
-    lines = [f"camera-v1 seed={track.header.seed}"]
-    i = camera.intrinsics
-    lines.append(
-        f"fx={float(i.fx)!r} fy={float(i.fy)!r}"
-        f" cx={float(i.cx)!r} cy={float(i.cy)!r}"
-    )
-    for row in camera.extrinsics.r:
-        lines.append("rot " + " ".join(repr(float(v)) for v in row))
-    lines.append("trans " + " ".join(repr(float(v)) for v in camera.extrinsics.t))
-    lines.append(f"rms_px={float(rms)!r}")
-    _emit("\n".join(lines), args.out)
+    _emit("\n".join(pipeline.camera_lines(camera, rms, track.header.seed)), args.out)
     return EXIT_OK
 
 
@@ -185,7 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, VersionError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TTRallyError as exc:

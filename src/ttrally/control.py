@@ -29,6 +29,8 @@ from .anticipate import (
 from .ball import GRAVITY
 from .core import TableGeometry, Vec3
 from .errors import Infeasible, NoContact, NoFeasibleTime
+from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
+                       write_lines)
 from .synth import ExchangeSample, Trajectory, generate_exchanges
 
 
@@ -590,17 +592,11 @@ def run_experiment(
 
 
 def write_results(path: str, rows: Sequence[ExperimentRow], seed: int) -> None:
-    header = (
-        "strategy\tlambda\tlead_time\tcentral\tn\treturn_rate\tmean_deviation"
-        "\tmean_pos_err\tmean_ang_err_deg\tn_fallback"
-    )
-    lines = [f"results-v1 seed={seed}", header]
-    for r in rows:
-        central = f"({r.central.x!r},{r.central.y!r},{r.central.z!r})"
-        lines.append(
-            f"{r.strategy}\t{r.lam!r}\t{r.lead_time!r}\t{central}\t{r.n_episodes}"
-            f"\t{r.return_rate!r}\t{r.mean_deviation!r}\t{r.mean_position_error!r}"
-            f"\t{r.mean_orientation_error_deg!r}\t{r.n_fallback}"
+    write_lines(path, [format_record(RESULTS_HEADER, seed), RESULTS_COLUMNS] + [
+        format_record(
+            RESULTS_ROW, r.strategy, r.lam, r.lead_time, r.central, r.n_episodes,
+            r.return_rate, r.mean_deviation, r.mean_position_error,
+            r.mean_orientation_error_deg, r.n_fallback,
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for r in rows
+    ])

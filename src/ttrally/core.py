@@ -19,6 +19,7 @@ from .errors import EmptyDataset, NotEnoughHits
 # is the racket hand, and the last two entries are the left and right ankles.
 RACKET_HAND_JOINT = 1
 ANKLE_JOINTS = (-2, -1)
+AXES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -117,23 +118,27 @@ class Frame2D:
 
     Image convention follows the broadcast coordinate system used by the rest
     of the package: u to the right, v up, origin at the bottom-left of the
-    image. ``player_joints_cam`` are 3D joint positions in camera coordinates
-    (as a pose estimator would emit), following the joint list convention at
-    the top of this module.
+    image. ``table_keypoints`` holds the six table keypoints in order, None
+    where one was not detected. ``player_joints_cam`` are 3D joint positions
+    in camera coordinates (as a pose estimator would emit), following the
+    joint list convention at the top of this module.
     """
 
     frame_index: int
     ball_px: Optional[tuple[float, float]]
-    table_keypoints: list[tuple[float, float]]
+    table_keypoints: list[Optional[tuple[float, float]]]
     base_height_px: float
     racket_centroids: list[Optional[tuple[float, float]]]
     player_joints_cam: list[Optional[list[Vec3]]]
     player_ankles_px: list[Optional[list[tuple[float, float]]]]
 
+    def has_all_keypoints(self) -> bool:
+        return len(self.table_keypoints) == 6 and None not in self.table_keypoints
+
     def is_complete(self) -> bool:
         return (
             self.ball_px is not None
-            and len(self.table_keypoints) == 6
+            and self.has_all_keypoints()
             and all(c is not None for c in self.racket_centroids)
             and all(j is not None for j in self.player_joints_cam)
             and all(a is not None for a in self.player_ankles_px)

@@ -4,6 +4,8 @@ Every module raises subclasses of TTRallyError so callers can catch a single
 base class at pipeline or CLI level.
 """
 
+from typing import Optional
+
 
 class TTRallyError(Exception):
     """Base class for all ttrally errors."""
@@ -62,18 +64,20 @@ class SegmentRejected(TTRallyError):
 # -- pipeline ---------------------------------------------------------------
 
 class ParseError(TTRallyError):
-    """Malformed record in a track or reconstruction file."""
+    """Malformed input file; ``line_number`` is None when no one line is at fault."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: Optional[int], message: str):
+        super().__init__(
+            message if line_number is None else f"line {line_number}: {message}"
+        )
         self.line_number = line_number
 
 
-class SchemaError(TTRallyError):
-    """File header is missing a required field."""
+class SchemaError(ParseError):
+    """A header field or a required block is missing or invalid."""
 
 
-class VersionError(TTRallyError):
+class VersionError(ParseError):
     """Unknown file format version tag."""
 
 

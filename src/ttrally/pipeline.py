@@ -1,15 +1,22 @@
-"""Track-file ingestion, full-point reconstruction, filtering, persistence.
+"""Track-file ingestion, full-point reconstruction, filtering, and the one
+record codec that writes and reads every ttrally file format.
 
-File formats are line-delimited, self-describing text: a one-line header
-carrying the schema version and video metadata, then one named-field record
-per frame. Absent detections are written as ``-``. The formats are
-streamable, diff-able, and language neutral.
+Every format is line-delimited text: a header line (version tag, then
+``key=value`` fields), then one record per line (an optional tag word, then
+``key=value`` fields or positional values). ``-`` marks an absent value. The
+specs below define all five formats: track ``v1``, ``recon-v1``,
+``conformal-v1``, and the write-only ``results-v1`` and ``camera-v1``. A spec
+maps field names to value kinds; each kind is one encoder/decoder pair.
+Readers raise ParseError (with the line number) for any malformed record,
+SchemaError for a bad header field or missing block, VersionError for a wrong
+version tag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,18 +39,14 @@ from .camera import (
     calibrate,
     ground_projections,
     position_player,
-    reprojection_rms,
 )
-from .core import RACKET_HAND_JOINT, Frame2D, Frame3D, TableGeometry, Vec3
+from .core import AXES, RACKET_HAND_JOINT, Frame2D, Frame3D, TableGeometry, Vec3
 from .errors import (
     NotEnoughHits,
     ParseError,
     SchemaError,
     VersionError,
 )
-
-TRACK_VERSION = "v1"
-RECON_VERSION = "recon-v1"
 
 
 @dataclass
@@ -120,166 +123,266 @@ class Reconstruction:
 
 
 # ---------------------------------------------------------------------------
+# record codec
+# ---------------------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """How one field value is written and read back."""
+
+    encode: Callable[[Any], str]
+    decode: Optional[Callable[[str], Any]]  # raises ValueError; None: write-only
+    omittable: bool = False  # the field may be left out; it then reads as None
+
+
+@dataclass(frozen=True, eq=False)
+class Spec:
+    """One line layout: an optional leading tag, then named fields in order."""
+
+    tag: str
+    fields: dict[str, Kind]
+    keyed: bool = True  # key=value fields; False: positional values
+    sep: Optional[str] = None  # None: any whitespace, written as one space
+
+
+def _scalar(parse: Callable, ok: Callable = lambda v: True, what: str = "") -> Kind:
+    def decode(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+
+    return Kind(lambda v: str(parse(v)), decode)  # str(float) is repr(float)
+
+
+def _coords(n: int, make: Callable, floats: Callable) -> Kind:
+    """``n`` comma-separated finite floats; ``floats`` gives a value's n floats."""
+
+    def decode(text: str):
+        values = tuple(map(float, text.split(",")))
+        if len(values) != n or not all(map(math.isfinite, values)):
+            raise ValueError(f"must be {n} comma-separated finite numbers")
+        return make(values)
+
+    template = ",".join(["%r"] * n)
+    return Kind(lambda v: template % floats(v), decode)
+
+
+def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
+    """A ``;``-separated list of ``kind`` values."""
+
+    def decode(text: str) -> list:
+        items = text.split(";")
+        if not at_least <= len(items) <= (at_most or len(items)):
+            raise ValueError(f"has {len(items)} entries")
+        return [kind.decode(item) for item in items]
+
+    return Kind(lambda vs: ";".join(map(kind.encode, vs)), decode)
+
+
+def _or_dash(kind: Kind) -> Kind:
+    """``-`` for an absent (None) value."""
+    return Kind(lambda v: "-" if v is None else kind.encode(v),
+                lambda text: None if text == "-" else kind.decode(text))
+
+
+def _omittable(kind: Kind) -> Kind:
+    return kind._replace(omittable=True)
+
+
+def _row(tag: str, n: int) -> Spec:
+    """``tag`` followed by ``n`` positional finite floats."""
+    return Spec(tag, {f"{tag}{i}": FLOAT for i in range(n)}, keyed=False)
+
+
+INT = _scalar(int)
+SIZE = _scalar(int, lambda n: n > 0, "positive")
+COUNT = _scalar(int, lambda n: n >= 0, "non-negative")
+BIT = _scalar(int, (0, 1).__contains__, "0 or 1")
+FLAG = Kind(BIT.encode, lambda text: bool(BIT.decode(text)))
+FLOAT = _scalar(float, math.isfinite, "finite")
+POSITIVE = _scalar(float, lambda x: 0 < x < math.inf, "positive and finite")
+PROBABILITY = _scalar(float, lambda x: 0 < x < 1, "in (0, 1)")
+QUANTILE = _scalar(float, lambda x: x >= 0, "non-negative (inf allowed)")
+WORD = _scalar(str, bool, "non-empty")
+AXIS = _scalar(str, AXES.__contains__, "x, y or z")
+PX = _coords(2, tuple, lambda p: (float(p[0]), float(p[1])))
+XYZ = _coords(3, lambda c: Vec3(*c), lambda v: (float(v.x), float(v.y), float(v.z)))
+CENTRAL = Kind(lambda v: f"({XYZ.encode(v)})", None)
+# Two ankle pixels; joints need the racket hand (index 1) and two ankles.
+ANKLES = _list(PX, 2, 2)
+JOINTS = _list(XYZ, 3)
+
+
+def format_record(spec: Spec, *values) -> str:
+    """One line of ``spec`` holding ``values`` in field order."""
+    out = [spec.tag] if spec.tag else []
+    for (name, kind), value in zip(spec.fields.items(), values, strict=True):
+        if value is None and kind.omittable:
+            continue
+        out.append(f"{name}={kind.encode(value)}" if spec.keyed else kind.encode(value))
+    return (spec.sep or " ").join(out)
+
+
+def parse_record(
+    spec: Spec, line: str, lineno: int, error: type[ParseError] = ParseError
+) -> dict[str, Any]:
+    """Field name -> decoded value; every defect raises ``error``."""
+    tokens = line.split(spec.sep)
+    if spec.tag:
+        if tokens[:1] != [spec.tag]:
+            raise error(lineno, f"expected a {spec.tag!r} record")
+        tokens = tokens[1:]
+    if not spec.keyed:
+        if len(tokens) != len(spec.fields):
+            raise error(lineno, f"expected {len(spec.fields)} values, got {len(tokens)}")
+        raw = dict(zip(spec.fields, tokens))
+    else:
+        raw = {}
+        for token in tokens:
+            key, eq, value = token.partition("=")
+            if not eq or key not in spec.fields or key in raw:
+                what = "duplicate" if key in raw else "unexpected"
+                raise error(lineno, f"{what} field {token!r}")
+            raw[key] = value
+    out = {}
+    for name, kind in spec.fields.items():
+        if name not in raw:
+            if not kind.omittable:
+                raise error(lineno, f"missing field {name!r}")
+            out[name] = None
+            continue
+        try:
+            out[name] = kind.decode(raw[name])
+        except ValueError as exc:
+            raise error(lineno, f"bad {name} {raw[name]!r}: {exc}") from None
+    return out
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
+def read_header(lines: list[str], spec: Spec) -> dict[str, Any]:
+    """Check line 1's version tag and decode its fields."""
+    tag = lines[0].split(maxsplit=1)[0] if lines and lines[0].strip() else ""
+    if tag != spec.tag:
+        raise VersionError(1, f"expected a {spec.tag!r} header, found {tag!r}")
+    return parse_record(spec, lines[0], 1, SchemaError)
+
+
+def body_lines(lines: list[str]):
+    """(line number, line) of every non-blank line after the header."""
+    return ((n, line) for n, line in enumerate(lines[1:], start=2) if line.strip())
+
+
+def write_lines(path: str, lines: Sequence[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# file formats
+# ---------------------------------------------------------------------------
+
+_PX = _or_dash(PX)
+TRACK_HEADER = Spec("v1", {"fps": POSITIVE, "w": SIZE, "h": SIZE, "id": _omittable(WORD),
+                           "seed": _omittable(INT), "noise_px": _omittable(FLOAT)})
+TRACK_FRAME = Spec("", {
+    "frame": INT, "ball": _PX, **{f"kp{i}": _PX for i in range(1, 7)}, "base_h": FLOAT,
+    "rk0": _PX, "rk1": _PX, "joints0": _or_dash(JOINTS), "joints1": _or_dash(JOINTS),
+    "ankles0": _or_dash(ANKLES), "ankles1": _or_dash(ANKLES),
+})
+
+RECON_HEADER = Spec("recon-v1", {"fps": POSITIVE, "seed": _omittable(INT)})
+RECON_CAMERA = Spec("camera", {"fx": FLOAT, "fy": FLOAT, "cx": FLOAT, "cy": FLOAT,
+                               "rms": FLOAT})
+RECON_ROT = _row("rot", 9)
+TRANS = _row("trans", 3)
+RECON_TABLE = Spec("table", {"length": FLOAT, "width": FLOAT, "height": FLOAT})
+RECON_POINT = Spec("point", {"id": INT, "partition": _or_dash(WORD),
+                             "entity_complete": FLAG, "complete": FLAG})
+RECON_HIT = Spec("hit", {"frame": INT, "player": BIT, "pos": XYZ})
+RECON_BOUNCE = Spec("bounce", {"frame": INT, "pos": XYZ})
+RECON_PIECE = Spec("piece", {"start": INT, "end": INT, "T": FLOAT, "k": FLOAT,
+                             "reproj": FLOAT, "warn": FLAG, "mse": FLOAT,
+                             "b0": XYZ, "bT": XYZ})
+RECON_FRAME = Spec("frame", {"idx": INT, "ball": XYZ, "root0": XYZ, "root1": XYZ,
+                             "joints0": JOINTS, "joints1": JOINTS})
+RECON_ENDPOINT = Spec("endpoint", {})
+# The camera block's records appear once each, outside point blocks.
+_RECON_CAMERA_BLOCK = (RECON_CAMERA, RECON_ROT, TRANS, RECON_TABLE)
+_RECON_RECORDS = {spec.tag: spec for spec in _RECON_CAMERA_BLOCK + (
+    RECON_POINT, RECON_HIT, RECON_BOUNCE, RECON_PIECE, RECON_FRAME, RECON_ENDPOINT)}
+
+CONFORMAL_HEADER = Spec("conformal-v1", {"alpha": PROBABILITY, "seed": _omittable(INT)})
+CONFORMAL_ROW = Spec("", {"axis": AXIS, "horizon": FLOAT, "q": QUANTILE, "n": COUNT},
+                     keyed=False, sep="\t")
+
+RESULTS_HEADER = Spec("results-v1", {"seed": INT})
+RESULTS_ROW = Spec("", {
+    "strategy": WORD, "lambda": FLOAT, "lead_time": FLOAT, "central": CENTRAL,
+    "n": COUNT, "return_rate": FLOAT, "mean_deviation": FLOAT, "mean_pos_err": FLOAT,
+    "mean_ang_err_deg": FLOAT, "n_fallback": COUNT,
+}, keyed=False, sep="\t")
+RESULTS_COLUMNS = "\t".join(RESULTS_ROW.fields)
+
+CAMERA_HEADER = Spec("camera-v1", {"seed": _omittable(INT)})
+CAMERA_INTRINSICS = Spec("", {"fx": FLOAT, "fy": FLOAT, "cx": FLOAT, "cy": FLOAT})
+CAMERA_ROT = _row("rot", 3)
+CAMERA_RMS = Spec("", {"rms_px": FLOAT})
+
+
+# ---------------------------------------------------------------------------
 # track file serialization
 # ---------------------------------------------------------------------------
 
 
-def _fmt_px(p: Optional[tuple[float, float]]) -> str:
-    return "-" if p is None else f"{float(p[0])!r},{float(p[1])!r}"
-
-
-def _fmt_vecs(vs) -> str:
-    if vs is None:
-        return "-"
-    return ";".join(f"{float(v.x)!r},{float(v.y)!r},{float(v.z)!r}" for v in vs)
-
-
-def _fmt_pxs(ps) -> str:
-    if ps is None:
-        return "-"
-    return ";".join(f"{float(p[0])!r},{float(p[1])!r}" for p in ps)
-
-
 def write_track(track: TrackFile, path: str) -> None:
     h = track.header
-    parts = [TRACK_VERSION, f"fps={h.fps!r}", f"w={h.width}", f"h={h.height}"]
-    if h.video_id:
-        parts.append(f"id={h.video_id}")
-    if h.seed is not None:
-        parts.append(f"seed={h.seed}")
-    parts.append(f"noise_px={h.noise_px!r}")
-    lines = [" ".join(parts)]
+    lines = [format_record(TRACK_HEADER, h.fps, h.width, h.height,
+                           h.video_id or None, h.seed, h.noise_px)]
     for f in track.frames:
-        kps = " ".join(
-            f"kp{i + 1}={_fmt_px(kp)}" for i, kp in enumerate(f.table_keypoints)
-        )
-        lines.append(
-            f"frame={f.frame_index} ball={_fmt_px(f.ball_px)} {kps} "
-            f"base_h={float(f.base_height_px)!r} "
-            f"rk0={_fmt_px(f.racket_centroids[0])} "
-            f"rk1={_fmt_px(f.racket_centroids[1])} "
-            f"joints0={_fmt_vecs(f.player_joints_cam[0])} "
-            f"joints1={_fmt_vecs(f.player_joints_cam[1])} "
-            f"ankles0={_fmt_pxs(f.player_ankles_px[0])} "
-            f"ankles1={_fmt_pxs(f.player_ankles_px[1])}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_fields(line: str, lineno: int) -> dict[str, str]:
-    fields = {}
-    for token in line.split():
-        if "=" not in token:
-            raise ParseError(lineno, f"malformed token {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
-    return fields
-
-
-def _parse_px(s: str, lineno: int) -> Optional[tuple[float, float]]:
-    if s == "-":
-        return None
-    try:
-        u, v = s.split(",")
-        return (float(u), float(v))
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad pixel {s!r}") from exc
-
-
-def _parse_vecs(s: str, lineno: int) -> Optional[list[Vec3]]:
-    if s == "-":
-        return None
-    try:
-        out = []
-        for part in s.split(";"):
-            x, y, z = part.split(",")
-            out.append(Vec3(float(x), float(y), float(z)))
-        return out
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad vector list {s!r}") from exc
-
-
-def _parse_pxs(s: str, lineno: int) -> Optional[list[tuple[float, float]]]:
-    if s == "-":
-        return None
-    try:
-        out = []
-        for part in s.split(";"):
-            u, v = part.split(",")
-            out.append((float(u), float(v)))
-        return out
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad pixel list {s!r}") from exc
+        lines.append(format_record(
+            TRACK_FRAME, f.frame_index, f.ball_px, *f.table_keypoints,
+            f.base_height_px, *f.racket_centroids, *f.player_joints_cam,
+            *f.player_ankles_px,
+        ))
+    write_lines(path, lines)
 
 
 def load_track(path: str) -> TrackFile:
     """Parse and validate a track file."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty track file")
-    head = lines[0].split()
-    if not head or head[0] != TRACK_VERSION:
-        raise VersionError(f"unknown track version {head[0] if head else '?'}")
-    meta = _parse_fields(" ".join(head[1:]), 1)
-    if "fps" not in meta:
-        raise SchemaError("track header missing fps")
-    if "w" not in meta or "h" not in meta:
-        raise SchemaError("track header missing image dimensions")
+    lines = read_lines(path)
+    meta = read_header(lines, TRACK_HEADER)
     header = TrackHeader(
-        fps=float(meta["fps"]),
-        width=int(meta["w"]),
-        height=int(meta["h"]),
-        video_id=meta.get("id", ""),
-        seed=int(meta["seed"]) if "seed" in meta else None,
-        noise_px=float(meta.get("noise_px", "0.0")),
+        fps=meta["fps"],
+        width=meta["w"],
+        height=meta["h"],
+        video_id=meta["id"] or "",
+        seed=meta["seed"],
+        noise_px=0.0 if meta["noise_px"] is None else meta["noise_px"],
     )
-    if header.fps <= 0:
-        raise SchemaError("fps must be positive")
-
     frames: list[Frame2D] = []
-    last_index = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        f = _parse_fields(line, lineno)
-        required = ["frame", "ball", "base_h", "rk0", "rk1", "joints0",
-                    "joints1", "ankles0", "ankles1"] + [f"kp{i}" for i in range(1, 7)]
-        for key in required:
-            if key not in f:
-                raise ParseError(lineno, f"missing field {key!r}")
-        try:
-            idx = int(f["frame"])
-            base_h = float(f["base_h"])
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-        if last_index is not None and idx <= last_index:
+    for lineno, line in body_lines(lines):
+        r = parse_record(TRACK_FRAME, line, lineno)
+        if frames and r["frame"] <= frames[-1].frame_index:
             raise ParseError(lineno, "frame indices must be increasing")
-        last_index = idx
-        kps = [_parse_px(f[f"kp{i}"], lineno) for i in range(1, 7)]
-        if any(kp is None for kp in kps):
-            kps_list = [kp for kp in kps if kp is not None]
-        else:
-            kps_list = kps  # type: ignore[assignment]
         frames.append(
             Frame2D(
-                frame_index=idx,
-                ball_px=_parse_px(f["ball"], lineno),
-                table_keypoints=kps_list,  # type: ignore[arg-type]
-                base_height_px=base_h,
-                racket_centroids=[
-                    _parse_px(f["rk0"], lineno),
-                    _parse_px(f["rk1"], lineno),
-                ],
-                player_joints_cam=[
-                    _parse_vecs(f["joints0"], lineno),
-                    _parse_vecs(f["joints1"], lineno),
-                ],
-                player_ankles_px=[
-                    _parse_pxs(f["ankles0"], lineno),
-                    _parse_pxs(f["ankles1"], lineno),
-                ],
+                frame_index=r["frame"],
+                ball_px=r["ball"],
+                table_keypoints=[r[f"kp{i}"] for i in range(1, 7)],
+                base_height_px=r["base_h"],
+                racket_centroids=[r["rk0"], r["rk1"]],
+                player_joints_cam=[r["joints0"], r["joints1"]],
+                player_ankles_px=[r["ankles0"], r["ankles1"]],
             )
         )
     return TrackFile(header=header, frames=frames)
@@ -299,14 +402,10 @@ def calibrate_from_track(
     better than any single frame.
     """
     kp_stack = np.array(
-        [
-            [list(kp) for kp in f.table_keypoints]
-            for f in track.frames
-            if len(f.table_keypoints) == 6
-        ]
+        [f.table_keypoints for f in track.frames if f.has_all_keypoints()]
     )
     if len(kp_stack) == 0:
-        raise SchemaError("no frames with six keypoints")
+        raise SchemaError(None, "no frames with all six keypoints")
     med = np.median(kp_stack, axis=0)
     base_h = float(np.median([f.base_height_px for f in track.frames]))
     keypoints = [ImagePoint(u, v) for u, v in med]
@@ -456,197 +555,118 @@ def filter_points(
 
 
 # ---------------------------------------------------------------------------
-# reconstruction file serialization
+# reconstruction and camera file serialization
 # ---------------------------------------------------------------------------
 
 
-def _v3(v: Vec3) -> str:
-    return f"{float(v.x)!r},{float(v.y)!r},{float(v.z)!r}"
-
-
-def _p3(s: str, lineno: int) -> Vec3:
-    try:
-        x, y, z = s.split(",")
-        return Vec3(float(x), float(y), float(z))
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad vec3 {s!r}") from exc
-
-
 def write_reconstruction(recon: Reconstruction, path: str) -> None:
-    lines = [f"{RECON_VERSION} fps={recon.fps!r}"
-             + (f" seed={recon.seed}" if recon.seed is not None else "")]
     k = recon.camera.intrinsics
-    lines.append(
-        f"camera fx={float(k.fx)!r} fy={float(k.fy)!r} "
-        f"cx={float(k.cx)!r} cy={float(k.cy)!r} "
-        f"rms={float(recon.camera_rms)!r}"
-    )
-    lines.append("rot " + " ".join(f"{float(x)!r}" for x in recon.camera.extrinsics.r.ravel()))
-    lines.append("trans " + " ".join(f"{float(x)!r}" for x in recon.camera.extrinsics.t))
     t = recon.table
-    lines.append(
-        f"table length={t.length_x!r} width={t.width_y!r} height={t.height_z!r}"
-    )
+    lines = [
+        format_record(RECON_HEADER, recon.fps, recon.seed),
+        format_record(RECON_CAMERA, k.fx, k.fy, k.cx, k.cy, recon.camera_rms),
+        format_record(RECON_ROT, *recon.camera.extrinsics.r.ravel()),
+        format_record(TRANS, *recon.camera.extrinsics.t),
+        format_record(RECON_TABLE, t.length_x, t.width_y, t.height_z),
+    ]
     for point in recon.points:
-        lines.append(
-            f"point id={point.point_id} partition={point.partition or '-'} "
-            f"entity_complete={int(point.entity_complete)} "
-            f"complete={int(point.complete)}"
-        )
+        lines.append(format_record(
+            RECON_POINT, point.point_id, point.partition or None,
+            point.entity_complete, point.complete,
+        ))
         for hit in point.hits:
-            lines.append(
-                f"hit frame={int(hit.frame)} player={int(hit.player)} pos={_v3(hit.hand_world)}"
-            )
+            lines.append(format_record(RECON_HIT, hit.frame, hit.player, hit.hand_world))
         for bounce in point.bounces:
-            lines.append(f"bounce frame={int(bounce.frame)} pos={_v3(bounce.position)}")
+            lines.append(format_record(RECON_BOUNCE, bounce.frame, bounce.position))
         for piece in point.pieces:
             seg = piece.segment
-            lines.append(
-                f"piece start={int(piece.start_frame)} end={int(piece.end_frame)} "
-                f"T={float(seg.T)!r} k={float(seg.k)!r} "
-                f"reproj={float(piece.drag.reproj_error)!r} "
-                f"warn={int(piece.drag.boundary_warning)} "
-                f"mse={float(piece.parabola_mse)!r} b0={_v3(seg.b0)} bT={_v3(seg.bT)}"
-            )
+            lines.append(format_record(
+                RECON_PIECE, piece.start_frame, piece.end_frame, seg.T, seg.k,
+                piece.drag.reproj_error, piece.drag.boundary_warning,
+                piece.parabola_mse, seg.b0, seg.bT,
+            ))
         for frame in point.frames:
-            lines.append(
-                f"frame idx={int(frame.frame_index)} ball={_v3(frame.ball)} "
-                f"root0={_v3(frame.roots[0])} root1={_v3(frame.roots[1])} "
-                f"joints0={';'.join(_v3(j) for j in frame.joints[0])} "
-                f"joints1={';'.join(_v3(j) for j in frame.joints[1])}"
-            )
-        lines.append("endpoint")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines.append(format_record(
+                RECON_FRAME, frame.frame_index, frame.ball, *frame.roots, *frame.joints
+            ))
+        lines.append(format_record(RECON_ENDPOINT))
+    write_lines(path, lines)
 
 
 def read_reconstruction(path: str) -> Reconstruction:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty reconstruction file")
-    head = lines[0].split()
-    if not head or head[0] != RECON_VERSION:
-        raise VersionError(
-            f"unknown reconstruction version {head[0] if head else '?'}"
-        )
-    meta = _parse_fields(" ".join(head[1:]), 1)
-    if "fps" not in meta:
-        raise SchemaError("reconstruction header missing fps")
-    fps = float(meta["fps"])
-    seed = int(meta["seed"]) if "seed" in meta else None
-
-    camera = None
-    camera_rms = 0.0
-    rot = None
-    trans = None
-    table = None
-    cam_fields = None
+    lines = read_lines(path)
+    meta = read_header(lines, RECON_HEADER)
+    once: dict[Spec, dict[str, Any]] = {}
     points: list[ReconstructedPoint] = []
-    current: Optional[ReconstructedPoint] = None
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tag, _, rest = line.partition(" ")
-        if tag == "camera":
-            cam_fields = _parse_fields(rest, lineno)
-            camera_rms = float(cam_fields["rms"])
-        elif tag == "rot":
-            rot = np.array([float(x) for x in rest.split()]).reshape(3, 3)
-        elif tag == "trans":
-            trans = np.array([float(x) for x in rest.split()])
-        elif tag == "table":
-            f = _parse_fields(rest, lineno)
-            table = TableGeometry(
-                length_x=float(f["length"]),
-                width_y=float(f["width"]),
-                height_z=float(f["height"]),
-            )
-        elif tag == "point":
-            f = _parse_fields(rest, lineno)
-            current = ReconstructedPoint(
-                point_id=int(f["id"]),
-                frames=[],
-                hits=[],
-                bounces=[],
-                pieces=[],
-                partition="" if f["partition"] == "-" else f["partition"],
-                entity_complete=bool(int(f["entity_complete"])),
-                complete=bool(int(f["complete"])),
-            )
-            points.append(current)
-        elif tag == "hit":
-            f = _parse_fields(rest, lineno)
-            current.hits.append(
-                HitEvent(
-                    frame=int(f["frame"]),
-                    player=int(f["player"]),
-                    hand_world=_p3(f["pos"], lineno),
-                )
-            )
-        elif tag == "bounce":
-            f = _parse_fields(rest, lineno)
-            current.bounces.append(
-                BounceEvent(frame=int(f["frame"]), position=_p3(f["pos"], lineno))
-            )
-        elif tag == "piece":
-            f = _parse_fields(rest, lineno)
-            seg = StokesSegment(
-                b0=_p3(f["b0"], lineno),
-                bT=_p3(f["bT"], lineno),
-                T=float(f["T"]),
-                k=float(f["k"]),
-            )
-            current.pieces.append(
-                ReconstructedPiece(
-                    start_frame=int(f["start"]),
-                    end_frame=int(f["end"]),
-                    segment=seg,
-                    drag=DragFit(
-                        k=float(f["k"]),
-                        reproj_error=float(f["reproj"]),
-                        boundary_warning=bool(int(f["warn"])),
-                    ),
-                    parabola_mse=float(f["mse"]),
-                )
-            )
-        elif tag == "frame":
-            f = _parse_fields(rest, lineno)
-            current.frames.append(
-                PointFrame(
-                    frame_index=int(f["idx"]),
-                    ball=_p3(f["ball"], lineno),
-                    roots=[_p3(f["root0"], lineno), _p3(f["root1"], lineno)],
-                    joints=[
-                        [_p3(s, lineno) for s in f["joints0"].split(";")],
-                        [_p3(s, lineno) for s in f["joints1"].split(";")],
-                    ],
-                )
-            )
-        elif tag == "endpoint":
-            current = None
-        else:
+    point: Optional[ReconstructedPoint] = None
+    for lineno, line in body_lines(lines):
+        tag = line.split(maxsplit=1)[0]
+        if tag not in _RECON_RECORDS:
             raise ParseError(lineno, f"unknown record tag {tag!r}")
+        spec = _RECON_RECORDS[tag]
+        r = parse_record(spec, line, lineno)
+        # point and camera-block records come between point blocks, all others inside.
+        if (point is None) != (spec is RECON_POINT or spec in _RECON_CAMERA_BLOCK):
+            where = "outside" if point is None else "inside"
+            raise ParseError(lineno, f"{tag} record {where} a point block")
+        try:
+            if spec is RECON_POINT:
+                point = ReconstructedPoint(
+                    point_id=r["id"], frames=[], hits=[], bounces=[], pieces=[],
+                    partition=r["partition"] or "",
+                    entity_complete=r["entity_complete"], complete=r["complete"],
+                )
+                points.append(point)
+            elif spec is RECON_HIT:
+                point.hits.append(HitEvent(r["frame"], r["player"], hand_world=r["pos"]))
+            elif spec is RECON_BOUNCE:
+                point.bounces.append(BounceEvent(r["frame"], position=r["pos"]))
+            elif spec is RECON_PIECE:
+                point.pieces.append(ReconstructedPiece(
+                    start_frame=r["start"],
+                    end_frame=r["end"],
+                    segment=StokesSegment(b0=r["b0"], bT=r["bT"], T=r["T"], k=r["k"]),
+                    drag=DragFit(r["k"], r["reproj"], boundary_warning=r["warn"]),
+                    parabola_mse=r["mse"],
+                ))
+            elif spec is RECON_FRAME:
+                point.frames.append(PointFrame(
+                    r["idx"], ball=r["ball"], roots=[r["root0"], r["root1"]],
+                    joints=[r["joints0"], r["joints1"]],
+                ))
+            elif spec is RECON_ENDPOINT:
+                point = None
+            elif spec in once:
+                raise ParseError(lineno, f"duplicate {tag} record")
+            else:
+                once[spec] = r
+        except ValueError as exc:  # a constructor's own check, e.g. k > 0
+            raise ParseError(lineno, str(exc)) from None
+    if point is not None:
+        raise ParseError(len(lines), "the last point block has no endpoint record")
+    missing = [spec.tag for spec in _RECON_CAMERA_BLOCK if spec not in once]
+    if missing:
+        raise SchemaError(None, f"missing {', '.join(missing)} record")
+    cam, rot, trans, table = (once[spec] for spec in _RECON_CAMERA_BLOCK)
+    try:
+        camera = Camera(
+            Intrinsics(fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"]),
+            Extrinsics(r=np.reshape(list(rot.values()), (3, 3)), t=list(trans.values())),
+        )
+        geometry = TableGeometry(table["length"], table["width"], table["height"])
+    except ValueError as exc:
+        raise SchemaError(None, str(exc)) from None
+    return Reconstruction(fps=meta["fps"], camera=camera, camera_rms=cam["rms"],
+                          table=geometry, points=points, seed=meta["seed"])
 
-    if cam_fields is None or rot is None or trans is None:
-        raise SchemaError("reconstruction file missing camera block")
-    camera = Camera(
-        Intrinsics(
-            fx=float(cam_fields["fx"]),
-            fy=float(cam_fields["fy"]),
-            cx=float(cam_fields["cx"]),
-            cy=float(cam_fields["cy"]),
-        ),
-        Extrinsics(r=rot, t=trans),
-    )
-    if table is None:
-        raise SchemaError("reconstruction file missing table block")
-    return Reconstruction(
-        fps=fps,
-        camera=camera,
-        camera_rms=camera_rms,
-        table=table,
-        points=points,
-        seed=seed,
-    )
+
+def camera_lines(camera: Camera, rms: float, seed: Optional[int]) -> list[str]:
+    """The camera-v1 report of a calibration."""
+    k = camera.intrinsics
+    return [
+        format_record(CAMERA_HEADER, seed),
+        format_record(CAMERA_INTRINSICS, k.fx, k.fy, k.cx, k.cy),
+        *(format_record(CAMERA_ROT, *row) for row in camera.extrinsics.r),
+        format_record(TRANS, *camera.extrinsics.t),
+        format_record(CAMERA_RMS, rms),
+    ]

@@ -1,0 +1,323 @@
+"""The record codec shared by all five file formats.
+
+The files in tests/data were written by the hand-written writers that the
+codec replaced, so re-writing what the readers load must reproduce them byte
+for byte: a format drift shared by writer and reader still shows here.
+"""
+
+import contextlib
+import io
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ttrally import pipeline
+from ttrally.anticipate import read_calibration, write_calibration
+from ttrally.camera import Camera, Extrinsics, Intrinsics
+from ttrally.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from ttrally.control import ExperimentRow, write_results
+from ttrally.core import TableGeometry, Vec3
+from ttrally.errors import ParseError, SchemaError, VersionError
+from ttrally.pipeline import (
+    calibrate_from_track,
+    load_track,
+    read_reconstruction,
+    write_reconstruction,
+    write_track,
+)
+
+DATA = Path(__file__).parent / "data"
+TRACK = DATA / "dashes.track"  # '-' detections, no seed
+RECON = DATA / "two_points.recon"  # partitions '-' and 'train'
+CONFORMAL = DATA / "inf_quantile.conformal"  # finite and +inf quantiles
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+def _assert_usage_error(argv):
+    rc, err = _run(argv)
+    assert rc == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+# ---------------------------------------------------------------------------
+# same bytes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "path, read, write",
+    [
+        (TRACK, load_track, write_track),
+        (RECON, read_reconstruction, write_reconstruction),
+        (CONFORMAL, read_calibration, lambda c, p: write_calibration(p, c, seed=5)),
+    ],
+    ids=["track", "recon", "conformal"],
+)
+def test_golden_file_round_trips_byte_for_byte(path, read, write, tmp_path):
+    out = tmp_path / path.name
+    write(read(str(path)), str(out))
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_golden_files_hold_what_they_claim():
+    track = load_track(str(TRACK))
+    assert track.header.seed is None and track.frames[1].ball_px is None
+    recon = read_reconstruction(str(RECON))
+    assert [p.partition for p in recon.points] == ["", "train"]
+    assert math.inf in read_calibration(str(CONFORMAL)).quantiles.values()
+
+
+def test_camera_report_exact_text():
+    camera = Camera(
+        Intrinsics(fx=1000.0, fy=990.5, cx=480.0, cy=270.25),
+        Extrinsics(r=[[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]], t=[0.0, 1.5, 7.25]),
+    )
+    assert pipeline.camera_lines(camera, 0.125, seed=21) == [
+        "camera-v1 seed=21",
+        "fx=1000.0 fy=990.5 cx=480.0 cy=270.25",
+        "rot 1.0 0.0 0.0",
+        "rot 0.0 0.0 -1.0",
+        "rot 0.0 1.0 0.0",
+        "trans 0.0 1.5 7.25",
+        "rms_px=0.125",
+    ]
+    # A seedless track leaves the seed out rather than writing seed=None.
+    assert pipeline.camera_lines(camera, 0.125, seed=None)[0] == "camera-v1"
+
+
+def test_results_exact_text(tmp_path):
+    central = Vec3(-1.5, 0.0, 1.05)
+    rows = [
+        ExperimentRow("anticipatory", 0.1, 0.2, central, 8, 0.875, 0.025, 0.0625, 1.5, 1),
+        ExperimentRow("oracle", 0.1, 0.2, central, 8, 0.0, math.nan, 0.0, 0.0, 0),
+    ]
+    path = tmp_path / "results.tsv"
+    write_results(str(path), rows, seed=3)
+    assert path.read_text() == (
+        "results-v1 seed=3\n"
+        "strategy\tlambda\tlead_time\tcentral\tn\treturn_rate\tmean_deviation"
+        "\tmean_pos_err\tmean_ang_err_deg\tn_fallback\n"
+        "anticipatory\t0.1\t0.2\t(-1.5,0.0,1.05)\t8\t0.875\t0.025\t0.0625\t1.5\t1\n"
+        "oracle\t0.1\t0.2\t(-1.5,0.0,1.05)\t8\t0.0\tnan\t0.0\t0.0\t0\n"
+    )
+
+
+def test_absent_keypoint_keeps_its_position(tmp_path):
+    lines = TRACK.read_text().splitlines()
+    lines[5] = re.sub(r"kp3=\S+", "kp3=-", lines[5])
+    path = tmp_path / "kp.track"
+    path.write_text("\n".join(lines) + "\n")
+    track = load_track(str(path))
+    kps = track.frames[4].table_keypoints
+    assert len(kps) == 6 and kps[2] is None and None not in kps[3:]
+    assert not track.frames[4].is_complete() and track.frames[0].is_complete()
+    again = tmp_path / "again.track"
+    write_track(track, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    _, rms = calibrate_from_track(track, TableGeometry())
+    assert rms < 5.0
+
+
+# ---------------------------------------------------------------------------
+# header values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("fps=60.0", "fps=nan"),
+        ("fps=60.0", "fps=inf"),
+        ("fps=60.0", "fps=0.0"),
+        ("fps=60.0", "fps=-60.0"),
+        ("w=960", "w=0"),
+        ("h=540", "h=-540"),
+    ],
+)
+def test_track_header_rejects_invalid_values(old, new, tmp_path):
+    path = tmp_path / "bad.track"
+    path.write_text(TRACK.read_text().replace(old, new, 1))
+    with pytest.raises(SchemaError) as err:
+        load_track(str(path))
+    assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, error, line",
+    [
+        ("alpha=0.1", "alpha=abc", SchemaError, 1),
+        ("alpha=0.1", "alpha=2.0", SchemaError, 1),
+        ("conformal-v1 ", "conformal-v12 ", VersionError, 1),
+        ("\tinf\t", "\tnan\t", ParseError, 3),
+    ],
+)
+def test_read_calibration_rejects_invalid_values(old, new, error, line, tmp_path):
+    path = tmp_path / "bad.conformal"
+    path.write_text(CONFORMAL.read_text().replace(old, new, 1))
+    with pytest.raises(ParseError) as err:
+        read_calibration(str(path))
+    assert type(err.value) is error and err.value.line_number == line
+
+
+# ---------------------------------------------------------------------------
+# malformed files exit 2 from the CLI
+# ---------------------------------------------------------------------------
+
+
+def _sub(pattern, repl):
+    return lambda text: re.sub(pattern, repl, text, count=1, flags=re.M)
+
+
+def _hit_before_point(text):
+    lines = text.splitlines()
+    lines.insert(1, lines.pop(next(i for i, s in enumerate(lines) if s.startswith("hit "))))
+    return "\n".join(lines) + "\n"
+
+
+TRACK_PROBES = {
+    "fps-abc": _sub(r"fps=\S+", "fps=abc"),
+    "fps-nan": _sub(r"fps=\S+", "fps=nan"),
+    "w-abc": _sub(r" w=\S+", " w=abc"),
+    "one-ankle": _sub(r"ankles0=([^;\s]+);\S+", r"ankles0=\1"),
+    "version": _sub(r"^v1 ", "v9 "),
+    "bad-pixel": _sub(r"ball=\S+", "ball=oops"),
+    "missing-kp6": _sub(r" kp6=\S+", ""),
+}
+RECON_PROBES = {
+    "hit-before-point": _hit_before_point,
+    "missing-rms": _sub(r" rms=\S+", ""),
+    "missing-id": _sub(r" id=\S+", ""),
+    "rot-xx": _sub(r"^(rot \S+) \S+", r"\1 xx"),
+    "negative-k": _sub(r" k=\S+", " k=-1.0"),
+    "eight-rot": _sub(r"^(rot .*) \S+$", r"\1"),
+    "unknown-tag": _sub(r"^endpoint$", "endpoints"),
+    "no-endpoint": lambda text: text.rsplit("endpoint", 1)[0],
+    "no-table": _sub(r"^table .*\n", ""),
+}
+
+
+def _track_commands(path, tmp_path):
+    return [
+        ["calibrate", "--track", str(path)],
+        ["reconstruct", "--track", str(path), "--out", str(tmp_path / "out.recon")],
+    ]
+
+
+def _recon_commands(path, tmp_path):
+    return [["stats", "--recon", str(path)]]
+
+
+@pytest.mark.parametrize(
+    "source, mutate, commands",
+    [(TRACK, m, _track_commands) for m in TRACK_PROBES.values()]
+    + [(RECON, m, _recon_commands) for m in RECON_PROBES.values()],
+    ids=[f"track-{k}" for k in TRACK_PROBES] + [f"recon-{k}" for k in RECON_PROBES],
+)
+def test_malformed_file_exits_2(source, mutate, commands, tmp_path):
+    path = tmp_path / source.name
+    path.write_text(mutate(source.read_text()))
+    for argv in commands(path, tmp_path):
+        _assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("commands", [_track_commands, _recon_commands])
+def test_directory_or_binary_input_exits_2(commands, tmp_path):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"v1 fps=60.0 w=960 h=540\n\xff\xfe\x00\x80\n")
+    with pytest.raises(ParseError) as err:
+        load_track(str(binary))
+    assert err.value.line_number == 2
+    for path in (tmp_path, binary):
+        for argv in commands(path, tmp_path):
+            _assert_usage_error(argv)
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzzing: every reader loads a damaged file or raises ParseError
+# ---------------------------------------------------------------------------
+
+EDITS = ("truncate", "drop", "duplicate", "garble", "nan", "drop_header_field")
+JUNK = st.text(alphabet="0123456789.,;-=+eExnaif \té", max_size=8)
+# A number in a value: preceded by '=', a separator, or whitespace.
+NUMBER = re.compile(r"(?<=[=,;\s])-?\d+(\.\d+)?(e[-+]?\d+)?")
+
+
+def _mutate(lines, edit, i, j, junk):
+    lines = list(lines)
+    if edit == "move_hit":  # move a hit record above its point record
+        hits = [n for n, s in enumerate(lines) if s.startswith("hit ")]
+        n = hits[i % len(hits)]
+        lines.insert(max(m for m in range(n) if lines[m].startswith("point ")), lines.pop(n))
+        return lines
+    if edit == "drop_header_field":
+        tokens = lines[0].split()
+        del tokens[1 + j % (len(tokens) - 1)]  # keep the version tag
+        lines[0] = " ".join(tokens)
+        return lines
+    body = [n for n, s in enumerate(lines) if n and (edit != "nan" or NUMBER.search(s))]
+    n = body[i % len(body)]
+    line = lines[n]
+    if edit == "truncate":
+        lines[n] = line[: j % len(line)]
+    elif edit == "nan":
+        numbers = list(NUMBER.finditer(line))
+        m = numbers[j % len(numbers)]
+        lines[n] = line[: m.start()] + "nan" + line[m.end():]
+    else:
+        sep = "\t" if "\t" in line else " "
+        tokens = line.split(sep)
+        k = j % len(tokens)
+        if edit == "drop":
+            del tokens[k]
+        elif edit == "duplicate":
+            tokens.insert(k, tokens[k])
+        else:  # garble the value, keeping its key
+            key, eq, _ = tokens[k].rpartition("=")
+            tokens[k] = key + eq + junk
+        lines[n] = sep.join(tokens)
+    return lines
+
+
+FUZZ = {
+    "track": (TRACK, load_track, EDITS, _track_commands),
+    "recon": (RECON, read_reconstruction, EDITS + ("move_hit",), _recon_commands),
+    "conformal": (CONFORMAL, read_calibration, EDITS, lambda path, tmp: []),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize(
+    "fmt, edit", [(fmt, edit) for fmt, spec in FUZZ.items() for edit in spec[2]]
+)
+@settings(max_examples=30)
+@given(i=st.integers(0, 10**6), j=st.integers(0, 10**6), junk=JUNK)
+def test_mutated_file_loads_or_exits_2(fmt, edit, i, j, junk, fuzz_dir):
+    source, read, _, commands = FUZZ[fmt]
+    path = fuzz_dir / source.name
+    lines = _mutate(source.read_text().splitlines(), edit, i, j, junk)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read(str(path))
+    except ParseError:
+        for argv in commands(path, fuzz_dir):
+            _assert_usage_error(argv)
+    else:
+        # Only these edits can leave a valid file; dropped or duplicated fields,
+        # nan values and misplaced records must be rejected.
+        assert edit in ("truncate", "garble", "drop_header_field")
+        # A file that loads may still fail processing, but never with a traceback.
+        for argv in commands(path, fuzz_dir)[:1]:
+            assert _run(argv)[0] in (EXIT_OK, EXIT_FAILURE)
