@@ -142,12 +142,6 @@ class ShotPredictor:
         return self.trajectory(ctx).position(horizon)
 
 
-def make_shot_predictor(
-    params: MemberParams, table: TableGeometry = TableGeometry()
-) -> Predictor:
-    return ShotPredictor(params, table)
-
-
 def physics_baseline_ensemble(
     seed: int,
     k_members: int = 5,
@@ -157,8 +151,7 @@ def physics_baseline_ensemble(
     if k_members < 2:
         raise EnsembleTooSmall(f"need >= 2 members, got {k_members}")
     return [
-        make_shot_predictor(_member_params(seed, i, scale), table)
-        for i in range(k_members)
+        ShotPredictor(_member_params(seed, i, scale), table) for i in range(k_members)
     ]
 
 
@@ -198,12 +191,6 @@ def ensemble_curve(
         )
         for h, m, s in zip(horizons, means, sigmas)
     ]
-
-
-def ensemble_aggregate(
-    predictors: Sequence[Predictor], ctx: ContextWindow, horizon: float
-) -> EnsembleOutput:
-    return ensemble_curve(predictors, ctx, [horizon])[0]
 
 
 def residual(truth: float, mean: float, sigma: float) -> float:

@@ -31,6 +31,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _seed_field(seed: Optional[int]) -> str:
+    """A report line's ``" seed=N"`` suffix; empty for a seedless input."""
+    return "" if seed is None else f" seed={seed}"
+
+
 def cmd_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     track, _, _ = synth.generate_scene(
@@ -58,7 +63,7 @@ def cmd_reconstruct(args) -> int:
     config = pipeline.PipelineConfig(mse_threshold=args.mse_threshold)
     recon, _ = pipeline.reconstruct_point(track, config=config)
     pipeline.write_reconstruction(recon, args.out)
-    print(f"wrote {args.out} seed={recon.seed}")
+    print(f"wrote {args.out}{_seed_field(recon.seed)}")
     return EXIT_OK
 
 
@@ -75,7 +80,7 @@ def cmd_stats(args) -> int:
     ]
     stats = dataset_stats(points, recon.table)
     lines = [
-        f"stats-v1 seed={recon.seed}",
+        f"stats-v1{_seed_field(recon.seed)}",
         f"mean_speed={stats.mean_speed!r}",
         f"speed_p10={stats.speed_p10!r}",
         f"speed_p90={stats.speed_p90!r}",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation, Slerp
 
 from .anticipate import (
@@ -31,7 +31,7 @@ from .core import TableGeometry, Vec3
 from .errors import Infeasible, NoContact, NoFeasibleTime
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
-from .synth import ExchangeSample, Trajectory, generate_exchanges
+from .synth import ExchangeSample, generate_exchanges
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,7 @@ class Box:
 
 
 REFERENCE_NORMAL = np.array([1.0, 0.0, 0.0])  # racket faces +x at identity
+MAX_RACKET_ANGLE_DEG = 60.0  # yaw and pitch limit of the racket normal
 
 
 @dataclass
@@ -148,13 +149,6 @@ def racket_reflect(v: Vec3, normal: np.ndarray) -> Vec3:
     return Vec3.from_array(out)
 
 
-def table_bounce(v: Vec3, e_z: float = 0.87, e_h: float = 0.75) -> Vec3:
-    """Restitution bounce off the table surface."""
-    if v.z >= 0:
-        raise NoContact("ball moving away from the table")
-    return Vec3(v.x * e_h, v.y * e_h, -v.z * e_z)
-
-
 @dataclass
 class DragFlight:
     """Free flight with gravity and linear drag from an initial state."""
@@ -212,55 +206,36 @@ def solve_target_pose(
     v_in: Vec3,
     table: TableGeometry,
     target: Optional[Vec3] = None,
-    max_angle_deg: float = 60.0,
 ) -> RacketPose:
-    """Racket orientation at the interception point that lands near a target.
+    """Racket orientation at the interception point that lands on a target.
 
-    Searches yaw/pitch of the racket normal so the mirror-reflected ball,
-    flying ballistically, lands as close as possible to the target point on
-    the opponent half. Multi-start simplex over the angle box.
+    Mirror reflection keeps the ball's speed s, so the outgoing velocity is
+    the low-arc drag-free launch at speed s from the hit (above the table)
+    to the target on the table plane, and the racket normal is parallel to
+    v_out - v_in. Raises Infeasible when the target is out of range at this
+    speed, when no face turned toward the ball reflects it there, or when
+    the normal's yaw or pitch leaves the +-MAX_RACKET_ANGLE_DEG box.
     """
     if target is None:
         target = Vec3(table.half_length / 2.0, 0.0, table.height_z)
-    t_xy = np.array([target.x, target.y])
-
-    def objective(angles: np.ndarray) -> float:
-        psi, phi = angles
-        n = np.array(
-            [
-                math.cos(phi) * math.cos(psi),
-                math.cos(phi) * math.sin(psi),
-                math.sin(phi),
-            ]
-        )
-        vn = float(v_in.as_array() @ n)
-        if vn >= -1e-6:
-            return 1e6
-        v_out = Vec3.from_array(v_in.as_array() - 2.0 * vn * n)
-        land = landing_after_reflection(hit, v_out, table.height_z)
-        if land is None:
-            return 1e6
-        return float(np.sum((land[1] - t_xy) ** 2))
-
-    lim = math.radians(max_angle_deg)
-    best = None
-    for psi0 in (-0.6, -0.2, 0.0, 0.2, 0.6):
-        for phi0 in (-0.3, 0.0, 0.3):
-            res = minimize(
-                objective,
-                np.array([psi0, phi0]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400},
-            )
-            x = np.clip(res.x, -lim, lim)
-            val = objective(x)
-            if best is None or val < best[0]:
-                best = (val, x)
-    if best is None or best[0] >= 1e6:
-        raise Infeasible("no racket orientation returns the ball to the table")
-    psi, phi = best[1]
-    orientation = Rotation.from_euler("zy", [psi, -phi])
-    return RacketPose(position=hit, orientation=orientation)
+    dx, dy = target.x - hit.x, target.y - hit.y
+    s2 = v_in.norm() ** 2
+    drop = hit.z - table.height_z
+    disc = s2 * s2 - GRAVITY * (GRAVITY * (dx * dx + dy * dy) - 2.0 * s2 * drop)
+    if disc < 0:
+        raise Infeasible("target out of range at the incoming speed")
+    # Low arc: tan(elevation) = (s^2 - sqrt(disc)) / (g * horizontal distance).
+    v_out = np.array([GRAVITY * dx, GRAVITY * dy, s2 - math.sqrt(disc)])
+    v_out *= math.sqrt(s2) / np.linalg.norm(v_out)
+    dv = v_out - v_in.as_array()
+    if float(v_in.as_array() @ dv) >= 0:
+        raise Infeasible("no racket face turned toward the ball reflects it there")
+    n = dv / np.linalg.norm(dv)
+    psi, phi = math.atan2(n[1], n[0]), math.asin(n[2])
+    lim = math.radians(MAX_RACKET_ANGLE_DEG)
+    if abs(psi) > lim or abs(phi) > lim:
+        raise Infeasible("racket normal outside the angle limits")
+    return RacketPose(position=hit, orientation=Rotation.from_euler("yz", [-phi, psi]))
 
 
 # ---------------------------------------------------------------------------

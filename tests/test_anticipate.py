@@ -13,7 +13,6 @@ from ttrally.anticipate import (
     check_split,
     conformal_quantile,
     default_horizons,
-    ensemble_aggregate,
     ensemble_curve,
     evaluate_coverage,
     extreme_hit_bias,
@@ -138,8 +137,8 @@ def test_ensemble_needs_two_members():
 def test_ensemble_is_deterministic_and_spread_is_floored():
     ctx, _ = _linear_context()
     preds = physics_baseline_ensemble(7, 5)
-    a = ensemble_aggregate(preds, ctx, 0.25)
-    b = ensemble_aggregate(physics_baseline_ensemble(7, 5), ctx, 0.25)
+    a = ensemble_curve(preds, ctx, [0.25])[0]
+    b = ensemble_curve(physics_baseline_ensemble(7, 5), ctx, [0.25])[0]
     assert (a.mean - b.mean).norm() == 0.0
     assert (a.sigma - b.sigma).norm() == 0.0
     assert min(a.sigma.x, a.sigma.y, a.sigma.z) >= 1e-6
@@ -148,7 +147,7 @@ def test_ensemble_is_deterministic_and_spread_is_floored():
 def test_identical_members_hit_sigma_floor():
     ctx, _ = _linear_context()
     one = physics_baseline_ensemble(3, 2)[0]
-    out = ensemble_aggregate([one, one], ctx, 0.2)
+    out = ensemble_curve([one, one], ctx, [0.2])[0]
     assert out.sigma.x == out.sigma.y == out.sigma.z == 1e-6
 
 

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from ttrally.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from ttrally.pipeline import write_track
+from ttrally.synth import generate_scene
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,16 @@ def test_reconstruct_then_stats(track_path, tmp_path, capsys):
     assert 2.0 < float(values["mean_speed"]) < 30.0
     assert float(values["speed_p10"]) <= float(values["speed_p90"])
     assert float(values["mean_inter_hit_time"]) > 0.0
+
+
+def test_seedless_track_reports_omit_seed(tmp_path, capsys):
+    track, _, _ = generate_scene(np.random.default_rng(21), n_hits=4)
+    track_path, recon = tmp_path / "seedless.track", tmp_path / "seedless.recon"
+    write_track(track, str(track_path))
+    assert main(["reconstruct", "--track", str(track_path), "--out", str(recon)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {recon}\n"
+    assert main(["stats", "--recon", str(recon)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "stats-v1"
 
 
 def test_reconstruct_is_byte_reproducible(track_path, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation
 
 from ttrally.anticipate import Region
@@ -24,7 +25,6 @@ from ttrally.control import (
     select_target_time,
     solve_target_pose,
     step_robot,
-    table_bounce,
     write_results,
 )
 from ttrally.core import TableGeometry, Vec3
@@ -69,13 +69,6 @@ def test_racket_reflect_conserves_speed(vx, vy, vz, nx, ny, nz):
 def test_racket_reflect_head_on_reverses():
     out = racket_reflect(Vec3(-5.0, 0.0, 0.0), np.array([1.0, 0.0, 0.0]))
     assert (out - Vec3(5.0, 0.0, 0.0)).norm() < 1e-12
-
-
-def test_table_bounce_restitution():
-    out = table_bounce(Vec3(4.0, -2.0, -3.0))
-    assert out == Vec3(3.0, -1.5, 2.61)
-    with pytest.raises(NoContact):
-        table_bounce(Vec3(1.0, 0.0, 0.5))
 
 
 def test_farthest_corner_distance_matches_corner_enumeration():
@@ -209,9 +202,57 @@ def test_solve_target_pose_forward_sim_within_5cm():
         assert np.linalg.norm(xy - target) < 0.05
 
 
+def _low_arc_launch(hit, speed, target):
+    """Drag-free launch at this speed landing on the target, by root search.
+
+    The lowest elevation whose landing range reaches the target's distance
+    is the low arc.
+    """
+    dxy = np.array([target.x - hit.x, target.y - hit.y])
+    d = np.linalg.norm(dxy)
+    u = dxy / d
+
+    def launch(theta):
+        return Vec3(*(speed * math.cos(theta) * u), speed * math.sin(theta))
+
+    def overshoot(theta):
+        _, xy = landing_after_reflection(hit, launch(theta), TABLE.height_z)
+        return np.linalg.norm(xy - [hit.x, hit.y]) - d
+
+    grid = np.linspace(-1.5, 1.5, 301)
+    i = next(i for i, t in enumerate(grid) if overshoot(t) >= 0)
+    return launch(brentq(overshoot, grid[i - 1], grid[i], xtol=1e-15))
+
+
+def test_solve_target_pose_normal_and_landing_on_sim_crossings():
+    # Sim crossing velocities have large y/z components, where a racket built
+    # from the wrong Euler order tilts its normal off the solved direction.
+    target = SimParams().aim_target()
+    for ex in generate_exchanges(7, 60):
+        hit, v_in = ex.crossing_pos, ex.crossing_vel
+        pose = solve_target_pose(hit, v_in, TABLE, target)
+        dv = (_low_arc_launch(hit, v_in.norm(), target) - v_in).as_array()
+        assert np.linalg.norm(pose.normal() - dv / np.linalg.norm(dv)) < 1e-9
+        v_out = racket_reflect(v_in, pose.normal())
+        _, xy = landing_after_reflection(hit, v_out, TABLE.height_z)
+        assert np.linalg.norm(xy - [target.x, target.y]) < 1e-6
+
+
 def test_solve_target_pose_infeasible_when_ball_recedes():
     with pytest.raises(Infeasible):
         solve_target_pose(Vec3(-1.37, 0.0, 1.0), Vec3(20.0, 0.0, 0.0), TABLE)
+
+
+def test_solve_target_pose_infeasible_when_target_out_of_range():
+    far = Vec3(TABLE.half_length / 2.0 + 10.0, 0.0, TABLE.height_z)
+    with pytest.raises(Infeasible, match="range"):
+        solve_target_pose(Vec3(-1.37, 0.0, 1.0), Vec3(-2.0, 0.0, 0.0), TABLE, far)
+
+
+def test_solve_target_pose_infeasible_beyond_angle_limits():
+    # A ball crossing sideways needs a normal yawed about 67 degrees.
+    with pytest.raises(Infeasible, match="angle"):
+        solve_target_pose(Vec3(-1.37, 0.0, 1.0), Vec3(6.0, -6.0, 0.0), TABLE)
 
 
 def test_sim_params_validates_central_pose():
