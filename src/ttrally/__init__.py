@@ -1,32 +1,24 @@
 """Monocular table-tennis rally reconstruction, anticipation, and control sim."""
 
 from .core import (
-    Exchange,
     Frame2D,
     Frame3D,
     Point,
-    Segment,
     TableGeometry,
     Vec3,
     dataset_stats,
-    extract_exchanges,
-    partition_point,
 )
 from .errors import TTRallyError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Exchange",
     "Frame2D",
     "Frame3D",
     "Point",
-    "Segment",
     "TableGeometry",
     "TTRallyError",
     "Vec3",
     "dataset_stats",
-    "extract_exchanges",
-    "partition_point",
     "__version__",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,16 +77,6 @@ class ContextWindow:
         return p1 + v * self.lead_time, self.lead_time
 
 
-Predictor = Callable[[ContextWindow, float], Vec3]
-
-
-@dataclass
-class EnsembleOutput:
-    horizon: float
-    mean: Vec3
-    sigma: Vec3  # population std across members, floored
-
-
 @dataclass
 class MemberParams:
     """Deterministic per-member perturbations of the shot model."""
@@ -138,16 +128,13 @@ class ShotPredictor:
         )
         return traj
 
-    def __call__(self, ctx: ContextWindow, horizon: float) -> Vec3:
-        return self.trajectory(ctx).position(horizon)
-
 
 def physics_baseline_ensemble(
     seed: int,
     k_members: int = 5,
     table: TableGeometry = TableGeometry(),
     scale: float = 1.0,
-) -> list[Predictor]:
+) -> list[ShotPredictor]:
     if k_members < 2:
         raise EnsembleTooSmall(f"need >= 2 members, got {k_members}")
     return [
@@ -155,47 +142,56 @@ def physics_baseline_ensemble(
     ]
 
 
-def _member_predictions(
-    predictors: Sequence[Predictor], ctx: ContextWindow, horizons: Sequence[float]
-) -> np.ndarray:
-    """Member forecasts, shape (n_horizons, k_members, 3).
-
-    Predictors exposing a ``trajectory(ctx)`` method are evaluated once per
-    context and sampled at every horizon.
-    """
-    cols = []
-    for p in predictors:
-        traj_fn = getattr(p, "trajectory", None)
-        if traj_fn is not None:
-            traj = traj_fn(ctx)
-            cols.append([traj.position(h).as_array() for h in horizons])
-        else:
-            cols.append([p(ctx, h).as_array() for h in horizons])
-    return np.array(cols).transpose(1, 0, 2)
-
-
 def ensemble_curve(
-    predictors: Sequence[Predictor], ctx: ContextWindow, horizons: Sequence[float]
-) -> list[EnsembleOutput]:
-    """Mean and floored population std per axis, one output per horizon."""
+    predictors: Sequence[ShotPredictor], ctx: ContextWindow, horizons: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored population std across members, each (n_horizons, 3).
+
+    Each member's trajectory is built once and sampled at every horizon.
+    """
     if len(predictors) < 2:
         raise EnsembleTooSmall("spread needs >= 2 members")
-    preds = _member_predictions(predictors, ctx, horizons)
-    means = preds.mean(axis=1)
-    sigmas = np.maximum(preds.std(axis=1), SIGMA_FLOOR)
-    return [
-        EnsembleOutput(
-            horizon=horizon_key(h),
-            mean=Vec3.from_array(m),
-            sigma=Vec3.from_array(s),
-        )
-        for h, m, s in zip(horizons, means, sigmas)
-    ]
+    trajs = [p.trajectory(ctx) for p in predictors]
+    preds = np.array([[t.position(h).as_array() for h in horizons] for t in trajs])
+    return preds.mean(axis=0), np.maximum(preds.std(axis=0), SIGMA_FLOOR)
 
 
-def residual(truth: float, mean: float, sigma: float) -> float:
-    """Normalized nonconformity score |truth - mean| / sigma."""
-    return abs(truth - mean) / max(sigma, SIGMA_FLOOR)
+@dataclass
+class SplitForecast:
+    """One ensemble forecast per exchange of a split.
+
+    ``mean``, ``sigma`` and ``truth`` have shape (n_exchanges, n_horizons, 3);
+    every conformal statistic is a reduction over them.
+    """
+
+    exchanges: list[ExchangeSample]
+    horizons: list[float]
+    mean: np.ndarray
+    sigma: np.ndarray
+    truth: np.ndarray
+
+
+def forecast_split(
+    predictors: Sequence[ShotPredictor],
+    exchanges: Sequence[ExchangeSample],
+    horizons: Sequence[float],
+    lead_time: float = 0.0,
+) -> SplitForecast:
+    """Forecast every exchange once, ``lead_time`` before the hit (0 keeps the
+    full context)."""
+    exchanges, horizons = list(exchanges), list(horizons)
+    mean, sigma, truth = (np.empty((len(exchanges), len(horizons), 3)) for _ in range(3))
+    for i, ex in enumerate(exchanges):
+        mean[i], sigma[i] = ensemble_curve(predictors, _context_for(ex, lead_time), horizons)
+        truth[i] = [ex.truth_at(h).as_array() for h in horizons]
+    return SplitForecast(exchanges, horizons, mean, sigma, truth)
+
+
+def _context_for(ex: ExchangeSample, lead_time: float) -> ContextWindow:
+    if lead_time <= 0:
+        return ContextWindow(times=ex.context_times, frames=list(ex.context))
+    times, frames = ex.context_until(-lead_time)
+    return ContextWindow(times=times, frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -255,78 +251,40 @@ class Region:
     def center(self) -> Vec3:
         return (self.lo + self.hi) * 0.5
 
-    def half_widths(self) -> Vec3:
-        return (self.hi - self.lo) * 0.5
 
-
-def calibrate_ensemble(
-    predictors: Sequence[Predictor],
-    exchanges: Sequence[ExchangeSample],
-    horizons: Sequence[float],
-    alpha: float,
-    lead_time: float = 0.0,
-) -> ConformalCalibration:
-    """Fit per-axis conformal quantiles on held-out exchanges.
-
-    ``lead_time`` truncates each context so forecasts are issued that far
-    before the hit (0 keeps the full context).
-    """
-    residuals: dict[tuple[str, float], list[float]] = {
-        (ax, horizon_key(h)): [] for ax in AXES for h in horizons
-    }
-    for ex in exchanges:
-        ctx = _context_for(ex, lead_time)
-        for h, out in zip(horizons, ensemble_curve(predictors, ctx, horizons)):
-            truth = ex.truth_at(h).as_array()
-            mean, sigma = out.mean.as_array(), out.sigma.as_array()
-            for i, ax in enumerate(AXES):
-                residuals[(ax, out.horizon)].append(
-                    residual(truth[i], mean[i], sigma[i])
-                )
+def calibrate_ensemble(forecast: SplitForecast, alpha: float) -> ConformalCalibration:
+    """Fit per-axis conformal quantiles on a held-out split's forecast."""
+    scores = np.abs(forecast.truth - forecast.mean) / forecast.sigma
     calib = ConformalCalibration(alpha=alpha)
-    calib.calibration_ids = {ex.exchange_id for ex in exchanges}
-    for key, res in residuals.items():
-        calib.quantiles[key] = conformal_quantile(res, alpha)
-        calib.n_samples[key] = len(res)
+    calib.calibration_ids = {ex.exchange_id for ex in forecast.exchanges}
+    for i, ax in enumerate(AXES):
+        for j, h in enumerate(forecast.horizons):
+            calib.quantiles[(ax, horizon_key(h))] = conformal_quantile(scores[:, j, i], alpha)
+            calib.n_samples[(ax, horizon_key(h))] = len(scores)
     return calib
 
 
-def _context_for(ex: ExchangeSample, lead_time: float) -> ContextWindow:
-    if lead_time <= 0:
-        return ContextWindow(times=ex.context_times, frames=list(ex.context))
-    times, frames = ex.context_until(-lead_time)
-    return ContextWindow(times=times, frames=frames)
+def _bounds(
+    calib: ConformalCalibration, horizons: Sequence[float], mean: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Region corners mean -/+ q * sigma; ``mean`` and ``sigma`` end in (n_horizons, 3)."""
+    half = np.array([[calib.quantile(ax, h) for ax in AXES] for h in horizons]) * sigma
+    return mean - half, mean + half
 
 
 def build_regions(
-    predictors: Sequence[Predictor],
+    predictors: Sequence[ShotPredictor],
     calib: ConformalCalibration,
     ctx: ContextWindow,
     horizons: Sequence[float],
 ) -> list[Region]:
-    regions = []
-    for h, out in zip(horizons, ensemble_curve(predictors, ctx, horizons)):
-        mean, sigma = out.mean.as_array(), out.sigma.as_array()
-        q = np.array([calib.quantile(ax, h) for ax in AXES])
-        half = q * sigma
-        regions.append(
-            Region(
-                horizon=out.horizon,
-                lo=Vec3.from_array(mean - half),
-                hi=Vec3.from_array(mean + half),
-                mean=out.mean,
-            )
-        )
-    return regions
-
-
-def build_region(
-    predictors: Sequence[Predictor],
-    calib: ConformalCalibration,
-    ctx: ContextWindow,
-    horizon: float,
-) -> Region:
-    return build_regions(predictors, calib, ctx, [horizon])[0]
+    mean, sigma = ensemble_curve(predictors, ctx, horizons)
+    lo, hi = _bounds(calib, horizons, mean, sigma)
+    return [
+        Region(horizon=horizon_key(h), lo=Vec3.from_array(l), hi=Vec3.from_array(u),
+               mean=Vec3.from_array(m))
+        for h, l, u, m in zip(horizons, lo, hi, mean)
+    ]
 
 
 def check_split(
@@ -347,55 +305,31 @@ class CoverageReport:
         return self.per_axis[(axis, horizon_key(horizon))]
 
 
-def evaluate_coverage(
-    predictors: Sequence[Predictor],
-    calib: ConformalCalibration,
-    test_exchanges: Sequence[ExchangeSample],
-    horizons: Sequence[float],
-    lead_time: float = 0.0,
-) -> CoverageReport:
+def evaluate_coverage(calib: ConformalCalibration, forecast: SplitForecast) -> CoverageReport:
     """Empirical per-axis and joint coverage of conformal regions."""
-    check_split(calib, test_exchanges)
-    if not test_exchanges:
+    check_split(calib, forecast.exchanges)
+    if not forecast.exchanges:
         raise InputMismatch("empty test split")
-    hits: dict[tuple[str, float], int] = {
-        (ax, horizon_key(h)): 0 for ax in AXES for h in horizons
-    }
-    joint_hits: dict[float, int] = {horizon_key(h): 0 for h in horizons}
-    for ex in test_exchanges:
-        ctx = _context_for(ex, lead_time)
-        for h, region in zip(
-            horizons, build_regions(predictors, calib, ctx, horizons)
-        ):
-            t = ex.truth_at(h).as_array()
-            lo, hi = region.lo.as_array(), region.hi.as_array()
-            inside = (lo <= t) & (t <= hi)
-            for i, ax in enumerate(AXES):
-                hits[(ax, region.horizon)] += int(inside[i])
-            joint_hits[region.horizon] += int(inside.all())
-    n = len(test_exchanges)
+    lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
+    inside = (lo <= forecast.truth) & (forecast.truth <= hi)
+    axis_hits, joint_hits = inside.sum(axis=0), inside.all(axis=2).sum(axis=0)
+    n = len(forecast.exchanges)
+    keys = [horizon_key(h) for h in forecast.horizons]
     return CoverageReport(
-        per_axis={k: v / n for k, v in hits.items()},
-        joint={k: v / n for k, v in joint_hits.items()},
+        per_axis={(ax, k): int(axis_hits[j, i]) / n
+                  for i, ax in enumerate(AXES) for j, k in enumerate(keys)},
+        joint={k: int(joint_hits[j]) / n for j, k in enumerate(keys)},
         n_test=n,
     )
 
 
-def width_vs_horizon(
-    predictors: Sequence[Predictor],
-    calib: ConformalCalibration,
-    exchanges: Sequence[ExchangeSample],
-    horizons: Sequence[float],
-    lead_time: float = 0.0,
-) -> dict[float, float]:
+def width_vs_horizon(calib: ConformalCalibration, forecast: SplitForecast) -> dict[float, float]:
     """Mean region width (averaged over axes and exchanges) per horizon."""
-    widths: dict[float, list[float]] = {horizon_key(h): [] for h in horizons}
-    for ex in exchanges:
-        ctx = _context_for(ex, lead_time)
-        for region in build_regions(predictors, calib, ctx, horizons):
-            hw = region.half_widths().as_array()
-            widths[region.horizon].append(float(np.mean(2.0 * hw)))
-    return {k: float(np.mean(v)) for k, v in widths.items()}
+    lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
+    widths = np.mean(2.0 * ((hi - lo) * 0.5), axis=2)
+    # np.mean of each horizon's column sums it pairwise, as it summed the
+    # per-exchange lists; widths.mean(axis=0) would sum sequentially.
+    return {horizon_key(h): float(np.mean(col)) for h, col in zip(forecast.horizons, widths.T)}
 
 
 # ---------------------------------------------------------------------------
@@ -414,35 +348,33 @@ class BiasReport:
 
 
 def extreme_hit_bias(
-    predictors: Sequence[Predictor],
     calib: ConformalCalibration,
-    exchanges: Sequence[ExchangeSample],
-    horizons: Sequence[float],
+    forecast: SplitForecast,
     extreme_y: float = 0.75,
-    lead_time: float = 0.0,
     table: TableGeometry = TableGeometry(),
 ) -> BiasReport:
     """Do prediction regions lean toward the side extreme shots favor?
 
     An exchange is extreme when the shot crosses the ego hitting plane with
     |y| > ``extreme_y``. Its region — taken at the grid horizon nearest the
-    crossing time — counts as correct-side biased when it excludes at least a
-    third of the y half-range on the wrong side and excludes strictly more of
-    the wrong side than of the correct one.
+    crossing time, the earlier one on a tie — counts as correct-side biased
+    when it excludes at least a third of the y half-range on the wrong side
+    and excludes strictly more of the wrong side than of the correct one.
     """
     hw = table.half_width
-    hs = sorted(horizon_key(h) for h in horizons)
+    keys = [horizon_key(h) for h in forecast.horizons]
+    by_horizon = sorted(range(len(keys)), key=keys.__getitem__)
+    lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
     n_extreme = n_correct = 0
-    for ex in exchanges:
+    for i, ex in enumerate(forecast.exchanges):
         if abs(ex.crossing_pos.y) <= extreme_y:
             continue
         n_extreme += 1
-        ctx = _context_for(ex, lead_time)
-        horizon = min(hs, key=lambda h: abs(h - ex.crossing_time))
-        region = build_region(predictors, calib, ctx, horizon)
+        j = min(by_horizon, key=lambda j: abs(keys[j] - ex.crossing_time))
+        lo_y, hi_y = float(lo[i, j, 1]), float(hi[i, j, 1])
         # Excluded share of each y half-range [0, hw] and [-hw, 0].
-        right_covered = max(0.0, min(region.hi.y, hw) - max(region.lo.y, 0.0))
-        left_covered = max(0.0, min(region.hi.y, 0.0) - max(region.lo.y, -hw))
+        right_covered = max(0.0, min(hi_y, hw) - max(lo_y, 0.0))
+        left_covered = max(0.0, min(hi_y, 0.0) - max(lo_y, -hw))
         right_excluded = 1.0 - right_covered / hw
         left_excluded = 1.0 - left_covered / hw
         favored_right = ex.crossing_pos.y > 0
@@ -507,8 +439,11 @@ def run_conformal_study(
     cal = generate_exchanges(seed, n_cal, id_offset=0)
     test = generate_exchanges(seed + 1, n_test, id_offset=n_cal)
     predictors = physics_baseline_ensemble(seed, k_members)
-    calib = calibrate_ensemble(predictors, cal, horizons, alpha, lead_time)
-    coverage = evaluate_coverage(predictors, calib, test, horizons, lead_time)
-    widths = width_vs_horizon(predictors, calib, test, horizons, lead_time)
-    bias = extreme_hit_bias(predictors, calib, test, horizons, lead_time=lead_time)
-    return StudyResult(coverage=coverage, widths=widths, bias=bias, calib=calib)
+    calib = calibrate_ensemble(forecast_split(predictors, cal, horizons, lead_time), alpha)
+    forecast = forecast_split(predictors, test, horizons, lead_time)
+    return StudyResult(
+        coverage=evaluate_coverage(calib, forecast),
+        widths=width_vs_horizon(calib, forecast),
+        bias=extreme_hit_bias(calib, forecast),
+        calib=calib,
+    )

@@ -9,6 +9,7 @@ processing fails on valid input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -127,6 +128,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse ``type=`` that converts, then rejects values failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+SEED = _checked(int, lambda n: n >= 0, "must be >= 0")
+ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "must be in (0, 1)")
+COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
+HITS = _checked(int, lambda n: n >= 2, "must be >= 2")
+FPS = _checked(float, lambda f: 0.0 < f < math.inf, "must be finite and > 0")
+NOISE_PX = _checked(float, lambda f: 0.0 <= f < math.inf, "must be finite and >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttrally", description="Monocular rally reconstruction and anticipation."
@@ -134,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic track file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=SEED, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hits", type=int, default=4)
-    p.add_argument("--fps", type=float, default=60.0)
-    p.add_argument("--noise-px", type=float, default=0.0)
+    p.add_argument("--hits", type=HITS, default=4)
+    p.add_argument("--fps", type=FPS, default=60.0)
+    p.add_argument("--noise-px", type=NOISE_PX, default=0.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("calibrate", help="calibrate the camera from a track file")
@@ -158,19 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("conformal", help="calibrate and evaluate prediction regions")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--n-cal", type=int, default=2500)
-    p.add_argument("--n-test", type=int, default=1000)
+    p.add_argument("--seed", type=SEED, required=True)
+    p.add_argument("--alpha", type=ALPHA, default=0.1)
+    p.add_argument("--n-cal", type=COUNT, default=2500)
+    p.add_argument("--n-test", type=COUNT, default=1000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_conformal)
 
     p = sub.add_parser("simulate", help="run the simulated returner experiment")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--episodes", type=int, default=500)
+    p.add_argument("--seed", type=SEED, required=True)
+    p.add_argument("--episodes", type=COUNT, default=500)
     p.add_argument("--lam", dest="lam", type=float, default=0.1)
     p.add_argument("--lead-time", type=float, default=0.2)
-    p.add_argument("--alpha", type=float, default=0.15)
+    p.add_argument("--alpha", type=ALPHA, default=0.15)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -20,10 +20,11 @@ from scipy.spatial.transform import Rotation, Slerp
 from .anticipate import (
     ConformalCalibration,
     ContextWindow,
-    Predictor,
     Region,
+    ShotPredictor,
     build_regions,
     calibrate_ensemble,
+    forecast_split,
     physics_baseline_ensemble,
 )
 from .ball import GRAVITY
@@ -328,7 +329,7 @@ def _interception_pose(ex: ExchangeSample, params: SimParams) -> RacketPose:
 def _preposition_target(
     ex: ExchangeSample,
     params: SimParams,
-    predictors: Sequence[Predictor],
+    predictors: Sequence[ShotPredictor],
     calib: ConformalCalibration,
 ) -> tuple[Optional[Vec3], bool]:
     times, frames = ex.context_until(-params.lead_time)
@@ -347,7 +348,7 @@ def run_episode(
     ex: ExchangeSample,
     strategy: str,
     params: SimParams,
-    predictors: Optional[Sequence[Predictor]] = None,
+    predictors: Optional[Sequence[ShotPredictor]] = None,
     calib: Optional[ConformalCalibration] = None,
 ) -> EpisodeResult:
     """Simulate one exchange for one strategy.
@@ -492,11 +493,28 @@ def run_strategy(
     exchanges: Sequence[ExchangeSample],
     strategy: str,
     params: SimParams,
-    predictors: Optional[Sequence[Predictor]] = None,
+    predictors: Optional[Sequence[ShotPredictor]] = None,
     calib: Optional[ConformalCalibration] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
     results = [run_episode(ex, strategy, params, predictors, calib) for ex in exchanges]
     return _aggregate(results, strategy, params), results
+
+
+def _anticipation_inputs(
+    seed: int, table: TableGeometry, n_cal: int, k_members: int = 5,
+    cal_id_offset: int = 1_000_000,
+) -> tuple[list[ShotPredictor], list[ExchangeSample]]:
+    """The ensemble and its calibration split."""
+    predictors = physics_baseline_ensemble(seed, k_members, table)
+    return predictors, generate_exchanges(seed + 17, n_cal, id_offset=cal_id_offset)
+
+
+def _calibrate(
+    predictors: Sequence[ShotPredictor], cal: Sequence[ExchangeSample], params: SimParams
+) -> ConformalCalibration:
+    """Conformal calibration matched to the deployment lead time."""
+    forecast = forecast_split(predictors, cal, params.horizons, params.lead_time)
+    return calibrate_ensemble(forecast, params.alpha)
 
 
 def prepare_anticipation(
@@ -505,14 +523,10 @@ def prepare_anticipation(
     n_cal: int = 600,
     k_members: int = 5,
     cal_id_offset: int = 1_000_000,
-) -> tuple[list[Predictor], ConformalCalibration]:
+) -> tuple[list[ShotPredictor], ConformalCalibration]:
     """Ensemble plus conformal calibration matched to the deployment lead time."""
-    predictors = physics_baseline_ensemble(seed, k_members, params.table)
-    cal = generate_exchanges(seed + 17, n_cal, id_offset=cal_id_offset)
-    calib = calibrate_ensemble(
-        predictors, cal, list(params.horizons), params.alpha, params.lead_time
-    )
-    return predictors, calib
+    predictors, cal = _anticipation_inputs(seed, params.table, n_cal, k_members, cal_id_offset)
+    return predictors, _calibrate(predictors, cal, params)
 
 
 def run_experiment(
@@ -528,13 +542,15 @@ def run_experiment(
 
     The baseline and oracle rows are computed once per configuration axis;
     the anticipatory strategy is recalibrated per lead time (its residual
-    distribution depends on how early the forecast is issued).
+    distribution depends on how early the forecast is issued) on the same
+    ensemble and calibration split.
     """
     exchanges = generate_exchanges(seed, n_episodes)
     rows: list[ExperimentRow] = []
 
     # Strategy comparison at the base configuration.
-    predictors, calib = prepare_anticipation(seed, base_params, n_cal)
+    predictors, cal = _anticipation_inputs(seed, base_params.table, n_cal)
+    calib = _calibrate(predictors, cal, base_params)
     rows.append(run_strategy(exchanges, "baseline", base_params)[0])
     rows.append(
         run_strategy(exchanges, "anticipatory", base_params, predictors, calib)[0]
@@ -551,8 +567,9 @@ def run_experiment(
         if lt == base_params.lead_time:
             continue
         p = replace(base_params, lead_time=lt)
-        preds_lt, calib_lt = prepare_anticipation(seed, p, n_cal)
-        rows.append(run_strategy(exchanges, "anticipatory", p, preds_lt, calib_lt)[0])
+        rows.append(run_strategy(
+            exchanges, "anticipatory", p, predictors, _calibrate(predictors, cal, p)
+        )[0])
 
     if centrals is None:
         mean_hit_y = float(np.mean([ex.crossing_pos.y for ex in exchanges]))

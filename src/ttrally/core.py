@@ -1,4 +1,4 @@
-"""World-frame data model, rally segmentation vocabulary, and dataset statistics.
+"""World-frame data model and dataset statistics.
 
 World frame: origin at the table center on the floor, x along the table's
 length, y along its width, z up. The table surface sits at z = height_z and
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, NotEnoughHits
+from .errors import EmptyDataset
 
 # Joint list convention used throughout the package: index RACKET_HAND_JOINT
 # is the racket hand, and the last two entries are the left and right ankles.
@@ -155,27 +155,6 @@ class Frame3D:
     ego_root_world: Vec3
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Interval between two consecutive hits, [start_hit, end_hit)."""
-
-    start_hit: int
-    end_hit: int
-    hitter: int
-
-
-@dataclass(frozen=True)
-class Exchange:
-    """Two consecutive segments; the ego is the hitter of the first."""
-
-    pre: Segment
-    post: Segment
-
-    @property
-    def ego(self) -> int:
-        return self.pre.hitter
-
-
 @dataclass
 class Point:
     """A reconstructed rally: ordered frames plus hit times."""
@@ -186,38 +165,6 @@ class Point:
     point_id: int = 0
     partition: str = ""
     complete: bool = True
-
-
-def partition_point(
-    frames: Sequence[Frame3D], hits: Sequence[int], first_hitter: int = 0
-) -> list[Segment]:
-    """Split a point into disjoint segments between consecutive hits.
-
-    Segments are half-open [h_i, h_{i+1}) so that together they cover
-    [h_1, h_last] with no gaps or overlaps. Hitter labels alternate starting
-    from ``first_hitter``.
-    """
-    if len(hits) < 2:
-        raise NotEnoughHits(f"need at least 2 hits, got {len(hits)}")
-    hits = list(hits)
-    if any(b <= a for a, b in zip(hits, hits[1:])):
-        raise ValueError("hit times must be strictly increasing")
-    if frames:
-        lo = frames[0].frame_index
-        hi = frames[-1].frame_index
-        if hits[0] < lo or hits[-1] > hi:
-            raise ValueError("hits outside frame range")
-    return [
-        Segment(a, b, (first_hitter + i) % 2)
-        for i, (a, b) in enumerate(zip(hits, hits[1:]))
-    ]
-
-
-def extract_exchanges(segments: Sequence[Segment]) -> list[Exchange]:
-    """Pair consecutive segments into exchanges; ego is the first hitter."""
-    if len(segments) < 2:
-        return []
-    return [Exchange(a, b) for a, b in zip(segments, segments[1:])]
 
 
 @dataclass

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ttrally.anticipate import (
     ContextWindow,
     ConformalCalibration,
-    build_region,
+    _bounds,
+    _context_for,
     build_regions,
     calibrate_ensemble,
     check_split,
@@ -16,14 +17,15 @@ from ttrally.anticipate import (
     ensemble_curve,
     evaluate_coverage,
     extreme_hit_bias,
+    forecast_split,
     horizon_key,
     physics_baseline_ensemble,
     read_calibration,
-    residual,
+    run_conformal_study,
     width_vs_horizon,
     write_calibration,
 )
-from ttrally.core import Frame3D, Vec3
+from ttrally.core import Frame3D, TableGeometry, Vec3
 from ttrally.errors import (
     EnsembleTooSmall,
     InputMismatch,
@@ -108,12 +110,6 @@ def test_conformal_quantile_sentinel_and_errors():
             conformal_quantile([1.0], bad)
 
 
-def test_residual_is_normalized_and_floored():
-    assert residual(3.0, 1.0, 2.0) == pytest.approx(1.0)
-    assert residual(1.0, 1.0, 0.0) == 0.0
-    assert residual(1.0 + 1e-6, 1.0, 0.0) == pytest.approx(1.0)
-
-
 def test_horizon_key_canonicalizes_repr_drift():
     assert horizon_key(0.30000000004) == 0.3
     assert horizon_key(0.1 + 0.2) == 0.3
@@ -137,18 +133,20 @@ def test_ensemble_needs_two_members():
 def test_ensemble_is_deterministic_and_spread_is_floored():
     ctx, _ = _linear_context()
     preds = physics_baseline_ensemble(7, 5)
-    a = ensemble_curve(preds, ctx, [0.25])[0]
-    b = ensemble_curve(physics_baseline_ensemble(7, 5), ctx, [0.25])[0]
-    assert (a.mean - b.mean).norm() == 0.0
-    assert (a.sigma - b.sigma).norm() == 0.0
-    assert min(a.sigma.x, a.sigma.y, a.sigma.z) >= 1e-6
+    mean_a, sigma_a = ensemble_curve(preds, ctx, [0.25])
+    mean_b, sigma_b = ensemble_curve(physics_baseline_ensemble(7, 5), ctx, [0.25])
+    assert mean_a.shape == sigma_a.shape == (1, 3)
+    assert np.array_equal(mean_a, mean_b)
+    assert np.array_equal(sigma_a, sigma_b)
+    assert sigma_a.min() >= 1e-6
 
 
 def test_identical_members_hit_sigma_floor():
     ctx, _ = _linear_context()
     one = physics_baseline_ensemble(3, 2)[0]
-    out = ensemble_curve([one, one], ctx, [0.2])[0]
-    assert out.sigma.x == out.sigma.y == out.sigma.z == 1e-6
+    _, sigma = ensemble_curve([one, one], ctx, [0.2])
+    assert sigma.tolist() == [[1e-6, 1e-6, 1e-6]]
+
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +159,8 @@ def small_study():
     preds = physics_baseline_ensemble(11, 5)
     cal = generate_exchanges(11, 200, id_offset=0)
     test = generate_exchanges(12, 150, id_offset=1000)
-    calib = calibrate_ensemble(preds, cal, HORIZONS, alpha=0.15)
-    return preds, cal, test, calib
+    calib = calibrate_ensemble(forecast_split(preds, cal, HORIZONS), alpha=0.15)
+    return preds, cal, forecast_split(preds, test, HORIZONS), calib
 
 
 def test_calibration_counts_and_lookup(small_study):
@@ -177,24 +175,21 @@ def test_calibration_counts_and_lookup(small_study):
 
 def test_region_geometry(small_study):
     preds, _, test, calib = small_study
-    from ttrally.anticipate import _context_for
-
-    ctx = _context_for(test[0], 0.0)
+    ctx = _context_for(test.exchanges[0], 0.0)
     regions = build_regions(preds, calib, ctx, HORIZONS)
     assert [r.horizon for r in regions] == [horizon_key(h) for h in HORIZONS]
     for r in regions:
         assert r.contains(r.center())
         assert (r.center() - (r.lo + r.hi) * 0.5).norm() < 1e-12
-        hw = r.half_widths()
-        assert hw.x >= 0 and hw.y >= 0 and hw.z >= 0
+        assert r.lo.x <= r.hi.x and r.lo.y <= r.hi.y and r.lo.z <= r.hi.z
         assert not r.contains(r.hi + Vec3(1e-6, 0, 0))
-    single = build_region(preds, calib, ctx, HORIZONS[1])
+    single = build_regions(preds, calib, ctx, [HORIZONS[1]])[0]
     assert (single.lo - regions[1].lo).norm() == 0.0
 
 
 def test_check_split_raises_on_overlap(small_study):
     _, cal, test, calib = small_study
-    check_split(calib, test)  # disjoint: fine
+    check_split(calib, test.exchanges)  # disjoint: fine
     with pytest.raises(SplitLeakage):
         check_split(calib, cal[:3])
 
@@ -202,15 +197,15 @@ def test_check_split_raises_on_overlap(small_study):
 def test_evaluate_coverage_guards_split(small_study):
     preds, cal, _, calib = small_study
     with pytest.raises(SplitLeakage):
-        evaluate_coverage(preds, calib, cal[:3], HORIZONS)
+        evaluate_coverage(calib, forecast_split(preds, cal[:3], HORIZONS))
     with pytest.raises(InputMismatch):
-        evaluate_coverage(preds, calib, [], HORIZONS)
+        evaluate_coverage(calib, forecast_split(preds, [], HORIZONS))
 
 
 def test_small_scale_coverage(small_study):
-    preds, _, test, calib = small_study
-    report = evaluate_coverage(preds, calib, test, HORIZONS)
-    assert report.n_test == len(test)
+    _, _, test, calib = small_study
+    report = evaluate_coverage(calib, test)
+    assert report.n_test == len(test.exchanges)
     for ax in ("x", "y", "z"):
         for h in HORIZONS:
             rate = report.axis_rate(ax, h)
@@ -222,16 +217,128 @@ def test_small_scale_coverage(small_study):
 
 
 def test_width_grows_with_horizon(small_study):
-    preds, _, test, calib = small_study
-    widths = width_vs_horizon(preds, calib, test, HORIZONS)
+    _, _, test, calib = small_study
+    widths = width_vs_horizon(calib, test)
     assert widths[horizon_key(HORIZONS[-1])] > widths[horizon_key(HORIZONS[0])]
 
 
 def test_extreme_hit_bias_counts(small_study):
-    preds, _, test, calib = small_study
-    report = extreme_hit_bias(preds, calib, test, HORIZONS)
-    assert 0 < report.n_extreme < len(test)
+    _, _, test, calib = small_study
+    report = extreme_hit_bias(calib, test)
+    assert 0 < report.n_extreme < len(test.exchanges)
     assert report.fraction_correct > 0.5
+
+
+# The per-exchange loop the forecast path replaced: one ensemble run per
+# exchange and statistic, scores and bounds on Python floats, accumulated in
+# per-(axis, horizon) lists. Every statistic must equal it exactly.
+
+
+def _oracle_curve(preds, ex, horizons, lead_time):
+    ctx = _context_for(ex, lead_time)
+    trajs = [p.trajectory(ctx) for p in preds]
+    members = np.array([[t.position(h).as_array() for h in horizons] for t in trajs])
+    members = members.transpose(1, 0, 2)  # (n_horizons, k_members, 3)
+    return list(zip(members.mean(axis=1), np.maximum(members.std(axis=1), 1e-6)))
+
+
+def _oracle_box(calib, mean, sigma, h):
+    half = np.array([calib.quantile(ax, h) for ax in "xyz"]) * sigma
+    return [float(v) for v in mean - half], [float(v) for v in mean + half]
+
+
+def _oracle_study(preds, cal, test, horizons, alpha, lead_time, extreme_y):
+    scores = {(ax, horizon_key(h)): [] for ax in "xyz" for h in horizons}
+    for ex in cal:
+        for h, (mean, sigma) in zip(horizons, _oracle_curve(preds, ex, horizons, lead_time)):
+            truth = ex.truth_at(h).as_array()
+            for i, ax in enumerate("xyz"):
+                scores[(ax, horizon_key(h))].append(
+                    abs(float(truth[i]) - float(mean[i])) / max(float(sigma[i]), 1e-6))
+    calib = ConformalCalibration(alpha=alpha)
+    for key, res in scores.items():
+        calib.quantiles[key] = _oracle_quantile(res, alpha)
+        calib.n_samples[key] = len(res)
+
+    hits = dict.fromkeys(scores, 0)
+    joint = {horizon_key(h): 0 for h in horizons}
+    widths = {horizon_key(h): [] for h in horizons}
+    for ex in test:
+        for h, (mean, sigma) in zip(horizons, _oracle_curve(preds, ex, horizons, lead_time)):
+            lo, hi = _oracle_box(calib, mean, sigma, h)
+            t = ex.truth_at(h)
+            inside = [lo[0] <= t.x <= hi[0], lo[1] <= t.y <= hi[1], lo[2] <= t.z <= hi[2]]
+            for i, ax in enumerate("xyz"):
+                hits[(ax, horizon_key(h))] += inside[i]
+            joint[horizon_key(h)] += all(inside)
+            half = (Vec3(*hi) - Vec3(*lo)) * 0.5
+            widths[horizon_key(h)].append(float(np.mean(2.0 * half.as_array())))
+
+    hs = sorted(horizon_key(h) for h in horizons)
+    hw = TableGeometry().half_width
+    n_extreme = n_correct = 0
+    for ex in test:
+        if abs(ex.crossing_pos.y) <= extreme_y:
+            continue
+        n_extreme += 1
+        h = min(hs, key=lambda h: abs(h - ex.crossing_time))
+        (mean, sigma), = _oracle_curve(preds, ex, [h], lead_time)
+        lo, hi = _oracle_box(calib, mean, sigma, h)
+        right = 1.0 - max(0.0, min(hi[1], hw) - max(lo[1], 0.0)) / hw
+        left = 1.0 - max(0.0, min(hi[1], 0.0) - max(lo[1], -hw)) / hw
+        wrong, correct = (left, right) if ex.crossing_pos.y > 0 else (right, left)
+        n_correct += wrong > correct and wrong >= 1.0 / 3.0
+    n = len(test)
+    return (calib, {k: v / n for k, v in hits.items()}, {k: v / n for k, v in joint.items()},
+            {k: float(np.mean(v)) for k, v in widths.items()}, (n_extreme, n_correct))
+
+
+@pytest.mark.parametrize("lead_time", [0.0, 0.1])
+def test_forecast_path_equals_per_exchange_oracle(small_study, lead_time):
+    preds, cal, test, _ = small_study
+    horizons = default_horizons()
+    calib = calibrate_ensemble(forecast_split(preds, cal, horizons, lead_time), alpha=0.15)
+    forecast = forecast_split(preds, test.exchanges, horizons, lead_time)
+    coverage = evaluate_coverage(calib, forecast)
+    bias = extreme_hit_bias(calib, forecast, extreme_y=0.5)
+    o_calib, o_axis, o_joint, o_widths, o_bias = _oracle_study(
+        preds, cal, test.exchanges, horizons, 0.15, lead_time, extreme_y=0.5)
+    assert calib.quantiles == o_calib.quantiles
+    assert calib.n_samples == o_calib.n_samples
+    assert coverage.per_axis == o_axis
+    assert coverage.joint == o_joint
+    assert width_vs_horizon(calib, forecast) == o_widths
+    assert (bias.n_extreme, bias.n_correct_side) == o_bias
+    assert bias.n_extreme > 10
+
+
+def test_single_context_regions_equal_the_split_bounds(small_study):
+    preds, _, test, calib = small_study
+    lo, hi = _bounds(calib, test.horizons, test.mean, test.sigma)
+    inside = dict.fromkeys(HORIZONS, 0)
+    for i, ex in enumerate(test.exchanges):
+        regions = build_regions(preds, calib, _context_for(ex, 0.0), HORIZONS)
+        for j, (h, region) in enumerate(zip(HORIZONS, regions)):
+            assert region.lo.as_array().tobytes() == lo[i, j].tobytes()
+            assert region.hi.as_array().tobytes() == hi[i, j].tobytes()
+            inside[h] += region.contains(ex.truth_at(h))
+    online = {horizon_key(h): v / len(test.exchanges) for h, v in inside.items()}
+    assert online == evaluate_coverage(calib, test).joint
+
+
+def test_study_runs_the_ensemble_once_per_exchange(monkeypatch):
+    from ttrally import anticipate
+
+    calls = []
+
+    def counting(predictors, ctx, horizons):
+        calls.append(ctx)
+        return ensemble_curve(predictors, ctx, horizons)
+
+    monkeypatch.setattr(anticipate, "ensemble_curve", counting)
+    study = run_conformal_study(3, n_cal=40, n_test=30)
+    assert study.bias.n_extreme > 0  # the bias stage ran
+    assert len(calls) == 40 + 30
 
 
 def test_bias_report_empty_is_nan():

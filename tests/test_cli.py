@@ -123,3 +123,33 @@ def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["conformal", "--alpha", "1.5"],
+    ["conformal", "--alpha", "nan"],
+    ["conformal", "--alpha", "0"],
+    ["conformal", "--n-cal", "0"],
+    ["conformal", "--n-test", "-1"],
+    ["simulate", "--alpha", "1.5"],
+    ["simulate", "--episodes", "0"],
+    ["synth", "--hits", "1"],
+    ["synth", "--fps", "0"],
+    ["synth", "--fps", "nan"],
+    ["synth", "--fps", "inf"],
+    ["synth", "--noise-px", "nan"],
+    ["synth", "--noise-px", "-0.5"],
+    ["synth", "--seed", "-1"],
+    ["conformal", "--seed", "-4"],
+], ids=" ".join)
+def test_bad_argument_exits_with_usage(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    seed = [] if "--seed" in argv else ["--seed", "1"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + seed + ["--out", str(out)])
+    assert err.value.code == EXIT_USAGE
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: ttrally")
+    assert f"error: argument {argv[1]}: " in stderr
+    assert "Traceback" not in stderr
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ttrally.control import (
     racket_reflect,
     reachable_covers,
     run_episode,
+    run_experiment,
     run_strategy,
     select_preposition,
     select_target_time,
@@ -316,3 +318,25 @@ def test_write_results_format(sim_setup, tmp_path):
     assert fields[0] == "baseline"
     assert int(fields[4]) == 5
     assert 0.0 <= float(fields[5]) <= 1.0
+
+
+def test_run_experiment_recalibrates_one_split_per_lead_time(monkeypatch):
+    from ttrally import control
+
+    generated = []
+
+    def counting(seed, n, **kwargs):
+        generated.append(seed)
+        return generate_exchanges(seed, n, **kwargs)
+
+    monkeypatch.setattr(control, "generate_exchanges", counting)
+    base = SimParams()
+    rows = run_experiment(5, n_episodes=4, base_params=base, lams=(),
+                          lead_times=(0.1, 0.2, 0.4), centrals=[], n_cal=60)
+    assert generated == [5, 5 + 17]  # the episodes and one calibration split
+    exchanges = generate_exchanges(5, 4)
+    for lead_time in (0.1, 0.4):
+        p = replace(base, lead_time=lead_time)
+        predictors, calib = prepare_anticipation(5, p, n_cal=60)
+        fresh = run_strategy(exchanges, "anticipatory", p, predictors, calib)[0]
+        assert fresh in [r for r in rows if r.lead_time == lead_time]

@@ -10,10 +10,8 @@ from ttrally.core import (
     TableGeometry,
     Vec3,
     dataset_stats,
-    extract_exchanges,
-    partition_point,
 )
-from ttrally.errors import EmptyDataset, NotEnoughHits
+from ttrally.errors import EmptyDataset
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -60,41 +58,6 @@ def test_table_keypoints():
 def test_table_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         TableGeometry(length_x=-1.0)
-
-
-@given(
-    st.lists(st.integers(0, 500), min_size=2, max_size=8, unique=True),
-    st.integers(0, 1),
-)
-def test_partition_covers_and_alternates(hits, first_hitter):
-    hits = sorted(hits)
-    segments = partition_point([], hits, first_hitter)
-    assert len(segments) == len(hits) - 1
-    # Half-open segments tile [h_0, h_last] without gaps or overlap.
-    assert segments[0].start_hit == hits[0]
-    assert segments[-1].end_hit == hits[-1]
-    for a, b in zip(segments, segments[1:]):
-        assert a.end_hit == b.start_hit
-        assert a.hitter != b.hitter
-    assert segments[0].hitter == first_hitter
-
-
-def test_partition_rejects_bad_hits():
-    with pytest.raises(NotEnoughHits):
-        partition_point([], [5])
-    with pytest.raises(ValueError):
-        partition_point([], [5, 5])
-    with pytest.raises(ValueError):
-        partition_point([], [9, 5])
-
-
-def test_extract_exchanges():
-    segments = partition_point([], [0, 10, 25, 40])
-    exchanges = extract_exchanges(segments)
-    assert len(exchanges) == 2
-    assert exchanges[0].ego == 0
-    assert exchanges[1].ego == 1
-    assert extract_exchanges(segments[:1]) == []
 
 
 def _point_from_positions(positions, hits, fps=60.0):
