@@ -25,7 +25,8 @@ from .errors import (
 )
 from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_record,
                        parse_record, read_header, read_lines, write_lines)
-from .synth import ExchangeSample, construct_return_shot
+from .synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
+                    ExchangeSample, construct_return_shot)
 
 SIGMA_FLOOR = 1e-6
 
@@ -88,22 +89,23 @@ class MemberParams:
     d_k: float
 
 
-def _member_params(seed: int, index: int, scale: float = 1.0) -> MemberParams:
+def _member_params(seed: int, index: int) -> MemberParams:
     rng = np.random.default_rng([seed, index])
     return MemberParams(
-        d_aim=float(rng.normal(0.0, 0.10 * scale)),
-        d_speed=float(rng.normal(0.0, 0.6 * scale)),
-        d_bounce_x=float(rng.normal(0.0, 0.15 * scale)),
-        d_z_cross=float(rng.normal(0.0, 0.05 * scale)),
-        d_k=float(rng.normal(0.0, 0.04 * scale)),
+        d_aim=float(rng.normal(0.0, 0.10)),
+        d_speed=float(rng.normal(0.0, 0.6)),
+        d_bounce_x=float(rng.normal(0.0, 0.15)),
+        d_z_cross=float(rng.normal(0.0, 0.05)),
+        d_k=float(rng.normal(0.0, 0.04)),
     )
 
 
 class ShotPredictor:
     """Physics predictor: infer intent from the context, replay the shot model.
 
-    The opponent is assumed to aim where they stand (gain 0.9 on root y); the
-    member's perturbations shift aim, speed, bounce depth, crossing height,
+    The opponent is assumed to aim where they stand, with the exchange model's
+    gain on root y, crossing-y limit, mean speed and speed clip; the member's
+    perturbations shift aim, speed, bounce depth, crossing height,
     and drag, producing a spread that reflects genuine shot variability.
     """
 
@@ -115,14 +117,14 @@ class ShotPredictor:
         params = self.params
         hit_pos, _ = ctx.estimate_hit()
         y_r = ctx.opponent_root_y()
-        y_cross = float(np.clip(0.9 * y_r + params.d_aim, -1.05, 1.05))
+        y_cross = float(np.clip(SHOT_AIM_GAIN * y_r + params.d_aim, -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
         traj, _ = construct_return_shot(
             self.table,
             hit_pos,
             x_bounce=-0.675 + params.d_bounce_x,
             y_cross=y_cross,
             z_cross=1.05 + params.d_z_cross,
-            speed=float(np.clip(12.0 + params.d_speed, 7.5, 16.5)),
+            speed=float(np.clip(SHOT_SPEED_MEAN + params.d_speed, *SHOT_SPEED_CLIP)),
             k1=max(0.19 + params.d_k, 0.02),
             k2=max(0.19 + params.d_k, 0.02),
         )
@@ -133,13 +135,10 @@ def physics_baseline_ensemble(
     seed: int,
     k_members: int = 5,
     table: TableGeometry = TableGeometry(),
-    scale: float = 1.0,
 ) -> list[ShotPredictor]:
     if k_members < 2:
         raise EnsembleTooSmall(f"need >= 2 members, got {k_members}")
-    return [
-        ShotPredictor(_member_params(seed, i, scale), table) for i in range(k_members)
-    ]
+    return [ShotPredictor(_member_params(seed, i), table) for i in range(k_members)]
 
 
 def ensemble_curve(
@@ -300,9 +299,6 @@ class CoverageReport:
     per_axis: dict[tuple[str, float], float]
     joint: dict[float, float]
     n_test: int
-
-    def axis_rate(self, axis: str, horizon: float) -> float:
-        return self.per_axis[(axis, horizon_key(horizon))]
 
 
 def evaluate_coverage(calib: ConformalCalibration, forecast: SplitForecast) -> CoverageReport:

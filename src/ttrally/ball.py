@@ -25,8 +25,12 @@ from .errors import (
 
 GRAVITY = 9.81  # m/s^2, magnitude
 
-K_MIN_DEFAULT = 1e-3
-K_MAX_DEFAULT = 5.0
+HIT_MAX_DIST_PX = 30.0  # largest raw ball-racket pixel distance at a hit
+HIT_MIN_GAP = 15  # frames between two accepted hits
+SMOOTH_WINDOW = 5  # samples averaged before hit and bounce minima are searched
+BOUNCE_MARGIN = 2  # frames a bounce candidate keeps from either hit
+K_BOUNDS = (1e-3, 5.0)  # drag coefficient search interval, 1/s
+K_TOL = 1e-6  # golden-section tolerance on k
 
 
 @dataclass
@@ -118,7 +122,7 @@ def stokes_velocity(seg: StokesSegment, t: float) -> Vec3:
     )
 
 
-def smooth(values: np.ndarray, window: int = 5) -> np.ndarray:
+def smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
     """Centered moving average with edge shrinking."""
     if window <= 1 or len(values) < 2:
         return np.asarray(values, dtype=float)
@@ -143,15 +147,12 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
 def detect_hits(
     ball: BallTrack2D,
     racket_centroids: Sequence[dict[int, tuple[float, float]]],
-    tau_hit: float = 30.0,
-    min_gap: int = 15,
-    smooth_window: int = 5,
 ) -> list[HitEvent]:
     """Hits are local minima of the smoothed ball-racket pixel distance.
 
     ``racket_centroids`` holds one frame->pixel mapping per player. Minima
-    above ``tau_hit`` pixels are ignored; of any two accepted minima closer
-    than ``min_gap`` frames, only the deeper one is kept.
+    above HIT_MAX_DIST_PX pixels are ignored; of any two accepted minima
+    closer than HIT_MIN_GAP frames, only the deeper one is kept.
     """
     candidates: list[tuple[float, int, int]] = []  # (distance, frame, player)
     for player, centroids in enumerate(racket_centroids):
@@ -167,7 +168,7 @@ def detect_hits(
                 for f in frames
             ]
         )
-        smoothed = smooth(dist, smooth_window)
+        smoothed = smooth(dist)
         minima = list(_local_minima(smoothed))
         # The recording may start or end at a hit; admit boundary minima too.
         if len(smoothed) >= 2 and smoothed[0] <= smoothed[1]:
@@ -179,13 +180,13 @@ def detect_hits(
             # and apply the contact threshold to the raw distance.
             lo, hi = max(0, i - 2), min(len(dist), i + 3)
             j = lo + int(np.argmin(dist[lo:hi]))
-            if dist[j] <= tau_hit:
+            if dist[j] <= HIT_MAX_DIST_PX:
                 candidates.append((dist[j], frames[j], player))
 
     # Greedy non-maximum suppression, deepest minima first.
     accepted: list[tuple[int, int, float]] = []
     for depth, frame, player in sorted(candidates):
-        if all(abs(frame - f) >= min_gap for f, _, _ in accepted):
+        if all(abs(frame - f) >= HIT_MIN_GAP for f, _, _ in accepted):
             accepted.append((frame, player, depth))
     accepted.sort()
     return [HitEvent(frame=f, player=p) for f, p, _ in accepted]
@@ -272,9 +273,7 @@ def select_serve_bounces(
     return best[1], best[0]
 
 
-def bounce_candidates(
-    ball: BallTrack2D, h1: int, h2: int, smooth_window: int = 5, margin: int = 2
-) -> list[int]:
+def bounce_candidates(ball: BallTrack2D, h1: int, h2: int) -> list[int]:
     """Local minima of the image-vertical ball position in (h1, h2).
 
     Minima of both the smoothed and the raw signal are collected: smoothing
@@ -282,25 +281,25 @@ def bounce_candidates(
     serve arc dips only a fraction of a pixel). Each minimum contributes
     itself and its two neighboring frames (smoothing can shift the apparent
     minimum by a frame; the split-fit selection picks the best of the
-    cluster). ``margin`` keeps at least three samples on each side of a
+    cluster). BOUNCE_MARGIN keeps at least three samples on each side of a
     candidate.
     """
     frames, pixels = ball.window(h1, h2)
-    if len(frames) < 2 * margin + 3:
+    if len(frames) < 2 * BOUNCE_MARGIN + 3:
         return []
-    vs = smooth(pixels[:, 1], smooth_window)
+    vs = smooth(pixels[:, 1])
     minima = set(_local_minima(vs)) | set(_local_minima(pixels[:, 1]))
     out: set[int] = set()
     for i in minima:
         for j in (i - 1, i, i + 1):
             if 0 <= j < len(frames):
                 f = int(frames[j])
-                if h1 + margin <= f <= h2 - margin:
+                if h1 + BOUNCE_MARGIN <= f <= h2 - BOUNCE_MARGIN:
                     out.add(f)
     return sorted(out)
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-6) -> float:
+def golden_section(f, lo: float, hi: float, tol: float = K_TOL) -> float:
     """Minimize a unimodal scalar function on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -340,13 +339,11 @@ def fit_drag(
     sample_times: np.ndarray,
     sample_pixels: np.ndarray,
     camera: Camera,
-    k_bounds: tuple[float, float] = (K_MIN_DEFAULT, K_MAX_DEFAULT),
-    tol: float = 1e-6,
 ) -> DragFit:
     """Recover the drag coefficient by reprojection-error minimization.
 
     Endpoints are fixed; the only free parameter is k, searched with a
-    golden-section scheme on ``k_bounds``. A flat objective (uninformative
+    golden-section scheme on K_BOUNDS. A flat objective (uninformative
     samples) falls back to the lower bound with a warning flag.
     """
     sample_times = np.asarray(sample_times, dtype=float)
@@ -357,7 +354,7 @@ def fit_drag(
         proj = project_many(camera, stokes_positions(seg, sample_times))
         return float(np.sum((proj - sample_pixels) ** 2))
 
-    lo, hi = k_bounds
+    lo, hi = K_BOUNDS
     probes = np.geomspace(lo, hi, 7)
     probe_vals = [objective(k) for k in probes]
     if max(probe_vals) - min(probe_vals) < 1e-12:
@@ -367,10 +364,10 @@ def fit_drag(
     i = int(np.argmin(probe_vals))
     blo = probes[max(0, i - 1)]
     bhi = probes[min(len(probes) - 1, i + 1)]
-    k_star = golden_section(objective, blo, bhi, tol=tol)
+    k_star = golden_section(objective, blo, bhi)
     err = objective(k_star)
-    warn = bool(i == 0 and abs(k_star - lo) < 10 * tol) or bool(
-        i == len(probes) - 1 and abs(k_star - hi) < 10 * tol
+    warn = bool(i == 0 and abs(k_star - lo) < 10 * K_TOL) or bool(
+        i == len(probes) - 1 and abs(k_star - hi) < 10 * K_TOL
     )
     return DragFit(k=k_star, reproj_error=err, boundary_warning=warn)
 
@@ -405,16 +402,14 @@ def reconstruct_trajectory(
     camera: Camera,
     table: TableGeometry,
     fps: float,
-    serve_first: bool = True,
     mse_threshold: Optional[float] = None,
-    k_bounds: tuple[float, float] = (K_MIN_DEFAULT, K_MAX_DEFAULT),
 ) -> TrajectoryReconstruction:
     """Anchor and fit drag pieces for every consecutive hit pair.
 
     Hit anchors use the hitter's racket-hand position (``hand_world`` must be
     filled in); bounce anchors come from inverse projection onto the table
-    plane. The first hit pair is treated as the serve (two bounces, three
-    pieces) when ``serve_first`` is set. Raises SegmentRejected when the
+    plane. The first hit pair is the serve (two bounces, three pieces).
+    Raises SegmentRejected when the
     bounce-selection MSE exceeds ``mse_threshold``.
     """
     if len(hits) < 2:
@@ -428,7 +423,7 @@ def reconstruct_trajectory(
         if hit1.hand_world is None or hit2.hand_world is None:
             raise ValueError("hit events need hand_world anchors")
         candidates = bounce_candidates(ball, h1, h2)
-        if serve_first and pair_index == 0:
+        if pair_index == 0:
             (ba, bb), total = select_serve_bounces(ball, h1, h2, candidates)
             bounce_frames = [ba, bb]
         else:
@@ -445,8 +440,8 @@ def reconstruct_trajectory(
         for combo in _bounce_combos(bounce_frames, h1, h2, pix):
             try:
                 pieces, bounces, reproj = _fit_pair(
-                    ball, camera, table_plane, fps, k_bounds,
-                    h1, hit1.hand_world, h2, hit2.hand_world, combo, pix, total,
+                    ball, camera, table_plane, fps, h1, hit1.hand_world, h2,
+                    hit2.hand_world, combo, pix, total,
                 )
             except (NoBounceFound, FitFailed):
                 continue
@@ -482,7 +477,6 @@ def _fit_pair(
     camera: Camera,
     table_plane: Plane,
     fps: float,
-    k_bounds: tuple[float, float],
     h1: int,
     p1: Vec3,
     h2: int,
@@ -506,7 +500,7 @@ def _fit_pair(
     for (f0, a0), (f1, a1) in zip(anchors, anchors[1:]):
         frames, pixels = ball.window(f0, f1)
         times = (frames - f0) / fps
-        drag = fit_drag(a0, a1, (f1 - f0) / fps, times, pixels, camera, k_bounds)
+        drag = fit_drag(a0, a1, (f1 - f0) / fps, times, pixels, camera)
         seg = StokesSegment(b0=a0, bT=a1, T=(f1 - f0) / fps, k=drag.k)
         reproj_total += drag.reproj_error
         pieces.append(

@@ -61,8 +61,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     track = pipeline.load_track(args.track)
-    config = pipeline.PipelineConfig(mse_threshold=args.mse_threshold)
-    recon, _ = pipeline.reconstruct_point(track, config=config)
+    recon, _ = pipeline.reconstruct_point(track, mse_threshold=args.mse_threshold)
     pipeline.write_reconstruction(recon, args.out)
     print(f"wrote {args.out}{_seed_field(recon.seed)}")
     return EXIT_OK
@@ -144,7 +143,13 @@ ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "must be in (0, 1)")
 COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
 HITS = _checked(int, lambda n: n >= 2, "must be >= 2")
 FPS = _checked(float, lambda f: 0.0 < f < math.inf, "must be finite and > 0")
-NOISE_PX = _checked(float, lambda f: 0.0 <= f < math.inf, "must be finite and >= 0")
+NON_NEGATIVE = _checked(float, lambda f: 0.0 <= f < math.inf, "must be finite and >= 0")
+LAM = _checked(float, lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]")
+# The forecast needs two context frames, so the last one it may use is one
+# frame step after the context starts.
+MAX_LEAD_TIME = synth.CONTEXT_S - synth.CONTEXT_DT
+LEAD_TIME = _checked(float, lambda t: 0.0 <= t <= MAX_LEAD_TIME,
+                     f"must be in [0, {MAX_LEAD_TIME!r}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--hits", type=HITS, default=4)
     p.add_argument("--fps", type=FPS, default=60.0)
-    p.add_argument("--noise-px", type=NOISE_PX, default=0.0)
+    p.add_argument("--noise-px", type=NON_NEGATIVE, default=0.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("calibrate", help="calibrate the camera from a track file")
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="reconstruct a rally from a track file")
     p.add_argument("--track", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mse-threshold", type=float, default=None)
+    p.add_argument("--mse-threshold", type=NON_NEGATIVE, default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("stats", help="dataset statistics from a reconstruction file")
@@ -188,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the simulated returner experiment")
     p.add_argument("--seed", type=SEED, required=True)
     p.add_argument("--episodes", type=COUNT, default=500)
-    p.add_argument("--lam", dest="lam", type=float, default=0.1)
-    p.add_argument("--lead-time", type=float, default=0.2)
+    p.add_argument("--lam", dest="lam", type=LAM, default=0.1)
+    p.add_argument("--lead-time", type=LEAD_TIME, default=0.2)
     p.add_argument("--alpha", type=ALPHA, default=0.15)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

@@ -40,6 +40,11 @@ from .synth import ExchangeSample, generate_exchanges
 # ---------------------------------------------------------------------------
 
 
+BOX_TOL = 1e-9  # m a point may lie outside a Box and still count as inside
+LANDING_T_MAX = 5.0  # s of return flight searched for a landing
+CAL_ID_OFFSET = 1_000_000  # first calibration exchange id, above every episode's
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned workspace box."""
@@ -47,11 +52,11 @@ class Box:
     lo: Vec3
     hi: Vec3
 
-    def contains(self, p: Vec3, tol: float = 1e-9) -> bool:
+    def contains(self, p: Vec3) -> bool:
         return (
-            self.lo.x - tol <= p.x <= self.hi.x + tol
-            and self.lo.y - tol <= p.y <= self.hi.y + tol
-            and self.lo.z - tol <= p.z <= self.hi.z + tol
+            self.lo.x - BOX_TOL <= p.x <= self.hi.x + BOX_TOL
+            and self.lo.y - BOX_TOL <= p.y <= self.hi.y + BOX_TOL
+            and self.lo.z - BOX_TOL <= p.z <= self.hi.z + BOX_TOL
         )
 
     def contains_box(self, lo: Vec3, hi: Vec3) -> bool:
@@ -165,7 +170,7 @@ class DragFlight:
         p = self.p0.as_array() + v_term * t + (self.v0.as_array() - v_term) * decay
         return Vec3.from_array(p)
 
-    def landing(self, z_plane: float, t_max: float = 5.0) -> Optional[tuple[float, Vec3]]:
+    def landing(self, z_plane: float) -> Optional[tuple[float, Vec3]]:
         """First time the flight descends through z = z_plane, if any."""
 
         def f(t: float) -> float:
@@ -174,7 +179,7 @@ class DragFlight:
         if f(0.0) <= 0:
             return None
         hi = 0.05
-        while hi < t_max and f(hi) > 0:
+        while hi < LANDING_T_MAX and f(hi) > 0:
             hi *= 2.0
         if f(hi) > 0:
             return None
@@ -185,6 +190,11 @@ class DragFlight:
 # ---------------------------------------------------------------------------
 # target pose
 # ---------------------------------------------------------------------------
+
+
+def aim_point(table: TableGeometry) -> Vec3:
+    """Where every return is aimed: the centre of the opponent's table half."""
+    return Vec3(table.half_length / 2.0, 0.0, table.height_z)
 
 
 def landing_after_reflection(
@@ -208,7 +218,8 @@ def solve_target_pose(
     table: TableGeometry,
     target: Optional[Vec3] = None,
 ) -> RacketPose:
-    """Racket orientation at the interception point that lands on a target.
+    """Racket orientation at the interception point that lands on a target
+    (by default the aim point).
 
     Mirror reflection keeps the ball's speed s, so the outgoing velocity is
     the low-arc drag-free launch at speed s from the hit (above the table)
@@ -218,7 +229,7 @@ def solve_target_pose(
     the normal's yaw or pitch leaves the +-MAX_RACKET_ANGLE_DEG box.
     """
     if target is None:
-        target = Vec3(table.half_length / 2.0, 0.0, table.height_z)
+        target = aim_point(table)
     dx, dy = target.x - hit.x, target.y - hit.y
     s2 = v_in.norm() ** 2
     drop = hit.z - table.height_z
@@ -296,16 +307,10 @@ class SimParams:
         round(0.025 * i, 6) for i in range(2, 25)
     )
     return_drag_k: float = 0.12
-    target: Optional[Vec3] = None  # defaults to table-half center
 
     def __post_init__(self):
         if not self.workspace.contains(self.central):
             raise ValueError("central pose outside the workspace")
-
-    def aim_target(self) -> Vec3:
-        if self.target is not None:
-            return self.target
-        return Vec3(self.table.half_length / 2.0, 0.0, self.table.height_z)
 
 
 @dataclass
@@ -321,9 +326,7 @@ class EpisodeResult:
 
 
 def _interception_pose(ex: ExchangeSample, params: SimParams) -> RacketPose:
-    return solve_target_pose(
-        ex.crossing_pos, ex.crossing_vel, params.table, params.aim_target()
-    )
+    return solve_target_pose(ex.crossing_pos, ex.crossing_vel, params.table)
 
 
 def _preposition_target(
@@ -415,11 +418,8 @@ def run_episode(
         land = flight.landing(params.table.height_z)
         if land is not None:
             t_land, p_land = land
-            deviation = float(
-                math.hypot(
-                    p_land.x - params.aim_target().x, p_land.y - params.aim_target().y
-                )
-            )
+            aim = aim_point(params.table)
+            deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
             returned = (
                 v_after.x > 0
                 and 0.0 <= p_land.x <= params.table.half_length
@@ -501,12 +501,11 @@ def run_strategy(
 
 
 def _anticipation_inputs(
-    seed: int, table: TableGeometry, n_cal: int, k_members: int = 5,
-    cal_id_offset: int = 1_000_000,
+    seed: int, table: TableGeometry, n_cal: int
 ) -> tuple[list[ShotPredictor], list[ExchangeSample]]:
     """The ensemble and its calibration split."""
-    predictors = physics_baseline_ensemble(seed, k_members, table)
-    return predictors, generate_exchanges(seed + 17, n_cal, id_offset=cal_id_offset)
+    predictors = physics_baseline_ensemble(seed, table=table)
+    return predictors, generate_exchanges(seed + 17, n_cal, id_offset=CAL_ID_OFFSET)
 
 
 def _calibrate(
@@ -521,11 +520,9 @@ def prepare_anticipation(
     seed: int,
     params: SimParams,
     n_cal: int = 600,
-    k_members: int = 5,
-    cal_id_offset: int = 1_000_000,
 ) -> tuple[list[ShotPredictor], ConformalCalibration]:
     """Ensemble plus conformal calibration matched to the deployment lead time."""
-    predictors, cal = _anticipation_inputs(seed, params.table, n_cal, k_members, cal_id_offset)
+    predictors, cal = _anticipation_inputs(seed, params.table, n_cal)
     return predictors, _calibrate(predictors, cal, params)
 
 

@@ -51,9 +51,6 @@ class Vec3:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.x, self.y, self.z)))
-
 
 @dataclass(frozen=True)
 class TableGeometry:
@@ -163,8 +160,6 @@ class Point:
     hits: list[int]
     fps: float = 60.0
     point_id: int = 0
-    partition: str = ""
-    complete: bool = True
 
 
 @dataclass

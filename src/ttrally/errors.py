@@ -115,7 +115,3 @@ class NoContact(TTRallyError):
 
 class Infeasible(TTRallyError):
     """No racket normal sends the ball back onto the table."""
-
-
-class EndOfRecording(TTRallyError):
-    """Replay bounce requested but no recorded next segment exists."""

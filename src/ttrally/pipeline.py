@@ -20,7 +20,6 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import ball as ball_mod
 from .ball import (
     BallTrack2D,
     BounceEvent,
@@ -66,15 +65,6 @@ class TrackFile:
 
     def completeness(self) -> list[bool]:
         return [f.is_complete() for f in self.frames]
-
-
-@dataclass
-class PipelineConfig:
-    tau_hit: float = 30.0
-    min_gap: int = 15
-    serve_first: bool = True
-    mse_threshold: Optional[float] = None
-    k_bounds: tuple[float, float] = (ball_mod.K_MIN_DEFAULT, ball_mod.K_MAX_DEFAULT)
 
 
 @dataclass
@@ -418,11 +408,15 @@ def calibrate_from_track(
 def reconstruct_point(
     track: TrackFile,
     table: TableGeometry = TableGeometry(),
-    config: PipelineConfig = PipelineConfig(),
     point_id: int = 0,
     partition: str = "",
+    mse_threshold: Optional[float] = None,
 ) -> tuple[Reconstruction, ReconstructedPoint]:
-    """Full reconstruction of one point from a validated track file."""
+    """Full reconstruction of one point from a validated track file.
+
+    Raises SegmentRejected when a hit pair's bounce-fit MSE exceeds
+    ``mse_threshold`` (None keeps every pair).
+    """
     camera, rms = calibrate_from_track(track, table)
     fps = track.header.fps
     complete_flags = track.completeness()
@@ -439,9 +433,7 @@ def reconstruct_point(
             if f.racket_centroids[p] is not None:
                 rackets[p][f.frame_index] = f.racket_centroids[p]
 
-    hits = detect_hits(
-        track2d, rackets, tau_hit=config.tau_hit, min_gap=config.min_gap
-    )
+    hits = detect_hits(track2d, rackets)
     if len(hits) < 2:
         raise NotEnoughHits(f"detected {len(hits)} hits")
 
@@ -476,14 +468,7 @@ def reconstruct_point(
         raise NotEnoughHits("hit frame lacks positioned player joints")
 
     recon_traj = reconstruct_trajectory(
-        track2d,
-        hits,
-        camera,
-        table,
-        fps,
-        serve_first=config.serve_first,
-        mse_threshold=config.mse_threshold,
-        k_bounds=config.k_bounds,
+        track2d, hits, camera, table, fps, mse_threshold=mse_threshold
     )
 
     frames_out: list[PointFrame] = []
@@ -538,13 +523,12 @@ class RejectionReport:
 def filter_points(
     points: Sequence[ReconstructedPoint],
     mse_threshold: float,
-    require_complete_entities: bool = True,
 ) -> tuple[list[ReconstructedPoint], RejectionReport]:
     """Drop points with missing entities or over-threshold bounce-fit MSE."""
     kept: list[ReconstructedPoint] = []
     report = RejectionReport()
     for point in points:
-        if require_complete_entities and not point.entity_complete:
+        if not point.entity_complete:
             report.add("MissingEntity")
             continue
         if any(piece.parabola_mse > mse_threshold for piece in point.pieces):

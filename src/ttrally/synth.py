@@ -9,7 +9,7 @@ fits, with hit and bounce anchors snapped to frame boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,33 @@ from .errors import AssumptionViolation
 from .pipeline import TrackFile, TrackHeader
 
 LEG_VERTICALITY_TOL_PX = 0.1
+SCENE_TRIES = 60  # (rally, camera) draws before generate_scene gives up
+
+# Rally model: hit-to-hit ball speed ~ N(mean, sd) m/s, clipped to
+# RALLY_SPEED_CLIP; serves are uniform on SERVE_SPEED_RANGE; each piece's
+# drag k is uniform on DRAG_K_RANGE (1/s).
+RALLY_SPEED_MEAN = 11.25
+RALLY_SPEED_SD = 3.0
+RALLY_SPEED_CLIP = (5.4, 18.3)
+SERVE_SPEED_RANGE = (4.5, 6.5)
+DRAG_K_RANGE = (0.05, 0.5)
+
+# Exchange model. The opponent sets up on +y or -y with equal odds and aims
+# the return's ego-plane crossing at SHOT_AIM_GAIN times its root y, plus
+# N(0, SHOT_AIM_SD) m, clipped to +-SHOT_Y_LIMIT; the return's speed is
+# N(SHOT_SPEED_MEAN, SHOT_SPEED_SD) m/s clipped to SHOT_SPEED_CLIP.
+# anticipate.ShotPredictor replays the same aim, limit, mean and clip.
+SHOT_AIM_GAIN = 0.9
+SHOT_AIM_SD = 0.15
+SHOT_Y_LIMIT = 1.05
+SHOT_SPEED_MEAN = 12.0
+SHOT_SPEED_SD = 0.6
+SHOT_SPEED_CLIP = (7.5, 16.5)
+SHOT_OVERRUN = 1.0  # m past the ego plane where a return's last piece ends
+# The context: CONTEXT_S of frames every CONTEXT_DT s before the opponent's hit.
+CONTEXT_S = 0.6
+CONTEXT_DT = 0.02
+EXCHANGE_TABLE = TableGeometry()  # one instance, shared by every exchange
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +94,6 @@ class Trajectory:
         i, local = self._locate(t)
         local = min(max(local, 0.0), self.pieces[i].T)
         return stokes_velocity(self.pieces[i], local)
-
-    def x_crossing_time(self, x_plane: float) -> Optional[float]:
-        """First time the (monotone-in-x) trajectory reaches x = x_plane."""
-        for start, piece in zip(self.starts, self.pieces):
-            x0, xt = piece.b0.x, piece.bT.x
-            if (x0 - x_plane) * (xt - x_plane) > 0:
-                continue
-            if abs(xt - x0) < 1e-12:
-                continue
-            frac = (x_plane - x0) / (xt - x0)
-            denom = -math.expm1(-piece.k * piece.T)
-            arg = 1.0 - frac * denom
-            if arg <= 0:
-                continue
-            return start - math.log(arg) / piece.k
-        return None
 
 
 def chain_segments(
@@ -139,21 +150,17 @@ def generate_rally(
     table: TableGeometry = TableGeometry(),
     fps: float = 60.0,
     n_hits: int = 4,
-    speed_mean: float = 11.25,
-    speed_sd: float = 3.0,
-    k_range: tuple[float, float] = (0.05, 0.5),
-    first_hitter: int = 0,
-    serve_speed_range: tuple[float, float] = (4.5, 6.5),
 ) -> RallyTruth:
     """Ground-truth rally: drag pieces between frame-snapped hit/bounce anchors.
 
-    The first hit pair is the serve and carries two bounces (one per half).
+    Player 0 (on -x) serves; the first hit pair is the serve and carries two
+    bounces (one per half).
     """
     if n_hits < 2:
         raise ValueError("need at least two hits")
     hl, hw, h = table.half_length, table.half_width, table.height_z
 
-    sides = [(-1 if (first_hitter + i) % 2 == 0 else 1) for i in range(n_hits)]
+    sides = [(-1 if i % 2 == 0 else 1) for i in range(n_hits)]
     hit_pos = [
         Vec3(
             s * (hl + 0.15 + 0.2 * rng.random()),
@@ -185,9 +192,10 @@ def generate_rally(
         ]
         if i == 0:
             # Serves are slow enough for a visible arc between the two bounces.
-            speed = float(rng.uniform(*serve_speed_range))
+            speed = float(rng.uniform(*SERVE_SPEED_RANGE))
         else:
-            speed = float(np.clip(rng.normal(speed_mean, speed_sd), 5.4, 18.3))
+            speed = float(np.clip(rng.normal(RALLY_SPEED_MEAN, RALLY_SPEED_SD),
+                                  *RALLY_SPEED_CLIP))
         total_t = sum(chords) / speed
         # Snap sub-piece boundaries to frames. Minimum piece lengths keep
         # consecutive hits at least 18 frames apart (hit detection suppresses
@@ -199,7 +207,7 @@ def generate_rally(
         ]
         f = hit_frames[-1]
         for (p, q), n_f in zip(zip(anchors, anchors[1:]), frame_counts):
-            k = float(rng.uniform(*k_range))
+            k = float(rng.uniform(*DRAG_K_RANGE))
             seg = StokesSegment(b0=p, bT=q, T=n_f / fps, k=k)
             pieces.append((f, f + n_f, seg))
             if q.z == h and q is not anchors[-1]:
@@ -223,7 +231,7 @@ def generate_rally(
         own = [
             (hit_frames[i], hit_pos[i].as_array())
             for i in range(n_hits)
-            if (first_hitter + i) % 2 == player
+            if i % 2 == player
         ]
         controls = (
             [(frames[0] - 1, rest)] + own + [(frames[-1] + 1, rest)]
@@ -252,7 +260,7 @@ def generate_rally(
         fps=fps,
         frames=frames,
         ball=ball,
-        hits=[(hit_frames[i], (first_hitter + i) % 2, hit_pos[i]) for i in range(n_hits)],
+        hits=[(hit_frames[i], i % 2, hit_pos[i]) for i in range(n_hits)],
         bounces=bounces,
         pieces=pieces,
         hands=hands,
@@ -427,19 +435,13 @@ def generate_scene(
     noise_px: float = 0.0,
     width: int = 960,
     height: int = 540,
-    speed_mean: float = 11.25,
-    speed_sd: float = 3.0,
-    k_range: tuple[float, float] = (0.05, 0.5),
     video_id: str = "",
     seed: Optional[int] = None,
-    max_tries: int = 60,
 ) -> tuple[TrackFile, RallyTruth, Camera]:
     """Sample (rally, camera) pairs until the scene fits in the image."""
     last_error: Optional[Exception] = None
-    for _ in range(max_tries):
-        rally = generate_rally(
-            rng, table, fps, n_hits, speed_mean, speed_sd, k_range
-        )
+    for _ in range(SCENE_TRIES):
+        rally = generate_rally(rng, table, fps, n_hits)
         cam = sample_camera(rng, table, width, height)
         try:
             track = emit_synthetic_track(
@@ -448,7 +450,7 @@ def generate_scene(
             return track, rally, cam
         except AssumptionViolation as exc:
             last_error = exc
-    raise AssumptionViolation(f"no valid scene after {max_tries} tries: {last_error}")
+    raise AssumptionViolation(f"no valid scene after {SCENE_TRIES} tries: {last_error}")
 
 
 def corrupt_track(
@@ -475,18 +477,6 @@ def corrupt_track(
 # ---------------------------------------------------------------------------
 # exchange generation (anticipation / control oracle)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExchangeConfig:
-    table: TableGeometry = field(default_factory=TableGeometry)
-    right_prob: float = 0.5  # probability the opponent sets up on +y
-    aim_gain: float = 0.9  # crossing y per unit of opponent root y
-    aim_noise: float = 0.15
-    speed_mean: float = 12.0
-    speed_sd: float = 0.6
-    ctx_duration: float = 0.6
-    ctx_dt: float = 0.02
 
 
 @dataclass
@@ -529,19 +519,18 @@ def construct_return_shot(
     speed: float,
     k1: float,
     k2: float,
-    x_overrun: float = 1.0,
 ) -> tuple[Trajectory, float]:
     """Build an opponent return that crosses the ego hitting plane.
 
     The shot travels hit -> bounce (on the ego half) -> a virtual end anchor
-    ``x_overrun`` meters beyond the plane, constructed so the trajectory
+    SHOT_OVERRUN meters beyond the plane, constructed so the trajectory
     passes through (-length/2, y_cross, z_cross). Keeping the supported piece
     well past the plane means post-crossing queries follow the drag curve
     instead of a linear tail. Returns (trajectory, crossing time).
     """
     hl, h = table.half_length, table.height_z
     x_plane = -hl
-    x_end = -hl - x_overrun
+    x_end = -hl - SHOT_OVERRUN
 
     u_plane = (hit_pos.x - x_plane) / (hit_pos.x - x_end)
     y_end = hit_pos.y + (y_cross - hit_pos.y) / u_plane
@@ -570,14 +559,12 @@ def construct_return_shot(
     return traj, t1 + tc_local
 
 
-def generate_exchange(
-    rng: np.random.Generator, exchange_id: int, cfg: ExchangeConfig = ExchangeConfig()
-) -> ExchangeSample:
+def generate_exchange(rng: np.random.Generator, exchange_id: int) -> ExchangeSample:
     """Sample one exchange with an intent-correlated opponent return."""
-    table = cfg.table
+    table = EXCHANGE_TABLE
     hl, h = table.half_length, table.height_z
 
-    side = 1.0 if rng.random() < cfg.right_prob else -1.0
+    side = 1.0 if rng.random() < 0.5 else -1.0
     opp_root_y = float(np.clip(side * 0.5 + rng.normal(0.0, 0.12), -0.8, 0.8))
 
     hit_pos = Vec3(
@@ -605,12 +592,11 @@ def generate_exchange(
         t0=-t_total,
     )
 
-    y_cross = float(
-        np.clip(cfg.aim_gain * opp_root_y + rng.normal(0.0, cfg.aim_noise), -1.05, 1.05)
-    )
+    y_cross = float(np.clip(SHOT_AIM_GAIN * opp_root_y + rng.normal(0.0, SHOT_AIM_SD),
+                            -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
     z_cross = float(rng.uniform(0.92, 1.18))
     x_bounce = -(0.45 + 0.45 * float(rng.random()))
-    speed = float(np.clip(rng.normal(cfg.speed_mean, cfg.speed_sd), 7.5, 16.5))
+    speed = float(np.clip(rng.normal(SHOT_SPEED_MEAN, SHOT_SPEED_SD), *SHOT_SPEED_CLIP))
     outgoing, t_cross = construct_return_shot(
         table,
         hit_pos,
@@ -623,13 +609,13 @@ def generate_exchange(
     )
 
     # Context frames strictly before the hit.
-    n_ctx = int(round(cfg.ctx_duration / cfg.ctx_dt))
-    times = -cfg.ctx_dt * np.arange(n_ctx, 0, -1)
+    n_ctx = int(round(CONTEXT_S / CONTEXT_DT))
+    times = -CONTEXT_DT * np.arange(n_ctx, 0, -1)
     opp_rest = Vec3(hl + 0.6, opp_root_y, 1.0)
     frames = []
     for j, t in enumerate(times):
         ball = incoming.position(float(t))
-        approach = _ease(1.0 + float(t) / cfg.ctx_duration)
+        approach = _ease(1.0 + float(t) / CONTEXT_S)
         hand = opp_rest + (hit_pos - opp_rest) * approach
         root_x = hl + 0.55
         joints = [
@@ -662,8 +648,6 @@ def generate_exchange(
     )
 
 
-def generate_exchanges(
-    seed: int, n: int, cfg: ExchangeConfig = ExchangeConfig(), id_offset: int = 0
-) -> list[ExchangeSample]:
+def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSample]:
     rng = np.random.default_rng(seed)
-    return [generate_exchange(rng, id_offset + i, cfg) for i in range(n)]
+    return [generate_exchange(rng, id_offset + i) for i in range(n)]

@@ -208,7 +208,7 @@ def test_small_scale_coverage(small_study):
     assert report.n_test == len(test.exchanges)
     for ax in ("x", "y", "z"):
         for h in HORIZONS:
-            rate = report.axis_rate(ax, h)
+            rate = report.per_axis[(ax, horizon_key(h))]
             # Loose finite-sample band around 1 - alpha = 0.85; the tight
             # per-criterion bound is exercised at full scale elsewhere.
             assert 0.70 <= rate <= 1.0

@@ -187,7 +187,7 @@ def test_detect_hits_finds_planted_minima():
             centroids[player][int(f)] = (ball[f, 0] + offset, ball[f, 1])
     # Distances hit 0 at the planted frames, but only within tau elsewhere.
     track = BallTrack2D(frames, ball)
-    hits = detect_hits(track, centroids, tau_hit=30.0, min_gap=15)
+    hits = detect_hits(track, centroids)
     assert [(h.frame, h.player) for h in hits] == [(10, 0), (45, 1), (75, 0)]
 
 
@@ -202,7 +202,7 @@ def test_detect_hits_min_gap_suppression():
         centroids[0][int(f)] = (ball[f, 0] + 5.0 + 10.0 * d0, ball[f, 1])
         centroids[1][int(f)] = (ball[f, 0] + 2.0 + 10.0 * d1, ball[f, 1])
     track = BallTrack2D(frames, ball)
-    hits = detect_hits(track, centroids, tau_hit=30.0, min_gap=15)
+    hits = detect_hits(track, centroids)
     # Two minima 6 frames apart: only the deeper one (player 1) survives.
     assert [(h.frame, h.player) for h in hits] == [(26, 1)]
 

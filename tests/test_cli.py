@@ -141,6 +141,15 @@ def test_missing_subcommand_exits_with_usage():
     ["synth", "--noise-px", "-0.5"],
     ["synth", "--seed", "-1"],
     ["conformal", "--seed", "-4"],
+    ["simulate", "--lam", "nan", "--episodes", "1"],
+    ["simulate", "--lam", "3", "--episodes", "1"],
+    ["simulate", "--lam", "-0.1", "--episodes", "1"],
+    ["simulate", "--lead-time", "-1", "--episodes", "1"],
+    ["simulate", "--lead-time", "nan", "--episodes", "1"],
+    ["simulate", "--lead-time", "0.59", "--episodes", "1"],
+    ["reconstruct", "--mse-threshold", "nan"],
+    ["reconstruct", "--mse-threshold", "-1"],
+    ["reconstruct", "--mse-threshold", "inf"],
 ], ids=" ".join)
 def test_bad_argument_exits_with_usage(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ from ttrally.control import (
     DragFlight,
     RacketPose,
     SimParams,
+    aim_point,
     farthest_corner_distance,
     landing_after_reflection,
     prepare_anticipation,
@@ -229,7 +230,7 @@ def _low_arc_launch(hit, speed, target):
 def test_solve_target_pose_normal_and_landing_on_sim_crossings():
     # Sim crossing velocities have large y/z components, where a racket built
     # from the wrong Euler order tilts its normal off the solved direction.
-    target = SimParams().aim_target()
+    target = aim_point(TABLE)
     for ex in generate_exchanges(7, 60):
         hit, v_in = ex.crossing_pos, ex.crossing_vel
         pose = solve_target_pose(hit, v_in, TABLE, target)
@@ -260,10 +261,7 @@ def test_solve_target_pose_infeasible_beyond_angle_limits():
 def test_sim_params_validates_central_pose():
     with pytest.raises(ValueError):
         SimParams(central=Vec3(5.0, 0.0, 1.0))
-    p = SimParams()
-    assert p.aim_target() == Vec3(TABLE.half_length / 2.0, 0.0, TABLE.height_z)
-    q = SimParams(target=Vec3(1.0, 0.2, 0.8))
-    assert q.aim_target() == Vec3(1.0, 0.2, 0.8)
+    assert aim_point(SimParams().table) == Vec3(TABLE.half_length / 2.0, 0.0, TABLE.height_z)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from ttrally.errors import (
     VersionError,
 )
 from ttrally.pipeline import (
-    PipelineConfig,
     calibrate_from_track,
     filter_points,
     load_track,
@@ -131,7 +130,7 @@ def test_mse_threshold_rejects_noisy_segment():
     rng = np.random.default_rng(9)
     track, _, _ = generate_scene(rng, noise_px=3.0, n_hits=3)
     with pytest.raises(SegmentRejected):
-        reconstruct_point(track, config=PipelineConfig(mse_threshold=1e-9))
+        reconstruct_point(track, mse_threshold=1e-9)
 
 
 def test_filter_points(scene):

@@ -8,7 +8,6 @@ from ttrally.camera import project, project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
-    ExchangeConfig,
     chain_segments,
     check_camera_assumptions,
     construct_return_shot,
@@ -142,9 +141,6 @@ def test_chain_segments_positions_and_crossing():
     assert (traj.position(0.0) - anchors[0]).norm() < 1e-12
     assert (traj.position(0.2) - anchors[1]).norm() < 1e-12
     assert (traj.position(0.45) - anchors[2]).norm() < 1e-12
-    t_cross = traj.x_crossing_time(-1.37)
-    assert t_cross is not None
-    assert traj.position(t_cross).x == pytest.approx(-1.37, abs=1e-9)
     # Extrapolation beyond the support is continuous.
     near, past = traj.position(0.45), traj.position(0.46)
     assert (past - near).norm() < 0.5
@@ -188,11 +184,3 @@ def test_generate_exchanges_deterministic():
     for ea, eb in zip(a, b):
         assert (ea.crossing_pos - eb.crossing_pos).norm() == 0.0
         assert ea.crossing_time == eb.crossing_time
-
-
-def test_right_prob_biases_opponent_position():
-    cfg = ExchangeConfig(right_prob=1.0)
-    exs = generate_exchanges(0, 40, cfg)
-    assert all(ex.opp_root_y > 0 for ex in exs)
-    # Aim correlates with where the opponent stands.
-    assert np.mean([ex.crossing_pos.y for ex in exs]) > 0.2
