@@ -8,6 +8,7 @@ minimizing reprojection error with a bounded golden-section search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -192,14 +193,14 @@ def detect_hits(
     return [HitEvent(frame=f, player=p) for f, p, _ in accepted]
 
 
-def fit_parabola(samples: Sequence[tuple[float, float]]) -> tuple[np.ndarray, float]:
-    """Least-squares quadratic through (t, v) samples; returns (coeffs, mse).
+def fit_parabola(ts: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares quadratic through the samples (ts, vs); returns (coeffs, mse).
 
     Coefficients are highest degree first. Raises FitFailed for fewer than
     three distinct abscissae.
     """
-    ts = np.array([s[0] for s in samples], dtype=float)
-    vs = np.array([s[1] for s in samples], dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    vs = np.asarray(vs, dtype=float)
     if len(np.unique(ts)) < 3:
         raise FitFailed("need at least 3 distinct sample times")
     # Center for conditioning; expand back afterwards.
@@ -216,61 +217,54 @@ def fit_parabola(samples: Sequence[tuple[float, float]]) -> tuple[np.ndarray, fl
     return coeffs, float(np.mean(resid**2))
 
 
-def _side_sse(ball: BallTrack2D, lo: int, hi: int) -> float:
-    """Squared-error sum of the best parabola over frames [lo, hi]."""
-    frames, pixels = ball.window(lo, hi)
-    if len(frames) < 3:
-        raise FitFailed(f"only {len(frames)} samples in [{lo}, {hi}]")
-    _, mse = fit_parabola(list(zip(frames.astype(float), pixels[:, 1])))
-    return mse * len(frames)
+def select_bounces(
+    ball: BallTrack2D, h1: int, h2: int, candidates: Sequence[int], n: int
+) -> tuple[tuple[int, ...], float]:
+    """Pick the n ordered bounce frames minimizing the split-parabola total.
+
+    The knots (h1, *bounces, h2) split the track into n + 1 windows, and the
+    total is the sum of each window's parabola squared error; a bounce frame
+    belongs to both windows it joins. Each window is fitted at most once per
+    call. Ties break toward the earliest tuple.
+    """
+    sse: dict[tuple[int, int], Optional[float]] = {}  # None: the window has no fit
+
+    def window_sse(lo: int, hi: int) -> Optional[float]:
+        if (lo, hi) not in sse:
+            frames, pixels = ball.window(lo, hi)
+            sse[lo, hi] = None
+            if len(frames) >= 3:
+                try:
+                    _, mse = fit_parabola(frames.astype(float), pixels[:, 1])
+                    sse[lo, hi] = mse * len(frames)
+                except FitFailed:
+                    pass
+        return sse[lo, hi]
+
+    inside = sorted(set(c for c in candidates if h1 < c < h2))
+    best: Optional[tuple[float, tuple[int, ...]]] = None
+    for bounces in itertools.combinations(inside, n):
+        knots = (h1, *bounces, h2)
+        total = 0.0
+        for lo, hi in zip(knots, knots[1:]):
+            side = window_sse(lo, hi)
+            if side is None:
+                break
+            total += side
+        else:
+            if best is None or total < best[0]:
+                best = (total, bounces)
+    if best is None:
+        raise NoBounceFound(f"no usable {n}-bounce split of ({h1}, {h2})")
+    return best[1], best[0]
 
 
 def select_bounce(
     ball: BallTrack2D, h1: int, h2: int, candidates: Sequence[int]
 ) -> tuple[int, float]:
-    """Pick the bounce frame minimizing the two-parabola squared-error total.
-
-    The candidate frame belongs to both fitted sides. Ties break toward the
-    earliest frame.
-    """
-    best: Optional[tuple[float, int]] = None
-    for b in sorted(candidates):
-        if not (h1 < b < h2):
-            continue
-        try:
-            total = _side_sse(ball, h1, b) + _side_sse(ball, b, h2)
-        except FitFailed:
-            continue
-        if best is None or total < best[0]:
-            best = (total, b)
-    if best is None:
-        raise NoBounceFound(f"no usable bounce candidate in ({h1}, {h2})")
-    return best[1], best[0]
-
-
-def select_serve_bounces(
-    ball: BallTrack2D, h1: int, h2: int, candidates: Sequence[int]
-) -> tuple[tuple[int, int], float]:
-    """Serve variant: pick the ordered bounce pair minimizing a 3-fit total."""
-    cands = sorted(set(c for c in candidates if h1 < c < h2))
-    if len(cands) < 2:
-        raise NoBounceFound("need at least two bounce candidates for a serve")
-    best: Optional[tuple[float, tuple[int, int]]] = None
-    for i, ba in enumerate(cands):
-        for bb in cands[i + 1 :]:
-            try:
-                total = (
-                    _side_sse(ball, h1, ba)
-                    + _side_sse(ball, ba, bb)
-                    + _side_sse(ball, bb, h2)
-                )
-            except FitFailed:
-                continue
-            if best is None or total < best[0]:
-                best = (total, (ba, bb))
-    if best is None:
-        raise NoBounceFound("no usable bounce pair for the serve")
-    return best[1], best[0]
+    """One-bounce form of select_bounces: (frame, total)."""
+    (frame,), total = select_bounces(ball, h1, h2, candidates, 1)
+    return frame, total
 
 
 def bounce_candidates(ball: BallTrack2D, h1: int, h2: int) -> list[int]:
@@ -423,12 +417,9 @@ def reconstruct_trajectory(
         if hit1.hand_world is None or hit2.hand_world is None:
             raise ValueError("hit events need hand_world anchors")
         candidates = bounce_candidates(ball, h1, h2)
-        if pair_index == 0:
-            (ba, bb), total = select_serve_bounces(ball, h1, h2, candidates)
-            bounce_frames = [ba, bb]
-        else:
-            b, total = select_bounce(ball, h1, h2, candidates)
-            bounce_frames = [b]
+        bounce_frames, total = select_bounces(
+            ball, h1, h2, candidates, 2 if pair_index == 0 else 1
+        )
         if mse_threshold is not None and total > mse_threshold:
             raise SegmentRejected(
                 f"bounce-fit MSE {total:.3g} above threshold {mse_threshold:.3g}"
@@ -436,80 +427,44 @@ def reconstruct_trajectory(
 
         # The pixel-parabola split is robust but only frame-accurate; refine
         # each bounce over its immediate neighbors by total drag reprojection.
-        best: Optional[tuple[float, list, list]] = None
-        for combo in _bounce_combos(bounce_frames, h1, h2, pix):
-            try:
-                pieces, bounces, reproj = _fit_pair(
-                    ball, camera, table_plane, fps, h1, hit1.hand_world, h2,
-                    hit2.hand_world, combo, pix, total,
-                )
-            except (NoBounceFound, FitFailed):
-                continue
-            if best is None or reproj < best[0]:
-                best = (reproj, pieces, bounces)
-        if best is None:
-            raise NoBounceFound("no viable bounce placement between hits")
-        recon.pieces.extend(best[1])
-        recon.bounces.extend(best[2])
-    return recon
-
-
-def _bounce_combos(
-    bounce_frames: list[int], h1: int, h2: int, pix: dict
-) -> list[list[int]]:
-    """Per-bounce +/-1-frame alternatives, keeping frames valid and ordered."""
-    options = []
-    for bf in bounce_frames:
-        opts = [
-            f
-            for f in (bf, bf - 1, bf + 1)
-            if h1 + 2 <= f <= h2 - 2 and f in pix
+        # Every frame tried is a ball sample and the selected frames are one
+        # of the ordered combos, so a best placement always exists. Each
+        # anchor and each (f0, f1) piece is computed once per hit pair.
+        options = [
+            [
+                f
+                for f in (b, b - 1, b + 1)
+                if h1 + BOUNCE_MARGIN <= f <= h2 - BOUNCE_MARGIN and f in pix
+            ]
+            for b in bounce_frames
         ]
-        options.append(opts or [bf])
-    combos = [[]]
-    for opts in options:
-        combos = [c + [f] for c in combos for f in opts]
-    return [c for c in combos if all(a < b for a, b in zip(c, c[1:]))]
-
-
-def _fit_pair(
-    ball: BallTrack2D,
-    camera: Camera,
-    table_plane: Plane,
-    fps: float,
-    h1: int,
-    p1: Vec3,
-    h2: int,
-    p2: Vec3,
-    bounce_frames: list[int],
-    pix: dict,
-    total_mse: float,
-) -> tuple[list[ReconstructedPiece], list[BounceEvent], float]:
-    anchors: list[tuple[int, Vec3]] = [(h1, p1)]
-    bounces = []
-    for bf in bounce_frames:
-        if bf not in pix:
-            raise NoBounceFound(f"no ball sample at bounce frame {bf}")
-        world = inverse_project_to_plane(camera, ImagePoint(*pix[bf]), table_plane)
-        anchors.append((bf, world))
-        bounces.append(BounceEvent(frame=bf, position=world))
-    anchors.append((h2, p2))
-
-    pieces = []
-    reproj_total = 0.0
-    for (f0, a0), (f1, a1) in zip(anchors, anchors[1:]):
-        frames, pixels = ball.window(f0, f1)
-        times = (frames - f0) / fps
-        drag = fit_drag(a0, a1, (f1 - f0) / fps, times, pixels, camera)
-        seg = StokesSegment(b0=a0, bT=a1, T=(f1 - f0) / fps, k=drag.k)
-        reproj_total += drag.reproj_error
-        pieces.append(
-            ReconstructedPiece(
-                start_frame=f0,
-                end_frame=f1,
-                segment=seg,
-                drag=drag,
-                parabola_mse=total_mse,
-            )
+        knot_sets = [
+            (h1, *combo, h2)
+            for combo in itertools.product(*options)
+            if all(a < b for a, b in zip(combo, combo[1:]))
+        ]
+        anchors = {h1: hit1.hand_world, h2: hit2.hand_world}
+        fits: dict[tuple[int, int], DragFit] = {}
+        for knots in knot_sets:
+            for f in knots[1:-1]:
+                if f not in anchors:
+                    anchors[f] = inverse_project_to_plane(
+                        camera, ImagePoint(*pix[f]), table_plane
+                    )
+            for f0, f1 in zip(knots, knots[1:]):
+                if (f0, f1) not in fits:
+                    frames, pixels = ball.window(f0, f1)
+                    fits[f0, f1] = fit_drag(
+                        anchors[f0], anchors[f1], (f1 - f0) / fps, (frames - f0) / fps,
+                        pixels, camera,
+                    )
+        knots = min(
+            knot_sets,
+            key=lambda ks: sum(fits[piece].reproj_error for piece in zip(ks, ks[1:])),
         )
-    return pieces, bounces, reproj_total
+        for f0, f1 in zip(knots, knots[1:]):
+            drag = fits[f0, f1]
+            seg = StokesSegment(b0=anchors[f0], bT=anchors[f1], T=(f1 - f0) / fps, k=drag.k)
+            recon.pieces.append(ReconstructedPiece(f0, f1, seg, drag, parabola_mse=total))
+        recon.bounces.extend(BounceEvent(frame=f, position=anchors[f]) for f in knots[1:-1])
+    return recon

@@ -43,6 +43,9 @@ from .synth import ExchangeSample, generate_exchanges
 BOX_TOL = 1e-9  # m a point may lie outside a Box and still count as inside
 LANDING_T_MAX = 5.0  # s of return flight searched for a landing
 CAL_ID_OFFSET = 1_000_000  # first calibration exchange id, above every episode's
+RACKET_RADIUS = 0.085  # m, racket disc radius: contact when the ball passes this close
+RETURN_DRAG_K = 0.12  # 1/s, linear drag of the returned ball's flight
+HORIZONS = tuple(round(0.025 * i, 6) for i in range(2, 25))  # s after the opponent's hit
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,9 @@ class DragFlight:
 
     p0: Vec3
     v0: Vec3
-    k: float = 0.12
 
     def position(self, t: float) -> Vec3:
-        k = self.k
+        k = RETURN_DRAG_K
         v_term = np.array([0.0, 0.0, -GRAVITY / k])
         decay = -math.expm1(-k * t) / k
         p = self.p0.as_array() + v_term * t + (self.v0.as_array() - v_term) * decay
@@ -298,15 +300,10 @@ class SimParams:
     central: Vec3 = Vec3(-1.5, 0.0, 1.05)
     v_max: float = 2.0
     omega_max: float = math.radians(720.0)
-    racket_radius: float = 0.085
     dt: float = 0.01
     lam: float = 0.1
     lead_time: float = 0.2  # anticipation available this long before the hit
     alpha: float = 0.15
-    horizons: tuple[float, ...] = tuple(
-        round(0.025 * i, 6) for i in range(2, 25)
-    )
-    return_drag_k: float = 0.12
 
     def __post_init__(self):
         if not self.workspace.contains(self.central):
@@ -337,7 +334,7 @@ def _preposition_target(
 ) -> tuple[Optional[Vec3], bool]:
     times, frames = ex.context_until(-params.lead_time)
     ctx = ContextWindow(times=times, frames=frames)
-    regions = build_regions(predictors, calib, ctx, list(params.horizons))
+    regions = build_regions(predictors, calib, ctx, list(HORIZONS))
     try:
         region = select_target_time(
             regions, params.central, params.workspace, params.v_max, params.lead_time
@@ -400,7 +397,7 @@ def run_episode(
             d = _point_segment_distance(
                 pose.position.as_array(), prev_ball.as_array(), ball.as_array()
             )
-            if d <= params.racket_radius:
+            if d <= RACKET_RADIUS:
                 v_in = ex.outgoing.velocity(t)
                 try:
                     v_after = racket_reflect(v_in, pose.normal())
@@ -414,7 +411,7 @@ def run_episode(
     returned = False
     deviation: Optional[float] = None
     if contacted and v_after is not None and contact_pos is not None:
-        flight = DragFlight(contact_pos, v_after, k=params.return_drag_k)
+        flight = DragFlight(contact_pos, v_after)
         land = flight.landing(params.table.height_z)
         if land is not None:
             t_land, p_land = land
@@ -512,7 +509,7 @@ def _calibrate(
     predictors: Sequence[ShotPredictor], cal: Sequence[ExchangeSample], params: SimParams
 ) -> ConformalCalibration:
     """Conformal calibration matched to the deployment lead time."""
-    forecast = forecast_split(predictors, cal, params.horizons, params.lead_time)
+    forecast = forecast_split(predictors, cal, HORIZONS, params.lead_time)
     return calibrate_ensemble(forecast, params.alpha)
 
 

@@ -526,11 +526,18 @@ def construct_return_shot(
     SHOT_OVERRUN meters beyond the plane, constructed so the trajectory
     passes through (-length/2, y_cross, z_cross). Keeping the supported piece
     well past the plane means post-crossing queries follow the drag curve
-    instead of a linear tail. Returns (trajectory, crossing time).
+    instead of a linear tail. Returns (trajectory, crossing time). Raises
+    ValueError unless -length/2 < x_bounce < hit_pos.x: a bounce outside
+    that span leaves the plane crossing off (y_cross, z_cross).
     """
     hl, h = table.half_length, table.height_z
     x_plane = -hl
     x_end = -hl - SHOT_OVERRUN
+    if not x_plane < x_bounce < hit_pos.x:
+        raise ValueError(
+            f"x_bounce={x_bounce} not strictly between the plane x={x_plane} "
+            f"and the hit x={hit_pos.x}"
+        )
 
     u_plane = (hit_pos.x - x_plane) / (hit_pos.x - x_end)
     y_end = hit_pos.y + (y_cross - hit_pos.y) / u_plane

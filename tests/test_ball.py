@@ -15,7 +15,7 @@ from ttrally.ball import (
     fit_parabola,
     golden_section,
     select_bounce,
-    select_serve_bounces,
+    select_bounces,
     smooth,
     stokes_position,
     stokes_positions,
@@ -96,7 +96,7 @@ def test_fit_parabola_matches_polyfit():
     rng = np.random.default_rng(0)
     ts = np.sort(rng.uniform(0, 1, 12))
     vs = 3.0 * ts**2 - 2.0 * ts + 0.5 + rng.normal(0, 0.05, 12)
-    coeffs, mse = fit_parabola(list(zip(ts, vs)))
+    coeffs, mse = fit_parabola(ts, vs)
     oracle = np.polyfit(ts, vs, 2)
     assert np.allclose(coeffs, oracle, atol=1e-8)
     resid = vs - np.polyval(oracle, ts)
@@ -105,7 +105,7 @@ def test_fit_parabola_matches_polyfit():
 
 def test_fit_parabola_needs_three_distinct_times():
     with pytest.raises(FitFailed):
-        fit_parabola([(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)])
+        fit_parabola(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def _vee_track(bounce_frame, n=21, slope=5.0):
@@ -163,7 +163,7 @@ def test_select_serve_bounces_matches_double_vee():
     frames = np.arange(25)
     v = np.minimum(np.abs(frames - 7) * 4.0, np.abs(frames - 16) * 4.0)
     track = BallTrack2D(frames, np.column_stack([frames.astype(float), v]))
-    (a, b), total = select_serve_bounces(track, 0, 24, [7, 16])
+    (a, b), total = select_bounces(track, 0, 24, [7, 16], 2)
     assert (a, b) == (7, 16)
 
 

@@ -1,0 +1,191 @@
+"""The merged bounce search against the two-selector search it replaced.
+
+The oracle below is the earlier search, kept verbatim apart from the
+``tried`` record: ``select_bounce`` for rally pairs and a separate serve
+selector, both refitting every parabola window per candidate tuple, then a
++/-1-frame refinement that refits every drag piece per combo.
+"""
+
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from ttrally import ball, pipeline
+from ttrally.ball import (
+    BallTrack2D,
+    BounceEvent,
+    ReconstructedPiece,
+    StokesSegment,
+    TrajectoryReconstruction,
+    bounce_candidates,
+    fit_drag,
+    fit_parabola,
+    select_bounces,
+)
+from ttrally.camera import ImagePoint, Plane, inverse_project_to_plane
+from ttrally.errors import FitFailed, NoBounceFound
+from ttrally.synth import generate_scene
+
+
+def _side_sse(track, lo, hi):
+    frames, pixels = track.window(lo, hi)
+    if len(frames) < 3:
+        raise FitFailed(f"only {len(frames)} samples in [{lo}, {hi}]")
+    _, mse = fit_parabola(frames.astype(float), pixels[:, 1])
+    return mse * len(frames)
+
+
+def _oracle_select_bounce(track, h1, h2, candidates):
+    best = None
+    for b in sorted(candidates):
+        if not (h1 < b < h2):
+            continue
+        try:
+            total = _side_sse(track, h1, b) + _side_sse(track, b, h2)
+        except FitFailed:
+            continue
+        if best is None or total < best[0]:
+            best = (total, b)
+    if best is None:
+        raise NoBounceFound("no usable bounce candidate")
+    return best[1], best[0]
+
+
+def _oracle_select_serve_bounces(track, h1, h2, candidates):
+    cands = sorted(set(c for c in candidates if h1 < c < h2))
+    if len(cands) < 2:
+        raise NoBounceFound("need at least two bounce candidates for a serve")
+    best = None
+    for i, ba in enumerate(cands):
+        for bb in cands[i + 1 :]:
+            try:
+                total = (
+                    _side_sse(track, h1, ba)
+                    + _side_sse(track, ba, bb)
+                    + _side_sse(track, bb, h2)
+                )
+            except FitFailed:
+                continue
+            if best is None or total < best[0]:
+                best = (total, (ba, bb))
+    if best is None:
+        raise NoBounceFound("no usable bounce pair for the serve")
+    return best[1], best[0]
+
+
+def _bounce_combos(bounce_frames, h1, h2, pix):
+    options = []
+    for bf in bounce_frames:
+        opts = [f for f in (bf, bf - 1, bf + 1) if h1 + 2 <= f <= h2 - 2 and f in pix]
+        options.append(opts or [bf])
+    combos = [[]]
+    for opts in options:
+        combos = [c + [f] for c in combos for f in opts]
+    return [c for c in combos if all(a < b for a, b in zip(c, c[1:]))]
+
+
+def _fit_pair(track, camera, table_plane, fps, h1, p1, h2, p2, bounce_frames, pix,
+              total_mse, tried):
+    anchors = [(h1, p1)]
+    bounces = []
+    for bf in bounce_frames:
+        if bf not in pix:
+            raise NoBounceFound(f"no ball sample at bounce frame {bf}")
+        world = inverse_project_to_plane(camera, ImagePoint(*pix[bf]), table_plane)
+        anchors.append((bf, world))
+        bounces.append(BounceEvent(frame=bf, position=world))
+    anchors.append((h2, p2))
+    pieces = []
+    reproj_total = 0.0
+    for (f0, a0), (f1, a1) in zip(anchors, anchors[1:]):
+        tried.add((f0, f1))
+        frames, pixels = track.window(f0, f1)
+        times = (frames - f0) / fps
+        drag = fit_drag(a0, a1, (f1 - f0) / fps, times, pixels, camera)
+        seg = StokesSegment(b0=a0, bT=a1, T=(f1 - f0) / fps, k=drag.k)
+        reproj_total += drag.reproj_error
+        pieces.append(ReconstructedPiece(f0, f1, seg, drag, parabola_mse=total_mse))
+    return pieces, bounces, reproj_total
+
+
+def _oracle_reconstruct(tried):
+    """The earlier reconstruct_trajectory; adds each fitted (f0, f1) to ``tried``."""
+
+    def reconstruct(track, hits, camera, table, fps, mse_threshold=None):
+        table_plane = Plane("z", table.height_z)
+        pix = {int(f): p for f, p in zip(track.frames, track.pixels)}
+        recon = TrajectoryReconstruction()
+        for pair_index, (hit1, hit2) in enumerate(zip(hits, hits[1:])):
+            h1, h2 = hit1.frame, hit2.frame
+            candidates = bounce_candidates(track, h1, h2)
+            if pair_index == 0:
+                (ba, bb), total = _oracle_select_serve_bounces(track, h1, h2, candidates)
+                bounce_frames = [ba, bb]
+            else:
+                b, total = _oracle_select_bounce(track, h1, h2, candidates)
+                bounce_frames = [b]
+            best: Optional[tuple] = None
+            for combo in _bounce_combos(bounce_frames, h1, h2, pix):
+                try:
+                    pieces, bounces, reproj = _fit_pair(
+                        track, camera, table_plane, fps, h1, hit1.hand_world, h2,
+                        hit2.hand_world, combo, pix, total, tried,
+                    )
+                except (NoBounceFound, FitFailed):
+                    continue
+                if best is None or reproj < best[0]:
+                    best = (reproj, pieces, bounces)
+            if best is None:
+                raise NoBounceFound("no viable bounce placement between hits")
+            recon.pieces.extend(best[1])
+            recon.bounces.extend(best[2])
+        return recon
+
+    return reconstruct
+
+
+def test_select_bounces_ties_go_to_the_earliest_tuple():
+    # v = 0 fits every window exactly: all totals are 0.0.
+    frames = np.arange(30)
+    track = BallTrack2D(frames, np.column_stack([frames * 5.0, np.zeros(30)]))
+    candidates = [20, 9, 4, 15, 9]
+    assert select_bounces(track, 0, 29, candidates, 1) == ((4,), 0.0)
+    assert select_bounces(track, 0, 29, candidates, 2) == ((4, 9), 0.0)
+
+
+# 20 points: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise.
+SCENES = [(60.0 if i % 2 == 0 else 120.0, 3 + (i // 2) % 4, (i % 5) / 2) for i in range(20)]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """Per scene: (new point, fit_drag calls, oracle point, distinct pieces tried)."""
+    out = []
+    for i, (fps, n_hits, noise) in enumerate(SCENES):
+        track, _, _ = generate_scene(
+            np.random.default_rng([5, i]), fps=fps, n_hits=n_hits, noise_px=noise
+        )
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ball, "fit_drag", lambda *a: calls.append(1) or fit_drag(*a))
+            _, point = pipeline.reconstruct_point(track)
+        tried: set = set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "reconstruct_trajectory", _oracle_reconstruct(tried))
+            _, oracle = pipeline.reconstruct_point(track)
+        out.append((point, len(calls), oracle, len(tried)))
+    return out
+
+
+def test_search_matches_two_selector_oracle(runs):
+    for point, _, oracle, _ in runs:
+        assert point.pieces == oracle.pieces
+        assert point.bounces == oracle.bounces
+        assert [h.frame for h in point.hits] == [h.frame for h in oracle.hits]
+
+
+def test_each_drag_piece_fitted_once(runs):
+    calls = [n for _, n, _, _ in runs]
+    distinct = [n for _, _, _, n in runs]
+    assert calls == distinct

@@ -157,7 +157,7 @@ def test_step_robot_respects_workspace():
 
 
 def test_drag_flight_matches_ode_oracle():
-    flight = DragFlight(Vec3(-1.37, 0.2, 1.1), Vec3(6.0, -1.0, 2.0), k=0.12)
+    flight = DragFlight(Vec3(-1.37, 0.2, 1.1), Vec3(6.0, -1.0, 2.0))
 
     def rhs(t, s):
         return [s[3], s[4], s[5],
@@ -171,12 +171,12 @@ def test_drag_flight_matches_ode_oracle():
 
 
 def test_drag_flight_landing_crosses_plane():
-    flight = DragFlight(Vec3(0.0, 0.0, 1.2), Vec3(5.0, 0.0, 1.0), k=0.12)
+    flight = DragFlight(Vec3(0.0, 0.0, 1.2), Vec3(5.0, 0.0, 1.0))
     t_land, p_land = flight.landing(0.76)
     assert p_land.z == pytest.approx(0.76, abs=1e-9)
     assert flight.position(t_land - 1e-4).z > 0.76
     # Starting below the plane yields no landing.
-    below = DragFlight(Vec3(0.0, 0.0, 0.5), Vec3(5.0, 0.0, -1.0), k=0.12)
+    below = DragFlight(Vec3(0.0, 0.0, 0.5), Vec3(5.0, 0.0, -1.0))
     assert below.landing(0.76) is None
 
 

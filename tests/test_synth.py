@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ttrally.ball import stokes_position
 from ttrally.camera import project, project_many
@@ -163,6 +164,38 @@ def test_construct_return_shot_passes_through_crossing():
         bounce = traj.pieces[0].bT
         assert bounce.z == pytest.approx(TABLE.height_z)
         assert -TABLE.half_length < bounce.x < 0
+
+
+HIT = st.builds(Vec3, st.floats(0.5, 2.0), st.floats(-0.8, 0.8), st.floats(0.9, 1.3))
+SHOT = dict(
+    y_cross=st.floats(-1.05, 1.05),
+    z_cross=st.floats(0.8, 1.4),
+    speed=st.floats(3.0, 25.0),
+    k1=st.floats(0.02, 1.0),
+    k2=st.floats(0.02, 1.0),
+)
+
+
+CLEARANCE = 1e-3  # m; a bounce closer to the plane must climb to z_cross in ~no time
+
+
+@given(hit=HIT, frac=st.floats(0.0, 1.0), **SHOT)
+def test_construct_return_shot_crosses_at_the_asked_point(hit, frac, y_cross, z_cross,
+                                                         speed, k1, k2):
+    lo, hi = -TABLE.half_length + CLEARANCE, hit.x - CLEARANCE
+    x_bounce = lo + frac * (hi - lo)
+    traj, t_cross = construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
+    p = traj.position(t_cross)
+    assert (p - Vec3(-TABLE.half_length, y_cross, z_cross)).norm() < 1e-9
+
+
+@given(hit=HIT, beyond=st.floats(0.0, 3.0), past_plane=st.booleans(), **SHOT)
+def test_construct_return_shot_rejects_bounce_outside_the_span(hit, beyond, past_plane,
+                                                               y_cross, z_cross, speed, k1, k2):
+    # A bounce at or beyond the ego plane, or at or behind the hitter.
+    x_bounce = -TABLE.half_length - beyond if past_plane else hit.x + beyond
+    with pytest.raises(ValueError):
+        construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
 
 
 def test_generate_exchange_consistency():
