@@ -25,10 +25,13 @@ from .errors import (
 )
 from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_record,
                        parse_record, read_header, read_lines, write_lines)
-from .synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                    ExchangeSample, construct_return_shot)
+from .synth import (RAISE_ON_NONFINITE, SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN,
+                    SHOT_Y_LIMIT, Chains, ExchangeSample, return_shots)
 
 SIGMA_FLOOR = 1e-6
+# Exchanges forecast per ensemble pass: the (exchanges x members x horizons)
+# arrays of a whole split would raise peak memory; this many keep it flat.
+FORECAST_CHUNK = 64
 
 
 def horizon_key(h: float) -> float:
@@ -71,11 +74,23 @@ class ContextWindow:
 
     def estimate_hit(self) -> tuple[Vec3, float]:
         """Extrapolate the incoming ball to the hit instant (t = 0)."""
-        p1 = self.frames[-1].ball_world
-        p0 = self.frames[-2].ball_world
-        dt = float(self.times[-1] - self.times[-2])
-        v = (p1 - p0) * (1.0 / dt)
-        return p1 + v * self.lead_time, self.lead_time
+        hit, _ = _context_arrays([self])
+        return Vec3.from_array(hit[0]), self.lead_time
+
+
+def _context_arrays(contexts: Sequence[ContextWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """What the ensemble reads of each context, as arrays: the hit estimate
+    (n, 3), extrapolated linearly from the last two ball frames to t = 0,
+    and the opponent's root y (n,)."""
+    p0 = np.array([(b.x, b.y, b.z) for b in (c.frames[-2].ball_world for c in contexts)])
+    p1 = np.array([(b.x, b.y, b.z) for b in (c.frames[-1].ball_world for c in contexts)])
+    t0 = np.array([c.times[-2] for c in contexts], dtype=float)
+    t1 = np.array([c.times[-1] for c in contexts], dtype=float)
+    root_y = np.array([c.opponent_root_y() for c in contexts], dtype=float)
+    lead = -t1
+    with np.errstate(**RAISE_ON_NONFINITE):
+        v = (p1 - p0) * (1.0 / (t1 - t0))[:, None]
+        return p1 + v * lead[:, None], root_y
 
 
 @dataclass
@@ -101,7 +116,7 @@ def _member_params(seed: int, index: int) -> MemberParams:
 
 
 class ShotPredictor:
-    """Physics predictor: infer intent from the context, replay the shot model.
+    """One ensemble member: the exchange's shot model with perturbed intent.
 
     The opponent is assumed to aim where they stand, with the exchange model's
     gain on root y, crossing-y limit, mean speed and speed clip; the member's
@@ -112,23 +127,6 @@ class ShotPredictor:
     def __init__(self, params: MemberParams, table: TableGeometry = TableGeometry()):
         self.params = params
         self.table = table
-
-    def trajectory(self, ctx: ContextWindow):
-        params = self.params
-        hit_pos, _ = ctx.estimate_hit()
-        y_r = ctx.opponent_root_y()
-        y_cross = float(np.clip(SHOT_AIM_GAIN * y_r + params.d_aim, -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
-        traj, _ = construct_return_shot(
-            self.table,
-            hit_pos,
-            x_bounce=-0.675 + params.d_bounce_x,
-            y_cross=y_cross,
-            z_cross=1.05 + params.d_z_cross,
-            speed=float(np.clip(SHOT_SPEED_MEAN + params.d_speed, *SHOT_SPEED_CLIP)),
-            k1=max(0.19 + params.d_k, 0.02),
-            k2=max(0.19 + params.d_k, 0.02),
-        )
-        return traj
 
 
 def physics_baseline_ensemble(
@@ -141,18 +139,44 @@ def physics_baseline_ensemble(
     return [ShotPredictor(_member_params(seed, i), table) for i in range(k_members)]
 
 
-def ensemble_curve(
-    predictors: Sequence[ShotPredictor], ctx: ContextWindow, horizons: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and floored population std across members, each (n_horizons, 3).
+def _member_shot(p: ShotPredictor) -> tuple[float, ...]:
+    """The shot a member replays: table half-length and height, bounce x,
+    crossing height, speed and drag (its aim depends on the context)."""
+    m = p.params
+    return (p.table.half_length, p.table.height_z, -0.675 + m.d_bounce_x, 1.05 + m.d_z_cross,
+            min(max(SHOT_SPEED_MEAN + m.d_speed, SHOT_SPEED_CLIP[0]), SHOT_SPEED_CLIP[1]),
+            max(0.19 + m.d_k, 0.02))
 
-    Each member's trajectory is built once and sampled at every horizon.
+
+def _ensemble(
+    predictors: Sequence[ShotPredictor], contexts: Sequence[ContextWindow], horizons: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every member's shot from every context, sampled at ``horizons``.
+
+    Returns the mean and floored population std across members, each
+    (n_contexts, n_horizons, 3).
     """
     if len(predictors) < 2:
         raise EnsembleTooSmall("spread needs >= 2 members")
-    trajs = [p.trajectory(ctx) for p in predictors]
-    preds = np.array([[t.position(h).as_array() for h in horizons] for t in trajs])
-    return preds.mean(axis=0), np.maximum(preds.std(axis=0), SIGMA_FLOOR)
+    n, k = len(contexts), len(predictors)
+    hit, root_y = _context_arrays(contexts)
+    # Row i * k + j of every array below is exchange i's shot by member j.
+    members = np.tile([_member_shot(p) for p in predictors], (n, 1))
+    d_aim = np.array([p.params.d_aim for p in predictors])
+    y_cross = np.clip(SHOT_AIM_GAIN * root_y[:, None] + d_aim, -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
+    hl, h, x_bounce, z_cross, speed, drag = members.T
+    chains, _ = return_shots(hl, h, np.repeat(hit, k, axis=0), x_bounce, y_cross.ravel(),
+                             z_cross, speed, drag, drag)
+    preds = chains.positions(horizons).reshape(n, k, len(horizons), 3)
+    return preds.mean(axis=1), np.maximum(preds.std(axis=1), SIGMA_FLOOR)
+
+
+def ensemble_curve(
+    predictors: Sequence[ShotPredictor], ctx: ContextWindow, horizons: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored population std across members, each (n_horizons, 3)."""
+    mean, sigma = _ensemble(predictors, [ctx], np.asarray(horizons, dtype=float))
+    return mean[0], sigma[0]
 
 
 @dataclass
@@ -177,12 +201,19 @@ def forecast_split(
     lead_time: float = 0.0,
 ) -> SplitForecast:
     """Forecast every exchange once, ``lead_time`` before the hit (0 keeps the
-    full context)."""
+    full context), FORECAST_CHUNK exchanges per ensemble pass."""
     exchanges, horizons = list(exchanges), list(horizons)
+    hs = np.asarray(horizons, dtype=float)
+    past = hs < 0  # ExchangeSample.truth_at: the incoming ball before the hit
     mean, sigma, truth = (np.empty((len(exchanges), len(horizons), 3)) for _ in range(3))
-    for i, ex in enumerate(exchanges):
-        mean[i], sigma[i] = ensemble_curve(predictors, _context_for(ex, lead_time), horizons)
-        truth[i] = [ex.truth_at(h).as_array() for h in horizons]
+    for lo in range(0, len(exchanges), FORECAST_CHUNK):
+        chunk = exchanges[lo:lo + FORECAST_CHUNK]
+        rows = slice(lo, lo + len(chunk))
+        mean[rows], sigma[rows] = _ensemble(
+            predictors, [_context_for(ex, lead_time) for ex in chunk], hs)
+        truth[rows] = Chains.of([ex.outgoing for ex in chunk]).positions(hs)
+        if past.any():
+            truth[rows, past] = Chains.of([ex.incoming for ex in chunk]).positions(hs[past])
     return SplitForecast(exchanges, horizons, mean, sigma, truth)
 
 

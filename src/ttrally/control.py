@@ -173,7 +173,7 @@ class DragFlight:
         return Vec3.from_array(p)
 
     def landing(self, z_plane: float) -> Optional[tuple[float, Vec3]]:
-        """First time the flight descends through z = z_plane, if any."""
+        """First time, up to LANDING_T_MAX, the flight descends through z = z_plane."""
 
         def f(t: float) -> float:
             return self.position(t).z - z_plane
@@ -182,7 +182,7 @@ class DragFlight:
             return None
         hi = 0.05
         while hi < LANDING_T_MAX and f(hi) > 0:
-            hi *= 2.0
+            hi = min(2.0 * hi, LANDING_T_MAX)
         if f(hi) > 0:
             return None
         t_land = float(brentq(f, 1e-9, hi))

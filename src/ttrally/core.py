@@ -170,14 +170,6 @@ class DatasetStats:
     mean_inter_hit_time: float
     crossing_y: dict[int, list[float]] = field(default_factory=dict)
 
-    def crossing_histogram(self, bins: int = 20, y_range: float = 1.5):
-        """Histogram of hitting-plane crossing y per player."""
-        edges = np.linspace(-y_range, y_range, bins + 1)
-        return {
-            p: np.histogram(np.asarray(ys), bins=edges)[0]
-            for p, ys in self.crossing_y.items()
-        }, edges
-
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""

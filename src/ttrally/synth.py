@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ SHOT_SPEED_MEAN = 12.0
 SHOT_SPEED_SD = 0.6
 SHOT_SPEED_CLIP = (7.5, 16.5)
 SHOT_OVERRUN = 1.0  # m past the ego plane where a return's last piece ends
+BOUNCE_CLEARANCE = 1e-3  # m a return's bounce keeps from the ego plane
 # The context: CONTEXT_S of frames every CONTEXT_DT s before the opponent's hit.
 CONTEXT_S = 0.6
 CONTEXT_DT = 0.02
@@ -106,6 +107,105 @@ def chain_segments(
         pieces.append(StokesSegment(b0=a, bT=b, T=dur, k=k))
         t += dur
     return Trajectory(starts=starts, pieces=pieces)
+
+
+def _libm(f, a) -> np.ndarray:
+    """``f`` from the math module, elementwise over an array.
+
+    numpy's SIMD expm1/exp/log may differ from libm in the last bit; the
+    array paths call libm so they reproduce the scalar code exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+# numpy arithmetic that would make a NaN or inf raises instead, as the
+# scalar code raises on a division by zero.
+RAISE_ON_NONFINITE = dict(divide="raise", over="raise", invalid="raise")
+
+
+@dataclass
+class Chains:
+    """n trajectories of P chained drag pieces each, as arrays.
+
+    ``positions`` equals ``Trajectory.position`` bit for bit: the same join
+    tolerance, clamp to the piece and linear tails, and the same
+    left-to-right arithmetic on libm's transcendentals.
+    """
+
+    starts: np.ndarray  # (n, P) absolute start time of each piece
+    b0: np.ndarray  # (n, P, 3) start anchors
+    bT: np.ndarray  # (n, P, 3) end anchors
+    T: np.ndarray  # (n, P) durations
+    k: np.ndarray  # (n, P) drag coefficients, 1/s
+    g: np.ndarray  # (n, P) gravity, m/s^2
+
+    def __post_init__(self):
+        # StokesSegment's checks, which a NaN passes as it does there.
+        if np.any(self.T <= 0):
+            raise ValueError("T must be positive")
+        if np.any(self.k <= 0):
+            raise ValueError("k must be positive")
+
+    @staticmethod
+    def of(trajs: Sequence[Trajectory]) -> "Chains":
+        """Stack trajectories with the same number of pieces."""
+        pieces = [t.pieces for t in trajs]
+        shape = (len(trajs), -1)
+        return Chains(
+            starts=np.array([t.starts for t in trajs], dtype=float).reshape(shape),
+            b0=np.array([[(s.b0.x, s.b0.y, s.b0.z) for s in ps] for ps in pieces],
+                        dtype=float).reshape(*shape, 3),
+            bT=np.array([[(s.bT.x, s.bT.y, s.bT.z) for s in ps] for ps in pieces],
+                        dtype=float).reshape(*shape, 3),
+            T=np.array([[s.T for s in ps] for ps in pieces], dtype=float).reshape(shape),
+            k=np.array([[s.k for s in ps] for ps in pieces], dtype=float).reshape(shape),
+            g=np.array([[s.g for s in ps] for ps in pieces], dtype=float).reshape(shape),
+        )
+
+    def positions(self, t) -> np.ndarray:
+        """(n, m, 3) positions at times ``t``: (m,) for every chain, or (n, m)."""
+        n, n_pieces = self.T.shape
+        t = np.asarray(t, dtype=float)
+        rows = np.arange(n)[:, None]
+        with np.errstate(**RAISE_ON_NONFINITE):
+            span = -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
+            # Trajectory._locate: the last piece starting at or before t.
+            piece = np.zeros((n, t.shape[-1]), dtype=int)
+            for p in range(1, n_pieces):
+                piece[t >= (self.starts[:, p] - 1e-12)[:, None]] = p
+            T, k = self.T[rows, piece], self.k[rows, piece]
+            local = t - self.starts[rows, piece]
+            local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
+            local = np.where(T < local, T, local)  # min(local, T)
+            frac = -_libm(math.expm1, -k * local) / span[rows, piece]
+            b0 = self.b0[rows, piece]
+            out = b0 + (self.bT[rows, piece] - b0) * frac[..., None]
+            out[..., 2] += (self.g[rows, piece] / k) * (T * frac - local)
+
+            # Linear tails before the first piece and after the last one.
+            before = t < self.starts[:, :1]
+            after = ~before & (t > (self.starts[:, -1] + self.T[:, -1])[:, None])
+            if before.any():
+                v = self._velocity(0, np.zeros(n), span)
+                tail = self.b0[:, :1] + v[:, None] * (t - self.starts[:, :1])[..., None]
+                out[before] = tail[before]
+            if after.any():
+                t_end = self.starts[:, -1] + self.T[:, -1]
+                v = self._velocity(-1, self.T[:, -1], span)
+                tail = self.bT[:, -1:] + v[:, None] * (t - t_end[:, None])[..., None]
+                out[after] = tail[after]
+        return out
+
+    def _velocity(self, p: int, local: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """(n, 3) stokes_velocity of each chain's piece ``p`` at ``local``."""
+        k, T = self.k[:, p], self.T[:, p]
+        dfrac = k * _libm(math.exp, -k * local) / span[:, p]
+        gk = self.g[:, p] / k
+        d = self.bT[:, p] - self.b0[:, p]
+        v = d * dfrac[:, None]
+        v[:, 2] = (d[:, 2] + gk * T) * dfrac - gk
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +610,75 @@ class ExchangeSample:
         )
 
 
+def _solve_return_shot(hl, h, hx, hy, hz, x_b, y_c, z_c, speed, k2, expm1, log, sqrt):
+    """The closed-form return shot of ``construct_return_shot``.
+
+    Every argument is a float, or every one an array of one shape, with
+    ``expm1``, ``log`` and ``sqrt`` to match; floats keep the one-shot call
+    as cheap as scalar code. Returns (y_b, x_end, y_end, z_end, t1, t2,
+    tc_local): the bounce's y, the virtual end anchor, the two piece
+    durations and the crossing time on the second piece.
+    """
+    x_plane = -hl
+    x_end = -hl - SHOT_OVERRUN
+    ok = (x_plane + BOUNCE_CLEARANCE <= x_b) & (x_b < hx)
+    if not np.all(ok):
+        i = int(np.argmin(np.ravel(ok)))
+        x_b, x_plane, hx = (np.ravel(a)[i] for a in (x_b, x_plane, hx))
+        raise ValueError(
+            f"x_bounce={x_b} not between the plane x={x_plane} "
+            f"(plus {BOUNCE_CLEARANCE} m) and the hit x={hx}"
+        )
+
+    u_plane = (hx - x_plane) / (hx - x_end)
+    y_end = hy + (y_c - hy) / u_plane
+    u_b = (hx - x_b) / (hx - x_end)
+    y_b = hy + u_b * (y_end - hy)
+    # Chord lengths hit -> bounce -> (x_end, y_end, z_cross), summed as Vec3.norm sums.
+    dx, dy, dz = x_b - hx, y_b - hy, h - hz
+    l1 = sqrt(dx * dx + dy * dy + dz * dz)
+    dx, dy, dz = x_end - x_b, y_end - y_b, z_c - h
+    l2 = sqrt(dx * dx + dy * dy + dz * dz)
+    total_t = (l1 + l2) / speed
+    t1 = total_t * l1 / (l1 + l2)
+    t2 = total_t - t1
+
+    # Solve the virtual end height so the plane crossing sits at z_cross.
+    denom = -expm1(-k2 * t2)
+    frac_needed = (x_plane - x_b) / (x_end - x_b)
+    tc_local = -log(1.0 - frac_needed * denom) / k2
+    frac_c = -expm1(-k2 * tc_local) / denom
+    gk = GRAVITY / k2
+    z_end = h - gk * t2 + (z_c - h + gk * tc_local) / frac_c
+    return y_b, x_end, y_end, z_end, t1, t2, tc_local
+
+
+def return_shots(
+    half_length, height, hit: np.ndarray, x_bounce, y_cross, z_cross, speed, k1, k2
+) -> tuple[Chains, np.ndarray]:
+    """``construct_return_shot`` for n shots at once.
+
+    ``hit`` is (n, 3) and every other argument (n,). Returns the n two-piece
+    chains and their (n,) crossing times.
+    """
+    hx, hy, hz = hit[:, 0], hit[:, 1], hit[:, 2]
+    with np.errstate(**RAISE_ON_NONFINITE):
+        y_b, x_end, y_end, z_end, t1, t2, tc_local = _solve_return_shot(
+            half_length, height, hx, hy, hz, x_bounce, y_cross, z_cross, speed, k2,
+            lambda a: _libm(math.expm1, a), lambda a: _libm(math.log, a), np.sqrt,
+        )
+    n = len(hit)
+    starts, T, k = np.zeros((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    starts[:, 1] = T[:, 0] = t1
+    T[:, 1], k[:, 0], k[:, 1] = t2, k1, k2
+    b0, bT = np.empty((n, 2, 3)), np.empty((n, 2, 3))
+    b0[:, 0] = hit
+    b0[:, 1, 0], b0[:, 1, 1], b0[:, 1, 2] = x_bounce, y_b, height
+    bT[:, 0] = b0[:, 1]
+    bT[:, 1, 0], bT[:, 1, 1], bT[:, 1, 2] = x_end, y_end, z_end
+    return Chains(starts, b0, bT, T, k, np.full((n, 2), GRAVITY)), t1 + tc_local
+
+
 def construct_return_shot(
     table: TableGeometry,
     hit_pos: Vec3,
@@ -527,41 +696,18 @@ def construct_return_shot(
     passes through (-length/2, y_cross, z_cross). Keeping the supported piece
     well past the plane means post-crossing queries follow the drag curve
     instead of a linear tail. Returns (trajectory, crossing time). Raises
-    ValueError unless -length/2 < x_bounce < hit_pos.x: a bounce outside
-    that span leaves the plane crossing off (y_cross, z_cross).
+    ValueError unless -length/2 + BOUNCE_CLEARANCE <= x_bounce < hit_pos.x:
+    a bounce outside that span leaves the plane crossing off (y_cross,
+    z_cross), and one nearer the plane must climb to z_cross in almost no
+    time, which the solve for the end height cannot resolve.
     """
-    hl, h = table.half_length, table.height_z
-    x_plane = -hl
-    x_end = -hl - SHOT_OVERRUN
-    if not x_plane < x_bounce < hit_pos.x:
-        raise ValueError(
-            f"x_bounce={x_bounce} not strictly between the plane x={x_plane} "
-            f"and the hit x={hit_pos.x}"
-        )
-
-    u_plane = (hit_pos.x - x_plane) / (hit_pos.x - x_end)
-    y_end = hit_pos.y + (y_cross - hit_pos.y) / u_plane
-    u_b = (hit_pos.x - x_bounce) / (hit_pos.x - x_end)
-    y_b = hit_pos.y + u_b * (y_end - hit_pos.y)
-    bounce = Vec3(x_bounce, y_b, h)
-
-    end_guess = Vec3(x_end, y_end, z_cross)
-    l1 = (bounce - hit_pos).norm()
-    l2 = (end_guess - bounce).norm()
-    total_t = (l1 + l2) / speed
-    t1 = total_t * l1 / (l1 + l2)
-    t2 = total_t - t1
-
-    # Solve the virtual end height so the plane crossing sits at z_cross.
-    denom = -math.expm1(-k2 * t2)
-    frac_needed = (x_plane - bounce.x) / (x_end - bounce.x)
-    tc_local = -math.log(1.0 - frac_needed * denom) / k2
-    frac_c = -math.expm1(-k2 * tc_local) / denom
-    gk = GRAVITY / k2
-    z_end = h - gk * t2 + (z_cross - h + gk * tc_local) / frac_c
-
+    h = table.height_z
+    y_b, x_end, y_end, z_end, t1, t2, tc_local = _solve_return_shot(
+        table.half_length, h, hit_pos.x, hit_pos.y, hit_pos.z, x_bounce, y_cross, z_cross,
+        speed, k2, math.expm1, math.log, math.sqrt,
+    )
     traj = chain_segments(
-        [hit_pos, bounce, Vec3(x_end, y_end, z_end)], [t1, t2], [k1, k2]
+        [hit_pos, Vec3(x_bounce, y_b, h), Vec3(x_end, y_end, z_end)], [t1, t2], [k1, k2]
     )
     return traj, t1 + tc_local
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttrally.anticipate import (
+    FORECAST_CHUNK,
     ContextWindow,
     ConformalCalibration,
+    MemberParams,
+    ShotPredictor,
     _bounds,
     _context_for,
     build_regions,
@@ -33,7 +36,8 @@ from ttrally.errors import (
     ParseError,
     SplitLeakage,
 )
-from ttrally.synth import generate_exchanges
+from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
+                           construct_return_shot, generate_exchanges)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 
@@ -234,9 +238,24 @@ def test_extreme_hit_bias_counts(small_study):
 # per-(axis, horizon) lists. Every statistic must equal it exactly.
 
 
+def _oracle_trajectory(pred, ctx):
+    """A member's shot the scalar way: Vec3 hit estimate, construct_return_shot."""
+    p0, p1 = ctx.frames[-2].ball_world, ctx.frames[-1].ball_world
+    lead = -float(ctx.times[-1])
+    hit = p1 + (p1 - p0) * (1.0 / float(ctx.times[-1] - ctx.times[-2])) * lead
+    m = pred.params
+    y_cross = float(np.clip(SHOT_AIM_GAIN * ctx.frames[-1].opponent_joints_world[0].y + m.d_aim,
+                            -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
+    k = max(0.19 + m.d_k, 0.02)
+    speed = float(np.clip(SHOT_SPEED_MEAN + m.d_speed, *SHOT_SPEED_CLIP))
+    traj, _ = construct_return_shot(pred.table, hit, -0.675 + m.d_bounce_x, y_cross,
+                                    1.05 + m.d_z_cross, speed, k, k)
+    return traj
+
+
 def _oracle_curve(preds, ex, horizons, lead_time):
     ctx = _context_for(ex, lead_time)
-    trajs = [p.trajectory(ctx) for p in preds]
+    trajs = [_oracle_trajectory(p, ctx) for p in preds]
     members = np.array([[t.position(h).as_array() for h in horizons] for t in trajs])
     members = members.transpose(1, 0, 2)  # (n_horizons, k_members, 3)
     return list(zip(members.mean(axis=1), np.maximum(members.std(axis=1), 1e-6)))
@@ -329,16 +348,75 @@ def test_single_context_regions_equal_the_split_bounds(small_study):
 def test_study_runs_the_ensemble_once_per_exchange(monkeypatch):
     from ttrally import anticipate
 
-    calls = []
+    entered, batched = [], []
+    context_for, ensemble = anticipate._context_for, anticipate._ensemble
 
-    def counting(predictors, ctx, horizons):
-        calls.append(ctx)
-        return ensemble_curve(predictors, ctx, horizons)
+    def tagging(ex, lead_time):
+        ctx = context_for(ex, lead_time)
+        ctx.exchange_id = ex.exchange_id
+        return ctx
 
-    monkeypatch.setattr(anticipate, "ensemble_curve", counting)
+    def counting(predictors, contexts, horizons):
+        entered.extend(ctx.exchange_id for ctx in contexts)
+        batched.append(len(contexts))
+        return ensemble(predictors, contexts, horizons)
+
+    monkeypatch.setattr(anticipate, "_context_for", tagging)
+    monkeypatch.setattr(anticipate, "_ensemble", counting)
     study = run_conformal_study(3, n_cal=40, n_test=30)
     assert study.bias.n_extreme > 0  # the bias stage ran
-    assert len(calls) == 40 + 30
+    # Every exchange of both splits enters the batch model exactly once,
+    # one pass per split here (both are under a chunk).
+    assert sorted(entered) == list(range(40 + 30))
+    assert batched == [40, 30]
+
+
+@pytest.fixture(scope="module")
+def chunked_exchanges():
+    return generate_exchanges(21, 3 * FORECAST_CHUNK + 5)
+
+
+@pytest.mark.parametrize("lead_time", [0.0, 0.1, 0.2, 0.4])
+@pytest.mark.parametrize("n", [0, 1, FORECAST_CHUNK - 1, FORECAST_CHUNK + 1,
+                               3 * FORECAST_CHUNK + 5])
+def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, n, lead_time):
+    preds = physics_baseline_ensemble(4, 5)
+    horizons = default_horizons()
+    exchanges = chunked_exchanges[:n]
+    forecast = forecast_split(preds, exchanges, horizons, lead_time)
+    assert forecast.mean.shape == forecast.sigma.shape == forecast.truth.shape == (n, 12, 3)
+    for i, ex in enumerate(exchanges):
+        curve = _oracle_curve(preds, ex, horizons, lead_time)
+        assert np.array([m for m, _ in curve]).tobytes() == forecast.mean[i].tobytes()
+        assert np.array([s for _, s in curve]).tobytes() == forecast.sigma[i].tobytes()
+        truth = np.array([ex.truth_at(h).as_array() for h in horizons])
+        assert truth.tobytes() == forecast.truth[i].tobytes()
+
+
+def test_truth_before_the_hit_follows_the_incoming_ball(chunked_exchanges):
+    horizons = [-0.3, -0.05, 0.0, 0.2]
+    exchanges = chunked_exchanges[:FORECAST_CHUNK + 1]
+    forecast = forecast_split(physics_baseline_ensemble(4, 2), exchanges, horizons)
+    truth = np.array([[ex.truth_at(h).as_array() for h in horizons] for ex in exchanges])
+    assert truth.tobytes() == forecast.truth.tobytes()
+
+
+def test_batch_forecast_raises_the_scalar_checks(chunked_exchanges):
+    preds, exchanges = physics_baseline_ensemble(4, 5), chunked_exchanges[:3]
+    with pytest.raises(EnsembleTooSmall):
+        forecast_split(preds[:1], exchanges, HORIZONS)
+    with pytest.raises(InputMismatch):  # one context frame left
+        forecast_split(preds, exchanges, HORIZONS, lead_time=0.6)
+    # A member bouncing 0.5 mm short of the ego plane, inside the 1 mm clearance.
+    deep = ShotPredictor(MemberParams(0.0, 0.0, -0.6945, 0.0, 0.0))
+    with pytest.raises(ValueError, match="x_bounce"):
+        forecast_split(preds + [deep], exchanges, HORIZONS)
+    # Two frames at one instant: the velocity estimate divides by zero.
+    ctx = _context_for(exchanges[0], 0.0)
+    ctx.times = ctx.times.copy()
+    ctx.times[-2] = ctx.times[-1]
+    with pytest.raises(FloatingPointError):
+        ensemble_curve(preds, ctx, HORIZONS)
 
 
 def test_bias_report_empty_is_nan():

@@ -11,6 +11,8 @@ from scipy.spatial.transform import Rotation
 from ttrally.anticipate import Region
 from ttrally.ball import GRAVITY
 from ttrally.control import (
+    LANDING_T_MAX,
+    RETURN_DRAG_K,
     Box,
     DragFlight,
     RacketPose,
@@ -178,6 +180,36 @@ def test_drag_flight_landing_crosses_plane():
     # Starting below the plane yields no landing.
     below = DragFlight(Vec3(0.0, 0.0, 0.5), Vec3(5.0, 0.0, -1.0))
     assert below.landing(0.76) is None
+
+
+FLIGHT = dict(
+    p0=st.builds(Vec3, st.floats(-1.5, 1.5), st.floats(-0.8, 0.8), st.floats(0.77, 3.0)),
+    v0=st.builds(Vec3, st.floats(-20.0, 20.0), st.floats(-5.0, 5.0), st.floats(-10.0, 40.0)),
+)
+
+
+def _dense_heights(flight, ts):
+    """Flight height on a grid, from the drag law in numpy (an oracle, not bitwise)."""
+    k = RETURN_DRAG_K
+    return flight.p0.z - GRAVITY / k * ts + (flight.v0.z + GRAVITY / k) * -np.expm1(-k * ts) / k
+
+
+@settings(max_examples=200)
+@given(**FLIGHT)
+def test_drag_flight_landing_matches_a_dense_grid_root(p0, v0):
+    flight, plane = DragFlight(p0, v0), TABLE.height_z
+    grid = np.linspace(0.0, LANDING_T_MAX, 20_001)
+    below = np.flatnonzero(_dense_heights(flight, grid) <= plane)
+    landing = flight.landing(plane)
+    if len(below) == 0:
+        # Still above the plane at LANDING_T_MAX: no landing in the searched window.
+        assert landing is None
+        return
+    assert landing is not None
+    t_land, p_land = landing
+    step = grid[1] - grid[0]
+    assert grid[below[0]] - step - 1e-9 <= t_land <= grid[below[0]] + 1e-9
+    assert p_land.z == pytest.approx(plane, abs=1e-9)
 
 
 def test_landing_after_reflection_is_ballistic():

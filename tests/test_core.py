@@ -102,13 +102,3 @@ def test_dataset_stats_percentile_matches_nearest_rank_oracle():
 def test_dataset_stats_empty():
     with pytest.raises(EmptyDataset):
         dataset_stats([])
-
-
-def test_crossing_histogram_counts():
-    positions = [(-2.0, -0.3, 1.0), (-1.0, -0.3, 1.0), (2.0, 0.4, 1.0)]
-    point = _point_from_positions(positions, hits=[0, 2])
-    stats = dataset_stats([point])
-    hist, edges = stats.crossing_histogram(bins=10, y_range=1.0)
-    assert hist[0].sum() == len(stats.crossing_y[0])
-    assert hist[1].sum() == len(stats.crossing_y[1])
-    assert len(edges) == 11

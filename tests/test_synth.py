@@ -9,6 +9,8 @@ from ttrally.camera import project, project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
+    BOUNCE_CLEARANCE,
+    Chains,
     chain_segments,
     check_camera_assumptions,
     construct_return_shot,
@@ -18,6 +20,7 @@ from ttrally.synth import (
     generate_exchanges,
     generate_rally,
     generate_scene,
+    return_shots,
     sample_camera,
     tilt_camera,
 )
@@ -196,6 +199,81 @@ def test_construct_return_shot_rejects_bounce_outside_the_span(hit, beyond, past
     x_bounce = -TABLE.half_length - beyond if past_plane else hit.x + beyond
     with pytest.raises(ValueError):
         construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
+
+
+PLANE = -TABLE.half_length
+
+
+@given(hit=HIT, x_bounce=st.floats(PLANE, PLANE + BOUNCE_CLEARANCE, exclude_min=True,
+                                   exclude_max=True), **SHOT)
+def test_construct_return_shot_rejects_bounce_inside_the_clearance(hit, x_bounce, y_cross,
+                                                                   z_cross, speed, k1, k2):
+    # Closer to the plane the end-height solve divides by a vanishing
+    # crossing fraction: 1.8e-4 m off at 4.8e-14 m, ZeroDivisionError nearer.
+    assert BOUNCE_CLEARANCE == 1e-3
+    with pytest.raises(ValueError):
+        construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
+
+
+def test_return_shots_match_construct_return_shot():
+    rng = np.random.default_rng(3)
+    n = 40
+    hit = np.column_stack([rng.uniform(0.5, 2.0, n), rng.uniform(-0.8, 0.8, n),
+                           rng.uniform(0.9, 1.3, n)])
+    shot = [rng.uniform(-1.3, -0.1, n), rng.uniform(-1.0, 1.0, n), rng.uniform(0.8, 1.4, n),
+            rng.uniform(3.0, 25.0, n), rng.uniform(0.02, 1.0, n), rng.uniform(0.02, 1.0, n)]
+    chains, t_cross = return_shots(np.full(n, TABLE.half_length), np.full(n, TABLE.height_z),
+                                   hit, *shot)
+    times = np.linspace(-0.2, 1.2, 15)
+    positions = chains.positions(times)
+    for i in range(n):
+        traj, t = construct_return_shot(TABLE, Vec3(*hit[i]), *(float(a[i]) for a in shot))
+        assert t == t_cross[i]
+        want = np.array([traj.position(float(s)).as_array() for s in times])
+        assert want.tobytes() == positions[i].tobytes()
+
+
+def test_chains_check_their_pieces():
+    traj = chain_segments([Vec3(2.0, 0.0, 1.0), Vec3(0.0, 0.1, 0.76), Vec3(-2.0, 0.2, 1.0)],
+                          [0.2, 0.25], [0.2, 0.3])
+    chains = Chains.of([traj])
+    names = ("starts", "b0", "bT", "T", "k", "g")
+    for field, bad in (("T", 0.0), ("T", -0.1), ("k", 0.0), ("k", -1.0)):
+        arrays = {name: getattr(chains, name).copy() for name in names}
+        arrays[field][0, 1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            Chains(**arrays)
+
+
+# Random two-piece chains: anchors, piece durations and drags, start time.
+# Pieces last at least 0.05 s, so speeds stay below ~150 m/s.
+ANCHOR = st.builds(Vec3, st.floats(-2.5, 2.5), st.floats(-1.0, 1.0), st.floats(0.0, 2.0))
+CHAIN = st.tuples(st.lists(ANCHOR, min_size=3, max_size=3),
+                  st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2),
+                  st.lists(st.floats(1e-3, 5.0), min_size=2, max_size=2),
+                  st.floats(-1.0, 1.0))
+
+
+@given(chain=CHAIN, inside=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       outside=st.floats(1e-9, 2.0))
+def test_chain_positions_equal_trajectory_position_bitwise(chain, inside, outside):
+    anchors, durations, ks, t0 = chain
+    traj = chain_segments(anchors, durations, ks, t0=t0)
+    join, t_end = traj.starts[1], traj.t_end
+    times = [t0 - outside, t0, join - 1e-13, join, join + 1e-13, t_end, t_end + outside]
+    times += [t0 + u * (t_end - t0) for u in inside]
+    got = Chains.of([traj]).positions(times)[0]
+    want = np.array([traj.position(t).as_array() for t in times])
+    assert got.tobytes() == want.tobytes()
+
+
+@given(chain=CHAIN)
+def test_chain_position_is_continuous_at_the_join(chain):
+    anchors, durations, ks, t0 = chain
+    traj = chain_segments(anchors, durations, ks, t0=t0)
+    join = traj.starts[1]
+    left, right = Chains.of([traj]).positions([join - 1e-13, join + 1e-13])[0]
+    assert np.linalg.norm(right - left) <= 1e-10
 
 
 def test_generate_exchange_consistency():
