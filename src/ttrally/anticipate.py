@@ -204,16 +204,16 @@ def forecast_split(
     full context), FORECAST_CHUNK exchanges per ensemble pass."""
     exchanges, horizons = list(exchanges), list(horizons)
     hs = np.asarray(horizons, dtype=float)
-    past = hs < 0  # ExchangeSample.truth_at: the incoming ball before the hit
+    past = hs < 0  # ExchangeSample.truth: the incoming ball before the hit
     mean, sigma, truth = (np.empty((len(exchanges), len(horizons), 3)) for _ in range(3))
     for lo in range(0, len(exchanges), FORECAST_CHUNK):
         chunk = exchanges[lo:lo + FORECAST_CHUNK]
         rows = slice(lo, lo + len(chunk))
         mean[rows], sigma[rows] = _ensemble(
             predictors, [_context_for(ex, lead_time) for ex in chunk], hs)
-        truth[rows] = Chains.of([ex.outgoing for ex in chunk]).positions(hs)
+        truth[rows] = Chains.concat([ex.outgoing for ex in chunk]).positions(hs)
         if past.any():
-            truth[rows, past] = Chains.of([ex.incoming for ex in chunk]).positions(hs[past])
+            truth[rows, past] = Chains.concat([ex.incoming for ex in chunk]).positions(hs[past])
     return SplitForecast(exchanges, horizons, mean, sigma, truth)
 
 

@@ -111,18 +111,6 @@ def stokes_positions(seg: StokesSegment, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def stokes_velocity(seg: StokesSegment, t: float) -> Vec3:
-    """Analytic time derivative of the drag trajectory."""
-    k, T, g = seg.k, seg.T, seg.g
-    dfrac = k * math.exp(-k * t) / -math.expm1(-k * T)
-    gk = g / k
-    return Vec3(
-        (seg.bT.x - seg.b0.x) * dfrac,
-        (seg.bT.y - seg.b0.y) * dfrac,
-        (seg.bT.z - seg.b0.z + gk * T) * dfrac - gk,
-    )
-
-
 def smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
     """Centered moving average with edge shrinking."""
     if window <= 1 or len(values) < 2:

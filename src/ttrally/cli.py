@@ -145,11 +145,8 @@ HITS = _checked(int, lambda n: n >= 2, "must be >= 2")
 FPS = _checked(float, lambda f: 0.0 < f < math.inf, "must be finite and > 0")
 NON_NEGATIVE = _checked(float, lambda f: 0.0 <= f < math.inf, "must be finite and >= 0")
 LAM = _checked(float, lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]")
-# The forecast needs two context frames, so the last one it may use is one
-# frame step after the context starts.
-MAX_LEAD_TIME = synth.CONTEXT_S - synth.CONTEXT_DT
-LEAD_TIME = _checked(float, lambda t: 0.0 <= t <= MAX_LEAD_TIME,
-                     f"must be in [0, {MAX_LEAD_TIME!r}]")
+LEAD_TIME = _checked(float, lambda t: 0.0 <= t <= synth.MAX_LEAD_TIME,
+                     f"must be in [0, {synth.MAX_LEAD_TIME!r}]")
 
 
 def build_parser() -> argparse.ArgumentParser:

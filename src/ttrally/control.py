@@ -32,7 +32,7 @@ from .core import TableGeometry, Vec3
 from .errors import Infeasible, NoContact, NoFeasibleTime
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
-from .synth import ExchangeSample, generate_exchanges
+from .synth import MAX_LEAD_TIME, ExchangeSample, generate_exchanges
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +308,18 @@ class SimParams:
     def __post_init__(self):
         if not self.workspace.contains(self.central):
             raise ValueError("central pose outside the workspace")
+        # The ranges the simulate command accepts; a NaN fails every test.
+        for name in ("v_max", "omega_max", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 <= self.lead_time <= MAX_LEAD_TIME:
+            raise ValueError(f"lead_time must be in [0, {MAX_LEAD_TIME!r}], "
+                             f"got {self.lead_time!r}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lam must be in [0, 1], got {self.lam!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
 
 
 @dataclass
@@ -374,38 +386,36 @@ def run_episode(
             pre_target = RacketPose(position=p_star, orientation=ideal.orientation)
 
     pose = RacketPose(position=params.central, orientation=Rotation.identity())
+    idle = pre_target or RacketPose(params.central)
     dt = params.dt
-    t = -params.lead_time
-    t_stop = ex.crossing_time + 0.15
+    # The step times, accumulated as the robot's clock, and the ball at each.
+    times = [-params.lead_time]
+    while times[-1] < ex.crossing_time + 0.15:
+        times.append(times[-1] + dt)
+    balls = ex.truth(times)
     contacted = False
-    contact_time = None
     v_after: Optional[Vec3] = None
     contact_pos: Optional[Vec3] = None
     pose_at_crossing = pose
 
-    while t < t_stop:
-        target = ideal if t >= 0 else (pre_target or RacketPose(params.central))
-        prev_ball = ex.truth_at(t)
-        t += dt
+    for i in range(1, len(times)):
+        t = times[i]
+        target = ideal if times[i - 1] >= 0 else idle
         pose = step_robot(
             pose, target, dt, params.v_max, params.omega_max, params.workspace
         )
-        ball = ex.truth_at(t)
         if t - dt <= ex.crossing_time <= t:
             pose_at_crossing = pose
-        if t > 0 and not contacted:
-            d = _point_segment_distance(
-                pose.position.as_array(), prev_ball.as_array(), ball.as_array()
-            )
+        if t > 0:
+            d = _point_segment_distance(pose.position.as_array(), balls[i - 1], balls[i])
             if d <= RACKET_RADIUS:
-                v_in = ex.outgoing.velocity(t)
+                v_in = Vec3.from_array(ex.outgoing.velocities([t])[0, 0])
                 try:
                     v_after = racket_reflect(v_in, pose.normal())
                 except NoContact:
                     break
                 contacted = True
-                contact_time = t
-                contact_pos = ball
+                contact_pos = Vec3.from_array(balls[i])
                 break
 
     returned = False

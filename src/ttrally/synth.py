@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ball import GRAVITY, StokesSegment, stokes_position, stokes_velocity
+from .ball import GRAVITY, StokesSegment, stokes_position
 from .camera import Camera, Extrinsics, ImagePoint, Intrinsics, project, project_many
 from .core import Frame2D, Frame3D, TableGeometry, Vec3
 from .errors import AssumptionViolation
@@ -48,72 +48,24 @@ BOUNCE_CLEARANCE = 1e-3  # m a return's bounce keeps from the ego plane
 # The context: CONTEXT_S of frames every CONTEXT_DT s before the opponent's hit.
 CONTEXT_S = 0.6
 CONTEXT_DT = 0.02
+CONTEXT_TIMES = -CONTEXT_DT * np.arange(int(round(CONTEXT_S / CONTEXT_DT)), 0, -1)
+CONTEXT_TIMES.flags.writeable = False  # every exchange shares this one array
+# The forecast needs two context frames, so the last one it may use is one
+# frame step after the context starts.
+MAX_LEAD_TIME = CONTEXT_S - CONTEXT_DT
 EXCHANGE_TABLE = TableGeometry()  # one instance, shared by every exchange
 
 
 # ---------------------------------------------------------------------------
-# piecewise trajectories
+# chained drag pieces
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Trajectory:
-    """Chained drag pieces with linear extrapolation outside the support."""
-
-    starts: list[float]  # absolute start time of each piece
-    pieces: list[StokesSegment]
-
-    @property
-    def t_end(self) -> float:
-        return self.starts[-1] + self.pieces[-1].T
-
-    def _locate(self, t: float) -> tuple[int, float]:
-        for i in range(len(self.pieces) - 1, -1, -1):
-            if t >= self.starts[i] - 1e-12:
-                return i, t - self.starts[i]
-        return 0, t - self.starts[0]
-
-    def position(self, t: float) -> Vec3:
-        if t < self.starts[0]:
-            v = stokes_velocity(self.pieces[0], 0.0)
-            dt = t - self.starts[0]
-            return self.pieces[0].b0 + v * dt
-        if t > self.t_end:
-            last = self.pieces[-1]
-            v = stokes_velocity(last, last.T)
-            return last.bT + v * (t - self.t_end)
-        i, local = self._locate(t)
-        local = min(max(local, 0.0), self.pieces[i].T)
-        return stokes_position(self.pieces[i], local)
-
-    def velocity(self, t: float) -> Vec3:
-        if t < self.starts[0]:
-            return stokes_velocity(self.pieces[0], 0.0)
-        if t > self.t_end:
-            last = self.pieces[-1]
-            return stokes_velocity(last, last.T)
-        i, local = self._locate(t)
-        local = min(max(local, 0.0), self.pieces[i].T)
-        return stokes_velocity(self.pieces[i], local)
-
-
-def chain_segments(
-    anchors: list[Vec3], durations: list[float], ks: list[float], t0: float = 0.0
-) -> Trajectory:
-    starts, pieces = [], []
-    t = t0
-    for a, b, dur, k in zip(anchors, anchors[1:], durations, ks):
-        starts.append(t)
-        pieces.append(StokesSegment(b0=a, bT=b, T=dur, k=k))
-        t += dur
-    return Trajectory(starts=starts, pieces=pieces)
 
 
 def _libm(f, a) -> np.ndarray:
     """``f`` from the math module, elementwise over an array.
 
-    numpy's SIMD expm1/exp/log may differ from libm in the last bit; the
-    array paths call libm so they reproduce the scalar code exactly.
+    numpy's SIMD expm1/exp/log may differ from libm in the last bit; libm
+    keeps the bytes of the scalar closed form, ``ball.stokes_position``.
     """
     a = np.asarray(a, dtype=float)
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
@@ -122,14 +74,17 @@ def _libm(f, a) -> np.ndarray:
 # numpy arithmetic that would make a NaN or inf raises instead, as the
 # scalar code raises on a division by zero.
 RAISE_ON_NONFINITE = dict(divide="raise", over="raise", invalid="raise")
+_CHAIN_FIELDS = ("starts", "b0", "bT", "T", "k")
 
 
 @dataclass
 class Chains:
     """n trajectories of P chained drag pieces each, as arrays.
 
-    ``positions`` equals ``Trajectory.position`` bit for bit: the same join
-    tolerance, clamp to the piece and linear tails, and the same
+    A time belongs to the last piece that starts at most 1e-12 s after it
+    and is clamped to that piece; before the first piece and from the end
+    of the last one on, a chain extends linearly with its end velocity.
+    Each piece follows ``stokes_position``'s closed form, with the same
     left-to-right arithmetic on libm's transcendentals.
     """
 
@@ -138,74 +93,94 @@ class Chains:
     bT: np.ndarray  # (n, P, 3) end anchors
     T: np.ndarray  # (n, P) durations
     k: np.ndarray  # (n, P) drag coefficients, 1/s
-    g: np.ndarray  # (n, P) gravity, m/s^2
 
     def __post_init__(self):
         # StokesSegment's checks, which a NaN passes as it does there.
-        if np.any(self.T <= 0):
+        if (self.T <= 0).any():
             raise ValueError("T must be positive")
-        if np.any(self.k <= 0):
+        if (self.k <= 0).any():
             raise ValueError("k must be positive")
 
     @staticmethod
-    def of(trajs: Sequence[Trajectory]) -> "Chains":
-        """Stack trajectories with the same number of pieces."""
-        pieces = [t.pieces for t in trajs]
-        shape = (len(trajs), -1)
-        return Chains(
-            starts=np.array([t.starts for t in trajs], dtype=float).reshape(shape),
-            b0=np.array([[(s.b0.x, s.b0.y, s.b0.z) for s in ps] for ps in pieces],
-                        dtype=float).reshape(*shape, 3),
-            bT=np.array([[(s.bT.x, s.bT.y, s.bT.z) for s in ps] for ps in pieces],
-                        dtype=float).reshape(*shape, 3),
-            T=np.array([[s.T for s in ps] for ps in pieces], dtype=float).reshape(shape),
-            k=np.array([[s.k for s in ps] for ps in pieces], dtype=float).reshape(shape),
-            g=np.array([[s.g for s in ps] for ps in pieces], dtype=float).reshape(shape),
-        )
+    def through(t0, anchors: np.ndarray, durations: np.ndarray, k: np.ndarray) -> "Chains":
+        """n chains through ``anchors`` (n, P + 1, 3) from times ``t0`` (n,);
+        piece p lasts ``durations[:, p]`` with drag ``k[:, p]``."""
+        starts = np.concatenate([t0[:, None], durations[:, :-1]], axis=1).cumsum(axis=1)
+        return Chains(starts, anchors[:, :-1], anchors[:, 1:], durations, k)
+
+    @staticmethod
+    def concat(parts: Sequence["Chains"]) -> "Chains":
+        """The rows of ``parts``, in order, as one batch."""
+        return Chains(*(np.concatenate([getattr(c, f) for c in parts]) for f in _CHAIN_FIELDS))
+
+    def __getitem__(self, rows) -> "Chains":
+        """The chains at ``rows``; a slice keeps views of these arrays."""
+        return Chains(*(getattr(self, f)[rows] for f in _CHAIN_FIELDS))
+
+    def _span(self) -> np.ndarray:
+        return -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
+
+    def _locate(self, t: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The index (rows, piece) of each time's piece, that piece's
+        duration, and the time local to it clamped to [0, T]; (n, m) each."""
+        n, n_pieces = self.T.shape
+        piece = np.zeros((n, t.shape[-1]), dtype=int)
+        for p in range(1, n_pieces):
+            piece[t >= (self.starts[:, p] - 1e-12)[:, None]] = p
+        at = (np.arange(n)[:, None], piece)
+        T = self.T[at]
+        local = t - self.starts[at]
+        local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
+        local = np.where(T < local, T, local)  # min(local, T)
+        return at, T, local
+
+    def _velocity(self, at, T: np.ndarray, local: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """Velocity of the pieces ``at`` indexes, of durations ``T``, at
+        ``local``, the closed form's derivative: (n, m, 3) for local (n, m)."""
+        k = self.k[at]
+        dfrac = k * _libm(math.exp, -k * local) / span[at]
+        gk = GRAVITY / k
+        d = self.bT[at] - self.b0[at]
+        v = d * dfrac[..., None]
+        v[..., 2] = (d[..., 2] + gk * T) * dfrac - gk
+        return v
 
     def positions(self, t) -> np.ndarray:
         """(n, m, 3) positions at times ``t``: (m,) for every chain, or (n, m)."""
-        n, n_pieces = self.T.shape
         t = np.asarray(t, dtype=float)
-        rows = np.arange(n)[:, None]
         with np.errstate(**RAISE_ON_NONFINITE):
-            span = -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
-            # Trajectory._locate: the last piece starting at or before t.
-            piece = np.zeros((n, t.shape[-1]), dtype=int)
-            for p in range(1, n_pieces):
-                piece[t >= (self.starts[:, p] - 1e-12)[:, None]] = p
-            T, k = self.T[rows, piece], self.k[rows, piece]
-            local = t - self.starts[rows, piece]
-            local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
-            local = np.where(T < local, T, local)  # min(local, T)
-            frac = -_libm(math.expm1, -k * local) / span[rows, piece]
-            b0 = self.b0[rows, piece]
-            out = b0 + (self.bT[rows, piece] - b0) * frac[..., None]
-            out[..., 2] += (self.g[rows, piece] / k) * (T * frac - local)
+            span = self._span()
+            at, T, local = self._locate(t)
+            k = self.k[at]
+            frac = -_libm(math.expm1, -k * local) / span[at]
+            b0 = self.b0[at]
+            out = b0 + (self.bT[at] - b0) * frac[..., None]
+            out[..., 2] += (GRAVITY / k) * (T * frac - local)
 
-            # Linear tails before the first piece and after the last one.
-            before = t < self.starts[:, :1]
-            after = ~before & (t > (self.starts[:, -1] + self.T[:, -1])[:, None])
-            if before.any():
-                v = self._velocity(0, np.zeros(n), span)
-                tail = self.b0[:, :1] + v[:, None] * (t - self.starts[:, :1])[..., None]
-                out[before] = tail[before]
+            # Linear tails before the first piece and from the chain's end on;
+            # the end time itself lands on the end anchor exactly, though its
+            # local time t_end - start may round below T.
+            t_end = self.starts[:, -1:] + self.T[:, -1:]
+            after = t >= t_end
             if after.any():
-                t_end = self.starts[:, -1] + self.T[:, -1]
-                v = self._velocity(-1, self.T[:, -1], span)
-                tail = self.bT[:, -1:] + v[:, None] * (t - t_end[:, None])[..., None]
+                last = (slice(None), slice(-1, None))
+                v = self._velocity(last, self.T[last], self.T[last], span)
+                tail = self.bT[:, -1:] + v * (t - t_end)[..., None]
                 out[after] = tail[after]
+            before = t < self.starts[:, :1]  # written last: it wins where both hold
+            if before.any():
+                first = (slice(None), slice(0, 1))
+                v = self._velocity(first, self.T[first], np.zeros((len(t_end), 1)), span)
+                tail = self.b0[:, :1] + v * (t - self.starts[:, :1])[..., None]
+                out[before] = tail[before]
         return out
 
-    def _velocity(self, p: int, local: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """(n, 3) stokes_velocity of each chain's piece ``p`` at ``local``."""
-        k, T = self.k[:, p], self.T[:, p]
-        dfrac = k * _libm(math.exp, -k * local) / span[:, p]
-        gk = self.g[:, p] / k
-        d = self.bT[:, p] - self.b0[:, p]
-        v = d * dfrac[:, None]
-        v[:, 2] = (d[:, 2] + gk * T) * dfrac - gk
-        return v
+    def velocities(self, t) -> np.ndarray:
+        """(n, m, 3) velocities at times ``t``, shaped as for ``positions``;
+        the tails move at the velocity of the piece end they extend."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(**RAISE_ON_NONFINITE):
+            return self._velocity(*self._locate(t), self._span())
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +565,29 @@ class ExchangeSample:
     table: TableGeometry
     context_times: np.ndarray
     context: list[Frame3D]
-    incoming: Trajectory
-    outgoing: Trajectory
+    incoming: Chains  # one row: the ball up to the opponent's hit
+    outgoing: Chains  # one row: the opponent's return from the hit on
     hit_pos: Vec3
     crossing_time: float
     crossing_pos: Vec3
     crossing_vel: Vec3
     opp_root_y: float
 
+    def truth(self, times) -> np.ndarray:
+        """(m, 3) ball positions at ``times`` (m,): the return from t = 0 on,
+        the incoming ball before."""
+        t = np.asarray(times, dtype=float)
+        out = np.empty((len(t), 3))
+        after = t >= 0
+        if after.any():
+            out[after] = self.outgoing.positions(t[after])[0]
+        if not after.all():
+            out[~after] = self.incoming.positions(t[~after])[0]
+        return out
+
     def truth_at(self, t: float) -> Vec3:
-        return self.outgoing.position(t) if t >= 0 else self.incoming.position(t)
+        chain = self.outgoing if t >= 0 else self.incoming
+        return Vec3.from_array(chain.positions([t])[0, 0])
 
     def context_until(self, t_rel_hit: float):
         """Context frames with time <= t_rel_hit (a negative lead time)."""
@@ -610,197 +598,145 @@ class ExchangeSample:
         )
 
 
-def _solve_return_shot(hl, h, hx, hy, hz, x_b, y_c, z_c, speed, k2, expm1, log, sqrt):
-    """The closed-form return shot of ``construct_return_shot``.
-
-    Every argument is a float, or every one an array of one shape, with
-    ``expm1``, ``log`` and ``sqrt`` to match; floats keep the one-shot call
-    as cheap as scalar code. Returns (y_b, x_end, y_end, z_end, t1, t2,
-    tc_local): the bounce's y, the virtual end anchor, the two piece
-    durations and the crossing time on the second piece.
-    """
-    x_plane = -hl
-    x_end = -hl - SHOT_OVERRUN
-    ok = (x_plane + BOUNCE_CLEARANCE <= x_b) & (x_b < hx)
-    if not np.all(ok):
-        i = int(np.argmin(np.ravel(ok)))
-        x_b, x_plane, hx = (np.ravel(a)[i] for a in (x_b, x_plane, hx))
-        raise ValueError(
-            f"x_bounce={x_b} not between the plane x={x_plane} "
-            f"(plus {BOUNCE_CLEARANCE} m) and the hit x={hx}"
-        )
-
-    u_plane = (hx - x_plane) / (hx - x_end)
-    y_end = hy + (y_c - hy) / u_plane
-    u_b = (hx - x_b) / (hx - x_end)
-    y_b = hy + u_b * (y_end - hy)
-    # Chord lengths hit -> bounce -> (x_end, y_end, z_cross), summed as Vec3.norm sums.
-    dx, dy, dz = x_b - hx, y_b - hy, h - hz
-    l1 = sqrt(dx * dx + dy * dy + dz * dz)
-    dx, dy, dz = x_end - x_b, y_end - y_b, z_c - h
-    l2 = sqrt(dx * dx + dy * dy + dz * dz)
-    total_t = (l1 + l2) / speed
-    t1 = total_t * l1 / (l1 + l2)
-    t2 = total_t - t1
-
-    # Solve the virtual end height so the plane crossing sits at z_cross.
-    denom = -expm1(-k2 * t2)
-    frac_needed = (x_plane - x_b) / (x_end - x_b)
-    tc_local = -log(1.0 - frac_needed * denom) / k2
-    frac_c = -expm1(-k2 * tc_local) / denom
-    gk = GRAVITY / k2
-    z_end = h - gk * t2 + (z_c - h + gk * tc_local) / frac_c
-    return y_b, x_end, y_end, z_end, t1, t2, tc_local
+def _chords(points: np.ndarray) -> np.ndarray:
+    """(n, P) lengths between consecutive points (n, P + 1, 3), summed as Vec3.norm sums."""
+    d = points[:, 1:] - points[:, :-1]
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
 
 
 def return_shots(
     half_length, height, hit: np.ndarray, x_bounce, y_cross, z_cross, speed, k1, k2
 ) -> tuple[Chains, np.ndarray]:
-    """``construct_return_shot`` for n shots at once.
+    """n opponent returns that cross the ego hitting plane, and their (n,)
+    crossing times.
 
-    ``hit`` is (n, 3) and every other argument (n,). Returns the n two-piece
-    chains and their (n,) crossing times.
-    """
-    hx, hy, hz = hit[:, 0], hit[:, 1], hit[:, 2]
-    with np.errstate(**RAISE_ON_NONFINITE):
-        y_b, x_end, y_end, z_end, t1, t2, tc_local = _solve_return_shot(
-            half_length, height, hx, hy, hz, x_bounce, y_cross, z_cross, speed, k2,
-            lambda a: _libm(math.expm1, a), lambda a: _libm(math.log, a), np.sqrt,
-        )
-    n = len(hit)
-    starts, T, k = np.zeros((n, 2)), np.empty((n, 2)), np.empty((n, 2))
-    starts[:, 1] = T[:, 0] = t1
-    T[:, 1], k[:, 0], k[:, 1] = t2, k1, k2
-    b0, bT = np.empty((n, 2, 3)), np.empty((n, 2, 3))
-    b0[:, 0] = hit
-    b0[:, 1, 0], b0[:, 1, 1], b0[:, 1, 2] = x_bounce, y_b, height
-    bT[:, 0] = b0[:, 1]
-    bT[:, 1, 0], bT[:, 1, 1], bT[:, 1, 2] = x_end, y_end, z_end
-    return Chains(starts, b0, bT, T, k, np.full((n, 2), GRAVITY)), t1 + tc_local
-
-
-def construct_return_shot(
-    table: TableGeometry,
-    hit_pos: Vec3,
-    x_bounce: float,
-    y_cross: float,
-    z_cross: float,
-    speed: float,
-    k1: float,
-    k2: float,
-) -> tuple[Trajectory, float]:
-    """Build an opponent return that crosses the ego hitting plane.
-
-    The shot travels hit -> bounce (on the ego half) -> a virtual end anchor
-    SHOT_OVERRUN meters beyond the plane, constructed so the trajectory
-    passes through (-length/2, y_cross, z_cross). Keeping the supported piece
+    ``hit`` is (n, 3) and every other argument (n,). A shot travels hit ->
+    bounce at ``x_bounce`` (on the ego half) -> a virtual end anchor
+    SHOT_OVERRUN meters beyond the plane, constructed so the flight passes
+    through (-half_length, y_cross, z_cross). Keeping the supported piece
     well past the plane means post-crossing queries follow the drag curve
-    instead of a linear tail. Returns (trajectory, crossing time). Raises
-    ValueError unless -length/2 + BOUNCE_CLEARANCE <= x_bounce < hit_pos.x:
-    a bounce outside that span leaves the plane crossing off (y_cross,
-    z_cross), and one nearer the plane must climb to z_cross in almost no
-    time, which the solve for the end height cannot resolve.
+    instead of a linear tail. Raises ValueError unless -half_length +
+    BOUNCE_CLEARANCE <= x_bounce < hit x: a bounce outside that span leaves
+    the plane crossing off (y_cross, z_cross), and one nearer the plane must
+    climb to z_cross in almost no time, which the solve for the end height
+    cannot resolve.
     """
-    h = table.height_z
-    y_b, x_end, y_end, z_end, t1, t2, tc_local = _solve_return_shot(
-        table.half_length, h, hit_pos.x, hit_pos.y, hit_pos.z, x_bounce, y_cross, z_cross,
-        speed, k2, math.expm1, math.log, math.sqrt,
-    )
-    traj = chain_segments(
-        [hit_pos, Vec3(x_bounce, y_b, h), Vec3(x_end, y_end, z_end)], [t1, t2], [k1, k2]
-    )
-    return traj, t1 + tc_local
-
-
-def generate_exchange(rng: np.random.Generator, exchange_id: int) -> ExchangeSample:
-    """Sample one exchange with an intent-correlated opponent return."""
-    table = EXCHANGE_TABLE
-    hl, h = table.half_length, table.height_z
-
-    side = 1.0 if rng.random() < 0.5 else -1.0
-    opp_root_y = float(np.clip(side * 0.5 + rng.normal(0.0, 0.12), -0.8, 0.8))
-
-    hit_pos = Vec3(
-        hl + 0.25 + 0.15 * float(rng.random()),
-        opp_root_y + float(rng.normal(0.0, 0.05)),
-        float(rng.uniform(0.95, 1.2)),
-    )
-
-    # Incoming ball: previous ego hit, bounce on the opponent half, contact.
-    ego_hit = Vec3(
-        -hl - 0.3, float(rng.uniform(-0.35, 0.35)), float(rng.uniform(0.95, 1.15))
-    )
-    xb_in = float(rng.uniform(0.45, 1.0))
-    u = (ego_hit.x - xb_in) / (ego_hit.x - hit_pos.x)
-    bounce_in = Vec3(xb_in, ego_hit.y + u * (hit_pos.y - ego_hit.y), h)
-    speed_in = float(np.clip(rng.normal(10.0, 1.5), 7.0, 14.0))
-    l1 = (bounce_in - ego_hit).norm()
-    l2 = (hit_pos - bounce_in).norm()
-    t_total = (l1 + l2) / speed_in
-    t1 = t_total * l1 / (l1 + l2)
-    incoming = chain_segments(
-        [ego_hit, bounce_in, hit_pos],
-        [t1, t_total - t1],
-        [float(rng.uniform(0.1, 0.3)), float(rng.uniform(0.1, 0.3))],
-        t0=-t_total,
-    )
-
-    y_cross = float(np.clip(SHOT_AIM_GAIN * opp_root_y + rng.normal(0.0, SHOT_AIM_SD),
-                            -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
-    z_cross = float(rng.uniform(0.92, 1.18))
-    x_bounce = -(0.45 + 0.45 * float(rng.random()))
-    speed = float(np.clip(rng.normal(SHOT_SPEED_MEAN, SHOT_SPEED_SD), *SHOT_SPEED_CLIP))
-    outgoing, t_cross = construct_return_shot(
-        table,
-        hit_pos,
-        x_bounce,
-        y_cross,
-        z_cross,
-        speed,
-        float(rng.uniform(0.1, 0.3)),
-        float(rng.uniform(0.1, 0.3)),
-    )
-
-    # Context frames strictly before the hit.
-    n_ctx = int(round(CONTEXT_S / CONTEXT_DT))
-    times = -CONTEXT_DT * np.arange(n_ctx, 0, -1)
-    opp_rest = Vec3(hl + 0.6, opp_root_y, 1.0)
-    frames = []
-    for j, t in enumerate(times):
-        ball = incoming.position(float(t))
-        approach = _ease(1.0 + float(t) / CONTEXT_S)
-        hand = opp_rest + (hit_pos - opp_rest) * approach
-        root_x = hl + 0.55
-        joints = [
-            Vec3(root_x, opp_root_y, 0.95),
-            hand,
-            Vec3(root_x - 0.08, opp_root_y, 0.0),
-            Vec3(root_x + 0.08, opp_root_y, 0.0),
-        ]
-        frames.append(
-            Frame3D(
-                frame_index=j,
-                ball_world=ball,
-                opponent_joints_world=joints,
-                ego_root_world=Vec3(-hl - 0.5, 0.0, 0.0),
-            )
+    hx, hy = hit[:, 0], hit[:, 1]
+    x_plane = -half_length
+    x_end = -half_length - SHOT_OVERRUN
+    ok = (x_plane + BOUNCE_CLEARANCE <= x_bounce) & (x_bounce < hx)
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"x_bounce={x_bounce[i]} not between the plane x={x_plane[i]} "
+            f"(plus {BOUNCE_CLEARANCE} m) and the hit x={hx[i]}"
         )
 
-    return ExchangeSample(
-        exchange_id=exchange_id,
-        table=table,
-        context_times=times,
-        context=frames,
-        incoming=incoming,
-        outgoing=outgoing,
-        hit_pos=hit_pos,
-        crossing_time=t_cross,
-        crossing_pos=outgoing.position(t_cross),
-        crossing_vel=outgoing.velocity(t_cross),
-        opp_root_y=opp_root_y,
+    # Anchors hit -> bounce -> end; the end sits at z_cross until its height is solved.
+    n = len(hit)
+    anchors = np.empty((n, 3, 3))
+    anchors[:, 0] = hit
+    with np.errstate(**RAISE_ON_NONFINITE):
+        u_plane = (hx - x_plane) / (hx - x_end)
+        y_end = hy + (y_cross - hy) / u_plane
+        u_b = (hx - x_bounce) / (hx - x_end)
+        y_b = hy + u_b * (y_end - hy)
+        anchors[:, 1, 0], anchors[:, 1, 1], anchors[:, 1, 2] = x_bounce, y_b, height
+        anchors[:, 2, 0], anchors[:, 2, 1], anchors[:, 2, 2] = x_end, y_end, z_cross
+        l1, l2 = _chords(anchors).T
+        total_t = (l1 + l2) / speed
+        t1 = total_t * l1 / (l1 + l2)
+        t2 = total_t - t1
+
+        # Solve the virtual end height so the plane crossing sits at z_cross.
+        denom = -_libm(math.expm1, -k2 * t2)
+        frac_needed = (x_plane - x_bounce) / (x_end - x_bounce)
+        tc_local = -_libm(math.log, 1.0 - frac_needed * denom) / k2
+        frac_c = -_libm(math.expm1, -k2 * tc_local) / denom
+        gk = GRAVITY / k2
+        anchors[:, 2, 2] = height - gk * t2 + (z_cross - height + gk * tc_local) / frac_c
+    durations, k = np.empty((n, 2)), np.empty((n, 2))
+    durations[:, 0], durations[:, 1], k[:, 0], k[:, 1] = t1, t2, k1, k2
+    return Chains.through(np.zeros(n), anchors, durations, k), t1 + tc_local
+
+
+def _draw_exchange(rng: np.random.Generator) -> tuple[float, ...]:
+    """One exchange's random draws, in the order that fixes every seed's exchanges."""
+    return (
+        rng.random(), rng.normal(0.0, 0.12),  # opponent side, root y noise
+        rng.random(), rng.normal(0.0, 0.05), rng.uniform(0.95, 1.2),  # opponent hit
+        rng.uniform(-0.35, 0.35), rng.uniform(0.95, 1.15),  # previous ego hit y, z
+        rng.uniform(0.45, 1.0), rng.normal(10.0, 1.5),  # incoming bounce x, speed
+        rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3),  # incoming drags
+        rng.normal(0.0, SHOT_AIM_SD), rng.uniform(0.92, 1.18),  # aim noise, crossing z
+        rng.random(), rng.normal(SHOT_SPEED_MEAN, SHOT_SPEED_SD),  # return bounce x, speed
+        rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3),  # return drags
     )
 
 
 def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSample]:
+    """n exchanges with intent-correlated opponent returns, ids from ``id_offset``.
+
+    Each exchange takes its draws from one seeded stream in a fixed order;
+    the flights of all n are then built, solved and sampled as arrays.
+    """
     rng = np.random.default_rng(seed)
-    return [generate_exchange(rng, id_offset + i) for i in range(n)]
+    draws = [_draw_exchange(rng) for _ in range(n)]
+    if not draws:
+        return []
+    (side, root_noise, hit_x, hit_y, hit_z, ego_y, ego_z, xb_in, speed_in, k_in1, k_in2,
+     aim_noise, z_cross, xb_out, speed, k1, k2) = np.array(draws).T
+    table = EXCHANGE_TABLE
+    hl, h = table.half_length, table.height_z
+
+    opp_root_y = np.clip(np.where(side < 0.5, 1.0, -1.0) * 0.5 + root_noise, -0.8, 0.8)
+    hit = np.column_stack([hl + 0.25 + 0.15 * hit_x, opp_root_y + hit_y, hit_z])
+
+    # Incoming ball: previous ego hit, bounce on the opponent half, contact.
+    ego_x = -hl - 0.3
+    u = (ego_x - xb_in) / (ego_x - hit[:, 0])
+    bounce_in = np.column_stack([xb_in, ego_y + u * (hit[:, 1] - ego_y), np.full(n, h)])
+    anchors = np.stack([np.column_stack([np.full(n, ego_x), ego_y, ego_z]), bounce_in, hit],
+                       axis=1)
+    l1, l2 = _chords(anchors).T
+    t_total = (l1 + l2) / np.clip(speed_in, 7.0, 14.0)
+    t1 = t_total * l1 / (l1 + l2)
+    incoming = Chains.through(-t_total, anchors, np.column_stack([t1, t_total - t1]),
+                              np.column_stack([k_in1, k_in2]))
+
+    y_cross = np.clip(SHOT_AIM_GAIN * opp_root_y + aim_noise, -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
+    x_bounce = -(0.45 + 0.45 * xb_out)
+    outgoing, t_cross = return_shots(np.full(n, hl), np.full(n, h), hit, x_bounce, y_cross,
+                                     z_cross, np.clip(speed, *SHOT_SPEED_CLIP), k1, k2)
+    crossing_pos = outgoing.positions(t_cross[:, None])[:, 0]
+    crossing_vel = outgoing.velocities(t_cross[:, None])[:, 0]
+
+    # Context frames strictly before the hit: the incoming ball, and the
+    # opponent's hand easing from rest to the contact point.
+    balls = incoming.positions(CONTEXT_TIMES)
+    approach = np.array([_ease(1.0 + t / CONTEXT_S) for t in CONTEXT_TIMES.tolist()])
+    rest = np.column_stack([np.full(n, hl + 0.6), opp_root_y, np.ones(n)])
+    hands = rest[:, None] + (hit - rest)[:, None] * approach[:, None]
+    root_x = hl + 0.55
+    ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
+
+    samples = []
+    for i, y in enumerate(opp_root_y.tolist()):
+        hip = Vec3(root_x, y, 0.95)
+        ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
+        frames = [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
+                  for j, (ball, hand) in enumerate(zip(balls[i].tolist(), hands[i].tolist()))]
+        samples.append(ExchangeSample(
+            exchange_id=id_offset + i,
+            table=table,
+            context_times=CONTEXT_TIMES,
+            context=frames,
+            incoming=incoming[i:i + 1],
+            outgoing=outgoing[i:i + 1],
+            hit_pos=Vec3(*hit[i].tolist()),
+            crossing_time=float(t_cross[i]),
+            crossing_pos=Vec3(*crossing_pos[i].tolist()),
+            crossing_vel=Vec3(*crossing_vel[i].tolist()),
+            opp_root_y=y,
+        ))
+    return samples

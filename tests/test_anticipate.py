@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_flight import construct_return_shot
 from ttrally.anticipate import (
     FORECAST_CHUNK,
     ContextWindow,
@@ -37,7 +38,7 @@ from ttrally.errors import (
     SplitLeakage,
 )
 from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                           construct_return_shot, generate_exchanges)
+                           generate_exchanges)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 

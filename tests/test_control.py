@@ -8,6 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation
 
+from scalar_flight import trajectory_of
+from ttrally import control
 from ttrally.anticipate import Region
 from ttrally.ball import GRAVITY
 from ttrally.control import (
@@ -34,7 +36,7 @@ from ttrally.control import (
 )
 from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import Infeasible, NoContact, NoFeasibleTime
-from ttrally.synth import generate_exchanges
+from ttrally.synth import MAX_LEAD_TIME, generate_exchanges
 
 TABLE = TableGeometry()
 WORKSPACE = Box(Vec3(-2.8, -1.4, 0.5), Vec3(-1.2, 1.4, 1.8))
@@ -296,6 +298,27 @@ def test_sim_params_validates_central_pose():
     assert aim_point(SimParams().table) == Vec3(TABLE.half_length / 2.0, 0.0, TABLE.height_z)
 
 
+@pytest.mark.parametrize("field, value", [
+    *((name, v) for name in ("dt", "v_max", "omega_max")
+      for v in (0.0, -1.0, math.inf, math.nan)),
+    *(("lead_time", v) for v in (-0.01, MAX_LEAD_TIME + 1e-9, math.inf, math.nan)),
+    *(("lam", v) for v in (-0.1, 1.1, math.nan)),
+    *(("alpha", v) for v in (0.0, 1.0, -0.5, math.nan)),
+])
+def test_sim_params_rejects_values_the_cli_rejects(field, value):
+    # dt = 0 never advanced an episode's clock, NaN dt or lead time ran no
+    # step, a negative v_max drove the racket away from its target, and a
+    # NaN omega_max raised from scipy mid-episode.
+    with pytest.raises(ValueError, match=field):
+        SimParams(**{field: value})
+
+
+def test_sim_params_accept_the_ends_of_the_cli_ranges():
+    for ok in (dict(lead_time=0.0), dict(lead_time=MAX_LEAD_TIME), dict(lam=0.0),
+               dict(lam=1.0), dict(alpha=0.5), dict(dt=1e-3)):
+        SimParams(**ok)
+
+
 @pytest.fixture(scope="module")
 def sim_setup():
     params = SimParams()
@@ -370,3 +393,80 @@ def test_run_experiment_recalibrates_one_split_per_lead_time(monkeypatch):
         predictors, calib = prepare_anticipation(5, p, n_cal=60)
         fresh = run_strategy(exchanges, "anticipatory", p, predictors, calib)[0]
         assert fresh in [r for r in rows if r.lead_time == lead_time]
+
+
+def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
+    """run_episode as it stepped before the ball was sampled once per episode:
+    the scalar flights evaluated twice per step, the clock advanced in step."""
+    incoming, outgoing = trajectory_of(ex.incoming), trajectory_of(ex.outgoing)
+
+    def truth_at(t):
+        return outgoing.position(t) if t >= 0 else incoming.position(t)
+
+    ideal = control._interception_pose(ex, params)
+    fallback = False
+    pre_target = None
+    if strategy == "oracle":
+        pre_target = ideal
+    elif strategy == "anticipatory":
+        p_star, fallback = control._preposition_target(ex, params, predictors, calib)
+        if p_star is not None:
+            pre_target = RacketPose(position=p_star, orientation=ideal.orientation)
+
+    pose = RacketPose(position=params.central, orientation=Rotation.identity())
+    dt = params.dt
+    t = -params.lead_time
+    t_stop = ex.crossing_time + 0.15
+    contacted = False
+    v_after = contact_pos = None
+    pose_at_crossing = pose
+    while t < t_stop:
+        target = ideal if t >= 0 else (pre_target or RacketPose(params.central))
+        prev_ball = truth_at(t)
+        t += dt
+        pose = step_robot(pose, target, dt, params.v_max, params.omega_max, params.workspace)
+        ball = truth_at(t)
+        if t - dt <= ex.crossing_time <= t:
+            pose_at_crossing = pose
+        if t > 0 and not contacted:
+            d = control._point_segment_distance(
+                pose.position.as_array(), prev_ball.as_array(), ball.as_array())
+            if d <= control.RACKET_RADIUS:
+                try:
+                    v_after = racket_reflect(outgoing.velocity(t), pose.normal())
+                except NoContact:
+                    break
+                contacted = True
+                contact_pos = ball
+                break
+
+    returned = False
+    deviation = None
+    if contacted:
+        land = DragFlight(contact_pos, v_after).landing(params.table.height_z)
+        if land is not None:
+            _, p_land = land
+            aim = aim_point(params.table)
+            deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
+            returned = (v_after.x > 0 and 0.0 <= p_land.x <= params.table.half_length
+                        and abs(p_land.y) <= params.table.half_width)
+    ref = pose if contacted else pose_at_crossing
+    return control.EpisodeResult(
+        exchange_id=ex.exchange_id, strategy=strategy, contacted=contacted,
+        returned=returned, return_deviation=deviation,
+        position_error=(ref.position - ideal.position).norm(),
+        orientation_error=ref.angle_to(ideal), fallback=fallback,
+    )
+
+
+@pytest.mark.parametrize("lead_time", [0.1, 0.2, 0.4])
+def test_run_episode_equals_the_stepwise_loop(lead_time):
+    params = SimParams(lead_time=lead_time)
+    predictors, calib = prepare_anticipation(11, params, n_cal=60)
+    contacts = 0
+    for ex in generate_exchanges(11, 40):
+        for strategy in ("baseline", "anticipatory", "oracle"):
+            got = run_episode(ex, strategy, params, predictors, calib)
+            assert got == _stepwise_episode(ex, strategy, params, predictors, calib)
+            contacts += got.contacted
+    assert contacts > 0  # the contact branch ran

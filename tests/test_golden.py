@@ -1,16 +1,19 @@
-"""Golden bytes: CLI outputs whose sha256 must not drift.
+"""Golden bytes: CLI outputs and generated exchanges whose sha256 must not drift.
 
-The pinned digests were computed from the forecast path that evaluated each
-exchange and member with scalar ``Trajectory.position`` calls; the batched
-forecast must reproduce those bytes exactly. A change that alters them on
-purpose names the change and why, and re-pins here.
+The CLI digests were computed when every exchange and ensemble member was
+evaluated with scalar per-trajectory calls, and the exchange digest when
+each exchange was generated one at a time that way; the array flights
+(``synth.Chains``) reproduce those bytes exactly. A change that alters them
+on purpose names the change and why, and re-pins here.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from ttrally.cli import EXIT_OK, main
+from ttrally.synth import generate_exchanges
 
 GOLDEN = {
     "conformal": (
@@ -37,3 +40,28 @@ def test_cli_output_matches_golden_hashes(command, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == stdout_digest
     assert _sha256(out.read_bytes()) == file_digest
+
+
+EXCHANGES = "fa041510c07fbf75ef073dbb38ed83606360dbcd73e8959021cea018ba86cdad"
+TRUTH_TIMES = [0.02 * i for i in range(-30, 41)]  # -0.6 .. 0.8 s around the hit
+
+
+def _exchange_digest(exchanges) -> str:
+    """sha256 over each exchange's context times and balls, root y, hit,
+    crossing, and truth at TRUTH_TIMES, as float64 bytes."""
+    h = hashlib.sha256()
+    for ex in exchanges:
+        points = [f.ball_world for f in ex.context]
+        points += [ex.hit_pos, ex.crossing_pos, ex.crossing_vel]
+        points += [ex.truth_at(t) for t in TRUTH_TIMES]
+        values = [*ex.context_times, ex.opp_root_y, ex.crossing_time]
+        values += [c for p in points for c in (p.x, p.y, p.z)]
+        h.update(np.array(values, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_generated_exchanges_match_golden_hash():
+    full = generate_exchanges(7, 200)
+    assert _exchange_digest(full) == EXCHANGES
+    for n in (0, 1, 65):  # a shorter call makes the same first exchanges
+        assert _exchange_digest(generate_exchanges(7, n)) == _exchange_digest(full[:n])

@@ -7,6 +7,8 @@ call form here makes the same change fail a unit test instead.
 
 import inspect
 
+import numpy as np
+
 from ttrally import anticipate, control, core, pipeline, synth
 
 X = object()  # any argument: binding checks names and arity, not values
@@ -35,3 +37,20 @@ def test_benchmark_call_forms_bind():
         except TypeError as exc:
             unbound.append(f"{func.__module__}.{func.__qualname__}: {exc}")
     assert not unbound
+
+
+def test_exchange_attributes_the_benchmark_reads():
+    # perfbench/workloads.py builds a ContextWindow from an exchange's context,
+    # names it by exchange_id and reads truth_at(h) as a Vec3-like point;
+    # perfbench/tracer.py keys forecasts on the last frame's ball_world.
+    ex = synth.generate_exchanges(3, 1, id_offset=5)[0]
+    assert isinstance(ex.exchange_id, int) and ex.exchange_id == 5
+    assert isinstance(ex.context_times, np.ndarray) and ex.context_times.dtype == float
+    frames = list(ex.context)
+    assert frames and all(isinstance(f, core.Frame3D) for f in frames)
+    ctx = anticipate.ContextWindow(times=ex.context_times, frames=frames)
+    ball = ctx.frames[-1].ball_world
+    truth = ex.truth_at(0.2)
+    for point in (ball, truth):
+        assert isinstance(point, core.Vec3)
+        assert all(type(getattr(point, axis)) is float for axis in "xyz")

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ttrally.ball import stokes_position
+from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
+from ttrally.ball import StokesSegment, stokes_position
 from ttrally.camera import project, project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
     BOUNCE_CLEARANCE,
     Chains,
-    chain_segments,
     check_camera_assumptions,
-    construct_return_shot,
     corrupt_track,
     emit_synthetic_track,
-    generate_exchange,
     generate_exchanges,
     generate_rally,
     generate_scene,
@@ -139,15 +137,28 @@ def test_corrupt_track_drops_joints():
     assert all(f.player_joints_cam[0] is not None for f in track.frames)
 
 
+def _chain(anchors, durations, ks, t0=0.0):
+    """One chain through ``anchors`` as a one-row batch."""
+    return Chains.through(np.array([t0]), np.array([[a.as_array() for a in anchors]]),
+                          np.array([durations], dtype=float), np.array([ks], dtype=float))
+
+
+def _shot(hit, x_bounce, y_cross, z_cross, speed, k1, k2):
+    """One return shot as a one-row batch, and its crossing time."""
+    hl, h, xb, yc, zc, v, ka, kb = (np.array([x], dtype=float) for x in (
+        TABLE.half_length, TABLE.height_z, x_bounce, y_cross, z_cross, speed, k1, k2))
+    chains, t_cross = return_shots(hl, h, np.array([hit.as_array()]), xb, yc, zc, v, ka, kb)
+    return chains, float(t_cross[0])
+
+
 def test_chain_segments_positions_and_crossing():
     anchors = [Vec3(2.0, 0.0, 1.0), Vec3(0.0, 0.1, 0.76), Vec3(-2.0, 0.2, 1.0)]
-    traj = chain_segments(anchors, [0.2, 0.25], [0.2, 0.3])
-    assert (traj.position(0.0) - anchors[0]).norm() < 1e-12
-    assert (traj.position(0.2) - anchors[1]).norm() < 1e-12
-    assert (traj.position(0.45) - anchors[2]).norm() < 1e-12
+    chain = _chain(anchors, [0.2, 0.25], [0.2, 0.3])
+    at = chain.positions([0.0, 0.2, 0.45, 0.46])[0]
+    for got, want in zip(at, anchors):
+        assert np.linalg.norm(got - want.as_array()) < 1e-12
     # Extrapolation beyond the support is continuous.
-    near, past = traj.position(0.45), traj.position(0.46)
-    assert (past - near).norm() < 0.5
+    assert np.linalg.norm(at[3] - at[2]) < 0.5
 
 
 def test_construct_return_shot_passes_through_crossing():
@@ -156,17 +167,15 @@ def test_construct_return_shot_passes_through_crossing():
         hit = Vec3(1.5, float(rng.uniform(-0.5, 0.5)), 1.1)
         y_cross = float(rng.uniform(-0.9, 0.9))
         z_cross = float(rng.uniform(0.95, 1.15))
-        traj, t_cross = construct_return_shot(
-            TABLE, hit, -0.7, y_cross, z_cross, 11.0, 0.2, 0.2
-        )
-        p = traj.position(t_cross)
-        assert p.x == pytest.approx(-TABLE.half_length, abs=1e-9)
-        assert p.y == pytest.approx(y_cross, abs=1e-9)
-        assert p.z == pytest.approx(z_cross, abs=1e-9)
+        chain, t_cross = _shot(hit, -0.7, y_cross, z_cross, 11.0, 0.2, 0.2)
+        p = chain.positions([t_cross])[0, 0]
+        assert p[0] == pytest.approx(-TABLE.half_length, abs=1e-9)
+        assert p[1] == pytest.approx(y_cross, abs=1e-9)
+        assert p[2] == pytest.approx(z_cross, abs=1e-9)
         # One bounce on the ego half, on the surface.
-        bounce = traj.pieces[0].bT
-        assert bounce.z == pytest.approx(TABLE.height_z)
-        assert -TABLE.half_length < bounce.x < 0
+        bounce = chain.bT[0, 0]
+        assert bounce[2] == pytest.approx(TABLE.height_z)
+        assert -TABLE.half_length < bounce[0] < 0
 
 
 HIT = st.builds(Vec3, st.floats(0.5, 2.0), st.floats(-0.8, 0.8), st.floats(0.9, 1.3))
@@ -187,9 +196,9 @@ def test_construct_return_shot_crosses_at_the_asked_point(hit, frac, y_cross, z_
                                                          speed, k1, k2):
     lo, hi = -TABLE.half_length + CLEARANCE, hit.x - CLEARANCE
     x_bounce = lo + frac * (hi - lo)
-    traj, t_cross = construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
-    p = traj.position(t_cross)
-    assert (p - Vec3(-TABLE.half_length, y_cross, z_cross)).norm() < 1e-9
+    chain, t_cross = _shot(hit, x_bounce, y_cross, z_cross, speed, k1, k2)
+    p = chain.positions([t_cross])[0, 0]
+    assert np.linalg.norm(p - [-TABLE.half_length, y_cross, z_cross]) < 1e-9
 
 
 @given(hit=HIT, beyond=st.floats(0.0, 3.0), past_plane=st.booleans(), **SHOT)
@@ -198,7 +207,7 @@ def test_construct_return_shot_rejects_bounce_outside_the_span(hit, beyond, past
     # A bounce at or beyond the ego plane, or at or behind the hitter.
     x_bounce = -TABLE.half_length - beyond if past_plane else hit.x + beyond
     with pytest.raises(ValueError):
-        construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
+        _shot(hit, x_bounce, y_cross, z_cross, speed, k1, k2)
 
 
 PLANE = -TABLE.half_length
@@ -212,7 +221,7 @@ def test_construct_return_shot_rejects_bounce_inside_the_clearance(hit, x_bounce
     # crossing fraction: 1.8e-4 m off at 4.8e-14 m, ZeroDivisionError nearer.
     assert BOUNCE_CLEARANCE == 1e-3
     with pytest.raises(ValueError):
-        construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k1, k2)
+        _shot(hit, x_bounce, y_cross, z_cross, speed, k1, k2)
 
 
 def test_return_shots_match_construct_return_shot():
@@ -234,15 +243,26 @@ def test_return_shots_match_construct_return_shot():
 
 
 def test_chains_check_their_pieces():
-    traj = chain_segments([Vec3(2.0, 0.0, 1.0), Vec3(0.0, 0.1, 0.76), Vec3(-2.0, 0.2, 1.0)],
-                          [0.2, 0.25], [0.2, 0.3])
-    chains = Chains.of([traj])
-    names = ("starts", "b0", "bT", "T", "k", "g")
+    chains = _chain([Vec3(2.0, 0.0, 1.0), Vec3(0.0, 0.1, 0.76), Vec3(-2.0, 0.2, 1.0)],
+                    [0.2, 0.25], [0.2, 0.3])
+    names = ("starts", "b0", "bT", "T", "k")
     for field, bad in (("T", 0.0), ("T", -0.1), ("k", 0.0), ("k", -1.0)):
         arrays = {name: getattr(chains, name).copy() for name in names}
         arrays[field][0, 1] = bad
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             Chains(**arrays)
+
+
+def test_chains_rows_and_concat_round_trip():
+    chains, _ = return_shots(np.full(3, TABLE.half_length), np.full(3, TABLE.height_z),
+                             np.array([[1.5, 0.1, 1.0], [1.6, -0.2, 1.1], [1.7, 0.3, 0.95]]),
+                             np.full(3, -0.7), np.array([0.2, -0.4, 0.6]), np.full(3, 1.0),
+                             np.full(3, 11.0), np.full(3, 0.2), np.full(3, 0.25))
+    rows = [chains[i:i + 1] for i in range(3)]
+    again = Chains.concat(rows[::-1])
+    times = np.linspace(-0.1, 0.5, 7)
+    assert chains.positions(times)[::-1].tobytes() == again.positions(times).tobytes()
+    assert rows[1].positions(times)[0].tobytes() == chains.positions(times)[1].tobytes()
 
 
 # Random two-piece chains: anchors, piece durations and drags, start time.
@@ -254,39 +274,99 @@ CHAIN = st.tuples(st.lists(ANCHOR, min_size=3, max_size=3),
                   st.floats(-1.0, 1.0))
 
 
+def _oracle_times(traj, inside, outside):
+    """Both tails, the ends, the join and 1e-13 s either side, and points inside."""
+    t0, join, t_end = traj.starts[0], traj.starts[1], traj.t_end
+    times = [t0 - outside, t0, join - 1e-13, join, join + 1e-13, t_end, t_end + outside]
+    return times + [t0 + u * (t_end - t0) for u in inside]
+
+
 @given(chain=CHAIN, inside=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
        outside=st.floats(1e-9, 2.0))
 def test_chain_positions_equal_trajectory_position_bitwise(chain, inside, outside):
-    anchors, durations, ks, t0 = chain
-    traj = chain_segments(anchors, durations, ks, t0=t0)
-    join, t_end = traj.starts[1], traj.t_end
-    times = [t0 - outside, t0, join - 1e-13, join, join + 1e-13, t_end, t_end + outside]
-    times += [t0 + u * (t_end - t0) for u in inside]
-    got = Chains.of([traj]).positions(times)[0]
+    traj = chain_segments(*chain)
+    times = _oracle_times(traj, inside, outside)
+    got = chains_of(traj).positions(times)[0]
     want = np.array([traj.position(t).as_array() for t in times])
+    assert got.tobytes() == want.tobytes()
+
+
+@given(chain=CHAIN, inside=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       outside=st.floats(1e-9, 2.0))
+def test_chain_velocities_equal_stokes_velocity_bitwise(chain, inside, outside):
+    traj = chain_segments(*chain)
+    times = _oracle_times(traj, inside, outside)
+    got = chains_of(traj).velocities(times)[0]
+    want = np.array([traj.velocity(t).as_array() for t in times])
     assert got.tobytes() == want.tobytes()
 
 
 @given(chain=CHAIN)
 def test_chain_position_is_continuous_at_the_join(chain):
     anchors, durations, ks, t0 = chain
-    traj = chain_segments(anchors, durations, ks, t0=t0)
-    join = traj.starts[1]
-    left, right = Chains.of([traj]).positions([join - 1e-13, join + 1e-13])[0]
+    chains = _chain(anchors, durations, ks, t0)
+    join = float(chains.starts[0, 1])
+    left, right = chains.positions([join - 1e-13, join + 1e-13])[0]
     assert np.linalg.norm(right - left) <= 1e-10
 
 
+EPS = np.finfo(float).eps
+
+
+@given(anchors=st.lists(ANCHOR, min_size=3, max_size=4), data=st.data())
+def test_pieces_pass_through_their_anchors_down_to_tiny_drag(anchors, data):
+    # k down to 1e-9 1/s, where g/k is about 1e10 m/s^2 * s: the gravity
+    # term (g/k)(T frac - t) is exactly 0 at both ends of a piece.
+    n = len(anchors) - 1
+    durations = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    ks = [10.0 ** e for e in data.draw(st.lists(st.floats(-9.0, 0.7), min_size=n,
+                                                max_size=n))]
+
+    for a, b, T, k in zip(anchors, anchors[1:], durations, ks):
+        seg = StokesSegment(b0=a, bT=b, T=T, k=k)
+        assert stokes_position(seg, 0.0) == a
+        # a + (b - a) * 1 rounds twice: within 2 eps of the larger anchor, per axis.
+        bound = 2 * EPS * np.maximum(np.abs(a.as_array()), np.abs(b.as_array()))
+        assert np.all(np.abs(stokes_position(seg, T).as_array() - b.as_array()) <= bound)
+
+    chains = _chain(anchors, durations, ks)
+    starts = chains.starts[0].tolist()
+    t_end = starts[-1] + durations[-1]
+    at = chains.positions(starts + [t_end])[0]
+    assert np.all(at[0] == anchors[0].as_array())
+    for got, joint in zip(at[1:-1], anchors[1:-1]):  # each join starts a piece
+        assert np.all(got == joint.as_array())
+    assert np.all(at[-1] == anchors[-1].as_array())  # the chain end, exactly
+
+
 def test_generate_exchange_consistency():
-    ex = generate_exchange(np.random.default_rng(1), 0)
+    ex = generate_exchanges(1, 1)[0]
     assert np.all(ex.context_times < 0)
     assert len(ex.context) == len(ex.context_times)
     # Context ball positions follow the incoming trajectory.
-    for t, f in zip(ex.context_times, ex.context):
-        assert (f.ball_world - ex.incoming.position(float(t))).norm() < 1e-9
+    incoming = ex.incoming.positions(ex.context_times)[0]
+    for f, want in zip(ex.context, incoming):
+        assert np.linalg.norm(f.ball_world.as_array() - want) < 1e-9
     # Incoming ends exactly at the opponent's contact point.
-    assert (ex.incoming.position(0.0) - ex.hit_pos).norm() < 1e-9
+    assert np.linalg.norm(ex.incoming.positions([0.0])[0, 0] - ex.hit_pos.as_array()) < 1e-9
     assert (ex.truth_at(ex.crossing_time) - ex.crossing_pos).norm() < 1e-12
     assert ex.crossing_pos.x == pytest.approx(-TABLE.half_length, abs=1e-9)
+    # The crossing velocity is the return's, at the crossing time.
+    v = ex.outgoing.velocities([ex.crossing_time])[0, 0]
+    assert v.tolist() == [ex.crossing_vel.x, ex.crossing_vel.y, ex.crossing_vel.z]
+
+
+def test_generate_exchanges_match_the_scalar_flights():
+    # Every exchange's flights, truth and crossing through the scalar oracle.
+    for ex in generate_exchanges(5, 20):
+        incoming, outgoing = trajectory_of(ex.incoming), trajectory_of(ex.outgoing)
+        for t, f in zip(ex.context_times.tolist(), ex.context):
+            assert f.ball_world == incoming.position(t)
+        assert outgoing.position(ex.crossing_time) == ex.crossing_pos
+        assert outgoing.velocity(ex.crossing_time) == ex.crossing_vel
+        for t in (-0.3, -0.02, 0.0, 0.1, 0.25, 0.6):
+            want = outgoing.position(t) if t >= 0 else incoming.position(t)
+            assert ex.truth_at(t) == want
 
 
 def test_generate_exchanges_deterministic():
