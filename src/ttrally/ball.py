@@ -3,7 +3,8 @@
 The ball between anchors (racket contact, table bounce) follows projectile
 motion with linear air drag; with both endpoints pinned the trajectory is a
 one-parameter family in the drag coefficient k, which is recovered by
-minimizing reprojection error with a bounded golden-section search.
+minimizing reprojection error with a bounded golden-section search, run for
+every piece of a point at once.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .camera import Camera, ImagePoint, Plane, inverse_project_to_plane, project_many
+from .camera import Camera, ImagePoint, Plane, inverse_project_to_plane
 from .core import TableGeometry, Vec3
 from .errors import (
+    BehindCamera,
     FitFailed,
     NoBounceFound,
     OutOfRange,
@@ -281,30 +283,45 @@ def bounce_candidates(ball: BallTrack2D, h1: int, h2: int) -> list[int]:
     return sorted(out)
 
 
-def golden_section(f, lo: float, hi: float, tol: float = K_TOL) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]."""
+def golden_section(f, lo, hi, tol: float = K_TOL):
+    """Minimize unimodal functions on the brackets [lo, hi], all in lockstep.
+
+    ``lo`` and ``hi`` are equal-length arrays, or scalars for one bracket
+    (the result is then a float), and ``f`` maps one abscissa per bracket to
+    one value per bracket. Each bracket runs its own iteration count with the
+    scalar update applied elementwise, so it ends where a search of it alone
+    would. A bracket past its count stops moving; ``f`` is then handed a
+    point it already saw there, and that value is not used.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
+    a = np.array(lo, dtype=float, ndmin=1)
+    b = np.array(hi, dtype=float, ndmin=1)
     h = b - a
-    if h <= tol:
-        return (a + b) / 2.0
-    n = int(math.ceil(math.log(tol / h) / math.log(inv_phi)))
+    # Update steps after the first two evaluations; -1: narrower than tol.
+    steps = np.array(
+        [math.ceil(math.log(tol / w) / math.log(inv_phi)) - 1 if w > tol else -1 for w in h]
+    )
     c = a + inv_phi2 * h
     d = a + inv_phi * h
     yc, yd = f(c), f(d)
-    for _ in range(n - 1):
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h *= inv_phi
-            c = a + inv_phi2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= inv_phi
-            d = a + inv_phi * h
-            yd = f(d)
-    return (a + d) / 2.0 if yc < yd else (c + b) / 2.0
+    for step in range(steps.max()):
+        move = steps > step
+        left = move & (yc < yd)
+        right = move & ~(yc < yd)
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        yc, yd = np.where(right, yd, yc), np.where(left, yc, yd)
+        h = np.where(move, h * inv_phi, h)
+        c = np.where(left, a + inv_phi2 * h, c)
+        d = np.where(right, a + inv_phi * h, d)
+        y = f(np.where(left, c, d))
+        yc = np.where(left, y, yc)
+        yd = np.where(right, y, yd)
+    x = np.where(yc < yd, (a + d) / 2.0, (c + b) / 2.0)
+    x = np.where(steps < 0, (a + b) / 2.0, x)
+    return x if np.ndim(lo) else float(x[0])
 
 
 @dataclass
@@ -312,6 +329,108 @@ class DragFit:
     k: float
     reproj_error: float  # summed squared pixel error at the fitted k
     boundary_warning: bool = False
+
+
+def _reprojection(pieces, camera: Camera):
+    """Each piece's summed squared pixel error as a function of its k.
+
+    With both anchors fixed, a sample at time t lies at
+    b0 + frac·(bT − b0) + c·ẑ, with frac = expm1(−kt) / expm1(−kT) and
+    c = (g/k)(T·frac − t). Its homogeneous projection is therefore
+    A + frac·B + c·C for three columns fixed per sample. Each column holds
+    the u and v numerators of the pixel residual, with the observed pixel
+    folded in (u − u_obs = num_u / depth), and the depth. Samples of all
+    pieces lie end to end; every step is elementwise and each piece is summed
+    over its own samples, so a piece's error does not depend on the rest of
+    the batch. Every piece needs at least one sample.
+    """
+    counts = [len(p[3]) for p in pieces]
+    row = np.repeat(np.arange(len(pieces)), counts)
+    starts = np.cumsum([0] + counts[:-1])
+    T = np.array([p[2] for p in pieces], dtype=float)
+    ts = np.concatenate([p[3] for p in pieces])
+    px = np.concatenate([p[4] for p in pieces])
+    b0 = np.array([p[0].as_array() for p in pieces])
+    delta = np.array([p[1].as_array() for p in pieces]) - b0
+    r, intr = camera.extrinsics.r, camera.intrinsics
+    du, dv = intr.cx - px[:, 0], intr.cy - px[:, 1]
+
+    def rotate(p):  # elementwise, so no BLAS kernel varies with the batch size
+        return p[:, :1] * r[:, 0] + p[:, 1:2] * r[:, 1] + p[:, 2:] * r[:, 2]
+
+    (au, av, az), (bu, bv, bz), (cu, cv, cz) = [
+        (intr.fx * cam[:, 0] + du * cam[:, 2], -intr.fy * cam[:, 1] + dv * cam[:, 2], cam[:, 2])
+        for cam in (
+            (rotate(b0) + camera.extrinsics.t)[row],
+            rotate(delta)[row],
+            np.broadcast_to(r[:, 2], (len(ts), 3)),
+        )
+    ]
+    t_row = T[row]
+
+    def sse(k: np.ndarray) -> np.ndarray:
+        frac = np.expm1(-k[row] * ts) / np.expm1(-k * T)[row]
+        c = (GRAVITY / k)[row] * (t_row * frac - ts)
+        depth = az + frac * bz + c * cz
+        if np.any(depth <= 0):
+            raise BehindCamera("point(s) with non-positive depth")
+        eu = (au + frac * bu + c * cu) / depth
+        ev = (av + frac * bv + c * cv) / depth
+        return np.add.reduceat(eu * eu + ev * ev, starts)
+
+    return sse
+
+
+def fit_drags(pieces, camera: Camera) -> list[DragFit]:
+    """Recover the drag coefficient of every piece in one batched search.
+
+    Each piece is ``(b0, bT, T, sample_times, sample_pixels)``. Endpoints are
+    fixed; the only free parameter is k, probed at 7 geometric steps of
+    K_BOUNDS and then refined by golden section on the bracket around the
+    best probe, every piece in lockstep. A flat objective (uninformative
+    samples) falls back to the lower bound with a warning flag. A piece's
+    fit is the same, bit for bit, in any batch.
+    """
+    lo, hi = K_BOUNDS
+    pieces = [
+        (b0, bT, T, np.asarray(ts, dtype=float), np.asarray(px, dtype=float))
+        for b0, bT, T, ts, px in pieces
+    ]
+    for _, _, T, ts, _ in pieces:
+        if T <= 0:
+            raise ValueError("T must be positive")
+        if np.any(ts < -1e-12) or np.any(ts > T + 1e-12):
+            raise OutOfRange("sample times outside [0, T]")
+    # A piece without samples has a flat (zero) objective.
+    fits = [DragFit(k=lo, reproj_error=0.0, boundary_warning=True) for _ in pieces]
+    live = [i for i, p in enumerate(pieces) if len(p[3])]
+    if not live:
+        return fits
+    objective = _reprojection([pieces[i] for i in live], camera)
+    probes = np.geomspace(lo, hi, 7)
+    probe_vals = np.array([objective(np.full(len(live), k)) for k in probes])
+    flat = probe_vals.max(axis=0) - probe_vals.min(axis=0) < 1e-12
+    for i in np.flatnonzero(flat):
+        fits[live[i]] = DragFit(k=lo, reproj_error=float(probe_vals[0, i]), boundary_warning=True)
+
+    search = np.flatnonzero(~flat)
+    if len(search) == 0:
+        return fits
+    if len(search) < len(live):
+        objective = _reprojection([pieces[live[i]] for i in search], camera)
+    # Narrow to the bracket around the best probe before golden section.
+    best = probe_vals[:, search].argmin(axis=0)
+    last = len(probes) - 1
+    k_star = golden_section(
+        objective, probes[np.maximum(best - 1, 0)], probes[np.minimum(best + 1, last)]
+    )
+    err = objective(k_star)
+    warn = ((best == 0) & (np.abs(k_star - lo) < 10 * K_TOL)) | (
+        (best == last) & (np.abs(k_star - hi) < 10 * K_TOL)
+    )
+    for i, k, e, w in zip(search, k_star, err, warn):
+        fits[live[i]] = DragFit(k=float(k), reproj_error=float(e), boundary_warning=bool(w))
+    return fits
 
 
 def fit_drag(
@@ -322,36 +441,8 @@ def fit_drag(
     sample_pixels: np.ndarray,
     camera: Camera,
 ) -> DragFit:
-    """Recover the drag coefficient by reprojection-error minimization.
-
-    Endpoints are fixed; the only free parameter is k, searched with a
-    golden-section scheme on K_BOUNDS. A flat objective (uninformative
-    samples) falls back to the lower bound with a warning flag.
-    """
-    sample_times = np.asarray(sample_times, dtype=float)
-    sample_pixels = np.asarray(sample_pixels, dtype=float)
-
-    def objective(k: float) -> float:
-        seg = StokesSegment(b0=b0, bT=bT, T=T, k=k)
-        proj = project_many(camera, stokes_positions(seg, sample_times))
-        return float(np.sum((proj - sample_pixels) ** 2))
-
-    lo, hi = K_BOUNDS
-    probes = np.geomspace(lo, hi, 7)
-    probe_vals = [objective(k) for k in probes]
-    if max(probe_vals) - min(probe_vals) < 1e-12:
-        return DragFit(k=lo, reproj_error=probe_vals[0], boundary_warning=True)
-
-    # Narrow to the bracket around the best probe before golden section.
-    i = int(np.argmin(probe_vals))
-    blo = probes[max(0, i - 1)]
-    bhi = probes[min(len(probes) - 1, i + 1)]
-    k_star = golden_section(objective, blo, bhi)
-    err = objective(k_star)
-    warn = bool(i == 0 and abs(k_star - lo) < 10 * K_TOL) or bool(
-        i == len(probes) - 1 and abs(k_star - hi) < 10 * K_TOL
-    )
-    return DragFit(k=k_star, reproj_error=err, boundary_warning=warn)
+    """One-piece form of fit_drags."""
+    return fit_drags([(b0, bT, T, sample_times, sample_pixels)], camera)[0]
 
 
 @dataclass
@@ -392,14 +483,16 @@ def reconstruct_trajectory(
     filled in); bounce anchors come from inverse projection onto the table
     plane. The first hit pair is the serve (two bounces, three pieces).
     Raises SegmentRejected when the
-    bounce-selection MSE exceeds ``mse_threshold``.
+    bounce-selection MSE exceeds ``mse_threshold``. Every hit pair's bounces
+    are selected before any piece is fitted, and all pieces of the point are
+    fitted in one fit_drags call.
     """
     if len(hits) < 2:
         raise NoBounceFound("need at least two hits")
     table_plane = Plane("z", table.height_z)
     pix = {int(f): p for f, p in zip(ball.frames, ball.pixels)}
-    recon = TrajectoryReconstruction()
 
+    pairs = []  # per hit pair: (knot sets, anchors, pieces by (f0, f1), total)
     for pair_index, (hit1, hit2) in enumerate(zip(hits, hits[1:])):
         h1, h2 = hit1.frame, hit2.frame
         if hit1.hand_world is None or hit2.hand_world is None:
@@ -432,7 +525,7 @@ def reconstruct_trajectory(
             if all(a < b for a, b in zip(combo, combo[1:]))
         ]
         anchors = {h1: hit1.hand_world, h2: hit2.hand_world}
-        fits: dict[tuple[int, int], DragFit] = {}
+        pieces: dict[tuple[int, int], tuple] = {}
         for knots in knot_sets:
             for f in knots[1:-1]:
                 if f not in anchors:
@@ -440,12 +533,17 @@ def reconstruct_trajectory(
                         camera, ImagePoint(*pix[f]), table_plane
                     )
             for f0, f1 in zip(knots, knots[1:]):
-                if (f0, f1) not in fits:
+                if (f0, f1) not in pieces:
                     frames, pixels = ball.window(f0, f1)
-                    fits[f0, f1] = fit_drag(
-                        anchors[f0], anchors[f1], (f1 - f0) / fps, (frames - f0) / fps,
-                        pixels, camera,
+                    pieces[f0, f1] = (
+                        anchors[f0], anchors[f1], (f1 - f0) / fps, (frames - f0) / fps, pixels,
                     )
+        pairs.append((knot_sets, anchors, pieces, total))
+
+    drags = iter(fit_drags([p for _, _, pieces, _ in pairs for p in pieces.values()], camera))
+    recon = TrajectoryReconstruction()
+    for knot_sets, anchors, pieces, total in pairs:
+        fits = {span: next(drags) for span in pieces}
         knots = min(
             knot_sets,
             key=lambda ks: sum(fits[piece].reproj_error for piece in zip(ks, ks[1:])),

@@ -20,6 +20,7 @@ from ttrally.ball import (
     TrajectoryReconstruction,
     bounce_candidates,
     fit_drag,
+    fit_drags,
     fit_parabola,
     select_bounces,
 )
@@ -160,7 +161,8 @@ SCENES = [(60.0 if i % 2 == 0 else 120.0, 3 + (i // 2) % 4, (i % 5) / 2) for i i
 
 @pytest.fixture(scope="module")
 def runs():
-    """Per scene: (new point, fit_drag calls, oracle point, distinct pieces tried)."""
+    """Per scene: (new point, pieces per fit_drags call, oracle point, distinct
+    pieces tried)."""
     out = []
     for i, (fps, n_hits, noise) in enumerate(SCENES):
         track, _, _ = generate_scene(
@@ -168,13 +170,15 @@ def runs():
         )
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ball, "fit_drag", lambda *a: calls.append(1) or fit_drag(*a))
+            mp.setattr(
+                ball, "fit_drags", lambda pieces, cam: calls.append(len(pieces)) or fit_drags(pieces, cam)
+            )
             _, point = pipeline.reconstruct_point(track)
         tried: set = set()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "reconstruct_trajectory", _oracle_reconstruct(tried))
             _, oracle = pipeline.reconstruct_point(track)
-        out.append((point, len(calls), oracle, len(tried)))
+        out.append((point, calls, oracle, len(tried)))
     return out
 
 
@@ -186,6 +190,7 @@ def test_search_matches_two_selector_oracle(runs):
 
 
 def test_each_drag_piece_fitted_once(runs):
+    # One batched fit per point, handed every distinct piece once.
     calls = [n for _, n, _, _ in runs]
-    distinct = [n for _, _, _, n in runs]
+    distinct = [[n] for _, _, _, n in runs]
     assert calls == distinct

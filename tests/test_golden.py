@@ -1,10 +1,12 @@
 """Golden bytes: CLI outputs and generated exchanges whose sha256 must not drift.
 
-The CLI digests were computed when every exchange and ensemble member was
-evaluated with scalar per-trajectory calls, and the exchange digest when
-each exchange was generated one at a time that way; the array flights
-(``synth.Chains``) reproduce those bytes exactly. A change that alters them
-on purpose names the change and why, and re-pins here.
+The conformal and simulate digests were computed when every exchange and
+ensemble member was evaluated with scalar per-trajectory calls, and the
+exchange digest when each exchange was generated one at a time that way; the
+array flights (``synth.Chains``) reproduce those bytes exactly. The
+reconstruction digests were computed with the batched drag fit
+(``ball.fit_drags``). A change that alters them on purpose names the change
+and why, and re-pins here.
 """
 
 import hashlib
@@ -40,6 +42,19 @@ def test_cli_output_matches_golden_hashes(command, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     assert _sha256(capsys.readouterr().out.encode()) == stdout_digest
     assert _sha256(out.read_bytes()) == file_digest
+
+
+RECONSTRUCT = "3c281f2b832dd963109a2734fe747147c5a25f58533498e52d55ce52a3ec89e5"
+STATS = "394f0d9fbfd07c1530ad811b43d5b6025cb6ed929351498b7aa1e57a24fbdad1"
+
+
+def test_reconstruction_matches_golden_hashes(tmp_path, capsys):
+    track, recon, stats = (tmp_path / name for name in ("21.track", "21.recon", "21.stats"))
+    assert main(["synth", "--seed", "21", "--out", str(track)]) == EXIT_OK
+    assert main(["reconstruct", "--track", str(track), "--out", str(recon)]) == EXIT_OK
+    assert main(["stats", "--recon", str(recon), "--out", str(stats)]) == EXIT_OK
+    assert _sha256(recon.read_bytes()) == RECONSTRUCT
+    assert _sha256(stats.read_bytes()) == STATS
 
 
 EXCHANGES = "fa041510c07fbf75ef073dbb38ed83606360dbcd73e8959021cea018ba86cdad"
