@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial.transform import Rotation, Slerp
 
 from .anticipate import (
     ConformalCalibration,
@@ -66,26 +65,65 @@ class Box:
         return self.contains(lo) and self.contains(hi)
 
     def clamp(self, p: Vec3) -> Vec3:
-        a = np.clip(p.as_array(), self.lo.as_array(), self.hi.as_array())
-        return Vec3.from_array(a)
+        lo, hi = self.lo, self.hi
+        return Vec3(min(max(p.x, lo.x), hi.x), min(max(p.y, lo.y), hi.y),
+                    min(max(p.z, lo.z), hi.z))
 
 
-REFERENCE_NORMAL = np.array([1.0, 0.0, 0.0])  # racket faces +x at identity
 MAX_RACKET_ANGLE_DEG = 60.0  # yaw and pitch limit of the racket normal
+
+# Unit quaternions are (x, y, z, w) tuples, scipy's order. The closed forms below
+# keep scipy's arithmetic order, so they equal its rotations bit for bit; the turn
+# is Shoemake's slerp ("Animating rotation with quaternion curves", 1985).
+Quat = tuple[float, float, float, float]
+IDENTITY: Quat = (0.0, 0.0, 0.0, 1.0)  # the racket faces +x
+
+
+def _compose(p: Quat, q: Quat) -> Quat:
+    """Normalised product p * q: pw q + qw p + p x q, then divided by its norm."""
+    px, py, pz, pw = p
+    qx, qy, qz, qw = q
+    x = pw * qx + qw * px + (py * qz - pz * qy)
+    y = pw * qy + qw * py + (pz * qx - px * qz)
+    z = pw * qz + qw * pz + (px * qy - py * qx)
+    w = pw * qw - px * qx - py * qy - pz * qz
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    return (x / n, y / n, z / n, w / n)
+
+
+def _relative(p: Quat, q: Quat) -> Quat:  # p^-1 * q: exactly the identity when q is p
+    return _compose((-p[0], -p[1], -p[2], p[3]), q)
+
+
+def _magnitude(q: Quat) -> float:
+    x, y, z, w = q
+    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), abs(w))
+
+
+def _partial_turn(rel: Quat, a: float, frac: float) -> Quat:
+    """frac of rel (of angle a) on the shorter arc: its rotation vector (w >= 0) times
+    frac, with the small-angle series of scipy's as_rotvec and from_rotvec."""
+    x, y, z, _ = rel if rel[3] >= 0 else tuple(-c for c in rel)
+    s = 2 + a * a / 12 + 7 * (a * a) * (a * a) / 2880 if a <= 1e-3 else a / math.sin(a / 2)
+    vx, vy, vz = s * x * frac, s * y * frac, s * z * frac
+    b = math.sqrt(vx * vx + vy * vy + vz * vz)
+    c = 0.5 - b * b / 48 + (b * b) * (b * b) / 3840 if b <= 1e-3 else math.sin(b / 2) / b
+    return (c * vx, c * vy, c * vz, math.cos(b / 2))
 
 
 @dataclass
 class RacketPose:
     position: Vec3
-    orientation: Rotation = field(default_factory=Rotation.identity)
+    orientation: Quat = IDENTITY
 
     def normal(self) -> np.ndarray:
-        return self.orientation.apply(REFERENCE_NORMAL)
+        x, y, z, w = self.orientation
+        return np.array([x * x - y * y - z * z + w * w, 2 * (x * y + z * w),
+                         2 * (x * z - y * w)])
 
     def angle_to(self, other: "RacketPose") -> float:
         """Relative orientation angle in radians."""
-        rel = self.orientation.inv() * other.orientation
-        return float(rel.magnitude())
+        return _magnitude(_relative(self.orientation, other.orientation))
 
 
 def farthest_corner_distance(region: Region, p: Vec3) -> float:
@@ -175,8 +213,9 @@ class DragFlight:
     def landing(self, z_plane: float) -> Optional[tuple[float, Vec3]]:
         """First time, up to LANDING_T_MAX, the flight descends through z = z_plane."""
 
-        def f(t: float) -> float:
-            return self.position(t).z - z_plane
+        def f(t: float) -> float:  # position(t).z - z_plane, on floats
+            k, vt = RETURN_DRAG_K, -GRAVITY / RETURN_DRAG_K
+            return self.p0.z + vt * t + (self.v0.z - vt) * (-math.expm1(-k * t) / k) - z_plane
 
         if f(0.0) <= 0:
             return None
@@ -249,7 +288,10 @@ def solve_target_pose(
     lim = math.radians(MAX_RACKET_ANGLE_DEG)
     if abs(psi) > lim or abs(phi) > lim:
         raise Infeasible("racket normal outside the angle limits")
-    return RacketPose(position=hit, orientation=Rotation.from_euler("yz", [-phi, psi]))
+    # from_euler("yz", [-phi, psi]), the z turn after the y turn; the zero terms
+    # of scipy's compose make a zero component +0.0.
+    sy, cy, sz, cz = math.sin(-phi / 2), math.cos(-phi / 2), math.sin(psi / 2), math.cos(psi / 2)
+    return RacketPose(hit, (0.0 - sz * sy, cz * sy + 0.0, cy * sz + 0.0, cz * cy))
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +307,23 @@ def step_robot(
     omega_max: float,
     workspace: Box,
 ) -> RacketPose:
-    """Move toward a target pose with speed and turn-rate limits."""
-    delta = target.position - pose.position
-    dist = delta.norm()
-    step = min(dist, v_max * dt)
-    new_pos = pose.position if dist < 1e-12 else pose.position + delta * (step / dist)
-    new_pos = workspace.clamp(new_pos)
+    """Move toward a target pose with speed and turn-rate limits: a straight
+    step of at most v_max * dt and a slerp of at most omega_max * dt."""
+    p, q = pose.position, target.position
+    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist >= 1e-12:
+        s = min(dist, v_max * dt) / dist
+        p = Vec3(p.x + dx * s, p.y + dy * s, p.z + dz * s)
 
-    angle = pose.angle_to(target)
+    rel = _relative(pose.orientation, target.orientation)
+    angle = _magnitude(rel)
     max_turn = omega_max * dt
     if angle < 1e-12 or angle <= max_turn:
-        new_rot = target.orientation
+        orientation = target.orientation
     else:
-        slerp = Slerp(
-            [0.0, 1.0], Rotation.concatenate([pose.orientation, target.orientation])
-        )
-        new_rot = slerp([max_turn / angle])[0]
-    return RacketPose(position=new_pos, orientation=new_rot)
+        orientation = _compose(pose.orientation, _partial_turn(rel, angle, max_turn / angle))
+    return RacketPose(workspace.clamp(p), orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +380,11 @@ def _interception_pose(ex: ExchangeSample, params: SimParams) -> RacketPose:
     return solve_target_pose(ex.crossing_pos, ex.crossing_vel, params.table)
 
 
-def _preposition_target(
-    ex: ExchangeSample,
-    params: SimParams,
-    predictors: Sequence[ShotPredictor],
-    calib: ConformalCalibration,
-) -> tuple[Optional[Vec3], bool]:
+def _regions(ex: ExchangeSample, params: SimParams, predictors: Sequence[ShotPredictor],
+             calib: ConformalCalibration) -> list[Region]:
+    """The prediction regions of a forecast issued lead_time before the hit."""
     times, frames = ex.context_until(-params.lead_time)
-    ctx = ContextWindow(times=times, frames=frames)
-    regions = build_regions(predictors, calib, ctx, list(HORIZONS))
-    try:
-        region = select_target_time(
-            regions, params.central, params.workspace, params.v_max, params.lead_time
-        )
-    except NoFeasibleTime:
-        return None, True
-    return select_preposition(region, params.central, params.lam, params.workspace), False
+    return build_regions(predictors, calib, ContextWindow(times, frames), list(HORIZONS))
 
 
 def run_episode(
@@ -362,13 +393,14 @@ def run_episode(
     params: SimParams,
     predictors: Optional[Sequence[ShotPredictor]] = None,
     calib: Optional[ConformalCalibration] = None,
+    regions: Optional[Sequence[Region]] = None,
 ) -> EpisodeResult:
     """Simulate one exchange for one strategy.
 
     Time 0 is the opponent's hit; the robot is live from -lead_time. After
     the hit every strategy tracks the ideal interception pose (reactive
     perception of the actual shot); they differ in where they stand at the
-    hit.
+    hit. ``regions``, if given, are the exchange's at params.lead_time.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -379,20 +411,27 @@ def run_episode(
     if strategy == "oracle":
         pre_target = ideal
     elif strategy == "anticipatory":
-        if predictors is None or calib is None:
-            raise ValueError("anticipatory strategy needs predictors and calibration")
-        p_star, fallback = _preposition_target(ex, params, predictors, calib)
-        if p_star is not None:
+        if regions is None:
+            if predictors is None or calib is None:
+                raise ValueError("anticipatory strategy needs predictors and calibration")
+            regions = _regions(ex, params, predictors, calib)
+        try:
+            region = select_target_time(regions, params.central, params.workspace,
+                                        params.v_max, params.lead_time)
+        except NoFeasibleTime:
+            fallback = True
+        else:
+            p_star = select_preposition(region, params.central, params.lam, params.workspace)
             pre_target = RacketPose(position=p_star, orientation=ideal.orientation)
 
-    pose = RacketPose(position=params.central, orientation=Rotation.identity())
+    pose = RacketPose(params.central)
     idle = pre_target or RacketPose(params.central)
     dt = params.dt
     # The step times, accumulated as the robot's clock, and the ball at each.
     times = [-params.lead_time]
     while times[-1] < ex.crossing_time + 0.15:
         times.append(times[-1] + dt)
-    balls = ex.truth(times)
+    balls = ex.truth(times).tolist()
     contacted = False
     v_after: Optional[Vec3] = None
     contact_pos: Optional[Vec3] = None
@@ -401,22 +440,19 @@ def run_episode(
     for i in range(1, len(times)):
         t = times[i]
         target = ideal if times[i - 1] >= 0 else idle
-        pose = step_robot(
-            pose, target, dt, params.v_max, params.omega_max, params.workspace
-        )
+        pose = step_robot(pose, target, dt, params.v_max, params.omega_max, params.workspace)
         if t - dt <= ex.crossing_time <= t:
             pose_at_crossing = pose
-        if t > 0:
-            d = _point_segment_distance(pose.position.as_array(), balls[i - 1], balls[i])
-            if d <= RACKET_RADIUS:
-                v_in = Vec3.from_array(ex.outgoing.velocities([t])[0, 0])
-                try:
-                    v_after = racket_reflect(v_in, pose.normal())
-                except NoContact:
-                    break
-                contacted = True
-                contact_pos = Vec3.from_array(balls[i])
+        if (t > 0 and _point_segment_distance(pose.position, balls[i - 1], balls[i])
+                <= RACKET_RADIUS):
+            v_in = Vec3.from_array(ex.outgoing.velocities([t])[0, 0])
+            try:
+                v_after = racket_reflect(v_in, pose.normal())
+            except NoContact:
                 break
+            contacted = True
+            contact_pos = Vec3(*balls[i])
+            break
 
     returned = False
     deviation: Optional[float] = None
@@ -448,13 +484,14 @@ def run_episode(
     )
 
 
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        return float(np.linalg.norm(p - a))
-    u = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + u * ab)))
+def _point_segment_distance(p: Vec3, a: Sequence[float], b: Sequence[float]) -> float:
+    ax, ay, az = a
+    ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
+    denom = ex * ex + ey * ey + ez * ez
+    dot = (p.x - ax) * ex + (p.y - ay) * ey + (p.z - az) * ez
+    u = min(max(dot / denom, 0.0), 1.0) if denom >= 1e-18 else 0.0
+    dx, dy, dz = p.x - (ax + u * ex), p.y - (ay + u * ey), p.z - (az + u * ez)
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +539,11 @@ def run_strategy(
     params: SimParams,
     predictors: Optional[Sequence[ShotPredictor]] = None,
     calib: Optional[ConformalCalibration] = None,
+    regions: Optional[Sequence[Sequence[Region]]] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
-    results = [run_episode(ex, strategy, params, predictors, calib) for ex in exchanges]
+    """One row over the exchanges; ``regions``, if given, are each one's at params.lead_time."""
+    results = [run_episode(ex, strategy, params, predictors, calib, r)
+               for ex, r in zip(exchanges, regions or [None] * len(exchanges), strict=True)]
     return _aggregate(results, strategy, params), results
 
 
@@ -547,7 +587,8 @@ def run_experiment(
     The baseline and oracle rows are computed once per configuration axis;
     the anticipatory strategy is recalibrated per lead time (its residual
     distribution depends on how early the forecast is issued) on the same
-    ensemble and calibration split.
+    ensemble and calibration split. The rows at the base lead time share one
+    set of regions per exchange.
     """
     exchanges = generate_exchanges(seed, n_episodes)
     rows: list[ExperimentRow] = []
@@ -555,17 +596,16 @@ def run_experiment(
     # Strategy comparison at the base configuration.
     predictors, cal = _anticipation_inputs(seed, base_params.table, n_cal)
     calib = _calibrate(predictors, cal, base_params)
+    regions = [_regions(ex, base_params, predictors, calib) for ex in exchanges]
     rows.append(run_strategy(exchanges, "baseline", base_params)[0])
-    rows.append(
-        run_strategy(exchanges, "anticipatory", base_params, predictors, calib)[0]
-    )
+    rows.append(run_strategy(exchanges, "anticipatory", base_params, regions=regions)[0])
     rows.append(run_strategy(exchanges, "oracle", base_params)[0])
 
     for lam in lams:
         if lam == base_params.lam:
             continue
         p = replace(base_params, lam=lam)
-        rows.append(run_strategy(exchanges, "anticipatory", p, predictors, calib)[0])
+        rows.append(run_strategy(exchanges, "anticipatory", p, regions=regions)[0])
 
     for lt in lead_times:
         if lt == base_params.lead_time:
@@ -583,7 +623,7 @@ def run_experiment(
         if (c - base_params.central).norm() < 1e-12:
             continue
         p = replace(base_params, central=c)
-        rows.append(run_strategy(exchanges, "anticipatory", p, predictors, calib)[0])
+        rows.append(run_strategy(exchanges, "anticipatory", p, regions=regions)[0])
     return rows
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.spatial.transform import Rotation
+from scipy.spatial.transform import Rotation, Slerp
 
 from scalar_flight import trajectory_of
 from ttrally import control
@@ -136,9 +136,9 @@ def test_select_preposition_blend_endpoints():
 
 
 def test_step_robot_limits_speed_and_turn():
-    pose = RacketPose(Vec3(-1.5, 0.0, 1.0), Rotation.identity())
-    target = RacketPose(Vec3(-1.5, 1.0, 1.0),
-                        Rotation.from_euler("z", 90, degrees=True))
+    pose = RacketPose(Vec3(-1.5, 0.0, 1.0), control.IDENTITY)
+    half = math.radians(90.0) / 2  # 90 degrees about z
+    target = RacketPose(Vec3(-1.5, 1.0, 1.0), (0.0, 0.0, math.sin(half), math.cos(half)))
     dt, v_max, omega_max = 0.01, 2.0, math.radians(720.0)
     stepped = step_robot(pose, target, dt, v_max, omega_max, WORKSPACE)
     assert (stepped.position - pose.position).norm() <= v_max * dt + 1e-12
@@ -158,6 +158,97 @@ def test_step_robot_respects_workspace():
     for _ in range(500):
         pose = step_robot(pose, target, 0.01, 2.0, math.radians(720), WORKSPACE)
         assert WORKSPACE.contains(pose.position)
+
+
+# scipy's Rotation and Slerp are the oracle for the closed-form quaternions.
+AT = Vec3(-1.5, 0.0, 1.0)  # a position inside WORKSPACE; these tests turn only
+rotations = st.tuples(unit, unit, unit, unit).filter(
+    lambda q: sum(c * c for c in q) > 1e-2).map(Rotation.from_quat)
+
+
+@st.composite
+def rotation_pairs(draw):
+    """Two rotations: independent, or the second a turn of 1e-9..3 rad from the first."""
+    a = draw(rotations)
+    if draw(st.booleans()):
+        return a, draw(rotations)
+    axis = np.array(draw(st.tuples(unit, unit, unit).filter(lambda v: np.dot(v, v) > 1e-2)))
+    angle = 10 ** draw(st.floats(-9.0, 0.5))
+    return a, a * Rotation.from_rotvec(axis / np.linalg.norm(axis) * angle)
+
+
+def _pose(rotation):
+    return RacketPose(AT, tuple(rotation.as_quat()))
+
+
+@settings(max_examples=300)
+@given(rotation_pairs(), st.floats(-6.0, 0.5))
+def test_step_robot_turn_matches_scipy_slerp(pair, log_turn):
+    a, b = pair
+    max_turn = 10 ** log_turn
+    stepped = step_robot(_pose(a), _pose(b), 1.0, 2.0, max_turn, WORKSPACE)
+    got = Rotation.from_quat(stepped.orientation)
+    angle = (a.inv() * b).magnitude()
+    want = b
+    if not (angle < 1e-12 or angle <= max_turn):
+        want = Slerp([0.0, 1.0], Rotation.concatenate([a, b]))([max_turn / angle])[0]
+    assert (got.inv() * want).magnitude() <= 1e-12
+
+
+@settings(max_examples=300)
+@given(rotation_pairs())
+def test_angle_to_and_normal_match_scipy(pair):
+    a, b = pair
+    assert abs(_pose(a).angle_to(_pose(b)) - (a.inv() * b).magnitude()) <= 1e-12
+    assert np.abs(_pose(a).normal() - a.apply([1.0, 0.0, 0.0])).max() <= 1e-12
+
+
+@given(rotations)
+def test_angle_to_an_identical_pose_is_exactly_zero(a):
+    pose = _pose(a)
+    assert pose.angle_to(pose) == 0.0
+    assert pose.angle_to(_pose(a)) == 0.0
+
+
+def test_turning_steps_keep_the_quaternion_unit():
+    rng = np.random.default_rng(4)
+    pose, turning, worst = RacketPose(AT), 0, 0.0
+    for i in range(10_000):
+        if i % 100 == 0:  # a fresh target further than 100 steps of 0.1 degrees
+            target = RacketPose(AT, tuple(Rotation.random(rng=rng).as_quat()))
+        pose = step_robot(pose, target, 0.01, 2.0, math.radians(10.0), WORKSPACE)
+        turning += pose.orientation != target.orientation
+        worst = max(worst, abs(math.sqrt(sum(c * c for c in pose.orientation)) - 1.0))
+    assert turning == 10_000
+    assert worst <= 1e-15
+
+
+def _pose_angles(hit, v_in):
+    """The normal's pitch and yaw, (phi, psi), as solve_target_pose derives them."""
+    target = aim_point(TABLE)
+    dx, dy = target.x - hit.x, target.y - hit.y
+    s2 = v_in.norm() ** 2
+    drop = hit.z - TABLE.height_z
+    disc = s2 * s2 - GRAVITY * (GRAVITY * (dx * dx + dy * dy) - 2.0 * s2 * drop)
+    v_out = np.array([GRAVITY * dx, GRAVITY * dy, s2 - math.sqrt(disc)])
+    v_out *= math.sqrt(s2) / np.linalg.norm(v_out)
+    dv = v_out - v_in.as_array()
+    n = dv / np.linalg.norm(dv)
+    return math.asin(n[2]), math.atan2(n[1], n[0])
+
+
+@settings(max_examples=300)
+@given(st.floats(-0.7, 0.7), st.floats(0.8, 1.4), st.floats(-12.0, -2.0),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_solve_target_pose_quaternion_is_scipys_euler_bitwise(y, z, vx, vy, vz):
+    hit, v_in = Vec3(-TABLE.half_length, y, z), Vec3(vx, vy, vz)
+    try:
+        pose = solve_target_pose(hit, v_in, TABLE)
+    except Infeasible:
+        return
+    phi, psi = _pose_angles(hit, v_in)
+    want = Rotation.from_euler("yz", [-phi, psi]).as_quat()
+    assert np.array(pose.orientation).tobytes() == want.tobytes()
 
 
 def test_drag_flight_matches_ode_oracle():
@@ -212,6 +303,29 @@ def test_drag_flight_landing_matches_a_dense_grid_root(p0, v0):
     step = grid[1] - grid[0]
     assert grid[below[0]] - step - 1e-9 <= t_land <= grid[below[0]] + 1e-9
     assert p_land.z == pytest.approx(plane, abs=1e-9)
+
+
+def _array_landing(flight, z_plane):
+    """DragFlight.landing on its former objective: position(t).z, an array per call."""
+    def f(t):
+        return flight.position(t).z - z_plane
+
+    if f(0.0) <= 0:
+        return None
+    hi = 0.05
+    while hi < LANDING_T_MAX and f(hi) > 0:
+        hi = min(2.0 * hi, LANDING_T_MAX)
+    if f(hi) > 0:
+        return None
+    t_land = float(brentq(f, 1e-9, hi))
+    return t_land, flight.position(t_land)
+
+
+@settings(max_examples=300)
+@given(**FLIGHT)
+def test_drag_flight_landing_equals_the_array_objective(p0, v0):
+    flight = DragFlight(p0, v0)
+    assert flight.landing(TABLE.height_z) == _array_landing(flight, TABLE.height_z)
 
 
 def test_landing_after_reflection_is_ballistic():
@@ -409,11 +523,16 @@ def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
     if strategy == "oracle":
         pre_target = ideal
     elif strategy == "anticipatory":
-        p_star, fallback = control._preposition_target(ex, params, predictors, calib)
-        if p_star is not None:
+        regions = control._regions(ex, params, predictors, calib)
+        try:
+            region = select_target_time(regions, params.central, params.workspace,
+                                        params.v_max, params.lead_time)
+            p_star = select_preposition(region, params.central, params.lam, params.workspace)
             pre_target = RacketPose(position=p_star, orientation=ideal.orientation)
+        except NoFeasibleTime:
+            fallback = True
 
-    pose = RacketPose(position=params.central, orientation=Rotation.identity())
+    pose = RacketPose(position=params.central, orientation=control.IDENTITY)
     dt = params.dt
     t = -params.lead_time
     t_stop = ex.crossing_time + 0.15
@@ -430,7 +549,7 @@ def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
             pose_at_crossing = pose
         if t > 0 and not contacted:
             d = control._point_segment_distance(
-                pose.position.as_array(), prev_ball.as_array(), ball.as_array())
+                pose.position, (prev_ball.x, prev_ball.y, prev_ball.z), (ball.x, ball.y, ball.z))
             if d <= control.RACKET_RADIUS:
                 try:
                     v_after = racket_reflect(outgoing.velocity(t), pose.normal())

@@ -1,4 +1,5 @@
-"""The benchmark's call forms still bind to ttrally's public signatures.
+"""The benchmark's and the acceptance tests' call forms still bind to
+ttrally's public signatures.
 
 ``perfbench/workloads.py`` counts an exception as a failed operation, so a
 renamed or dropped parameter would show there only as failures; binding each
@@ -29,6 +30,13 @@ def test_benchmark_call_forms_bind():
         (control.run_experiment, (), dict(seed=X, n_episodes=X, n_cal=X)),
         (control.prepare_anticipation, (X, X, X), {}),
         (control.run_strategy, (X, X, X, X, X), {}),
+        (control.run_strategy, (X, X, X), {}),
+        # tests/test_acceptance.py builds and steps racket poses this way, and
+        # perfbench/tracer.py traces control.step_robot.
+        (control.RacketPose, (X,), {}),
+        (control.RacketPose, (), dict(position=X, orientation=X)),
+        (control.step_robot, (X, X, X, X, X, X), {}),
+        (control.RacketPose.normal, (X,), {}),
     ]
     unbound = []
     for func, args, kwargs in forms:
