@@ -25,8 +25,9 @@ from .errors import (
 )
 from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_record,
                        parse_record, read_header, read_lines, write_lines)
-from .synth import (RAISE_ON_NONFINITE, SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN,
-                    SHOT_Y_LIMIT, Chains, ExchangeSample, return_shots)
+from .ball import RAISE_ON_NONFINITE, Chains
+from .synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
+                    ExchangeSample, return_shots)
 
 SIGMA_FLOOR = 1e-6
 # Exchanges forecast per ensemble pass: the (exchanges x members x horizons)
@@ -65,17 +66,8 @@ class ContextWindow:
         if len(self.frames) < 2:
             raise InputMismatch("context needs at least two frames")
 
-    @property
-    def lead_time(self) -> float:
-        return -float(self.times[-1])
-
     def opponent_root_y(self) -> float:
         return self.frames[-1].opponent_joints_world[0].y
-
-    def estimate_hit(self) -> tuple[Vec3, float]:
-        """Extrapolate the incoming ball to the hit instant (t = 0)."""
-        hit, _ = _context_arrays([self])
-        return Vec3.from_array(hit[0]), self.lead_time
 
 
 def _context_arrays(contexts: Sequence[ContextWindow]) -> tuple[np.ndarray, np.ndarray]:

@@ -76,7 +76,6 @@ class StokesSegment:
     bT: Vec3
     T: float
     k: float
-    g: float = GRAVITY
 
     def __post_init__(self):
         if self.T <= 0:
@@ -85,32 +84,152 @@ class StokesSegment:
             raise ValueError("k must be positive")
 
 
-def stokes_position(seg: StokesSegment, t: float) -> Vec3:
-    """Evaluate the closed-form drag trajectory at time t in [0, T]."""
-    if t < -1e-12 or t > seg.T + 1e-12:
-        raise OutOfRange(f"t={t} outside [0, {seg.T}]")
-    k, T, g = seg.k, seg.T, seg.g
-    frac = -math.expm1(-k * t) / -math.expm1(-k * T)
-    x = seg.b0.x + (seg.bT.x - seg.b0.x) * frac
-    y = seg.b0.y + (seg.bT.y - seg.b0.y) * frac
-    # Grouping the gravity term as T*frac - t keeps both endpoints exact
-    # even when g/k is huge (small-k regime).
-    z = seg.b0.z + (seg.bT.z - seg.b0.z) * frac + (g / k) * (T * frac - t)
-    return Vec3(x, y, z)
+def _libm(f, a) -> np.ndarray:
+    """``f`` from the math module, elementwise over an array.
+
+    numpy's SIMD expm1/exp/log may differ from libm in the last bit; libm
+    keeps every evaluation of the drag law on the same bytes.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def stokes_positions(seg: StokesSegment, ts: np.ndarray) -> np.ndarray:
-    """Vectorized trajectory evaluation; (n, 3) array."""
+# numpy arithmetic that would make a NaN or inf raises instead, as float
+# arithmetic raises on a division by zero.
+RAISE_ON_NONFINITE = dict(divide="raise", over="raise", invalid="raise")
+
+
+def _anchored(b0, bT, T, k, local, span) -> np.ndarray:
+    """The drag law pinned at both anchors: (..., 3) positions at ``local``.
+
+    ``b0``, ``bT`` are (..., 3) and ``T``, ``k``, ``local`` and ``span``
+    (``-expm1(-k T)``, the frac denominator) broadcast to (...). Grouping the
+    gravity term as T*frac - t keeps both endpoints exact even when g/k is
+    huge (small-k regime).
+    """
+    frac = -_libm(math.expm1, -k * local) / span
+    out = b0 + (bT - b0) * frac[..., None]
+    out[..., 2] += (GRAVITY / k) * (T * frac - local)
+    return out
+
+
+def stokes_positions(seg: StokesSegment, ts) -> np.ndarray:
+    """The piece at the times ``ts`` in [0, T]; (n, 3) for ts (n,)."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < -1e-12) or np.any(ts > seg.T + 1e-12):
-        raise OutOfRange("sample times outside [0, T]")
-    k, T, g = seg.k, seg.T, seg.g
-    frac = -np.expm1(-k * ts) / -np.expm1(-k * T)
-    b0 = seg.b0.as_array()
-    bt = seg.bT.as_array()
-    out = b0 + np.outer(frac, bt - b0)
-    out[:, 2] += (g / k) * (T * frac - ts)
-    return out
+        raise OutOfRange(f"sample times outside [0, {seg.T}]")
+    k, T = seg.k, seg.T
+    with np.errstate(**RAISE_ON_NONFINITE):
+        return _anchored(seg.b0.as_array(), seg.bT.as_array(), T, k, ts, -math.expm1(-k * T))
+
+
+def stokes_position(seg: StokesSegment, t: float) -> Vec3:
+    """One-time form of stokes_positions."""
+    return Vec3(*stokes_positions(seg, [t])[0].tolist())
+
+
+_CHAIN_FIELDS = ("starts", "b0", "bT", "T", "k")
+
+
+@dataclass
+class Chains:
+    """n trajectories of P chained drag pieces each, as arrays.
+
+    A time belongs to the last piece that starts at most 1e-12 s after it
+    and is clamped to that piece; before the first piece and from the end
+    of the last one on, a chain extends linearly with its end velocity.
+    Each piece follows the one anchored closed form, as ``stokes_positions`` does.
+    """
+
+    starts: np.ndarray  # (n, P) absolute start time of each piece
+    b0: np.ndarray  # (n, P, 3) start anchors
+    bT: np.ndarray  # (n, P, 3) end anchors
+    T: np.ndarray  # (n, P) durations
+    k: np.ndarray  # (n, P) drag coefficients, 1/s
+
+    def __post_init__(self):
+        # StokesSegment's checks, which a NaN passes as it does there.
+        if (self.T <= 0).any():
+            raise ValueError("T must be positive")
+        if (self.k <= 0).any():
+            raise ValueError("k must be positive")
+
+    @staticmethod
+    def through(t0, anchors: np.ndarray, durations: np.ndarray, k: np.ndarray) -> "Chains":
+        """n chains through ``anchors`` (n, P + 1, 3) from times ``t0`` (n,);
+        piece p lasts ``durations[:, p]`` with drag ``k[:, p]``."""
+        starts = np.concatenate([t0[:, None], durations[:, :-1]], axis=1).cumsum(axis=1)
+        return Chains(starts, anchors[:, :-1], anchors[:, 1:], durations, k)
+
+    @staticmethod
+    def concat(parts: Sequence["Chains"]) -> "Chains":
+        """The rows of ``parts``, in order, as one batch."""
+        return Chains(*(np.concatenate([getattr(c, f) for c in parts]) for f in _CHAIN_FIELDS))
+
+    def __getitem__(self, rows) -> "Chains":
+        """The chains at ``rows``; a slice keeps views of these arrays."""
+        return Chains(*(getattr(self, f)[rows] for f in _CHAIN_FIELDS))
+
+    def _span(self) -> np.ndarray:
+        return -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
+
+    def _locate(self, t: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The index (rows, piece) of each time's piece, that piece's
+        duration, and the time local to it clamped to [0, T]; (n, m) each."""
+        n, n_pieces = self.T.shape
+        piece = np.zeros((n, t.shape[-1]), dtype=int)
+        for p in range(1, n_pieces):
+            piece[t >= (self.starts[:, p] - 1e-12)[:, None]] = p
+        at = (np.arange(n)[:, None], piece)
+        T = self.T[at]
+        local = t - self.starts[at]
+        local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
+        local = np.where(T < local, T, local)  # min(local, T)
+        return at, T, local
+
+    def _velocity(self, at, T: np.ndarray, local: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """Velocity of the pieces ``at`` indexes, of durations ``T``, at
+        ``local``, the closed form's derivative: (n, m, 3) for local (n, m)."""
+        k = self.k[at]
+        dfrac = k * _libm(math.exp, -k * local) / span[at]
+        gk = GRAVITY / k
+        d = self.bT[at] - self.b0[at]
+        v = d * dfrac[..., None]
+        v[..., 2] = (d[..., 2] + gk * T) * dfrac - gk
+        return v
+
+    def positions(self, t) -> np.ndarray:
+        """(n, m, 3) positions at times ``t``: (m,) for every chain, or (n, m)."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(**RAISE_ON_NONFINITE):
+            span = self._span()
+            at, T, local = self._locate(t)
+            out = _anchored(self.b0[at], self.bT[at], T, self.k[at], local, span[at])
+
+            # Linear tails before the first piece and from the chain's end on;
+            # the end time itself lands on the end anchor exactly, though its
+            # local time t_end - start may round below T.
+            t_end = self.starts[:, -1:] + self.T[:, -1:]
+            after = t >= t_end
+            if after.any():
+                last = (slice(None), slice(-1, None))
+                v = self._velocity(last, self.T[last], self.T[last], span)
+                tail = self.bT[:, -1:] + v * (t - t_end)[..., None]
+                out[after] = tail[after]
+            before = t < self.starts[:, :1]  # written last: it wins where both hold
+            if before.any():
+                first = (slice(None), slice(0, 1))
+                v = self._velocity(first, self.T[first], np.zeros((len(t_end), 1)), span)
+                tail = self.b0[:, :1] + v * (t - self.starts[:, :1])[..., None]
+                out[before] = tail[before]
+        return out
+
+    def velocities(self, t) -> np.ndarray:
+        """(n, m, 3) velocities at times ``t``, shaped as for ``positions``;
+        the tails move at the velocity of the piece end they extend."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(**RAISE_ON_NONFINITE):
+            return self._velocity(*self._locate(t), self._span())
 
 
 def smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
@@ -461,12 +580,16 @@ class TrajectoryReconstruction:
     pieces: list[ReconstructedPiece] = field(default_factory=list)
     bounces: list[BounceEvent] = field(default_factory=list)
 
-    def ball_at_frame(self, frame: int, fps: float) -> Optional[Vec3]:
-        for piece in self.pieces:
-            if piece.start_frame <= frame <= piece.end_frame:
-                t = (frame - piece.start_frame) / fps
-                return stokes_position(piece.segment, min(t, piece.segment.T))
-        return None
+    def ball_by_frame(self, fps: float) -> dict[int, Vec3]:
+        """The ball at every frame a piece spans, one stokes_positions call
+        per piece; a frame two pieces share belongs to the earlier one."""
+        balls: dict[int, Vec3] = {}
+        for piece in reversed(self.pieces):
+            frames = range(piece.start_frame, piece.end_frame + 1)
+            local = np.minimum(np.arange(len(frames)) / fps, piece.segment.T)
+            for frame, xyz in zip(frames, stokes_positions(piece.segment, local).tolist()):
+                balls[frame] = Vec3(*xyz)
+        return balls
 
 
 def reconstruct_trajectory(

@@ -81,15 +81,6 @@ class Camera:
     intrinsics: Intrinsics
     extrinsics: Extrinsics
 
-    def matrix(self) -> np.ndarray:
-        """3x4 projection matrix in the native (v-up) image convention."""
-        k = self.intrinsics
-        kmat = np.array(
-            [[k.fx, 0.0, k.cx], [0.0, -k.fy, k.cy], [0.0, 0.0, 1.0]]
-        )
-        rt = np.hstack([self.extrinsics.r, self.extrinsics.t.reshape(3, 1)])
-        return kmat @ rt
-
 
 def project(camera: Camera, p: Vec3) -> ImagePoint:
     """Pinhole projection with no distortion."""

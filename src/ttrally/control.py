@@ -170,10 +170,12 @@ def select_target_time(
 def select_preposition(
     region: Region, central: Vec3, lam: float, workspace: Box
 ) -> Vec3:
-    """Blend the region centroid with the central pose, then clamp.
+    """Blend the region centroid with the central pose, then clamp it into
+    the region box and then into the workspace.
 
-    lam = 1 reproduces the reactive central pose; lam = 0 commits fully to
-    the prediction. The result is clamped into the region box and workspace.
+    lam = 0 commits fully to the prediction. lam = 1 takes the central pose,
+    clamped like any blend: it is the reactive central pose only when the
+    region box contains it.
     """
     blend = central * lam + region.center() * (1.0 - lam)
     box = Box(lo=region.lo, hi=region.hi)
@@ -205,17 +207,16 @@ class DragFlight:
 
     def position(self, t: float) -> Vec3:
         k = RETURN_DRAG_K
-        v_term = np.array([0.0, 0.0, -GRAVITY / k])
+        vt = -GRAVITY / k  # terminal velocity, along z
         decay = -math.expm1(-k * t) / k
-        p = self.p0.as_array() + v_term * t + (self.v0.as_array() - v_term) * decay
-        return Vec3.from_array(p)
+        p, v = self.p0, self.v0
+        return Vec3(p.x + v.x * decay, p.y + v.y * decay, p.z + vt * t + (v.z - vt) * decay)
 
     def landing(self, z_plane: float) -> Optional[tuple[float, Vec3]]:
         """First time, up to LANDING_T_MAX, the flight descends through z = z_plane."""
 
-        def f(t: float) -> float:  # position(t).z - z_plane, on floats
-            k, vt = RETURN_DRAG_K, -GRAVITY / RETURN_DRAG_K
-            return self.p0.z + vt * t + (self.v0.z - vt) * (-math.expm1(-k * t) / k) - z_plane
+        def f(t: float) -> float:
+            return self.position(t).z - z_plane
 
         if f(0.0) <= 0:
             return None
@@ -422,7 +423,7 @@ def run_episode(
             fallback = True
         else:
             p_star = select_preposition(region, params.central, params.lam, params.workspace)
-            pre_target = RacketPose(position=p_star, orientation=ideal.orientation)
+            pre_target = RacketPose(position=p_star)  # the true crossing is unknown before the hit
 
     pose = RacketPose(params.central)
     idle = pre_target or RacketPose(params.central)

@@ -63,9 +63,6 @@ class TrackFile:
     header: TrackHeader
     frames: list[Frame2D]
 
-    def completeness(self) -> list[bool]:
-        return [f.is_complete() for f in self.frames]
-
 
 @dataclass
 class PointFrame:
@@ -419,7 +416,6 @@ def reconstruct_point(
     """
     camera, rms = calibrate_from_track(track, table)
     fps = track.header.fps
-    complete_flags = track.completeness()
 
     ball_frames = [f.frame_index for f in track.frames if f.ball_px is not None]
     ball_pixels = [f.ball_px for f in track.frames if f.ball_px is not None]
@@ -471,22 +467,12 @@ def reconstruct_point(
         track2d, hits, camera, table, fps, mse_threshold=mse_threshold
     )
 
-    frames_out: list[PointFrame] = []
-    for f in track.frames:
-        if f.frame_index not in positioned:
-            continue
-        ball_world = recon_traj.ball_at_frame(f.frame_index, fps)
-        if ball_world is None:
-            continue
-        roots, joints = positioned[f.frame_index]
-        frames_out.append(
-            PointFrame(
-                frame_index=f.frame_index,
-                ball=ball_world,
-                roots=roots,
-                joints=joints,
-            )
-        )
+    balls = recon_traj.ball_by_frame(fps)
+    frames_out = [  # positioned[i] is (roots, joints)
+        PointFrame(i, balls[i], *positioned[i])
+        for i in (f.frame_index for f in track.frames)
+        if i in positioned and i in balls
+    ]
 
     point = ReconstructedPoint(
         point_id=point_id,
@@ -495,7 +481,7 @@ def reconstruct_point(
         bounces=recon_traj.bounces,
         pieces=recon_traj.pieces,
         partition=partition,
-        entity_complete=all(complete_flags),
+        entity_complete=all(f.is_complete() for f in track.frames),
     )
     recon = Reconstruction(
         fps=fps,
@@ -506,36 +492,6 @@ def reconstruct_point(
         seed=track.header.seed,
     )
     return recon, point
-
-
-@dataclass
-class RejectionReport:
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def add(self, reason: str) -> None:
-        self.counts[reason] = self.counts.get(reason, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def filter_points(
-    points: Sequence[ReconstructedPoint],
-    mse_threshold: float,
-) -> tuple[list[ReconstructedPoint], RejectionReport]:
-    """Drop points with missing entities or over-threshold bounce-fit MSE."""
-    kept: list[ReconstructedPoint] = []
-    report = RejectionReport()
-    for point in points:
-        if not point.entity_complete:
-            report.add("MissingEntity")
-            continue
-        if any(piece.parabola_mse > mse_threshold for piece in point.pieces):
-            report.add("HighMSE")
-            continue
-        kept.append(point)
-    return kept, report
 
 
 # ---------------------------------------------------------------------------

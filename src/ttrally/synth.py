@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .ball import GRAVITY, StokesSegment, stokes_position
-from .camera import Camera, Extrinsics, ImagePoint, Intrinsics, project, project_many
+from .ball import GRAVITY, RAISE_ON_NONFINITE, Chains, StokesSegment, _libm, stokes_positions
+from .camera import Camera, Extrinsics, Intrinsics, project, project_many
 from .core import Frame2D, Frame3D, TableGeometry, Vec3
 from .errors import AssumptionViolation
 from .pipeline import TrackFile, TrackHeader
@@ -57,133 +57,6 @@ EXCHANGE_TABLE = TableGeometry()  # one instance, shared by every exchange
 
 
 # ---------------------------------------------------------------------------
-# chained drag pieces
-# ---------------------------------------------------------------------------
-
-
-def _libm(f, a) -> np.ndarray:
-    """``f`` from the math module, elementwise over an array.
-
-    numpy's SIMD expm1/exp/log may differ from libm in the last bit; libm
-    keeps the bytes of the scalar closed form, ``ball.stokes_position``.
-    """
-    a = np.asarray(a, dtype=float)
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
-# numpy arithmetic that would make a NaN or inf raises instead, as the
-# scalar code raises on a division by zero.
-RAISE_ON_NONFINITE = dict(divide="raise", over="raise", invalid="raise")
-_CHAIN_FIELDS = ("starts", "b0", "bT", "T", "k")
-
-
-@dataclass
-class Chains:
-    """n trajectories of P chained drag pieces each, as arrays.
-
-    A time belongs to the last piece that starts at most 1e-12 s after it
-    and is clamped to that piece; before the first piece and from the end
-    of the last one on, a chain extends linearly with its end velocity.
-    Each piece follows ``stokes_position``'s closed form, with the same
-    left-to-right arithmetic on libm's transcendentals.
-    """
-
-    starts: np.ndarray  # (n, P) absolute start time of each piece
-    b0: np.ndarray  # (n, P, 3) start anchors
-    bT: np.ndarray  # (n, P, 3) end anchors
-    T: np.ndarray  # (n, P) durations
-    k: np.ndarray  # (n, P) drag coefficients, 1/s
-
-    def __post_init__(self):
-        # StokesSegment's checks, which a NaN passes as it does there.
-        if (self.T <= 0).any():
-            raise ValueError("T must be positive")
-        if (self.k <= 0).any():
-            raise ValueError("k must be positive")
-
-    @staticmethod
-    def through(t0, anchors: np.ndarray, durations: np.ndarray, k: np.ndarray) -> "Chains":
-        """n chains through ``anchors`` (n, P + 1, 3) from times ``t0`` (n,);
-        piece p lasts ``durations[:, p]`` with drag ``k[:, p]``."""
-        starts = np.concatenate([t0[:, None], durations[:, :-1]], axis=1).cumsum(axis=1)
-        return Chains(starts, anchors[:, :-1], anchors[:, 1:], durations, k)
-
-    @staticmethod
-    def concat(parts: Sequence["Chains"]) -> "Chains":
-        """The rows of ``parts``, in order, as one batch."""
-        return Chains(*(np.concatenate([getattr(c, f) for c in parts]) for f in _CHAIN_FIELDS))
-
-    def __getitem__(self, rows) -> "Chains":
-        """The chains at ``rows``; a slice keeps views of these arrays."""
-        return Chains(*(getattr(self, f)[rows] for f in _CHAIN_FIELDS))
-
-    def _span(self) -> np.ndarray:
-        return -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
-
-    def _locate(self, t: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """The index (rows, piece) of each time's piece, that piece's
-        duration, and the time local to it clamped to [0, T]; (n, m) each."""
-        n, n_pieces = self.T.shape
-        piece = np.zeros((n, t.shape[-1]), dtype=int)
-        for p in range(1, n_pieces):
-            piece[t >= (self.starts[:, p] - 1e-12)[:, None]] = p
-        at = (np.arange(n)[:, None], piece)
-        T = self.T[at]
-        local = t - self.starts[at]
-        local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
-        local = np.where(T < local, T, local)  # min(local, T)
-        return at, T, local
-
-    def _velocity(self, at, T: np.ndarray, local: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """Velocity of the pieces ``at`` indexes, of durations ``T``, at
-        ``local``, the closed form's derivative: (n, m, 3) for local (n, m)."""
-        k = self.k[at]
-        dfrac = k * _libm(math.exp, -k * local) / span[at]
-        gk = GRAVITY / k
-        d = self.bT[at] - self.b0[at]
-        v = d * dfrac[..., None]
-        v[..., 2] = (d[..., 2] + gk * T) * dfrac - gk
-        return v
-
-    def positions(self, t) -> np.ndarray:
-        """(n, m, 3) positions at times ``t``: (m,) for every chain, or (n, m)."""
-        t = np.asarray(t, dtype=float)
-        with np.errstate(**RAISE_ON_NONFINITE):
-            span = self._span()
-            at, T, local = self._locate(t)
-            k = self.k[at]
-            frac = -_libm(math.expm1, -k * local) / span[at]
-            b0 = self.b0[at]
-            out = b0 + (self.bT[at] - b0) * frac[..., None]
-            out[..., 2] += (GRAVITY / k) * (T * frac - local)
-
-            # Linear tails before the first piece and from the chain's end on;
-            # the end time itself lands on the end anchor exactly, though its
-            # local time t_end - start may round below T.
-            t_end = self.starts[:, -1:] + self.T[:, -1:]
-            after = t >= t_end
-            if after.any():
-                last = (slice(None), slice(-1, None))
-                v = self._velocity(last, self.T[last], self.T[last], span)
-                tail = self.bT[:, -1:] + v * (t - t_end)[..., None]
-                out[after] = tail[after]
-            before = t < self.starts[:, :1]  # written last: it wins where both hold
-            if before.any():
-                first = (slice(None), slice(0, 1))
-                v = self._velocity(first, self.T[first], np.zeros((len(t_end), 1)), span)
-                tail = self.b0[:, :1] + v * (t - self.starts[:, :1])[..., None]
-                out[before] = tail[before]
-        return out
-
-    def velocities(self, t) -> np.ndarray:
-        """(n, m, 3) velocities at times ``t``, shaped as for ``positions``;
-        the tails move at the velocity of the piece end they extend."""
-        t = np.asarray(t, dtype=float)
-        with np.errstate(**RAISE_ON_NONFINITE):
-            return self._velocity(*self._locate(t), self._span())
-
-
-# ---------------------------------------------------------------------------
 # rally generation
 # ---------------------------------------------------------------------------
 
@@ -210,10 +83,6 @@ class RallyTruth:
             Vec3(root[0] - 0.08, root[1], 0.0),
             Vec3(root[0] + 0.08, root[1], 0.0),
         ]
-
-    def mean_speed(self) -> float:
-        d = np.linalg.norm(np.diff(self.ball, axis=0), axis=1)
-        return float(np.mean(d) * self.fps)
 
 
 def _ease(u: float) -> float:
@@ -292,10 +161,9 @@ def generate_rally(
 
     frames = np.arange(hit_frames[0], hit_frames[-1] + 1)
     ball = np.zeros((len(frames), 3))
-    for start, end, seg in pieces:
-        for fr in range(start, end + 1):
-            t = (fr - start) / fps
-            ball[fr - frames[0]] = stokes_position(seg, min(t, seg.T)).as_array()
+    for start, end, seg in pieces:  # a piece's start overwrites the frame the last one ends on
+        local = np.minimum(np.arange(end - start + 1) / fps, seg.T)
+        ball[start - frames[0]:end - frames[0] + 1] = stokes_positions(seg, local)
 
     # Racket hands: cosine easing between each player's own hit positions.
     hands = []

@@ -1,7 +1,7 @@
-"""The scalar flight code that ``synth.Chains`` replaced, kept as a test oracle.
+"""The scalar flight code that ``ball.Chains`` replaced, kept as a test oracle.
 
 ``Trajectory`` evaluates one chain of ``StokesSegment`` pieces at one time
-with ``stokes_position`` and the analytic velocity below, and
+with the scalar closed form and the analytic velocity below, and
 ``construct_return_shot`` solves one return shot on Python floats with the
 ``math`` module. Tests hold the array code to these bit for bit. One
 departure from the replaced code: ``position`` at ``t_end`` itself returns
@@ -14,16 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ttrally.ball import GRAVITY, StokesSegment, stokes_position
+from ttrally.ball import GRAVITY, Chains, StokesSegment
 from ttrally.core import TableGeometry, Vec3
-from ttrally.synth import BOUNCE_CLEARANCE, SHOT_OVERRUN, Chains
+from ttrally.errors import OutOfRange
+from ttrally.synth import BOUNCE_CLEARANCE, SHOT_OVERRUN
+
+
+def stokes_position(seg: StokesSegment, t: float) -> Vec3:
+    """The anchored drag law at one time t in [0, T], on Python floats."""
+    if t < -1e-12 or t > seg.T + 1e-12:
+        raise OutOfRange(f"t={t} outside [0, {seg.T}]")
+    k, T = seg.k, seg.T
+    frac = -math.expm1(-k * t) / -math.expm1(-k * T)
+    x = seg.b0.x + (seg.bT.x - seg.b0.x) * frac
+    y = seg.b0.y + (seg.bT.y - seg.b0.y) * frac
+    z = seg.b0.z + (seg.bT.z - seg.b0.z) * frac + (GRAVITY / k) * (T * frac - t)
+    return Vec3(x, y, z)
 
 
 def stokes_velocity(seg: StokesSegment, t: float) -> Vec3:
     """Analytic time derivative of the drag trajectory."""
-    k, T, g = seg.k, seg.T, seg.g
+    k, T = seg.k, seg.T
     dfrac = k * math.exp(-k * t) / -math.expm1(-k * T)
-    gk = g / k
+    gk = GRAVITY / k
     return Vec3(
         (seg.bT.x - seg.b0.x) * dfrac,
         (seg.bT.y - seg.b0.y) * dfrac,

@@ -12,6 +12,7 @@ from ttrally.anticipate import (
     MemberParams,
     ShotPredictor,
     _bounds,
+    _context_arrays,
     _context_for,
     build_regions,
     calibrate_ensemble,
@@ -71,11 +72,12 @@ def test_context_requires_matching_lengths():
         ContextWindow(times=np.array([-0.1]), frames=[_frame(Vec3(0, 0, 1.0))])
 
 
-def test_estimate_hit_exact_on_linear_motion():
+def test_context_arrays_hit_exact_on_linear_motion():
     ctx, p_hit = _linear_context()
-    est, lead = ctx.estimate_hit()
-    assert (est - p_hit).norm() < 1e-12
-    assert lead == pytest.approx(0.05)
+    hit, root_y = _context_arrays([ctx, ctx])
+    assert hit.shape == (2, 3) and root_y.shape == (2,)
+    assert np.abs(hit - p_hit.as_array()).max() < 1e-12
+    assert root_y.tolist() == [ctx.opponent_root_y()] * 2
 
 
 def test_opponent_root_y_reads_last_frame():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from scalar_flight import stokes_position as oracle_position
 from ttrally.ball import (
     BallTrack2D,
+    Chains,
     GRAVITY,
     StokesSegment,
     bounce_candidates,
@@ -22,7 +24,7 @@ from ttrally.ball import (
 )
 from ttrally.core import Vec3
 from ttrally.errors import FitFailed, NoBounceFound, OutOfRange
-from ttrally.synth import Chains, tilt_camera
+from ttrally.synth import tilt_camera
 
 coord = st.floats(-3.0, 3.0)
 
@@ -82,6 +84,19 @@ def test_stokes_positions_vectorized():
     batch = stokes_positions(seg, ts)
     for row, t in zip(batch, ts):
         assert np.allclose(row, stokes_position(seg, t).as_array(), atol=1e-12)
+
+
+def test_stokes_positions_equal_the_scalar_oracle_bitwise():
+    # Drag from nearly none to the top of K_BOUNDS; times span [0, T] with both ends.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        seg = StokesSegment(b0=Vec3(*rng.uniform(-3, 3, 3).tolist()),
+                            bT=Vec3(*rng.uniform(-3, 3, 3).tolist()),
+                            T=float(rng.uniform(0.01, 1.5)), k=float(10 ** rng.uniform(-9, 0.7)))
+        ts = np.concatenate([[0.0, seg.T], rng.uniform(0.0, seg.T, 20)])
+        want = np.array([oracle_position(seg, t).as_array() for t in ts.tolist()]).tobytes()
+        assert stokes_positions(seg, ts).tobytes() == want
+        assert np.array([stokes_position(seg, t).as_array() for t in ts.tolist()]).tobytes() == want
 
 
 def test_smooth_is_centered_average():

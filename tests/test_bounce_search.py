@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from scalar_flight import stokes_position
 from ttrally import ball, pipeline
 from ttrally.ball import (
     BallTrack2D,
@@ -187,6 +188,29 @@ def test_search_matches_two_selector_oracle(runs):
         assert point.pieces == oracle.pieces
         assert point.bounces == oracle.bounces
         assert [h.frame for h in point.hits] == [h.frame for h in oracle.hits]
+
+
+def _oracle_ball_at_frame(pieces, frame, fps):
+    """The earlier per-frame sampling: the first piece spanning the frame, at
+    the local time clamped to T; None outside every piece."""
+    for piece in pieces:
+        if piece.start_frame <= frame <= piece.end_frame:
+            t = (frame - piece.start_frame) / fps
+            return stokes_position(piece.segment, min(t, piece.segment.T))
+    return None
+
+
+def test_per_piece_sampling_matches_the_per_frame_loop(runs):
+    knots = 0
+    for (fps, _, _), (point, _, _, _) in zip(SCENES, runs):
+        recon = TrajectoryReconstruction(pieces=point.pieces, bounces=point.bounces)
+        got = recon.ball_by_frame(fps)
+        lo, hi = point.pieces[0].start_frame, point.pieces[-1].end_frame
+        want = {f: _oracle_ball_at_frame(point.pieces, f, fps) for f in range(lo - 3, hi + 4)}
+        assert got == {f: b for f, b in want.items() if b is not None}
+        assert [f.ball for f in point.frames] == [got[f.frame_index] for f in point.frames]
+        knots += len(point.pieces) - 1  # frames two pieces share
+    assert knots > 0
 
 
 def test_each_drag_piece_fitted_once(runs):

@@ -75,6 +75,21 @@ def test_inverse_project_round_trip(x, y, z):
     assert np.allclose(back.as_array(), p.as_array(), atol=1e-9)
 
 
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 960.0), st.floats(0.0, 540.0),
+       st.sampled_from([0.0, TABLE.height_z]))
+def test_project_inverts_inverse_project_on_the_plane(seed, u, v, z):
+    cam = sample_camera(np.random.default_rng(seed), TABLE)
+    plane = Plane("z", z)
+    try:
+        back = inverse_project_to_plane(cam, ImagePoint(u, v), plane)
+    except NoIntersection:  # the ray meets the plane behind the camera, or never
+        return
+    assert back.z == pytest.approx(z, abs=1e-9)
+    q = project(cam, back)
+    assert abs(q.u - u) <= 1e-6 and abs(q.v - v) <= 1e-6
+
+
 def test_inverse_project_parallel_raises():
     cam = tilt_camera(1000.0, 480.0, 300.0, -7.5, 1.0, 0.0)
     # The ray through the principal point runs parallel to a vertical plane

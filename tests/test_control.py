@@ -135,6 +135,19 @@ def test_select_preposition_blend_endpoints():
     assert WORKSPACE.contains(mid)
 
 
+@settings(max_examples=300)
+@given(st.tuples(st.floats(-2.7, -1.3), st.floats(-1.3, 1.3), st.floats(0.6, 1.7)),
+       st.tuples(st.floats(-3.2, -0.8), st.floats(-1.8, 1.8), st.floats(0.1, 2.2)),
+       st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_lam_one_is_the_central_pose_clamped(central, lo, size):
+    # The central pose lies strictly inside the workspace, as SimParams requires.
+    central = Vec3(*central)
+    region = _region(lo, tuple(a + s for a, s in zip(lo, size)))
+    got = select_preposition(region, central, 1.0, WORKSPACE)
+    assert got == WORKSPACE.clamp(Box(region.lo, region.hi).clamp(central))
+    assert (got == central) == region.contains(central)
+
+
 def test_step_robot_limits_speed_and_turn():
     pose = RacketPose(Vec3(-1.5, 0.0, 1.0), control.IDENTITY)
     half = math.radians(90.0) / 2  # 90 degrees about z
@@ -305,10 +318,18 @@ def test_drag_flight_landing_matches_a_dense_grid_root(p0, v0):
     assert p_land.z == pytest.approx(plane, abs=1e-9)
 
 
+def _array_position(flight, t):
+    """DragFlight.position as it was on arrays: the drift and terminal velocity as 3-vectors."""
+    k = RETURN_DRAG_K
+    v_term = np.array([0.0, 0.0, -GRAVITY / k])
+    decay = -math.expm1(-k * t) / k
+    return Vec3.from_array(flight.p0.as_array() + v_term * t + (flight.v0.as_array() - v_term) * decay)
+
+
 def _array_landing(flight, z_plane):
     """DragFlight.landing on its former objective: position(t).z, an array per call."""
     def f(t):
-        return flight.position(t).z - z_plane
+        return _array_position(flight, t).z - z_plane
 
     if f(0.0) <= 0:
         return None
@@ -318,7 +339,7 @@ def _array_landing(flight, z_plane):
     if f(hi) > 0:
         return None
     t_land = float(brentq(f, 1e-9, hi))
-    return t_land, flight.position(t_land)
+    return t_land, _array_position(flight, t_land)
 
 
 @settings(max_examples=300)
@@ -326,6 +347,8 @@ def _array_landing(flight, z_plane):
 def test_drag_flight_landing_equals_the_array_objective(p0, v0):
     flight = DragFlight(p0, v0)
     assert flight.landing(TABLE.height_z) == _array_landing(flight, TABLE.height_z)
+    for t in (0.0, 1e-3, 0.37, 2.0, LANDING_T_MAX):
+        assert flight.position(t) == _array_position(flight, t)
 
 
 def test_landing_after_reflection_is_ballistic():
@@ -528,7 +551,7 @@ def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
             region = select_target_time(regions, params.central, params.workspace,
                                         params.v_max, params.lead_time)
             p_star = select_preposition(region, params.central, params.lam, params.workspace)
-            pre_target = RacketPose(position=p_star, orientation=ideal.orientation)
+            pre_target = RacketPose(position=p_star)
         except NoFeasibleTime:
             fallback = True
 
@@ -589,3 +612,36 @@ def test_run_episode_equals_the_stepwise_loop(lead_time):
             assert got == _stepwise_episode(ex, strategy, params, predictors, calib)
             contacts += got.contacted
     assert contacts > 0  # the contact branch ran
+
+
+def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
+    # Before the opponent's hit the robot may act only on the context: moving
+    # the true crossing must leave every target it is sent while t < 0 as it was.
+    params = SimParams()
+    predictors, calib = prepare_anticipation(11, params, n_cal=60)
+    pre_hit, t = 0, -params.lead_time  # the steps that start before the hit
+    while t < 0:
+        pre_hit, t = pre_hit + 1, t + params.dt
+    targets = []
+    step = control.step_robot
+    monkeypatch.setattr(control, "step_robot",
+                        lambda pose, target, *rest: targets.append(target) or step(pose, target, *rest))
+
+    def pre_hit_targets(ex, strategy):
+        targets.clear()
+        result = run_episode(ex, strategy, params, predictors, calib)
+        return targets[:pre_hit], result.fallback
+
+    anticipated = 0
+    for ex in generate_exchanges(11, 20):
+        moved = replace(ex, crossing_pos=ex.crossing_pos + Vec3(0.0, 0.05, -0.04),
+                        crossing_vel=ex.crossing_vel + Vec3(0.4, -0.6, 0.5))
+        for strategy in ("baseline", "anticipatory"):
+            try:
+                before, fallback = pre_hit_targets(ex, strategy)
+                after, _ = pre_hit_targets(moved, strategy)
+            except Infeasible:
+                continue
+            assert len(before) == pre_hit and before == after
+            anticipated += strategy == "anticipatory" and not fallback
+    assert anticipated > 0

@@ -12,7 +12,6 @@ from ttrally.errors import (
 )
 from ttrally.pipeline import (
     calibrate_from_track,
-    filter_points,
     load_track,
     read_reconstruction,
     reconstruct_point,
@@ -131,23 +130,6 @@ def test_mse_threshold_rejects_noisy_segment():
     track, _, _ = generate_scene(rng, noise_px=3.0, n_hits=3)
     with pytest.raises(SegmentRejected):
         reconstruct_point(track, mse_threshold=1e-9)
-
-
-def test_filter_points(scene):
-    track, _, _ = scene
-    _, good = reconstruct_point(track)
-    broken_track = corrupt_track(track, np.random.default_rng(3), drop_prob=0.2)
-    _, incomplete = reconstruct_point(broken_track)
-    assert not incomplete.entity_complete
-
-    kept, report = filter_points([good, incomplete], mse_threshold=1e9)
-    assert kept == [good]
-    assert report.counts == {"MissingEntity": 1}
-
-    kept, report = filter_points([good], mse_threshold=0.0)
-    assert kept == []
-    assert report.counts == {"HighMSE": 1}
-    assert report.total == 1
 
 
 def test_reconstruction_file_round_trip(scene, tmp_path):

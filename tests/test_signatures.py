@@ -10,7 +10,7 @@ import inspect
 
 import numpy as np
 
-from ttrally import anticipate, control, core, pipeline, synth
+from ttrally import anticipate, ball, control, core, pipeline, synth
 
 X = object()  # any argument: binding checks names and arity, not values
 
@@ -37,6 +37,11 @@ def test_benchmark_call_forms_bind():
         (control.RacketPose, (), dict(position=X, orientation=X)),
         (control.step_robot, (X, X, X, X, X, X), {}),
         (control.RacketPose.normal, (X,), {}),
+        # tests/test_acceptance.py builds, samples and fits drag pieces this way.
+        (ball.StokesSegment, (), dict(b0=X, bT=X, T=X, k=X)),
+        (ball.stokes_position, (X, X), {}),
+        (ball.stokes_positions, (X, X), {}),
+        (ball.fit_drag, (X, X, X, X, X, X), {}),
     ]
     unbound = []
     for func, args, kwargs in forms:

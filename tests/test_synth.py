@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
-from ttrally.ball import StokesSegment, stokes_position
+from ttrally.ball import Chains, StokesSegment, stokes_position
 from ttrally.camera import project, project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
     BOUNCE_CLEARANCE,
-    Chains,
     check_camera_assumptions,
     corrupt_track,
     emit_synthetic_track,
