@@ -27,7 +27,7 @@ from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_recor
                        parse_record, read_header, read_lines, write_lines)
 from .ball import RAISE_ON_NONFINITE, Chains
 from .synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                    ExchangeSample, return_shots)
+                    ExchangeSample, context_mask, return_shots)
 
 SIGMA_FLOOR = 1e-6
 # Exchanges forecast per ensemble pass: the (exchanges x members x horizons)
@@ -70,19 +70,41 @@ class ContextWindow:
         return self.frames[-1].opponent_joints_world[0].y
 
 
+def _hit_estimate(p0: np.ndarray, p1: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """The hit (n, 3), extrapolated linearly from the last two ball frames
+    (n, 3) at times (n,) to t = 0."""
+    lead = -t1
+    with np.errstate(**RAISE_ON_NONFINITE):
+        v = (p1 - p0) * (1.0 / (t1 - t0))[:, None]
+        return p1 + v * lead[:, None]
+
+
 def _context_arrays(contexts: Sequence[ContextWindow]) -> tuple[np.ndarray, np.ndarray]:
     """What the ensemble reads of each context, as arrays: the hit estimate
-    (n, 3), extrapolated linearly from the last two ball frames to t = 0,
-    and the opponent's root y (n,)."""
+    (n, 3) and the opponent's root y (n,)."""
     p0 = np.array([(b.x, b.y, b.z) for b in (c.frames[-2].ball_world for c in contexts)])
     p1 = np.array([(b.x, b.y, b.z) for b in (c.frames[-1].ball_world for c in contexts)])
     t0 = np.array([c.times[-2] for c in contexts], dtype=float)
     t1 = np.array([c.times[-1] for c in contexts], dtype=float)
     root_y = np.array([c.opponent_root_y() for c in contexts], dtype=float)
-    lead = -t1
-    with np.errstate(**RAISE_ON_NONFINITE):
-        v = (p1 - p0) * (1.0 / (t1 - t0))[:, None]
-        return p1 + v * lead[:, None], root_y
+    return _hit_estimate(p0, p1, t0, t1), root_y
+
+
+def _exchange_arrays(
+    exchanges: Sequence[ExchangeSample], lead_time: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """_context_arrays of each exchange's context_until(-lead_time), read
+    straight from its context rows: no frame is built. Context times
+    increase, so the frames a lead time keeps are a prefix of each row."""
+    times = np.array([ex.context_times for ex in exchanges])  # (n, m)
+    balls = np.array([ex.context_balls for ex in exchanges])  # (n, m, 3)
+    last = context_mask(times, -lead_time).sum(axis=1) - 1
+    if np.any(last < 1):
+        raise InputMismatch("context needs at least two frames")
+    rows = np.arange(len(exchanges))
+    hit = _hit_estimate(balls[rows, last - 1], balls[rows, last],
+                        times[rows, last - 1], times[rows, last])
+    return hit, np.array([ex.opp_root_y for ex in exchanges], dtype=float)
 
 
 @dataclass
@@ -141,17 +163,18 @@ def _member_shot(p: ShotPredictor) -> tuple[float, ...]:
 
 
 def _ensemble(
-    predictors: Sequence[ShotPredictor], contexts: Sequence[ContextWindow], horizons: np.ndarray
+    predictors: Sequence[ShotPredictor], hit: np.ndarray, root_y: np.ndarray,
+    horizons: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every member's shot from every context, sampled at ``horizons``.
+    """Every member's shot from every hit estimate (n, 3) and opponent root
+    y (n,), sampled at ``horizons``.
 
     Returns the mean and floored population std across members, each
-    (n_contexts, n_horizons, 3).
+    (n, n_horizons, 3).
     """
     if len(predictors) < 2:
         raise EnsembleTooSmall("spread needs >= 2 members")
-    n, k = len(contexts), len(predictors)
-    hit, root_y = _context_arrays(contexts)
+    n, k = len(hit), len(predictors)
     # Row i * k + j of every array below is exchange i's shot by member j.
     members = np.tile([_member_shot(p) for p in predictors], (n, 1))
     d_aim = np.array([p.params.d_aim for p in predictors])
@@ -167,7 +190,8 @@ def ensemble_curve(
     predictors: Sequence[ShotPredictor], ctx: ContextWindow, horizons: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and floored population std across members, each (n_horizons, 3)."""
-    mean, sigma = _ensemble(predictors, [ctx], np.asarray(horizons, dtype=float))
+    mean, sigma = _ensemble(predictors, *_context_arrays([ctx]),
+                            np.asarray(horizons, dtype=float))
     return mean[0], sigma[0]
 
 
@@ -201,19 +225,11 @@ def forecast_split(
     for lo in range(0, len(exchanges), FORECAST_CHUNK):
         chunk = exchanges[lo:lo + FORECAST_CHUNK]
         rows = slice(lo, lo + len(chunk))
-        mean[rows], sigma[rows] = _ensemble(
-            predictors, [_context_for(ex, lead_time) for ex in chunk], hs)
+        mean[rows], sigma[rows] = _ensemble(predictors, *_exchange_arrays(chunk, lead_time), hs)
         truth[rows] = Chains.concat([ex.outgoing for ex in chunk]).positions(hs)
         if past.any():
             truth[rows, past] = Chains.concat([ex.incoming for ex in chunk]).positions(hs[past])
     return SplitForecast(exchanges, horizons, mean, sigma, truth)
-
-
-def _context_for(ex: ExchangeSample, lead_time: float) -> ContextWindow:
-    if lead_time <= 0:
-        return ContextWindow(times=ex.context_times, frames=list(ex.context))
-    times, frames = ex.context_until(-lead_time)
-    return ContextWindow(times=times, frames=frames)
 
 
 # ---------------------------------------------------------------------------

@@ -422,17 +422,26 @@ def corrupt_track(
 # ---------------------------------------------------------------------------
 
 
+def context_mask(times: np.ndarray, t_rel_hit: float) -> np.ndarray:
+    """Which context frames a forecast issued at ``t_rel_hit`` (a negative
+    lead time) may read: those with time <= t_rel_hit, to within 1e-9 s."""
+    return times <= t_rel_hit + 1e-9
+
+
 @dataclass
 class ExchangeSample:
     """One synthetic exchange: context before the opponent's hit plus truth.
 
-    Time zero is the opponent's hit; context times are negative.
+    Time zero is the opponent's hit; context times are negative. The context
+    is held as array rows (views of the batch the exchange was generated in);
+    its Frame3Ds are built only when ``context`` or ``context_until`` is read.
     """
 
     exchange_id: int
     table: TableGeometry
     context_times: np.ndarray
-    context: list[Frame3D]
+    context_balls: np.ndarray  # (m, 3): the ball at each context time
+    context_hands: np.ndarray  # (m, 3): the opponent's racket hand at each context time
     incoming: Chains  # one row: the ball up to the opponent's hit
     outgoing: Chains  # one row: the opponent's return from the hit on
     hit_pos: Vec3
@@ -440,6 +449,23 @@ class ExchangeSample:
     crossing_pos: Vec3
     crossing_vel: Vec3
     opp_root_y: float
+
+    @property
+    def context(self) -> list[Frame3D]:
+        """Every context frame, built on each read."""
+        return self._frames(range(len(self.context_times)))
+
+    def _frames(self, rows) -> list[Frame3D]:
+        """The context frames at ``rows``: the ball, and the opponent standing
+        at its root y with the racket hand easing toward the hit."""
+        hl, y = self.table.half_length, self.opp_root_y
+        root_x = hl + 0.55
+        hip = Vec3(root_x, y, 0.95)
+        ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
+        ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
+        balls, hands = self.context_balls.tolist(), self.context_hands.tolist()
+        return [Frame3D(j, Vec3(*balls[j]), [hip, Vec3(*hands[j]), *ankles], ego_root)
+                for j in rows]
 
     def truth(self, times) -> np.ndarray:
         """(m, 3) ball positions at ``times`` (m,): the return from t = 0 on,
@@ -458,12 +484,9 @@ class ExchangeSample:
         return Vec3.from_array(chain.positions([t])[0, 0])
 
     def context_until(self, t_rel_hit: float):
-        """Context frames with time <= t_rel_hit (a negative lead time)."""
-        mask = self.context_times <= t_rel_hit + 1e-9
-        return (
-            self.context_times[mask],
-            [f for f, m in zip(self.context, mask) if m],
-        )
+        """Context times and frames with time <= t_rel_hit (a negative lead time)."""
+        mask = context_mask(self.context_times, t_rel_hit)
+        return self.context_times[mask], self._frames(np.flatnonzero(mask).tolist())
 
 
 def _chords(points: np.ndarray) -> np.ndarray:
@@ -579,26 +602,20 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSa
     crossing_pos = outgoing.positions(t_cross[:, None])[:, 0]
     crossing_vel = outgoing.velocities(t_cross[:, None])[:, 0]
 
-    # Context frames strictly before the hit: the incoming ball, and the
-    # opponent's hand easing from rest to the contact point.
+    # Context strictly before the hit: the incoming ball, and the opponent's
+    # hand easing from rest to the contact point.
     balls = incoming.positions(CONTEXT_TIMES)
     approach = np.array([_ease(1.0 + t / CONTEXT_S) for t in CONTEXT_TIMES.tolist()])
     rest = np.column_stack([np.full(n, hl + 0.6), opp_root_y, np.ones(n)])
     hands = rest[:, None] + (hit - rest)[:, None] * approach[:, None]
-    root_x = hl + 0.55
-    ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
 
-    samples = []
-    for i, y in enumerate(opp_root_y.tolist()):
-        hip = Vec3(root_x, y, 0.95)
-        ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
-        frames = [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
-                  for j, (ball, hand) in enumerate(zip(balls[i].tolist(), hands[i].tolist()))]
-        samples.append(ExchangeSample(
+    return [
+        ExchangeSample(
             exchange_id=id_offset + i,
             table=table,
             context_times=CONTEXT_TIMES,
-            context=frames,
+            context_balls=balls[i],
+            context_hands=hands[i],
             incoming=incoming[i:i + 1],
             outgoing=outgoing[i:i + 1],
             hit_pos=Vec3(*hit[i].tolist()),
@@ -606,5 +623,6 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSa
             crossing_pos=Vec3(*crossing_pos[i].tolist()),
             crossing_vel=Vec3(*crossing_vel[i].tolist()),
             opp_root_y=y,
-        ))
-    return samples
+        )
+        for i, y in enumerate(opp_root_y.tolist())
+    ]

@@ -13,7 +13,6 @@ from ttrally.anticipate import (
     ShotPredictor,
     _bounds,
     _context_arrays,
-    _context_for,
     build_regions,
     calibrate_ensemble,
     check_split,
@@ -63,6 +62,12 @@ def _linear_context(n=6, dt=0.05, v=Vec3(3.0, 0.5, -0.2)):
     p_hit = Vec3(1.8, 0.3, 1.0)
     frames = [_frame(p_hit + v * float(t), index=i) for i, t in enumerate(times)]
     return ContextWindow(times=times, frames=frames), p_hit
+
+
+def _context_for(ex, lead_time):
+    """The ContextWindow of a forecast issued lead_time before ex's hit."""
+    times, frames = ex.context_until(-lead_time)
+    return ContextWindow(times=times, frames=frames)
 
 
 def test_context_requires_matching_lengths():
@@ -352,19 +357,17 @@ def test_study_runs_the_ensemble_once_per_exchange(monkeypatch):
     from ttrally import anticipate
 
     entered, batched = [], []
-    context_for, ensemble = anticipate._context_for, anticipate._ensemble
+    exchange_arrays, ensemble = anticipate._exchange_arrays, anticipate._ensemble
 
-    def tagging(ex, lead_time):
-        ctx = context_for(ex, lead_time)
-        ctx.exchange_id = ex.exchange_id
-        return ctx
+    def tagging(exchanges, lead_time):
+        entered.extend(ex.exchange_id for ex in exchanges)
+        return exchange_arrays(exchanges, lead_time)
 
-    def counting(predictors, contexts, horizons):
-        entered.extend(ctx.exchange_id for ctx in contexts)
-        batched.append(len(contexts))
-        return ensemble(predictors, contexts, horizons)
+    def counting(predictors, hit, root_y, horizons):
+        batched.append(len(hit))
+        return ensemble(predictors, hit, root_y, horizons)
 
-    monkeypatch.setattr(anticipate, "_context_for", tagging)
+    monkeypatch.setattr(anticipate, "_exchange_arrays", tagging)
     monkeypatch.setattr(anticipate, "_ensemble", counting)
     study = run_conformal_study(3, n_cal=40, n_test=30)
     assert study.bias.n_extreme > 0  # the bias stage ran

@@ -3,7 +3,7 @@
 The conformal and simulate digests were computed when every exchange and
 ensemble member was evaluated with scalar per-trajectory calls, and the
 exchange digest when each exchange was generated one at a time that way; the
-array flights (``synth.Chains``) reproduce those bytes exactly. The
+array flights (``ball.Chains``) reproduce those bytes exactly. The
 reconstruction digests were computed with the batched drag fit
 (``ball.fit_drags``). A change that alters them on purpose names the change
 and why, and re-pins here.
