@@ -167,8 +167,12 @@ class Chains:
         return Chains(*(np.concatenate([getattr(c, f) for c in parts]) for f in _CHAIN_FIELDS))
 
     def __getitem__(self, rows) -> "Chains":
-        """The chains at ``rows``; a slice keeps views of these arrays."""
-        return Chains(*(getattr(self, f)[rows] for f in _CHAIN_FIELDS))
+        """The chains at ``rows``; a slice keeps views of these arrays. Rows
+        of a checked batch skip ``__post_init__``'s second check."""
+        out = object.__new__(Chains)
+        for f in _CHAIN_FIELDS:  # set in __init__'s order: instances share one key table
+            setattr(out, f, getattr(self, f)[rows])
+        return out
 
     def _span(self) -> np.ndarray:
         return -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
@@ -233,25 +237,29 @@ class Chains:
 
 
 def smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    """Centered moving average with edge shrinking."""
-    if window <= 1 or len(values) < 2:
-        return np.asarray(values, dtype=float)
-    half = window // 2
-    out = np.empty(len(values), dtype=float)
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out[i] = np.mean(values[lo:hi])
-    return out
+    """Centered moving average with edge shrinking.
+
+    Each window is summed left to right, one shifted slice at a time, and
+    divided by its count. For windows of up to 7 samples that is the
+    rounding of ``np.mean``, which sums fewer than 8 values in order.
+    """
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    if window <= 1 or n < 2:
+        return values
+    half = min(window // 2, n - 1)  # a wider window holds the whole series
+    total, count = np.zeros(n), np.zeros(n)
+    for d in range(-half, half + 1):
+        lo, hi = max(0, -d), min(n, n - d)  # the i with 0 <= i + d < n
+        total[lo:hi] += values[lo + d:hi + d]
+        count[lo:hi] += 1
+    return total / count
 
 
 def _local_minima(values: np.ndarray) -> np.ndarray:
     """Indices of strict-left / non-strict-right local minima."""
-    idx = []
-    for i in range(1, len(values) - 1):
-        if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-            idx.append(i)
-    return np.asarray(idx, dtype=int)
+    v = np.asarray(values)
+    return np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])) + 1
 
 
 def detect_hits(

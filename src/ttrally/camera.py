@@ -108,25 +108,44 @@ def project_many(camera: Camera, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def pixel_ray(camera: Camera, q: ImagePoint) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame (origin, direction) of the viewing ray through pixel q."""
+def pixel_rays(camera: Camera, pixels) -> tuple[np.ndarray, np.ndarray]:
+    """World-frame origin (3,) and directions (n, 3) of the viewing rays
+    through (n, 2) pixels."""
     k = camera.intrinsics
-    dir_cam = np.array([(q.u - k.cx) / k.fx, (k.cy - q.v) / k.fy, 1.0])
-    direction = camera.extrinsics.r.T @ dir_cam
-    return camera.extrinsics.center(), direction
+    pixels = np.asarray(pixels, dtype=float)
+    dir_cam = np.column_stack([
+        (pixels[:, 0] - k.cx) / k.fx, (k.cy - pixels[:, 1]) / k.fy, np.ones(len(pixels))
+    ])
+    return camera.extrinsics.center(), dir_cam @ camera.extrinsics.r  # rows R^T d
+
+
+def pixel_ray(camera: Camera, q: ImagePoint) -> tuple[np.ndarray, np.ndarray]:
+    """One-pixel form of pixel_rays."""
+    origin, directions = pixel_rays(camera, [[q.u, q.v]])
+    return origin, directions[0]
+
+
+def plane_points(camera: Camera, pixels, plane: Plane) -> np.ndarray:
+    """Intersect the viewing rays through (n, 2) pixels with an axis-aligned
+    world plane: (n, 3). The first ray, in pixel order, that is parallel to
+    the plane or meets it behind the camera raises NoIntersection."""
+    origin, directions = pixel_rays(camera, pixels)
+    i = plane.index
+    denom = directions[:, i]
+    parallel = np.abs(denom) < 1e-12 * np.linalg.norm(directions, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (plane.offset - origin[i]) / denom
+    missed = parallel | (s <= 0)
+    if missed.any():
+        if parallel[np.argmax(missed)]:
+            raise NoIntersection(f"ray parallel to plane {plane.axis}={plane.offset}")
+        raise NoIntersection("plane intersection behind the camera")
+    return origin + s[:, None] * directions
 
 
 def inverse_project_to_plane(camera: Camera, q: ImagePoint, plane: Plane) -> Vec3:
-    """Intersect the viewing ray through q with an axis-aligned world plane."""
-    origin, direction = pixel_ray(camera, q)
-    i = plane.index
-    denom = direction[i]
-    if abs(denom) < 1e-12 * np.linalg.norm(direction):
-        raise NoIntersection(f"ray parallel to plane {plane.axis}={plane.offset}")
-    s = (plane.offset - origin[i]) / denom
-    if s <= 0:
-        raise NoIntersection("plane intersection behind the camera")
-    return Vec3.from_array(origin + s * direction)
+    """One-pixel form of plane_points."""
+    return Vec3(*plane_points(camera, [[q.u, q.v]], plane)[0].tolist())
 
 
 Line = tuple[ImagePoint, ImagePoint]
@@ -290,25 +309,25 @@ def calibrate(correspondences: list[tuple[Vec3, ImagePoint]]) -> tuple[Camera, f
     return camera, rms
 
 
-def position_player(
-    camera: Camera,
-    ankles_px: list[ImagePoint],
-    joints_cam: list[Vec3],
-) -> tuple[Vec3, list[Vec3]]:
-    """Place camera-frame joints into the world via the ankle ground point.
+GROUND = Plane("z", 0.0)
 
-    The player's root is the inverse projection of the ankle-pixel midpoint
-    onto the ground plane. Joints are rotated by the calibrated R (transposed,
+
+def position_player(
+    camera: Camera, ankles_px, joints_cam
+) -> tuple[np.ndarray, np.ndarray]:
+    """Place camera-frame joints into the world via the ankle ground point,
+    for n frames at once: ``ankles_px`` (n, 2, 2), ``joints_cam`` (n, J, 3).
+
+    A frame's root is the inverse projection of its ankle-pixel midpoint onto
+    the ground plane. Joints are rotated by the calibrated R (transposed,
     camera to world) and translated so their camera-frame ankle midpoint lands
-    on that root. Returns (root, world joints).
+    on that root. Returns roots (n, 3) and world joints (n, J, 3); the first
+    frame whose ray misses the ground raises NoIntersection.
     """
-    mid = ImagePoint(
-        (ankles_px[0].u + ankles_px[1].u) / 2.0,
-        (ankles_px[0].v + ankles_px[1].v) / 2.0,
-    )
-    root = inverse_project_to_plane(camera, mid, Plane("z", 0.0))
-    jc = np.array([j.as_array() for j in joints_cam])
-    root_cam = (jc[ANKLE_JOINTS[0]] + jc[ANKLE_JOINTS[1]]) / 2.0
+    ankles = np.asarray(ankles_px, dtype=float)
+    roots = plane_points(camera, (ankles[:, 0] + ankles[:, 1]) / 2.0, GROUND)
+    jc = np.asarray(joints_cam, dtype=float)
+    root_cam = (jc[:, ANKLE_JOINTS[0]] + jc[:, ANKLE_JOINTS[1]]) / 2.0
     rt = camera.extrinsics.r.T
-    world = root.as_array() + (jc - root_cam) @ rt.T
-    return root, [Vec3.from_array(w) for w in world]
+    world = roots[:, None] + (jc - root_cam[:, None]) @ rt.T
+    return roots, world

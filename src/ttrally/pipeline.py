@@ -9,13 +9,17 @@ specs below define all five formats: track ``v1``, ``recon-v1``,
 maps field names to value kinds; each kind is one encoder/decoder pair.
 Readers raise ParseError (with the line number) for any malformed record,
 SchemaError for a bad header field or missing block, VersionError for a wrong
-version tag.
+version tag. Track and recon frame records, most of a file, are decoded one
+column at a time; a file that fails there is decoded again record by record,
+which names the first defect.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby, repeat
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -120,6 +124,8 @@ class Kind(NamedTuple):
     encode: Callable[[Any], str]
     decode: Optional[Callable[[str], Any]]  # raises ValueError; None: write-only
     omittable: bool = False  # the field may be left out; it then reads as None
+    # Decodes a list of values at once, as ``decode`` would each; raises ValueError.
+    column: Optional[Callable[[list[str]], list]] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +145,13 @@ def _scalar(parse: Callable, ok: Callable = lambda v: True, what: str = "") -> K
             raise ValueError(f"must be {what}")
         return value
 
-    return Kind(lambda v: str(parse(v)), decode)  # str(float) is repr(float)
+    def column(texts: list[str]) -> list:
+        values = list(map(parse, texts))
+        if not all(map(ok, values)):
+            raise ValueError(f"must be {what}")
+        return values
+
+    return Kind(lambda v: str(parse(v)), decode, column=column)  # str(float) is repr(float)
 
 
 def _coords(n: int, make: Callable, floats: Callable) -> Kind:
@@ -151,8 +163,18 @@ def _coords(n: int, make: Callable, floats: Callable) -> Kind:
             raise ValueError(f"must be {n} comma-separated finite numbers")
         return make(values)
 
+    def column(texts: list[str]) -> list:
+        if not texts:
+            return []
+        if set(map(str.count, texts, repeat(","))) != {n - 1}:
+            raise ValueError("arity")
+        values = list(map(float, ",".join(texts).split(",")))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("not finite")
+        return list(map(make, zip(*[iter(values)] * n)))
+
     template = ",".join(["%r"] * n)
-    return Kind(lambda v: template % floats(v), decode)
+    return Kind(lambda v: template % floats(v), decode, column=column)
 
 
 def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
@@ -164,13 +186,30 @@ def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
             raise ValueError(f"has {len(items)} entries")
         return [kind.decode(item) for item in items]
 
-    return Kind(lambda vs: ";".join(map(kind.encode, vs)), decode)
+    def column(texts: list[str]) -> list:
+        if not texts:
+            return []
+        sizes = [count + 1 for count in map(str.count, texts, repeat(";"))]
+        if min(sizes) < at_least or (at_most and max(sizes) > at_most):
+            raise ValueError("entries")
+        items = kind.column(";".join(texts).split(";"))
+        return [items[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+
+    return Kind(lambda vs: ";".join(map(kind.encode, vs)), decode, column=column)
 
 
 def _or_dash(kind: Kind) -> Kind:
     """``-`` for an absent (None) value."""
+
+    def column(texts: list[str]) -> list:
+        present = [text for text in texts if text != "-"]
+        if len(present) == len(texts):
+            return kind.column(texts)
+        values = iter(kind.column(present))
+        return [None if text == "-" else next(values) for text in texts]
+
     return Kind(lambda v: "-" if v is None else kind.encode(v),
-                lambda text: None if text == "-" else kind.decode(text))
+                lambda text: None if text == "-" else kind.decode(text), column=column)
 
 
 def _omittable(kind: Kind) -> Kind:
@@ -243,6 +282,34 @@ def parse_record(
             out[name] = kind.decode(raw[name])
         except ValueError as exc:
             raise error(lineno, f"bad {name} {raw[name]!r}: {exc}") from None
+    return out
+
+
+def decode_columns(spec: Spec, lines: list[str]) -> Optional[list[list]]:
+    """The fields of ``lines``, records of a keyed ``spec``, each decoded down
+    its column in one pass: one list per field, in spec order.
+
+    None unless there are lines and every one holds the tag and then every
+    field as ``key=value`` in spec order, and every value passes its kind's
+    checks. ``parse_record`` on each line then names the first defect.
+    """
+    rows = [line.split(spec.sep) for line in lines]
+    width = len(spec.fields) + bool(spec.tag)
+    if not rows or set(map(len, rows)) != {width}:
+        return None
+    columns = list(zip(*rows))
+    if spec.tag and columns.pop(0).count(spec.tag) != len(rows):
+        return None
+    out = []
+    for (name, kind), tokens in zip(spec.fields.items(), columns):
+        key = f"{name}="
+        if not all(map(str.startswith, tokens, repeat(key))):
+            return None
+        texts = [token[len(key):] for token in tokens]
+        try:
+            out.append(kind.column(texts))
+        except ValueError:
+            return None
     return out
 
 
@@ -356,23 +423,27 @@ def load_track(path: str) -> TrackFile:
         seed=meta["seed"],
         noise_px=0.0 if meta["noise_px"] is None else meta["noise_px"],
     )
+    body = list(body_lines(lines))
+    columns = decode_columns(TRACK_FRAME, [line for _, line in body])
+    if columns is None or not all(map(operator.lt, columns[0], columns[0][1:])):
+        return TrackFile(header=header, frames=_track_frames(body))
+    return TrackFile(header=header, frames=list(map(_frame2d, *columns)))
+
+
+def _frame2d(i, ball, kp1, kp2, kp3, kp4, kp5, kp6, base_h, rk0, rk1, j0, j1, a0, a1) -> Frame2D:
+    """The frame a track record's fields, in TRACK_FRAME order, describe."""
+    return Frame2D(i, ball, [kp1, kp2, kp3, kp4, kp5, kp6], base_h, [rk0, rk1], [j0, j1], [a0, a1])
+
+
+def _track_frames(body: list[tuple[int, str]]) -> list[Frame2D]:
+    """Decode track records one at a time; raises ParseError at the first defect."""
     frames: list[Frame2D] = []
-    for lineno, line in body_lines(lines):
+    for lineno, line in body:
         r = parse_record(TRACK_FRAME, line, lineno)
         if frames and r["frame"] <= frames[-1].frame_index:
             raise ParseError(lineno, "frame indices must be increasing")
-        frames.append(
-            Frame2D(
-                frame_index=r["frame"],
-                ball_px=r["ball"],
-                table_keypoints=[r[f"kp{i}"] for i in range(1, 7)],
-                base_height_px=r["base_h"],
-                racket_centroids=[r["rk0"], r["rk1"]],
-                player_joints_cam=[r["joints0"], r["joints1"]],
-                player_ankles_px=[r["ankles0"], r["ankles1"]],
-            )
-        )
-    return TrackFile(header=header, frames=frames)
+        frames.append(_frame2d(*r.values()))
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -433,32 +504,24 @@ def reconstruct_point(
     if len(hits) < 2:
         raise NotEnoughHits(f"detected {len(hits)} hits")
 
-    # Position both players in every frame that carries them.
-    positioned: dict[int, tuple[list[Vec3], list[list[Vec3]]]] = {}
-    for f in track.frames:
-        roots, joints = [], []
-        ok = True
-        for p in (0, 1):
-            if f.player_joints_cam[p] is None or f.player_ankles_px[p] is None:
-                ok = False
-                break
-            ankles = [ImagePoint(*a) for a in f.player_ankles_px[p]]
-            root, world_joints = position_player(
-                camera, ankles, f.player_joints_cam[p]
-            )
-            roots.append(root)
-            joints.append(world_joints)
-        if ok:
-            positioned[f.frame_index] = (roots, joints)
+    # Position both players in every frame that carries both: rows frame by
+    # frame, player 0 then player 1, so frame f's player p is row[f] + p.
+    usable = [f for f in track.frames
+              if None not in f.player_joints_cam and None not in f.player_ankles_px]
+    row = {f.frame_index: 2 * i for i, f in enumerate(usable)}
+    roots, joints = _position_rows(
+        camera,
+        [ankles for f in usable for ankles in f.player_ankles_px],
+        [js for f in usable for js in f.player_joints_cam],
+    )
 
     for hit in hits:
         # Prefer the hit frame itself; tolerate a short tracking dropout by
         # borrowing the hand from the nearest positioned neighbor frame.
         for offset in (0, -1, 1, -2, 2, -3, 3):
             frame = hit.frame + offset
-            if frame in positioned:
-                _, joints = positioned[frame]
-                hit.hand_world = joints[hit.player][RACKET_HAND_JOINT]
+            if frame in row:
+                hit.hand_world = Vec3(*joints[row[frame] + hit.player][RACKET_HAND_JOINT])
                 break
     if any(h.hand_world is None for h in hits):
         raise NotEnoughHits("hit frame lacks positioned player joints")
@@ -468,10 +531,10 @@ def reconstruct_point(
     )
 
     balls = recon_traj.ball_by_frame(fps)
-    frames_out = [  # positioned[i] is (roots, joints)
-        PointFrame(i, balls[i], *positioned[i])
-        for i in (f.frame_index for f in track.frames)
-        if i in positioned and i in balls
+    frames_out = [
+        PointFrame(i, balls[i], [Vec3(*roots[r]), Vec3(*roots[r + 1])],
+                   [[Vec3(*j) for j in joints[r]], [Vec3(*j) for j in joints[r + 1]]])
+        for i, r in row.items() if i in balls
     ]
 
     point = ReconstructedPoint(
@@ -492,6 +555,23 @@ def reconstruct_point(
         seed=track.header.seed,
     )
     return recon, point
+
+
+def _position_rows(
+    camera: Camera, ankles: list, joints: list[list[Vec3]]
+) -> tuple[list, list]:
+    """World roots and joints, as float lists, of player rows given by their
+    ankle pixels and camera-frame joints: one stacked ``position_player``
+    call per run of neighbouring rows with one joint count. Runs go in row
+    order, so a ray that misses the ground raises for the first such row."""
+    roots, world = [], []
+    for _, run in groupby(range(len(joints)), lambda i: len(joints[i])):
+        rows = list(run)
+        r, w = position_player(camera, [ankles[i] for i in rows],
+                               [[(v.x, v.y, v.z) for v in joints[i]] for i in rows])
+        roots += r.tolist()
+        world += w.tolist()
+    return roots, world
 
 
 # ---------------------------------------------------------------------------
@@ -536,21 +616,54 @@ def write_reconstruction(recon: Reconstruction, path: str) -> None:
 def read_reconstruction(path: str) -> Reconstruction:
     lines = read_lines(path)
     meta = read_header(lines, RECON_HEADER)
+    try:
+        points, once = _recon_blocks(lines, frames_by_column=True)
+    except ParseError:  # record by record, which names the first defect
+        points, once = _recon_blocks(lines, frames_by_column=False)
+    missing = [spec.tag for spec in _RECON_CAMERA_BLOCK if spec not in once]
+    if missing:
+        raise SchemaError(None, f"missing {', '.join(missing)} record")
+    cam, rot, trans, table = (once[spec] for spec in _RECON_CAMERA_BLOCK)
+    try:
+        camera = Camera(
+            Intrinsics(fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"]),
+            Extrinsics(r=np.reshape(list(rot.values()), (3, 3)), t=list(trans.values())),
+        )
+        geometry = TableGeometry(table["length"], table["width"], table["height"])
+    except ValueError as exc:
+        raise SchemaError(None, str(exc)) from None
+    return Reconstruction(fps=meta["fps"], camera=camera, camera_rms=cam["rms"],
+                          table=geometry, points=points, seed=meta["seed"])
+
+
+def _recon_blocks(
+    lines: list[str], frames_by_column: bool
+) -> tuple[list[ReconstructedPoint], dict[Spec, dict[str, Any]]]:
+    """The points and camera-block records of a recon-v1 body.
+
+    With ``frames_by_column`` the frame records, most of a file, skip
+    ``parse_record`` and are decoded in one column pass at the end; a defect
+    there raises a ParseError that names no line.
+    """
     once: dict[Spec, dict[str, Any]] = {}
     points: list[ReconstructedPoint] = []
     point: Optional[ReconstructedPoint] = None
+    frames: list[tuple[ReconstructedPoint, str]] = []  # frame records left to decode
     for lineno, line in body_lines(lines):
         tag = line.split(maxsplit=1)[0]
         if tag not in _RECON_RECORDS:
             raise ParseError(lineno, f"unknown record tag {tag!r}")
         spec = _RECON_RECORDS[tag]
-        r = parse_record(spec, line, lineno)
+        deferred = frames_by_column and spec is RECON_FRAME
+        r = None if deferred else parse_record(spec, line, lineno)
         # point and camera-block records come between point blocks, all others inside.
         if (point is None) != (spec is RECON_POINT or spec in _RECON_CAMERA_BLOCK):
             where = "outside" if point is None else "inside"
             raise ParseError(lineno, f"{tag} record {where} a point block")
         try:
-            if spec is RECON_POINT:
+            if deferred:
+                frames.append((point, line))
+            elif spec is RECON_POINT:
                 point = ReconstructedPoint(
                     point_id=r["id"], frames=[], hits=[], bounces=[], pieces=[],
                     partition=r["partition"] or "",
@@ -570,10 +683,7 @@ def read_reconstruction(path: str) -> Reconstruction:
                     parabola_mse=r["mse"],
                 ))
             elif spec is RECON_FRAME:
-                point.frames.append(PointFrame(
-                    r["idx"], ball=r["ball"], roots=[r["root0"], r["root1"]],
-                    joints=[r["joints0"], r["joints1"]],
-                ))
+                point.frames.append(_point_frame(*r.values()))
             elif spec is RECON_ENDPOINT:
                 point = None
             elif spec in once:
@@ -584,20 +694,18 @@ def read_reconstruction(path: str) -> Reconstruction:
             raise ParseError(lineno, str(exc)) from None
     if point is not None:
         raise ParseError(len(lines), "the last point block has no endpoint record")
-    missing = [spec.tag for spec in _RECON_CAMERA_BLOCK if spec not in once]
-    if missing:
-        raise SchemaError(None, f"missing {', '.join(missing)} record")
-    cam, rot, trans, table = (once[spec] for spec in _RECON_CAMERA_BLOCK)
-    try:
-        camera = Camera(
-            Intrinsics(fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"]),
-            Extrinsics(r=np.reshape(list(rot.values()), (3, 3)), t=list(trans.values())),
-        )
-        geometry = TableGeometry(table["length"], table["width"], table["height"])
-    except ValueError as exc:
-        raise SchemaError(None, str(exc)) from None
-    return Reconstruction(fps=meta["fps"], camera=camera, camera_rms=cam["rms"],
-                          table=geometry, points=points, seed=meta["seed"])
+    if frames:
+        columns = decode_columns(RECON_FRAME, [line for _, line in frames])
+        if columns is None:
+            raise ParseError(None, "frame records")
+        for (owner, _), frame in zip(frames, map(_point_frame, *columns)):
+            owner.frames.append(frame)
+    return points, once
+
+
+def _point_frame(i, ball, root0, root1, joints0, joints1) -> PointFrame:
+    """The frame a recon frame record's fields, in RECON_FRAME order, describe."""
+    return PointFrame(i, ball, [root0, root1], [joints0, joints1])
 
 
 def camera_lines(camera: Camera, rms: float, seed: Optional[int]) -> list[str]:

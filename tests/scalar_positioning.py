@@ -1,0 +1,68 @@
+"""The one-frame player positioning that the stacked ``camera.position_player``
+replaced, kept as a test oracle.
+
+``position_player`` places one player of one frame: one viewing ray through
+the ankle-pixel midpoint, intersected with the ground, and one rotation of
+that frame's joints. ``positioned`` is the per-frame loop ``reconstruct_point``
+ran over a track. Tests hold the stacked code to these bit for bit.
+"""
+
+import numpy as np
+
+from ttrally.camera import Camera, ImagePoint, Plane
+from ttrally.core import ANKLE_JOINTS, Vec3
+from ttrally.errors import NoIntersection
+
+
+def pixel_ray(camera: Camera, q: ImagePoint) -> tuple[np.ndarray, np.ndarray]:
+    k = camera.intrinsics
+    dir_cam = np.array([(q.u - k.cx) / k.fx, (k.cy - q.v) / k.fy, 1.0])
+    direction = camera.extrinsics.r.T @ dir_cam
+    return camera.extrinsics.center(), direction
+
+
+def inverse_project_to_plane(camera: Camera, q: ImagePoint, plane: Plane) -> Vec3:
+    origin, direction = pixel_ray(camera, q)
+    i = plane.index
+    denom = direction[i]
+    if abs(denom) < 1e-12 * np.linalg.norm(direction):
+        raise NoIntersection(f"ray parallel to plane {plane.axis}={plane.offset}")
+    s = (plane.offset - origin[i]) / denom
+    if s <= 0:
+        raise NoIntersection("plane intersection behind the camera")
+    return Vec3.from_array(origin + s * direction)
+
+
+def position_player(
+    camera: Camera, ankles_px: list[ImagePoint], joints_cam: list[Vec3]
+) -> tuple[Vec3, list[Vec3]]:
+    mid = ImagePoint(
+        (ankles_px[0].u + ankles_px[1].u) / 2.0,
+        (ankles_px[0].v + ankles_px[1].v) / 2.0,
+    )
+    root = inverse_project_to_plane(camera, mid, Plane("z", 0.0))
+    jc = np.array([j.as_array() for j in joints_cam])
+    root_cam = (jc[ANKLE_JOINTS[0]] + jc[ANKLE_JOINTS[1]]) / 2.0
+    rt = camera.extrinsics.r.T
+    world = root.as_array() + (jc - root_cam) @ rt.T
+    return root, [Vec3.from_array(w) for w in world]
+
+
+def positioned(camera: Camera, track) -> dict[int, tuple[list[Vec3], list[list[Vec3]]]]:
+    """Frame index -> (roots, joints) of both players, for every frame that
+    carries both; raises at the first miss, frame by frame, player 0 first."""
+    out = {}
+    for f in track.frames:
+        roots, joints = [], []
+        ok = True
+        for p in (0, 1):
+            if f.player_joints_cam[p] is None or f.player_ankles_px[p] is None:
+                ok = False
+                break
+            ankles = [ImagePoint(*a) for a in f.player_ankles_px[p]]
+            root, world_joints = position_player(camera, ankles, f.player_joints_cam[p])
+            roots.append(root)
+            joints.append(world_joints)
+        if ok:
+            out[f.frame_index] = (roots, joints)
+    return out

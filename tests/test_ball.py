@@ -11,6 +11,7 @@ from ttrally.ball import (
     Chains,
     GRAVITY,
     StokesSegment,
+    _local_minima,
     bounce_candidates,
     detect_hits,
     fit_drag,
@@ -104,6 +105,36 @@ def test_smooth_is_centered_average():
     sm = smooth(x, window=3)
     assert sm[2] == pytest.approx((2.0 + 6.0 + 2.0) / 3)
     assert len(sm) == len(x)
+
+
+def _smooth_loop(values, window):
+    """The per-sample moving average ``smooth`` replaced: one np.mean per window."""
+    if window <= 1 or len(values) < 2:
+        return np.asarray(values, dtype=float)
+    half = window // 2
+    out = np.empty(len(values), dtype=float)
+    for i in range(len(values)):
+        out[i] = np.mean(values[max(0, i - half):min(len(values), i + half + 1)])
+    return out
+
+
+def _minima_loop(values):
+    return [i for i in range(1, len(values) - 1)
+            if values[i] < values[i - 1] and values[i] <= values[i + 1]]
+
+
+SERIES = st.lists(st.floats(-1e12, 1e12), max_size=12)
+
+
+@given(SERIES, st.integers(1, 7))
+def test_smooth_matches_the_windowed_mean(values, window):
+    x = np.array(values, dtype=float)
+    assert smooth(x, window).tolist() == _smooth_loop(x, window).tolist()
+
+
+@given(st.one_of(SERIES, st.lists(st.integers(0, 3).map(float), max_size=12)))
+def test_local_minima_match_the_loop(values):
+    assert _local_minima(np.array(values, dtype=float)).tolist() == _minima_loop(values)
 
 
 def test_fit_parabola_matches_polyfit():

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_positioning as scalar
 from ttrally.camera import (
     Camera,
     Extrinsics,
@@ -205,11 +208,36 @@ def test_position_player_round_trip():
     ]
     r, t = cam.extrinsics.r, cam.extrinsics.t
     joints_cam = [Vec3.from_array(r @ j.as_array() + t) for j in joints_world]
-    ankles_px = [project(cam, j) for j in joints_world[-2:]]
-    got_root, got_joints = position_player(cam, ankles_px, joints_cam)
-    assert np.allclose(got_root.as_array(), root.as_array(), atol=1e-6)
-    for got, want in zip(got_joints, joints_world):
-        assert np.allclose(got.as_array(), want.as_array(), atol=1e-6)
+    ankles_px = [project(cam, j).as_array() for j in joints_world[-2:]]
+    got_roots, got_joints = position_player(
+        cam, [ankles_px], [[j.as_array() for j in joints_cam]]
+    )
+    assert np.allclose(got_roots[0], root.as_array(), atol=1e-6)
+    for got, want in zip(got_joints[0], joints_world):
+        assert np.allclose(got, want.as_array(), atol=1e-6)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(3, 6))
+def test_stacked_positioning_matches_the_one_frame_oracle(seed, n, n_joints):
+    # Ankle pixels anywhere in the image: some rays miss the ground, and the
+    # stacked call must then raise for the first of them, as frame by frame.
+    rng = np.random.default_rng(seed)
+    cam = sample_camera(rng, TABLE)
+    ankles = rng.uniform(0.0, [960.0, 540.0], size=(n, 2, 2))
+    joints = rng.normal(size=(n, n_joints, 3)) + [0.0, 0.0, 8.0]
+    try:
+        want = [
+            scalar.position_player(cam, [ImagePoint(*a) for a in row], [Vec3(*j) for j in js])
+            for row, js in zip(ankles.tolist(), joints.tolist())
+        ]
+    except NoIntersection as exc:
+        with pytest.raises(NoIntersection, match=f"^{re.escape(str(exc))}$"):
+            position_player(cam, ankles, joints)
+        return
+    roots, world = position_player(cam, ankles, joints)
+    assert roots.tobytes() == np.array([r.as_array() for r, _ in want]).tobytes()
+    assert world.tobytes() == np.array([[j.as_array() for j in js] for _, js in want]).tobytes()
 
 
 def test_sample_camera_satisfies_assumptions():

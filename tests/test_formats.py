@@ -10,6 +10,7 @@ import io
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,13 @@ from ttrally.control import ExperimentRow, write_results
 from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import ParseError, SchemaError, VersionError
 from ttrally.pipeline import (
+    RECON_FRAME,
+    TRACK_FRAME,
+    body_lines,
     calibrate_from_track,
+    decode_columns,
     load_track,
+    read_lines,
     read_reconstruction,
     write_reconstruction,
     write_track,
@@ -321,3 +327,118 @@ def test_mutated_file_loads_or_exits_2(fmt, edit, i, j, junk, fuzz_dir):
         # A file that loads may still fail processing, but never with a traceback.
         for argv in commands(path, fuzz_dir)[:1]:
             assert _run(argv)[0] in (EXIT_OK, EXIT_FAILURE)
+
+
+# ---------------------------------------------------------------------------
+# the column pass against the record-by-record readers
+# ---------------------------------------------------------------------------
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: a comparable result, or its error."""
+    try:
+        result = read(str(path))
+    except ParseError as exc:
+        return type(exc), exc.line_number, str(exc)
+    if isinstance(result, pipeline.Reconstruction):  # its camera holds arrays
+        ext = result.camera.extrinsics
+        return (result.fps, result.seed, result.camera_rms, result.table, result.points,
+                result.camera.intrinsics, ext.r.tolist(), ext.t.tolist())
+    return result
+
+
+def _both_outcomes(read, path):
+    """The reader's outcome, then the record-by-record reader's."""
+    got = _outcome(read, path)
+    with mock.patch.object(pipeline, "decode_columns", lambda spec, lines: None):
+        return got, _outcome(read, path)
+
+
+def _columns(path, spec):
+    return decode_columns(spec, [line for _, line in body_lines(read_lines(str(path)))
+                                 if not spec.tag or line.startswith(spec.tag + " ")])
+
+
+def test_column_pass_reads_the_golden_files():
+    assert _columns(TRACK, TRACK_FRAME) is not None
+    assert _columns(RECON, RECON_FRAME) is not None
+    for path, read in ((TRACK, load_track), (RECON, read_reconstruction)):
+        got, want = _both_outcomes(read, path)
+        assert got == want
+
+
+@pytest.mark.parametrize("fmt, edit", [(fmt, edit) for fmt in ("track", "recon")
+                                       for edit in FUZZ[fmt][2]])
+@settings(max_examples=30)
+@given(i=st.integers(0, 10**6), j=st.integers(0, 10**6), junk=JUNK)
+def test_column_reader_matches_the_record_reader(fmt, edit, i, j, junk, fuzz_dir):
+    # Either both readers return equal results, or both raise the same error
+    # class, line and message.
+    source, read, _, _ = FUZZ[fmt]
+    path = fuzz_dir / f"columns.{fmt}"
+    path.write_text("\n".join(_mutate(source.read_text().splitlines(), edit, i, j, junk)) + "\n")
+    got, want = _both_outcomes(read, path)
+    assert got == want
+
+
+def _set_fields(source, tmp_path, edits):
+    """``source`` with ``field=value`` set in the given body lines (0 is the header)."""
+    lines = source.read_text().splitlines()
+    for n, field, value in edits:
+        lines[n] = " ".join(f"{field}={value}" if token.startswith(f"{field}=") else token
+                            for token in lines[n].split(" "))
+        assert f"{field}={value}" in lines[n].split(" ")
+    path = tmp_path / source.name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "source, edits",
+    [
+        # Each column holds the right number of values in total, split wrongly
+        # between two records.
+        (TRACK, [(1, "ball", "1,2,3"), (3, "ball", "4")]),
+        (TRACK, [(1, "ankles0", "1,2"), (2, "ankles0", "1,2;3,4;5,6")]),
+        (TRACK, [(1, "joints1", "1,2,3,4;5,6;7,8,9"), (2, "joints1", "1,2,3;4,5,6;7,8,9")]),
+        (RECON, [(17, "ball", "1,2,3,4"), (24, "ball", "5,6")]),
+        (RECON, [(18, "joints0", "1,2,3;4,5,6"), (25, "joints0", "1,2,3;4,5,6;7,8,9;1,2,3")]),
+    ],
+    ids=["px", "ankles", "joints-xyz", "recon-xyz", "recon-joints"],
+)
+def test_column_pass_rejects_misplaced_values(source, edits, tmp_path):
+    path = _set_fields(source, tmp_path, edits)
+    spec = TRACK_FRAME if source is TRACK else RECON_FRAME
+    assert _columns(path, spec) is None
+    read = load_track if source is TRACK else read_reconstruction
+    got, want = _both_outcomes(read, path)
+    assert got == want and got[0] is ParseError and got[1] == edits[0][0] + 1
+
+
+def test_column_pass_keeps_the_frame_order_check(tmp_path):
+    path = _set_fields(TRACK, tmp_path, [(3, "frame", "1")])
+    got, want = _both_outcomes(load_track, path)
+    assert got == want == (ParseError, 4, "line 4: frame indices must be increasing")
+
+
+def test_column_pass_reads_mixed_joint_counts(tmp_path):
+    path = _set_fields(TRACK, tmp_path, [(1, "joints0", "1,2,3;4,5,6;7,8,9"),
+                                         (2, "joints1", "1,2,3;4,5,6;7,8,9;1,2,3;4,5,6")])
+    assert _columns(path, TRACK_FRAME) is not None
+    got, want = _both_outcomes(load_track, path)
+    assert got == want
+    assert [len(j) for j in got.frames[1].player_joints_cam] == [4, 5]
+    assert [len(j) for j in got.frames[0].player_joints_cam] == [3, 4]
+
+
+def test_column_pass_reads_dashes_in_every_omittable_column(tmp_path):
+    dashed = [name for name in TRACK_FRAME.fields if name not in ("frame", "base_h")]
+    path = _set_fields(TRACK, tmp_path, [(2, name, "-") for name in dashed]
+                       + [(4, name, "-") for name in dashed[::2]])
+    assert _columns(path, TRACK_FRAME) is not None
+    got, want = _both_outcomes(load_track, path)
+    assert got == want
+    assert got.frames[1].player_joints_cam == [None, None] and got.frames[1].ball_px is None
+    again = tmp_path / "again.track"
+    write_track(got, str(again))
+    assert again.read_bytes() == path.read_bytes()

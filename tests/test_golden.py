@@ -5,8 +5,9 @@ ensemble member was evaluated with scalar per-trajectory calls, and the
 exchange digest when each exchange was generated one at a time that way; the
 array flights (``ball.Chains``) reproduce those bytes exactly. The
 reconstruction digests were computed with the batched drag fit
-(``ball.fit_drags``). A change that alters them on purpose names the change
-and why, and re-pins here.
+(``ball.fit_drags``), and the library digest with one ``position_player``
+call per player and frame and record-by-record file readers. A change that
+alters them on purpose names the change and why, and re-pins here.
 """
 
 import hashlib
@@ -14,8 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from ttrally import pipeline
 from ttrally.cli import EXIT_OK, main
-from ttrally.synth import generate_exchanges
+from ttrally.synth import generate_exchanges, generate_scene
 
 GOLDEN = {
     "conformal": (
@@ -55,6 +57,27 @@ def test_reconstruction_matches_golden_hashes(tmp_path, capsys):
     assert main(["stats", "--recon", str(recon), "--out", str(stats)]) == EXIT_OK
     assert _sha256(recon.read_bytes()) == RECONSTRUCT
     assert _sha256(stats.read_bytes()) == STATS
+
+
+LIBRARY = "3c769b98000e7eea423acdb1bbddfacf34460adda1e78f2855f1987a9ccef07b"
+# 60 library scenes: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise.
+SCENES = [(60.0 if s % 2 == 0 else 120.0, 3 + (s // 2) % 4, (s % 5) / 2) for s in range(60)]
+
+
+def test_library_reconstructions_match_golden_hash(tmp_path):
+    """sha256 over the recon-v1 bytes of every library scene, each loaded
+    from its track file, reconstructed and written."""
+    h = hashlib.sha256()
+    track_path, recon_path = tmp_path / "scene.track", tmp_path / "scene.recon"
+    for s, (fps, n_hits, noise) in enumerate(SCENES):
+        track, _, _ = generate_scene(
+            np.random.default_rng([7, s]), fps=fps, n_hits=n_hits, noise_px=noise
+        )
+        pipeline.write_track(track, str(track_path))
+        recon, _ = pipeline.reconstruct_point(pipeline.load_track(str(track_path)), point_id=s)
+        pipeline.write_reconstruction(recon, str(recon_path))
+        h.update(recon_path.read_bytes())
+    assert h.hexdigest() == LIBRARY
 
 
 EXCHANGES = "fa041510c07fbf75ef073dbb38ed83606360dbcd73e8959021cea018ba86cdad"

@@ -1,9 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
+import scalar_positioning as scalar
 from ttrally import pipeline
-from ttrally.core import TableGeometry
+from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import (
+    NoIntersection,
     NotEnoughHits,
     ParseError,
     SchemaError,
@@ -166,3 +170,92 @@ def test_corrupted_frames_are_skipped_not_fatal(scene):
     dropped = sum(f.player_joints_cam[0] is None for f in broken.frames)
     assert dropped > 0
     assert len(point.frames) <= len(track.frames) - dropped + 2
+
+
+# 40 library scenes: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise, and
+# joints dropped in some frames so that not every frame is usable.
+SCENES = [(60.0 if s % 2 == 0 else 120.0, 3 + (s // 2) % 4, (s % 5) / 2) for s in range(40)]
+
+
+def _bytes(vecs) -> bytes:
+    return np.array([v.as_array() for v in vecs]).tobytes()
+
+
+def test_stacked_positioning_matches_the_per_frame_oracle():
+    for s, (fps, n_hits, noise) in enumerate(SCENES):
+        rng = np.random.default_rng([7, s])
+        track, _, _ = generate_scene(rng, fps=fps, n_hits=n_hits, noise_px=noise)
+        track = corrupt_track(track, rng, drop_prob=0.05 * (s % 3))
+        camera, _ = calibrate_from_track(track, TABLE)
+        want = scalar.positioned(camera, track)
+        usable = [f for f in track.frames if f.frame_index in want]
+        roots, joints = pipeline._position_rows(
+            camera,
+            [a for f in usable for a in f.player_ankles_px],
+            [j for f in usable for j in f.player_joints_cam],
+        )
+        for k, f in enumerate(usable):
+            want_roots, want_joints = want[f.frame_index]
+            assert np.array(roots[2 * k:2 * k + 2]).tobytes() == _bytes(want_roots)
+            for p in (0, 1):
+                assert np.array(joints[2 * k + p]).tobytes() == _bytes(want_joints[p])
+
+
+def test_mixed_joint_counts_position_like_uniform_ones(scene, tmp_path):
+    # An extra joint (index 2, after the racket hand) in some frames of some
+    # players leaves every other joint where it was.
+    track, _, _ = scene
+    mixed = copy.deepcopy(track)
+    for f in mixed.frames[::3]:
+        f.player_joints_cam[0] = f.player_joints_cam[0][:2] + [Vec3(0.1, 0.2, 7.0)] + f.player_joints_cam[0][2:]
+    for f in mixed.frames[1::4]:
+        f.player_joints_cam[1] = f.player_joints_cam[1][:2] + [Vec3(0.3, 0.4, 7.5)] + f.player_joints_cam[1][2:]
+    path = tmp_path / "mixed.track"
+    write_track(mixed, str(path))
+    assert load_track(str(path)) == mixed
+    _, want = reconstruct_point(track)
+    _, got = reconstruct_point(mixed)
+    assert [h.hand_world for h in got.hits] == [h.hand_world for h in want.hits]
+    assert [f.frame_index for f in got.frames] == [f.frame_index for f in want.frames]
+    extra = 0
+    for f, g in zip(want.frames, got.frames):
+        assert g.roots == f.roots and g.ball == f.ball
+        for p in (0, 1):
+            if len(g.joints[p]) > len(f.joints[p]):
+                extra += 1
+                g.joints[p].pop(2)
+            assert g.joints[p] == f.joints[p]
+    assert extra > 0
+
+
+def _miss_pixels(camera):
+    """An ankle pixel whose ray runs parallel to the ground, and one above
+    the horizon, whose ray meets the ground behind the camera."""
+    k, r = camera.intrinsics, camera.extrinsics.r
+    # At u = cx the ray's world z is r[1, 2] b + r[2, 2], with b = (cy - v) / fy.
+    v = k.cy + r[2, 2] / r[1, 2] * k.fy
+    return (k.cx, v), (k.cx, v + 50.0)
+
+
+@pytest.mark.parametrize(
+    "misses, message",
+    [
+        # (frame, player, which pixel): the first miss frame by frame,
+        # player 0 before player 1, names the error.
+        ([(10, 1, "above"), (20, 0, "parallel")], "plane intersection behind the camera"),
+        ([(10, 1, "parallel"), (20, 0, "above")], "ray parallel to plane z=0.0"),
+        ([(15, 0, "parallel"), (15, 1, "above")], "ray parallel to plane z=0.0"),
+        ([(15, 0, "above"), (15, 1, "parallel")], "plane intersection behind the camera"),
+    ],
+)
+def test_first_ankle_ray_missing_the_ground_raises(scene, misses, message):
+    track = copy.deepcopy(scene[0])
+    camera, _ = calibrate_from_track(track, TABLE)
+    parallel, above = _miss_pixels(camera)
+    for frame, player, which in misses:
+        pixel = parallel if which == "parallel" else above
+        track.frames[frame].player_ankles_px[player] = [pixel, pixel]
+    with pytest.raises(NoIntersection, match=f"^{message}$"):
+        scalar.positioned(camera, track)
+    with pytest.raises(NoIntersection, match=f"^{message}$"):
+        reconstruct_point(track)
