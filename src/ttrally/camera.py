@@ -312,22 +312,33 @@ def calibrate(correspondences: list[tuple[Vec3, ImagePoint]]) -> tuple[Camera, f
 GROUND = Plane("z", 0.0)
 
 
+def ground_roots(camera: Camera, ankles_px) -> np.ndarray:
+    """Roots (n, 3) of n players: the ground points under their (n, 2, 2)
+    ankle pixels' midpoints. The first ray that misses the ground raises
+    NoIntersection."""
+    ankles = np.asarray(ankles_px, dtype=float).reshape(-1, 2, 2)
+    return plane_points(camera, (ankles[:, 0] + ankles[:, 1]) / 2.0, GROUND)
+
+
+def place_joints(camera: Camera, roots: np.ndarray, joints_cam) -> np.ndarray:
+    """World joints (n, J, 3) of camera-frame joints (n, J, 3): rotated by the
+    calibrated R (transposed, camera to world) and translated so their
+    camera-frame ankle midpoint lands on the roots (n, 3)."""
+    jc = np.asarray(joints_cam, dtype=float)
+    root_cam = (jc[:, ANKLE_JOINTS[0]] + jc[:, ANKLE_JOINTS[1]]) / 2.0
+    rt = camera.extrinsics.r.T
+    return roots[:, None] + (jc - root_cam[:, None]) @ rt.T
+
+
 def position_player(
     camera: Camera, ankles_px, joints_cam
 ) -> tuple[np.ndarray, np.ndarray]:
     """Place camera-frame joints into the world via the ankle ground point,
     for n frames at once: ``ankles_px`` (n, 2, 2), ``joints_cam`` (n, J, 3).
 
-    A frame's root is the inverse projection of its ankle-pixel midpoint onto
-    the ground plane. Joints are rotated by the calibrated R (transposed,
-    camera to world) and translated so their camera-frame ankle midpoint lands
-    on that root. Returns roots (n, 3) and world joints (n, J, 3); the first
-    frame whose ray misses the ground raises NoIntersection.
+    Returns roots (n, 3) (ground_roots) and world joints (n, J, 3)
+    (place_joints); the first frame whose ray misses the ground raises
+    NoIntersection.
     """
-    ankles = np.asarray(ankles_px, dtype=float)
-    roots = plane_points(camera, (ankles[:, 0] + ankles[:, 1]) / 2.0, GROUND)
-    jc = np.asarray(joints_cam, dtype=float)
-    root_cam = (jc[:, ANKLE_JOINTS[0]] + jc[:, ANKLE_JOINTS[1]]) / 2.0
-    rt = camera.extrinsics.r.T
-    world = roots[:, None] + (jc - root_cam[:, None]) @ rt.T
-    return roots, world
+    roots = ground_roots(camera, ankles_px)
+    return roots, place_joints(camera, roots, joints_cam)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,8 @@ from .camera import (
     Intrinsics,
     calibrate,
     ground_projections,
-    position_player,
+    ground_roots,
+    place_joints,
 )
 from .core import AXES, RACKET_HAND_JOINT, Frame2D, Frame3D, TableGeometry, Vec3
 from .errors import (
@@ -561,17 +562,20 @@ def _position_rows(
     camera: Camera, ankles: list, joints: list[list[Vec3]]
 ) -> tuple[list, list]:
     """World roots and joints, as float lists, of player rows given by their
-    ankle pixels and camera-frame joints: one stacked ``position_player``
-    call per run of neighbouring rows with one joint count. Runs go in row
-    order, so a ray that misses the ground raises for the first such row."""
-    roots, world = [], []
-    for _, run in groupby(range(len(joints)), lambda i: len(joints[i])):
-        rows = list(run)
-        r, w = position_player(camera, [ankles[i] for i in rows],
-                               [[(v.x, v.y, v.z) for v in joints[i]] for i in rows])
-        roots += r.tolist()
-        world += w.tolist()
-    return roots, world
+    ankle pixels and camera-frame joints. All roots come from one
+    ``ground_roots`` call in row order, so a ray that misses the ground
+    raises for the first such row; the joints are placed with one
+    ``place_joints`` call per joint count."""
+    roots = ground_roots(camera, ankles)
+    by_count: dict[int, list[int]] = {}
+    for i, js in enumerate(joints):
+        by_count.setdefault(len(js), []).append(i)
+    world: list = [None] * len(joints)
+    for rows in by_count.values():
+        cam = [[(v.x, v.y, v.z) for v in joints[i]] for i in rows]
+        for i, w in zip(rows, place_joints(camera, roots[rows], cam).tolist()):
+            world[i] = w
+    return roots.tolist(), world
 
 
 # ---------------------------------------------------------------------------

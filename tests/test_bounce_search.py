@@ -1,15 +1,19 @@
-"""The merged bounce search against the two-selector search it replaced.
+"""The merged bounce search against the searches it replaced.
 
-The oracle below is the earlier search, kept verbatim apart from the
+The oracles below are the earlier searches. ``_exhaustive`` fits every
+window of every candidate tuple with ``fit_parabola``, selecting samples by
+a boolean mask. The two-selector search is kept verbatim apart from the
 ``tried`` record: ``select_bounce`` for rally pairs and a separate serve
 selector, both refitting every parabola window per candidate tuple, then a
 +/-1-frame refinement that refits every drag piece per combo.
 """
 
+import itertools
 from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalar_flight import stokes_position
 from ttrally import ball, pipeline
@@ -26,7 +30,7 @@ from ttrally.ball import (
     select_bounces,
 )
 from ttrally.camera import ImagePoint, Plane, inverse_project_to_plane
-from ttrally.errors import FitFailed, NoBounceFound
+from ttrally.errors import FitFailed, NoBounceFound, SegmentRejected
 from ttrally.synth import generate_scene
 
 
@@ -74,6 +78,27 @@ def _oracle_select_serve_bounces(track, h1, h2, candidates):
     if best is None:
         raise NoBounceFound("no usable bounce pair for the serve")
     return best[1], best[0]
+
+
+def _exhaustive(track, h1, h2, candidates, n):
+    """Every n-tuple of the sorted distinct candidates inside (h1, h2), each
+    window fitted on its own; the first least left-to-right total wins."""
+    best = None
+    for bounces in itertools.combinations(sorted(set(c for c in candidates if h1 < c < h2)), n):
+        knots = (h1, *bounces, h2)
+        total = 0.0
+        for lo, hi in zip(knots, knots[1:]):
+            mask = (track.frames >= lo) & (track.frames <= hi)
+            if mask.sum() < 3:
+                break
+            _, mse = fit_parabola(track.frames[mask].astype(float), track.pixels[mask, 1])
+            total += mse * mask.sum()
+        else:
+            if best is None or total < best[1]:
+                best = (bounces, total)
+    if best is None:
+        raise NoBounceFound("no usable split")
+    return best
 
 
 def _bounce_combos(bounce_frames, h1, h2, pix):
@@ -154,6 +179,140 @@ def test_select_bounces_ties_go_to_the_earliest_tuple():
     candidates = [20, 9, 4, 15, 9]
     assert select_bounces(track, 0, 29, candidates, 1) == ((4,), 0.0)
     assert select_bounces(track, 0, 29, candidates, 2) == ((4, 9), 0.0)
+
+
+@st.composite
+def searches(draw):
+    """A track, a hit pair, candidates and n. Frame gaps of up to 4 leave
+    some windows with fewer than 3 samples; candidates repeat and stray
+    outside (h1, h2). Constant and mirror-symmetric tracks, searched over
+    their whole span, tie exactly."""
+    shape = draw(st.sampled_from(["random", "vee", "constant", "mirror"]))
+    gaps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 4]), min_size=4, max_size=14))
+    if shape == "mirror":
+        gaps = gaps + gaps[::-1]
+    frames = draw(st.integers(-50, 50)) + np.cumsum([0] + gaps)
+    n = draw(st.sampled_from([1, 2]))
+    if shape in ("constant", "mirror"):
+        center = (frames[0] + frames[-1]) / 2.0
+        v = np.full(len(frames), draw(st.floats(-500.0, 500.0)))
+        if shape == "mirror":
+            v = v + np.abs((frames - center) ** 2 - draw(st.floats(0.0, 100.0)))
+        inner = frames[1:-1].tolist()
+        return BallTrack2D(frames, np.column_stack([frames, v])), frames[0], frames[-1], inner, n
+    if shape == "vee":
+        apex = draw(st.integers(int(frames[0]), int(frames[-1])))
+        noise = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(frames), max_size=len(frames)))
+        v = 300.0 - 4.0 * np.abs(frames - apex) + np.array(noise)
+    else:
+        pixels = st.lists(st.floats(0.0, 1080.0), min_size=len(frames), max_size=len(frames))
+        v = np.array(draw(pixels))
+    h1 = draw(st.integers(int(frames[0]) - 3, int(frames[len(frames) // 3])))
+    h2 = draw(st.integers(int(frames[2 * len(frames) // 3]), int(frames[-1]) + 3))
+    candidates = draw(st.lists(st.integers(h1 - 3, h2 + 3), min_size=1, max_size=12))
+    return BallTrack2D(frames, np.column_stack([frames, v])), h1, h2, candidates, n
+
+
+@settings(max_examples=400)
+@given(searches())
+def test_select_bounces_matches_the_exhaustive_oracle(search):
+    track, h1, h2, candidates, n = search
+    try:
+        want = _exhaustive(track, h1, h2, candidates, n)
+    except NoBounceFound:
+        with pytest.raises(NoBounceFound):
+            select_bounces(track, h1, h2, candidates, n)
+        return
+    assert select_bounces(track, h1, h2, candidates, n) == want
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 4), max_size=20), st.integers(-30, 60), st.integers(-30, 60))
+def test_window_takes_the_samples_in_lo_hi(gaps, lo, hi):
+    frames = np.cumsum([0] + gaps)
+    track = BallTrack2D(frames, np.column_stack([frames, -frames]).astype(float))
+    got_frames, got_pixels = track.window(lo, hi)
+    mask = (frames >= lo) & (frames <= hi)
+    assert got_frames.tolist() == frames[mask].tolist()
+    assert got_pixels.tolist() == track.pixels[mask].tolist()
+
+
+def test_screen_passes_do_not_change_its_totals(monkeypatch):
+    # Every 7th sample of a 120-fps point as knots, two bounces: screened in
+    # one pass, then in passes of about 50 samples.
+    track, _, _ = generate_scene(np.random.default_rng([5, 1]), fps=120.0, n_hits=3, noise_px=2.0)
+    seen = [f for f in track.frames if f.ball_px is not None]
+    ball_track = BallTrack2D([f.frame_index for f in seen], [f.ball_px for f in seen])
+    knots = ball_track.frames[::7]
+    last = len(knots) - 1
+    rows = np.array([(0, *c, last) for c in itertools.combinations(range(1, last), 2)])
+    whole = ball._screen(ball_track, knots, rows)
+    monkeypatch.setattr(ball, "SCREEN_CHUNK", 50)
+    assert ball._screen(ball_track, knots, rows).tobytes() == whole.tobytes()
+
+
+def test_a_window_fit_parabola_rejects_makes_its_tuple_unusable(monkeypatch):
+    # The screen's winner (8,) has a window fit_parabola turns down: the
+    # search moves on to the best tuple without it.
+    frames = np.arange(21)
+    track = BallTrack2D(frames, np.column_stack([frames, np.abs(frames - 8) * 4.0]))
+    fit = ball.fit_parabola
+
+    def reject_from_8(ts, vs):
+        if ts[0] == 8.0:
+            raise FitFailed("rejected")
+        return fit(ts, vs)
+
+    want = _exhaustive(track, 0, 20, [c for c in range(2, 19) if c != 8], 1)
+    monkeypatch.setattr(ball, "fit_parabola", reject_from_8)
+    assert select_bounces(track, 0, 20, list(range(2, 19)), 1) == want
+
+
+def test_a_non_finite_pixel_leaves_no_usable_split():
+    # Every split of (h1, h2) covers every sample between them.
+    frames = np.arange(21)
+    v = np.abs(frames - 8) * 4.0
+    v[15] = np.nan
+    with pytest.raises(NoBounceFound):
+        select_bounces(BallTrack2D(frames, np.column_stack([frames, v])), 0, 20, list(range(2, 19)), 1)
+
+
+def test_threshold_sees_the_exact_total():
+    # The threshold is compared with the total select_bounces returns; a
+    # threshold one ulp below the largest pair total rejects the point.
+    track, _, _ = generate_scene(np.random.default_rng(9), noise_px=2.0, n_hits=4)
+    _, point = pipeline.reconstruct_point(track)
+    total = max(piece.parabola_mse for piece in point.pieces)
+    _, kept = pipeline.reconstruct_point(track, mse_threshold=total)
+    assert kept.pieces == point.pieces
+    with pytest.raises(SegmentRejected):
+        pipeline.reconstruct_point(track, mse_threshold=np.nextafter(total, 0))
+
+
+def test_only_near_ties_are_fitted_exactly(monkeypatch):
+    # Per search, fit_parabola runs once per window of each near-tie tuple.
+    screens, fits, searched = [], [], []
+    screen, fit, search = ball._screen, ball.fit_parabola, ball.select_bounces
+
+    def counted_search(track, h1, h2, candidates, n):
+        screens.clear()
+        fits.clear()
+        out = search(track, h1, h2, candidates, n)
+        (screened,) = screens
+        least = screened.min()
+        near = np.count_nonzero(screened <= least + ball.NEAR_TIE_RTOL * (1 + least))
+        searched.append((len(screened), near))
+        assert len(fits) <= (n + 1) * near
+        return out
+
+    monkeypatch.setattr(ball, "_screen", lambda *a: screens.append(screen(*a)) or screens[-1])
+    monkeypatch.setattr(ball, "fit_parabola", lambda *a: fits.append(1) or fit(*a))
+    monkeypatch.setattr(ball, "select_bounces", counted_search)
+    for i, fps in enumerate((60.0, 120.0)):
+        track, _, _ = generate_scene(np.random.default_rng([5, i]), fps=fps, n_hits=5, noise_px=1.0)
+        pipeline.reconstruct_point(track)
+    assert len(searched) == 8
+    assert sum(tuples for tuples, _ in searched) > 10 * sum(near for _, near in searched)
 
 
 # 20 points: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise.

@@ -5,8 +5,9 @@ ensemble member was evaluated with scalar per-trajectory calls, and the
 exchange digest when each exchange was generated one at a time that way; the
 array flights (``ball.Chains``) reproduce those bytes exactly. The
 reconstruction digests were computed with the batched drag fit
-(``ball.fit_drags``), and the library digest with one ``position_player``
-call per player and frame and record-by-record file readers. A change that
+(``ball.fit_drags``) and a bounce search that fitted every split window with
+``fit_parabola``, and the library digest with one ``position_player`` call
+per player and frame and record-by-record file readers. A change that
 alters them on purpose names the change and why, and re-pins here.
 """
 

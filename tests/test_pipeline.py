@@ -259,3 +259,60 @@ def test_first_ankle_ray_missing_the_ground_raises(scene, misses, message):
         scalar.positioned(camera, track)
     with pytest.raises(NoIntersection, match=f"^{message}$"):
         reconstruct_point(track)
+
+
+def _five_joint_player_1(track):
+    """A copy of the track whose player 1 carries a fifth joint (a copy of
+    its first ankle, at index 2) in every frame, so rows alternate between
+    4 and 5 joints."""
+    mixed = copy.deepcopy(track)
+    for f in mixed.frames:
+        if f.player_joints_cam[1] is not None:
+            f.player_joints_cam[1] = f.player_joints_cam[1][:3] + f.player_joints_cam[1][-2:]
+    return mixed
+
+
+def test_mixed_joint_counts_place_each_count_in_one_call(scene, monkeypatch):
+    track = _five_joint_player_1(scene[0])
+    camera, _ = calibrate_from_track(track, TABLE)
+    calls = []
+    for name in ("ground_roots", "place_joints"):
+        f = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    want = scalar.positioned(camera, track)
+    usable = [f for f in track.frames if f.frame_index in want]
+    roots, joints = pipeline._position_rows(
+        camera,
+        [a for f in usable for a in f.player_ankles_px],
+        [j for f in usable for j in f.player_joints_cam],
+    )
+    assert len(usable) == 84  # 168 one-row calls before rows were grouped by count
+    assert sorted(calls) == ["ground_roots", "place_joints", "place_joints"]
+    for k, f in enumerate(usable):
+        want_roots, want_joints = want[f.frame_index]
+        assert np.array(roots[2 * k:2 * k + 2]).tobytes() == _bytes(want_roots)
+        for p in (0, 1):
+            assert np.array(joints[2 * k + p]).tobytes() == _bytes(want_joints[p])
+
+
+def test_first_miss_in_row_order_raises_across_joint_counts(scene):
+    # The 5-joint player 1 misses first; the 4-joint player 0 misses later.
+    track = _five_joint_player_1(scene[0])
+    camera, _ = calibrate_from_track(track, TABLE)
+    parallel, above = _miss_pixels(camera)
+    track.frames[10].player_ankles_px[1] = [above, above]
+    track.frames[20].player_ankles_px[0] = [parallel, parallel]
+    message = "plane intersection behind the camera"
+    with pytest.raises(NoIntersection, match=f"^{message}$"):
+        scalar.positioned(camera, track)
+    with pytest.raises(NoIntersection, match=f"^{message}$"):
+        reconstruct_point(track)
+
+
+def test_no_positioned_player_raises_not_enough_hits(scene):
+    # No frame carries both players, so no row is positioned at all.
+    track = copy.deepcopy(scene[0])
+    for f in track.frames:
+        f.player_joints_cam[0] = None
+    with pytest.raises(NotEnoughHits, match="^hit frame lacks positioned player joints$"):
+        reconstruct_point(track)
