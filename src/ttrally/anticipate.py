@@ -210,22 +210,42 @@ class SplitForecast:
     truth: np.ndarray
 
 
+def _chunks(n: int) -> list[slice]:
+    """The rows of n exchanges, FORECAST_CHUNK per pass."""
+    return [slice(lo, min(lo + FORECAST_CHUNK, n)) for lo in range(0, n, FORECAST_CHUNK)]
+
+
+def forecast_ensemble(
+    predictors: Sequence[ShotPredictor],
+    exchanges: Sequence[ExchangeSample],
+    horizons: Sequence[float],
+    lead_time: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble mean and sigma, each (n_exchanges, n_horizons, 3), of a
+    forecast issued ``lead_time`` before each hit (0 keeps the full context)."""
+    hs = np.asarray(horizons, dtype=float)
+    mean, sigma = (np.empty((len(exchanges), len(hs), 3)) for _ in range(2))
+    for rows in _chunks(len(exchanges)):
+        mean[rows], sigma[rows] = _ensemble(
+            predictors, *_exchange_arrays(exchanges[rows], lead_time), hs)
+    return mean, sigma
+
+
 def forecast_split(
     predictors: Sequence[ShotPredictor],
     exchanges: Sequence[ExchangeSample],
     horizons: Sequence[float],
     lead_time: float = 0.0,
 ) -> SplitForecast:
-    """Forecast every exchange once, ``lead_time`` before the hit (0 keeps the
-    full context), FORECAST_CHUNK exchanges per ensemble pass."""
+    """Forecast every exchange once, ``lead_time`` before the hit, and take
+    its truth at the same horizons."""
     exchanges, horizons = list(exchanges), list(horizons)
+    mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
     hs = np.asarray(horizons, dtype=float)
     past = hs < 0  # ExchangeSample.truth: the incoming ball before the hit
-    mean, sigma, truth = (np.empty((len(exchanges), len(horizons), 3)) for _ in range(3))
-    for lo in range(0, len(exchanges), FORECAST_CHUNK):
-        chunk = exchanges[lo:lo + FORECAST_CHUNK]
-        rows = slice(lo, lo + len(chunk))
-        mean[rows], sigma[rows] = _ensemble(predictors, *_exchange_arrays(chunk, lead_time), hs)
+    truth = np.empty_like(mean)
+    for rows in _chunks(len(exchanges)):
+        chunk = exchanges[rows]
         truth[rows] = Chains.concat([ex.outgoing for ex in chunk]).positions(hs)
         if past.any():
             truth[rows, past] = Chains.concat([ex.incoming for ex in chunk]).positions(hs[past])
@@ -310,6 +330,12 @@ def _bounds(
     return mean - half, mean + half
 
 
+def _as_regions(keys: Sequence[float], lo: list, hi: list, mean: list) -> list[Region]:
+    """One context's regions from its corner and mean rows, as nested lists."""
+    return [Region(horizon=k, lo=Vec3(*l), hi=Vec3(*u), mean=Vec3(*m))
+            for k, l, u, m in zip(keys, lo, hi, mean)]
+
+
 def build_regions(
     predictors: Sequence[ShotPredictor],
     calib: ConformalCalibration,
@@ -318,11 +344,22 @@ def build_regions(
 ) -> list[Region]:
     mean, sigma = ensemble_curve(predictors, ctx, horizons)
     lo, hi = _bounds(calib, horizons, mean, sigma)
-    return [
-        Region(horizon=horizon_key(h), lo=Vec3.from_array(l), hi=Vec3.from_array(u),
-               mean=Vec3.from_array(m))
-        for h, l, u, m in zip(horizons, lo, hi, mean)
-    ]
+    return _as_regions([horizon_key(h) for h in horizons], lo.tolist(), hi.tolist(), mean.tolist())
+
+
+def split_regions(
+    predictors: Sequence[ShotPredictor],
+    calib: ConformalCalibration,
+    exchanges: Sequence[ExchangeSample],
+    horizons: Sequence[float],
+    lead_time: float,
+) -> list[list[Region]]:
+    """build_regions of every exchange's context_until(-lead_time), from one
+    forecast_ensemble of the split: no frame is built."""
+    mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
+    lo, hi = _bounds(calib, horizons, mean, sigma)
+    keys = [horizon_key(h) for h in horizons]
+    return [_as_regions(keys, *rows) for rows in zip(lo.tolist(), hi.tolist(), mean.tolist())]
 
 
 def check_split(

@@ -23,12 +23,14 @@ from .anticipate import (
     ShotPredictor,
     build_regions,
     calibrate_ensemble,
+    forecast_ensemble,
     forecast_split,
     physics_baseline_ensemble,
+    split_regions,
 )
-from .ball import GRAVITY
+from .ball import GRAVITY, Chains
 from .core import TableGeometry, Vec3
-from .errors import Infeasible, NoContact, NoFeasibleTime
+from .errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
 from .synth import MAX_LEAD_TIME, ExchangeSample, generate_exchanges
@@ -388,6 +390,22 @@ def _regions(ex: ExchangeSample, params: SimParams, predictors: Sequence[ShotPre
     return build_regions(predictors, calib, ContextWindow(times, frames), list(HORIZONS))
 
 
+def _needs_regions(
+    strategy: str,
+    predictors: Optional[Sequence[ShotPredictor]],
+    calib: Optional[ConformalCalibration],
+    regions: Optional[Sequence],
+) -> bool:
+    """Whether a call must forecast its own regions; ValueError for a call it cannot run."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy != "anticipatory" or regions is not None:
+        return False
+    if predictors is None or calib is None:
+        raise ValueError("anticipatory strategy needs predictors and calibration")
+    return True
+
+
 def run_episode(
     ex: ExchangeSample,
     strategy: str,
@@ -403,8 +421,58 @@ def run_episode(
     perception of the actual shot); they differ in where they stand at the
     hit. ``regions``, if given, are the exchange's at params.lead_time.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if _needs_regions(strategy, predictors, calib, regions):
+        regions = _regions(ex, params, predictors, calib)
+    return _episodes([ex], strategy, params, [regions])[0]
+
+
+def _step_balls(
+    exchanges: Sequence[ExchangeSample], params: SimParams
+) -> tuple[list[float], list[list[list[float]]]]:
+    """The robot's step times and each exchange's ball at them.
+
+    The times are accumulated as the robot's clock, from -lead_time until one
+    reaches the last exchange's crossing_time + 0.15. Exchange i's balls
+    stop at the first time that reaches its own crossing_time + 0.15.
+    """
+    stops = [ex.crossing_time + 0.15 for ex in exchanges]
+    last = max(stops)
+    times = [-params.lead_time]
+    while times[-1] < last:
+        times.append(times[-1] + params.dt)
+    t = np.array(times)
+    ends = (np.searchsorted(t, stops) + 1).tolist()
+    balls = np.empty((len(exchanges), len(t), 3))
+    after = t >= 0  # ExchangeSample.truth: the incoming ball before the hit
+    for side, at in (("outgoing", after), ("incoming", ~after)):
+        if at.any():
+            balls[:, at] = Chains.concat([getattr(ex, side) for ex in exchanges]).positions(t[at])
+    return times, [rows[:end] for rows, end in zip(balls.tolist(), ends)]
+
+
+def _episodes(
+    exchanges: Sequence[ExchangeSample],
+    strategy: str,
+    params: SimParams,
+    regions: Sequence[Optional[Sequence[Region]]],
+) -> list[EpisodeResult]:
+    """Every exchange's episode, the ball sampled for all of them at once;
+    regions[i] are exchange i's at params.lead_time (None unless anticipatory)."""
+    times, balls = _step_balls(exchanges, params)
+    return [_episode(ex, strategy, params, r, times, b)
+            for ex, r, b in zip(exchanges, regions, balls, strict=True)]
+
+
+def _episode(
+    ex: ExchangeSample,
+    strategy: str,
+    params: SimParams,
+    regions: Optional[Sequence[Region]],
+    times: list[float],
+    balls: list[list[float]],
+) -> EpisodeResult:
+    """The episode body: ``balls`` is the ball at each of the first
+    len(balls) step ``times``."""
     ideal = _interception_pose(ex, params)
 
     fallback = False
@@ -412,10 +480,6 @@ def run_episode(
     if strategy == "oracle":
         pre_target = ideal
     elif strategy == "anticipatory":
-        if regions is None:
-            if predictors is None or calib is None:
-                raise ValueError("anticipatory strategy needs predictors and calibration")
-            regions = _regions(ex, params, predictors, calib)
         try:
             region = select_target_time(regions, params.central, params.workspace,
                                         params.v_max, params.lead_time)
@@ -428,17 +492,12 @@ def run_episode(
     pose = RacketPose(params.central)
     idle = pre_target or RacketPose(params.central)
     dt = params.dt
-    # The step times, accumulated as the robot's clock, and the ball at each.
-    times = [-params.lead_time]
-    while times[-1] < ex.crossing_time + 0.15:
-        times.append(times[-1] + dt)
-    balls = ex.truth(times).tolist()
     contacted = False
     v_after: Optional[Vec3] = None
     contact_pos: Optional[Vec3] = None
     pose_at_crossing = pose
 
-    for i in range(1, len(times)):
+    for i in range(1, len(balls)):
         t = times[i]
         target = ideal if times[i - 1] >= 0 else idle
         pose = step_robot(pose, target, dt, params.v_max, params.omega_max, params.workspace)
@@ -542,9 +601,14 @@ def run_strategy(
     calib: Optional[ConformalCalibration] = None,
     regions: Optional[Sequence[Sequence[Region]]] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
-    """One row over the exchanges; ``regions``, if given, are each one's at params.lead_time."""
-    results = [run_episode(ex, strategy, params, predictors, calib, r)
-               for ex, r in zip(exchanges, regions or [None] * len(exchanges), strict=True)]
+    """One row over the exchanges, each as run_episode runs it; ``regions``,
+    if given, are each one's at params.lead_time, else one batched forecast
+    makes them all."""
+    if not exchanges:
+        raise EmptyDataset("no exchanges")
+    if _needs_regions(strategy, predictors, calib, regions):
+        regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
+    results = _episodes(exchanges, strategy, params, regions or [None] * len(exchanges))
     return _aggregate(results, strategy, params), results
 
 
@@ -556,14 +620,6 @@ def _anticipation_inputs(
     return predictors, generate_exchanges(seed + 17, n_cal, id_offset=CAL_ID_OFFSET)
 
 
-def _calibrate(
-    predictors: Sequence[ShotPredictor], cal: Sequence[ExchangeSample], params: SimParams
-) -> ConformalCalibration:
-    """Conformal calibration matched to the deployment lead time."""
-    forecast = forecast_split(predictors, cal, HORIZONS, params.lead_time)
-    return calibrate_ensemble(forecast, params.alpha)
-
-
 def prepare_anticipation(
     seed: int,
     params: SimParams,
@@ -571,7 +627,8 @@ def prepare_anticipation(
 ) -> tuple[list[ShotPredictor], ConformalCalibration]:
     """Ensemble plus conformal calibration matched to the deployment lead time."""
     predictors, cal = _anticipation_inputs(seed, params.table, n_cal)
-    return predictors, _calibrate(predictors, cal, params)
+    forecast = forecast_split(predictors, cal, HORIZONS, params.lead_time)
+    return predictors, calibrate_ensemble(forecast, params.alpha)
 
 
 def run_experiment(
@@ -588,16 +645,20 @@ def run_experiment(
     The baseline and oracle rows are computed once per configuration axis;
     the anticipatory strategy is recalibrated per lead time (its residual
     distribution depends on how early the forecast is issued) on the same
-    ensemble and calibration split. The rows at the base lead time share one
-    set of regions per exchange.
+    ensemble and calibration split, whose truth is taken once. The rows at the
+    base lead time share one set of regions per exchange; each row forecasts
+    its exchanges in one batch and samples their ball in one.
     """
+    if n_episodes < 1:
+        raise EmptyDataset(f"need at least one episode, got {n_episodes}")
     exchanges = generate_exchanges(seed, n_episodes)
     rows: list[ExperimentRow] = []
 
     # Strategy comparison at the base configuration.
     predictors, cal = _anticipation_inputs(seed, base_params.table, n_cal)
-    calib = _calibrate(predictors, cal, base_params)
-    regions = [_regions(ex, base_params, predictors, calib) for ex in exchanges]
+    forecast = forecast_split(predictors, cal, HORIZONS, base_params.lead_time)
+    calib = calibrate_ensemble(forecast, base_params.alpha)
+    regions = split_regions(predictors, calib, exchanges, HORIZONS, base_params.lead_time)
     rows.append(run_strategy(exchanges, "baseline", base_params)[0])
     rows.append(run_strategy(exchanges, "anticipatory", base_params, regions=regions)[0])
     rows.append(run_strategy(exchanges, "oracle", base_params)[0])
@@ -612,9 +673,10 @@ def run_experiment(
         if lt == base_params.lead_time:
             continue
         p = replace(base_params, lead_time=lt)
-        rows.append(run_strategy(
-            exchanges, "anticipatory", p, predictors, _calibrate(predictors, cal, p)
-        )[0])
+        # Only the forecast depends on the lead time; the split's truth is reused.
+        mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lt)
+        calib_lt = calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), p.alpha)
+        rows.append(run_strategy(exchanges, "anticipatory", p, predictors, calib_lt)[0])
 
     if centrals is None:
         mean_hit_y = float(np.mean([ex.crossing_pos.y for ex in exchanges]))

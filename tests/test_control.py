@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,11 @@ from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation, Slerp
 
 from scalar_flight import trajectory_of
-from ttrally import control
-from ttrally.anticipate import Region
-from ttrally.ball import GRAVITY
+from ttrally import anticipate, control
+from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
+from ttrally.ball import GRAVITY, Chains
 from ttrally.control import (
+    HORIZONS,
     LANDING_T_MAX,
     RETURN_DRAG_K,
     Box,
@@ -35,8 +37,8 @@ from ttrally.control import (
     write_results,
 )
 from ttrally.core import TableGeometry, Vec3
-from ttrally.errors import Infeasible, NoContact, NoFeasibleTime
-from ttrally.synth import MAX_LEAD_TIME, generate_exchanges
+from ttrally.errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
+from ttrally.synth import MAX_LEAD_TIME, ExchangeSample, generate_exchanges
 
 TABLE = TableGeometry()
 WORKSPACE = Box(Vec3(-2.8, -1.4, 0.5), Vec3(-1.2, 1.4, 1.8))
@@ -645,3 +647,89 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
             assert len(before) == pre_hit and before == after
             anticipated += strategy == "anticipatory" and not fallback
     assert anticipated > 0
+
+
+def test_an_empty_row_or_experiment_raises_empty_dataset():
+    with pytest.raises(EmptyDataset):
+        run_strategy([], "baseline", SimParams())
+    with pytest.raises(EmptyDataset):
+        run_experiment(5, n_episodes=0, n_cal=60)
+
+
+@pytest.fixture(scope="module")
+def row_exchanges():
+    return generate_exchanges(23, FORECAST_CHUNK + 1)
+
+
+@pytest.mark.parametrize("lead_time", [0.1, 0.2, 0.4])
+@pytest.mark.parametrize("n", [1, FORECAST_CHUNK + 1])
+def test_row_regions_equal_the_single_context_regions(sim_setup, row_exchanges, n, lead_time):
+    _, _, predictors, calib = sim_setup
+    exchanges = row_exchanges[:n]
+    rows = split_regions(predictors, calib, exchanges, HORIZONS, lead_time)
+    assert len(rows) == n
+    for ex, regions in zip(exchanges, rows):
+        ctx = ContextWindow(*ex.context_until(-lead_time))
+        want = build_regions(predictors, calib, ctx, HORIZONS)
+        assert len(regions) == len(want) == len(HORIZONS)
+        for got, region in zip(regions, want):
+            assert got.horizon == region.horizon
+            for corner in ("lo", "hi", "mean"):
+                assert (getattr(got, corner).as_array().tobytes()
+                        == getattr(region, corner).as_array().tobytes())
+
+
+@pytest.mark.parametrize("lead_time", [0.0, 0.1, 0.4])
+def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
+    params = SimParams(lead_time=lead_time)
+    exchanges = row_exchanges[:12]
+    times, balls = control._step_balls(exchanges, params)
+    ends = set()
+    for ex, got in zip(exchanges, balls, strict=True):
+        own = [-lead_time]  # the clock one episode of its own would step
+        while own[-1] < ex.crossing_time + 0.15:
+            own.append(own[-1] + params.dt)
+        assert times[:len(own)] == own
+        assert np.array(got).tobytes() == ex.truth(own).tobytes()
+        ends.add(len(own))
+    assert len(ends) > 1  # the exchanges read prefixes of different lengths
+
+
+@pytest.mark.parametrize("strategy", control.STRATEGIES)
+def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
+    params, exchanges, predictors, calib = sim_setup
+    _, results = run_strategy(exchanges, strategy, params, predictors, calib)
+    assert results == [run_episode(ex, strategy, params, predictors, calib) for ex in exchanges]
+    regions = [control._regions(ex, params, predictors, calib) for ex in exchanges]
+    _, given_regions = run_strategy(exchanges, strategy, params, regions=regions)
+    assert given_regions == results
+    assert given_regions == [run_episode(ex, strategy, params, regions=r)
+                             for ex, r in zip(exchanges, regions)]
+
+
+def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
+    batched, truth_rows = [], []
+    ensemble, positions = anticipate._ensemble, Chains.positions
+
+    def counting(predictors, hit, root_y, horizons):
+        batched.append(len(hit))
+        return ensemble(predictors, hit, root_y, horizons)
+
+    def tracing(self, t):
+        if sys._getframe(1).f_globals["__name__"] == control.__name__:
+            truth_rows.append(len(self.T))
+        return positions(self, t)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("called once per episode")
+
+    monkeypatch.setattr(anticipate, "_ensemble", counting)
+    monkeypatch.setattr(Chains, "positions", tracing)
+    monkeypatch.setattr(control, "build_regions", unused)
+    monkeypatch.setattr(ExchangeSample, "truth", unused)
+    rows = run_experiment(5, n_episodes=6, n_cal=60)
+    assert len(rows) == 8
+    # The calibration split at the base lead time, then each anticipatory
+    # lead time's regions; the two other lead times rerun only the ensemble.
+    assert batched == [60, 6, 60, 6, 60, 6]
+    assert truth_rows == [6] * (2 * len(rows))  # the outgoing and incoming side of each row
