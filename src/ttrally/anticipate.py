@@ -25,9 +25,9 @@ from .errors import (
 )
 from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_record,
                        parse_record, read_header, read_lines, write_lines)
-from .ball import RAISE_ON_NONFINITE, Chains
+from .ball import RAISE_ON_NONFINITE
 from .synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                    ExchangeSample, context_mask, return_shots)
+                    ExchangeSample, balls_at, context_mask, return_shots)
 
 SIGMA_FLOOR = 1e-6
 # Exchanges forecast per ensemble pass: the (exchanges x members x horizons)
@@ -186,15 +186,6 @@ def _ensemble(
     return preds.mean(axis=1), np.maximum(preds.std(axis=1), SIGMA_FLOOR)
 
 
-def ensemble_curve(
-    predictors: Sequence[ShotPredictor], ctx: ContextWindow, horizons: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and floored population std across members, each (n_horizons, 3)."""
-    mean, sigma = _ensemble(predictors, *_context_arrays([ctx]),
-                            np.asarray(horizons, dtype=float))
-    return mean[0], sigma[0]
-
-
 @dataclass
 class SplitForecast:
     """One ensemble forecast per exchange of a split.
@@ -241,14 +232,9 @@ def forecast_split(
     its truth at the same horizons."""
     exchanges, horizons = list(exchanges), list(horizons)
     mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
-    hs = np.asarray(horizons, dtype=float)
-    past = hs < 0  # ExchangeSample.truth: the incoming ball before the hit
     truth = np.empty_like(mean)
     for rows in _chunks(len(exchanges)):
-        chunk = exchanges[rows]
-        truth[rows] = Chains.concat([ex.outgoing for ex in chunk]).positions(hs)
-        if past.any():
-            truth[rows, past] = Chains.concat([ex.incoming for ex in chunk]).positions(hs[past])
+        truth[rows] = balls_at(exchanges[rows], horizons)
     return SplitForecast(exchanges, horizons, mean, sigma, truth)
 
 
@@ -342,7 +328,8 @@ def build_regions(
     ctx: ContextWindow,
     horizons: Sequence[float],
 ) -> list[Region]:
-    mean, sigma = ensemble_curve(predictors, ctx, horizons)
+    (mean,), (sigma,) = _ensemble(predictors, *_context_arrays([ctx]),
+                                  np.asarray(horizons, dtype=float))
     lo, hi = _bounds(calib, horizons, mean, sigma)
     return _as_regions([horizon_key(h) for h in horizons], lo.tolist(), hi.tolist(), mean.tolist())
 

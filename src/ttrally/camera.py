@@ -119,12 +119,6 @@ def pixel_rays(camera: Camera, pixels) -> tuple[np.ndarray, np.ndarray]:
     return camera.extrinsics.center(), dir_cam @ camera.extrinsics.r  # rows R^T d
 
 
-def pixel_ray(camera: Camera, q: ImagePoint) -> tuple[np.ndarray, np.ndarray]:
-    """One-pixel form of pixel_rays."""
-    origin, directions = pixel_rays(camera, [[q.u, q.v]])
-    return origin, directions[0]
-
-
 def plane_points(camera: Camera, pixels, plane: Plane) -> np.ndarray:
     """Intersect the viewing rays through (n, 2) pixels with an axis-aligned
     world plane: (n, 3). The first ray, in pixel order, that is parallel to
@@ -329,16 +323,3 @@ def place_joints(camera: Camera, roots: np.ndarray, joints_cam) -> np.ndarray:
     rt = camera.extrinsics.r.T
     return roots[:, None] + (jc - root_cam[:, None]) @ rt.T
 
-
-def position_player(
-    camera: Camera, ankles_px, joints_cam
-) -> tuple[np.ndarray, np.ndarray]:
-    """Place camera-frame joints into the world via the ankle ground point,
-    for n frames at once: ``ankles_px`` (n, 2, 2), ``joints_cam`` (n, J, 3).
-
-    Returns roots (n, 3) (ground_roots) and world joints (n, J, 3)
-    (place_joints); the first frame whose ray misses the ground raises
-    NoIntersection.
-    """
-    roots = ground_roots(camera, ankles_px)
-    return roots, place_joints(camera, roots, joints_cam)

@@ -18,22 +18,20 @@ from scipy.optimize import brentq
 
 from .anticipate import (
     ConformalCalibration,
-    ContextWindow,
     Region,
     ShotPredictor,
-    build_regions,
     calibrate_ensemble,
     forecast_ensemble,
     forecast_split,
     physics_baseline_ensemble,
     split_regions,
 )
-from .ball import GRAVITY, Chains
+from .ball import GRAVITY
 from .core import TableGeometry, Vec3
 from .errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
-from .synth import MAX_LEAD_TIME, ExchangeSample, generate_exchanges
+from .synth import MAX_LEAD_TIME, ExchangeSample, balls_at, generate_exchanges
 
 
 # ---------------------------------------------------------------------------
@@ -383,49 +381,6 @@ def _interception_pose(ex: ExchangeSample, params: SimParams) -> RacketPose:
     return solve_target_pose(ex.crossing_pos, ex.crossing_vel, params.table)
 
 
-def _regions(ex: ExchangeSample, params: SimParams, predictors: Sequence[ShotPredictor],
-             calib: ConformalCalibration) -> list[Region]:
-    """The prediction regions of a forecast issued lead_time before the hit."""
-    times, frames = ex.context_until(-params.lead_time)
-    return build_regions(predictors, calib, ContextWindow(times, frames), list(HORIZONS))
-
-
-def _needs_regions(
-    strategy: str,
-    predictors: Optional[Sequence[ShotPredictor]],
-    calib: Optional[ConformalCalibration],
-    regions: Optional[Sequence],
-) -> bool:
-    """Whether a call must forecast its own regions; ValueError for a call it cannot run."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy != "anticipatory" or regions is not None:
-        return False
-    if predictors is None or calib is None:
-        raise ValueError("anticipatory strategy needs predictors and calibration")
-    return True
-
-
-def run_episode(
-    ex: ExchangeSample,
-    strategy: str,
-    params: SimParams,
-    predictors: Optional[Sequence[ShotPredictor]] = None,
-    calib: Optional[ConformalCalibration] = None,
-    regions: Optional[Sequence[Region]] = None,
-) -> EpisodeResult:
-    """Simulate one exchange for one strategy.
-
-    Time 0 is the opponent's hit; the robot is live from -lead_time. After
-    the hit every strategy tracks the ideal interception pose (reactive
-    perception of the actual shot); they differ in where they stand at the
-    hit. ``regions``, if given, are the exchange's at params.lead_time.
-    """
-    if _needs_regions(strategy, predictors, calib, regions):
-        regions = _regions(ex, params, predictors, calib)
-    return _episodes([ex], strategy, params, [regions])[0]
-
-
 def _step_balls(
     exchanges: Sequence[ExchangeSample], params: SimParams
 ) -> tuple[list[float], list[list[list[float]]]]:
@@ -440,27 +395,9 @@ def _step_balls(
     times = [-params.lead_time]
     while times[-1] < last:
         times.append(times[-1] + params.dt)
-    t = np.array(times)
-    ends = (np.searchsorted(t, stops) + 1).tolist()
-    balls = np.empty((len(exchanges), len(t), 3))
-    after = t >= 0  # ExchangeSample.truth: the incoming ball before the hit
-    for side, at in (("outgoing", after), ("incoming", ~after)):
-        if at.any():
-            balls[:, at] = Chains.concat([getattr(ex, side) for ex in exchanges]).positions(t[at])
-    return times, [rows[:end] for rows, end in zip(balls.tolist(), ends)]
-
-
-def _episodes(
-    exchanges: Sequence[ExchangeSample],
-    strategy: str,
-    params: SimParams,
-    regions: Sequence[Optional[Sequence[Region]]],
-) -> list[EpisodeResult]:
-    """Every exchange's episode, the ball sampled for all of them at once;
-    regions[i] are exchange i's at params.lead_time (None unless anticipatory)."""
-    times, balls = _step_balls(exchanges, params)
-    return [_episode(ex, strategy, params, r, times, b)
-            for ex, r, b in zip(exchanges, regions, balls, strict=True)]
+    ends = (np.searchsorted(times, stops) + 1).tolist()
+    balls = balls_at(exchanges, times).tolist()
+    return times, [rows[:end] for rows, end in zip(balls, ends)]
 
 
 def _episode(
@@ -601,14 +538,26 @@ def run_strategy(
     calib: Optional[ConformalCalibration] = None,
     regions: Optional[Sequence[Sequence[Region]]] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
-    """One row over the exchanges, each as run_episode runs it; ``regions``,
-    if given, are each one's at params.lead_time, else one batched forecast
-    makes them all."""
+    """One row over the exchanges; ``regions``, if given, are each one's at
+    params.lead_time, else one batched forecast makes them all.
+
+    Time 0 of an episode is the opponent's hit; the robot is live from
+    -lead_time. After the hit every strategy tracks the ideal interception
+    pose (reactive perception of the actual shot); they differ in where they
+    stand at the hit.
+    """
     if not exchanges:
         raise EmptyDataset("no exchanges")
-    if _needs_regions(strategy, predictors, calib, regions):
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "anticipatory" and regions is None:
+        if predictors is None or calib is None:
+            raise ValueError("anticipatory strategy needs predictors and calibration")
         regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
-    results = _episodes(exchanges, strategy, params, regions or [None] * len(exchanges))
+    regions = regions or [None] * len(exchanges)
+    times, balls = _step_balls(exchanges, params)  # every episode's ball at once
+    results = [_episode(ex, strategy, params, r, times, b)
+               for ex, r, b in zip(exchanges, regions, balls, strict=True)]
     return _aggregate(results, strategy, params), results
 
 

@@ -183,7 +183,9 @@ def dataset_stats(
 ) -> DatasetStats:
     """Speed, inter-hit timing, and hitting-plane crossing statistics.
 
-    Speeds are finite-difference magnitudes between consecutive frames.
+    Speeds are finite-difference magnitudes between consecutive frames, each
+    over the time between their frame indices (a reconstruction leaves out
+    frames it could not position). Points without frames are skipped.
     Hitting-plane crossings use linear interpolation between the two frames
     straddling x = +/- length_x / 2 (the source footage frame rate is high
     relative to trajectory curvature, so linear is adequate).
@@ -196,11 +198,13 @@ def dataset_stats(
     crossing_y: dict[int, list[float]] = {0: [], 1: []}
 
     for point in points:
+        if not point.frames:
+            continue
         dt = 1.0 / point.fps
         balls = np.array([f.ball_world.as_array() for f in point.frames])
-        if len(balls) >= 2:
-            step = np.linalg.norm(np.diff(balls, axis=0), axis=1) / dt
-            speeds.extend(step.tolist())
+        gaps = np.diff([f.frame_index for f in point.frames])
+        step = np.linalg.norm(np.diff(balls, axis=0), axis=1) / (gaps * dt)
+        speeds.extend(step.tolist())
         for a, b in zip(point.hits, point.hits[1:]):
             inter_hit.append((b - a) * dt)
         for player in (0, 1):

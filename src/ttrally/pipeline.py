@@ -6,12 +6,13 @@ Every format is line-delimited text: a header line (version tag, then
 ``key=value`` fields or positional values). ``-`` marks an absent value. The
 specs below define all five formats: track ``v1``, ``recon-v1``,
 ``conformal-v1``, and the write-only ``results-v1`` and ``camera-v1``. A spec
-maps field names to value kinds; each kind is one encoder/decoder pair.
-Readers raise ParseError (with the line number) for any malformed record,
-SchemaError for a bad header field or missing block, VersionError for a wrong
-version tag. Track and recon frame records, most of a file, are decoded one
-column at a time; a file that fails there is decoded again record by record,
-which names the first defect.
+maps field names to value kinds; each kind is one encoder and one decoder of
+a list of values (``parse_record`` decodes a one-value list). Readers raise
+ParseError (with the line number) for any malformed record, SchemaError for a
+bad header field or missing block, VersionError for a wrong version tag.
+Track and recon frame records, most of a file, go through one decoder,
+``decode_frames``: one pass down each column, and record by record only where
+that pass fails, to name the first defect.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -123,10 +124,10 @@ class Kind(NamedTuple):
     """How one field value is written and read back."""
 
     encode: Callable[[Any], str]
-    decode: Optional[Callable[[str], Any]]  # raises ValueError; None: write-only
+    # Decodes a list of values; raises ValueError, whose message names the
+    # defect when the list holds one value. None: write-only.
+    column: Optional[Callable[[list[str]], list]]
     omittable: bool = False  # the field may be left out; it then reads as None
-    # Decodes a list of values at once, as ``decode`` would each; raises ValueError.
-    column: Optional[Callable[[list[str]], list]] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,63 +141,47 @@ class Spec:
 
 
 def _scalar(parse: Callable, ok: Callable = lambda v: True, what: str = "") -> Kind:
-    def decode(text: str):
-        value = parse(text)
-        if not ok(value):
-            raise ValueError(f"must be {what}")
-        return value
-
     def column(texts: list[str]) -> list:
         values = list(map(parse, texts))
         if not all(map(ok, values)):
             raise ValueError(f"must be {what}")
         return values
 
-    return Kind(lambda v: str(parse(v)), decode, column=column)  # str(float) is repr(float)
+    return Kind(lambda v: str(parse(v)), column)  # str(float) is repr(float)
 
 
 def _coords(n: int, make: Callable, floats: Callable) -> Kind:
     """``n`` comma-separated finite floats; ``floats`` gives a value's n floats."""
 
-    def decode(text: str):
-        values = tuple(map(float, text.split(",")))
-        if len(values) != n or not all(map(math.isfinite, values)):
-            raise ValueError(f"must be {n} comma-separated finite numbers")
-        return make(values)
-
     def column(texts: list[str]) -> list:
-        if not texts:
-            return []
-        if set(map(str.count, texts, repeat(","))) != {n - 1}:
-            raise ValueError("arity")
-        values = list(map(float, ",".join(texts).split(",")))
-        if not all(map(math.isfinite, values)):
-            raise ValueError("not finite")
+        values = list(map(float, ",".join(texts).split(",")))  # float() before arity
+        if (set(map(str.count, texts, repeat(","))) - {n - 1}
+                or not all(map(math.isfinite, values))):
+            raise ValueError(f"must be {n} comma-separated finite numbers")
         return list(map(make, zip(*[iter(values)] * n)))
 
     template = ",".join(["%r"] * n)
-    return Kind(lambda v: template % floats(v), decode, column=column)
+    return Kind(lambda v: template % floats(v), column)
 
 
 def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
     """A ``;``-separated list of ``kind`` values."""
 
-    def decode(text: str) -> list:
-        items = text.split(";")
-        if not at_least <= len(items) <= (at_most or len(items)):
-            raise ValueError(f"has {len(items)} entries")
-        return [kind.decode(item) for item in items]
-
     def column(texts: list[str]) -> list:
-        if not texts:
-            return []
         sizes = [count + 1 for count in map(str.count, texts, repeat(";"))]
-        if min(sizes) < at_least or (at_most and max(sizes) > at_most):
-            raise ValueError("entries")
-        items = kind.column(";".join(texts).split(";"))
-        return [items[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+        low, high = min(sizes), max(sizes)
+        if low < at_least or (at_most and high > at_most):
+            raise ValueError(f"has {low if low < at_least else high} entries")
+        items = ";".join(texts).split(";")
+        try:
+            values = kind.column(items)
+        except ValueError:
+            for item in items:  # the first bad item's own message
+                kind.column([item])
+            raise
+        return [values[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
-    return Kind(lambda vs: ";".join(map(kind.encode, vs)), decode, column=column)
+    return Kind(lambda vs: ";".join(map(kind.encode, vs)), column)
 
 
 def _or_dash(kind: Kind) -> Kind:
@@ -206,11 +191,10 @@ def _or_dash(kind: Kind) -> Kind:
         present = [text for text in texts if text != "-"]
         if len(present) == len(texts):
             return kind.column(texts)
-        values = iter(kind.column(present))
+        values = iter(kind.column(present) if present else [])
         return [None if text == "-" else next(values) for text in texts]
 
-    return Kind(lambda v: "-" if v is None else kind.encode(v),
-                lambda text: None if text == "-" else kind.decode(text), column=column)
+    return Kind(lambda v: "-" if v is None else kind.encode(v), column)
 
 
 def _omittable(kind: Kind) -> Kind:
@@ -226,7 +210,7 @@ INT = _scalar(int)
 SIZE = _scalar(int, lambda n: n > 0, "positive")
 COUNT = _scalar(int, lambda n: n >= 0, "non-negative")
 BIT = _scalar(int, (0, 1).__contains__, "0 or 1")
-FLAG = Kind(BIT.encode, lambda text: bool(BIT.decode(text)))
+FLAG = Kind(BIT.encode, lambda texts: list(map(bool, BIT.column(texts))))
 FLOAT = _scalar(float, math.isfinite, "finite")
 POSITIVE = _scalar(float, lambda x: 0 < x < math.inf, "positive and finite")
 PROBABILITY = _scalar(float, lambda x: 0 < x < 1, "in (0, 1)")
@@ -280,7 +264,7 @@ def parse_record(
             out[name] = None
             continue
         try:
-            out[name] = kind.decode(raw[name])
+            out[name] = kind.column([raw[name]])[0]
         except ValueError as exc:
             raise error(lineno, f"bad {name} {raw[name]!r}: {exc}") from None
     return out
@@ -312,6 +296,26 @@ def decode_columns(spec: Spec, lines: list[str]) -> Optional[list[list]]:
         except ValueError:
             return None
     return out
+
+
+def decode_frames(spec: Spec, body: list[tuple[int, str]]) -> list[tuple]:
+    """The field values, in spec order, of ``body``'s (line number, line)
+    pairs, frame records of ``spec`` whose first field, the frame index,
+    must increase.
+
+    One column pass decodes them all; a body that fails it is decoded record
+    by record, which raises ParseError at the first defect.
+    """
+    columns = decode_columns(spec, [line for _, line in body])
+    if columns is not None and all(map(operator.lt, columns[0], columns[0][1:])):
+        return list(zip(*columns))
+    records: list[tuple] = []
+    for lineno, line in body:
+        record = tuple(parse_record(spec, line, lineno).values())
+        if records and record[0] <= records[-1][0]:
+            raise ParseError(lineno, "frame indices must be increasing")
+        records.append(record)
+    return records
 
 
 def read_lines(path: str) -> list[str]:
@@ -424,27 +428,13 @@ def load_track(path: str) -> TrackFile:
         seed=meta["seed"],
         noise_px=0.0 if meta["noise_px"] is None else meta["noise_px"],
     )
-    body = list(body_lines(lines))
-    columns = decode_columns(TRACK_FRAME, [line for _, line in body])
-    if columns is None or not all(map(operator.lt, columns[0], columns[0][1:])):
-        return TrackFile(header=header, frames=_track_frames(body))
-    return TrackFile(header=header, frames=list(map(_frame2d, *columns)))
+    frames = decode_frames(TRACK_FRAME, list(body_lines(lines)))
+    return TrackFile(header=header, frames=list(starmap(_frame2d, frames)))
 
 
 def _frame2d(i, ball, kp1, kp2, kp3, kp4, kp5, kp6, base_h, rk0, rk1, j0, j1, a0, a1) -> Frame2D:
     """The frame a track record's fields, in TRACK_FRAME order, describe."""
     return Frame2D(i, ball, [kp1, kp2, kp3, kp4, kp5, kp6], base_h, [rk0, rk1], [j0, j1], [a0, a1])
-
-
-def _track_frames(body: list[tuple[int, str]]) -> list[Frame2D]:
-    """Decode track records one at a time; raises ParseError at the first defect."""
-    frames: list[Frame2D] = []
-    for lineno, line in body:
-        r = parse_record(TRACK_FRAME, line, lineno)
-        if frames and r["frame"] <= frames[-1].frame_index:
-            raise ParseError(lineno, "frame indices must be increasing")
-        frames.append(_frame2d(*r.values()))
-    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +610,7 @@ def write_reconstruction(recon: Reconstruction, path: str) -> None:
 def read_reconstruction(path: str) -> Reconstruction:
     lines = read_lines(path)
     meta = read_header(lines, RECON_HEADER)
-    try:
-        points, once = _recon_blocks(lines, frames_by_column=True)
-    except ParseError:  # record by record, which names the first defect
-        points, once = _recon_blocks(lines, frames_by_column=False)
+    points, once = _recon_blocks(lines)
     missing = [spec.tag for spec in _RECON_CAMERA_BLOCK if spec not in once]
     if missing:
         raise SchemaError(None, f"missing {', '.join(missing)} record")
@@ -641,69 +628,71 @@ def read_reconstruction(path: str) -> Reconstruction:
 
 
 def _recon_blocks(
-    lines: list[str], frames_by_column: bool
+    lines: list[str],
 ) -> tuple[list[ReconstructedPoint], dict[Spec, dict[str, Any]]]:
     """The points and camera-block records of a recon-v1 body.
 
-    With ``frames_by_column`` the frame records, most of a file, skip
-    ``parse_record`` and are decoded in one column pass at the end; a defect
-    there raises a ParseError that names no line.
+    A point block's frame records, most of a file, are set aside while the
+    other records are read, then decoded by ``decode_frames``. The read stops
+    at its first defect; the frame records before it are decoded first, so a
+    defect among them is the one raised.
     """
     once: dict[Spec, dict[str, Any]] = {}
     points: list[ReconstructedPoint] = []
     point: Optional[ReconstructedPoint] = None
-    frames: list[tuple[ReconstructedPoint, str]] = []  # frame records left to decode
-    for lineno, line in body_lines(lines):
-        tag = line.split(maxsplit=1)[0]
-        if tag not in _RECON_RECORDS:
-            raise ParseError(lineno, f"unknown record tag {tag!r}")
-        spec = _RECON_RECORDS[tag]
-        deferred = frames_by_column and spec is RECON_FRAME
-        r = None if deferred else parse_record(spec, line, lineno)
-        # point and camera-block records come between point blocks, all others inside.
-        if (point is None) != (spec is RECON_POINT or spec in _RECON_CAMERA_BLOCK):
-            where = "outside" if point is None else "inside"
-            raise ParseError(lineno, f"{tag} record {where} a point block")
-        try:
-            if deferred:
-                frames.append((point, line))
-            elif spec is RECON_POINT:
-                point = ReconstructedPoint(
-                    point_id=r["id"], frames=[], hits=[], bounces=[], pieces=[],
-                    partition=r["partition"] or "",
-                    entity_complete=r["entity_complete"], complete=r["complete"],
-                )
-                points.append(point)
-            elif spec is RECON_HIT:
-                point.hits.append(HitEvent(r["frame"], r["player"], hand_world=r["pos"]))
-            elif spec is RECON_BOUNCE:
-                point.bounces.append(BounceEvent(r["frame"], position=r["pos"]))
-            elif spec is RECON_PIECE:
-                point.pieces.append(ReconstructedPiece(
-                    start_frame=r["start"],
-                    end_frame=r["end"],
-                    segment=StokesSegment(b0=r["b0"], bT=r["bT"], T=r["T"], k=r["k"]),
-                    drag=DragFit(r["k"], r["reproj"], boundary_warning=r["warn"]),
-                    parabola_mse=r["mse"],
-                ))
-            elif spec is RECON_FRAME:
-                point.frames.append(_point_frame(*r.values()))
-            elif spec is RECON_ENDPOINT:
-                point = None
-            elif spec in once:
-                raise ParseError(lineno, f"duplicate {tag} record")
-            else:
-                once[spec] = r
-        except ValueError as exc:  # a constructor's own check, e.g. k > 0
-            raise ParseError(lineno, str(exc)) from None
-    if point is not None:
-        raise ParseError(len(lines), "the last point block has no endpoint record")
-    if frames:
-        columns = decode_columns(RECON_FRAME, [line for _, line in frames])
-        if columns is None:
-            raise ParseError(None, "frame records")
-        for (owner, _), frame in zip(frames, map(_point_frame, *columns)):
-            owner.frames.append(frame)
+    frames: list[list[tuple[int, str]]] = []  # each point's frame records
+    defect: Optional[ParseError] = None
+    try:
+        for lineno, line in body_lines(lines):
+            tag = line.split(maxsplit=1)[0]
+            if tag not in _RECON_RECORDS:
+                raise ParseError(lineno, f"unknown record tag {tag!r}")
+            spec = _RECON_RECORDS[tag]
+            deferred = spec is RECON_FRAME and point is not None
+            r = None if deferred else parse_record(spec, line, lineno)
+            # point and camera-block records come between point blocks, all others inside.
+            if (point is None) != (spec is RECON_POINT or spec in _RECON_CAMERA_BLOCK):
+                where = "outside" if point is None else "inside"
+                raise ParseError(lineno, f"{tag} record {where} a point block")
+            try:
+                if deferred:
+                    frames[-1].append((lineno, line))
+                elif spec is RECON_POINT:
+                    point = ReconstructedPoint(
+                        point_id=r["id"], frames=[], hits=[], bounces=[], pieces=[],
+                        partition=r["partition"] or "",
+                        entity_complete=r["entity_complete"], complete=r["complete"],
+                    )
+                    points.append(point)
+                    frames.append([])
+                elif spec is RECON_HIT:
+                    point.hits.append(HitEvent(r["frame"], r["player"], hand_world=r["pos"]))
+                elif spec is RECON_BOUNCE:
+                    point.bounces.append(BounceEvent(r["frame"], position=r["pos"]))
+                elif spec is RECON_PIECE:
+                    point.pieces.append(ReconstructedPiece(
+                        start_frame=r["start"],
+                        end_frame=r["end"],
+                        segment=StokesSegment(b0=r["b0"], bT=r["bT"], T=r["T"], k=r["k"]),
+                        drag=DragFit(r["k"], r["reproj"], boundary_warning=r["warn"]),
+                        parabola_mse=r["mse"],
+                    ))
+                elif spec is RECON_ENDPOINT:
+                    point = None
+                elif spec in once:
+                    raise ParseError(lineno, f"duplicate {tag} record")
+                else:
+                    once[spec] = r
+            except ValueError as exc:  # a constructor's own check, e.g. k > 0
+                raise ParseError(lineno, str(exc)) from None
+        if point is not None:
+            raise ParseError(len(lines), "the last point block has no endpoint record")
+    except ParseError as exc:
+        defect = exc
+    for owner, body in zip(points, frames):
+        owner.frames = list(starmap(_point_frame, decode_frames(RECON_FRAME, body)))
+    if defect is not None:
+        raise defect
     return points, once
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -468,18 +468,11 @@ class ExchangeSample:
                 for j in rows]
 
     def truth(self, times) -> np.ndarray:
-        """(m, 3) ball positions at ``times`` (m,): the return from t = 0 on,
-        the incoming ball before."""
-        t = np.asarray(times, dtype=float)
-        out = np.empty((len(t), 3))
-        after = t >= 0
-        if after.any():
-            out[after] = self.outgoing.positions(t[after])[0]
-        if not after.all():
-            out[~after] = self.incoming.positions(t[~after])[0]
-        return out
+        """(m, 3) ball positions at ``times`` (m,): ``balls_at`` of this exchange."""
+        return balls_at([self], times)[0]
 
     def truth_at(self, t: float) -> Vec3:
+        """The ball at one time, as ``truth`` takes it, in one Chains.positions call."""
         chain = self.outgoing if t >= 0 else self.incoming
         return Vec3.from_array(chain.positions([t])[0, 0])
 
@@ -487,6 +480,19 @@ class ExchangeSample:
         """Context times and frames with time <= t_rel_hit (a negative lead time)."""
         mask = context_mask(self.context_times, t_rel_hit)
         return self.context_times[mask], self._frames(np.flatnonzero(mask).tolist())
+
+
+def balls_at(exchanges: Sequence[ExchangeSample], times) -> np.ndarray:
+    """(n, m, 3) ball positions of n exchanges at ``times`` (m,): the
+    incoming ball before the opponent's hit, the return from t = 0 on. Each
+    side of the hit that ``times`` reach takes one Chains.positions call."""
+    t = np.asarray(times, dtype=float)
+    out = np.empty((len(exchanges), len(t), 3))
+    after = t >= 0
+    for side, at in (("outgoing", after), ("incoming", ~after)):
+        if at.any():
+            out[:, at] = Chains.concat([getattr(ex, side) for ex in exchanges]).positions(t[at])
+    return out
 
 
 def _chords(points: np.ndarray) -> np.ndarray:

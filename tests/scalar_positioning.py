@@ -1,5 +1,5 @@
-"""The one-frame player positioning that the stacked ``camera.position_player``
-replaced, kept as a test oracle.
+"""The one-frame player positioning that the stacked ``camera.ground_roots``
+and ``camera.place_joints`` replaced, kept as a test oracle.
 
 ``position_player`` places one player of one frame: one viewing ray through
 the ankle-pixel midpoint, intersected with the ground, and one rotation of

@@ -13,12 +13,12 @@ from ttrally.anticipate import (
     ShotPredictor,
     _bounds,
     _context_arrays,
+    _ensemble,
     build_regions,
     calibrate_ensemble,
     check_split,
     conformal_quantile,
     default_horizons,
-    ensemble_curve,
     evaluate_coverage,
     extreme_hit_bias,
     forecast_split,
@@ -139,15 +139,16 @@ def test_ensemble_needs_two_members():
         physics_baseline_ensemble(0, k_members=1)
     ctx, _ = _linear_context()
     with pytest.raises(EnsembleTooSmall):
-        ensemble_curve(physics_baseline_ensemble(0, 2)[:1], ctx, HORIZONS)
+        build_regions(physics_baseline_ensemble(0, 2)[:1], ConformalCalibration(0.1), ctx, HORIZONS)
 
 
 def test_ensemble_is_deterministic_and_spread_is_floored():
     ctx, _ = _linear_context()
     preds = physics_baseline_ensemble(7, 5)
-    mean_a, sigma_a = ensemble_curve(preds, ctx, [0.25])
-    mean_b, sigma_b = ensemble_curve(physics_baseline_ensemble(7, 5), ctx, [0.25])
-    assert mean_a.shape == sigma_a.shape == (1, 3)
+    hit, root_y = _context_arrays([ctx])
+    mean_a, sigma_a = _ensemble(preds, hit, root_y, np.array([0.25]))
+    mean_b, sigma_b = _ensemble(physics_baseline_ensemble(7, 5), hit, root_y, np.array([0.25]))
+    assert mean_a.shape == sigma_a.shape == (1, 1, 3)
     assert np.array_equal(mean_a, mean_b)
     assert np.array_equal(sigma_a, sigma_b)
     assert sigma_a.min() >= 1e-6
@@ -156,8 +157,8 @@ def test_ensemble_is_deterministic_and_spread_is_floored():
 def test_identical_members_hit_sigma_floor():
     ctx, _ = _linear_context()
     one = physics_baseline_ensemble(3, 2)[0]
-    _, sigma = ensemble_curve([one, one], ctx, [0.2])
-    assert sigma.tolist() == [[1e-6, 1e-6, 1e-6]]
+    _, sigma = _ensemble([one, one], *_context_arrays([ctx]), np.array([0.2]))
+    assert sigma.tolist() == [[[1e-6, 1e-6, 1e-6]]]
 
 
 
@@ -422,7 +423,7 @@ def test_batch_forecast_raises_the_scalar_checks(chunked_exchanges):
     ctx.times = ctx.times.copy()
     ctx.times[-2] = ctx.times[-1]
     with pytest.raises(FloatingPointError):
-        ensemble_curve(preds, ctx, HORIZONS)
+        build_regions(preds, ConformalCalibration(0.1), ctx, HORIZONS)
 
 
 def test_bias_report_empty_is_nan():

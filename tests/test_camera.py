@@ -13,9 +13,10 @@ from ttrally.camera import (
     Plane,
     calibrate,
     ground_projections,
+    ground_roots,
     inverse_project_to_plane,
-    pixel_ray,
-    position_player,
+    pixel_rays,
+    place_joints,
     project,
     project_many,
     reprojection_rms,
@@ -114,8 +115,8 @@ def test_pixel_ray_hits_projected_point():
     cam = _camera()
     p = Vec3(0.3, 0.2, 1.1)
     q = project(cam, p)
-    origin, direction = pixel_ray(cam, q)
-    direction = direction / np.linalg.norm(direction)
+    origin, directions = pixel_rays(cam, [[q.u, q.v]])
+    direction = directions[0] / np.linalg.norm(directions[0])
     # The world point lies on the ray.
     t = np.dot(p.as_array() - origin, direction)
     assert np.allclose(origin + t * direction, p.as_array(), atol=1e-9)
@@ -209,9 +210,8 @@ def test_position_player_round_trip():
     r, t = cam.extrinsics.r, cam.extrinsics.t
     joints_cam = [Vec3.from_array(r @ j.as_array() + t) for j in joints_world]
     ankles_px = [project(cam, j).as_array() for j in joints_world[-2:]]
-    got_roots, got_joints = position_player(
-        cam, [ankles_px], [[j.as_array() for j in joints_cam]]
-    )
+    got_roots = ground_roots(cam, [ankles_px])
+    got_joints = place_joints(cam, got_roots, [[j.as_array() for j in joints_cam]])
     assert np.allclose(got_roots[0], root.as_array(), atol=1e-6)
     for got, want in zip(got_joints[0], joints_world):
         assert np.allclose(got, want.as_array(), atol=1e-6)
@@ -233,9 +233,10 @@ def test_stacked_positioning_matches_the_one_frame_oracle(seed, n, n_joints):
         ]
     except NoIntersection as exc:
         with pytest.raises(NoIntersection, match=f"^{re.escape(str(exc))}$"):
-            position_player(cam, ankles, joints)
+            ground_roots(cam, ankles)
         return
-    roots, world = position_player(cam, ankles, joints)
+    roots = ground_roots(cam, ankles)
+    world = place_joints(cam, roots, joints)
     assert roots.tobytes() == np.array([r.as_array() for r, _ in want]).tobytes()
     assert world.tobytes() == np.array([[j.as_array() for j in js] for _, js in want]).tobytes()
 

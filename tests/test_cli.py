@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,16 @@ def test_exit_code_failure_on_unprocessable_track(tmp_path, capsys):
     rc = main(["reconstruct", "--track", str(path), "--out", str(tmp_path / "o")])
     assert rc == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
+
+
+def test_stats_on_points_without_frames_fails_cleanly(tmp_path, capsys):
+    source = Path(__file__).parent / "data" / "two_points.recon"
+    recon = tmp_path / "frameless.recon"
+    recon.write_text("".join(line for line in source.read_text().splitlines(keepends=True)
+                             if not line.startswith("frame ")))
+    assert main(["stats", "--recon", str(recon)]) == EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 def test_missing_subcommand_exits_with_usage():

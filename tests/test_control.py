@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation, Slerp
 
 from scalar_flight import trajectory_of
-from ttrally import anticipate, control
+from ttrally import anticipate, control, synth
 from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
 from ttrally.ball import GRAVITY, Chains
 from ttrally.control import (
@@ -27,7 +27,6 @@ from ttrally.control import (
     prepare_anticipation,
     racket_reflect,
     reachable_covers,
-    run_episode,
     run_experiment,
     run_strategy,
     select_preposition,
@@ -468,7 +467,7 @@ def sim_setup():
 
 def test_run_episode_oracle_mostly_returns(sim_setup):
     params, exchanges, _, _ = sim_setup
-    results = [run_episode(ex, "oracle", params) for ex in exchanges]
+    results = [run_strategy([ex], "oracle", params)[1][0] for ex in exchanges]
     rate = np.mean([r.returned for r in results])
     assert rate > 0.8
     for r in results:
@@ -481,9 +480,9 @@ def test_run_episode_oracle_mostly_returns(sim_setup):
 def test_run_episode_rejects_unknown_strategy(sim_setup):
     params, exchanges, _, _ = sim_setup
     with pytest.raises(ValueError):
-        run_episode(exchanges[0], "psychic", params)
+        run_strategy(exchanges[:1], "psychic", params)
     with pytest.raises(ValueError):
-        run_episode(exchanges[0], "anticipatory", params)  # missing calibration
+        run_strategy(exchanges[:1], "anticipatory", params)  # missing calibration
 
 
 def test_strategy_aggregate_and_ordering(sim_setup):
@@ -535,7 +534,7 @@ def test_run_experiment_recalibrates_one_split_per_lead_time(monkeypatch):
 
 
 def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
-    """run_episode as it stepped before the ball was sampled once per episode:
+    """An episode as it stepped before the ball was sampled once per episode:
     the scalar flights evaluated twice per step, the clock advanced in step."""
     incoming, outgoing = trajectory_of(ex.incoming), trajectory_of(ex.outgoing)
 
@@ -548,7 +547,8 @@ def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
     if strategy == "oracle":
         pre_target = ideal
     elif strategy == "anticipatory":
-        regions = control._regions(ex, params, predictors, calib)
+        ctx = ContextWindow(*ex.context_until(-params.lead_time))
+        regions = build_regions(predictors, calib, ctx, HORIZONS)
         try:
             region = select_target_time(regions, params.central, params.workspace,
                                         params.v_max, params.lead_time)
@@ -610,7 +610,7 @@ def test_run_episode_equals_the_stepwise_loop(lead_time):
     contacts = 0
     for ex in generate_exchanges(11, 40):
         for strategy in ("baseline", "anticipatory", "oracle"):
-            got = run_episode(ex, strategy, params, predictors, calib)
+            got = run_strategy([ex], strategy, params, predictors, calib)[1][0]
             assert got == _stepwise_episode(ex, strategy, params, predictors, calib)
             contacts += got.contacted
     assert contacts > 0  # the contact branch ran
@@ -631,7 +631,7 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
 
     def pre_hit_targets(ex, strategy):
         targets.clear()
-        result = run_episode(ex, strategy, params, predictors, calib)
+        _, (result,) = run_strategy([ex], strategy, params, predictors, calib)
         return targets[:pre_hit], result.fallback
 
     anticipated = 0
@@ -699,11 +699,13 @@ def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
 def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
     params, exchanges, predictors, calib = sim_setup
     _, results = run_strategy(exchanges, strategy, params, predictors, calib)
-    assert results == [run_episode(ex, strategy, params, predictors, calib) for ex in exchanges]
-    regions = [control._regions(ex, params, predictors, calib) for ex in exchanges]
+    assert results == [run_strategy([ex], strategy, params, predictors, calib)[1][0]
+                       for ex in exchanges]
+    contexts = [ContextWindow(*ex.context_until(-params.lead_time)) for ex in exchanges]
+    regions = [build_regions(predictors, calib, ctx, HORIZONS) for ctx in contexts]
     _, given_regions = run_strategy(exchanges, strategy, params, regions=regions)
     assert given_regions == results
-    assert given_regions == [run_episode(ex, strategy, params, regions=r)
+    assert given_regions == [run_strategy([ex], strategy, params, regions=[r])[1][0]
                              for ex, r in zip(exchanges, regions)]
 
 
@@ -716,7 +718,9 @@ def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
         return ensemble(predictors, hit, root_y, horizons)
 
     def tracing(self, t):
-        if sys._getframe(1).f_globals["__name__"] == control.__name__:
+        caller = sys._getframe(1)  # balls_at, called from control
+        if (caller.f_code is synth.balls_at.__code__
+                and caller.f_back.f_globals["__name__"] == control.__name__):
             truth_rows.append(len(self.T))
         return positions(self, t)
 
@@ -725,7 +729,7 @@ def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
 
     monkeypatch.setattr(anticipate, "_ensemble", counting)
     monkeypatch.setattr(Chains, "positions", tracing)
-    monkeypatch.setattr(control, "build_regions", unused)
+    monkeypatch.setattr(anticipate, "_context_arrays", unused)
     monkeypatch.setattr(ExchangeSample, "truth", unused)
     rows = run_experiment(5, n_episodes=6, n_cal=60)
     assert len(rows) == 8

@@ -99,6 +99,25 @@ def test_dataset_stats_percentile_matches_nearest_rank_oracle():
     assert stats.speed_p90 == pytest.approx(s[math.ceil(0.9 * len(s)) - 1])
 
 
+def test_dataset_stats_divide_steps_by_the_frame_gap():
+    # A reconstruction leaves out frames it could not position: the step
+    # across a dropped frame spans two frame times.
+    rng = np.random.default_rng(4)
+    positions = np.cumsum(rng.uniform(0.05, 0.3, size=(21, 3)), axis=0).tolist()
+    point = _point_from_positions(positions, hits=[0, 20], fps=50.0)
+    del point.frames[7]
+    stats = dataset_stats([point])
+    speeds = sorted(
+        math.dist(a.ball_world.as_array(), b.ball_world.as_array())
+        / ((b.frame_index - a.frame_index) / 50.0)
+        for a, b in zip(point.frames, point.frames[1:])
+    )
+    assert len(speeds) == 19
+    assert stats.mean_speed == pytest.approx(sum(speeds) / len(speeds), rel=1e-12)
+    assert stats.speed_p10 == pytest.approx(speeds[math.ceil(0.1 * 19) - 1], rel=1e-12)
+    assert stats.speed_p90 == pytest.approx(speeds[math.ceil(0.9 * 19) - 1], rel=1e-12)
+
+
 def test_dataset_stats_empty():
     with pytest.raises(EmptyDataset):
         dataset_stats([])

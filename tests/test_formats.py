@@ -442,3 +442,153 @@ def test_column_pass_reads_dashes_in_every_omittable_column(tmp_path):
     again = tmp_path / "again.track"
     write_track(got, str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+
+# ---------------------------------------------------------------------------
+# the reader error table: what each reader makes of fixed edits
+# ---------------------------------------------------------------------------
+
+
+def _on(n, pattern, repl):
+    """Substitute ``pattern`` once on line ``n`` (1-based)."""
+
+    def edit(lines):
+        lines[n - 1], count = re.subn(pattern, repl, lines[n - 1], count=1)
+        assert count == 1, (n, pattern)
+
+    return edit
+
+
+def _cut(n, length):
+    def edit(lines):
+        lines[n - 1] = lines[n - 1][:length]
+
+    return edit
+
+
+def _move(n, to):
+    """Move line ``n`` so that it becomes line ``to``."""
+    return lambda lines: lines.insert(to - 1, lines.pop(n - 1))
+
+
+def _copy(n):
+    """Repeat line ``n`` right after itself."""
+    return lambda lines: lines.insert(n, lines[n - 1])
+
+
+ORDER = "frame indices must be increasing"
+COORDS = "comma-separated finite numbers"
+NOT_FLOAT = "could not convert string to float: "
+# Case -> (source, edits applied in order, outcome): None when the file
+# loads, else the error's class, line number and message. Recon lines: 6 and
+# 21 open the two point blocks, 7-9 and 22 are hits, 13-17 and 24 pieces,
+# 18-19 and 25-26 frames, 20 and 27 endpoints.
+READER_ERRORS = {
+    "track-truncate": (TRACK, [_cut(4, 60)], (
+        ParseError, 4, f"line 4: bad kp1 '276.5493': must be 2 {COORDS}")),
+    "track-garble": (TRACK, [_on(3, r"ball=\S+", "ball=oops")], (
+        ParseError, 3, f"line 3: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    "track-nan": (TRACK, [_on(5, r"kp2=[^,]+", "kp2=nan")], (
+        ParseError, 5, f"line 5: bad kp2 'nan,267.04057643362825': must be 2 {COORDS}")),
+    "track-three-coordinates": (TRACK, [_on(2, r"ball=\S+", "ball=1,2,3")], (
+        ParseError, 2, f"line 2: bad ball '1,2,3': must be 2 {COORDS}")),
+    "track-bad-number-and-arity": (TRACK, [_on(2, r"ball=\S+", "ball=1,x,3")], (
+        ParseError, 2, f"line 2: bad ball '1,x,3': {NOT_FLOAT}'x'")),
+    "track-fractional-frame": (TRACK, [_on(6, r"frame=4", "frame=4.5")], (
+        ParseError, 6, "line 6: bad frame '4.5': invalid literal for int() with base 10: '4.5'")),
+    "track-drop-field": (TRACK, [_on(2, r" kp6=\S+", "")], (
+        ParseError, 2, "line 2: missing field 'kp6'")),
+    "track-duplicate-field": (TRACK, [_on(4, r"( rk0=\S+)", r"\1\1")], (
+        ParseError, 4, "line 4: duplicate field 'rk0=-'")),
+    "track-fields-out-of-order": (TRACK, [_on(3, r"(ball=\S+) (kp1=\S+)", r"\2 \1")], None),
+    "track-one-ankle": (TRACK, [_on(5, r"ankles0=([^;\s]+);\S+", r"ankles0=\1")], (
+        ParseError, 5,
+        "line 5: bad ankles0 '215.0920521366701,184.42053962325477': has 1 entries")),
+    "track-list-arity-then-bad-number": (TRACK, [_on(6, r"ankles1=\S+", "ankles1=1,2,3;x,4")], (
+        ParseError, 6, f"line 6: bad ankles1 '1,2,3;x,4': must be 2 {COORDS}")),
+    "track-frame-order": (TRACK, [_on(4, r"frame=2", "frame=1")], (
+        ParseError, 4, f"line 4: {ORDER}")),
+    "track-duplicate-frame": (TRACK, [_copy(3)], (ParseError, 4, f"line 4: {ORDER}")),
+    "track-frame-order-then-bad-value": (
+        TRACK, [_on(3, r"frame=1", "frame=0"), _on(5, r"ball=\S+", "ball=oops")],
+        (ParseError, 3, f"line 3: {ORDER}")),
+    "track-bad-value-then-frame-order": (
+        TRACK, [_on(3, r"ball=\S+", "ball=oops"), _on(5, r"frame=3", "frame=1")],
+        (ParseError, 3, f"line 3: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    "recon-truncate-frame": (RECON, [_cut(19, 100)], (
+        ParseError, 19, f"line 19: bad root0 '-1.919936149249319': must be 3 {COORDS}")),
+    "recon-garble-frame": (RECON, [_on(18, r"ball=\S+", "ball=oops")], (
+        ParseError, 18, f"line 18: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    "recon-nan-frame": (RECON, [_on(25, r"root1=[^,]+", "root1=nan")], (
+        ParseError, 25,
+        f"line 25: bad root1 'nan,0.00012806945541399273,0.0': must be 3 {COORDS}")),
+    "recon-drop-frame-field": (RECON, [_on(26, r" root1=\S+", "")], (
+        ParseError, 26, "line 26: missing field 'root1'")),
+    "recon-duplicate-piece-field": (RECON, [_on(13, r"( k=\S+)", r"\1\1")], (
+        ParseError, 13, "line 13: duplicate field 'k=0.4334890545318703'")),
+    "recon-fields-out-of-order": (
+        RECON, [_on(19, r"(root0=\S+) (root1=\S+)", r"\2 \1")], None),
+    "recon-negative-k": (RECON, [_on(14, r" k=\S+", " k=-1.0")], (
+        ParseError, 14, "line 14: k must be positive")),
+    "recon-hit-before-point": (RECON, [_move(7, 6)], (
+        ParseError, 6, "line 6: hit record outside a point block")),
+    "recon-unknown-tag": (RECON, [_on(7, r"^hit ", "hits ")], (
+        ParseError, 7, "line 7: unknown record tag 'hits'")),
+    "recon-no-table": (RECON, [_cut(5, 0)], (SchemaError, None, "missing table record")),
+    "recon-bad-frame-then-unknown-tag": (
+        RECON, [_on(18, r"ball=\S+", "ball=oops"), _on(20, r"^endpoint$", "endpoints")],
+        (ParseError, 18, f"line 18: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    "recon-unknown-tag-then-bad-frame": (
+        RECON, [_on(10, r"^bounce ", "bounces "), _on(19, r"ball=\S+", "ball=oops")],
+        (ParseError, 10, "line 10: unknown record tag 'bounces'")),
+    "recon-bad-frame-then-bad-hit": (
+        RECON, [_on(19, r"ball=\S+", "ball=oops"), _on(22, r"pos=\S+", "pos=oops")],
+        (ParseError, 19, f"line 19: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    "recon-bad-frame-then-no-endpoint": (
+        RECON, [_on(25, r"ball=\S+", "ball=oops"), _cut(27, 0)],
+        (ParseError, 25, f"line 25: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    "recon-bad-frame-outside-a-point": (
+        RECON, [_on(26, r"ball=\S+", "ball=oops"), _move(26, 27)],
+        (ParseError, 27, f"line 27: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    # Recon frame indices must increase inside a point, as track ones do.
+    "recon-duplicate-frame": (RECON, [_copy(18)], (ParseError, 19, f"line 19: {ORDER}")),
+    "recon-frame-order-then-bad-value": (
+        RECON, [_on(19, r"idx=1", "idx=0"), _on(25, r"ball=\S+", "ball=oops")],
+        (ParseError, 19, f"line 19: {ORDER}")),
+    "conformal-truncate": (CONFORMAL, [_cut(3, 5)], (
+        ParseError, 3, "line 3: expected 4 values, got 2")),
+    "conformal-nan": (CONFORMAL, [_on(2, r"\t1\.96\d*\t", "\tnan\t")], (
+        ParseError, 2, "line 2: bad q 'nan': must be non-negative (inf allowed)")),
+    "conformal-bad-axis": (CONFORMAL, [_on(4, r"^y\t", "w\t")], (
+        ParseError, 4, "line 4: bad axis 'w': must be x, y or z")),
+    "conformal-drop-value": (CONFORMAL, [_on(7, r"\t8$", "")], (
+        ParseError, 7, "line 7: expected 4 values, got 3")),
+    "conformal-duplicate-row": (CONFORMAL, [_copy(2)], (
+        ParseError, 3, "line 3: duplicate row for ('x', 0.1)")),
+    "conformal-header": (CONFORMAL, [_on(1, r"alpha=\S+", "alpha=abc")], (
+        SchemaError, 1, f"line 1: bad alpha 'abc': {NOT_FLOAT}'abc'")),
+}
+READERS = {TRACK: load_track, RECON: read_reconstruction, CONFORMAL: read_calibration}
+
+
+def _error(read, path):
+    try:
+        read(str(path))
+    except ParseError as exc:
+        return type(exc), exc.line_number, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", READER_ERRORS)
+def test_reader_error_table(case, tmp_path):
+    source, edits, want = READER_ERRORS[case]
+    lines = source.read_text().splitlines()
+    for edit in edits:
+        edit(lines)
+    path = tmp_path / source.name
+    path.write_text("\n".join(lines) + "\n")
+    read = READERS[source]
+    assert _error(read, path) == want
+    with mock.patch.object(pipeline, "decode_columns", lambda spec, lines: None):
+        assert _error(read, path) == want  # record by record
