@@ -142,7 +142,7 @@ SEED = _checked(int, lambda n: n >= 0, "must be >= 0")
 ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "must be in (0, 1)")
 COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
 HITS = _checked(int, lambda n: n >= 2, "must be >= 2")
-FPS = _checked(float, lambda f: 0.0 < f < math.inf, "must be finite and > 0")
+FPS = _checked(float, lambda f: 0.0 < f <= 1000.0, "must be in (0, 1000]")
 NON_NEGATIVE = _checked(float, lambda f: 0.0 <= f < math.inf, "must be finite and >= 0")
 LAM = _checked(float, lambda x: 0.0 <= x <= 1.0, "must be in [0, 1]")
 LEAD_TIME = _checked(float, lambda t: 0.0 <= t <= synth.MAX_LEAD_TIME,

@@ -201,6 +201,14 @@ def _omittable(kind: Kind) -> Kind:
     return kind._replace(omittable=True)
 
 
+def _word(value) -> str:
+    """``value`` as text that splits to itself, so its reader takes it back whole."""
+    text = str(value)
+    if text.split() != [text]:
+        raise ValueError(f"{text!r} is not one word without whitespace")
+    return text
+
+
 def _row(tag: str, n: int) -> Spec:
     """``tag`` followed by ``n`` positional finite floats."""
     return Spec(tag, {f"{tag}{i}": FLOAT for i in range(n)}, keyed=False)
@@ -215,7 +223,7 @@ FLOAT = _scalar(float, math.isfinite, "finite")
 POSITIVE = _scalar(float, lambda x: 0 < x < math.inf, "positive and finite")
 PROBABILITY = _scalar(float, lambda x: 0 < x < 1, "in (0, 1)")
 QUANTILE = _scalar(float, lambda x: x >= 0, "non-negative (inf allowed)")
-WORD = _scalar(str, bool, "non-empty")
+WORD = Kind(_word, _scalar(str, bool, "non-empty").column)
 AXIS = _scalar(str, AXES.__contains__, "x, y or z")
 PX = _coords(2, tuple, lambda p: (float(p[0]), float(p[1])))
 XYZ = _coords(3, lambda c: Vec3(*c), lambda v: (float(v.x), float(v.y), float(v.z)))

@@ -9,14 +9,14 @@ fits, with hit and bounce anchors snapped to frame boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ball import GRAVITY, RAISE_ON_NONFINITE, Chains, StokesSegment, _libm, stokes_positions
 from .camera import Camera, Extrinsics, Intrinsics, project, project_many
-from .core import Frame2D, Frame3D, TableGeometry, Vec3
+from .core import RACKET_HAND_JOINT, Frame2D, Frame3D, TableGeometry, Vec3
 from .errors import AssumptionViolation
 from .pipeline import TrackFile, TrackHeader
 
@@ -53,7 +53,10 @@ CONTEXT_TIMES.flags.writeable = False  # every exchange shares this one array
 # The forecast needs two context frames, so the last one it may use is one
 # frame step after the context starts.
 MAX_LEAD_TIME = CONTEXT_S - CONTEXT_DT
-EXCHANGE_TABLE = TableGeometry()  # one instance, shared by every exchange
+TABLE = TableGeometry()  # the one table every rally and exchange is played on
+# Every generated track's image, in px; each clean pixel keeps IMAGE_MARGIN_PX inside it.
+IMAGE_WIDTH, IMAGE_HEIGHT = 960, 540
+IMAGE_MARGIN_PX = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -61,48 +64,32 @@ EXCHANGE_TABLE = TableGeometry()  # one instance, shared by every exchange
 # ---------------------------------------------------------------------------
 
 
+def _eased(u: np.ndarray) -> np.ndarray:
+    """Cosine easing from 0 to 1 over u in [0, 1], flat outside; libm's cos."""
+    return 0.5 - 0.5 * _libm(math.cos, math.pi * np.clip(u, 0.0, 1.0))
+
+
 @dataclass
 class RallyTruth:
-    table: TableGeometry
     fps: float
     frames: np.ndarray  # absolute frame indices, first hit .. last hit
     ball: np.ndarray  # (n, 3)
     hits: list[tuple[int, int, Vec3]]  # (frame, player, position)
     bounces: list[tuple[int, Vec3]]
     pieces: list[tuple[int, int, StokesSegment]]  # (start frame, end frame, seg)
-    hands: list[np.ndarray]  # per player, (n, 3)
-    roots: list[np.ndarray]  # per player, (n, 3)
-
-    def joints(self, player: int, i: int) -> list[Vec3]:
-        """Joint list [hip, racket hand, ankle_l, ankle_r] for frame slot i."""
-        root = self.roots[player][i]
-        hand = self.hands[player][i]
-        return [
-            Vec3(root[0], root[1], 0.95),
-            Vec3(*hand),
-            Vec3(root[0] - 0.08, root[1], 0.0),
-            Vec3(root[0] + 0.08, root[1], 0.0),
-        ]
+    joints: np.ndarray  # (n, 2, 4, 3): frame, player, [hip, racket hand, ankle_l, ankle_r]
 
 
-def _ease(u: float) -> float:
-    return 0.5 - 0.5 * math.cos(math.pi * min(max(u, 0.0), 1.0))
-
-
-def generate_rally(
-    rng: np.random.Generator,
-    table: TableGeometry = TableGeometry(),
-    fps: float = 60.0,
-    n_hits: int = 4,
-) -> RallyTruth:
-    """Ground-truth rally: drag pieces between frame-snapped hit/bounce anchors.
+def generate_rally(rng: np.random.Generator, fps: float = 60.0, n_hits: int = 4) -> RallyTruth:
+    """Ground-truth rally on TABLE: drag pieces between frame-snapped
+    hit/bounce anchors.
 
     Player 0 (on -x) serves; the first hit pair is the serve and carries two
     bounces (one per half).
     """
     if n_hits < 2:
         raise ValueError("need at least two hits")
-    hl, hw, h = table.half_length, table.half_width, table.height_z
+    hl, h = TABLE.half_length, TABLE.height_z
 
     sides = [(-1 if i % 2 == 0 else 1) for i in range(n_hits)]
     hit_pos = [
@@ -165,49 +152,32 @@ def generate_rally(
         local = np.minimum(np.arange(end - start + 1) / fps, seg.T)
         ball[start - frames[0]:end - frames[0] + 1] = stokes_positions(seg, local)
 
-    # Racket hands: cosine easing between each player's own hit positions.
-    hands = []
-    roots = []
-    for player in (0, 1):
-        side = -1 if player == 0 else 1
-        rest = np.array([side * (hl + 0.5), 0.0, 1.0])
-        own = [
-            (hit_frames[i], hit_pos[i].as_array())
-            for i in range(n_hits)
-            if i % 2 == player
-        ]
-        controls = (
-            [(frames[0] - 1, rest)] + own + [(frames[-1] + 1, rest)]
-        )
-        hand = np.zeros((len(frames), 3))
-        for j, fr in enumerate(frames):
-            for (f0, p0), (f1, p1) in zip(controls, controls[1:]):
-                if f0 <= fr <= f1:
-                    u = _ease((fr - f0) / max(f1 - f0, 1))
-                    hand[j] = p0 + u * (p1 - p0)
-                    break
-            else:
-                hand[j] = controls[-1][1]
-        hands.append(hand)
-        root = np.column_stack(
-            [
-                np.full(len(frames), side * (hl + 0.55)),
-                0.8 * hand[:, 1],
-                np.zeros(len(frames)),
-            ]
-        )
-        roots.append(root)
+    # Racket hands: cosine easing between each player's own hit positions,
+    # from rest before the first frame to rest after the last. A frame on a
+    # control frame takes the span that ends there.
+    joints = np.empty((len(frames), 2, 4, 3))
+    for player, side in ((0, -1), (1, 1)):
+        rest = [side * (hl + 0.5), 0.0, 1.0]
+        at = np.array([frames[0] - 1, *hit_frames[player::2], frames[-1] + 1])
+        controls = np.array([rest, *(p.as_array() for p in hit_pos[player::2]), rest])
+        span = np.searchsorted(at, frames) - 1
+        u = _eased((frames - at[span]) / np.maximum(at[span + 1] - at[span], 1))
+        p0 = controls[span]
+        hand = p0 + u[:, None] * (controls[span + 1] - p0)
+        root_x = side * (hl + 0.55)
+        joints[:, player, :, 0] = root_x, 0.0, root_x - 0.08, root_x + 0.08
+        joints[:, player, :, 1] = 0.8 * hand[:, 1:2]  # the root's y
+        joints[:, player, :, 2] = 0.95, 0.0, 0.0, 0.0
+        joints[:, player, RACKET_HAND_JOINT] = hand
 
     return RallyTruth(
-        table=table,
         fps=fps,
         frames=frames,
         ball=ball,
         hits=[(hit_frames[i], i % 2, hit_pos[i]) for i in range(n_hits)],
         bounces=bounces,
         pieces=pieces,
-        hands=hands,
-        roots=roots,
+        joints=joints,
     )
 
 
@@ -251,35 +221,21 @@ def check_camera_assumptions(camera: Camera, table: TableGeometry) -> None:
         raise AssumptionViolation("table legs not vertical in the image")
 
 
-def sample_camera(
-    rng: np.random.Generator,
-    table: TableGeometry = TableGeometry(),
-    width: int = 960,
-    height: int = 540,
-) -> Camera:
-    """Random valid side-view camera with the table centered in frame."""
+def sample_camera(rng: np.random.Generator) -> Camera:
+    """Random valid side-view camera with TABLE centered in the image."""
     for _ in range(100):
         y_c = float(rng.uniform(-9.0, -6.5))
         z_c = float(rng.uniform(1.6, 3.0))
         tilt = float(rng.uniform(0.0, 1.2e-3))
         focal = float(rng.uniform(850.0, 1100.0))
-        cx = width / 2.0 + float(rng.uniform(-20, 20))
+        cx = IMAGE_WIDTH / 2.0 + float(rng.uniform(-20, 20))
         cam = tilt_camera(focal, cx, 0.0, y_c, z_c, tilt)
-        v_center = project(cam, Vec3(0.0, 0.0, table.height_z)).v
-        cy = height / 2.0 - v_center + float(rng.uniform(-15, 15))
+        v_center = project(cam, Vec3(0.0, 0.0, TABLE.height_z)).v
+        cy = IMAGE_HEIGHT / 2.0 - v_center + float(rng.uniform(-15, 15))
         cam = tilt_camera(focal, cx, cy, y_c, z_c, tilt)
-        if leg_verticality(cam, table) <= LEG_VERTICALITY_TOL_PX:
+        if leg_verticality(cam, TABLE) <= LEG_VERTICALITY_TOL_PX:
             return cam
     raise AssumptionViolation("could not sample a valid camera")
-
-
-def _in_bounds(px: np.ndarray, width: int, height: int, margin: float = 2.0) -> bool:
-    return bool(
-        np.all(px[..., 0] >= margin)
-        and np.all(px[..., 0] <= width - margin)
-        and np.all(px[..., 1] >= margin)
-        and np.all(px[..., 1] <= height - margin)
-    )
 
 
 def emit_synthetic_track(
@@ -287,81 +243,53 @@ def emit_synthetic_track(
     camera: Camera,
     noise_px: float,
     rng: np.random.Generator,
-    width: int = 960,
-    height: int = 540,
     video_id: str = "",
     seed: Optional[int] = None,
 ) -> TrackFile:
     """Project a ground-truth rally into a track file with pixel noise.
 
-    Pixel observations (ball, keypoints, base height, racket centroids,
-    ankles) receive isotropic Gaussian noise of scale ``noise_px``; the
-    camera-frame joints are passed through exactly, as an upstream 3D pose
-    estimator would emit them.
+    Pixel observations (ball, keypoints, racket centroids, ankles, base
+    height) receive isotropic Gaussian noise of scale ``noise_px``, drawn as
+    one block in frame order; the camera-frame joints are passed through
+    exactly, as an upstream 3D pose estimator would emit them. A scene whose
+    clean pixels leave the image raises AssumptionViolation after drawing the
+    noise of the frames before the first one outside.
     """
-    check_camera_assumptions(camera, rally.table)
-    table = rally.table
-
-    kp_world = np.array([p.as_array() for p in table.surface_keypoints()])
-    base_point = np.array([[0.0, -table.half_width, 0.0]])
-    base_h_clean = project_many(camera, base_point)[0, 1]
-
-    def noisy(px: np.ndarray) -> np.ndarray:
-        if noise_px <= 0:
-            return px
-        return px + rng.normal(0.0, noise_px, size=px.shape)
-
-    r = camera.extrinsics.r
-    t = camera.extrinsics.t
-    frames: list[Frame2D] = []
-    for i, frame_index in enumerate(rally.frames):
-        ball_px = project_many(camera, rally.ball[i : i + 1])
-        kp_px = project_many(camera, kp_world)
-        rk_px = project_many(
-            camera, np.vstack([rally.hands[0][i], rally.hands[1][i]])
-        )
-        joints = [rally.joints(p, i) for p in (0, 1)]
-        ankle_world = np.array(
-            [
-                [j.as_array() for j in joints[0][-2:]],
-                [j.as_array() for j in joints[1][-2:]],
-            ]
-        )
-        ankle_px = np.stack(
-            [project_many(camera, ankle_world[p]) for p in (0, 1)]
-        )
-        clean = [ball_px, kp_px, rk_px, ankle_px]
-        if not all(_in_bounds(c, width, height) for c in clean):
-            raise AssumptionViolation("scene projects outside the image")
-        ball_px = noisy(ball_px)
-        kp_px = noisy(kp_px)
-        rk_px = noisy(rk_px)
-        ankle_px = noisy(ankle_px)
-        base_h = float(noisy(np.array([[0.0, base_h_clean]]))[0, 1])
-
-        joints_cam = [
-            [Vec3.from_array(r @ j.as_array() + t) for j in joints[p]]
-            for p in (0, 1)
-        ]
-        frames.append(
-            Frame2D(
-                frame_index=int(frame_index),
-                ball_px=tuple(ball_px[0]),
-                table_keypoints=[tuple(p) for p in kp_px],
-                base_height_px=base_h,
-                racket_centroids=[tuple(rk_px[0]), tuple(rk_px[1])],
-                player_joints_cam=joints_cam,
-                player_ankles_px=[
-                    [tuple(a) for a in ankle_px[0]],
-                    [tuple(a) for a in ankle_px[1]],
-                ],
-            )
-        )
+    check_camera_assumptions(camera, TABLE)
+    n = len(rally.frames)
+    keypoints = np.array([p.as_array() for p in TABLE.surface_keypoints()])
+    base_h = project_many(camera, np.array([[0.0, -TABLE.half_width, 0.0]]))[0, 1]
+    # Per frame, 13 observed points: ball, 6 keypoints, 2 racket hands, 4 ankles.
+    world = np.concatenate([rally.ball[:, None], np.broadcast_to(keypoints, (n, 6, 3)),
+                            rally.joints[:, :, RACKET_HAND_JOINT],
+                            rally.joints[:, :, 2:].reshape(n, 4, 3)], axis=1)
+    pixels = project_many(camera, world.reshape(-1, 3)).reshape(n, 13, 2)
+    inside = ((pixels >= IMAGE_MARGIN_PX)
+              & (pixels <= [IMAGE_WIDTH - IMAGE_MARGIN_PX, IMAGE_HEIGHT - IMAGE_MARGIN_PX]))
+    outside = np.flatnonzero(~inside.all(axis=(1, 2)))
+    # Each frame's 28 draws: its 26 pixel values, then two for the base
+    # height, which takes the second.
+    rows = outside[0] if len(outside) else n
+    noise = rng.normal(0.0, noise_px, size=(rows, 28)) if noise_px > 0 else np.zeros((rows, 28))
+    if rows < n:
+        raise AssumptionViolation("scene projects outside the image")
+    pixels = (pixels + noise[:, :26].reshape(n, 13, 2)).tolist()
+    joints_cam = (rally.joints.reshape(-1, 3) @ camera.extrinsics.r.T
+                  + camera.extrinsics.t).reshape(n, 2, 4, 3).tolist()
+    frames = [
+        Frame2D(frame_index=index, ball_px=tuple(px[0]),
+                table_keypoints=list(map(tuple, px[1:7])), base_height_px=h,
+                racket_centroids=list(map(tuple, px[7:9])),
+                player_joints_cam=[[Vec3(*j) for j in player] for player in cam],
+                player_ankles_px=[list(map(tuple, px[9:11])), list(map(tuple, px[11:13]))])
+        for index, px, h, cam in zip(rally.frames.tolist(), pixels,
+                                     (base_h + noise[:, 27]).tolist(), joints_cam)
+    ]
     return TrackFile(
         header=TrackHeader(
             fps=rally.fps,
-            width=width,
-            height=height,
+            width=IMAGE_WIDTH,
+            height=IMAGE_HEIGHT,
             video_id=video_id,
             seed=seed,
             noise_px=noise_px,
@@ -372,24 +300,19 @@ def emit_synthetic_track(
 
 def generate_scene(
     rng: np.random.Generator,
-    table: TableGeometry = TableGeometry(),
     fps: float = 60.0,
     n_hits: int = 4,
     noise_px: float = 0.0,
-    width: int = 960,
-    height: int = 540,
     video_id: str = "",
     seed: Optional[int] = None,
 ) -> tuple[TrackFile, RallyTruth, Camera]:
     """Sample (rally, camera) pairs until the scene fits in the image."""
     last_error: Optional[Exception] = None
     for _ in range(SCENE_TRIES):
-        rally = generate_rally(rng, table, fps, n_hits)
-        cam = sample_camera(rng, table, width, height)
+        rally = generate_rally(rng, fps, n_hits)
+        cam = sample_camera(rng)
         try:
-            track = emit_synthetic_track(
-                rally, cam, noise_px, rng, width, height, video_id, seed
-            )
+            track = emit_synthetic_track(rally, cam, noise_px, rng, video_id, seed)
             return track, rally, cam
         except AssumptionViolation as exc:
             last_error = exc
@@ -399,21 +322,9 @@ def generate_scene(
 def corrupt_track(
     track: TrackFile, rng: np.random.Generator, drop_prob: float
 ) -> TrackFile:
-    """Drop player joints in random frames to emulate tracking failures."""
-    frames = []
-    for f in track.frames:
-        f2 = Frame2D(
-            frame_index=f.frame_index,
-            ball_px=f.ball_px,
-            table_keypoints=list(f.table_keypoints),
-            base_height_px=f.base_height_px,
-            racket_centroids=list(f.racket_centroids),
-            player_joints_cam=list(f.player_joints_cam),
-            player_ankles_px=list(f.player_ankles_px),
-        )
-        if rng.random() < drop_prob:
-            f2.player_joints_cam = [None, f2.player_joints_cam[1]]
-        frames.append(f2)
+    """Drop player 0's joints in random frames to emulate tracking failures."""
+    frames = [replace(f, player_joints_cam=[None, f.player_joints_cam[1]])
+              if rng.random() < drop_prob else f for f in track.frames]
     return TrackFile(header=track.header, frames=frames)
 
 
@@ -583,8 +494,7 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSa
         return []
     (side, root_noise, hit_x, hit_y, hit_z, ego_y, ego_z, xb_in, speed_in, k_in1, k_in2,
      aim_noise, z_cross, xb_out, speed, k1, k2) = np.array(draws).T
-    table = EXCHANGE_TABLE
-    hl, h = table.half_length, table.height_z
+    hl, h = TABLE.half_length, TABLE.height_z
 
     opp_root_y = np.clip(np.where(side < 0.5, 1.0, -1.0) * 0.5 + root_noise, -0.8, 0.8)
     hit = np.column_stack([hl + 0.25 + 0.15 * hit_x, opp_root_y + hit_y, hit_z])
@@ -611,14 +521,14 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSa
     # Context strictly before the hit: the incoming ball, and the opponent's
     # hand easing from rest to the contact point.
     balls = incoming.positions(CONTEXT_TIMES)
-    approach = np.array([_ease(1.0 + t / CONTEXT_S) for t in CONTEXT_TIMES.tolist()])
+    approach = _eased(1.0 + CONTEXT_TIMES / CONTEXT_S)
     rest = np.column_stack([np.full(n, hl + 0.6), opp_root_y, np.ones(n)])
     hands = rest[:, None] + (hit - rest)[:, None] * approach[:, None]
 
     return [
         ExchangeSample(
             exchange_id=id_offset + i,
-            table=table,
+            table=TABLE,
             context_times=CONTEXT_TIMES,
             context_balls=balls[i],
             context_hands=hands[i],

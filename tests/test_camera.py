@@ -83,7 +83,7 @@ def test_inverse_project_round_trip(x, y, z):
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 960.0), st.floats(0.0, 540.0),
        st.sampled_from([0.0, TABLE.height_z]))
 def test_project_inverts_inverse_project_on_the_plane(seed, u, v, z):
-    cam = sample_camera(np.random.default_rng(seed), TABLE)
+    cam = sample_camera(np.random.default_rng(seed))
     plane = Plane("z", z)
     try:
         back = inverse_project_to_plane(cam, ImagePoint(u, v), plane)
@@ -223,7 +223,7 @@ def test_stacked_positioning_matches_the_one_frame_oracle(seed, n, n_joints):
     # Ankle pixels anywhere in the image: some rays miss the ground, and the
     # stacked call must then raise for the first of them, as frame by frame.
     rng = np.random.default_rng(seed)
-    cam = sample_camera(rng, TABLE)
+    cam = sample_camera(rng)
     ankles = rng.uniform(0.0, [960.0, 540.0], size=(n, 2, 2))
     joints = rng.normal(size=(n, n_joints, 3)) + [0.0, 0.0, 8.0]
     try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttrally.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from ttrally.pipeline import write_track
+from ttrally.pipeline import load_track, write_track
 from ttrally.synth import generate_scene
 
 
@@ -149,6 +149,8 @@ def test_missing_subcommand_exits_with_usage():
     ["synth", "--fps", "0"],
     ["synth", "--fps", "nan"],
     ["synth", "--fps", "inf"],
+    ["synth", "--fps", "1e300"],
+    ["synth", "--fps", "1000.5"],
     ["synth", "--noise-px", "nan"],
     ["synth", "--noise-px", "-0.5"],
     ["synth", "--seed", "-1"],
@@ -174,3 +176,10 @@ def test_bad_argument_exits_with_usage(argv, tmp_path, capsys):
     assert f"error: argument {argv[1]}: " in stderr
     assert "Traceback" not in stderr
     assert not out.exists()
+
+
+def test_synth_runs_at_the_top_frame_rate(tmp_path):
+    out = tmp_path / "top.track"
+    assert main(["synth", "--seed", "1", "--out", str(out), "--fps", "1000"]) == EXIT_OK
+    track = load_track(str(out))
+    assert track.header.fps == 1000.0 and len(track.frames) > 1000

@@ -5,12 +5,14 @@ Frame3D and no ContextWindow; ``ex.context`` and ``ex.context_until`` must
 build exactly the frames generate_exchanges used to build eagerly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from ttrally import anticipate, core
 from ttrally.core import Frame3D, Vec3
-from ttrally.synth import CONTEXT_DT, CONTEXT_S, CONTEXT_TIMES, _ease, generate_exchanges
+from ttrally.synth import CONTEXT_DT, CONTEXT_S, CONTEXT_TIMES, generate_exchanges
 
 LEAD_TIMES = [0.0, 0.02, 0.1, 0.58, 0.6]
 
@@ -40,6 +42,11 @@ def test_the_batch_path_builds_no_frame(constructed, lead_time):
     # The counter sees frames when they are read.
     assert len(exchanges[0].context) == len(CONTEXT_TIMES)
     assert constructed["Frame3D"] == len(CONTEXT_TIMES)
+
+
+def _ease(u):
+    """The scalar cosine easing those frames were built with."""
+    return 0.5 - 0.5 * math.cos(math.pi * min(max(u, 0.0), 1.0))
 
 
 def _eager_context(ex):

@@ -6,6 +6,7 @@ for byte: a format drift shared by writer and reader still shows here.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ttrally import pipeline
 from ttrally.anticipate import read_calibration, write_calibration
@@ -115,6 +116,23 @@ def test_results_exact_text(tmp_path):
         "anticipatory\t0.1\t0.2\t(-1.5,0.0,1.05)\t8\t0.875\t0.025\t0.0625\t1.5\t1\n"
         "oracle\t0.1\t0.2\t(-1.5,0.0,1.05)\t8\t0.0\tnan\t0.0\t0.0\t0\n"
     )
+
+
+@settings(max_examples=200)
+@example(video_id="my clip")
+@example(video_id="clip=1,2;-")
+@given(video_id=st.text())
+def test_written_track_ids_read_back_or_are_refused(video_id, fuzz_dir):
+    # A writer must never emit a header its reader rejects.
+    track = load_track(str(TRACK))
+    track.header = dataclasses.replace(track.header, video_id=video_id)
+    path = fuzz_dir / "id.track"
+    try:
+        write_track(track, str(path))
+    except ValueError:
+        assert video_id.split() != [video_id]
+        return
+    assert load_track(str(path)).header.video_id == video_id
 
 
 def test_absent_keypoint_keeps_its_position(tmp_path):

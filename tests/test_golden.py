@@ -1,4 +1,4 @@
-"""Golden bytes: CLI outputs and generated exchanges whose sha256 must not drift.
+"""Golden bytes: CLI outputs and generated tracks and exchanges whose sha256 must not drift.
 
 The conformal and simulate digests were computed when every exchange and
 ensemble member was evaluated with scalar per-trajectory calls, and the
@@ -7,8 +7,10 @@ array flights (``ball.Chains``) reproduce those bytes exactly. The
 reconstruction digests were computed with the batched drag fit
 (``ball.fit_drags``) and a bounce search that fitted every split window with
 ``fit_parabola``, and the library digest with one ``position_player`` call
-per player and frame and record-by-record file readers. A change that
-alters them on purpose names the change and why, and re-pins here.
+per player and frame and record-by-record file readers. The track digest
+was computed with an emission that projected and drew noise one frame at a
+time. A change that alters them on purpose names the change and why, and
+re-pins here.
 """
 
 import hashlib
@@ -18,7 +20,14 @@ import pytest
 
 from ttrally import pipeline
 from ttrally.cli import EXIT_OK, main
-from ttrally.synth import generate_exchanges, generate_scene
+from ttrally.errors import AssumptionViolation
+from ttrally.synth import (
+    emit_synthetic_track,
+    generate_exchanges,
+    generate_rally,
+    generate_scene,
+    tilt_camera,
+)
 
 GOLDEN = {
     "conformal": (
@@ -79,6 +88,37 @@ def test_library_reconstructions_match_golden_hash(tmp_path):
         pipeline.write_reconstruction(recon, str(recon_path))
         h.update(recon_path.read_bytes())
     assert h.hexdigest() == LIBRARY
+
+
+TRACKS = "191ab2348bb67cc4ecd5c32d7c1b17f44d922e34a306fcc10b23cf5ba93c1c65"
+# 40 generated scenes: 30, 60 and 120 fps, 2-6 hits, 0-2 px of pixel noise.
+TRACK_SCENES = [((30.0, 60.0, 120.0)[s % 3], 2 + s % 5, (s // 5 % 5) / 2) for s in range(40)]
+
+
+def test_generated_tracks_match_golden_hash(tmp_path):
+    """sha256 over the track-v1 bytes of every generated scene, each followed
+    by one draw from the generator that made it, so the stream position a
+    scene leaves is pinned with its bytes; then the draw that follows an
+    emission that fails part-way through the rally."""
+    h = hashlib.sha256()
+    path = tmp_path / "scene.track"
+    for s, (fps, n_hits, noise) in enumerate(TRACK_SCENES):
+        rng = np.random.default_rng([11, s])
+        track, _, _ = generate_scene(rng, fps=fps, n_hits=n_hits, noise_px=noise,
+                                     video_id=f"golden-{s}", seed=s)
+        pipeline.write_track(track, str(path))
+        h.update(path.read_bytes())
+        h.update(np.float64(rng.random()).tobytes())
+    # A long lens: the first frames fit the image, a later one does not.
+    rally = generate_rally(np.random.default_rng([3, 2]), n_hits=4)
+    camera = tilt_camera(1740.0, 480.0, 603.0, -7.5, 2.2, 5e-4)
+    rng = np.random.default_rng(0)
+    with pytest.raises(AssumptionViolation, match="outside the image"):
+        emit_synthetic_track(rally, camera, 1.0, rng)
+    after = rng.random()
+    assert after != np.random.default_rng(0).random()  # noise was drawn before the raise
+    h.update(np.float64(after).tobytes())
+    assert h.hexdigest() == TRACKS
 
 
 EXCHANGES = "fa041510c07fbf75ef073dbb38ed83606360dbcd73e8959021cea018ba86cdad"

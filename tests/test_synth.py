@@ -39,7 +39,7 @@ def test_rally_hits_touch_the_racket_hand():
     rally = generate_rally(np.random.default_rng(2), n_hits=5)
     for frame, player, pos in rally.hits:
         i = int(frame - rally.frames[0])
-        assert np.allclose(rally.hands[player][i], pos.as_array(), atol=1e-9)
+        assert np.allclose(rally.joints[i, player, RACKET_HAND_JOINT], pos.as_array(), atol=1e-9)
         # The ball is exactly at the hand at the hit frame.
         assert np.allclose(rally.ball[i], pos.as_array(), atol=1e-9)
 
@@ -63,12 +63,14 @@ def test_rally_hit_spacing_supports_detection():
 
 def test_rally_joint_convention():
     rally = generate_rally(np.random.default_rng(4), n_hits=3)
-    joints = rally.joints(0, 10)
+    joints = rally.joints[10, 0]
     assert len(joints) == 4
-    hand = rally.hands[0][10]
-    assert joints[RACKET_HAND_JOINT] == Vec3(*hand)
+    # The racket hand is the joint that meets the ball at its player's hit.
+    frame, player, pos = rally.hits[0]
+    hand = rally.joints[frame - rally.frames[0], player, RACKET_HAND_JOINT]
+    assert np.allclose(hand, pos.as_array(), atol=1e-9)
     # Ankles close the list and sit on the floor.
-    assert joints[-2].z == 0.0 and joints[-1].z == 0.0
+    assert joints[-2, 2] == 0.0 and joints[-1, 2] == 0.0
 
 
 def test_check_camera_assumptions_rejects_offset_camera():
@@ -100,12 +102,8 @@ def test_emit_noiseless_track_projects_truth_exactly():
         # Camera-frame joints pass through exactly.
         r, t = cam.extrinsics.r, cam.extrinsics.t
         for player in (0, 1):
-            for j_cam, j_world in zip(
-                frame.player_joints_cam[player], rally.joints(player, i)
-            ):
-                assert np.allclose(
-                    j_cam.as_array(), r @ j_world.as_array() + t, atol=1e-12
-                )
+            for j_cam, j_world in zip(frame.player_joints_cam[player], rally.joints[i, player]):
+                assert np.allclose(j_cam.as_array(), r @ j_world + t, atol=1e-12)
 
 
 def test_emit_noisy_track_perturbs_pixels_only():
