@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .anticipate import (
     physics_baseline_ensemble,
     split_regions,
 )
-from .ball import GRAVITY
+from .ball import GRAVITY, Chains
 from .core import TableGeometry, Vec3
 from .errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
@@ -127,10 +128,12 @@ class RacketPose:
 
 
 def farthest_corner_distance(region: Region, p: Vec3) -> float:
-    lo, hi = region.lo.as_array(), region.hi.as_array()
-    q = p.as_array()
-    d = np.maximum(np.abs(lo - q), np.abs(hi - q))
-    return float(np.linalg.norm(d))
+    """Norm of the per-axis farthest offsets, summed in float order, not by BLAS."""
+    lo, hi = region.lo, region.hi
+    dx = max(abs(lo.x - p.x), abs(hi.x - p.x))
+    dy = max(abs(lo.y - p.y), abs(hi.y - p.y))
+    dz = max(abs(lo.z - p.z), abs(hi.z - p.z))
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def reachable_covers(
@@ -300,31 +303,39 @@ def solve_target_pose(
 # ---------------------------------------------------------------------------
 
 
-def step_robot(
-    pose: RacketPose,
-    target: RacketPose,
-    dt: float,
-    v_max: float,
-    omega_max: float,
-    workspace: Box,
-) -> RacketPose:
-    """Move toward a target pose with speed and turn-rate limits: a straight
-    step of at most v_max * dt and a slerp of at most omega_max * dt."""
-    p, q = pose.position, target.position
-    dx, dy, dz = q.x - p.x, q.y - p.y, q.z - p.z
+Position = tuple[float, float, float]
+_xyz = attrgetter("x", "y", "z")  # a Vec3 as a Position
+
+
+def _step(p: Position, q: Quat, target_p: Position, target_q: Quat, step: float,
+          max_turn: float, lo: Position, hi: Position) -> tuple[Position, Quat]:
+    """One step on floats: a straight move of at most ``step`` toward
+    target_p and a slerp of at most ``max_turn`` toward target_q, then the
+    position clamped into the box [lo, hi]."""
+    x, y, z = p
+    dx, dy, dz = target_p[0] - x, target_p[1] - y, target_p[2] - z
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist >= 1e-12:
-        s = min(dist, v_max * dt) / dist
-        p = Vec3(p.x + dx * s, p.y + dy * s, p.z + dz * s)
+        s = min(dist, step) / dist
+        x, y, z = x + dx * s, y + dy * s, z + dz * s
+    if q != target_q:  # else the relative turn is exactly the identity, of angle 0
+        rel = _relative(q, target_q)
+        angle = _magnitude(rel)
+        if angle >= 1e-12 and angle > max_turn:
+            target_q = _compose(q, _partial_turn(rel, angle, max_turn / angle))
+    return ((min(max(x, lo[0]), hi[0]), min(max(y, lo[1]), hi[1]), min(max(z, lo[2]), hi[2])),
+            target_q)
 
-    rel = _relative(pose.orientation, target.orientation)
-    angle = _magnitude(rel)
-    max_turn = omega_max * dt
-    if angle < 1e-12 or angle <= max_turn:
-        orientation = target.orientation
-    else:
-        orientation = _compose(pose.orientation, _partial_turn(rel, angle, max_turn / angle))
-    return RacketPose(workspace.clamp(p), orientation)
+
+def step_robot(pose: RacketPose, target: RacketPose, dt: float, v_max: float,
+               omega_max: float, workspace: Box) -> RacketPose:
+    """Move toward a target pose with speed and turn-rate limits: a straight
+    step of at most v_max * dt and a slerp of at most omega_max * dt, kept
+    inside the workspace. The one-pose form of the episodes' ``_step``."""
+    p, q = _step(_xyz(pose.position), pose.orientation, _xyz(target.position),
+                 target.orientation, v_max * dt, omega_max * dt, _xyz(workspace.lo),
+                 _xyz(workspace.hi))
+    return RacketPose(Vec3(*p), q)
 
 
 # ---------------------------------------------------------------------------
@@ -400,94 +411,78 @@ def _step_balls(
     return times, [rows[:end] for rows, end in zip(balls, ends)]
 
 
-def _episode(
-    ex: ExchangeSample,
-    strategy: str,
-    params: SimParams,
-    regions: Optional[Sequence[Region]],
-    times: list[float],
-    balls: list[list[float]],
-) -> EpisodeResult:
-    """The episode body: ``balls`` is the ball at each of the first
-    len(balls) step ``times``."""
+def _approach(ex: ExchangeSample, strategy: str, params: SimParams,
+              regions: Optional[Sequence[Region]], times: list[float],
+              balls: list[list[float]]) -> tuple:
+    """Step one episode on floats until its ball passes within RACKET_RADIUS
+    of the racket or ``balls``, the ball at each of the first len(balls) step
+    ``times``, run out. Returns the ideal pose, the fallback flag, the last
+    pose and the pose at the crossing as (position, quaternion) tuples, and
+    the contact's step (0 for none)."""
     ideal = _interception_pose(ex, params)
-
-    fallback = False
-    pre_target: Optional[RacketPose] = None
+    fallback, idle = False, (_xyz(params.central), IDENTITY)
     if strategy == "oracle":
-        pre_target = ideal
+        idle = _xyz(ideal.position), ideal.orientation
     elif strategy == "anticipatory":
         try:
             region = select_target_time(regions, params.central, params.workspace,
                                         params.v_max, params.lead_time)
         except NoFeasibleTime:
             fallback = True
-        else:
-            p_star = select_preposition(region, params.central, params.lam, params.workspace)
-            pre_target = RacketPose(position=p_star)  # the true crossing is unknown before the hit
+        else:  # the true crossing is unknown before the hit
+            idle = _xyz(select_preposition(region, params.central, params.lam,
+                                           params.workspace)), IDENTITY
 
-    pose = RacketPose(params.central)
-    idle = pre_target or RacketPose(params.central)
-    dt = params.dt
-    contacted = False
-    v_after: Optional[Vec3] = None
-    contact_pos: Optional[Vec3] = None
-    pose_at_crossing = pose
-
+    track = _xyz(ideal.position), ideal.orientation  # every target after the hit
+    lo, hi, dt = _xyz(params.workspace.lo), _xyz(params.workspace.hi), params.dt
+    step, max_turn = params.v_max * dt, params.omega_max * dt
+    p, q = crossing = _xyz(params.central), IDENTITY
     for i in range(1, len(balls)):
         t = times[i]
-        target = ideal if times[i - 1] >= 0 else idle
-        pose = step_robot(pose, target, dt, params.v_max, params.omega_max, params.workspace)
+        target_p, target_q = track if times[i - 1] >= 0 else idle
+        p, q = _step(p, q, target_p, target_q, step, max_turn, lo, hi)
         if t - dt <= ex.crossing_time <= t:
-            pose_at_crossing = pose
-        if (t > 0 and _point_segment_distance(pose.position, balls[i - 1], balls[i])
-                <= RACKET_RADIUS):
-            v_in = Vec3.from_array(ex.outgoing.velocities([t])[0, 0])
-            try:
-                v_after = racket_reflect(v_in, pose.normal())
-            except NoContact:
-                break
-            contacted = True
-            contact_pos = Vec3(*balls[i])
-            break
+            crossing = p, q
+        if t > 0 and _point_segment_distance(p, balls[i - 1], balls[i]) <= RACKET_RADIUS:
+            return ideal, fallback, (p, q), crossing, i
+    return ideal, fallback, (p, q), crossing, 0
 
-    returned = False
+
+def _outcome(ex: ExchangeSample, strategy: str, params: SimParams, run: tuple,
+             ball: Sequence[float], v_in: Optional[Sequence[float]]) -> EpisodeResult:
+    """Grade one ``_approach`` run; ``ball`` and ``v_in`` are the ball's
+    position and velocity at its contact step (``v_in`` None without one)."""
+    ideal, fallback, (p, q), crossing, _ = run
+    pose = RacketPose(Vec3(*p), q)
+    contacted = returned = False
     deviation: Optional[float] = None
-    if contacted and v_after is not None and contact_pos is not None:
-        flight = DragFlight(contact_pos, v_after)
-        land = flight.landing(params.table.height_z)
-        if land is not None:
-            t_land, p_land = land
-            aim = aim_point(params.table)
-            deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
-            returned = (
-                v_after.x > 0
-                and 0.0 <= p_land.x <= params.table.half_length
-                and abs(p_land.y) <= params.table.half_width
-            )
-
-    ref = pose if contacted else pose_at_crossing
-    pos_err = (ref.position - ideal.position).norm()
-    ang_err = ref.angle_to(ideal)
-    return EpisodeResult(
-        exchange_id=ex.exchange_id,
-        strategy=strategy,
-        contacted=contacted,
-        returned=returned,
-        return_deviation=deviation,
-        position_error=pos_err,
-        orientation_error=ang_err,
-        fallback=fallback,
-    )
+    if v_in is not None:
+        try:
+            v_after = racket_reflect(Vec3(*v_in), pose.normal())
+        except NoContact:
+            pass
+        else:
+            contacted = True
+            land = DragFlight(Vec3(*ball), v_after).landing(params.table.height_z)
+            if land is not None:
+                _, p_land = land
+                aim = aim_point(params.table)
+                deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
+                returned = (v_after.x > 0 and 0.0 <= p_land.x <= params.table.half_length
+                            and abs(p_land.y) <= params.table.half_width)
+    ref = pose if contacted else RacketPose(Vec3(*crossing[0]), crossing[1])
+    return EpisodeResult(ex.exchange_id, strategy, contacted, returned, deviation,
+                         (ref.position - ideal.position).norm(), ref.angle_to(ideal), fallback)
 
 
-def _point_segment_distance(p: Vec3, a: Sequence[float], b: Sequence[float]) -> float:
+def _point_segment_distance(p: Position, a: Sequence[float], b: Sequence[float]) -> float:
+    px, py, pz = p
     ax, ay, az = a
     ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
     denom = ex * ex + ey * ey + ez * ez
-    dot = (p.x - ax) * ex + (p.y - ay) * ey + (p.z - az) * ez
+    dot = (px - ax) * ex + (py - ay) * ey + (pz - az) * ez
     u = min(max(dot / denom, 0.0), 1.0) if denom >= 1e-18 else 0.0
-    dx, dy, dz = p.x - (ax + u * ex), p.y - (ay + u * ey), p.z - (az + u * ez)
+    dx, dy, dz = px - (ax + u * ex), py - (ay + u * ey), pz - (az + u * ez)
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -556,8 +551,13 @@ def run_strategy(
         regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
     regions = regions or [None] * len(exchanges)
     times, balls = _step_balls(exchanges, params)  # every episode's ball at once
-    results = [_episode(ex, strategy, params, r, times, b)
-               for ex, r, b in zip(exchanges, regions, balls, strict=True)]
+    runs = [_approach(ex, strategy, params, r, times, b)
+            for ex, r, b in zip(exchanges, regions, balls, strict=True)]
+    hits = [i for i, run in enumerate(runs) if run[-1]]  # one velocity call for every contact
+    v_in = iter(Chains.concat([exchanges[i].outgoing for i in hits]).velocities(
+        [[times[runs[i][-1]]] for i in hits])[:, 0].tolist() if hits else ())
+    results = [_outcome(ex, strategy, params, run, b[run[-1]], next(v_in) if run[-1] else None)
+               for ex, run, b in zip(exchanges, runs, balls)]
     return _aggregate(results, strategy, params), results
 
 

@@ -185,7 +185,16 @@ def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
 
 
 def _or_dash(kind: Kind) -> Kind:
-    """``-`` for an absent (None) value."""
+    """``-`` for an absent (None) value; a present value written as ``-``
+    would read back absent, so it is refused."""
+
+    def encode(value) -> str:
+        if value is None:
+            return "-"
+        text = kind.encode(value)
+        if text == "-":
+            raise ValueError(f"{value!r} would be written as '-', which reads as absent")
+        return text
 
     def column(texts: list[str]) -> list:
         present = [text for text in texts if text != "-"]
@@ -194,7 +203,7 @@ def _or_dash(kind: Kind) -> Kind:
         values = iter(kind.column(present) if present else [])
         return [None if text == "-" else next(values) for text in texts]
 
-    return Kind(lambda v: "-" if v is None else kind.encode(v), column)
+    return Kind(encode, column)
 
 
 def _omittable(kind: Kind) -> Kind:

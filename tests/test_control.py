@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,32 @@ def test_farthest_corner_distance_matches_corner_enumeration():
         ]
         oracle = max(np.linalg.norm(c - p.as_array()) for c in corners)
         assert farthest_corner_distance(region, p) == pytest.approx(oracle)
+
+
+def _numpy_farthest_corner_distance(region, p):
+    """The numpy form farthest_corner_distance replaced: its norm rounds as
+    the BLAS kernel picked at run time does."""
+    lo, hi, q = region.lo.as_array(), region.hi.as_array(), p.as_array()
+    return float(np.linalg.norm(np.maximum(np.abs(lo - q), np.abs(hi - q))))
+
+
+def test_farthest_corner_distance_keeps_every_reachability_decision():
+    # The float sum may differ from the numpy norm by up to 2 ulps, but over
+    # the regions the returner forecasts no reachability decision flips.
+    params, decisions = SimParams(), 0
+    for lead_time in (0.1, 0.2, 0.4):
+        predictors, calib = prepare_anticipation(30, replace(params, lead_time=lead_time), 60)
+        for seed in range(30, 42):
+            rows = split_regions(predictors, calib, generate_exchanges(seed, 60), HORIZONS,
+                                 lead_time)
+            for region in (r for row in rows for r in row):
+                got = farthest_corner_distance(region, params.central)
+                want = _numpy_farthest_corner_distance(region, params.central)
+                assert abs(got - want) <= 2 * math.ulp(want)
+                reach = params.v_max * (region.horizon + lead_time)
+                assert (got <= reach) == (want <= reach)
+                decisions += got <= reach
+    assert 0 < decisions < 3 * 12 * 60 * len(HORIZONS)  # both outcomes occur
 
 
 def test_reachable_covers_rules():
@@ -574,7 +601,8 @@ def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
             pose_at_crossing = pose
         if t > 0 and not contacted:
             d = control._point_segment_distance(
-                pose.position, (prev_ball.x, prev_ball.y, prev_ball.z), (ball.x, ball.y, ball.z))
+                (pose.position.x, pose.position.y, pose.position.z),
+                (prev_ball.x, prev_ball.y, prev_ball.z), (ball.x, ball.y, ball.z))
             if d <= control.RACKET_RADIUS:
                 try:
                     v_after = racket_reflect(outgoing.velocity(t), pose.normal())
@@ -604,16 +632,42 @@ def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
 
 
 @pytest.mark.parametrize("lead_time", [0.1, 0.2, 0.4])
-def test_run_episode_equals_the_stepwise_loop(lead_time):
+def test_run_episode_equals_the_stepwise_loop(lead_time, monkeypatch):
+    # Three passes: the default configuration; a workspace that holds the
+    # central pose but no crossing (x <= -1.45 < -1.37), so the clamp binds;
+    # and a racket that never reflects, patched on both sides (NoContact).
     params = SimParams(lead_time=lead_time)
     predictors, calib = prepare_anticipation(11, params, n_cal=60)
-    contacts = 0
-    for ex in generate_exchanges(11, 40):
-        for strategy in ("baseline", "anticipatory", "oracle"):
-            got = run_strategy([ex], strategy, params, predictors, calib)[1][0]
-            assert got == _stepwise_episode(ex, strategy, params, predictors, calib)
-            contacts += got.contacted
-    assert contacts > 0  # the contact branch ran
+    narrow = replace(params, workspace=Box(Vec3(-1.9, -0.05, 1.0), Vec3(-1.45, 0.05, 1.1)))
+    reached = dict(contact=0, clamp=0, no_contact=0)
+    step, free = control._step, ((-math.inf,) * 3, (math.inf,) * 3)
+
+    def clamp_counting(p, q, target_p, target_q, *rest):
+        out = step(p, q, target_p, target_q, *rest)
+        reached["clamp"] += out[0] != step(p, q, target_p, target_q, *rest[:2], *free)[0]
+        return out
+
+    def no_contact(v, normal):
+        reached["no_contact"] += 1
+        raise NoContact("the racket never reflects")
+
+    def compare(params):
+        for ex in generate_exchanges(11, 40):
+            for strategy in control.STRATEGIES:
+                got = run_strategy([ex], strategy, params, predictors, calib)[1][0]
+                assert got == _stepwise_episode(ex, strategy, params, predictors, calib)
+                reached["contact"] += got.contacted
+
+    compare(params)
+    assert reached["contact"] > 0  # the contact branch ran
+    monkeypatch.setattr(control, "_step", clamp_counting)
+    compare(narrow)
+    assert reached["clamp"] > 0  # the workspace clamp moved a stepped position
+    monkeypatch.setattr(control, "racket_reflect", no_contact)
+    monkeypatch.setattr(sys.modules[__name__], "racket_reflect", no_contact)
+    contacts = reached["contact"]
+    compare(params)
+    assert reached["no_contact"] > 0 and reached["contact"] == contacts
 
 
 def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
@@ -624,10 +678,10 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
     pre_hit, t = 0, -params.lead_time  # the steps that start before the hit
     while t < 0:
         pre_hit, t = pre_hit + 1, t + params.dt
-    targets = []
-    step = control.step_robot
-    monkeypatch.setattr(control, "step_robot",
-                        lambda pose, target, *rest: targets.append(target) or step(pose, target, *rest))
+    targets = []  # (position, quaternion) sent to each float step, in order
+    step = control._step
+    monkeypatch.setattr(control, "_step", lambda p, q, target_p, target_q, *rest:
+                        targets.append((target_p, target_q)) or step(p, q, target_p, target_q, *rest))
 
     def pre_hit_targets(ex, strategy):
         targets.clear()
@@ -647,6 +701,26 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
             assert len(before) == pre_hit and before == after
             anticipated += strategy == "anticipatory" and not fallback
     assert anticipated > 0
+
+
+def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
+    # Episodes step on floats: a row builds about 21-25 RacketPose and Vec3
+    # objects per episode, for the outcome, whatever its number of steps. One
+    # pose per step would make about 140 per episode at dt = 0.01.
+    exchanges = generate_exchanges(5, 20)
+    built = Counter()
+    for cls in (RacketPose, Vec3):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs:
+                            built.update([type(self)]) or _init(self, *args, **kwargs))
+    for dt in (0.01, 0.0025):  # 0.0025 takes four times as many steps
+        params = SimParams(dt=dt)
+        predictors, calib = prepare_anticipation(5, params, n_cal=60)
+        regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
+        for strategy in control.STRATEGIES:
+            built.clear()
+            _, results = run_strategy(exchanges, strategy, params, regions=regions)
+            assert any(r.contacted for r in results)
+            assert sum(built.values()) <= 40 * len(exchanges), (dt, strategy, built)
 
 
 def test_an_empty_row_or_experiment_raises_empty_dataset():

@@ -135,6 +135,26 @@ def test_written_track_ids_read_back_or_are_refused(video_id, fuzz_dir):
     assert load_track(str(path)).header.video_id == video_id
 
 
+@settings(max_examples=200)
+@example(partition="-")
+@example(partition="")
+@example(partition="train")
+@example(partition="a b")
+@given(partition=st.text())
+def test_written_recon_partitions_read_back_or_are_refused(partition, fuzz_dir):
+    # '-' marks a point without a partition, so a partition that is the text
+    # '-' must be refused rather than written to read back as none.
+    recon = read_reconstruction(str(RECON))
+    recon.points[1] = dataclasses.replace(recon.points[1], partition=partition)
+    path = fuzz_dir / "partition.recon"
+    try:
+        write_reconstruction(recon, str(path))
+    except ValueError:
+        assert partition == "-" or partition.split() != [partition]
+        return
+    assert read_reconstruction(str(path)).points[1].partition == partition
+
+
 def test_absent_keypoint_keeps_its_position(tmp_path):
     lines = TRACK.read_text().splitlines()
     lines[5] = re.sub(r"kp3=\S+", "kp3=-", lines[5])
