@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .camera import Camera, ImagePoint, Plane, inverse_project_to_plane
+from .camera import Camera, Plane, plane_points
 from .core import TableGeometry, Vec3
 from .errors import (
     BehindCamera,
@@ -727,14 +727,14 @@ def reconstruct_trajectory(
             for combo in itertools.product(*options)
             if all(a < b for a, b in zip(combo, combo[1:]))
         ]
+        # One ray cast over every bounce option, in first-seen order, so the
+        # first ray that misses the table raises.
+        interior = list(dict.fromkeys(f for knots in knot_sets for f in knots[1:-1]))
+        on_table = plane_points(camera, [pix[f] for f in interior], table_plane)
         anchors = {h1: hit1.hand_world, h2: hit2.hand_world}
+        anchors.update((f, Vec3(*p)) for f, p in zip(interior, on_table.tolist()))
         pieces: dict[tuple[int, int], tuple] = {}
         for knots in knot_sets:
-            for f in knots[1:-1]:
-                if f not in anchors:
-                    anchors[f] = inverse_project_to_plane(
-                        camera, ImagePoint(*pix[f]), table_plane
-                    )
             for f0, f1 in zip(knots, knots[1:]):
                 if (f0, f1) not in pieces:
                     frames, pixels = ball.window(f0, f1)

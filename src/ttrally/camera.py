@@ -9,6 +9,7 @@ the v-up image axis is absorbed into the projection as v = cy - fy * Y / Z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +138,6 @@ def plane_points(camera: Camera, pixels, plane: Plane) -> np.ndarray:
     return origin + s[:, None] * directions
 
 
-def inverse_project_to_plane(camera: Camera, q: ImagePoint, plane: Plane) -> Vec3:
-    """One-pixel form of plane_points."""
-    return Vec3(*plane_points(camera, [[q.u, q.v]], plane)[0].tolist())
-
-
 Line = tuple[ImagePoint, ImagePoint]
 
 
@@ -172,13 +168,6 @@ def ground_projections(
     if len(keypoints) < 4:
         raise ValueError("need the four corner keypoints")
     p1, p2, p3, p4 = keypoints[:4]
-    try:
-        vp = vanishing_point((p1, p3), (p2, p4))
-    except NoVanishingPoint as exc:
-        raise CalibrationDegenerate("depth edges parallel (head-on camera)") from exc
-
-    g1 = ImagePoint(p1.u, h_base)
-    g2 = ImagePoint(p2.u, h_base)
 
     def drop_far(p_far: ImagePoint, g_near: ImagePoint) -> ImagePoint:
         du = vp.u - g_near.u
@@ -187,7 +176,15 @@ def ground_projections(
         v = g_near.v + (p_far.u - g_near.u) * (vp.v - g_near.v) / du
         return ImagePoint(p_far.u, v)
 
-    return [g1, g2, drop_far(p3, g1), drop_far(p4, g2)]
+    # Huge keypoints overflow to non-finite points, which calibrate refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            vp = vanishing_point((p1, p3), (p2, p4))
+        except NoVanishingPoint as exc:
+            raise CalibrationDegenerate("depth edges parallel (head-on camera)") from exc
+        g1 = ImagePoint(p1.u, h_base)
+        g2 = ImagePoint(p2.u, h_base)
+        return [g1, g2, drop_far(p3, g1), drop_far(p4, g2)]
 
 
 def _decompose_projection(p_native: np.ndarray) -> tuple[Intrinsics, Extrinsics]:
@@ -215,16 +212,17 @@ def _decompose_projection(p_native: np.ndarray) -> tuple[Intrinsics, Extrinsics]
     return intr, Extrinsics(r=r, t=t)
 
 
-def _dlt(world: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    n = len(world)
-    a = np.zeros((2 * n, 12))
-    for i in range(n):
-        xh = np.append(world[i], 1.0)
-        u, v = pixels[i]
-        a[2 * i, 0:4] = xh
-        a[2 * i, 8:12] = -u * xh
-        a[2 * i + 1, 4:8] = xh
-        a[2 * i + 1, 8:12] = -v * xh
+def _dlt(hom: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """The DLT projection matrix of homogeneous world points (n, 4) and
+    their pixels (n, 2): two rows of the linear system per point."""
+    a = np.zeros((2 * len(hom), 12))
+    a[0::2, 0:4] = hom
+    a[1::2, 4:8] = hom
+    with np.errstate(over="ignore"):  # refused below
+        a[0::2, 8:12] = -pixels[:, :1] * hom
+        a[1::2, 8:12] = -pixels[:, 1:] * hom
+    if not np.isfinite(a).all():
+        raise CalibrationFailed("calibration system overflows")
     _, s, vt = np.linalg.svd(a)
     if s[-2] < 1e-9 * s[0]:
         raise CalibrationFailed("rank-deficient calibration system")
@@ -238,10 +236,69 @@ def _pack(intr: Intrinsics, extr: Extrinsics) -> np.ndarray:
     )
 
 
+def _rotations(rotvecs: np.ndarray) -> np.ndarray:
+    """Rotation matrices (k, 3, 3) of (k, 3) rotation vectors, in the
+    arithmetic of scipy's ``Rotation.from_rotvec(v).as_matrix()`` (rotation
+    vector -> quaternion -> matrix, element by element through libm), so
+    they equal it bit for bit. A non-finite angle gives a NaN matrix, as
+    scipy's does."""
+    rows = []
+    for rx, ry, rz in rotvecs.tolist():
+        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if angle == math.inf:
+            rows.append((math.nan,) * 9)
+            continue
+        if angle <= 1e-3:
+            a2 = angle * angle
+            scale = 0.5 - a2 / 48 + a2 * a2 / 3840
+        else:
+            scale = math.sin(angle / 2) / angle
+        x, y, z, w = scale * rx, scale * ry, scale * rz, math.cos(angle / 2)
+        x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+        xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+        rows.append((
+            x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
+            2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw),
+            2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2,
+        ))
+    return np.array(rows, dtype=float).reshape(-1, 3, 3)
+
+
 def _unpack(params: np.ndarray) -> Camera:
     fx, fy, cx, cy = params[:4]
-    r = Rotation.from_rotvec(params[4:7]).as_matrix()
+    r = _rotations(params[None, 4:7])[0]
     return Camera(Intrinsics(fx, fy, cx, cy), Extrinsics(r, params[7:10]))
+
+
+def _residual_rows(params: np.ndarray, world: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Reprojection residuals (k, 2n) of (k, 10) parameter rows (fx, fy, cx,
+    cy, rotation vector, t) over n world points and their pixels. A row
+    with a non-positive focal length or a point at depth <= 1e-9 is all
+    1e6. Each row equals its one-row evaluation bit for bit: the stacked
+    product multiplies each row's matrix as ``world @ r.T`` does."""
+    camc = world @ _rotations(params[:, 4:7]).transpose(0, 2, 1) + params[:, None, 7:10]
+    depth = camc[..., 2]
+    fx, fy, cx, cy = (params[:, i, None] for i in range(4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        proj = np.stack([cx + fx * camc[..., 0] / depth, cy - fy * camc[..., 1] / depth], axis=-1)
+    res = (proj - pixels).reshape(len(params), -1)
+    res[(fx[:, 0] <= 0) | (fy[:, 0] <= 0) | np.any(depth <= 1e-9, axis=1)] = 1e6
+    return res
+
+
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # scipy's default 2-point relative step
+
+
+def _forward_jacobian(rows, x: np.ndarray) -> np.ndarray:
+    """scipy's default 2-point finite-difference Jacobian of ``rows(X)[i]``
+    at x (``approx_derivative(..., method="2-point")`` with no bounds), bit
+    for bit, from one call of ``rows`` on x and its n one-step rows."""
+    h = _SQRT_EPS * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    stepped = np.repeat(x[None], len(x) + 1, axis=0)
+    i = np.arange(len(x))
+    stepped[i + 1, i] = x + h
+    f = rows(stepped)
+    return ((f[1:] - f[0]) / ((x + h) - x)[:, None]).T
 
 
 def reprojection_rms(camera: Camera, correspondences) -> float:
@@ -259,41 +316,36 @@ def calibrate(correspondences: list[tuple[Vec3, ImagePoint]]) -> tuple[Camera, f
     least squares with zero skew and zero distortion. The rotation is
     parametrized as an axis-angle 3-vector during refinement so R stays
     orthonormal. Returns the camera and its reprojection RMS in pixels.
+    Non-finite input, or input whose linear system overflows, raises
+    CalibrationFailed.
     """
     if len(correspondences) < 6:
         raise CalibrationFailed("need at least 6 correspondences")
     world = np.array([p.as_array() for p, _ in correspondences])
     pixels = np.array([q.as_array() for _, q in correspondences])
+    if not (np.isfinite(world).all() and np.isfinite(pixels).all()):
+        raise CalibrationFailed("non-finite calibration correspondence")
 
-    # All points coplanar leaves the DLT under-determined.
-    hom = np.hstack([world, np.ones((len(world), 1))])
-    sv = np.linalg.svd(hom, compute_uv=False)
-    if sv[3] < 1e-9 * sv[0]:
-        raise CalibrationFailed("calibration points are coplanar")
-
-    pmat = _dlt(world, pixels)
     try:
-        intr, extr = _decompose_projection(pmat)
-    except ValueError as exc:
+        # All points coplanar leaves the DLT under-determined.
+        hom = np.hstack([world, np.ones((len(world), 1))])
+        sv = np.linalg.svd(hom, compute_uv=False)
+        if sv[3] < 1e-9 * sv[0]:
+            raise CalibrationFailed("calibration points are coplanar")
+        intr, extr = _decompose_projection(_dlt(hom, pixels))
+    except (ValueError, np.linalg.LinAlgError) as exc:
         raise CalibrationFailed(str(exc)) from exc
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        fx, fy = params[0], params[1]
-        if fx <= 0 or fy <= 0:
-            return np.full(2 * len(world), 1e6)
-        cam = _unpack(params)
-        camc = world @ cam.extrinsics.r.T + cam.extrinsics.t
-        depth = camc[:, 2]
-        if np.any(depth <= 1e-9):
-            return np.full(2 * len(world), 1e6)
-        k = cam.intrinsics
-        proj = np.column_stack(
-            [k.cx + k.fx * camc[:, 0] / depth, k.cy - k.fy * camc[:, 1] / depth]
-        )
-        return (proj - pixels).ravel()
+    def rows(params: np.ndarray) -> np.ndarray:
+        return _residual_rows(params, world, pixels)
 
-    x0 = _pack(intr, extr)
-    result = least_squares(residuals, x0, method="lm", max_nfev=400)
+    result = least_squares(
+        lambda params: rows(params[None])[0],
+        _pack(intr, extr),
+        jac=lambda params: _forward_jacobian(rows, params),
+        method="lm",
+        max_nfev=400,
+    )
     if not np.all(np.isfinite(result.x)):
         raise CalibrationFailed("refinement diverged")
     camera = _unpack(result.x)

@@ -472,8 +472,9 @@ def calibrate_from_track(
     )
     if len(kp_stack) == 0:
         raise SchemaError(None, "no frames with all six keypoints")
-    med = np.median(kp_stack, axis=0)
-    base_h = float(np.median([f.base_height_px for f in track.frames]))
+    with np.errstate(over="ignore"):  # huge keypoints: calibrate refuses the overflow
+        med = np.median(kp_stack, axis=0)
+        base_h = float(np.median([f.base_height_px for f in track.frames]))
     keypoints = [ImagePoint(u, v) for u, v in med]
     grounds = ground_projections(keypoints, base_h)
     world = table.surface_keypoints() + table.corner_ground_points()

@@ -29,7 +29,8 @@ from ttrally.ball import (
     fit_parabola,
     select_bounces,
 )
-from ttrally.camera import ImagePoint, Plane, inverse_project_to_plane
+from ttrally.camera import Plane, plane_points
+from ttrally.core import Vec3
 from ttrally.errors import FitFailed, NoBounceFound, SegmentRejected
 from ttrally.synth import generate_scene
 
@@ -119,7 +120,7 @@ def _fit_pair(track, camera, table_plane, fps, h1, p1, h2, p2, bounce_frames, pi
     for bf in bounce_frames:
         if bf not in pix:
             raise NoBounceFound(f"no ball sample at bounce frame {bf}")
-        world = inverse_project_to_plane(camera, ImagePoint(*pix[bf]), table_plane)
+        world = Vec3(*plane_points(camera, [pix[bf]], table_plane)[0].tolist())
         anchors.append((bf, world))
         bounces.append(BounceEvent(frame=bf, position=world))
     anchors.append((h2, p2))

@@ -1,10 +1,17 @@
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize._numdiff import approx_derivative
+from scipy.spatial.transform import Rotation
 
+import scalar_calibration
 import scalar_positioning as scalar
+from test_golden import SCENES
+from ttrally import camera as camera_module, pipeline
 from ttrally.camera import (
     Camera,
     Extrinsics,
@@ -14,9 +21,9 @@ from ttrally.camera import (
     calibrate,
     ground_projections,
     ground_roots,
-    inverse_project_to_plane,
     pixel_rays,
     place_joints,
+    plane_points,
     project,
     project_many,
     reprojection_rms,
@@ -26,10 +33,11 @@ from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import (
     BehindCamera,
     CalibrationDegenerate,
+    CalibrationFailed,
     NoIntersection,
     NoVanishingPoint,
 )
-from ttrally.synth import leg_verticality, sample_camera, tilt_camera
+from ttrally.synth import generate_scene, leg_verticality, sample_camera, tilt_camera
 
 TABLE = TableGeometry()
 
@@ -75,8 +83,8 @@ def test_inverse_project_round_trip(x, y, z):
     cam = _camera()
     p = Vec3(x, y, z)
     q = project(cam, p)
-    back = inverse_project_to_plane(cam, q, Plane("z", z))
-    assert np.allclose(back.as_array(), p.as_array(), atol=1e-9)
+    back = plane_points(cam, [[q.u, q.v]], Plane("z", z))[0]
+    assert np.allclose(back, p.as_array(), atol=1e-9)
 
 
 @settings(max_examples=300)
@@ -86,7 +94,7 @@ def test_project_inverts_inverse_project_on_the_plane(seed, u, v, z):
     cam = sample_camera(np.random.default_rng(seed))
     plane = Plane("z", z)
     try:
-        back = inverse_project_to_plane(cam, ImagePoint(u, v), plane)
+        back = Vec3(*plane_points(cam, [[u, v]], plane)[0].tolist())
     except NoIntersection:  # the ray meets the plane behind the camera, or never
         return
     assert back.z == pytest.approx(z, abs=1e-9)
@@ -99,7 +107,7 @@ def test_inverse_project_parallel_raises():
     # The ray through the principal point runs parallel to a vertical plane
     # never intersected in front of the camera.
     with pytest.raises(NoIntersection):
-        inverse_project_to_plane(cam, ImagePoint(480.0, 300.0), Plane("z", 5.0))
+        plane_points(cam, [[480.0, 300.0]], Plane("z", 5.0))
 
 
 def test_project_many_matches_project():
@@ -194,8 +202,152 @@ def test_calibrate_rejects_coplanar_points():
     cam = _camera()
     world = TABLE.surface_keypoints()
     pairs = [(p, project(cam, p)) for p in world]
-    with pytest.raises(Exception):
+    with pytest.raises(CalibrationFailed, match="coplanar"):
         calibrate(pairs)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0)]
+# Angles around the series switch at 1e-3, half turns and beyond.
+ANGLES = st.one_of(
+    st.sampled_from([0.0, 1e-3, np.nextafter(1e-3, 0.0), np.nextafter(1e-3, 1.0), np.pi,
+                     np.nextafter(np.pi, 4.0), 2 * np.pi]),
+    st.floats(0.0, 2e-3),
+    st.floats(0.0, 50.0),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.sampled_from(AXES),
+                 st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.dot(a, a) > 1e-6)),
+       ANGLES, st.sampled_from([1.0, -1.0]))
+def test_closed_form_rotation_equals_scipy(axis, angle, sign):
+    v = sign * angle * (np.array(axis) / np.linalg.norm(axis))
+    assert _same_bits(camera_module._rotations(v[None])[0], Rotation.from_rotvec(v).as_matrix())
+
+
+def test_closed_form_rotations_of_a_stack_and_of_non_finite_angles():
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(7, 3)) * [[1e-4], [1e-3], [0.1], [1.0], [3.0], [10.0], [0.0]]
+    assert _same_bits(camera_module._rotations(v), Rotation.from_rotvec(v).as_matrix())
+    bad = np.array([[np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [1e200, 0.0, 0.0]])
+    assert np.isnan(camera_module._rotations(bad)).all()
+    assert np.isnan(Rotation.from_rotvec(bad).as_matrix()).all()
+
+
+WORLD = np.array([p.as_array() for p in TABLE.surface_keypoints() + TABLE.corner_ground_points()])
+
+
+def _jacobian_case(seed, fx, tz):
+    """World points, pixels and a parameter vector with the given fx and
+    t_z, the rest from a sampled camera."""
+    rng = np.random.default_rng(seed)
+    cam = sample_camera(rng)
+    pixels = project_many(cam, WORLD) + rng.normal(0.0, 1.0, size=(len(WORLD), 2))
+    x = camera_module._pack(cam.intrinsics, cam.extrinsics)
+    x[0], x[9] = fx, tz
+    return WORLD, pixels, x
+
+
+def _check_jacobian(world, pixels, x) -> np.ndarray:
+    """The batched Jacobian against scipy's 2-point finite differences, bit
+    for bit; returns the residual rows at x and its one-step neighbours."""
+    def rows(p):
+        return camera_module._residual_rows(p, world, pixels)
+
+    want = approx_derivative(scalar_calibration.residual, x, method="2-point",
+                             args=(world, pixels))
+    assert _same_bits(camera_module._forward_jacobian(rows, x), want)
+    for p in (x, x * 1.01):  # each row of a stack equals its one-row call
+        stacked = rows(np.stack([p, x, p]))
+        assert _same_bits(stacked[0], rows(p[None])[0]) and _same_bits(stacked[2], stacked[0])
+        assert _same_bits(stacked[0], scalar_calibration.residual(p, world, pixels))
+    h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    stepped = np.repeat(x[None], 11, axis=0)
+    stepped[np.arange(1, 11), np.arange(10)] = x + h
+    return rows(stepped)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.floats(300.0, 3000.0), st.floats(5.0, 10.0))
+def test_batched_jacobian_equals_scipy_finite_differences(seed, fx, tz):
+    _check_jacobian(*_jacobian_case(seed, fx, tz))
+
+
+@pytest.mark.parametrize("fx, unguarded", [
+    (0.0, [1]),  # the centre row is guarded, the step up from it is not
+    (-1e-300, []),  # the step goes down: every row is guarded
+    (-1.0, []),
+    (1e-9, list(range(11))),
+])
+def test_batched_jacobian_equals_scipy_at_the_focal_guard(fx, unguarded):
+    f = _check_jacobian(*_jacobian_case(3, fx, 7.0))
+    assert np.flatnonzero(~(f == 1e6).all(axis=1)).tolist() == unguarded
+
+
+def test_batched_jacobian_equals_scipy_across_the_depth_guard():
+    # Unrotated points 2 m up, t_z just above -2: the nearest depths sit
+    # just above 1e-9, and the t_z step, away from zero, drops them below.
+    world = WORLD + [0.0, 0.0, 2.0]
+    pixels = np.zeros((len(world), 2))
+    x = np.array([1000.0, 1000.0, 480.0, 300.0, 0.0, 0.0, 0.0, 0.1, 0.2, -2.0 + 1e-8])
+    guarded = (_check_jacobian(world, pixels, x) == 1e6).all(axis=1)
+    assert not guarded[0] and guarded[10]
+
+
+@pytest.fixture(scope="module")
+def library_correspondences():
+    """The correspondences calibrate_from_track passes to calibrate for the
+    golden library scenes."""
+    seen = []
+    with mock.patch.object(pipeline, "calibrate", seen.append):
+        for s, (fps, n_hits, noise) in enumerate(SCENES):
+            track, _, _ = generate_scene(
+                np.random.default_rng([7, s]), fps=fps, n_hits=n_hits, noise_px=noise
+            )
+            pipeline.calibrate_from_track(track, TABLE)
+    return seen
+
+
+def test_calibrate_equals_the_scalar_rotation_refinement(library_correspondences):
+    assert len(library_correspondences) == len(SCENES)
+    for corr in library_correspondences:
+        got, rms = calibrate(corr)
+        want, want_rms = scalar_calibration.calibrate(corr)
+        gk, wk = got.intrinsics, want.intrinsics
+        assert _same_bits([gk.fx, gk.fy, gk.cx, gk.cy], [wk.fx, wk.fy, wk.cx, wk.cy])
+        assert _same_bits(got.extrinsics.r, want.extrinsics.r)
+        assert _same_bits(got.extrinsics.t, want.extrinsics.t)
+        assert rms == want_rms
+
+
+PIXELS = project_many(_camera(), WORLD)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(WORLD) - 1), st.integers(0, 1),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=20))
+def test_calibrate_on_extreme_finite_pixels_fails_cleanly(edits):
+    # Finite pixels anywhere up to +/-1.8e308: calibrate returns a finite
+    # camera or raises CalibrationFailed, and no numpy warning escapes.
+    pixels = PIXELS.copy()
+    for i, j, value in edits:
+        pixels[i, j] = value
+    corr = [(Vec3(*p), ImagePoint(*q)) for p, q in zip(WORLD.tolist(), pixels.tolist())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fitted, rms = calibrate(corr)
+        except CalibrationFailed:
+            return
+    k = fitted.intrinsics
+    assert np.isfinite([k.fx, k.fy, k.cx, k.cy, rms]).all()
+    assert np.isfinite(fitted.extrinsics.r).all() and np.isfinite(fitted.extrinsics.t).all()
 
 
 def test_position_player_round_trip():

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +108,6 @@ def test_exit_code_failure_on_unprocessable_track(tmp_path, capsys):
     # A structurally valid track with no detectable hits fails processing.
     path = tmp_path / "empty.track"
     assert main(["synth", "--seed", "7", "--out", str(path), "--hits", "3"]) == EXIT_OK
-    import re
-
     text = path.read_text().splitlines()
     # Rewrite racket centroids so no racket ever comes near the ball.
     doctored = [text[0]] + [
@@ -119,6 +118,22 @@ def test_exit_code_failure_on_unprocessable_track(tmp_path, capsys):
     rc = main(["reconstruct", "--track", str(path), "--out", str(tmp_path / "o")])
     assert rc == EXIT_FAILURE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning would print beside the error
+@pytest.mark.parametrize("command", ["calibrate", "reconstruct"])
+@pytest.mark.parametrize("field, value", [("base_h", "1e308"), ("kp1", "1e308,5")])
+def test_huge_keypoints_fail_with_one_error_line(command, field, value, track_path,
+                                                 tmp_path, capsys):
+    # Finite in the file, but the ground projections overflow to inf.
+    path = tmp_path / "huge.track"
+    path.write_text(re.sub(rf"{field}=\S+", f"{field}={value}", track_path.read_text()))
+    argv = [command, "--track", str(path)]
+    if command == "reconstruct":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
 
 
 def test_stats_on_points_without_frames_fails_cleanly(tmp_path, capsys):

@@ -69,6 +69,26 @@ def test_reconstruction_matches_golden_hashes(tmp_path, capsys):
     assert _sha256(stats.read_bytes()) == STATS
 
 
+CAMERAS = {
+    # synth --noise-px, camera-v1 stdout of calibrate --track
+    0.0: "2d00f7d295af895ddfcbc1b79f3fd89728d4d815a5d8c0a70a048360ae1e5488",
+    1.5: "ff6bc8e4a225d5698a1b359b478c9dbef01e336fb9905d84740ccbaad0758b0a",
+}
+
+
+@pytest.mark.parametrize("noise", sorted(CAMERAS))
+def test_calibration_matches_golden_hash(noise, tmp_path, capsys):
+    """camera-v1 bytes of the seed-21 synth track, computed when the
+    refinement's residual built a scipy Rotation per evaluation and its
+    Jacobian came from scipy's finite differences."""
+    track = tmp_path / "21.track"
+    argv = ["synth", "--seed", "21", "--noise-px", repr(noise), "--out", str(track)]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(["calibrate", "--track", str(track)]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == CAMERAS[noise]
+
+
 LIBRARY = "3c769b98000e7eea423acdb1bbddfacf34460adda1e78f2855f1987a9ccef07b"
 # 60 library scenes: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise.
 SCENES = [(60.0 if s % 2 == 0 else 120.0, 3 + (s // 2) % 4, (s % 5) / 2) for s in range(60)]
