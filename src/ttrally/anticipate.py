@@ -5,6 +5,11 @@ the opponent's hit. Calibration residuals — absolute errors normalized by the
 ensemble spread — yield per-axis conformal quantiles; at test time the
 interval [mean +/- q * sigma] per axis covers the truth with the requested
 marginal rate, and the product box covers jointly at 1 - 3*alpha.
+
+A split is one ``synth.Exchanges`` batch: its forecast, truth, calibration,
+coverage and bias read the batch's columns, a chunk of FORECAST_CHUNK rows
+at a time where the arrays grow with the ensemble; ``build_regions`` forecasts
+one ``ContextWindow`` with the same model.
 """
 
 from __future__ import annotations
@@ -26,13 +31,15 @@ from .errors import (
 from .pipeline import (CONFORMAL_HEADER, CONFORMAL_ROW, body_lines, format_record,
                        parse_record, read_header, read_lines, write_lines)
 from .ball import RAISE_ON_NONFINITE
-from .synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                    ExchangeSample, balls_at, context_mask, return_shots)
+from .synth import (CONTEXT_TIMES, SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN,
+                    SHOT_Y_LIMIT, TABLE, Exchanges, balls_at, context_mask, generate_exchanges,
+                    return_shots)
 
 SIGMA_FLOOR = 1e-6
 # Exchanges forecast per ensemble pass: the (exchanges x members x horizons)
 # arrays of a whole split would raise peak memory; this many keep it flat.
 FORECAST_CHUNK = 64
+EXTREME_Y = 0.75  # m: a return crossing the ego plane beyond +-this is an extreme shot
 
 
 def horizon_key(h: float) -> float:
@@ -40,8 +47,7 @@ def horizon_key(h: float) -> float:
     return round(float(h), 6)
 
 
-def default_horizons() -> list[float]:
-    return [horizon_key(h) for h in np.arange(0.05, 0.601, 0.05)]
+STUDY_HORIZONS = tuple(horizon_key(h) for h in np.arange(0.05, 0.601, 0.05))  # s after the hit
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +76,14 @@ class ContextWindow:
         return self.frames[-1].opponent_joints_world[0].y
 
 
-def _hit_estimate(p0: np.ndarray, p1: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+def _hit_estimate(p0: np.ndarray, p1: np.ndarray, t0, t1) -> np.ndarray:
     """The hit (n, 3), extrapolated linearly from the last two ball frames
-    (n, 3) at times (n,) to t = 0."""
-    lead = -t1
+    (n, 3) at times t0, t1 to t = 0; the times are (n,), or one time each
+    that every row shares."""
+    lead = np.reshape(-t1, (-1, 1))
     with np.errstate(**RAISE_ON_NONFINITE):
-        v = (p1 - p0) * (1.0 / (t1 - t0))[:, None]
-        return p1 + v * lead[:, None]
+        v = (p1 - p0) * np.reshape(1.0 / (t1 - t0), (-1, 1))
+        return p1 + v * lead
 
 
 def _context_arrays(contexts: Sequence[ContextWindow]) -> tuple[np.ndarray, np.ndarray]:
@@ -90,21 +97,17 @@ def _context_arrays(contexts: Sequence[ContextWindow]) -> tuple[np.ndarray, np.n
     return _hit_estimate(p0, p1, t0, t1), root_y
 
 
-def _exchange_arrays(
-    exchanges: Sequence[ExchangeSample], lead_time: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """_context_arrays of each exchange's context_until(-lead_time), read
-    straight from its context rows: no frame is built. Context times
-    increase, so the frames a lead time keeps are a prefix of each row."""
-    times = np.array([ex.context_times for ex in exchanges])  # (n, m)
-    balls = np.array([ex.context_balls for ex in exchanges])  # (n, m, 3)
-    last = context_mask(times, -lead_time).sum(axis=1) - 1
-    if np.any(last < 1):
+def _exchange_arrays(exchanges: Exchanges, lead_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """_context_arrays of every exchange's context frames up to -lead_time
+    (``context_mask``), read straight from the batch: no frame is built.
+    Context times increase, so the frames a lead time keeps are a prefix."""
+    last = int(context_mask(CONTEXT_TIMES, -lead_time).sum()) - 1
+    if last < 1:
         raise InputMismatch("context needs at least two frames")
-    rows = np.arange(len(exchanges))
-    hit = _hit_estimate(balls[rows, last - 1], balls[rows, last],
-                        times[rows, last - 1], times[rows, last])
-    return hit, np.array([ex.opp_root_y for ex in exchanges], dtype=float)
+    balls = exchanges.context_balls
+    hit = _hit_estimate(balls[:, last - 1], balls[:, last],
+                        CONTEXT_TIMES[last - 1], CONTEXT_TIMES[last])
+    return hit, exchanges.opp_root_y
 
 
 @dataclass
@@ -194,7 +197,7 @@ class SplitForecast:
     every conformal statistic is a reduction over them.
     """
 
-    exchanges: list[ExchangeSample]
+    exchanges: Exchanges
     horizons: list[float]
     mean: np.ndarray
     sigma: np.ndarray
@@ -208,7 +211,7 @@ def _chunks(n: int) -> list[slice]:
 
 def forecast_ensemble(
     predictors: Sequence[ShotPredictor],
-    exchanges: Sequence[ExchangeSample],
+    exchanges: Exchanges,
     horizons: Sequence[float],
     lead_time: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +227,13 @@ def forecast_ensemble(
 
 def forecast_split(
     predictors: Sequence[ShotPredictor],
-    exchanges: Sequence[ExchangeSample],
+    exchanges: Exchanges,
     horizons: Sequence[float],
     lead_time: float = 0.0,
 ) -> SplitForecast:
     """Forecast every exchange once, ``lead_time`` before the hit, and take
     its truth at the same horizons."""
-    exchanges, horizons = list(exchanges), list(horizons)
+    horizons = list(horizons)
     mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
     truth = np.empty_like(mean)
     for rows in _chunks(len(exchanges)):
@@ -300,7 +303,7 @@ def calibrate_ensemble(forecast: SplitForecast, alpha: float) -> ConformalCalibr
     """Fit per-axis conformal quantiles on a held-out split's forecast."""
     scores = np.abs(forecast.truth - forecast.mean) / forecast.sigma
     calib = ConformalCalibration(alpha=alpha)
-    calib.calibration_ids = {ex.exchange_id for ex in forecast.exchanges}
+    calib.calibration_ids = set(forecast.exchanges.ids.tolist())
     for i, ax in enumerate(AXES):
         for j, h in enumerate(forecast.horizons):
             calib.quantiles[(ax, horizon_key(h))] = conformal_quantile(scores[:, j, i], alpha)
@@ -337,11 +340,11 @@ def build_regions(
 def split_regions(
     predictors: Sequence[ShotPredictor],
     calib: ConformalCalibration,
-    exchanges: Sequence[ExchangeSample],
+    exchanges: Exchanges,
     horizons: Sequence[float],
     lead_time: float,
 ) -> list[list[Region]]:
-    """build_regions of every exchange's context_until(-lead_time), from one
+    """build_regions of every exchange's context up to -lead_time, from one
     forecast_ensemble of the split: no frame is built."""
     mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
     lo, hi = _bounds(calib, horizons, mean, sigma)
@@ -349,10 +352,8 @@ def split_regions(
     return [_as_regions(keys, *rows) for rows in zip(lo.tolist(), hi.tolist(), mean.tolist())]
 
 
-def check_split(
-    calib: ConformalCalibration, test_exchanges: Sequence[ExchangeSample]
-) -> None:
-    overlap = calib.calibration_ids & {ex.exchange_id for ex in test_exchanges}
+def check_split(calib: ConformalCalibration, test_exchanges: Exchanges) -> None:
+    overlap = calib.calibration_ids & set(test_exchanges.ids.tolist())
     if overlap:
         raise SplitLeakage(f"{len(overlap)} exchanges in both splits")
 
@@ -406,42 +407,32 @@ class BiasReport:
         return self.n_correct_side / self.n_extreme if self.n_extreme else float("nan")
 
 
-def extreme_hit_bias(
-    calib: ConformalCalibration,
-    forecast: SplitForecast,
-    extreme_y: float = 0.75,
-    table: TableGeometry = TableGeometry(),
-) -> BiasReport:
+def extreme_hit_bias(calib: ConformalCalibration, forecast: SplitForecast) -> BiasReport:
     """Do prediction regions lean toward the side extreme shots favor?
 
     An exchange is extreme when the shot crosses the ego hitting plane with
-    |y| > ``extreme_y``. Its region — taken at the grid horizon nearest the
+    |y| > EXTREME_Y. Its region — taken at the grid horizon nearest the
     crossing time, the earlier one on a tie — counts as correct-side biased
     when it excludes at least a third of the y half-range on the wrong side
     and excludes strictly more of the wrong side than of the correct one.
     """
-    hw = table.half_width
-    keys = [horizon_key(h) for h in forecast.horizons]
-    by_horizon = sorted(range(len(keys)), key=keys.__getitem__)
+    hw = TABLE.half_width
+    keys = np.array([horizon_key(h) for h in forecast.horizons])
+    by_horizon = np.argsort(keys, kind="stable")
+    t_cross, y = forecast.exchanges.crossing_time, forecast.exchanges.crossing_pos[:, 1]
+    nearest = by_horizon[np.argmin(np.abs(keys[by_horizon] - t_cross[:, None]), axis=1)]
     lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
-    n_extreme = n_correct = 0
-    for i, ex in enumerate(forecast.exchanges):
-        if abs(ex.crossing_pos.y) <= extreme_y:
-            continue
-        n_extreme += 1
-        j = min(by_horizon, key=lambda j: abs(keys[j] - ex.crossing_time))
-        lo_y, hi_y = float(lo[i, j, 1]), float(hi[i, j, 1])
-        # Excluded share of each y half-range [0, hw] and [-hw, 0].
-        right_covered = max(0.0, min(hi_y, hw) - max(lo_y, 0.0))
-        left_covered = max(0.0, min(hi_y, 0.0) - max(lo_y, -hw))
-        right_excluded = 1.0 - right_covered / hw
-        left_excluded = 1.0 - left_covered / hw
-        favored_right = ex.crossing_pos.y > 0
-        wrong_excluded = left_excluded if favored_right else right_excluded
-        correct_excluded = right_excluded if favored_right else left_excluded
-        if wrong_excluded > correct_excluded and wrong_excluded >= 1.0 / 3.0:
-            n_correct += 1
-    return BiasReport(n_extreme=n_extreme, n_correct_side=n_correct)
+    rows = np.arange(len(y))
+    lo_y, hi_y = lo[rows, nearest, 1], hi[rows, nearest, 1]
+    # Excluded share of each y half-range [0, hw] and [-hw, 0].
+    right_excluded = 1.0 - np.maximum(0.0, np.minimum(hi_y, hw) - np.maximum(lo_y, 0.0)) / hw
+    left_excluded = 1.0 - np.maximum(0.0, np.minimum(hi_y, 0.0) - np.maximum(lo_y, -hw)) / hw
+    favored_right = y > 0
+    wrong_excluded = np.where(favored_right, left_excluded, right_excluded)
+    correct_excluded = np.where(favored_right, right_excluded, left_excluded)
+    extreme = np.abs(y) > EXTREME_Y
+    correct = extreme & (wrong_excluded > correct_excluded) & (wrong_excluded >= 1.0 / 3.0)
+    return BiasReport(n_extreme=int(extreme.sum()), n_correct_side=int(correct.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +479,15 @@ def run_conformal_study(
     n_test: int = 1000,
     k_members: int = 5,
     alpha: float = 0.1,
-    horizons: Optional[Sequence[float]] = None,
     lead_time: float = 0.0,
 ) -> StudyResult:
-    """Calibrate on one split, evaluate coverage/width/bias on a disjoint one."""
-    from .synth import generate_exchanges
-
-    horizons = list(horizons) if horizons is not None else default_horizons()
+    """Calibrate on one split, evaluate coverage/width/bias on a disjoint
+    one, at STUDY_HORIZONS."""
     cal = generate_exchanges(seed, n_cal, id_offset=0)
     test = generate_exchanges(seed + 1, n_test, id_offset=n_cal)
     predictors = physics_baseline_ensemble(seed, k_members)
-    calib = calibrate_ensemble(forecast_split(predictors, cal, horizons, lead_time), alpha)
-    forecast = forecast_split(predictors, test, horizons, lead_time)
+    calib = calibrate_ensemble(forecast_split(predictors, cal, STUDY_HORIZONS, lead_time), alpha)
+    forecast = forecast_split(predictors, test, STUDY_HORIZONS, lead_time)
     return StudyResult(
         coverage=evaluate_coverage(calib, forecast),
         widths=width_vs_horizon(calib, forecast),

@@ -163,11 +163,6 @@ class Chains:
         starts = np.concatenate([t0[:, None], durations[:, :-1]], axis=1).cumsum(axis=1)
         return Chains(starts, anchors[:, :-1], anchors[:, 1:], durations, k)
 
-    @staticmethod
-    def concat(parts: Sequence["Chains"]) -> "Chains":
-        """The rows of ``parts``, in order, as one batch."""
-        return Chains(*(np.concatenate([getattr(c, f) for c in parts]) for f in _CHAIN_FIELDS))
-
     def __getitem__(self, rows) -> "Chains":
         """The chains at ``rows``; a slice keeps views of these arrays. Rows
         of a checked batch skip ``__post_init__``'s second check."""

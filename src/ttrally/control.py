@@ -27,12 +27,12 @@ from .anticipate import (
     physics_baseline_ensemble,
     split_regions,
 )
-from .ball import GRAVITY, Chains
+from .ball import GRAVITY
 from .core import TableGeometry, Vec3
 from .errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
-from .synth import MAX_LEAD_TIME, ExchangeSample, balls_at, generate_exchanges
+from .synth import MAX_LEAD_TIME, Exchanges, balls_at, generate_exchanges
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +388,8 @@ class EpisodeResult:
     fallback: bool  # anticipation found no coverable region
 
 
-def _interception_pose(ex: ExchangeSample, params: SimParams) -> RacketPose:
-    return solve_target_pose(ex.crossing_pos, ex.crossing_vel, params.table)
-
-
 def _step_balls(
-    exchanges: Sequence[ExchangeSample], params: SimParams
+    exchanges: Exchanges, params: SimParams
 ) -> tuple[list[float], list[list[list[float]]]]:
     """The robot's step times and each exchange's ball at them.
 
@@ -401,7 +397,7 @@ def _step_balls(
     reaches the last exchange's crossing_time + 0.15. Exchange i's balls
     stop at the first time that reaches its own crossing_time + 0.15.
     """
-    stops = [ex.crossing_time + 0.15 for ex in exchanges]
+    stops = (exchanges.crossing_time + 0.15).tolist()
     last = max(stops)
     times = [-params.lead_time]
     while times[-1] < last:
@@ -411,15 +407,14 @@ def _step_balls(
     return times, [rows[:end] for rows, end in zip(balls, ends)]
 
 
-def _approach(ex: ExchangeSample, strategy: str, params: SimParams,
+def _approach(ideal: RacketPose, crossing_time: float, strategy: str, params: SimParams,
               regions: Optional[Sequence[Region]], times: list[float],
               balls: list[list[float]]) -> tuple:
-    """Step one episode on floats until its ball passes within RACKET_RADIUS
-    of the racket or ``balls``, the ball at each of the first len(balls) step
-    ``times``, run out. Returns the ideal pose, the fallback flag, the last
-    pose and the pose at the crossing as (position, quaternion) tuples, and
-    the contact's step (0 for none)."""
-    ideal = _interception_pose(ex, params)
+    """Step one episode on floats, toward ``ideal`` after the hit, until its
+    ball passes within RACKET_RADIUS of the racket or ``balls``, the ball at
+    each of the first len(balls) step ``times``, run out. Returns the
+    fallback flag, the last pose and the pose at ``crossing_time`` as
+    (position, quaternion) tuples, and the contact's step (0 for none)."""
     fallback, idle = False, (_xyz(params.central), IDENTITY)
     if strategy == "oracle":
         idle = _xyz(ideal.position), ideal.orientation
@@ -441,18 +436,18 @@ def _approach(ex: ExchangeSample, strategy: str, params: SimParams,
         t = times[i]
         target_p, target_q = track if times[i - 1] >= 0 else idle
         p, q = _step(p, q, target_p, target_q, step, max_turn, lo, hi)
-        if t - dt <= ex.crossing_time <= t:
+        if t - dt <= crossing_time <= t:
             crossing = p, q
         if t > 0 and _point_segment_distance(p, balls[i - 1], balls[i]) <= RACKET_RADIUS:
-            return ideal, fallback, (p, q), crossing, i
-    return ideal, fallback, (p, q), crossing, 0
+            return fallback, (p, q), crossing, i
+    return fallback, (p, q), crossing, 0
 
 
-def _outcome(ex: ExchangeSample, strategy: str, params: SimParams, run: tuple,
-             ball: Sequence[float], v_in: Optional[Sequence[float]]) -> EpisodeResult:
+def _outcome(exchange_id: int, strategy: str, params: SimParams, ideal: RacketPose,
+             run: tuple, ball: Sequence[float], v_in: Optional[Sequence[float]]) -> EpisodeResult:
     """Grade one ``_approach`` run; ``ball`` and ``v_in`` are the ball's
     position and velocity at its contact step (``v_in`` None without one)."""
-    ideal, fallback, (p, q), crossing, _ = run
+    fallback, (p, q), crossing, _ = run
     pose = RacketPose(Vec3(*p), q)
     contacted = returned = False
     deviation: Optional[float] = None
@@ -471,7 +466,7 @@ def _outcome(ex: ExchangeSample, strategy: str, params: SimParams, run: tuple,
                 returned = (v_after.x > 0 and 0.0 <= p_land.x <= params.table.half_length
                             and abs(p_land.y) <= params.table.half_width)
     ref = pose if contacted else RacketPose(Vec3(*crossing[0]), crossing[1])
-    return EpisodeResult(ex.exchange_id, strategy, contacted, returned, deviation,
+    return EpisodeResult(exchange_id, strategy, contacted, returned, deviation,
                          (ref.position - ideal.position).norm(), ref.angle_to(ideal), fallback)
 
 
@@ -526,7 +521,7 @@ def _aggregate(
 
 
 def run_strategy(
-    exchanges: Sequence[ExchangeSample],
+    exchanges: Exchanges,
     strategy: str,
     params: SimParams,
     predictors: Optional[Sequence[ShotPredictor]] = None,
@@ -551,19 +546,22 @@ def run_strategy(
         regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
     regions = regions or [None] * len(exchanges)
     times, balls = _step_balls(exchanges, params)  # every episode's ball at once
-    runs = [_approach(ex, strategy, params, r, times, b)
-            for ex, r, b in zip(exchanges, regions, balls, strict=True)]
-    hits = [i for i, run in enumerate(runs) if run[-1]]  # one velocity call for every contact
-    v_in = iter(Chains.concat([exchanges[i].outgoing for i in hits]).velocities(
-        [[times[runs[i][-1]]] for i in hits])[:, 0].tolist() if hits else ())
-    results = [_outcome(ex, strategy, params, run, b[run[-1]], next(v_in) if run[-1] else None)
-               for ex, run, b in zip(exchanges, runs, balls)]
+    ideals = [solve_target_pose(Vec3(*p), Vec3(*v), params.table) for p, v in
+              zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
+    runs = [_approach(ideal, t, strategy, params, r, times, b)
+            for ideal, t, r, b in zip(ideals, exchanges.crossing_time.tolist(), regions, balls,
+                                      strict=True)]
+    # One velocity call for every row: each row's at its contact step, or
+    # at step 0, unread, without one.
+    v_in = exchanges.outgoing.velocities([[times[run[-1]]] for run in runs])[:, 0].tolist()
+    results = [_outcome(i, strategy, params, ideal, run, b[run[-1]], v if run[-1] else None)
+               for i, ideal, run, b, v in zip(exchanges.ids.tolist(), ideals, runs, balls, v_in)]
     return _aggregate(results, strategy, params), results
 
 
 def _anticipation_inputs(
     seed: int, table: TableGeometry, n_cal: int
-) -> tuple[list[ShotPredictor], list[ExchangeSample]]:
+) -> tuple[list[ShotPredictor], Exchanges]:
     """The ensemble and its calibration split."""
     predictors = physics_baseline_ensemble(seed, table=table)
     return predictors, generate_exchanges(seed + 17, n_cal, id_offset=CAL_ID_OFFSET)
@@ -628,8 +626,8 @@ def run_experiment(
         rows.append(run_strategy(exchanges, "anticipatory", p, predictors, calib_lt)[0])
 
     if centrals is None:
-        mean_hit_y = float(np.mean([ex.crossing_pos.y for ex in exchanges]))
-        mean_hit_z = float(np.mean([ex.crossing_pos.z for ex in exchanges]))
+        mean_hit_y = float(np.mean(exchanges.crossing_pos[:, 1]))
+        mean_hit_z = float(np.mean(exchanges.crossing_pos[:, 2]))
         centrals = [Vec3(-1.5, mean_hit_y, mean_hit_z)]
     for c in centrals:
         if (c - base_params.central).norm() < 1e-12:

@@ -14,11 +14,13 @@ class TTRallyError(Exception):
 # -- core model -------------------------------------------------------------
 
 class NotEnoughHits(TTRallyError):
-    """Fewer than two hit times: no segment can be formed."""
+    """Too few ball detections or fewer than two hits, so no segment can be
+    formed, or a hit frame without positioned player joints."""
 
 
 class EmptyDataset(TTRallyError):
-    """Statistics requested over an empty point collection."""
+    """Statistics over no points or no frame pairs, or a returner row or
+    experiment with no exchanges or zero episodes."""
 
 
 # -- camera -----------------------------------------------------------------
@@ -96,11 +98,12 @@ class NoCalibration(TTRallyError):
 
 
 class InputMismatch(TTRallyError):
-    """Region and ground-truth sequences have different lengths."""
+    """A context whose times and frames differ in length or that has fewer
+    than two frames, or an empty test split."""
 
 
 class SplitLeakage(TTRallyError):
-    """Train/calibration/test splits share point ids."""
+    """The calibration and test splits share exchange ids."""
 
 
 # -- control ----------------------------------------------------------------

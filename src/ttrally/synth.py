@@ -3,14 +3,17 @@
 Everything here produces ground truth paired with observations so the
 reconstruction and anticipation stages can be scored against a known answer.
 The generated world follows the same drag-trajectory model the reconstruction
-fits, with hit and bounce anchors snapped to frame boundaries.
+fits, with hit and bounce anchors snapped to frame boundaries. Exchanges come
+as one ``Exchanges`` batch of arrays; ``ExchangeSample`` is the row view for a
+reader that wants one exchange.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -340,69 +343,91 @@ def context_mask(times: np.ndarray, t_rel_hit: float) -> np.ndarray:
 
 
 @dataclass
-class ExchangeSample:
-    """One synthetic exchange: context before the opponent's hit plus truth.
+class Exchanges:
+    """n synthetic exchanges as arrays, row i being exchange ``ids[i]``.
 
-    Time zero is the opponent's hit; context times are negative. The context
-    is held as array rows (views of the batch the exchange was generated in);
-    its Frame3Ds are built only when ``context`` or ``context_until`` is read.
+    Time zero of a row is the opponent's hit. Every row's context is
+    sampled at the shared CONTEXT_TIMES (negative). A slice is the batch of
+    those rows, on views of these arrays; an integer index, or iteration,
+    gives ExchangeSample row views.
     """
 
+    ids: np.ndarray  # (n,)
+    context_balls: np.ndarray  # (n, m, 3): the ball at each context time
+    context_hands: np.ndarray  # (n, m, 3): the opponent's racket hand at each context time
+    incoming: Chains  # the ball up to the opponent's hit
+    outgoing: Chains  # the opponent's return from the hit on
+    hit_pos: np.ndarray  # (n, 3)
+    crossing_time: np.ndarray  # (n,): when the return crosses the ego hitting plane
+    crossing_pos: np.ndarray  # (n, 3)
+    crossing_vel: np.ndarray  # (n, 3)
+    opp_root_y: np.ndarray  # (n,)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows):
+        if not isinstance(rows, (int, np.integer)):
+            return Exchanges(*(getattr(self, f.name)[rows] for f in fields(self)))
+        row = range(len(self))[rows]
+        return ExchangeSample(self, row, int(self.ids[row]), float(self.crossing_time[row]),
+                              Vec3.from_array(self.crossing_pos[row]),
+                              Vec3.from_array(self.crossing_vel[row]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+@dataclass(frozen=True)
+class ExchangeSample:
+    """Row ``row`` of an Exchanges batch, for a reader that wants one
+    exchange: its id, crossing, context frames and truth."""
+
+    batch: Exchanges
+    row: int
     exchange_id: int
-    table: TableGeometry
-    context_times: np.ndarray
-    context_balls: np.ndarray  # (m, 3): the ball at each context time
-    context_hands: np.ndarray  # (m, 3): the opponent's racket hand at each context time
-    incoming: Chains  # one row: the ball up to the opponent's hit
-    outgoing: Chains  # one row: the opponent's return from the hit on
-    hit_pos: Vec3
     crossing_time: float
     crossing_pos: Vec3
     crossing_vel: Vec3
-    opp_root_y: float
+    context_times = CONTEXT_TIMES
 
     @property
     def context(self) -> list[Frame3D]:
-        """Every context frame, built on each read."""
-        return self._frames(range(len(self.context_times)))
-
-    def _frames(self, rows) -> list[Frame3D]:
-        """The context frames at ``rows``: the ball, and the opponent standing
-        at its root y with the racket hand easing toward the hit."""
-        hl, y = self.table.half_length, self.opp_root_y
+        """Every context frame, built on each read: the ball, and the
+        opponent standing at its root y with the racket hand easing toward
+        the hit."""
+        hl, y = TABLE.half_length, float(self.batch.opp_root_y[self.row])
         root_x = hl + 0.55
         hip = Vec3(root_x, y, 0.95)
         ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
         ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
-        balls, hands = self.context_balls.tolist(), self.context_hands.tolist()
-        return [Frame3D(j, Vec3(*balls[j]), [hip, Vec3(*hands[j]), *ankles], ego_root)
-                for j in rows]
+        balls = self.batch.context_balls[self.row].tolist()
+        hands = self.batch.context_hands[self.row].tolist()
+        return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
+                for j, (ball, hand) in enumerate(zip(balls, hands))]
 
-    def truth(self, times) -> np.ndarray:
-        """(m, 3) ball positions at ``times`` (m,): ``balls_at`` of this exchange."""
-        return balls_at([self], times)[0]
+    @cached_property
+    def _chains(self) -> tuple[Chains, Chains]:
+        """This row's incoming and outgoing chain, as one-row views."""
+        rows = slice(self.row, self.row + 1)
+        return self.batch.incoming[rows], self.batch.outgoing[rows]
 
     def truth_at(self, t: float) -> Vec3:
-        """The ball at one time, as ``truth`` takes it, in one Chains.positions call."""
-        chain = self.outgoing if t >= 0 else self.incoming
-        return Vec3.from_array(chain.positions([t])[0, 0])
-
-    def context_until(self, t_rel_hit: float):
-        """Context times and frames with time <= t_rel_hit (a negative lead time)."""
-        mask = context_mask(self.context_times, t_rel_hit)
-        return self.context_times[mask], self._frames(np.flatnonzero(mask).tolist())
+        """The ball at one time, as ``balls_at`` takes it, in one Chains.positions call."""
+        incoming, outgoing = self._chains
+        return Vec3.from_array((outgoing if t >= 0 else incoming).positions([t])[0, 0])
 
 
-def balls_at(exchanges: Sequence[ExchangeSample], times) -> np.ndarray:
+def balls_at(exchanges: Exchanges, times) -> np.ndarray:
     """(n, m, 3) ball positions of n exchanges at ``times`` (m,): the
     incoming ball before the opponent's hit, the return from t = 0 on. Each
     side of the hit that ``times`` reach takes one Chains.positions call."""
     t = np.asarray(times, dtype=float)
     out = np.empty((len(exchanges), len(t), 3))
     after = t >= 0
-    for side, at in (("outgoing", after), ("incoming", ~after)):
+    for chains, at in ((exchanges.outgoing, after), (exchanges.incoming, ~after)):
         if at.any():
-            out[:, at] = Chains.concat([getattr(ex, side) for ex in exchanges]).positions(t[at])
+            out[:, at] = chains.positions(t[at])
     return out
 
 
@@ -482,18 +507,16 @@ def _draw_exchange(rng: np.random.Generator) -> tuple[float, ...]:
     )
 
 
-def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSample]:
+def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> Exchanges:
     """n exchanges with intent-correlated opponent returns, ids from ``id_offset``.
 
     Each exchange takes its draws from one seeded stream in a fixed order;
     the flights of all n are then built, solved and sampled as arrays.
     """
     rng = np.random.default_rng(seed)
-    draws = [_draw_exchange(rng) for _ in range(n)]
-    if not draws:
-        return []
     (side, root_noise, hit_x, hit_y, hit_z, ego_y, ego_z, xb_in, speed_in, k_in1, k_in2,
-     aim_noise, z_cross, xb_out, speed, k1, k2) = np.array(draws).T
+     aim_noise, z_cross, xb_out, speed, k1, k2) = np.array(
+        [_draw_exchange(rng) for _ in range(n)]).reshape(n, 17).T  # 17 draws each
     hl, h = TABLE.half_length, TABLE.height_z
 
     opp_root_y = np.clip(np.where(side < 0.5, 1.0, -1.0) * 0.5 + root_noise, -0.8, 0.8)
@@ -515,30 +538,20 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> list[ExchangeSa
     x_bounce = -(0.45 + 0.45 * xb_out)
     outgoing, t_cross = return_shots(np.full(n, hl), np.full(n, h), hit, x_bounce, y_cross,
                                      z_cross, np.clip(speed, *SHOT_SPEED_CLIP), k1, k2)
-    crossing_pos = outgoing.positions(t_cross[:, None])[:, 0]
-    crossing_vel = outgoing.velocities(t_cross[:, None])[:, 0]
 
     # Context strictly before the hit: the incoming ball, and the opponent's
     # hand easing from rest to the contact point.
-    balls = incoming.positions(CONTEXT_TIMES)
     approach = _eased(1.0 + CONTEXT_TIMES / CONTEXT_S)
     rest = np.column_stack([np.full(n, hl + 0.6), opp_root_y, np.ones(n)])
-    hands = rest[:, None] + (hit - rest)[:, None] * approach[:, None]
-
-    return [
-        ExchangeSample(
-            exchange_id=id_offset + i,
-            table=TABLE,
-            context_times=CONTEXT_TIMES,
-            context_balls=balls[i],
-            context_hands=hands[i],
-            incoming=incoming[i:i + 1],
-            outgoing=outgoing[i:i + 1],
-            hit_pos=Vec3(*hit[i].tolist()),
-            crossing_time=float(t_cross[i]),
-            crossing_pos=Vec3(*crossing_pos[i].tolist()),
-            crossing_vel=Vec3(*crossing_vel[i].tolist()),
-            opp_root_y=y,
-        )
-        for i, y in enumerate(opp_root_y.tolist())
-    ]
+    return Exchanges(
+        ids=np.arange(id_offset, id_offset + n),
+        context_balls=incoming.positions(CONTEXT_TIMES),
+        context_hands=rest[:, None] + (hit - rest)[:, None] * approach[:, None],
+        incoming=incoming,
+        outgoing=outgoing,
+        hit_pos=hit,
+        crossing_time=t_cross,
+        crossing_pos=outgoing.positions(t_cross[:, None])[:, 0],
+        crossing_vel=outgoing.velocities(t_cross[:, None])[:, 0],
+        opp_root_y=opp_root_y,
+    )

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scalar_flight import construct_return_shot
 from ttrally.anticipate import (
     FORECAST_CHUNK,
+    STUDY_HORIZONS,
     ContextWindow,
     ConformalCalibration,
     MemberParams,
@@ -18,7 +19,6 @@ from ttrally.anticipate import (
     calibrate_ensemble,
     check_split,
     conformal_quantile,
-    default_horizons,
     evaluate_coverage,
     extreme_hit_bias,
     forecast_split,
@@ -37,8 +37,9 @@ from ttrally.errors import (
     ParseError,
     SplitLeakage,
 )
+from ttrally import anticipate
 from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                           generate_exchanges)
+                           context_mask, generate_exchanges)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 
@@ -66,8 +67,9 @@ def _linear_context(n=6, dt=0.05, v=Vec3(3.0, 0.5, -0.2)):
 
 def _context_for(ex, lead_time):
     """The ContextWindow of a forecast issued lead_time before ex's hit."""
-    times, frames = ex.context_until(-lead_time)
-    return ContextWindow(times=times, frames=frames)
+    keep = context_mask(ex.context_times, -lead_time)
+    return ContextWindow(times=ex.context_times[keep],
+                         frames=[f for f, k in zip(ex.context, keep) if k])
 
 
 def test_context_requires_matching_lengths():
@@ -125,7 +127,7 @@ def test_conformal_quantile_sentinel_and_errors():
 def test_horizon_key_canonicalizes_repr_drift():
     assert horizon_key(0.30000000004) == 0.3
     assert horizon_key(0.1 + 0.2) == 0.3
-    hs = default_horizons()
+    hs = STUDY_HORIZONS
     assert hs[0] == 0.05 and hs[-1] == 0.6 and len(hs) == 12
 
 
@@ -212,7 +214,7 @@ def test_evaluate_coverage_guards_split(small_study):
     with pytest.raises(SplitLeakage):
         evaluate_coverage(calib, forecast_split(preds, cal[:3], HORIZONS))
     with pytest.raises(InputMismatch):
-        evaluate_coverage(calib, forecast_split(preds, [], HORIZONS))
+        evaluate_coverage(calib, forecast_split(preds, cal[:0], HORIZONS))
 
 
 def test_small_scale_coverage(small_study):
@@ -322,13 +324,14 @@ def _oracle_study(preds, cal, test, horizons, alpha, lead_time, extreme_y):
 
 
 @pytest.mark.parametrize("lead_time", [0.0, 0.1])
-def test_forecast_path_equals_per_exchange_oracle(small_study, lead_time):
+def test_forecast_path_equals_per_exchange_oracle(small_study, lead_time, monkeypatch):
     preds, cal, test, _ = small_study
-    horizons = default_horizons()
+    horizons = list(STUDY_HORIZONS)
     calib = calibrate_ensemble(forecast_split(preds, cal, horizons, lead_time), alpha=0.15)
     forecast = forecast_split(preds, test.exchanges, horizons, lead_time)
     coverage = evaluate_coverage(calib, forecast)
-    bias = extreme_hit_bias(calib, forecast, extreme_y=0.5)
+    monkeypatch.setattr(anticipate, "EXTREME_Y", 0.5)  # more extreme shots to compare
+    bias = extreme_hit_bias(calib, forecast)
     o_calib, o_axis, o_joint, o_widths, o_bias = _oracle_study(
         preds, cal, test.exchanges, horizons, 0.15, lead_time, extreme_y=0.5)
     assert calib.quantiles == o_calib.quantiles
@@ -355,13 +358,11 @@ def test_single_context_regions_equal_the_split_bounds(small_study):
 
 
 def test_study_runs_the_ensemble_once_per_exchange(monkeypatch):
-    from ttrally import anticipate
-
     entered, batched = [], []
     exchange_arrays, ensemble = anticipate._exchange_arrays, anticipate._ensemble
 
     def tagging(exchanges, lead_time):
-        entered.extend(ex.exchange_id for ex in exchanges)
+        entered.extend(exchanges.ids.tolist())
         return exchange_arrays(exchanges, lead_time)
 
     def counting(predictors, hit, root_y, horizons):
@@ -388,7 +389,7 @@ def chunked_exchanges():
                                3 * FORECAST_CHUNK + 5])
 def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, n, lead_time):
     preds = physics_baseline_ensemble(4, 5)
-    horizons = default_horizons()
+    horizons = list(STUDY_HORIZONS)
     exchanges = chunked_exchanges[:n]
     forecast = forecast_split(preds, exchanges, horizons, lead_time)
     assert forecast.mean.shape == forecast.sigma.shape == forecast.truth.shape == (n, 12, 3)

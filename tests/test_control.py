@@ -38,12 +38,23 @@ from ttrally.control import (
 )
 from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
-from ttrally.synth import MAX_LEAD_TIME, ExchangeSample, generate_exchanges
+from ttrally.synth import MAX_LEAD_TIME, ExchangeSample, context_mask, generate_exchanges
 
 TABLE = TableGeometry()
 WORKSPACE = Box(Vec3(-2.8, -1.4, 0.5), Vec3(-1.2, 1.4, 1.8))
 
 unit = st.floats(-1.0, 1.0)
+
+
+def _ones(exchanges):
+    """Each exchange of a batch as a one-exchange batch."""
+    return [exchanges[i:i + 1] for i in range(len(exchanges))]
+
+
+def _window(ex, lead_time):
+    """The ContextWindow of a forecast issued lead_time before ex's hit."""
+    keep = context_mask(ex.context_times, -lead_time)
+    return ContextWindow(ex.context_times[keep], [f for f, k in zip(ex.context, keep) if k])
 
 
 def _region(lo, hi, horizon=0.2):
@@ -494,7 +505,7 @@ def sim_setup():
 
 def test_run_episode_oracle_mostly_returns(sim_setup):
     params, exchanges, _, _ = sim_setup
-    results = [run_strategy([ex], "oracle", params)[1][0] for ex in exchanges]
+    results = [run_strategy(one, "oracle", params)[1][0] for one in _ones(exchanges)]
     rate = np.mean([r.returned for r in results])
     assert rate > 0.8
     for r in results:
@@ -560,22 +571,23 @@ def test_run_experiment_recalibrates_one_split_per_lead_time(monkeypatch):
         assert fresh in [r for r in rows if r.lead_time == lead_time]
 
 
-def _stepwise_episode(ex, strategy, params, predictors=None, calib=None):
-    """An episode as it stepped before the ball was sampled once per episode:
-    the scalar flights evaluated twice per step, the clock advanced in step."""
-    incoming, outgoing = trajectory_of(ex.incoming), trajectory_of(ex.outgoing)
+def _stepwise_episode(one, strategy, params, predictors=None, calib=None):
+    """The episode of the one-exchange batch ``one`` as it stepped before the
+    ball was sampled once per episode: the scalar flights evaluated twice per
+    step, the clock advanced in step."""
+    ex = one[0]
+    incoming, outgoing = trajectory_of(one.incoming), trajectory_of(one.outgoing)
 
     def truth_at(t):
         return outgoing.position(t) if t >= 0 else incoming.position(t)
 
-    ideal = control._interception_pose(ex, params)
+    ideal = solve_target_pose(ex.crossing_pos, ex.crossing_vel, params.table)
     fallback = False
     pre_target = None
     if strategy == "oracle":
         pre_target = ideal
     elif strategy == "anticipatory":
-        ctx = ContextWindow(*ex.context_until(-params.lead_time))
-        regions = build_regions(predictors, calib, ctx, HORIZONS)
+        regions = build_regions(predictors, calib, _window(ex, params.lead_time), HORIZONS)
         try:
             region = select_target_time(regions, params.central, params.workspace,
                                         params.v_max, params.lead_time)
@@ -652,10 +664,10 @@ def test_run_episode_equals_the_stepwise_loop(lead_time, monkeypatch):
         raise NoContact("the racket never reflects")
 
     def compare(params):
-        for ex in generate_exchanges(11, 40):
+        for one in _ones(generate_exchanges(11, 40)):
             for strategy in control.STRATEGIES:
-                got = run_strategy([ex], strategy, params, predictors, calib)[1][0]
-                assert got == _stepwise_episode(ex, strategy, params, predictors, calib)
+                got = run_strategy(one, strategy, params, predictors, calib)[1][0]
+                assert got == _stepwise_episode(one, strategy, params, predictors, calib)
                 reached["contact"] += got.contacted
 
     compare(params)
@@ -683,18 +695,18 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
     monkeypatch.setattr(control, "_step", lambda p, q, target_p, target_q, *rest:
                         targets.append((target_p, target_q)) or step(p, q, target_p, target_q, *rest))
 
-    def pre_hit_targets(ex, strategy):
+    def pre_hit_targets(one, strategy):
         targets.clear()
-        _, (result,) = run_strategy([ex], strategy, params, predictors, calib)
+        _, (result,) = run_strategy(one, strategy, params, predictors, calib)
         return targets[:pre_hit], result.fallback
 
     anticipated = 0
-    for ex in generate_exchanges(11, 20):
-        moved = replace(ex, crossing_pos=ex.crossing_pos + Vec3(0.0, 0.05, -0.04),
-                        crossing_vel=ex.crossing_vel + Vec3(0.4, -0.6, 0.5))
+    for one in _ones(generate_exchanges(11, 20)):
+        moved = replace(one, crossing_pos=one.crossing_pos + [0.0, 0.05, -0.04],
+                        crossing_vel=one.crossing_vel + [0.4, -0.6, 0.5])
         for strategy in ("baseline", "anticipatory"):
             try:
-                before, fallback = pre_hit_targets(ex, strategy)
+                before, fallback = pre_hit_targets(one, strategy)
                 after, _ = pre_hit_targets(moved, strategy)
             except Infeasible:
                 continue
@@ -725,7 +737,7 @@ def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
 
 def test_an_empty_row_or_experiment_raises_empty_dataset():
     with pytest.raises(EmptyDataset):
-        run_strategy([], "baseline", SimParams())
+        run_strategy(generate_exchanges(5, 0), "baseline", SimParams())
     with pytest.raises(EmptyDataset):
         run_experiment(5, n_episodes=0, n_cal=60)
 
@@ -743,8 +755,7 @@ def test_row_regions_equal_the_single_context_regions(sim_setup, row_exchanges, 
     rows = split_regions(predictors, calib, exchanges, HORIZONS, lead_time)
     assert len(rows) == n
     for ex, regions in zip(exchanges, rows):
-        ctx = ContextWindow(*ex.context_until(-lead_time))
-        want = build_regions(predictors, calib, ctx, HORIZONS)
+        want = build_regions(predictors, calib, _window(ex, lead_time), HORIZONS)
         assert len(regions) == len(want) == len(HORIZONS)
         for got, region in zip(regions, want):
             assert got.horizon == region.horizon
@@ -764,7 +775,8 @@ def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
         while own[-1] < ex.crossing_time + 0.15:
             own.append(own[-1] + params.dt)
         assert times[:len(own)] == own
-        assert np.array(got).tobytes() == ex.truth(own).tobytes()
+        assert np.array(got).tobytes() == np.array([ex.truth_at(t).as_array()
+                                                     for t in own]).tobytes()
         ends.add(len(own))
     assert len(ends) > 1  # the exchanges read prefixes of different lengths
 
@@ -773,14 +785,15 @@ def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
 def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
     params, exchanges, predictors, calib = sim_setup
     _, results = run_strategy(exchanges, strategy, params, predictors, calib)
-    assert results == [run_strategy([ex], strategy, params, predictors, calib)[1][0]
-                       for ex in exchanges]
-    contexts = [ContextWindow(*ex.context_until(-params.lead_time)) for ex in exchanges]
-    regions = [build_regions(predictors, calib, ctx, HORIZONS) for ctx in contexts]
+    ones = _ones(exchanges)
+    assert results == [run_strategy(one, strategy, params, predictors, calib)[1][0]
+                       for one in ones]
+    regions = [build_regions(predictors, calib, _window(ex, params.lead_time), HORIZONS)
+               for ex in exchanges]
     _, given_regions = run_strategy(exchanges, strategy, params, regions=regions)
     assert given_regions == results
-    assert given_regions == [run_strategy([ex], strategy, params, regions=[r])[1][0]
-                             for ex, r in zip(exchanges, regions)]
+    assert given_regions == [run_strategy(one, strategy, params, regions=[r])[1][0]
+                             for one, r in zip(ones, regions)]
 
 
 def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
@@ -804,7 +817,7 @@ def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
     monkeypatch.setattr(anticipate, "_ensemble", counting)
     monkeypatch.setattr(Chains, "positions", tracing)
     monkeypatch.setattr(anticipate, "_context_arrays", unused)
-    monkeypatch.setattr(ExchangeSample, "truth", unused)
+    monkeypatch.setattr(ExchangeSample, "truth_at", unused)
     rows = run_experiment(5, n_episodes=6, n_cal=60)
     assert len(rows) == 8
     # The calibration split at the base lead time, then each anticipatory

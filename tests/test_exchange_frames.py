@@ -1,8 +1,11 @@
 """Exchanges hold their context as array rows and build frames only when read.
 
-The batch path (generation, forecast_split, the conformal study) must build no
-Frame3D and no ContextWindow; ``ex.context`` and ``ex.context_until`` must
-build exactly the frames generate_exchanges used to build eagerly.
+The batch path (generation, forecast_split, the conformal study and the
+returner experiment) must build no Frame3D, no ContextWindow, no
+ExchangeSample row view and no one-row Chains view. A row view's
+``context`` must build exactly the frames generate_exchanges used to build
+eagerly, and the batch forecast must read the frames a lead time's
+``context_mask`` keeps of them.
 """
 
 import math
@@ -10,18 +13,23 @@ import math
 import numpy as np
 import pytest
 
-from ttrally import anticipate, core
+from ttrally import anticipate, control, core, synth
+from ttrally.ball import Chains
 from ttrally.core import Frame3D, Vec3
-from ttrally.synth import CONTEXT_DT, CONTEXT_S, CONTEXT_TIMES, generate_exchanges
+from ttrally.errors import InputMismatch
+from ttrally.synth import (CONTEXT_DT, CONTEXT_S, CONTEXT_TIMES, TABLE, context_mask,
+                           generate_exchanges)
 
 LEAD_TIMES = [0.0, 0.02, 0.1, 0.58, 0.6]
+NOTHING = dict.fromkeys(("Frame3D", "ContextWindow", "ExchangeSample", "one-row Chains"), 0)
 
 
 @pytest.fixture
 def constructed(monkeypatch):
-    """Counts of Frame3D and ContextWindow constructions while a test runs."""
-    counts = {"Frame3D": 0, "ContextWindow": 0}
-    for cls in (core.Frame3D, anticipate.ContextWindow):
+    """Counts of Frame3D, ContextWindow and ExchangeSample constructions, and
+    of one-row Chains views, while a test runs."""
+    counts = dict(NOTHING)
+    for cls in (core.Frame3D, anticipate.ContextWindow, synth.ExchangeSample):
         init = cls.__init__
 
         def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
@@ -29,6 +37,14 @@ def constructed(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
+    view = Chains.__getitem__
+
+    def viewing(self, rows):
+        out = view(self, rows)
+        counts["one-row Chains"] += len(out.T) == 1
+        return out
+
+    monkeypatch.setattr(Chains, "__getitem__", viewing)
     return counts
 
 
@@ -38,10 +54,21 @@ def test_the_batch_path_builds_no_frame(constructed, lead_time):
     assert len(exchanges) == 200
     study = anticipate.run_conformal_study(3, n_cal=40, n_test=30, lead_time=lead_time)
     assert study.coverage.n_test == 30
-    assert constructed == {"Frame3D": 0, "ContextWindow": 0}
+    assert constructed == NOTHING
     # The counter sees frames when they are read.
     assert len(exchanges[0].context) == len(CONTEXT_TIMES)
     assert constructed["Frame3D"] == len(CONTEXT_TIMES)
+
+
+def test_the_drivers_build_no_row_view(constructed):
+    study = anticipate.run_conformal_study(3, n_cal=40, n_test=30)
+    rows = control.run_experiment(5, n_episodes=6, n_cal=60)
+    assert study.coverage.n_test == 30 and len(rows) == 8
+    assert constructed == NOTHING
+    # The counters see a row view, and its two one-row chains once it samples its truth.
+    ex = generate_exchanges(5, 6)[2]
+    ex.truth_at(0.1), ex.truth_at(-0.1), ex.truth_at(0.3)
+    assert constructed["ExchangeSample"] == 1 and constructed["one-row Chains"] == 2
 
 
 def _ease(u):
@@ -49,27 +76,21 @@ def _ease(u):
     return 0.5 - 0.5 * math.cos(math.pi * min(max(u, 0.0), 1.0))
 
 
-def _eager_context(ex):
+def _eager_context(exchanges, i):
     """The frames generate_exchanges built for every exchange before its
-    context became array rows: that construction, copied, on one exchange."""
-    hl = ex.table.half_length
-    balls = ex.incoming.positions(CONTEXT_TIMES)[0]
+    context became array rows: that construction, copied, on row i."""
+    hl = TABLE.half_length
+    balls = exchanges.incoming[i:i + 1].positions(CONTEXT_TIMES)[0]
     approach = np.array([_ease(1.0 + t / CONTEXT_S) for t in CONTEXT_TIMES.tolist()])
-    rest = np.array([hl + 0.6, ex.opp_root_y, 1.0])
-    hands = rest[None] + (ex.hit_pos.as_array() - rest)[None] * approach[:, None]
+    y = float(exchanges.opp_root_y[i])
+    rest = np.array([hl + 0.6, y, 1.0])
+    hands = rest[None] + (exchanges.hit_pos[i] - rest)[None] * approach[:, None]
     root_x = hl + 0.55
     ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
-    y = ex.opp_root_y
     hip = Vec3(root_x, y, 0.95)
     ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
     return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
             for j, (ball, hand) in enumerate(zip(balls.tolist(), hands.tolist()))]
-
-
-def _eager_context_until(ex, t_rel_hit):
-    """The mask-and-filter context_until ran over the eager frames."""
-    mask = ex.context_times <= t_rel_hit + 1e-9
-    return ex.context_times[mask], [f for f, m in zip(_eager_context(ex), mask) if m]
 
 
 @pytest.fixture(scope="module")
@@ -78,20 +99,36 @@ def exchanges():
 
 
 def test_context_equals_the_eager_frames(exchanges):
-    for ex in exchanges:
-        frames, want = ex.context, _eager_context(ex)
+    for i, ex in enumerate(exchanges):
+        frames, want = ex.context, _eager_context(exchanges, i)
         assert frames == want
         assert repr(frames) == repr(want)  # float types and signed zeros too
 
 
 @pytest.mark.parametrize("lead_time", LEAD_TIMES)
 def test_context_until_equals_the_eager_filter(exchanges, lead_time):
-    for ex in exchanges:
-        times, frames = ex.context_until(-lead_time)
-        want_times, want_frames = _eager_context_until(ex, -lead_time)
-        assert times.tobytes() == want_times.tobytes()
+    # The context until a lead time: the frames its context_mask keeps, as a
+    # single-context forecast reads them and as the batch forecast does.
+    keep = context_mask(CONTEXT_TIMES, -lead_time)
+    want_times = CONTEXT_TIMES[CONTEXT_TIMES <= -lead_time + 1e-9]  # the eager filter
+    assert CONTEXT_TIMES[keep].tobytes() == want_times.tobytes()
+    windows = []
+    for i, ex in enumerate(exchanges):
+        frames = [f for f, k in zip(ex.context, keep) if k]
+        want_frames = [f for f, t in zip(_eager_context(exchanges, i), CONTEXT_TIMES)
+                       if t <= -lead_time + 1e-9]
         assert frames == want_frames
         assert repr(frames) == repr(want_frames)
+        windows.append((want_times, want_frames))
     # The last frame sits one step before the hit, so a lead time of one step keeps all.
     m = len(CONTEXT_TIMES)
-    assert len(frames) == min(m, m + 1 - round(lead_time / CONTEXT_DT))
+    assert len(want_times) == min(m, m + 1 - round(lead_time / CONTEXT_DT))
+    if len(want_times) < 2:
+        with pytest.raises(InputMismatch):
+            anticipate._exchange_arrays(exchanges, lead_time)
+        return
+    hit, root_y = anticipate._exchange_arrays(exchanges, lead_time)
+    want_hit, want_root_y = anticipate._context_arrays(
+        [anticipate.ContextWindow(times, frames) for times, frames in windows])
+    assert hit.tobytes() == want_hit.tobytes()
+    assert root_y.tobytes() == want_root_y.tobytes()

@@ -20,6 +20,7 @@ import pytest
 
 from ttrally import pipeline
 from ttrally.cli import EXIT_OK, main
+from ttrally.core import Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
     emit_synthetic_track,
@@ -149,11 +150,12 @@ def _exchange_digest(exchanges) -> str:
     """sha256 over each exchange's context times and balls, root y, hit,
     crossing, and truth at TRUTH_TIMES, as float64 bytes."""
     h = hashlib.sha256()
-    for ex in exchanges:
+    for ex, hit, root_y in zip(exchanges, exchanges.hit_pos.tolist(),
+                               exchanges.opp_root_y.tolist()):
         points = [f.ball_world for f in ex.context]
-        points += [ex.hit_pos, ex.crossing_pos, ex.crossing_vel]
+        points += [Vec3(*hit), ex.crossing_pos, ex.crossing_vel]
         points += [ex.truth_at(t) for t in TRUTH_TIMES]
-        values = [*ex.context_times, ex.opp_root_y, ex.crossing_time]
+        values = [*ex.context_times, root_y, ex.crossing_time]
         values += [c for p in points for c in (p.x, p.y, p.z)]
         h.update(np.array(values, dtype=float).tobytes())
     return h.hexdigest()

@@ -1,4 +1,5 @@
-"""Every public module-level name in ``ttrally`` has a caller.
+"""Every public module-level name in ``ttrally``, and every public method and
+property of a public class, has a caller.
 
 A name counts as used when code in ``src/``, ``perfbench/`` or
 ``tests/test_acceptance.py`` refers to it (a name, an attribute or an
@@ -22,14 +23,21 @@ ALLOWED = {
 }
 
 
+def _public(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def _public_definitions() -> dict[str, str]:
-    """Name -> defining module of every public module-level def and class."""
+    """Name -> where it is defined (module, or module.Class) of every public
+    module-level def and class and every public method and property of a
+    public class."""
     found = {}
     for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                found[node.name] = path.stem
+        for node in filter(_public, ast.parse(path.read_text()).body):
+            found[node.name] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for item in filter(_public, node.body):
+                    found[item.name] = f"{path.stem}.{node.name}"
     return found
 
 

@@ -250,16 +250,15 @@ def test_chains_check_their_pieces():
             Chains(**arrays)
 
 
-def test_chains_rows_and_concat_round_trip():
+def test_chains_rows_sample_as_the_batch():
     chains, _ = return_shots(np.full(3, TABLE.half_length), np.full(3, TABLE.height_z),
                              np.array([[1.5, 0.1, 1.0], [1.6, -0.2, 1.1], [1.7, 0.3, 0.95]]),
                              np.full(3, -0.7), np.array([0.2, -0.4, 0.6]), np.full(3, 1.0),
                              np.full(3, 11.0), np.full(3, 0.2), np.full(3, 0.25))
-    rows = [chains[i:i + 1] for i in range(3)]
-    again = Chains.concat(rows[::-1])
     times = np.linspace(-0.1, 0.5, 7)
+    again = chains[[2, 1, 0]]
     assert chains.positions(times)[::-1].tobytes() == again.positions(times).tobytes()
-    assert rows[1].positions(times)[0].tobytes() == chains.positions(times)[1].tobytes()
+    assert chains[1:2].positions(times)[0].tobytes() == chains.positions(times)[1].tobytes()
 
 
 # Random two-piece chains: anchors, piece durations and drags, start time.
@@ -337,26 +336,42 @@ def test_pieces_pass_through_their_anchors_down_to_tiny_drag(anchors, data):
 
 
 def test_generate_exchange_consistency():
-    ex = generate_exchanges(1, 1)[0]
+    exchanges = generate_exchanges(1, 1)
+    ex = exchanges[0]
     assert np.all(ex.context_times < 0)
     assert len(ex.context) == len(ex.context_times)
     # Context ball positions follow the incoming trajectory.
-    incoming = ex.incoming.positions(ex.context_times)[0]
+    incoming = exchanges.incoming.positions(ex.context_times)[0]
     for f, want in zip(ex.context, incoming):
         assert np.linalg.norm(f.ball_world.as_array() - want) < 1e-9
     # Incoming ends exactly at the opponent's contact point.
-    assert np.linalg.norm(ex.incoming.positions([0.0])[0, 0] - ex.hit_pos.as_array()) < 1e-9
+    assert np.linalg.norm(exchanges.incoming.positions([0.0])[0, 0] - exchanges.hit_pos[0]) < 1e-9
     assert (ex.truth_at(ex.crossing_time) - ex.crossing_pos).norm() < 1e-12
     assert ex.crossing_pos.x == pytest.approx(-TABLE.half_length, abs=1e-9)
     # The crossing velocity is the return's, at the crossing time.
-    v = ex.outgoing.velocities([ex.crossing_time])[0, 0]
+    v = exchanges.outgoing.velocities([ex.crossing_time])[0, 0]
     assert v.tolist() == [ex.crossing_vel.x, ex.crossing_vel.y, ex.crossing_vel.z]
+
+
+def test_exchange_rows_and_slices():
+    exchanges = generate_exchanges(3, 10, id_offset=100)
+    assert len(exchanges) == 10 and [ex.exchange_id for ex in exchanges] == list(range(100, 110))
+    assert exchanges[-1].exchange_id == 109 and exchanges[np.int64(2)].exchange_id == 102
+    with pytest.raises(IndexError):
+        exchanges[10]
+    part = exchanges[2:5]
+    assert part.ids.tolist() == [102, 103, 104] and len(part.incoming.T) == 3
+    assert part[1].context == exchanges[3].context
+    assert part[1].truth_at(0.2) == exchanges[3].truth_at(0.2)
+    assert len(generate_exchanges(3, 0)) == 0 and len(exchanges[:0]) == 0
 
 
 def test_generate_exchanges_match_the_scalar_flights():
     # Every exchange's flights, truth and crossing through the scalar oracle.
-    for ex in generate_exchanges(5, 20):
-        incoming, outgoing = trajectory_of(ex.incoming), trajectory_of(ex.outgoing)
+    exchanges = generate_exchanges(5, 20)
+    for i, ex in enumerate(exchanges):
+        incoming = trajectory_of(exchanges.incoming, i)
+        outgoing = trajectory_of(exchanges.outgoing, i)
         for t, f in zip(ex.context_times.tolist(), ex.context):
             assert f.ball_world == incoming.position(t)
         assert outgoing.position(ex.crossing_time) == ex.crossing_pos
