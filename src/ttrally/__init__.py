@@ -1,7 +1,6 @@
 """Monocular table-tennis rally reconstruction, anticipation, and control sim."""
 
 from .core import (
-    Frame2D,
     Frame3D,
     Point,
     TableGeometry,
@@ -13,7 +12,6 @@ from .errors import TTRallyError
 __version__ = "0.1.0"
 
 __all__ = [
-    "Frame2D",
     "Frame3D",
     "Point",
     "TableGeometry",

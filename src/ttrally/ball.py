@@ -259,31 +259,24 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])) + 1
 
 
-def detect_hits(
-    ball: BallTrack2D,
-    racket_centroids: Sequence[dict[int, tuple[float, float]]],
-) -> list[HitEvent]:
+def detect_hits(ball: BallTrack2D, rackets: np.ndarray) -> list[HitEvent]:
     """Hits are local minima of the smoothed ball-racket pixel distance.
 
-    ``racket_centroids`` holds one frame->pixel mapping per player. Minima
-    above HIT_MAX_DIST_PX pixels are ignored; of any two accepted minima
-    closer than HIT_MIN_GAP frames, only the deeper one is kept.
+    ``rackets`` (n, 2, 2) holds both players' racket centroids at the n ball
+    samples, NaN where a racket was not seen. Minima above HIT_MAX_DIST_PX
+    pixels are ignored; of any two accepted minima closer than HIT_MIN_GAP
+    frames, only the deeper one is kept.
     """
     candidates: list[tuple[float, int, int]] = []  # (distance, frame, player)
-    for player, centroids in enumerate(racket_centroids):
-        frames = [f for f in ball.frames if int(f) in centroids]
-        if len(frames) < 3:
+    for player in (0, 1):
+        seen = ~np.isnan(rackets[:, player]).any(axis=1)
+        if seen.sum() < 3:
             continue
-        pix = {int(f): p for f, p in zip(ball.frames, ball.pixels)}
-        dist = np.array(
-            [
-                math.hypot(
-                    pix[f][0] - centroids[f][0], pix[f][1] - centroids[f][1]
-                )
-                for f in frames
-            ]
-        )
-        smoothed = smooth(dist)
+        frames = ball.frames[seen].tolist()
+        gap = (ball.pixels[seen] - rackets[seen, player]).T.tolist()
+        dist = np.array(list(map(math.hypot, *gap)))
+        with np.errstate(over="ignore"):  # huge distances: above HIT_MAX_DIST_PX below
+            smoothed = smooth(dist)
         minima = list(_local_minima(smoothed))
         # The recording may start or end at a hit; admit boundary minima too.
         if len(smoothed) >= 2 and smoothed[0] <= smoothed[1]:
@@ -655,16 +648,15 @@ class TrajectoryReconstruction:
     pieces: list[ReconstructedPiece] = field(default_factory=list)
     bounces: list[BounceEvent] = field(default_factory=list)
 
-    def ball_by_frame(self, fps: float) -> dict[int, Vec3]:
-        """The ball at every frame a piece spans, one stokes_positions call
-        per piece; a frame two pieces share belongs to the earlier one."""
-        balls: dict[int, Vec3] = {}
-        for piece in reversed(self.pieces):
-            frames = range(piece.start_frame, piece.end_frame + 1)
-            local = np.minimum(np.arange(len(frames)) / fps, piece.segment.T)
-            for frame, xyz in zip(frames, stokes_positions(piece.segment, local).tolist()):
-                balls[frame] = Vec3(*xyz)
-        return balls
+    def ball_by_frame(self, fps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every frame a piece spans (k,), in order, and the ball at each
+        (k, 3), one stokes_positions call per piece; a frame two pieces
+        share belongs to the earlier one."""
+        spans = [np.arange(p.start_frame, p.end_frame + 1) for p in self.pieces]
+        balls = [stokes_positions(p.segment, np.minimum((span - p.start_frame) / fps, p.segment.T))
+                 for p, span in zip(self.pieces, spans)]
+        frames, first = np.unique(np.concatenate(spans), return_index=True)
+        return frames, np.concatenate(balls)[first]
 
 
 def reconstruct_trajectory(

@@ -24,6 +24,7 @@ from .errors import (
     CalibrationFailed,
     NoIntersection,
     NoVanishingPoint,
+    PlacementFailed,
 )
 
 
@@ -130,7 +131,7 @@ def plane_points(camera: Camera, pixels, plane: Plane) -> np.ndarray:
     parallel = np.abs(denom) < 1e-12 * np.linalg.norm(directions, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (plane.offset - origin[i]) / denom
-    missed = parallel | (s <= 0)
+    missed = parallel | ~(s > 0)  # a NaN s, from a huge pixel, misses too
     if missed.any():
         if parallel[np.argmax(missed)]:
             raise NoIntersection(f"ray parallel to plane {plane.axis}={plane.offset}")
@@ -369,9 +370,13 @@ def ground_roots(camera: Camera, ankles_px) -> np.ndarray:
 def place_joints(camera: Camera, roots: np.ndarray, joints_cam) -> np.ndarray:
     """World joints (n, J, 3) of camera-frame joints (n, J, 3): rotated by the
     calibrated R (transposed, camera to world) and translated so their
-    camera-frame ankle midpoint lands on the roots (n, 3)."""
+    camera-frame ankle midpoint lands on the roots (n, 3). Huge joints that
+    overflow to non-finite world joints raise PlacementFailed."""
     jc = np.asarray(joints_cam, dtype=float)
     root_cam = (jc[:, ANKLE_JOINTS[0]] + jc[:, ANKLE_JOINTS[1]]) / 2.0
     rt = camera.extrinsics.r.T
-    return roots[:, None] + (jc - root_cam[:, None]) @ rt.T
+    world = roots[:, None] + (jc - root_cam[:, None]) @ rt.T
+    if not np.isfinite(world).all():
+        raise PlacementFailed("placed player joints overflow")
+    return world
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class Vec3:
     @staticmethod
     def from_array(a) -> "Vec3":
         return Vec3(float(a[0]), float(a[1]), float(a[2]))
+
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -107,39 +110,6 @@ class TableGeometry:
     def corner_ground_points(self) -> list[Vec3]:
         """Projections of the four table corners onto the floor (z = 0)."""
         return [Vec3(p.x, p.y, 0.0) for p in self.surface_keypoints()[:4]]
-
-
-@dataclass
-class Frame2D:
-    """Per-frame image-plane observations.
-
-    Image convention follows the broadcast coordinate system used by the rest
-    of the package: u to the right, v up, origin at the bottom-left of the
-    image. ``table_keypoints`` holds the six table keypoints in order, None
-    where one was not detected. ``player_joints_cam`` are 3D joint positions
-    in camera coordinates (as a pose estimator would emit), following the
-    joint list convention at the top of this module.
-    """
-
-    frame_index: int
-    ball_px: Optional[tuple[float, float]]
-    table_keypoints: list[Optional[tuple[float, float]]]
-    base_height_px: float
-    racket_centroids: list[Optional[tuple[float, float]]]
-    player_joints_cam: list[Optional[list[Vec3]]]
-    player_ankles_px: list[Optional[list[tuple[float, float]]]]
-
-    def has_all_keypoints(self) -> bool:
-        return len(self.table_keypoints) == 6 and None not in self.table_keypoints
-
-    def is_complete(self) -> bool:
-        return (
-            self.ball_px is not None
-            and self.has_all_keypoints()
-            and all(c is not None for c in self.racket_centroids)
-            and all(j is not None for j in self.player_joints_cam)
-            and all(a is not None for a in self.player_ankles_px)
-        )
 
 
 @dataclass

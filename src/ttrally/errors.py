@@ -45,6 +45,10 @@ class CalibrationFailed(TTRallyError):
     """Calibration system is rank deficient or did not converge."""
 
 
+class PlacementFailed(TTRallyError):
+    """Huge camera-frame joints overflow to non-finite world joints."""
+
+
 # -- ball reconstruction ----------------------------------------------------
 
 class FitFailed(TTRallyError):

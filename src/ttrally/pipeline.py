@@ -7,12 +7,13 @@ Every format is line-delimited text: a header line (version tag, then
 specs below define all five formats: track ``v1``, ``recon-v1``,
 ``conformal-v1``, and the write-only ``results-v1`` and ``camera-v1``. A spec
 maps field names to value kinds; each kind is one encoder and one decoder of
-a list of values (``parse_record`` decodes a one-value list). Readers raise
-ParseError (with the line number) for any malformed record, SchemaError for a
-bad header field or missing block, VersionError for a wrong version tag.
-Track and recon frame records, most of a file, go through one decoder,
-``decode_frames``: one pass down each column, and record by record only where
-that pass fails, to name the first defect.
+a list of values (``format_record`` and ``parse_record`` take one value).
+Readers raise ParseError (with the line number) for any malformed record,
+SchemaError for a bad header field or missing block, VersionError for a wrong
+version tag. Track and recon frame records, most of a file, are array columns
+in memory (NaN for absent), written by ``format_columns`` and read by
+``decode_frames``, one pass down each column; a body that fails the read's
+pass is read record by record, to name the first defect.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, chain, repeat
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from .camera import (
     ground_roots,
     place_joints,
 )
-from .core import AXES, RACKET_HAND_JOINT, Frame2D, Frame3D, TableGeometry, Vec3
+from .core import AXES, RACKET_HAND_JOINT, Frame3D, TableGeometry, Vec3
 from .errors import (
     NotEnoughHits,
     ParseError,
@@ -66,13 +67,23 @@ class TrackHeader:
 
 @dataclass
 class TrackFile:
+    """A track's frames as columns, row i being frame ``frames[i]``: pixels
+    (u right, v up) and camera-frame joints, as a pose estimator emits them.
+    NaN marks an absent value, and pads a joint list shorter than J."""
+
     header: TrackHeader
-    frames: list[Frame2D]
+    frames: np.ndarray  # (n,) int, increasing
+    ball: np.ndarray  # (n, 2)
+    keypoints: np.ndarray  # (n, 6, 2): the six table keypoints, in surface_keypoints order
+    base_h: np.ndarray  # (n,): the table-leg base line's v
+    rackets: np.ndarray  # (n, 2, 2): each player's racket centroid
+    ankles: np.ndarray  # (n, 2, 2, 2): each player's two ankle pixels
+    joints: np.ndarray  # (n, 2, J, 3): each player's joints, camera frame
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointFrame:
-    """World-frame reconstruction of a single frame (both players)."""
+    """Row view of one frame of a ReconstructedPoint (both players)."""
 
     frame_index: int
     ball: Vec3
@@ -82,8 +93,14 @@ class PointFrame:
 
 @dataclass
 class ReconstructedPoint:
+    """A reconstructed point; its frames are columns, row i being frame
+    ``frame_index[i]``, with NaN padding a joint list shorter than J."""
+
     point_id: int
-    frames: list[PointFrame]
+    frame_index: np.ndarray  # (m,) int, increasing
+    ball: np.ndarray  # (m, 3)
+    roots: np.ndarray  # (m, 2, 3): each player's root, on the ground
+    joints: np.ndarray  # (m, 2, J, 3): each player's world joints
     hits: list[HitEvent]
     bounces: list[BounceEvent]
     pieces: list[ReconstructedPiece]
@@ -91,18 +108,19 @@ class ReconstructedPoint:
     entity_complete: bool = True
     complete: bool = True  # False when the last segment could not be recovered
 
+    @property
+    def frames(self) -> list[PointFrame]:
+        """Every frame as a row view, built on each read."""
+        return [
+            PointFrame(i, Vec3(*ball), [Vec3(*r) for r in roots],
+                       [[Vec3(*j) for j in js if not math.isnan(j[0])] for js in joints])
+            for i, ball, roots, joints in zip(self.frame_index.tolist(), self.ball.tolist(),
+                                              self.roots.tolist(), self.joints.tolist())
+        ]
+
     def frame3d_for_ego(self, ego: int) -> list[Frame3D]:
         """Exchange view: opponent joints, ego root only, ball."""
-        opp = 1 - ego
-        return [
-            Frame3D(
-                frame_index=f.frame_index,
-                ball_world=f.ball,
-                opponent_joints_world=f.joints[opp],
-                ego_root_world=f.roots[ego],
-            )
-            for f in self.frames
-        ]
+        return [Frame3D(f.frame_index, f.ball, f.joints[1 - ego], f.roots[ego]) for f in self.frames]
 
 
 @dataclass
@@ -121,9 +139,9 @@ class Reconstruction:
 
 
 class Kind(NamedTuple):
-    """How one field value is written and read back."""
+    """How one field's values are written and read back, a list at a time."""
 
-    encode: Callable[[Any], str]
+    encode: Callable[[list], list[str]]
     # Decodes a list of values; raises ValueError, whose message names the
     # defect when the list holds one value. None: write-only.
     column: Optional[Callable[[list[str]], list]]
@@ -147,21 +165,25 @@ def _scalar(parse: Callable, ok: Callable = lambda v: True, what: str = "") -> K
             raise ValueError(f"must be {what}")
         return values
 
-    return Kind(lambda v: str(parse(v)), column)  # str(float) is repr(float)
+    return Kind(lambda values: list(map(str, map(parse, values))), column)  # str(float) is repr(float)
 
 
-def _coords(n: int, make: Callable, floats: Callable) -> Kind:
-    """``n`` comma-separated finite floats; ``floats`` gives a value's n floats."""
+def _coords(n: int) -> Kind:
+    """``n`` comma-separated finite floats; a value is a sequence of n numbers."""
 
     def column(texts: list[str]) -> list:
         values = list(map(float, ",".join(texts).split(",")))  # float() before arity
         if (set(map(str.count, texts, repeat(","))) - {n - 1}
                 or not all(map(math.isfinite, values))):
             raise ValueError(f"must be {n} comma-separated finite numbers")
-        return list(map(make, zip(*[iter(values)] * n)))
+        return list(zip(*[iter(values)] * n))
+
+    def encode(values: list) -> list[str]:
+        floats = map(float, chain.from_iterable(values))
+        return list(map(template.__mod__, zip(*[floats] * n)))
 
     template = ",".join(["%r"] * n)
-    return Kind(lambda v: template % floats(v), column)
+    return Kind(encode, column)
 
 
 def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
@@ -181,20 +203,26 @@ def _list(kind: Kind, at_least: int, at_most: Optional[int] = None) -> Kind:
             raise
         return [values[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
-    return Kind(lambda vs: ";".join(map(kind.encode, vs)), column)
+    def encode(values: list) -> list[str]:
+        sizes = list(map(len, values))
+        texts = kind.encode(list(chain.from_iterable(values)))
+        return [";".join(texts[end - size:end]) for size, end in zip(sizes, accumulate(sizes))]
+
+    return Kind(encode, column)
 
 
 def _or_dash(kind: Kind) -> Kind:
     """``-`` for an absent (None) value; a present value written as ``-``
     would read back absent, so it is refused."""
 
-    def encode(value) -> str:
-        if value is None:
-            return "-"
-        text = kind.encode(value)
-        if text == "-":
+    def encode(values: list) -> list[str]:
+        present = [value for value in values if value is not None]
+        texts = kind.encode(present)
+        if "-" in texts:
+            value = present[texts.index("-")]
             raise ValueError(f"{value!r} would be written as '-', which reads as absent")
-        return text
+        written = iter(texts)
+        return ["-" if value is None else next(written) for value in values]
 
     def column(texts: list[str]) -> list:
         present = [text for text in texts if text != "-"]
@@ -232,11 +260,11 @@ FLOAT = _scalar(float, math.isfinite, "finite")
 POSITIVE = _scalar(float, lambda x: 0 < x < math.inf, "positive and finite")
 PROBABILITY = _scalar(float, lambda x: 0 < x < 1, "in (0, 1)")
 QUANTILE = _scalar(float, lambda x: x >= 0, "non-negative (inf allowed)")
-WORD = Kind(_word, _scalar(str, bool, "non-empty").column)
+WORD = Kind(lambda values: list(map(_word, values)), _scalar(str, bool, "non-empty").column)
 AXIS = _scalar(str, AXES.__contains__, "x, y or z")
-PX = _coords(2, tuple, lambda p: (float(p[0]), float(p[1])))
-XYZ = _coords(3, lambda c: Vec3(*c), lambda v: (float(v.x), float(v.y), float(v.z)))
-CENTRAL = Kind(lambda v: f"({XYZ.encode(v)})", None)
+PX = _coords(2)
+XYZ = _coords(3)
+CENTRAL = Kind(lambda values: [f"({text})" for text in XYZ.encode(values)], None)
 # Two ankle pixels; joints need the racket hand (index 1) and two ankles.
 ANKLES = _list(PX, 2, 2)
 JOINTS = _list(XYZ, 3)
@@ -248,8 +276,20 @@ def format_record(spec: Spec, *values) -> str:
     for (name, kind), value in zip(spec.fields.items(), values, strict=True):
         if value is None and kind.omittable:
             continue
-        out.append(f"{name}={kind.encode(value)}" if spec.keyed else kind.encode(value))
+        text = kind.encode([value])[0]
+        out.append(f"{name}={text}" if spec.keyed else text)
     return (spec.sep or " ").join(out)
+
+
+def format_columns(spec: Spec, columns: Sequence[np.ndarray]) -> list[str]:
+    """The records, in the layout ``format_record`` writes, of a keyed
+    ``spec`` with no omittable field, holding ``columns``: one array per
+    field, in spec order, each encoded down its ``_values`` in one pass."""
+    texts = [list(map(f"{name}=".__add__, kind.encode(_values(column))))
+             for (name, kind), column in zip(spec.fields.items(), columns, strict=True)]
+    if spec.tag:
+        texts.insert(0, [spec.tag] * len(columns[0]))
+    return list(map((spec.sep or " ").join, zip(*texts)))
 
 
 def parse_record(
@@ -315,24 +355,52 @@ def decode_columns(spec: Spec, lines: list[str]) -> Optional[list[list]]:
     return out
 
 
-def decode_frames(spec: Spec, body: list[tuple[int, str]]) -> list[tuple]:
-    """The field values, in spec order, of ``body``'s (line number, line)
-    pairs, frame records of ``spec`` whose first field, the frame index,
-    must increase.
+def decode_frames(spec: Spec, body: list[tuple[int, str]]) -> list[list]:
+    """The field values of ``body``'s (line number, line) pairs, frame
+    records of ``spec`` whose first field, the frame index, must increase:
+    one list per field, in spec order.
 
     One column pass decodes them all; a body that fails it is decoded record
     by record, which raises ParseError at the first defect.
     """
     columns = decode_columns(spec, [line for _, line in body])
     if columns is not None and all(map(operator.lt, columns[0], columns[0][1:])):
-        return list(zip(*columns))
+        return columns
     records: list[tuple] = []
     for lineno, line in body:
         record = tuple(parse_record(spec, line, lineno).values())
         if records and record[0] <= records[-1][0]:
             raise ParseError(lineno, "frame indices must be increasing")
         records.append(record)
-    return records
+    return [[record[i] for record in records] for i in range(len(spec.fields))]
+
+
+def _array(shape: tuple, *columns: list) -> np.ndarray:
+    """(n, len(columns), *shape) floats of columns of n decoded values: NaN
+    for an absent (None) value and past the end of a list shorter than
+    shape[0], which None makes the longest list's length."""
+    values = list(chain.from_iterable(zip(*columns)))
+    if shape[0] is None:
+        shape = (max(map(len, filter(None, values)), default=0), *shape[1:])
+    if None not in values and set(map(len, values)) <= {shape[0]}:
+        return np.array(values, dtype=float).reshape(len(columns[0]), len(columns), *shape)
+    out = np.full((len(values), *shape), np.nan)
+    for i, value in enumerate(values):
+        if value is not None:
+            out[i, :len(value)] = value
+    return out.reshape(len(columns[0]), len(columns), *shape)
+
+
+def _values(column: np.ndarray) -> list:
+    """The values of an array column (n, ...) as ``_array`` reads them back:
+    nested lists, None for a NaN row, a list cut where its NaN padding starts."""
+    values = column.tolist()
+    if column.ndim == 1 or (column.size and not np.isnan(column).any()):
+        return values
+    if column.ndim == 2:  # one point per row
+        return [None if math.isnan(value[0]) else value for value in values]
+    sizes = (~np.isnan(column[..., 0])).sum(axis=1).tolist()
+    return [value[:size] or None for value, size in zip(values, sizes)]
 
 
 def read_lines(path: str) -> list[str]:
@@ -422,36 +490,35 @@ CAMERA_RMS = Spec("", {"rms_px": FLOAT})
 
 def write_track(track: TrackFile, path: str) -> None:
     h = track.header
-    lines = [format_record(TRACK_HEADER, h.fps, h.width, h.height,
-                           h.video_id or None, h.seed, h.noise_px)]
-    for f in track.frames:
-        lines.append(format_record(
-            TRACK_FRAME, f.frame_index, f.ball_px, *f.table_keypoints,
-            f.base_height_px, *f.racket_centroids, *f.player_joints_cam,
-            *f.player_ankles_px,
-        ))
-    write_lines(path, lines)
+    write_lines(path, [
+        format_record(TRACK_HEADER, h.fps, h.width, h.height, h.video_id or None, h.seed,
+                      h.noise_px),
+        *format_columns(TRACK_FRAME, [
+            track.frames, track.ball, *track.keypoints.swapaxes(0, 1), track.base_h,
+            *track.rackets.swapaxes(0, 1), *track.joints.swapaxes(0, 1),
+            *track.ankles.swapaxes(0, 1),
+        ]),
+    ])
 
 
 def load_track(path: str) -> TrackFile:
     """Parse and validate a track file."""
     lines = read_lines(path)
     meta = read_header(lines, TRACK_HEADER)
-    header = TrackHeader(
-        fps=meta["fps"],
-        width=meta["w"],
-        height=meta["h"],
-        video_id=meta["id"] or "",
-        seed=meta["seed"],
-        noise_px=0.0 if meta["noise_px"] is None else meta["noise_px"],
+    header = TrackHeader(meta["fps"], meta["w"], meta["h"], meta["id"] or "", meta["seed"],
+                         0.0 if meta["noise_px"] is None else meta["noise_px"])
+    frame, ball, *kps, base_h, rk0, rk1, j0, j1, a0, a1 = decode_frames(
+        TRACK_FRAME, list(body_lines(lines)))
+    return TrackFile(
+        header=header,
+        frames=np.array(frame, dtype=int),
+        ball=_array((2,), ball)[:, 0],
+        keypoints=_array((2,), *kps),
+        base_h=np.array(base_h, dtype=float),
+        rackets=_array((2,), rk0, rk1),
+        ankles=_array((2, 2), a0, a1),
+        joints=_array((None, 3), j0, j1),
     )
-    frames = decode_frames(TRACK_FRAME, list(body_lines(lines)))
-    return TrackFile(header=header, frames=list(starmap(_frame2d, frames)))
-
-
-def _frame2d(i, ball, kp1, kp2, kp3, kp4, kp5, kp6, base_h, rk0, rk1, j0, j1, a0, a1) -> Frame2D:
-    """The frame a track record's fields, in TRACK_FRAME order, describe."""
-    return Frame2D(i, ball, [kp1, kp2, kp3, kp4, kp5, kp6], base_h, [rk0, rk1], [j0, j1], [a0, a1])
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +534,12 @@ def calibrate_from_track(
     The camera is static, so per-coordinate medians resist detector jitter
     better than any single frame.
     """
-    kp_stack = np.array(
-        [f.table_keypoints for f in track.frames if f.has_all_keypoints()]
-    )
-    if len(kp_stack) == 0:
+    all_six = ~np.isnan(track.keypoints).any(axis=(1, 2))
+    if not all_six.any():
         raise SchemaError(None, "no frames with all six keypoints")
     with np.errstate(over="ignore"):  # huge keypoints: calibrate refuses the overflow
-        med = np.median(kp_stack, axis=0)
-        base_h = float(np.median([f.base_height_px for f in track.frames]))
+        med = np.median(track.keypoints[all_six], axis=0)
+        base_h = float(np.median(track.base_h))
     keypoints = [ImagePoint(u, v) for u, v in med]
     grounds = ground_projections(keypoints, base_h)
     world = table.surface_keypoints() + table.corner_ground_points()
@@ -497,32 +562,21 @@ def reconstruct_point(
     camera, rms = calibrate_from_track(track, table)
     fps = track.header.fps
 
-    ball_frames = [f.frame_index for f in track.frames if f.ball_px is not None]
-    ball_pixels = [f.ball_px for f in track.frames if f.ball_px is not None]
-    if len(ball_frames) < 6:
+    seen = ~np.isnan(track.ball).any(axis=1)
+    if seen.sum() < 6:
         raise NotEnoughHits("too few ball detections")
-    track2d = BallTrack2D(np.array(ball_frames), np.array(ball_pixels))
+    track2d = BallTrack2D(track.frames[seen], track.ball[seen])
 
-    rackets: list[dict[int, tuple[float, float]]] = [{}, {}]
-    for f in track.frames:
-        for p in (0, 1):
-            if f.racket_centroids[p] is not None:
-                rackets[p][f.frame_index] = f.racket_centroids[p]
-
-    hits = detect_hits(track2d, rackets)
+    hits = detect_hits(track2d, track.rackets[seen])
     if len(hits) < 2:
         raise NotEnoughHits(f"detected {len(hits)} hits")
 
-    # Position both players in every frame that carries both: rows frame by
-    # frame, player 0 then player 1, so frame f's player p is row[f] + p.
-    usable = [f for f in track.frames
-              if None not in f.player_joints_cam and None not in f.player_ankles_px]
-    row = {f.frame_index: 2 * i for i, f in enumerate(usable)}
-    roots, joints = _position_rows(
-        camera,
-        [ankles for f in usable for ankles in f.player_ankles_px],
-        [js for f in usable for js in f.player_joints_cam],
-    )
+    # Position both players in every frame that carries both; frame f is row[f].
+    posed = ~np.isnan(track.joints).all(axis=(2, 3)) & ~np.isnan(track.ankles).any(axis=(2, 3))
+    usable = posed.all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge pixels or joints: refused inside
+        roots, joints = _position_rows(camera, track.ankles[usable], track.joints[usable])
+    row = {frame: i for i, frame in enumerate(track.frames[usable].tolist())}
 
     for hit in hits:
         # Prefer the hit frame itself; tolerate a short tracking dropout by
@@ -530,7 +584,7 @@ def reconstruct_point(
         for offset in (0, -1, 1, -2, 2, -3, 3):
             frame = hit.frame + offset
             if frame in row:
-                hit.hand_world = Vec3(*joints[row[frame] + hit.player][RACKET_HAND_JOINT])
+                hit.hand_world = Vec3(*joints[row[frame], hit.player, RACKET_HAND_JOINT].tolist())
                 break
     if any(h.hand_world is None for h in hits):
         raise NotEnoughHits("hit frame lacks positioned player joints")
@@ -539,51 +593,42 @@ def reconstruct_point(
         track2d, hits, camera, table, fps, mse_threshold=mse_threshold
     )
 
-    balls = recon_traj.ball_by_frame(fps)
-    frames_out = [
-        PointFrame(i, balls[i], [Vec3(*roots[r]), Vec3(*roots[r + 1])],
-                   [[Vec3(*j) for j in joints[r]], [Vec3(*j) for j in joints[r + 1]]])
-        for i, r in row.items() if i in balls
-    ]
-
+    ball_frames, balls = recon_traj.ball_by_frame(fps)
+    kept, rows, at = np.intersect1d(track.frames[usable], ball_frames, assume_unique=True,
+                                    return_indices=True)
     point = ReconstructedPoint(
         point_id=point_id,
-        frames=frames_out,
+        frame_index=kept,
+        ball=balls[at],
+        roots=roots[rows],
+        joints=joints[rows],
         hits=list(hits),
         bounces=recon_traj.bounces,
         pieces=recon_traj.pieces,
         partition=partition,
-        entity_complete=all(f.is_complete() for f in track.frames),
+        entity_complete=bool(posed.all()) and not any(
+            np.isnan(a).any() for a in (track.ball, track.keypoints, track.rackets)),
     )
-    recon = Reconstruction(
-        fps=fps,
-        camera=camera,
-        camera_rms=rms,
-        table=table,
-        points=[point],
-        seed=track.header.seed,
-    )
-    return recon, point
+    return Reconstruction(fps=fps, camera=camera, camera_rms=rms, table=table, points=[point],
+                          seed=track.header.seed), point
 
 
 def _position_rows(
-    camera: Camera, ankles: list, joints: list[list[Vec3]]
-) -> tuple[list, list]:
-    """World roots and joints, as float lists, of player rows given by their
-    ankle pixels and camera-frame joints. All roots come from one
-    ``ground_roots`` call in row order, so a ray that misses the ground
-    raises for the first such row; the joints are placed with one
-    ``place_joints`` call per joint count."""
-    roots = ground_roots(camera, ankles)
-    by_count: dict[int, list[int]] = {}
-    for i, js in enumerate(joints):
-        by_count.setdefault(len(js), []).append(i)
-    world: list = [None] * len(joints)
-    for rows in by_count.values():
-        cam = [[(v.x, v.y, v.z) for v in joints[i]] for i in rows]
-        for i, w in zip(rows, place_joints(camera, roots[rows], cam).tolist()):
-            world[i] = w
-    return roots.tolist(), world
+    camera: Camera, ankles: np.ndarray, joints: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """World roots (u, 2, 3) and joints (u, 2, J, 3) of both players in u
+    frames, given their ankle pixels (u, 2, 2, 2) and camera-frame joints
+    (u, 2, J, 3), NaN past a shorter joint list. All roots come from one
+    ``ground_roots`` call, frame by frame and player 0 first, so a ray that
+    misses the ground raises for the first such player; the joints are
+    placed with one ``place_joints`` call per joint count."""
+    roots = ground_roots(camera, ankles).reshape(-1, 2, 3)
+    counts = (~np.isnan(joints[..., 0])).sum(axis=2)
+    world = np.full(joints.shape, np.nan)
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        world[rows, :count] = place_joints(camera, roots[rows], joints[rows, :count])
+    return roots, world
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +662,9 @@ def write_reconstruction(recon: Reconstruction, path: str) -> None:
                 piece.drag.reproj_error, piece.drag.boundary_warning,
                 piece.parabola_mse, seg.b0, seg.bT,
             ))
-        for frame in point.frames:
-            lines.append(format_record(
-                RECON_FRAME, frame.frame_index, frame.ball, *frame.roots, *frame.joints
-            ))
+        lines += format_columns(RECON_FRAME, [point.frame_index, point.ball,
+                                              *point.roots.swapaxes(0, 1),
+                                              *point.joints.swapaxes(0, 1)])
         lines.append(format_record(RECON_ENDPOINT))
     write_lines(path, lines)
 
@@ -676,22 +720,22 @@ def _recon_blocks(
                 if deferred:
                     frames[-1].append((lineno, line))
                 elif spec is RECON_POINT:
-                    point = ReconstructedPoint(
-                        point_id=r["id"], frames=[], hits=[], bounces=[], pieces=[],
+                    point = ReconstructedPoint(  # frame columns set once decoded
+                        r["id"], None, None, None, None, hits=[], bounces=[], pieces=[],
                         partition=r["partition"] or "",
                         entity_complete=r["entity_complete"], complete=r["complete"],
                     )
                     points.append(point)
                     frames.append([])
                 elif spec is RECON_HIT:
-                    point.hits.append(HitEvent(r["frame"], r["player"], hand_world=r["pos"]))
+                    point.hits.append(HitEvent(r["frame"], r["player"], Vec3(*r["pos"])))
                 elif spec is RECON_BOUNCE:
-                    point.bounces.append(BounceEvent(r["frame"], position=r["pos"]))
+                    point.bounces.append(BounceEvent(r["frame"], Vec3(*r["pos"])))
                 elif spec is RECON_PIECE:
                     point.pieces.append(ReconstructedPiece(
                         start_frame=r["start"],
                         end_frame=r["end"],
-                        segment=StokesSegment(b0=r["b0"], bT=r["bT"], T=r["T"], k=r["k"]),
+                        segment=StokesSegment(Vec3(*r["b0"]), Vec3(*r["bT"]), r["T"], r["k"]),
                         drag=DragFit(r["k"], r["reproj"], boundary_warning=r["warn"]),
                         parabola_mse=r["mse"],
                     ))
@@ -708,15 +752,14 @@ def _recon_blocks(
     except ParseError as exc:
         defect = exc
     for owner, body in zip(points, frames):
-        owner.frames = list(starmap(_point_frame, decode_frames(RECON_FRAME, body)))
+        index, ball, root0, root1, joints0, joints1 = decode_frames(RECON_FRAME, body)
+        owner.frame_index = np.array(index, dtype=int)
+        owner.ball = _array((3,), ball)[:, 0]
+        owner.roots = _array((3,), root0, root1)
+        owner.joints = _array((None, 3), joints0, joints1)
     if defect is not None:
         raise defect
     return points, once
-
-
-def _point_frame(i, ball, root0, root1, joints0, joints1) -> PointFrame:
-    """The frame a recon frame record's fields, in RECON_FRAME order, describe."""
-    return PointFrame(i, ball, [root0, root1], [joints0, joints1])
 
 
 def camera_lines(camera: Camera, rms: float, seed: Optional[int]) -> list[str]:

@@ -11,7 +11,7 @@ reader that wants one exchange.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .ball import GRAVITY, RAISE_ON_NONFINITE, Chains, StokesSegment, _libm, stokes_positions
 from .camera import Camera, Extrinsics, Intrinsics, project, project_many
-from .core import RACKET_HAND_JOINT, Frame2D, Frame3D, TableGeometry, Vec3
+from .core import RACKET_HAND_JOINT, Frame3D, TableGeometry, Vec3
 from .errors import AssumptionViolation
 from .pipeline import TrackFile, TrackHeader
 
@@ -276,18 +276,7 @@ def emit_synthetic_track(
     noise = rng.normal(0.0, noise_px, size=(rows, 28)) if noise_px > 0 else np.zeros((rows, 28))
     if rows < n:
         raise AssumptionViolation("scene projects outside the image")
-    pixels = (pixels + noise[:, :26].reshape(n, 13, 2)).tolist()
-    joints_cam = (rally.joints.reshape(-1, 3) @ camera.extrinsics.r.T
-                  + camera.extrinsics.t).reshape(n, 2, 4, 3).tolist()
-    frames = [
-        Frame2D(frame_index=index, ball_px=tuple(px[0]),
-                table_keypoints=list(map(tuple, px[1:7])), base_height_px=h,
-                racket_centroids=list(map(tuple, px[7:9])),
-                player_joints_cam=[[Vec3(*j) for j in player] for player in cam],
-                player_ankles_px=[list(map(tuple, px[9:11])), list(map(tuple, px[11:13]))])
-        for index, px, h, cam in zip(rally.frames.tolist(), pixels,
-                                     (base_h + noise[:, 27]).tolist(), joints_cam)
-    ]
+    pixels = pixels + noise[:, :26].reshape(n, 13, 2)
     return TrackFile(
         header=TrackHeader(
             fps=rally.fps,
@@ -297,7 +286,14 @@ def emit_synthetic_track(
             seed=seed,
             noise_px=noise_px,
         ),
-        frames=frames,
+        frames=rally.frames.copy(),
+        ball=pixels[:, 0],
+        keypoints=pixels[:, 1:7],
+        base_h=base_h + noise[:, 27],
+        rackets=pixels[:, 7:9],
+        ankles=pixels[:, 9:13].reshape(n, 2, 2, 2),
+        joints=(rally.joints.reshape(-1, 3) @ camera.extrinsics.r.T
+                + camera.extrinsics.t).reshape(n, 2, 4, 3),
     )
 
 
@@ -320,15 +316,6 @@ def generate_scene(
         except AssumptionViolation as exc:
             last_error = exc
     raise AssumptionViolation(f"no valid scene after {SCENE_TRIES} tries: {last_error}")
-
-
-def corrupt_track(
-    track: TrackFile, rng: np.random.Generator, drop_prob: float
-) -> TrackFile:
-    """Drop player 0's joints in random frames to emulate tracking failures."""
-    frames = [replace(f, player_joints_cam=[None, f.player_joints_cam[1]])
-              if rng.random() < drop_prob else f for f in track.frames]
-    return TrackFile(header=track.header, frames=frames)
 
 
 # ---------------------------------------------------------------------------

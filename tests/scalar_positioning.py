@@ -50,19 +50,20 @@ def position_player(
 
 def positioned(camera: Camera, track) -> dict[int, tuple[list[Vec3], list[list[Vec3]]]]:
     """Frame index -> (roots, joints) of both players, for every frame that
-    carries both; raises at the first miss, frame by frame, player 0 first."""
+    carries both; raises at the first miss, frame by frame, player 0 first.
+    Reads the track's columns one frame and player at a time."""
     out = {}
-    for f in track.frames:
+    for i, frame in enumerate(track.frames.tolist()):
         roots, joints = [], []
-        ok = True
         for p in (0, 1):
-            if f.player_joints_cam[p] is None or f.player_ankles_px[p] is None:
-                ok = False
+            ankles_px = track.ankles[i, p].tolist()
+            joints_cam = [Vec3(*j) for j in track.joints[i, p].tolist() if not np.isnan(j[0])]
+            if not joints_cam or np.isnan(ankles_px).any():
                 break
-            ankles = [ImagePoint(*a) for a in f.player_ankles_px[p]]
-            root, world_joints = position_player(camera, ankles, f.player_joints_cam[p])
+            ankles = [ImagePoint(*a) for a in ankles_px]
+            root, world_joints = position_player(camera, ankles, joints_cam)
             roots.append(root)
             joints.append(world_joints)
-        if ok:
-            out[f.frame_index] = (roots, joints)
+        else:
+            out[frame] = (roots, joints)
     return out

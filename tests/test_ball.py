@@ -224,15 +224,15 @@ def test_detect_hits_finds_planted_minima():
     frames = np.arange(n)
     ball = np.column_stack([5.0 * frames, np.full(n, 200.0)])
     hit_frames = [10, 45, 75]
-    centroids = [{}, {}]
+    rackets = np.empty((n, 2, 2))
     for f in frames:
         for player, own_hits in ((0, hit_frames[::2]), (1, hit_frames[1::2])):
             d = min(abs(int(f) - h) for h in own_hits)
             offset = min(20.0 + 18.0 * d, 300.0) if d else 0.0
-            centroids[player][int(f)] = (ball[f, 0] + offset, ball[f, 1])
+            rackets[f, player] = (ball[f, 0] + offset, ball[f, 1])
     # Distances hit 0 at the planted frames, but only within tau elsewhere.
     track = BallTrack2D(frames, ball)
-    hits = detect_hits(track, centroids)
+    hits = detect_hits(track, rackets)
     assert [(h.frame, h.player) for h in hits] == [(10, 0), (45, 1), (75, 0)]
 
 
@@ -240,14 +240,14 @@ def test_detect_hits_min_gap_suppression():
     n = 40
     frames = np.arange(n)
     ball = np.column_stack([5.0 * frames, np.full(n, 200.0)])
-    centroids = [{}, {}]
+    rackets = np.empty((n, 2, 2))
     for f in frames:
         d0 = abs(int(f) - 20)
         d1 = abs(int(f) - 26)
-        centroids[0][int(f)] = (ball[f, 0] + 5.0 + 10.0 * d0, ball[f, 1])
-        centroids[1][int(f)] = (ball[f, 0] + 2.0 + 10.0 * d1, ball[f, 1])
+        rackets[f, 0] = (ball[f, 0] + 5.0 + 10.0 * d0, ball[f, 1])
+        rackets[f, 1] = (ball[f, 0] + 2.0 + 10.0 * d1, ball[f, 1])
     track = BallTrack2D(frames, ball)
-    hits = detect_hits(track, centroids)
+    hits = detect_hits(track, rackets)
     # Two minima 6 frames apart: only the deeper one (player 1) survives.
     assert [(h.frame, h.player) for h in hits] == [(26, 1)]
 

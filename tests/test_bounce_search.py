@@ -242,8 +242,8 @@ def test_screen_passes_do_not_change_its_totals(monkeypatch):
     # Every 7th sample of a 120-fps point as knots, two bounces: screened in
     # one pass, then in passes of about 50 samples.
     track, _, _ = generate_scene(np.random.default_rng([5, 1]), fps=120.0, n_hits=3, noise_px=2.0)
-    seen = [f for f in track.frames if f.ball_px is not None]
-    ball_track = BallTrack2D([f.frame_index for f in seen], [f.ball_px for f in seen])
+    seen = ~np.isnan(track.ball).any(axis=1)
+    ball_track = BallTrack2D(track.frames[seen], track.ball[seen])
     knots = ball_track.frames[::7]
     last = len(knots) - 1
     rows = np.array([(0, *c, last) for c in itertools.combinations(range(1, last), 2)])
@@ -364,7 +364,8 @@ def test_per_piece_sampling_matches_the_per_frame_loop(runs):
     knots = 0
     for (fps, _, _), (point, _, _, _) in zip(SCENES, runs):
         recon = TrajectoryReconstruction(pieces=point.pieces, bounces=point.bounces)
-        got = recon.ball_by_frame(fps)
+        frames, balls = recon.ball_by_frame(fps)
+        got = {f: Vec3(*b) for f, b in zip(frames.tolist(), balls.tolist())}
         lo, hi = point.pieces[0].start_frame, point.pieces[-1].end_frame
         want = {f: _oracle_ball_at_frame(point.pieces, f, fps) for f in range(lo - 3, hi + 4)}
         assert got == {f: b for f, b in want.items() if b is not None}

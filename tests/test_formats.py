@@ -13,9 +13,12 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from track_columns import comparable
 from ttrally import pipeline
 from ttrally.anticipate import read_calibration, write_calibration
 from ttrally.camera import Camera, Extrinsics, Intrinsics
@@ -26,6 +29,9 @@ from ttrally.errors import ParseError, SchemaError, VersionError
 from ttrally.pipeline import (
     RECON_FRAME,
     TRACK_FRAME,
+    ReconstructedPoint,
+    TrackFile,
+    TrackHeader,
     body_lines,
     calibrate_from_track,
     decode_columns,
@@ -77,7 +83,7 @@ def test_golden_file_round_trips_byte_for_byte(path, read, write, tmp_path):
 
 def test_golden_files_hold_what_they_claim():
     track = load_track(str(TRACK))
-    assert track.header.seed is None and track.frames[1].ball_px is None
+    assert track.header.seed is None and np.isnan(track.ball[1]).all()
     recon = read_reconstruction(str(RECON))
     assert [p.partition for p in recon.points] == ["", "train"]
     assert math.inf in read_calibration(str(CONFORMAL)).quantiles.values()
@@ -155,15 +161,22 @@ def test_written_recon_partitions_read_back_or_are_refused(partition, fuzz_dir):
     assert read_reconstruction(str(path)).points[1].partition == partition
 
 
+def _complete(track, i) -> bool:
+    """Whether frame row i of a track carries every value."""
+    return not (any(np.isnan(column[i]).any()
+                    for column in (track.ball, track.keypoints, track.rackets, track.ankles))
+                or np.isnan(track.joints[i, :, 0]).any())
+
+
 def test_absent_keypoint_keeps_its_position(tmp_path):
     lines = TRACK.read_text().splitlines()
     lines[5] = re.sub(r"kp3=\S+", "kp3=-", lines[5])
     path = tmp_path / "kp.track"
     path.write_text("\n".join(lines) + "\n")
     track = load_track(str(path))
-    kps = track.frames[4].table_keypoints
-    assert len(kps) == 6 and kps[2] is None and None not in kps[3:]
-    assert not track.frames[4].is_complete() and track.frames[0].is_complete()
+    kps = track.keypoints[4]
+    assert np.isnan(kps[2]).all() and not np.isnan(kps[3:]).any()
+    assert not _complete(track, 4) and _complete(track, 0)
     again = tmp_path / "again.track"
     write_track(track, str(again))
     assert again.read_bytes() == path.read_bytes()
@@ -380,9 +393,10 @@ def _outcome(read, path):
         return type(exc), exc.line_number, str(exc)
     if isinstance(result, pipeline.Reconstruction):  # its camera holds arrays
         ext = result.camera.extrinsics
-        return (result.fps, result.seed, result.camera_rms, result.table, result.points,
+        return (result.fps, result.seed, result.camera_rms, result.table,
+                [comparable(point) for point in result.points],
                 result.camera.intrinsics, ext.r.tolist(), ext.t.tolist())
-    return result
+    return comparable(result)
 
 
 def _both_outcomes(read, path):
@@ -465,8 +479,10 @@ def test_column_pass_reads_mixed_joint_counts(tmp_path):
     assert _columns(path, TRACK_FRAME) is not None
     got, want = _both_outcomes(load_track, path)
     assert got == want
-    assert [len(j) for j in got.frames[1].player_joints_cam] == [4, 5]
-    assert [len(j) for j in got.frames[0].player_joints_cam] == [3, 4]
+    track = load_track(str(path))
+    counts = (~np.isnan(track.joints[..., 0])).sum(axis=2)
+    assert counts[:2].tolist() == [[3, 4], [4, 5]]
+    _assert_round_trips(track, tmp_path)
 
 
 def test_column_pass_reads_dashes_in_every_omittable_column(tmp_path):
@@ -476,11 +492,100 @@ def test_column_pass_reads_dashes_in_every_omittable_column(tmp_path):
     assert _columns(path, TRACK_FRAME) is not None
     got, want = _both_outcomes(load_track, path)
     assert got == want
-    assert got.frames[1].player_joints_cam == [None, None] and got.frames[1].ball_px is None
+    track = load_track(str(path))
+    assert np.isnan(track.joints[1]).all() and np.isnan(track.ball[1]).all()
     again = tmp_path / "again.track"
-    write_track(got, str(again))
+    write_track(track, str(again))
     assert again.read_bytes() == path.read_bytes()
 
+
+
+# ---------------------------------------------------------------------------
+# generated columns: write -> read -> write gives the same bytes and columns
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JOINT_COUNTS = st.sampled_from([0, 3, 4, 5, 6])  # 0: the player's joints are absent
+
+
+def _frame_indices(draw, n):
+    """n increasing frame indices with gaps."""
+    return draw(st.integers(-5, 5)) + np.cumsum(
+        draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=int)
+
+
+def _padded_joints(draw, counts):
+    """(n, 2, J, 3) finite joints, NaN past each (frame, player)'s count, J
+    the largest count."""
+    joints = draw(arrays(np.float64, (*counts.shape, int(counts.max(initial=0)), 3),
+                         elements=FINITE))
+    joints[np.arange(joints.shape[2]) >= counts[..., None]] = np.nan
+    return joints
+
+
+def _dashed(draw, values, axes=1):
+    """``values`` with a drawn set of the entries along its first ``axes``
+    axes absent (NaN)."""
+    absent = draw(arrays(bool, values.shape[:axes]))
+    values[absent] = np.nan
+    return values
+
+
+@st.composite
+def generated_tracks(draw):
+    n = draw(st.integers(0, 6))
+    counts = draw(arrays(np.int64, (n, 2), elements=JOINT_COUNTS))
+    return TrackFile(
+        header=TrackHeader(fps=60.0, width=960, height=540),
+        frames=_frame_indices(draw, n),
+        ball=_dashed(draw, draw(arrays(np.float64, (n, 2), elements=FINITE))),
+        keypoints=_dashed(draw, draw(arrays(np.float64, (n, 6, 2), elements=FINITE)), 2),
+        base_h=draw(arrays(np.float64, (n,), elements=FINITE)),
+        rackets=_dashed(draw, draw(arrays(np.float64, (n, 2, 2), elements=FINITE)), 2),
+        ankles=_dashed(draw, draw(arrays(np.float64, (n, 2, 2, 2), elements=FINITE)), 2),
+        joints=_padded_joints(draw, counts),
+    )
+
+
+def _assert_round_trips(track, directory):
+    """write -> load -> write: the same bytes, and the same columns."""
+    first, second = directory / "first.track", directory / "second.track"
+    write_track(track, str(first))
+    loaded = load_track(str(first))
+    write_track(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert comparable(loaded) == comparable(track)
+
+
+@given(track=generated_tracks())
+def test_generated_tracks_round_trip(track, fuzz_dir):
+    _assert_round_trips(track, fuzz_dir)
+
+
+@st.composite
+def generated_points(draw):
+    m = draw(st.integers(0, 6))
+    counts = draw(arrays(np.int64, (m, 2), elements=st.integers(3, 6)))
+    return ReconstructedPoint(
+        point_id=draw(st.integers(0, 10**6)),
+        frame_index=_frame_indices(draw, m),
+        ball=draw(arrays(np.float64, (m, 3), elements=FINITE)),
+        roots=draw(arrays(np.float64, (m, 2, 3), elements=FINITE)),
+        joints=_padded_joints(draw, counts),
+        hits=[], bounces=[], pieces=[],
+    )
+
+
+@given(point=generated_points())
+def test_generated_points_round_trip(point, fuzz_dir):
+    recon = read_reconstruction(str(RECON))
+    recon.points = [point]
+    first, second = fuzz_dir / "first.recon", fuzz_dir / "second.recon"
+    write_reconstruction(recon, str(first))
+    loaded = read_reconstruction(str(first))
+    write_reconstruction(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert [comparable(p) for p in loaded.points] == [comparable(point)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import scalar_positioning as scalar
-from ttrally import pipeline
-from ttrally.core import TableGeometry, Vec3
+from track_columns import comparable, corrupt_track
+from ttrally import core, pipeline
+from ttrally.core import TableGeometry
 from ttrally.errors import (
     NoIntersection,
     NotEnoughHits,
@@ -22,7 +23,7 @@ from ttrally.pipeline import (
     write_reconstruction,
     write_track,
 )
-from ttrally.synth import corrupt_track, generate_scene
+from ttrally.synth import generate_scene
 
 TABLE = TableGeometry()
 
@@ -39,15 +40,7 @@ def test_track_round_trip_is_lossless(scene, tmp_path):
     write_track(track, str(path))
     loaded = load_track(str(path))
     assert loaded.header == track.header
-    assert len(loaded.frames) == len(track.frames)
-    for a, b in zip(track.frames, loaded.frames):
-        assert a.frame_index == b.frame_index
-        assert a.ball_px == b.ball_px
-        assert a.table_keypoints == b.table_keypoints
-        assert a.base_height_px == b.base_height_px
-        assert a.racket_centroids == b.racket_centroids
-        assert a.player_joints_cam == b.player_joints_cam
-        assert a.player_ankles_px == b.player_ankles_px
+    assert comparable(loaded) == comparable(track)
     # Writing again produces identical bytes.
     path2 = tmp_path / "b.track"
     write_track(loaded, str(path2))
@@ -123,8 +116,7 @@ def test_reconstruct_point_recovers_drag_scale(scene):
 def test_reconstruct_point_needs_hits():
     rng = np.random.default_rng(5)
     track, _, _ = generate_scene(rng, noise_px=0.0, n_hits=3)
-    for f in track.frames:
-        f.racket_centroids = [(10.0, 10.0), (20.0, 20.0)]  # never near the ball
+    track.rackets[:] = [(10.0, 10.0), (20.0, 20.0)]  # never near the ball
     with pytest.raises(NotEnoughHits):
         reconstruct_point(track)
 
@@ -167,7 +159,7 @@ def test_corrupted_frames_are_skipped_not_fatal(scene):
     track, _, _ = scene
     broken = corrupt_track(track, np.random.default_rng(8), drop_prob=0.1)
     _, point = reconstruct_point(broken)
-    dropped = sum(f.player_joints_cam[0] is None for f in broken.frames)
+    dropped = int(np.isnan(broken.joints[:, 0]).all(axis=(1, 2)).sum())
     assert dropped > 0
     assert len(point.frames) <= len(track.frames) - dropped + 2
 
@@ -181,24 +173,28 @@ def _bytes(vecs) -> bytes:
     return np.array([v.as_array() for v in vecs]).tobytes()
 
 
+def _position_oracle_rows(camera, track, want):
+    """``_position_rows`` on the frames the oracle positioned (``want``),
+    checked against it bit for bit; returns how many frames that is."""
+    usable = np.isin(track.frames, list(want))
+    roots, joints = pipeline._position_rows(camera, track.ankles[usable], track.joints[usable])
+    for r, frame in enumerate(track.frames[usable].tolist()):
+        want_roots, want_joints = want[frame]
+        assert roots[r].tobytes() == _bytes(want_roots)
+        for p in (0, 1):
+            count = len(want_joints[p])
+            assert joints[r, p, :count].tobytes() == _bytes(want_joints[p])
+            assert np.isnan(joints[r, p, count:]).all()
+    return len(roots)
+
+
 def test_stacked_positioning_matches_the_per_frame_oracle():
     for s, (fps, n_hits, noise) in enumerate(SCENES):
         rng = np.random.default_rng([7, s])
         track, _, _ = generate_scene(rng, fps=fps, n_hits=n_hits, noise_px=noise)
         track = corrupt_track(track, rng, drop_prob=0.05 * (s % 3))
         camera, _ = calibrate_from_track(track, TABLE)
-        want = scalar.positioned(camera, track)
-        usable = [f for f in track.frames if f.frame_index in want]
-        roots, joints = pipeline._position_rows(
-            camera,
-            [a for f in usable for a in f.player_ankles_px],
-            [j for f in usable for j in f.player_joints_cam],
-        )
-        for k, f in enumerate(usable):
-            want_roots, want_joints = want[f.frame_index]
-            assert np.array(roots[2 * k:2 * k + 2]).tobytes() == _bytes(want_roots)
-            for p in (0, 1):
-                assert np.array(joints[2 * k + p]).tobytes() == _bytes(want_joints[p])
+        _position_oracle_rows(camera, track, scalar.positioned(camera, track))
 
 
 def test_mixed_joint_counts_position_like_uniform_ones(scene, tmp_path):
@@ -206,13 +202,16 @@ def test_mixed_joint_counts_position_like_uniform_ones(scene, tmp_path):
     # players leaves every other joint where it was.
     track, _, _ = scene
     mixed = copy.deepcopy(track)
-    for f in mixed.frames[::3]:
-        f.player_joints_cam[0] = f.player_joints_cam[0][:2] + [Vec3(0.1, 0.2, 7.0)] + f.player_joints_cam[0][2:]
-    for f in mixed.frames[1::4]:
-        f.player_joints_cam[1] = f.player_joints_cam[1][:2] + [Vec3(0.3, 0.4, 7.5)] + f.player_joints_cam[1][2:]
+    n = len(track.frames)
+    mixed.joints = np.full((n, 2, 5, 3), np.nan)
+    mixed.joints[:, :, :4] = track.joints
+    for p, rows, extra in ((0, np.arange(n)[::3], (0.1, 0.2, 7.0)),
+                           (1, np.arange(n)[1::4], (0.3, 0.4, 7.5))):
+        mixed.joints[rows, p, 2] = extra
+        mixed.joints[rows, p, 3:] = track.joints[rows, p, 2:]
     path = tmp_path / "mixed.track"
     write_track(mixed, str(path))
-    assert load_track(str(path)) == mixed
+    assert comparable(load_track(str(path))) == comparable(mixed)
     _, want = reconstruct_point(track)
     _, got = reconstruct_point(mixed)
     assert [h.hand_world for h in got.hits] == [h.hand_world for h in want.hits]
@@ -254,7 +253,7 @@ def test_first_ankle_ray_missing_the_ground_raises(scene, misses, message):
     parallel, above = _miss_pixels(camera)
     for frame, player, which in misses:
         pixel = parallel if which == "parallel" else above
-        track.frames[frame].player_ankles_px[player] = [pixel, pixel]
+        track.ankles[frame, player] = [pixel, pixel]
     with pytest.raises(NoIntersection, match=f"^{message}$"):
         scalar.positioned(camera, track)
     with pytest.raises(NoIntersection, match=f"^{message}$"):
@@ -266,9 +265,9 @@ def _five_joint_player_1(track):
     its first ankle, at index 2) in every frame, so rows alternate between
     4 and 5 joints."""
     mixed = copy.deepcopy(track)
-    for f in mixed.frames:
-        if f.player_joints_cam[1] is not None:
-            f.player_joints_cam[1] = f.player_joints_cam[1][:3] + f.player_joints_cam[1][-2:]
+    mixed.joints = np.full((len(track.frames), 2, 5, 3), np.nan)
+    mixed.joints[:, 0, :4] = track.joints[:, 0]
+    mixed.joints[:, 1] = track.joints[:, 1, [0, 1, 2, 2, 3]]
     return mixed
 
 
@@ -280,19 +279,9 @@ def test_mixed_joint_counts_place_each_count_in_one_call(scene, monkeypatch):
         f = getattr(pipeline, name)
         monkeypatch.setattr(pipeline, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
     want = scalar.positioned(camera, track)
-    usable = [f for f in track.frames if f.frame_index in want]
-    roots, joints = pipeline._position_rows(
-        camera,
-        [a for f in usable for a in f.player_ankles_px],
-        [j for f in usable for j in f.player_joints_cam],
-    )
-    assert len(usable) == 84  # 168 one-row calls before rows were grouped by count
+    usable = _position_oracle_rows(camera, track, want)
+    assert usable == 84  # 168 one-row calls before rows were grouped by count
     assert sorted(calls) == ["ground_roots", "place_joints", "place_joints"]
-    for k, f in enumerate(usable):
-        want_roots, want_joints = want[f.frame_index]
-        assert np.array(roots[2 * k:2 * k + 2]).tobytes() == _bytes(want_roots)
-        for p in (0, 1):
-            assert np.array(joints[2 * k + p]).tobytes() == _bytes(want_joints[p])
 
 
 def test_first_miss_in_row_order_raises_across_joint_counts(scene):
@@ -300,8 +289,8 @@ def test_first_miss_in_row_order_raises_across_joint_counts(scene):
     track = _five_joint_player_1(scene[0])
     camera, _ = calibrate_from_track(track, TABLE)
     parallel, above = _miss_pixels(camera)
-    track.frames[10].player_ankles_px[1] = [above, above]
-    track.frames[20].player_ankles_px[0] = [parallel, parallel]
+    track.ankles[10, 1] = [above, above]
+    track.ankles[20, 0] = [parallel, parallel]
     message = "plane intersection behind the camera"
     with pytest.raises(NoIntersection, match=f"^{message}$"):
         scalar.positioned(camera, track)
@@ -312,7 +301,32 @@ def test_first_miss_in_row_order_raises_across_joint_counts(scene):
 def test_no_positioned_player_raises_not_enough_hits(scene):
     # No frame carries both players, so no row is positioned at all.
     track = copy.deepcopy(scene[0])
-    for f in track.frames:
-        f.player_joints_cam[0] = None
+    track.joints[:, 0] = np.nan
     with pytest.raises(NotEnoughHits, match="^hit frame lacks positioned player joints$"):
         reconstruct_point(track)
+
+
+@pytest.mark.parametrize("fps", [60.0, 240.0])
+def test_the_rally_path_builds_no_per_frame_object(fps, tmp_path, monkeypatch):
+    # load -> reconstruct -> write -> read keeps frames as columns: no row
+    # view, and Vec3s only for the calibration's table points and the
+    # point's hits, bounces and pieces, however many frames there are.
+    track, _, _ = generate_scene(np.random.default_rng(21), fps=fps, n_hits=4, noise_px=0.5)
+    track_path, recon_path = tmp_path / "a.track", tmp_path / "a.recon"
+    write_track(track, str(track_path))
+    counts = dict.fromkeys(("Vec3", "PointFrame"), 0)
+    for cls in (core.Vec3, pipeline.PointFrame):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    recon, point = reconstruct_point(load_track(str(track_path)))
+    write_reconstruction(recon, str(recon_path))
+    (back,) = read_reconstruction(str(recon_path)).points
+    events = len(point.hits) + len(point.bounces) + len(point.pieces)
+    assert not hasattr(core, "Frame2D")
+    assert counts["PointFrame"] == 0
+    assert counts["Vec3"] <= 24 + 3 * events < len(point.frame_index)
+    # The counters see row views, and their Vec3s, once frames are read.
+    assert len(back.frames) == len(point.frame_index) == counts["PointFrame"]

@@ -19,7 +19,6 @@ CALLERS = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
 # Public names with no caller in the program, each kept for a reason.
 ALLOWED = {
     "read_calibration": "the conformal-v1 reader: no command reads what `conformal --out` writes",
-    "corrupt_track": "the joint-dropout fixture of the reconstruction robustness tests",
 }
 
 

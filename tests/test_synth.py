@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
+from track_columns import corrupt_track
 from ttrally.ball import Chains, StokesSegment, stokes_position
 from ttrally.camera import project, project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
@@ -12,7 +13,6 @@ from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
     BOUNCE_CLEARANCE,
     check_camera_assumptions,
-    corrupt_track,
     emit_synthetic_track,
     generate_exchanges,
     generate_rally,
@@ -92,18 +92,18 @@ def test_check_camera_assumptions_rejects_x_translation():
 def test_emit_noiseless_track_projects_truth_exactly():
     rng = np.random.default_rng(5)
     track, rally, cam = generate_scene(rng, noise_px=0.0, n_hits=3)
-    for i, frame in enumerate(track.frames):
+    for i in range(len(track.frames)):
         want = project_many(cam, rally.ball[i : i + 1])[0]
-        assert np.allclose(frame.ball_px, want, atol=1e-12)
+        assert np.allclose(track.ball[i], want, atol=1e-12)
         kp = project_many(
             cam, np.array([p.as_array() for p in TABLE.surface_keypoints()])
         )
-        assert np.allclose(frame.table_keypoints, kp, atol=1e-12)
+        assert np.allclose(track.keypoints[i], kp, atol=1e-12)
         # Camera-frame joints pass through exactly.
         r, t = cam.extrinsics.r, cam.extrinsics.t
         for player in (0, 1):
-            for j_cam, j_world in zip(frame.player_joints_cam[player], rally.joints[i, player]):
-                assert np.allclose(j_cam.as_array(), r @ j_world + t, atol=1e-12)
+            for j_cam, j_world in zip(track.joints[i, player], rally.joints[i, player]):
+                assert np.allclose(j_cam, r @ j_world + t, atol=1e-12)
 
 
 def test_emit_noisy_track_perturbs_pixels_only():
@@ -113,25 +113,22 @@ def test_emit_noisy_track_perturbs_pixels_only():
     clean = emit_synthetic_track(rally, cam, 0.0, rng)
     noisy = emit_synthetic_track(rally, cam, 1.0, np.random.default_rng(9))
     db = [
-        math.hypot(a.ball_px[0] - b.ball_px[0], a.ball_px[1] - b.ball_px[1])
-        for a, b in zip(clean.frames, noisy.frames)
+        math.hypot(a[0] - b[0], a[1] - b[1])
+        for a, b in zip(clean.ball.tolist(), noisy.ball.tolist())
     ]
     assert 0.1 < np.mean(db) < 5.0
-    for a, b in zip(clean.frames, noisy.frames):
-        for p in (0, 1):
-            for ja, jb in zip(a.player_joints_cam[p], b.player_joints_cam[p]):
-                assert ja == jb  # 3D joints carry no pixel noise
+    assert clean.joints.tobytes() == noisy.joints.tobytes()  # 3D joints carry no pixel noise
 
 
 def test_corrupt_track_drops_joints():
     rng = np.random.default_rng(10)
     track, _, _ = generate_scene(rng, noise_px=0.0, n_hits=3)
     broken = corrupt_track(track, np.random.default_rng(0), drop_prob=0.5)
-    dropped = sum(f.player_joints_cam[0] is None for f in broken.frames)
+    dropped = int(np.isnan(broken.joints[:, 0]).all(axis=(1, 2)).sum())
     assert 0 < dropped < len(broken.frames)
-    assert not all(f.is_complete() for f in broken.frames)
+    assert np.isnan(broken.joints).any()
     # The original is untouched.
-    assert all(f.player_joints_cam[0] is not None for f in track.frames)
+    assert not np.isnan(track.joints).any()
 
 
 def _chain(anchors, durations, ks, t0=0.0):
