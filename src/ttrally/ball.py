@@ -141,6 +141,7 @@ class Chains:
     and is clamped to that piece; before the first piece and from the end
     of the last one on, a chain extends linearly with its end velocity.
     Each piece follows the one anchored closed form, as ``stokes_positions`` does.
+    ``positions`` evaluates the law only at times inside a chain, each tail only at its own.
     """
 
     starts: np.ndarray  # (n, P) absolute start time of each piece
@@ -174,63 +175,74 @@ class Chains:
     def _span(self) -> np.ndarray:
         return -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
 
-    def _locate(self, t: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """The index (rows, piece) of each time's piece, that piece's
-        duration, and the time local to it clamped to [0, T]; (n, m) each."""
-        n, n_pieces = self.T.shape
-        piece = np.zeros((n, t.shape[-1]), dtype=int)
-        for p in range(1, n_pieces):
-            piece[t >= (self.starts[:, p] - 1e-12)[:, None]] = p
-        at = (np.arange(n)[:, None], piece)
-        T = self.T[at]
-        local = t - self.starts[at]
+    def _times(self, t) -> np.ndarray:
+        """Times ``t``, (m,) for every chain or (n, m), as an (n, m) array."""
+        times = np.empty((len(self.T), np.shape(t)[-1]))
+        times[:] = t
+        return times
+
+    @staticmethod
+    def _at(a: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The (n, P, ...) array ``a`` at the flat piece indices ``at``."""
+        return a.reshape(-1, *a.shape[2:]).take(at, 0)
+
+    def _locate(self, rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat index (row * P + piece) of each time's piece in chain ``rows``
+        (broadcast to t), its duration, and the time local to it clamped to [0, T]."""
+        P = self.T.shape[1]
+        piece = np.zeros(t.shape, dtype=int)
+        for p in range(1, P):
+            piece[t >= self.starts[:, p].take(rows) - 1e-12] = p
+        at = rows * P + piece
+        T = self._at(self.T, at)
+        local = t - self._at(self.starts, at)
         local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
         local = np.where(T < local, T, local)  # min(local, T)
         return at, T, local
 
     def _velocity(self, at, T: np.ndarray, local: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """Velocity of the pieces ``at`` indexes, of durations ``T``, at
-        ``local``, the closed form's derivative: (n, m, 3) for local (n, m)."""
-        k = self.k[at]
-        dfrac = k * _libm(math.exp, -k * local) / span[at]
+        """Velocity of the pieces at the flat indices ``at``, of durations
+        ``T``, at ``local``, the closed form's derivative: (..., 3) for local (...)."""
+        k = self._at(self.k, at)
+        dfrac = k * _libm(math.exp, -k * local) / self._at(span, at)
         gk = GRAVITY / k
-        d = self.bT[at] - self.b0[at]
+        d = self._at(self.bT, at) - self._at(self.b0, at)
         v = d * dfrac[..., None]
         v[..., 2] = (d[..., 2] + gk * T) * dfrac - gk
         return v
 
     def positions(self, t) -> np.ndarray:
         """(n, m, 3) positions at times ``t``: (m,) for every chain, or (n, m)."""
-        t = np.asarray(t, dtype=float)
+        n, P = self.T.shape
+        t = self._times(t)
+        out = np.empty(t.shape + (3,))
         with np.errstate(**RAISE_ON_NONFINITE):
             span = self._span()
-            at, T, local = self._locate(t)
-            out = _anchored(self.b0[at], self.bT[at], T, self.k[at], local, span[at])
+            t0, t_end = self.starts[:, 0], self.starts[:, -1] + self.T[:, -1]
+            before, after = t < t0[:, None], t >= t_end[:, None]
+            inside = ~(before | after)
+            at, T, local = self._locate(np.nonzero(inside)[0], t[inside])
+            out[inside] = _anchored(self._at(self.b0, at), self._at(self.bT, at), T,
+                                    self._at(self.k, at), local, self._at(span, at))
 
-            # Linear tails before the first piece and from the chain's end on;
-            # the end time itself lands on the end anchor exactly, though its
-            # local time t_end - start may round below T.
-            t_end = self.starts[:, -1:] + self.T[:, -1:]
-            after = t >= t_end
-            if after.any():
-                last = (slice(None), slice(-1, None))
-                v = self._velocity(last, self.T[last], self.T[last], span)
-                tail = self.bT[:, -1:] + v * (t - t_end)[..., None]
-                out[after] = tail[after]
-            before = t < self.starts[:, :1]  # written last: it wins where both hold
-            if before.any():
-                first = (slice(None), slice(0, 1))
-                v = self._velocity(first, self.T[first], np.zeros((len(t_end), 1)), span)
-                tail = self.b0[:, :1] + v * (t - self.starts[:, :1])[..., None]
-                out[before] = tail[before]
+            # Linear tails at their piece end's velocity; before, written last, wins where
+            # both hold. t_end lands on the end anchor though t_end - start may round below T.
+            for tail, p, anchor, t_p, local in ((after, P - 1, self.bT, t_end, self.T[:, -1]),
+                                                (before, 0, self.b0, t0, np.zeros(n))):
+                if tail.any():
+                    v = self._velocity(np.arange(n) * P + p, self.T[:, p], local, span)
+                    rows = np.nonzero(tail)[0]
+                    out[tail] = (anchor[:, p].take(rows, 0)
+                                 + v.take(rows, 0) * (t[tail] - t_p.take(rows))[:, None])
         return out
 
     def velocities(self, t) -> np.ndarray:
         """(n, m, 3) velocities at times ``t``, shaped as for ``positions``;
         the tails move at the velocity of the piece end they extend."""
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         with np.errstate(**RAISE_ON_NONFINITE):
-            return self._velocity(*self._locate(t), self._span())
+            return self._velocity(*self._locate(np.arange(len(self.T))[:, None], t),
+                                  self._span())
 
 
 def smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:

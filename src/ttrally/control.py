@@ -544,10 +544,20 @@ def run_strategy(
         if predictors is None or calib is None:
             raise ValueError("anticipatory strategy needs predictors and calibration")
         regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
+    return _row(exchanges, strategy, params, regions, *_step_balls(exchanges, params),
+                _ideal_poses(exchanges, params.table))
+
+
+def _ideal_poses(exchanges: Exchanges, table: TableGeometry) -> list[RacketPose]:
+    """Each exchange's ideal interception pose, on its crossing."""
+    return [solve_target_pose(Vec3(*p), Vec3(*v), table) for p, v in
+            zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
+
+
+def _row(exchanges: Exchanges, strategy: str, params: SimParams, regions: Optional[list],
+         times: list, balls: list, ideals: list) -> tuple[ExperimentRow, list[EpisodeResult]]:
+    """``run_strategy``'s row on the exchanges' ``_step_balls`` and ``_ideal_poses``."""
     regions = regions or [None] * len(exchanges)
-    times, balls = _step_balls(exchanges, params)  # every episode's ball at once
-    ideals = [solve_target_pose(Vec3(*p), Vec3(*v), params.table) for p, v in
-              zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
     runs = [_approach(ideal, t, strategy, params, r, times, b)
             for ideal, t, r, b in zip(ideals, exchanges.crossing_time.tolist(), regions, balls,
                                       strict=True)]
@@ -592,29 +602,32 @@ def run_experiment(
     The baseline and oracle rows are computed once per configuration axis;
     the anticipatory strategy is recalibrated per lead time (its residual
     distribution depends on how early the forecast is issued) on the same
-    ensemble and calibration split, whose truth is taken once. The rows at the
-    base lead time share one set of regions per exchange; each row forecasts
-    its exchanges in one batch and samples their ball in one.
+    ensemble and calibration split, whose truth is taken once. Every row shares
+    the episodes' ideal poses; the rows at one lead time share one step grid,
+    its ball sample and one batched forecast of each exchange's regions.
     """
     if n_episodes < 1:
         raise EmptyDataset(f"need at least one episode, got {n_episodes}")
     exchanges = generate_exchanges(seed, n_episodes)
-    rows: list[ExperimentRow] = []
 
     # Strategy comparison at the base configuration.
     predictors, cal = _anticipation_inputs(seed, base_params.table, n_cal)
     forecast = forecast_split(predictors, cal, HORIZONS, base_params.lead_time)
     calib = calibrate_ensemble(forecast, base_params.alpha)
     regions = split_regions(predictors, calib, exchanges, HORIZONS, base_params.lead_time)
-    rows.append(run_strategy(exchanges, "baseline", base_params)[0])
-    rows.append(run_strategy(exchanges, "anticipatory", base_params, regions=regions)[0])
-    rows.append(run_strategy(exchanges, "oracle", base_params)[0])
+    grid, ideals = _step_balls(exchanges, base_params), _ideal_poses(exchanges, base_params.table)
+    rows = [_row(exchanges, s, base_params, regions, *grid, ideals)[0] for s in STRATEGIES]
+    rows += [_row(exchanges, "anticipatory", replace(base_params, lam=lam), regions, *grid,
+                  ideals)[0] for lam in lams if lam != base_params.lam]
 
-    for lam in lams:
-        if lam == base_params.lam:
-            continue
-        p = replace(base_params, lam=lam)
-        rows.append(run_strategy(exchanges, "anticipatory", p, regions=regions)[0])
+    if centrals is None:
+        mean_hit_y = float(np.mean(exchanges.crossing_pos[:, 1]))
+        mean_hit_z = float(np.mean(exchanges.crossing_pos[:, 2]))
+        centrals = [Vec3(-1.5, mean_hit_y, mean_hit_z)]
+    # The rest-pose rows, listed last, run first: one step grid is alive at a time.
+    rest = [_row(exchanges, "anticipatory", replace(base_params, central=c), regions, *grid,
+                 ideals)[0] for c in centrals if not (c - base_params.central).norm() < 1e-12]
+    del grid
 
     for lt in lead_times:
         if lt == base_params.lead_time:
@@ -623,18 +636,10 @@ def run_experiment(
         # Only the forecast depends on the lead time; the split's truth is reused.
         mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lt)
         calib_lt = calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), p.alpha)
-        rows.append(run_strategy(exchanges, "anticipatory", p, predictors, calib_lt)[0])
-
-    if centrals is None:
-        mean_hit_y = float(np.mean(exchanges.crossing_pos[:, 1]))
-        mean_hit_z = float(np.mean(exchanges.crossing_pos[:, 2]))
-        centrals = [Vec3(-1.5, mean_hit_y, mean_hit_z)]
-    for c in centrals:
-        if (c - base_params.central).norm() < 1e-12:
-            continue
-        p = replace(base_params, central=c)
-        rows.append(run_strategy(exchanges, "anticipatory", p, regions=regions)[0])
-    return rows
+        regions_lt = split_regions(predictors, calib_lt, exchanges, HORIZONS, lt)
+        rows.append(_row(exchanges, "anticipatory", p, regions_lt, *_step_balls(exchanges, p),
+                         ideals)[0])
+    return rows + rest
 
 
 def write_results(path: str, rows: Sequence[ExperimentRow], seed: int) -> None:

@@ -120,7 +120,9 @@ class ReconstructedPoint:
 
     def frame3d_for_ego(self, ego: int) -> list[Frame3D]:
         """Exchange view: opponent joints, ego root only, ball."""
-        return [Frame3D(f.frame_index, f.ball, f.joints[1 - ego], f.roots[ego]) for f in self.frames]
+        columns = self.frame_index, self.ball, self.joints[:, 1 - ego], self.roots[:, ego]
+        return [Frame3D(i, Vec3(*b), [Vec3(*j) for j in js if not math.isnan(j[0])], Vec3(*r))
+                for i, b, js, r in zip(*(column.tolist() for column in columns))]
 
 
 @dataclass
@@ -596,12 +598,13 @@ def reconstruct_point(
     ball_frames, balls = recon_traj.ball_by_frame(fps)
     kept, rows, at = np.intersect1d(track.frames[usable], ball_frames, assume_unique=True,
                                     return_indices=True)
+    joints = joints[rows]  # cut to the widest kept joint list, as a read gives it back
     point = ReconstructedPoint(
         point_id=point_id,
         frame_index=kept,
         ball=balls[at],
         roots=roots[rows],
-        joints=joints[rows],
+        joints=joints[:, :, :(~np.isnan(joints[..., 0])).sum(axis=2).max(initial=0)],
         hits=list(hits),
         bounces=recon_traj.bounces,
         pieces=recon_traj.pieces,

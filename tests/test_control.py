@@ -796,9 +796,9 @@ def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
                              for one, r in zip(ones, regions)]
 
 
-def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
-    batched, truth_rows = [], []
-    ensemble, positions = anticipate._ensemble, Chains.positions
+def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(monkeypatch):
+    batched, truth_rows, solved = [], [], []
+    ensemble, positions, solve = anticipate._ensemble, Chains.positions, control.solve_target_pose
 
     def counting(predictors, hit, root_y, horizons):
         batched.append(len(hit))
@@ -818,9 +818,41 @@ def test_an_experiment_forecasts_and_samples_once_per_row(monkeypatch):
     monkeypatch.setattr(Chains, "positions", tracing)
     monkeypatch.setattr(anticipate, "_context_arrays", unused)
     monkeypatch.setattr(ExchangeSample, "truth_at", unused)
+    monkeypatch.setattr(control, "solve_target_pose", lambda *a: solved.append(a) or solve(*a))
     rows = run_experiment(5, n_episodes=6, n_cal=60)
     assert len(rows) == 8
     # The calibration split at the base lead time, then each anticipatory
     # lead time's regions; the two other lead times rerun only the ensemble.
     assert batched == [60, 6, 60, 6, 60, 6]
-    assert truth_rows == [6] * (2 * len(rows))  # the outgoing and incoming side of each row
+    # One ball sample per lead time (its outgoing and incoming side), and
+    # one ideal pose per episode for all 8 rows.
+    assert truth_rows == [6] * (2 * 3)
+    assert len(solved) == 6
+
+
+@pytest.mark.parametrize("seed, centrals", [
+    (5, None),
+    (8, [Vec3(-1.6, 0.2, 1.0), SimParams().central, Vec3(-1.4, -0.3, 1.2)]),
+])
+def test_experiment_rows_equal_independent_strategy_rows(seed, centrals):
+    # The shared grids and poses change no row: each equals a run_strategy
+    # call of its own, at the base lead time on the experiment's regions and
+    # at another lead time on a calibration of its own.
+    base, n = SimParams(), 6
+    rows = run_experiment(seed, n_episodes=n, centrals=centrals, n_cal=60)
+    exchanges = generate_exchanges(seed, n)
+    regions = split_regions(*prepare_anticipation(seed, base, n_cal=60), exchanges, HORIZONS,
+                            base.lead_time)
+    want = [run_strategy(exchanges, s, base, regions=regions)[0] for s in control.STRATEGIES]
+    want += [run_strategy(exchanges, "anticipatory", replace(base, lam=lam), regions=regions)[0]
+             for lam in (0.0, 0.5)]
+    for lead_time in (0.1, 0.4):
+        p = replace(base, lead_time=lead_time)
+        want.append(run_strategy(exchanges, "anticipatory", p,
+                                 *prepare_anticipation(seed, p, n_cal=60))[0])
+    if centrals is None:
+        centrals = [Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
+                         float(np.mean(exchanges.crossing_pos[:, 2])))]
+    want += [run_strategy(exchanges, "anticipatory", replace(base, central=c), regions=regions)[0]
+             for c in centrals if c != base.central]
+    assert repr(rows) == repr(want)  # repr: a row without returns holds a NaN deviation

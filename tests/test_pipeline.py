@@ -155,6 +155,23 @@ def test_reconstruction_file_round_trip(scene, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_a_point_reads_back_as_reconstructed_without_its_widest_dropped_row(scene, tmp_path):
+    # The only 5-joint row sits in a frame without player 1's ankles, which
+    # the point does not keep: its joints are as wide as the rows it keeps,
+    # as a read gives them back, with no all-NaN padding column.
+    track = copy.deepcopy(scene[0])
+    n = len(track.frames)
+    track.joints = np.concatenate([track.joints, np.full((n, 2, 1, 3), np.nan)], axis=2)
+    track.joints[10, 0, 4] = track.joints[10, 0, 3]
+    track.ankles[10, 1] = np.nan
+    recon, point = reconstruct_point(track)
+    path = tmp_path / "a.recon"
+    write_reconstruction(recon, str(path))
+    (back,) = read_reconstruction(str(path)).points
+    assert point.joints.shape == (n - 1, 2, 4, 3)
+    assert comparable(back) == comparable(point)
+
+
 def test_corrupted_frames_are_skipped_not_fatal(scene):
     track, _, _ = scene
     broken = corrupt_track(track, np.random.default_rng(8), drop_prob=0.1)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
 from track_columns import corrupt_track
-from ttrally.ball import Chains, StokesSegment, stokes_position
+from ttrally.ball import Chains, StokesSegment, stokes_position, stokes_positions
 from ttrally.camera import project, project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
@@ -292,6 +292,64 @@ def test_chain_velocities_equal_stokes_velocity_bitwise(chain, inside, outside):
     got = chains_of(traj).velocities(times)[0]
     want = np.array([traj.velocity(t).as_array() for t in times])
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _chain_batch(draw):
+    """1-4 chains of 1-3 pieces each (one count per batch), as a batch."""
+    n, pieces = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    anchors = [[draw(ANCHOR).as_array() for _ in range(pieces + 1)] for _ in range(n)]
+    durations, ks = ([draw(st.lists(st.floats(lo, hi), min_size=pieces, max_size=pieces))
+                      for _ in range(n)] for lo, hi in ((0.05, 1.0), (1e-3, 5.0)))
+    t0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return Chains.through(np.array(t0), np.array(anchors), np.array(durations), np.array(ks))
+
+
+def _batch_times(traj, kind, offsets, fractions):
+    """Times of one chain: both tails or either alone (t_end included),
+    inside only, or every piece start +-1e-13 and t_end."""
+    t0, t_end = traj.starts[0], traj.t_end
+    before, after = [t0 - o for o in offsets], [t_end] + [t_end + o for o in offsets]
+    return {
+        "before": before + before[:1],
+        "after": after,
+        "tails": before[::2] + after[1::2] + [t_end],
+        "inside": [t0 + u * (t_end - t0) for u in fractions],
+        "edges": [t + d for t in traj.starts for d in (-1e-13, 0.0, 1e-13)] + [t_end],
+    }[kind]
+
+
+def _closed_form(traj, t):
+    """``stokes_positions`` at the clamped local time of t's piece inside the
+    chain; the tail formula (the oracle's ``position``) outside it."""
+    if t < traj.starts[0] or t >= traj.t_end:
+        return traj.position(t).as_array()
+    i, local = traj._locate(t)
+    return stokes_positions(traj.pieces[i], [min(max(local, 0.0), traj.pieces[i].T)])[0]
+
+
+@given(chains=_chain_batch(), kind=st.sampled_from(["before", "after", "tails", "inside", "edges"]),
+       offsets=st.lists(st.floats(1e-9, 2.0), min_size=4, max_size=4),
+       fractions=st.lists(st.floats(0.0, 0.99), min_size=5, max_size=5))
+def test_chain_batch_positions_equal_each_row_and_the_closed_form_bitwise(chains, kind, offsets,
+                                                                          fractions):
+    trajs = [trajectory_of(chains, i) for i in range(len(chains.T))]
+    times = np.array([_batch_times(traj, kind, offsets, fractions) for traj in trajs])
+    inside = (times >= chains.starts[:, :1]) & (times < np.array([[tr.t_end] for tr in trajs]))
+    if kind in ("before", "after", "tails"):
+        assert not inside.any()  # an empty gather
+    elif kind == "inside":
+        assert inside.all()
+    # (n, m) times, each row its own; then (m,) times, row 0's for every chain.
+    for batch_times, row_times in ((times, times), (times[0], [times[0]] * len(trajs))):
+        got, velocities = chains.positions(batch_times), chains.velocities(batch_times)
+        for i, (traj, ts) in enumerate(zip(trajs, row_times)):
+            want = np.array([_closed_form(traj, t) for t in ts.tolist()])
+            assert got[i].tobytes() == want.tobytes()
+            assert chains[i:i + 1].positions(ts)[0].tobytes() == want.tobytes()
+            want = np.array([traj.velocity(t).as_array() for t in ts.tolist()])
+            assert velocities[i].tobytes() == want.tobytes()
+            assert chains[i:i + 1].velocities(ts)[0].tobytes() == want.tobytes()
 
 
 @given(chain=CHAIN)
