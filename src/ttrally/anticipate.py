@@ -319,12 +319,6 @@ def _bounds(
     return mean - half, mean + half
 
 
-def _as_regions(keys: Sequence[float], lo: list, hi: list, mean: list) -> list[Region]:
-    """One context's regions from its corner and mean rows, as nested lists."""
-    return [Region(horizon=k, lo=Vec3(*l), hi=Vec3(*u), mean=Vec3(*m))
-            for k, l, u, m in zip(keys, lo, hi, mean)]
-
-
 def build_regions(
     predictors: Sequence[ShotPredictor],
     calib: ConformalCalibration,
@@ -334,7 +328,8 @@ def build_regions(
     (mean,), (sigma,) = _ensemble(predictors, *_context_arrays([ctx]),
                                   np.asarray(horizons, dtype=float))
     lo, hi = _bounds(calib, horizons, mean, sigma)
-    return _as_regions([horizon_key(h) for h in horizons], lo.tolist(), hi.tolist(), mean.tolist())
+    return [Region(horizon=horizon_key(h), lo=Vec3(*l), hi=Vec3(*u), mean=Vec3(*m))
+            for h, l, u, m in zip(horizons, lo.tolist(), hi.tolist(), mean.tolist())]
 
 
 def split_regions(
@@ -343,13 +338,12 @@ def split_regions(
     exchanges: Exchanges,
     horizons: Sequence[float],
     lead_time: float,
-) -> list[list[Region]]:
-    """build_regions of every exchange's context up to -lead_time, from one
+) -> tuple[np.ndarray, np.ndarray]:
+    """The region corners (lo, hi), each (n_exchanges, n_horizons, 3), of
+    build_regions on every exchange's context up to -lead_time, from one
     forecast_ensemble of the split: no frame is built."""
     mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
-    lo, hi = _bounds(calib, horizons, mean, sigma)
-    keys = [horizon_key(h) for h in horizons]
-    return [_as_regions(keys, *rows) for rows in zip(lo.tolist(), hi.tolist(), mean.tolist())]
+    return _bounds(calib, horizons, mean, sigma)
 
 
 def check_split(calib: ConformalCalibration, test_exchanges: Exchanges) -> None:

@@ -162,7 +162,9 @@ class Chains:
         """n chains through ``anchors`` (n, P + 1, 3) from times ``t0`` (n,);
         piece p lasts ``durations[:, p]`` with drag ``k[:, p]``."""
         starts = np.concatenate([t0[:, None], durations[:, :-1]], axis=1).cumsum(axis=1)
-        return Chains(starts, anchors[:, :-1], anchors[:, 1:], durations, k)
+        # Contiguous copies: every flat gather (_at) of a strided view copies it first.
+        return Chains(starts, np.ascontiguousarray(anchors[:, :-1]),
+                      np.ascontiguousarray(anchors[:, 1:]), durations, k)
 
     def __getitem__(self, rows) -> "Chains":
         """The chains at ``rows``; a slice keeps views of these arrays. Rows

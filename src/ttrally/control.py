@@ -5,6 +5,14 @@ hitting plane. Strategies differ only in what the robot does before the
 opponent's hit: a reactive baseline waits at a central pose, the anticipatory
 strategy pre-positions toward the conformal prediction region, and an oracle
 pre-positions on the ground-truth interception pose.
+
+Episodes run as array lanes. A lane is one row's episode of one exchange
+(a row being a strategy with its lam, rest pose and lead time); the rows
+that share a lead time share a step grid, so their lanes step together.
+Per exchange, every row shares the ideal interception pose and one turn
+sequence toward it; per grid, the ball sample and the steps at which a
+contact is possible at all; per contact (exchange, time and pose), one
+grading of the return.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from scipy.optimize import brentq
 
 from .anticipate import (
     ConformalCalibration,
-    Region,
     ShotPredictor,
     calibrate_ensemble,
     forecast_ensemble,
@@ -29,7 +36,7 @@ from .anticipate import (
 )
 from .ball import GRAVITY
 from .core import TableGeometry, Vec3
-from .errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
+from .errors import EmptyDataset, Infeasible, NoContact
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
 from .synth import MAX_LEAD_TIME, Exchanges, balls_at, generate_exchanges
@@ -61,14 +68,6 @@ class Box:
             and self.lo.y - BOX_TOL <= p.y <= self.hi.y + BOX_TOL
             and self.lo.z - BOX_TOL <= p.z <= self.hi.z + BOX_TOL
         )
-
-    def contains_box(self, lo: Vec3, hi: Vec3) -> bool:
-        return self.contains(lo) and self.contains(hi)
-
-    def clamp(self, p: Vec3) -> Vec3:
-        lo, hi = self.lo, self.hi
-        return Vec3(min(max(p.x, lo.x), hi.x), min(max(p.y, lo.y), hi.y),
-                    min(max(p.z, lo.z), hi.z))
 
 
 MAX_RACKET_ANGLE_DEG = 60.0  # yaw and pitch limit of the racket normal
@@ -125,64 +124,6 @@ class RacketPose:
     def angle_to(self, other: "RacketPose") -> float:
         """Relative orientation angle in radians."""
         return _magnitude(_relative(self.orientation, other.orientation))
-
-
-def farthest_corner_distance(region: Region, p: Vec3) -> float:
-    """Norm of the per-axis farthest offsets, summed in float order, not by BLAS."""
-    lo, hi = region.lo, region.hi
-    dx = max(abs(lo.x - p.x), abs(hi.x - p.x))
-    dy = max(abs(lo.y - p.y), abs(hi.y - p.y))
-    dz = max(abs(lo.z - p.z), abs(hi.z - p.z))
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def reachable_covers(
-    region: Region, p: Vec3, workspace: Box, v_max: float, available_time: float
-) -> bool:
-    """Can a robot at p cover the whole region within the available time?
-
-    True when the region sits inside the workspace and its farthest corner is
-    within the ball of radius v_max * available_time around p.
-    """
-    if available_time < 0:
-        return False
-    if not workspace.contains_box(region.lo, region.hi):
-        return False
-    return farthest_corner_distance(region, p) <= v_max * available_time
-
-
-def select_target_time(
-    regions: Sequence[Region],
-    p: Vec3,
-    workspace: Box,
-    v_max: float,
-    lead_time: float,
-) -> Region:
-    """Earliest-horizon region the robot can fully cover.
-
-    The time available to reach a region at horizon h is h + lead_time (the
-    forecast is issued lead_time before the hit). Raises NoFeasibleTime when
-    no horizon qualifies.
-    """
-    for region in sorted(regions, key=lambda r: r.horizon):
-        if reachable_covers(region, p, workspace, v_max, region.horizon + lead_time):
-            return region
-    raise NoFeasibleTime("no coverable prediction region")
-
-
-def select_preposition(
-    region: Region, central: Vec3, lam: float, workspace: Box
-) -> Vec3:
-    """Blend the region centroid with the central pose, then clamp it into
-    the region box and then into the workspace.
-
-    lam = 0 commits fully to the prediction. lam = 1 takes the central pose,
-    clamped like any blend: it is the reactive central pose only when the
-    region box contains it.
-    """
-    blend = central * lam + region.center() * (1.0 - lam)
-    box = Box(lo=region.lo, hi=region.hi)
-    return workspace.clamp(box.clamp(blend))
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +248,45 @@ Position = tuple[float, float, float]
 _xyz = attrgetter("x", "y", "z")  # a Vec3 as a Position
 
 
-def _step(p: Position, q: Quat, target_p: Position, target_q: Quat, step: float,
-          max_turn: float, lo: Position, hi: Position) -> tuple[Position, Quat]:
-    """One step on floats: a straight move of at most ``step`` toward
-    target_p and a slerp of at most ``max_turn`` toward target_q, then the
-    position clamped into the box [lo, hi]."""
-    x, y, z = p
-    dx, dy, dz = target_p[0] - x, target_p[1] - y, target_p[2] - z
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist >= 1e-12:
-        s = min(dist, step) / dist
-        x, y, z = x + dx * s, y + dy * s, z + dz * s
-    if q != target_q:  # else the relative turn is exactly the identity, of angle 0
-        rel = _relative(q, target_q)
+def _column(v: Vec3) -> np.ndarray:
+    """v as a (3, 1) column, against (3, lanes) positions."""
+    return np.array([_xyz(v)]).T
+
+
+def _move(pos: np.ndarray, target: np.ndarray, step: float, lo: np.ndarray,
+          hi: np.ndarray) -> np.ndarray:
+    """Positions (3, lanes) after a straight move of at most ``step`` toward
+    ``target``, clamped into [lo, hi]. Each lane takes a scalar step's float
+    operations, ``min(dist, step) / dist`` and no move under 1e-12 m."""
+    d = target - pos
+    dd = d * d
+    dist = np.sqrt(dd[0] + dd[1] + dd[2])
+    new = d * np.divide(np.minimum(dist, step), dist, out=np.zeros(dist.shape),
+                        where=dist >= 1e-12)
+    new += pos
+    return np.minimum(np.maximum(new, lo, out=new), hi, out=new)
+
+
+def _turn(q: Quat, target: Quat, max_turn: float) -> Quat:
+    """A slerp of at most ``max_turn`` from q toward target; target itself
+    once it is within reach."""
+    if q != target:  # else the relative turn is exactly the identity, of angle 0
+        rel = _relative(q, target)
         angle = _magnitude(rel)
         if angle >= 1e-12 and angle > max_turn:
-            target_q = _compose(q, _partial_turn(rel, angle, max_turn / angle))
-    return ((min(max(x, lo[0]), hi[0]), min(max(y, lo[1]), hi[1]), min(max(z, lo[2]), hi[2])),
-            target_q)
+            return _compose(q, _partial_turn(rel, angle, max_turn / angle))
+    return target
 
 
 def step_robot(pose: RacketPose, target: RacketPose, dt: float, v_max: float,
                omega_max: float, workspace: Box) -> RacketPose:
     """Move toward a target pose with speed and turn-rate limits: a straight
     step of at most v_max * dt and a slerp of at most omega_max * dt, kept
-    inside the workspace. The one-pose form of the episodes' ``_step``."""
-    p, q = _step(_xyz(pose.position), pose.orientation, _xyz(target.position),
-                 target.orientation, v_max * dt, omega_max * dt, _xyz(workspace.lo),
-                 _xyz(workspace.hi))
-    return RacketPose(Vec3(*p), q)
+    inside the workspace. The episode engine's step on one lane, plus one turn."""
+    p = _move(_column(pose.position), _column(target.position), v_max * dt,
+              _column(workspace.lo), _column(workspace.hi))
+    return RacketPose(Vec3(*p[:, 0].tolist()),
+                      _turn(pose.orientation, target.orientation, omega_max * dt))
 
 
 # ---------------------------------------------------------------------------
@@ -388,97 +339,209 @@ class EpisodeResult:
     fallback: bool  # anticipation found no coverable region
 
 
-def _step_balls(
-    exchanges: Exchanges, params: SimParams
-) -> tuple[list[float], list[list[list[float]]]]:
-    """The robot's step times and each exchange's ball at them.
+def _step_balls(exchanges: Exchanges, params: SimParams) -> tuple[list[float], np.ndarray,
+                                                                 np.ndarray]:
+    """The robot's step times, each exchange's ball at them (n, m, 3), and
+    the number of those times each exchange's episode reads (n,).
 
     The times are accumulated as the robot's clock, from -lead_time until one
-    reaches the last exchange's crossing_time + 0.15. Exchange i's balls
-    stop at the first time that reaches its own crossing_time + 0.15.
+    reaches the last exchange's crossing_time + 0.15. Exchange i's episode
+    ends at the first time that reaches its own crossing_time + 0.15.
     """
     stops = (exchanges.crossing_time + 0.15).tolist()
     last = max(stops)
     times = [-params.lead_time]
     while times[-1] < last:
         times.append(times[-1] + params.dt)
-    ends = (np.searchsorted(times, stops) + 1).tolist()
-    balls = balls_at(exchanges, times).tolist()
-    return times, [rows[:end] for rows, end in zip(balls, ends)]
+    return times, balls_at(exchanges, times), np.searchsorted(times, stops) + 1
 
 
-def _approach(ideal: RacketPose, crossing_time: float, strategy: str, params: SimParams,
-              regions: Optional[Sequence[Region]], times: list[float],
-              balls: list[list[float]]) -> tuple:
-    """Step one episode on floats, toward ``ideal`` after the hit, until its
-    ball passes within RACKET_RADIUS of the racket or ``balls``, the ball at
-    each of the first len(balls) step ``times``, run out. Returns the
-    fallback flag, the last pose and the pose at ``crossing_time`` as
-    (position, quaternion) tuples, and the contact's step (0 for none)."""
-    fallback, idle = False, (_xyz(params.central), IDENTITY)
-    if strategy == "oracle":
-        idle = _xyz(ideal.position), ideal.orientation
-    elif strategy == "anticipatory":
-        try:
-            region = select_target_time(regions, params.central, params.workspace,
-                                        params.v_max, params.lead_time)
-        except NoFeasibleTime:
-            fallback = True
-        else:  # the true crossing is unknown before the hit
-            idle = _xyz(select_preposition(region, params.central, params.lam,
-                                           params.workspace)), IDENTITY
-
-    track = _xyz(ideal.position), ideal.orientation  # every target after the hit
-    lo, hi, dt = _xyz(params.workspace.lo), _xyz(params.workspace.hi), params.dt
-    step, max_turn = params.v_max * dt, params.omega_max * dt
-    p, q = crossing = _xyz(params.central), IDENTITY
-    for i in range(1, len(balls)):
-        t = times[i]
-        target_p, target_q = track if times[i - 1] >= 0 else idle
-        p, q = _step(p, q, target_p, target_q, step, max_turn, lo, hi)
-        if t - dt <= crossing_time <= t:
-            crossing = p, q
-        if t > 0 and _point_segment_distance(p, balls[i - 1], balls[i]) <= RACKET_RADIUS:
-            return fallback, (p, q), crossing, i
-    return fallback, (p, q), crossing, 0
+def _ideal_poses(exchanges: Exchanges, table: TableGeometry) -> list[RacketPose]:
+    """Each exchange's ideal interception pose, on its crossing."""
+    return [solve_target_pose(Vec3(*p), Vec3(*v), table) for p, v in
+            zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
 
 
-def _outcome(exchange_id: int, strategy: str, params: SimParams, ideal: RacketPose,
-             run: tuple, ball: Sequence[float], v_in: Optional[Sequence[float]]) -> EpisodeResult:
-    """Grade one ``_approach`` run; ``ball`` and ``v_in`` are the ball's
-    position and velocity at its contact step (``v_in`` None without one)."""
-    fallback, (p, q), crossing, _ = run
+def _prepositions(regions: tuple[np.ndarray, np.ndarray],
+                  params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """The anticipatory pre-hit target (3, n) of every exchange of the
+    region corners ``regions`` (lo, hi), each (n, len(HORIZONS), 3), and
+    whether it fell back to the central pose (n,).
+
+    Each exchange takes its earliest horizon whose region lies inside the
+    workspace (BOX_TOL) and whose farthest corner from the central pose is
+    within v_max * (horizon + lead_time); the target is the blend
+    central * lam + centroid * (1 - lam), clamped into that region and then
+    into the workspace. With no such horizon it is the central pose. lam = 1
+    is the central pose only when the region box contains it.
+    """
+    lo, hi = regions
+    n, ws = len(lo), params.workspace
+    ws_lo, ws_hi = np.array(_xyz(ws.lo)), np.array(_xyz(ws.hi))
+    inside = ((ws_lo - BOX_TOL <= lo) & (lo <= ws_hi + BOX_TOL)
+              & (ws_lo - BOX_TOL <= hi) & (hi <= ws_hi + BOX_TOL)).all(axis=2)
+    central = np.array(_xyz(params.central))
+    far = np.maximum(np.abs(lo - central), np.abs(hi - central))
+    reach = params.v_max * (np.array(HORIZONS) + params.lead_time)
+    ff = far * far
+    covers = inside & (np.sqrt(ff[..., 0] + ff[..., 1] + ff[..., 2]) <= reach)
+    first, rows = covers.argmax(axis=1), np.arange(n)
+    fallback = ~covers[rows, first]
+    box_lo, box_hi = lo[rows, first], hi[rows, first]
+    with np.errstate(invalid="ignore"):  # a fallback's unread region may be unbounded
+        blend = central * params.lam + ((box_lo + box_hi) * 0.5) * (1.0 - params.lam)
+    target = np.minimum(np.maximum(np.minimum(np.maximum(blend, box_lo), box_hi), ws_lo), ws_hi)
+    return np.where(fallback[:, None], central, target).T, fallback
+
+
+def _contact_possible(balls: np.ndarray, x_max: float) -> np.ndarray:
+    """(n, m - 1): whether the ball's segment into step i (column i - 1) can
+    pass within RACKET_RADIUS of a racket at x <= x_max, the workspace's
+    largest x; a segment wholly beyond x_max + RACKET_RADIUS cannot."""
+    bx = balls[:, :, 0]
+    return np.minimum(bx[:, :-1], bx[:, 1:]) <= x_max + RACKET_RADIUS + 1e-9
+
+
+def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance (lanes,) from each point p to its segment a-b, all (3, lanes),
+    in the float order of the scalar point-segment test."""
+    e = b - a
+    ee, we = e * e, (p - a) * e
+    denom = ee[0] + ee[1] + ee[2]
+    u = np.divide(we[0] + we[1] + we[2], denom, out=np.zeros(denom.shape),
+                  where=denom >= 1e-18)
+    d = p - (a + np.minimum(np.maximum(u, 0.0), 1.0) * e)
+    dd = d * d
+    return np.sqrt(dd[0] + dd[1] + dd[2])
+
+
+def _turns(target: Quat, max_turn: float, n: int) -> list[Quat]:
+    """The racket's orientation after 0, 1, ... turns from IDENTITY toward
+    target: at most n entries, ending at target itself once it is reached."""
+    seq = [IDENTITY]
+    while len(seq) < n and seq[-1] is not target:
+        seq.append(_turn(seq[-1], target, max_turn))
+    return seq
+
+
+def _pose_errors(pose: RacketPose, ideal: RacketPose) -> tuple[float, float]:
+    """Position and orientation error of a pose from the ideal one."""
+    return (pose.position - ideal.position).norm(), pose.angle_to(ideal)
+
+
+def _grade(p: Position, q: Quat, ball: Sequence[float], v_in: Sequence[float],
+           ideal: RacketPose, table: TableGeometry) -> Optional[tuple]:
+    """The outcome fields of a contact by the pose (p, q) with the ball at
+    ``ball`` moving at ``v_in``: contacted, returned, deviation and the pose
+    errors; None when the ball is not moving into the racket face."""
     pose = RacketPose(Vec3(*p), q)
-    contacted = returned = False
-    deviation: Optional[float] = None
-    if v_in is not None:
-        try:
-            v_after = racket_reflect(Vec3(*v_in), pose.normal())
-        except NoContact:
-            pass
+    try:
+        v_after = racket_reflect(Vec3(*v_in), pose.normal())
+    except NoContact:
+        return None
+    returned, deviation = False, None
+    land = DragFlight(Vec3(*ball), v_after).landing(table.height_z)
+    if land is not None:
+        _, p_land = land
+        aim = aim_point(table)
+        deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
+        returned = (v_after.x > 0 and 0.0 <= p_land.x <= table.half_length
+                    and abs(p_land.y) <= table.half_width)
+    return True, returned, deviation, *_pose_errors(pose, ideal)
+
+
+def _episodes(exchanges: Exchanges, rows: Sequence[tuple[str, SimParams]],
+              regions: Optional[tuple[np.ndarray, np.ndarray]], grid: tuple,
+              ideals: list[RacketPose], graded: dict) -> list[list[EpisodeResult]]:
+    """Every row's episodes on one step grid, stepped together as lanes.
+
+    Lane r * n + e is row r's episode of exchange e; the rows share the grid
+    (``_step_balls``), and so the lead time, and differ only in strategy,
+    lam and central pose. Positions are a (3, lanes) array stepped toward
+    each lane's pre-hit target until the first step after the hit, then
+    toward its exchange's ideal position. A lane's pose freezes at its
+    contact, and its contact test ends at its exchange's last step; its pose
+    at the crossing is the last one stepped, up to the contact, at a time t
+    with t - dt <= crossing_time <= t. The orientation never depends on the
+    position: it is an index into the exchange's one turn sequence from
+    IDENTITY toward the ideal, which the oracle starts at step 1 and the
+    other strategies at the first step after the hit. The contact test runs
+    only on steps where a ball segment comes within RACKET_RADIUS of the
+    workspace's x range, and ``graded`` holds the outcome of each distinct
+    contact (exchange, time and pose) across calls.
+    """
+    times, balls, ends = grid
+    params = rows[0][1]
+    n, n_rows, dt = len(exchanges), len(rows), params.dt
+    ex = np.tile(np.arange(n), n_rows)  # each lane's exchange
+    lo, hi = _column(params.workspace.lo), _column(params.workspace.hi)
+    ideal = np.array([_xyz(pose.position) for pose in ideals]).T  # (3, n)
+    idle, fallback = [], []
+    for strategy, p in rows:
+        if strategy == "anticipatory":
+            target, fell_back = _prepositions(regions, p)
         else:
-            contacted = True
-            land = DragFlight(Vec3(*ball), v_after).landing(params.table.height_z)
-            if land is not None:
-                _, p_land = land
-                aim = aim_point(params.table)
-                deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
-                returned = (v_after.x > 0 and 0.0 <= p_land.x <= params.table.half_length
-                            and abs(p_land.y) <= params.table.half_width)
-    ref = pose if contacted else RacketPose(Vec3(*crossing[0]), crossing[1])
-    return EpisodeResult(exchange_id, strategy, contacted, returned, deviation,
-                         (ref.position - ideal.position).norm(), ref.angle_to(ideal), fallback)
+            target = ideal if strategy == "oracle" else np.tile(_column(p.central), n)
+            fell_back = np.zeros(n, bool)
+        idle.append(target)
+        fallback += fell_back.tolist()
+    idle, track = np.concatenate(idle, axis=1), np.tile(ideal, n_rows)
+    pos = np.repeat(np.array([_xyz(p.central) for _, p in rows]).T, n, axis=1)
 
+    t, end = np.array(times), ends[ex]
+    ct = exchanges.crossing_time[:, None]
+    ran = np.arange(1, len(times)) < ends[:, None]  # (n, m - 1): the steps of each episode
+    # Step i is column i - 1: the lanes that record a crossing pose there, and
+    # the steps where some exchange's ball comes within reach of the workspace.
+    steps, crossing = np.nonzero((ran & (t[1:] - dt <= ct) & (ct <= t[1:])).T)
+    crossing = crossing[:, None] + n * np.arange(n_rows)
+    crossers = {int(c) + 1: crossing[steps == c].ravel() for c in np.unique(steps)}
+    tests = set((np.flatnonzero((ran & _contact_possible(balls, hi[0, 0])).any(axis=0)
+                                & (t[1:] > 0)) + 1).tolist())
+    cross, cross_at = pos.copy(), np.zeros(len(ex), int)
+    contact, live = np.zeros(len(ex), int), np.ones(len(ex), bool)
+    size, last = params.v_max * dt, len(times) - 1
+    for i in range(1, len(times)):
+        np.copyto(pos, _move(pos, track if times[i - 1] >= 0 else idle, size, lo, hi),
+                  where=live)
+        if i in crossers:
+            lanes = crossers[i][live[crossers[i]]]
+            cross[:, lanes], cross_at[lanes] = pos[:, lanes], i
+        if i in tests:
+            hit = live & (i < end) & (_segment_distance(pos, balls[ex, i - 1].T, balls[ex, i].T)
+                                      <= RACKET_RADIUS)
+            if hit.any():
+                contact[hit], live[hit] = i, False
+                last = end[live].max(initial=1) - 1  # the last step a lane still takes
+        if i >= last:
+            break
 
-def _point_segment_distance(p: Position, a: Sequence[float], b: Sequence[float]) -> float:
-    px, py, pz = p
-    ax, ay, az = a
-    ex, ey, ez = b[0] - ax, b[1] - ay, b[2] - az
-    denom = ex * ex + ey * ey + ez * ez
-    dot = (px - ax) * ex + (py - ay) * ey + (pz - az) * ez
-    u = min(max(dot / denom, 0.0), 1.0) if denom >= 1e-18 else 0.0
-    dx, dy, dz = px - (ax + u * ex), py - (ay + u * ey), pz - (az + u * ez)
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    hit_step = next((i for i, t_i in enumerate(times) if t_i >= 0), len(times))
+    seqs = [_turns(pose.orientation, params.omega_max * dt, len(times)) for pose in ideals]
+    v_in = exchanges.outgoing.velocities(t[contact.reshape(n_rows, n).T]).tolist()
+    ids, contact, cross_at = exchanges.ids.tolist(), contact.tolist(), cross_at.tolist()
+    pos, cross = pos.T.tolist(), cross.T.tolist()
+    results = []
+    for r, (strategy, p) in enumerate(rows):
+        first = 0 if strategy == "oracle" else hit_step  # its first turn is step first + 1
+        out = []
+        for e in range(n):
+            lane, seq, grade = r * n + e, seqs[e], None
+            c = contact[lane]
+            if c:
+                q = seq[min(max(c - first, 0), len(seq) - 1)]
+                key = (e, times[c], *pos[lane], q)
+                if key not in graded:
+                    graded[key] = _grade(pos[lane], q, balls[e, c].tolist(), v_in[e][r],
+                                         ideals[e], p.table)
+                grade = graded[key]
+            if grade is None:
+                q = seq[min(max(cross_at[lane] - first, 0), len(seq) - 1)]
+                grade = (False, False, None,
+                         *_pose_errors(RacketPose(Vec3(*cross[lane]), q), ideals[e]))
+            out.append(EpisodeResult(ids[e], strategy, *grade, fallback[lane]))
+        results.append(out)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +589,12 @@ def run_strategy(
     params: SimParams,
     predictors: Optional[Sequence[ShotPredictor]] = None,
     calib: Optional[ConformalCalibration] = None,
-    regions: Optional[Sequence[Sequence[Region]]] = None,
+    regions: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
-    """One row over the exchanges; ``regions``, if given, are each one's at
-    params.lead_time, else one batched forecast makes them all.
+    """One row over the exchanges: the episode engine with one lane per
+    exchange. ``regions``, if given, are the region corners (lo, hi), each
+    (n, len(HORIZONS), 3), at params.lead_time; else one batched forecast
+    makes them.
 
     Time 0 of an episode is the opponent's hit; the robot is live from
     -lead_time. After the hit every strategy tracks the ideal interception
@@ -544,29 +609,16 @@ def run_strategy(
         if predictors is None or calib is None:
             raise ValueError("anticipatory strategy needs predictors and calibration")
         regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
-    return _row(exchanges, strategy, params, regions, *_step_balls(exchanges, params),
-                _ideal_poses(exchanges, params.table))
-
-
-def _ideal_poses(exchanges: Exchanges, table: TableGeometry) -> list[RacketPose]:
-    """Each exchange's ideal interception pose, on its crossing."""
-    return [solve_target_pose(Vec3(*p), Vec3(*v), table) for p, v in
-            zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
-
-
-def _row(exchanges: Exchanges, strategy: str, params: SimParams, regions: Optional[list],
-         times: list, balls: list, ideals: list) -> tuple[ExperimentRow, list[EpisodeResult]]:
-    """``run_strategy``'s row on the exchanges' ``_step_balls`` and ``_ideal_poses``."""
-    regions = regions or [None] * len(exchanges)
-    runs = [_approach(ideal, t, strategy, params, r, times, b)
-            for ideal, t, r, b in zip(ideals, exchanges.crossing_time.tolist(), regions, balls,
-                                      strict=True)]
-    # One velocity call for every row: each row's at its contact step, or
-    # at step 0, unread, without one.
-    v_in = exchanges.outgoing.velocities([[times[run[-1]]] for run in runs])[:, 0].tolist()
-    results = [_outcome(i, strategy, params, ideal, run, b[run[-1]], v if run[-1] else None)
-               for i, ideal, run, b, v in zip(exchanges.ids.tolist(), ideals, runs, balls, v_in)]
+    (results,) = _episodes(exchanges, [(strategy, params)], regions,
+                           _step_balls(exchanges, params), _ideal_poses(exchanges, params.table),
+                           {})
     return _aggregate(results, strategy, params), results
+
+
+def _rows(exchanges: Exchanges, rows: list[tuple[str, SimParams]], *shared) -> list[ExperimentRow]:
+    """The rows of one step grid, their episodes stepped together by ``_episodes``."""
+    return [_aggregate(results, strategy, p)
+            for (strategy, p), results in zip(rows, _episodes(exchanges, rows, *shared))]
 
 
 def _anticipation_inputs(
@@ -602,9 +654,12 @@ def run_experiment(
     The baseline and oracle rows are computed once per configuration axis;
     the anticipatory strategy is recalibrated per lead time (its residual
     distribution depends on how early the forecast is issued) on the same
-    ensemble and calibration split, whose truth is taken once. Every row shares
-    the episodes' ideal poses; the rows at one lead time share one step grid,
-    its ball sample and one batched forecast of each exchange's regions.
+    ensemble and calibration split, whose truth is taken once. Per exchange,
+    every row shares its ideal pose and each distinct contact is graded
+    once. Per lead time, the rows share one step grid, its ball sample and
+    one batched forecast of each exchange's regions, and their episodes run
+    as one set of lanes (row x exchange): the strategy, lam and rest-pose
+    rows at the base lead time, one row at each other lead time.
     """
     if n_episodes < 1:
         raise EmptyDataset(f"need at least one episode, got {n_episodes}")
@@ -615,19 +670,20 @@ def run_experiment(
     forecast = forecast_split(predictors, cal, HORIZONS, base_params.lead_time)
     calib = calibrate_ensemble(forecast, base_params.alpha)
     regions = split_regions(predictors, calib, exchanges, HORIZONS, base_params.lead_time)
-    grid, ideals = _step_balls(exchanges, base_params), _ideal_poses(exchanges, base_params.table)
-    rows = [_row(exchanges, s, base_params, regions, *grid, ideals)[0] for s in STRATEGIES]
-    rows += [_row(exchanges, "anticipatory", replace(base_params, lam=lam), regions, *grid,
-                  ideals)[0] for lam in lams if lam != base_params.lam]
-
+    ideals, graded = _ideal_poses(exchanges, base_params.table), {}
+    base = [(s, base_params) for s in STRATEGIES]
+    base += [("anticipatory", replace(base_params, lam=lam)) for lam in lams
+             if lam != base_params.lam]
     if centrals is None:
         mean_hit_y = float(np.mean(exchanges.crossing_pos[:, 1]))
         mean_hit_z = float(np.mean(exchanges.crossing_pos[:, 2]))
         centrals = [Vec3(-1.5, mean_hit_y, mean_hit_z)]
-    # The rest-pose rows, listed last, run first: one step grid is alive at a time.
-    rest = [_row(exchanges, "anticipatory", replace(base_params, central=c), regions, *grid,
-                 ideals)[0] for c in centrals if not (c - base_params.central).norm() < 1e-12]
-    del grid
+    # The rest-pose rows, listed last, step with the base rows on their grid.
+    rest = [("anticipatory", replace(base_params, central=c)) for c in centrals
+            if not (c - base_params.central).norm() < 1e-12]
+    rows = _rows(exchanges, base + rest, regions, _step_balls(exchanges, base_params), ideals,
+                 graded)
+    rows, rest_rows = rows[:len(base)], rows[len(base):]
 
     for lt in lead_times:
         if lt == base_params.lead_time:
@@ -637,9 +693,9 @@ def run_experiment(
         mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lt)
         calib_lt = calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), p.alpha)
         regions_lt = split_regions(predictors, calib_lt, exchanges, HORIZONS, lt)
-        rows.append(_row(exchanges, "anticipatory", p, regions_lt, *_step_balls(exchanges, p),
-                         ideals)[0])
-    return rows + rest
+        rows += _rows(exchanges, [("anticipatory", p)], regions_lt, _step_balls(exchanges, p),
+                      ideals, graded)
+    return rows + rest_rows
 
 
 def write_results(path: str, rows: Sequence[ExperimentRow], seed: int) -> None:

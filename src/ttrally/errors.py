@@ -112,10 +112,6 @@ class SplitLeakage(TTRallyError):
 
 # -- control ----------------------------------------------------------------
 
-class NoFeasibleTime(TTRallyError):
-    """No horizon whose confidence region fits inside the reachable set."""
-
-
 class NoContact(TTRallyError):
     """Ball is not moving into the racket face."""
 

@@ -1,7 +1,9 @@
+import functools
 import math
 import sys
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,10 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation, Slerp
 
+import scalar_episode
+from scalar_episode import (NoFeasibleTime, as_regions, clamp, contains_box,
+                            farthest_corner_distance, point_segment_distance, reachable_covers,
+                            select_preposition, select_target_time)
 from scalar_flight import trajectory_of
 from ttrally import anticipate, control, synth
 from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
@@ -23,21 +29,17 @@ from ttrally.control import (
     RacketPose,
     SimParams,
     aim_point,
-    farthest_corner_distance,
     landing_after_reflection,
     prepare_anticipation,
     racket_reflect,
-    reachable_covers,
     run_experiment,
     run_strategy,
-    select_preposition,
-    select_target_time,
     solve_target_pose,
     step_robot,
     write_results,
 )
 from ttrally.core import TableGeometry, Vec3
-from ttrally.errors import EmptyDataset, Infeasible, NoContact, NoFeasibleTime
+from ttrally.errors import EmptyDataset, Infeasible, NoContact
 from ttrally.synth import MAX_LEAD_TIME, ExchangeSample, context_mask, generate_exchanges
 
 TABLE = TableGeometry()
@@ -66,9 +68,9 @@ def test_box_contains_and_clamp():
     box = Box(Vec3(0, 0, 0), Vec3(1, 2, 3))
     assert box.contains(Vec3(0.5, 1.0, 1.5))
     assert not box.contains(Vec3(1.5, 1.0, 1.5))
-    assert box.contains_box(Vec3(0.1, 0.1, 0.1), Vec3(0.9, 1.9, 2.9))
-    assert not box.contains_box(Vec3(0.1, 0.1, 0.1), Vec3(1.1, 1.9, 2.9))
-    clamped = box.clamp(Vec3(-1.0, 5.0, 1.5))
+    assert contains_box(box, Vec3(0.1, 0.1, 0.1), Vec3(0.9, 1.9, 2.9))
+    assert not contains_box(box, Vec3(0.1, 0.1, 0.1), Vec3(1.1, 1.9, 2.9))
+    clamped = clamp(box, Vec3(-1.0, 5.0, 1.5))
     assert clamped == Vec3(0.0, 2.0, 1.5)
 
 
@@ -122,8 +124,8 @@ def test_farthest_corner_distance_keeps_every_reachability_decision():
     for lead_time in (0.1, 0.2, 0.4):
         predictors, calib = prepare_anticipation(30, replace(params, lead_time=lead_time), 60)
         for seed in range(30, 42):
-            rows = split_regions(predictors, calib, generate_exchanges(seed, 60), HORIZONS,
-                                 lead_time)
+            rows = as_regions(*split_regions(predictors, calib, generate_exchanges(seed, 60),
+                                             HORIZONS, lead_time), HORIZONS)
             for region in (r for row in rows for r in row):
                 got = farthest_corner_distance(region, params.central)
                 want = _numpy_farthest_corner_distance(region, params.central)
@@ -183,7 +185,7 @@ def test_lam_one_is_the_central_pose_clamped(central, lo, size):
     central = Vec3(*central)
     region = _region(lo, tuple(a + s for a, s in zip(lo, size)))
     got = select_preposition(region, central, 1.0, WORKSPACE)
-    assert got == WORKSPACE.clamp(Box(region.lo, region.hi).clamp(central))
+    assert got == clamp(WORKSPACE, clamp(Box(region.lo, region.hi), central))
     assert (got == central) == region.contains(central)
 
 
@@ -612,7 +614,7 @@ def _stepwise_episode(one, strategy, params, predictors=None, calib=None):
         if t - dt <= ex.crossing_time <= t:
             pose_at_crossing = pose
         if t > 0 and not contacted:
-            d = control._point_segment_distance(
+            d = point_segment_distance(
                 (pose.position.x, pose.position.y, pose.position.z),
                 (prev_ball.x, prev_ball.y, prev_ball.z), (ball.x, ball.y, ball.z))
             if d <= control.RACKET_RADIUS:
@@ -652,11 +654,11 @@ def test_run_episode_equals_the_stepwise_loop(lead_time, monkeypatch):
     predictors, calib = prepare_anticipation(11, params, n_cal=60)
     narrow = replace(params, workspace=Box(Vec3(-1.9, -0.05, 1.0), Vec3(-1.45, 0.05, 1.1)))
     reached = dict(contact=0, clamp=0, no_contact=0)
-    step, free = control._step, ((-math.inf,) * 3, (math.inf,) * 3)
+    free = Box(Vec3(-math.inf, -math.inf, -math.inf), Vec3(math.inf, math.inf, math.inf))
 
-    def clamp_counting(p, q, target_p, target_q, *rest):
-        out = step(p, q, target_p, target_q, *rest)
-        reached["clamp"] += out[0] != step(p, q, target_p, target_q, *rest[:2], *free)[0]
+    def clamp_counting(pose, target, *rest, step=step_robot):
+        out = step(pose, target, *rest)
+        reached["clamp"] += out.position != step(pose, target, *rest[:-1], free).position
         return out
 
     def no_contact(v, normal):
@@ -672,7 +674,7 @@ def test_run_episode_equals_the_stepwise_loop(lead_time, monkeypatch):
 
     compare(params)
     assert reached["contact"] > 0  # the contact branch ran
-    monkeypatch.setattr(control, "_step", clamp_counting)
+    monkeypatch.setattr(sys.modules[__name__], "step_robot", clamp_counting)
     compare(narrow)
     assert reached["clamp"] > 0  # the workspace clamp moved a stepped position
     monkeypatch.setattr(control, "racket_reflect", no_contact)
@@ -684,16 +686,17 @@ def test_run_episode_equals_the_stepwise_loop(lead_time, monkeypatch):
 
 def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
     # Before the opponent's hit the robot may act only on the context: moving
-    # the true crossing must leave every target it is sent while t < 0 as it was.
+    # the true crossing must leave every position target it is sent while
+    # t < 0 as it was. (Only the oracle turns before the hit.)
     params = SimParams()
     predictors, calib = prepare_anticipation(11, params, n_cal=60)
     pre_hit, t = 0, -params.lead_time  # the steps that start before the hit
     while t < 0:
         pre_hit, t = pre_hit + 1, t + params.dt
-    targets = []  # (position, quaternion) sent to each float step, in order
-    step = control._step
-    monkeypatch.setattr(control, "_step", lambda p, q, target_p, target_q, *rest:
-                        targets.append((target_p, target_q)) or step(p, q, target_p, target_q, *rest))
+    targets = []  # the position target of the row's one lane at each step, in order
+    move = control._move
+    monkeypatch.setattr(control, "_move", lambda pos, target, *rest:
+                        targets.append(tuple(target[:, 0])) or move(pos, target, *rest))
 
     def pre_hit_targets(one, strategy):
         targets.clear()
@@ -716,9 +719,10 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
 
 
 def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
-    # Episodes step on floats: a row builds about 21-25 RacketPose and Vec3
-    # objects per episode, for the outcome, whatever its number of steps. One
-    # pose per step would make about 140 per episode at dt = 0.01.
+    # Episodes step as array lanes: a row builds about 22-26 RacketPose and
+    # Vec3 objects per episode, for its ideal pose and outcome (most in the
+    # landing search), whatever its number of steps. One pose per step would
+    # make about 140 per episode at dt = 0.01.
     exchanges = generate_exchanges(5, 20)
     built = Counter()
     for cls in (RacketPose, Vec3):
@@ -732,7 +736,7 @@ def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
             built.clear()
             _, results = run_strategy(exchanges, strategy, params, regions=regions)
             assert any(r.contacted for r in results)
-            assert sum(built.values()) <= 40 * len(exchanges), (dt, strategy, built)
+            assert sum(built.values()) <= 30 * len(exchanges), (dt, strategy, built)
 
 
 def test_an_empty_row_or_experiment_raises_empty_dataset():
@@ -752,33 +756,29 @@ def row_exchanges():
 def test_row_regions_equal_the_single_context_regions(sim_setup, row_exchanges, n, lead_time):
     _, _, predictors, calib = sim_setup
     exchanges = row_exchanges[:n]
-    rows = split_regions(predictors, calib, exchanges, HORIZONS, lead_time)
-    assert len(rows) == n
-    for ex, regions in zip(exchanges, rows):
+    lo, hi = split_regions(predictors, calib, exchanges, HORIZONS, lead_time)
+    assert lo.shape == hi.shape == (n, len(HORIZONS), 3)
+    for ex, row_lo, row_hi in zip(exchanges, lo, hi):
         want = build_regions(predictors, calib, _window(ex, lead_time), HORIZONS)
-        assert len(regions) == len(want) == len(HORIZONS)
-        for got, region in zip(regions, want):
-            assert got.horizon == region.horizon
-            for corner in ("lo", "hi", "mean"):
-                assert (getattr(got, corner).as_array().tobytes()
-                        == getattr(region, corner).as_array().tobytes())
+        assert [region.horizon for region in want] == list(HORIZONS)
+        for got, corner in ((row_lo, "lo"), (row_hi, "hi")):
+            assert got.tobytes() == np.array([getattr(region, corner).as_array()
+                                              for region in want]).tobytes()
 
 
 @pytest.mark.parametrize("lead_time", [0.0, 0.1, 0.4])
 def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
     params = SimParams(lead_time=lead_time)
     exchanges = row_exchanges[:12]
-    times, balls = control._step_balls(exchanges, params)
-    ends = set()
-    for ex, got in zip(exchanges, balls, strict=True):
+    times, balls, ends = control._step_balls(exchanges, params)
+    for ex, got, end in zip(exchanges, balls, ends, strict=True):
         own = [-lead_time]  # the clock one episode of its own would step
         while own[-1] < ex.crossing_time + 0.15:
             own.append(own[-1] + params.dt)
-        assert times[:len(own)] == own
-        assert np.array(got).tobytes() == np.array([ex.truth_at(t).as_array()
-                                                     for t in own]).tobytes()
-        ends.add(len(own))
-    assert len(ends) > 1  # the exchanges read prefixes of different lengths
+        assert times[:len(own)] == own and end == len(own)
+        assert got[:end].tobytes() == np.array([ex.truth_at(t).as_array()
+                                                for t in own]).tobytes()
+    assert len(set(ends.tolist())) > 1  # the exchanges read prefixes of different lengths
 
 
 @pytest.mark.parametrize("strategy", control.STRATEGIES)
@@ -788,12 +788,15 @@ def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
     ones = _ones(exchanges)
     assert results == [run_strategy(one, strategy, params, predictors, calib)[1][0]
                        for one in ones]
-    regions = [build_regions(predictors, calib, _window(ex, params.lead_time), HORIZONS)
-               for ex in exchanges]
-    _, given_regions = run_strategy(exchanges, strategy, params, regions=regions)
+    built = [build_regions(predictors, calib, _window(ex, params.lead_time), HORIZONS)
+             for ex in exchanges]
+    lo, hi = (np.array([[getattr(r, corner).as_array() for r in regions] for regions in built])
+              for corner in ("lo", "hi"))
+    _, given_regions = run_strategy(exchanges, strategy, params, regions=(lo, hi))
     assert given_regions == results
-    assert given_regions == [run_strategy(one, strategy, params, regions=[r])[1][0]
-                             for one, r in zip(ones, regions)]
+    assert given_regions == [run_strategy(one, strategy, params,
+                                          regions=(lo[i:i + 1], hi[i:i + 1]))[1][0]
+                             for i, one in enumerate(ones)]
 
 
 def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(monkeypatch):
@@ -856,3 +859,154 @@ def test_experiment_rows_equal_independent_strategy_rows(seed, centrals):
     want += [run_strategy(exchanges, "anticipatory", replace(base, central=c), regions=regions)[0]
              for c in centrals if c != base.central]
     assert repr(rows) == repr(want)  # repr: a row without returns holds a NaN deviation
+
+
+# The lane engine against the scalar episodes of tests/scalar_episode.py.
+
+NARROW = Box(Vec3(-1.9, -0.05, 1.0), Vec3(-1.45, 0.05, 1.1))  # the central pose, no crossing
+
+
+@functools.cache
+def _calibration(lead_time):
+    return prepare_anticipation(11, SimParams(lead_time=lead_time), n_cal=60)
+
+
+def _snapped(exchanges, params):
+    """The exchanges with each crossing time moved onto its nearest step time."""
+    times = [-params.lead_time]
+    while times[-1] < exchanges.crossing_time.max() + 0.2:
+        times.append(times[-1] + params.dt)
+    t = np.array(times)
+    return replace(exchanges, crossing_time=t[np.abs(t[:, None] - exchanges.crossing_time)
+                                              .argmin(axis=0)])
+
+
+def _never_reflects(v, normal):
+    raise NoContact("the racket never reflects")
+
+
+def _lanes_against_scalar(exchanges, rows, reflects=True):
+    """Run ``rows`` as one lane set and each row on the scalar episodes,
+    assert that both give the same results and rows, and return the lanes'."""
+    params = rows[0][1]
+    regions = split_regions(*_calibration(params.lead_time), exchanges, HORIZONS,
+                            params.lead_time)
+    with (mock.patch.object(control, "racket_reflect", racket_reflect if reflects
+                            else _never_reflects),
+          mock.patch.object(scalar_episode, "racket_reflect", racket_reflect if reflects
+                            else _never_reflects)):
+        got = control._episodes(exchanges, rows, regions, control._step_balls(exchanges, params),
+                                control._ideal_poses(exchanges, params.table), {})
+        for (strategy, p), results in zip(rows, got, strict=True):
+            want_row, want = scalar_episode.row(exchanges, strategy, p,
+                                                as_regions(*regions, HORIZONS))
+            assert repr(results) == repr(want)
+            assert repr(control._aggregate(results, strategy, p)) == repr(want_row)
+    return got
+
+
+def _rows_of(params, lams=(), centrals=()):
+    """The strategy rows, lam rows and (strategy, rest pose) rows of one lane set."""
+    return ([(s, params) for s in control.STRATEGIES]
+            + [("anticipatory", replace(params, lam=lam)) for lam in lams]
+            + [(s, replace(params, central=c)) for s, c in centrals])
+
+
+fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 5), dt=st.sampled_from([0.01, 0.0025]),
+       lead_time=st.sampled_from([0.0, 0.1, 0.4]), narrow=st.booleans(), snap=st.booleans(),
+       reflects=st.booleans(), lams=st.lists(st.floats(0.0, 1.0), max_size=2),
+       centrals=st.lists(st.tuples(st.sampled_from(control.STRATEGIES), fractions), max_size=2),
+       turn_deg=st.sampled_from([720.0, 30.0]))
+def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_time, narrow, snap, reflects, lams,
+                                         centrals, turn_deg):
+    # At 30 deg/s the racket is still turning at most contacts (5-21 deg from
+    # IDENTITY to the ideal orientation, about 0.25 s after the hit).
+    workspace = NARROW if narrow else WORKSPACE
+    params = SimParams(workspace=workspace, dt=dt, lead_time=lead_time,
+                       omega_max=math.radians(turn_deg))
+    lo, hi = (workspace.lo.as_array(), workspace.hi.as_array())
+    rests = [(s, Vec3(*(lo + np.array(f) * (hi - lo)).tolist())) for s, f in centrals]
+    exchanges = generate_exchanges(seed, n)
+    if snap:
+        exchanges = _snapped(exchanges, params)
+    try:
+        control._ideal_poses(exchanges, params.table)
+    except Infeasible:
+        return
+    _lanes_against_scalar(exchanges, _rows_of(params, lams, rests), reflects)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.0025])
+def test_lanes_cover_fallbacks_misses_and_crossings_on_a_step(dt):
+    # The cases the lanes must get right beside a plain contact: an
+    # anticipatory fallback, a lane without contact (the narrow workspace
+    # reaches no crossing), a contact step whose racket does not reflect, and
+    # a crossing exactly on a step time, where the later of two qualifying
+    # steps gives the crossing pose.
+    seen = Counter()
+    for lead_time, workspace, reflects in ((0.0, WORKSPACE, True), (0.4, NARROW, True),
+                                           (0.1, WORKSPACE, False)):
+        params = SimParams(workspace=workspace, dt=dt, lead_time=lead_time,
+                           omega_max=math.radians(30.0))
+        exchanges = _snapped(generate_exchanges(12, 12), params)
+        rows = _rows_of(params, (0.0, 1.0), [("baseline", Vec3(-1.6, 0.02, 1.08))])
+        got = _lanes_against_scalar(exchanges, rows, reflects)
+        times = np.array(control._step_balls(exchanges, params)[0])
+        ct = exchanges.crossing_time[:, None]
+        twice = ((times[1:] - dt <= ct) & (ct <= times[1:])).sum(axis=1) == 2
+        for results in got:
+            seen["fallback"] += sum(r.fallback for r in results)
+            seen["no contact"] += sum(not r.contacted for r in results)
+            seen["crossing read on a step"] += sum(not r.contacted and two
+                                                   for r, two in zip(results, twice))
+        seen["contact"] += sum(r.contacted for results in got for r in results)
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+def test_skipped_contact_tests_are_beyond_the_racket():
+    # A step's contact test is skipped where the ball's segment lies beyond
+    # the workspace's largest x by more than the racket radius. Sampling each
+    # skipped segment densely bounds its distance to the workspace box from
+    # below (distance is 1-Lipschitz along the segment).
+    skipped = total = 0
+    for lead_time, workspace in ((0.0, WORKSPACE), (0.4, NARROW)):
+        params = SimParams(workspace=workspace, lead_time=lead_time)
+        _, balls, _ = control._step_balls(generate_exchanges(13, 20), params)
+        possible = control._contact_possible(balls, workspace.hi.x)
+        e, i = np.nonzero(~possible)
+        a, b = balls[e, i], balls[e, i + 1]
+        s = np.linspace(0.0, 1.0, 65)[:, None, None]
+        points = a + s * (b - a)
+        inside = np.clip(points, workspace.lo.as_array(), workspace.hi.as_array())
+        gap = (np.linalg.norm(points - inside, axis=2).min(axis=0)
+               - np.linalg.norm(b - a, axis=1) / 128)
+        assert (gap > control.RACKET_RADIUS).all()
+        skipped, total = skipped + len(e), total + possible.size
+    assert skipped > total / 2  # the bound skips most tests
+
+
+def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
+    # Over seeds 11-18 the rows of an experiment make 1,129 contacts at 482
+    # distinct (exchange, time, pose) keys, and the landing search runs once
+    # per key. Grading every contact afresh gives the same rows.
+    landings, contacts = [], Counter()
+    landing, aggregate, episodes = DragFlight.landing, control._aggregate, control._episodes
+    monkeypatch.setattr(DragFlight, "landing",
+                        lambda self, z: landings.append(1) or landing(self, z))
+    monkeypatch.setattr(control, "_aggregate", lambda results, *rest: contacts.update(
+        contacted=sum(r.contacted for r in results)) or aggregate(results, *rest))
+    rows = [run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]
+    assert (len(landings), contacts["contacted"]) == (482, 1129)
+
+    class Forgetful(dict):
+        def __contains__(self, key):
+            return False
+
+    monkeypatch.setattr(control, "_episodes", lambda *args: episodes(*args[:-1], Forgetful()))
+    landings.clear()
+    assert repr([run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]) == repr(rows)
+    assert len(landings) > 1000
