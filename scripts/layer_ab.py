@@ -12,6 +12,8 @@ gives each side's median and quartiles over the pairs, the median over
 pairs of A / B (above 1 when B is faster) and how many pairs B won.
 
 Layers:
+  generate     synth.generate_exchanges(1, 8000), the size of a benchmark
+               study's calibration split
   positions    Chains.positions on one forecast chunk: the 320 chains
                (FORECAST_CHUNK exchanges x 5 members) at control.HORIZONS
   forecast     forecast_ensemble over 600 exchanges at control.HORIZONS
@@ -39,7 +41,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-LAYERS = ("positions", "forecast", "experiment", "episodes", "study", "regions_p50")
+LAYERS = ("generate", "positions", "forecast", "experiment", "episodes", "study", "regions_p50")
 
 
 def _timed(call, reps: int) -> list[float]:
@@ -59,6 +61,8 @@ def _worker(layer: str) -> float:
     from ttrally import anticipate, ball, control, synth
 
     predictors = anticipate.physics_baseline_ensemble(1, 5)
+    if layer == "generate":
+        return min(_timed(lambda: synth.generate_exchanges(1, 8000), 10)) * 1e3
     if layer == "positions":
         exchanges = synth.generate_exchanges(1, anticipate.FORECAST_CHUNK)
         seen, positions = [], ball.Chains.positions

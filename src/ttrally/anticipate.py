@@ -99,15 +99,15 @@ def _context_arrays(contexts: Sequence[ContextWindow]) -> tuple[np.ndarray, np.n
 
 def _exchange_arrays(exchanges: Exchanges, lead_time: float) -> tuple[np.ndarray, np.ndarray]:
     """_context_arrays of every exchange's context frames up to -lead_time
-    (``context_mask``), read straight from the batch: no frame is built.
-    Context times increase, so the frames a lead time keeps are a prefix."""
+    (``context_mask``), from the incoming ball at the last two of them: no
+    frame is built. Context times increase, so the frames a lead time keeps
+    are a prefix."""
     last = int(context_mask(CONTEXT_TIMES, -lead_time).sum()) - 1
     if last < 1:
         raise InputMismatch("context needs at least two frames")
-    balls = exchanges.context_balls
-    hit = _hit_estimate(balls[:, last - 1], balls[:, last],
-                        CONTEXT_TIMES[last - 1], CONTEXT_TIMES[last])
-    return hit, exchanges.opp_root_y
+    times = CONTEXT_TIMES[last - 1:last + 1]
+    balls = exchanges.incoming.positions(times)
+    return _hit_estimate(balls[:, 0], balls[:, 1], *times), exchanges.opp_root_y
 
 
 @dataclass
@@ -218,10 +218,10 @@ def forecast_ensemble(
     """The ensemble mean and sigma, each (n_exchanges, n_horizons, 3), of a
     forecast issued ``lead_time`` before each hit (0 keeps the full context)."""
     hs = np.asarray(horizons, dtype=float)
+    hit, root_y = _exchange_arrays(exchanges, lead_time)
     mean, sigma = (np.empty((len(exchanges), len(hs), 3)) for _ in range(2))
     for rows in _chunks(len(exchanges)):
-        mean[rows], sigma[rows] = _ensemble(
-            predictors, *_exchange_arrays(exchanges[rows], lead_time), hs)
+        mean[rows], sigma[rows] = _ensemble(predictors, hit[rows], root_y[rows], hs)
     return mean, sigma
 
 
@@ -287,16 +287,6 @@ class Region:
     lo: Vec3
     hi: Vec3
     mean: Vec3
-
-    def contains(self, p: Vec3) -> bool:
-        return (
-            self.lo.x <= p.x <= self.hi.x
-            and self.lo.y <= p.y <= self.hi.y
-            and self.lo.z <= p.z <= self.hi.z
-        )
-
-    def center(self) -> Vec3:
-        return (self.lo + self.hi) * 0.5
 
 
 def calibrate_ensemble(forecast: SplitForecast, alpha: float) -> ConformalCalibration:

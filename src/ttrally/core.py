@@ -8,7 +8,7 @@ each player's hitting plane is the yz-plane at x = +/- length_x / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,10 +79,6 @@ class TableGeometry:
     def half_width(self) -> float:
         return self.width_y / 2.0
 
-    def hitting_plane_x(self, player: int) -> float:
-        """x-offset of a player's hitting plane (player 0 at -x, 1 at +x)."""
-        return -self.half_length if player == 0 else self.half_length
-
     def net_midpoints(self) -> tuple[Vec3, Vec3]:
         """Net intersections with the near (-y) and far (+y) table edges."""
         return (
@@ -138,7 +134,6 @@ class DatasetStats:
     speed_p10: float
     speed_p90: float
     mean_inter_hit_time: float
-    crossing_y: dict[int, list[float]] = field(default_factory=dict)
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
@@ -151,21 +146,19 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
 def dataset_stats(
     points: Sequence[Point], table: TableGeometry = TableGeometry()
 ) -> DatasetStats:
-    """Speed, inter-hit timing, and hitting-plane crossing statistics.
+    """Speed and inter-hit timing statistics.
 
     Speeds are finite-difference magnitudes between consecutive frames, each
     over the time between their frame indices (a reconstruction leaves out
     frames it could not position). Points without frames are skipped.
-    Hitting-plane crossings use linear interpolation between the two frames
-    straddling x = +/- length_x / 2 (the source footage frame rate is high
-    relative to trajectory curvature, so linear is adequate).
+    No statistic depends on ``table``; it stays for the callers that pass
+    the reconstruction's.
     """
     if not points:
         raise EmptyDataset("no points")
 
     speeds: list[float] = []
     inter_hit: list[float] = []
-    crossing_y: dict[int, list[float]] = {0: [], 1: []}
 
     for point in points:
         if not point.frames:
@@ -177,15 +170,6 @@ def dataset_stats(
         speeds.extend(step.tolist())
         for a, b in zip(point.hits, point.hits[1:]):
             inter_hit.append((b - a) * dt)
-        for player in (0, 1):
-            x_plane = table.hitting_plane_x(player)
-            x = balls[:, 0]
-            for i in range(len(x) - 1):
-                lo, hi = x[i], x[i + 1]
-                if (lo - x_plane) * (hi - x_plane) < 0:
-                    frac = (x_plane - lo) / (hi - lo)
-                    y = balls[i, 1] + frac * (balls[i + 1, 1] - balls[i, 1])
-                    crossing_y[player].append(float(y))
 
     if not speeds:
         raise EmptyDataset("points contain no frame pairs")
@@ -195,5 +179,4 @@ def dataset_stats(
         speed_p10=_nearest_rank(sorted_speeds, 10.0),
         speed_p90=_nearest_rank(sorted_speeds, 90.0),
         mean_inter_hit_time=float(np.mean(inter_hit)) if inter_hit else float("nan"),
-        crossing_y=crossing_y,
     )

@@ -553,7 +553,6 @@ def reconstruct_point(
     track: TrackFile,
     table: TableGeometry = TableGeometry(),
     point_id: int = 0,
-    partition: str = "",
     mse_threshold: Optional[float] = None,
 ) -> tuple[Reconstruction, ReconstructedPoint]:
     """Full reconstruction of one point from a validated track file.
@@ -608,7 +607,6 @@ def reconstruct_point(
         hits=list(hits),
         bounces=recon_traj.bounces,
         pieces=recon_traj.pieces,
-        partition=partition,
         entity_complete=bool(posed.all()) and not any(
             np.isnan(a).any() for a in (track.ball, track.keypoints, track.rackets)),
     )

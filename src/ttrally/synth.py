@@ -333,18 +333,15 @@ def context_mask(times: np.ndarray, t_rel_hit: float) -> np.ndarray:
 class Exchanges:
     """n synthetic exchanges as arrays, row i being exchange ``ids[i]``.
 
-    Time zero of a row is the opponent's hit. Every row's context is
-    sampled at the shared CONTEXT_TIMES (negative). A slice is the batch of
-    those rows, on views of these arrays; an integer index, or iteration,
-    gives ExchangeSample row views.
+    Time zero of a row is the opponent's hit. A row's context is its incoming
+    ball at the shared CONTEXT_TIMES (negative), sampled when read. A slice
+    is the batch of those rows, on views of these arrays; an integer index,
+    or iteration, gives ExchangeSample row views.
     """
 
     ids: np.ndarray  # (n,)
-    context_balls: np.ndarray  # (n, m, 3): the ball at each context time
-    context_hands: np.ndarray  # (n, m, 3): the opponent's racket hand at each context time
-    incoming: Chains  # the ball up to the opponent's hit
+    incoming: Chains  # the ball up to the opponent's hit, its last end anchor
     outgoing: Chains  # the opponent's return from the hit on
-    hit_pos: np.ndarray  # (n, 3)
     crossing_time: np.ndarray  # (n,): when the return crosses the ego hitting plane
     crossing_pos: np.ndarray  # (n, 3)
     crossing_vel: np.ndarray  # (n, 3)
@@ -380,16 +377,19 @@ class ExchangeSample:
 
     @property
     def context(self) -> list[Frame3D]:
-        """Every context frame, built on each read: the ball, and the
-        opponent standing at its root y with the racket hand easing toward
-        the hit."""
+        """Every context frame, built on each read: the incoming ball, and
+        the opponent standing at its root y with the racket hand easing from
+        rest to the hit."""
         hl, y = TABLE.half_length, float(self.batch.opp_root_y[self.row])
         root_x = hl + 0.55
         hip = Vec3(root_x, y, 0.95)
         ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
         ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
-        balls = self.batch.context_balls[self.row].tolist()
-        hands = self.batch.context_hands[self.row].tolist()
+        incoming = self._chains[0]
+        balls = incoming.positions(CONTEXT_TIMES)[0].tolist()
+        rest = np.array([hl + 0.6, y, 1.0])
+        approach = _eased(1.0 + CONTEXT_TIMES / CONTEXT_S)[:, None]
+        hands = (rest + (incoming.bT[0, -1] - rest) * approach).tolist()
         return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
                 for j, (ball, hand) in enumerate(zip(balls, hands))]
 
@@ -526,17 +526,10 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> Exchanges:
     outgoing, t_cross = return_shots(np.full(n, hl), np.full(n, h), hit, x_bounce, y_cross,
                                      z_cross, np.clip(speed, *SHOT_SPEED_CLIP), k1, k2)
 
-    # Context strictly before the hit: the incoming ball, and the opponent's
-    # hand easing from rest to the contact point.
-    approach = _eased(1.0 + CONTEXT_TIMES / CONTEXT_S)
-    rest = np.column_stack([np.full(n, hl + 0.6), opp_root_y, np.ones(n)])
     return Exchanges(
         ids=np.arange(id_offset, id_offset + n),
-        context_balls=incoming.positions(CONTEXT_TIMES),
-        context_hands=rest[:, None] + (hit - rest)[:, None] * approach[:, None],
         incoming=incoming,
         outgoing=outgoing,
-        hit_pos=hit,
         crossing_time=t_cross,
         crossing_pos=outgoing.positions(t_cross[:, None])[:, 0],
         crossing_vel=outgoing.velocities(t_cross[:, None])[:, 0],

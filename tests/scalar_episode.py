@@ -78,7 +78,7 @@ def select_target_time(regions: Sequence[Region], p: Vec3, workspace: Box, v_max
 def select_preposition(region: Region, central: Vec3, lam: float, workspace: Box) -> Vec3:
     """The blend of the central pose and the region centroid, clamped into the
     region box and then into the workspace."""
-    blend = central * lam + region.center() * (1.0 - lam)
+    blend = central * lam + (region.lo + region.hi) * 0.5 * (1.0 - lam)
     return clamp(workspace, clamp(Box(lo=region.lo, hi=region.hi), blend))
 
 

@@ -168,7 +168,7 @@ def test_select_preposition_blend_endpoints():
     # lam = 0 commits to the centroid; lam = 1 clamps the central pose into
     # the region box (central x is outside it).
     assert (select_preposition(region, central, 0.0, WORKSPACE)
-            - region.center()).norm() < 1e-12
+            - (region.lo + region.hi) * 0.5).norm() < 1e-12
     at_central = select_preposition(region, central, 1.0, WORKSPACE)
     assert at_central == Vec3(-1.6, 0.0, 1.05)
     mid = select_preposition(region, central, 0.5, WORKSPACE)
@@ -186,7 +186,7 @@ def test_lam_one_is_the_central_pose_clamped(central, lo, size):
     region = _region(lo, tuple(a + s for a, s in zip(lo, size)))
     got = select_preposition(region, central, 1.0, WORKSPACE)
     assert got == clamp(WORKSPACE, clamp(Box(region.lo, region.hi), central))
-    assert (got == central) == region.contains(central)
+    assert (got == central) == all(a <= c <= b for a, c, b in zip(region.lo, central, region.hi))
 
 
 def test_step_robot_limits_speed_and_turn():

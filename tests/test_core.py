@@ -37,8 +37,6 @@ def test_table_dimensions():
     assert t.length_x == 2.74
     assert t.width_y == 1.525
     assert t.height_z == 0.76
-    assert t.hitting_plane_x(0) == -1.37
-    assert t.hitting_plane_x(1) == 1.37
 
 
 def test_table_keypoints():
@@ -80,11 +78,6 @@ def test_dataset_stats_oracle():
     assert stats.mean_speed == pytest.approx(6.0)
     assert stats.speed_p10 == pytest.approx(6.0)
     assert stats.mean_inter_hit_time == pytest.approx(0.5)
-    # Crossing of x = -1.37 happens between samples; linear interpolation
-    # puts it at y = 0 exactly, once for player 0 only.
-    assert len(stats.crossing_y[0]) == 1
-    assert stats.crossing_y[0][0] == pytest.approx(0.0)
-    assert stats.crossing_y[1] == []
 
 
 def test_dataset_stats_percentile_matches_nearest_rank_oracle():

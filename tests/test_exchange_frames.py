@@ -1,4 +1,4 @@
-"""Exchanges hold their context as array rows and build frames only when read.
+"""Exchanges hold their flights and build context frames only when read.
 
 The batch path (generation, forecast_split, the conformal study and the
 returner experiment) must build no Frame3D, no ContextWindow, no
@@ -9,6 +9,7 @@ eagerly, and the batch forecast must read the frames a lead time's
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def test_the_drivers_build_no_row_view(constructed):
     assert constructed["ExchangeSample"] == 1 and constructed["one-row Chains"] == 2
 
 
+def test_a_batch_keeps_no_context_column():
+    # A row view samples its context from the incoming chain when read, so a
+    # batch holds its flights and crossings only: two (30, 3) context columns
+    # alone would take 1,440 B an exchange.
+    tracemalloc.start()
+    try:
+        exchanges = generate_exchanges(3, 4000)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / len(exchanges) < 600
+
+
 def _ease(u):
     """The scalar cosine easing those frames were built with."""
     return 0.5 - 0.5 * math.cos(math.pi * min(max(u, 0.0), 1.0))
@@ -78,13 +92,14 @@ def _ease(u):
 
 def _eager_context(exchanges, i):
     """The frames generate_exchanges built for every exchange before its
-    context became array rows: that construction, copied, on row i."""
+    context became array rows: that construction, copied, on row i, with the
+    hit read as its incoming chain's end."""
     hl = TABLE.half_length
     balls = exchanges.incoming[i:i + 1].positions(CONTEXT_TIMES)[0]
     approach = np.array([_ease(1.0 + t / CONTEXT_S) for t in CONTEXT_TIMES.tolist()])
     y = float(exchanges.opp_root_y[i])
     rest = np.array([hl + 0.6, y, 1.0])
-    hands = rest[None] + (exchanges.hit_pos[i] - rest)[None] * approach[:, None]
+    hands = rest[None] + (exchanges.incoming.bT[i, -1] - rest)[None] * approach[:, None]
     root_x = hl + 0.55
     ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
     hip = Vec3(root_x, y, 0.95)

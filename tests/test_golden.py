@@ -150,7 +150,7 @@ def _exchange_digest(exchanges) -> str:
     """sha256 over each exchange's context times and balls, root y, hit,
     crossing, and truth at TRUTH_TIMES, as float64 bytes."""
     h = hashlib.sha256()
-    for ex, hit, root_y in zip(exchanges, exchanges.hit_pos.tolist(),
+    for ex, hit, root_y in zip(exchanges, exchanges.incoming.bT[:, -1].tolist(),
                                exchanges.opp_root_y.tolist()):
         points = [f.ball_world for f in ex.context]
         points += [Vec3(*hit), ex.crossing_pos, ex.crossing_vel]

@@ -400,7 +400,8 @@ def test_generate_exchange_consistency():
     for f, want in zip(ex.context, incoming):
         assert np.linalg.norm(f.ball_world.as_array() - want) < 1e-9
     # Incoming ends exactly at the opponent's contact point.
-    assert np.linalg.norm(exchanges.incoming.positions([0.0])[0, 0] - exchanges.hit_pos[0]) < 1e-9
+    assert np.linalg.norm(exchanges.incoming.positions([0.0])[0, 0]
+                          - exchanges.incoming.bT[0, -1]) < 1e-9
     assert (ex.truth_at(ex.crossing_time) - ex.crossing_pos).norm() < 1e-12
     assert ex.crossing_pos.x == pytest.approx(-TABLE.half_length, abs=1e-9)
     # The crossing velocity is the return's, at the crossing time.
