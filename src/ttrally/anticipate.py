@@ -122,13 +122,13 @@ class MemberParams:
 
 
 def _member_params(seed: int, index: int) -> MemberParams:
-    rng = np.random.default_rng([seed, index])
+    z = np.random.default_rng([seed, index]).standard_normal  # normal(0, s) is 0.0 + s * z()
     return MemberParams(
-        d_aim=float(rng.normal(0.0, 0.10)),
-        d_speed=float(rng.normal(0.0, 0.6)),
-        d_bounce_x=float(rng.normal(0.0, 0.15)),
-        d_z_cross=float(rng.normal(0.0, 0.05)),
-        d_k=float(rng.normal(0.0, 0.04)),
+        d_aim=0.0 + 0.10 * z(),
+        d_speed=0.0 + 0.6 * z(),
+        d_bounce_x=0.0 + 0.15 * z(),
+        d_z_cross=0.0 + 0.05 * z(),
+        d_k=0.0 + 0.04 * z(),
     )
 
 
@@ -272,12 +272,6 @@ class ConformalCalibration:
     n_samples: dict[tuple[str, float], int] = field(default_factory=dict)
     calibration_ids: set[int] = field(default_factory=set)
 
-    def quantile(self, axis: str, horizon: float) -> float:
-        key = (axis, horizon_key(horizon))
-        if key not in self.quantiles:
-            raise NoCalibration(f"no quantile for {key}")
-        return self.quantiles[key]
-
 
 @dataclass
 class Region:
@@ -305,7 +299,12 @@ def _bounds(
     calib: ConformalCalibration, horizons: Sequence[float], mean: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Region corners mean -/+ q * sigma; ``mean`` and ``sigma`` end in (n_horizons, 3)."""
-    half = np.array([[calib.quantile(ax, h) for ax in AXES] for h in horizons]) * sigma
+    keys = [horizon_key(h) for h in horizons]
+    try:
+        table = [[calib.quantiles[ax, key] for ax in AXES] for key in keys]
+    except KeyError as missing:
+        raise NoCalibration(f"no quantile for {missing.args[0]}") from None
+    half = np.array(table) * sigma
     return mean - half, mean + half
 
 

@@ -93,16 +93,11 @@ def generate_rally(rng: np.random.Generator, fps: float = 60.0, n_hits: int = 4)
     if n_hits < 2:
         raise ValueError("need at least two hits")
     hl, h = TABLE.half_length, TABLE.height_z
+    (serve_lo, serve_hi), (k_lo, k_hi) = SERVE_SPEED_RANGE, DRAG_K_RANGE
 
     sides = [(-1 if i % 2 == 0 else 1) for i in range(n_hits)]
-    hit_pos = [
-        Vec3(
-            s * (hl + 0.15 + 0.2 * rng.random()),
-            float(rng.uniform(-0.55, 0.55)),
-            float(rng.uniform(0.9, 1.25)),
-        )
-        for s in sides
-    ]
+    hit_pos = [Vec3(s * (hl + 0.15 + 0.2 * rng.random()), -0.55 + (0.55 - -0.55) * rng.random(),
+                    0.9 + (1.25 - 0.9) * rng.random()) for s in sides]
 
     hit_frames = [0]
     pieces: list[tuple[int, int, StokesSegment]] = []
@@ -117,7 +112,7 @@ def generate_rally(rng: np.random.Generator, fps: float = 60.0, n_hits: int = 4)
         anchors = [a]
         for xb in bounce_xs:
             u = (a.x - xb) / (a.x - b.x)
-            yb = a.y + u * (b.y - a.y) + float(rng.uniform(-0.08, 0.08))
+            yb = a.y + u * (b.y - a.y) + (-0.08 + (0.08 - -0.08) * rng.random())
             anchors.append(Vec3(xb, yb, h))
         anchors.append(b)
 
@@ -126,9 +121,9 @@ def generate_rally(rng: np.random.Generator, fps: float = 60.0, n_hits: int = 4)
         ]
         if i == 0:
             # Serves are slow enough for a visible arc between the two bounces.
-            speed = float(rng.uniform(*SERVE_SPEED_RANGE))
+            speed = serve_lo + (serve_hi - serve_lo) * rng.random()
         else:
-            speed = float(np.clip(rng.normal(RALLY_SPEED_MEAN, RALLY_SPEED_SD),
+            speed = float(np.clip(RALLY_SPEED_MEAN + RALLY_SPEED_SD * rng.standard_normal(),
                                   *RALLY_SPEED_CLIP))
         total_t = sum(chords) / speed
         # Snap sub-piece boundaries to frames. Minimum piece lengths keep
@@ -141,7 +136,7 @@ def generate_rally(rng: np.random.Generator, fps: float = 60.0, n_hits: int = 4)
         ]
         f = hit_frames[-1]
         for (p, q), n_f in zip(zip(anchors, anchors[1:]), frame_counts):
-            k = float(rng.uniform(*DRAG_K_RANGE))
+            k = k_lo + (k_hi - k_lo) * rng.random()
             seg = StokesSegment(b0=p, bT=q, T=n_f / fps, k=k)
             pieces.append((f, f + n_f, seg))
             if q.z == h and q is not anchors[-1]:
@@ -227,14 +222,14 @@ def check_camera_assumptions(camera: Camera, table: TableGeometry) -> None:
 def sample_camera(rng: np.random.Generator) -> Camera:
     """Random valid side-view camera with TABLE centered in the image."""
     for _ in range(100):
-        y_c = float(rng.uniform(-9.0, -6.5))
-        z_c = float(rng.uniform(1.6, 3.0))
-        tilt = float(rng.uniform(0.0, 1.2e-3))
-        focal = float(rng.uniform(850.0, 1100.0))
-        cx = IMAGE_WIDTH / 2.0 + float(rng.uniform(-20, 20))
+        y_c = -9.0 + (-6.5 - -9.0) * rng.random()
+        z_c = 1.6 + (3.0 - 1.6) * rng.random()
+        tilt = 0.0 + (1.2e-3 - 0.0) * rng.random()
+        focal = 850.0 + (1100.0 - 850.0) * rng.random()
+        cx = IMAGE_WIDTH / 2.0 + (-20.0 + (20.0 - -20.0) * rng.random())
         cam = tilt_camera(focal, cx, 0.0, y_c, z_c, tilt)
         v_center = project(cam, Vec3(0.0, 0.0, TABLE.height_z)).v
-        cy = IMAGE_HEIGHT / 2.0 - v_center + float(rng.uniform(-15, 15))
+        cy = IMAGE_HEIGHT / 2.0 - v_center + (-15.0 + (15.0 - -15.0) * rng.random())
         cam = tilt_camera(focal, cx, cy, y_c, z_c, tilt)
         if leg_verticality(cam, TABLE) <= LEG_VERTICALITY_TOL_PX:
             return cam
@@ -481,16 +476,22 @@ def return_shots(
 
 
 def _draw_exchange(rng: np.random.Generator) -> tuple[float, ...]:
-    """One exchange's random draws, in the order that fixes every seed's exchanges."""
+    """One exchange's random draws, in the order that fixes every seed's exchanges.
+
+    Each maps one ``random()`` u or ``standard_normal()`` z as numpy's ``uniform``
+    (``low + (high - low) * u``) and ``normal`` (``loc + scale * z``) do, at a quarter
+    of their call cost. A vector draw would reorder the ziggurat normal's words.
+    """
+    u, z = rng.random, rng.standard_normal
     return (
-        rng.random(), rng.normal(0.0, 0.12),  # opponent side, root y noise
-        rng.random(), rng.normal(0.0, 0.05), rng.uniform(0.95, 1.2),  # opponent hit
-        rng.uniform(-0.35, 0.35), rng.uniform(0.95, 1.15),  # previous ego hit y, z
-        rng.uniform(0.45, 1.0), rng.normal(10.0, 1.5),  # incoming bounce x, speed
-        rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3),  # incoming drags
-        rng.normal(0.0, SHOT_AIM_SD), rng.uniform(0.92, 1.18),  # aim noise, crossing z
-        rng.random(), rng.normal(SHOT_SPEED_MEAN, SHOT_SPEED_SD),  # return bounce x, speed
-        rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3),  # return drags
+        u(), 0.0 + 0.12 * z(),  # opponent side, root y noise
+        u(), 0.0 + 0.05 * z(), 0.95 + (1.2 - 0.95) * u(),  # opponent hit
+        -0.35 + (0.35 - -0.35) * u(), 0.95 + (1.15 - 0.95) * u(),  # previous ego hit y, z
+        0.45 + (1.0 - 0.45) * u(), 10.0 + 1.5 * z(),  # incoming bounce x, speed
+        0.1 + (0.3 - 0.1) * u(), 0.1 + (0.3 - 0.1) * u(),  # incoming drags
+        0.0 + SHOT_AIM_SD * z(), 0.92 + (1.18 - 0.92) * u(),  # aim noise, crossing z
+        u(), SHOT_SPEED_MEAN + SHOT_SPEED_SD * z(),  # return bounce x, speed
+        0.1 + (0.3 - 0.1) * u(), 0.1 + (0.3 - 0.1) * u(),  # return drags
     )
 
 
@@ -500,6 +501,8 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> Exchanges:
     Each exchange takes its draws from one seeded stream in a fixed order;
     the flights of all n are then built, solved and sampled as arrays.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     (side, root_noise, hit_x, hit_y, hit_z, ego_y, ego_z, xb_in, speed_in, k_in1, k_in2,
      aim_noise, z_cross, xb_out, speed, k1, k2) = np.array(

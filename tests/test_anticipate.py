@@ -179,13 +179,14 @@ def small_study():
 
 
 def test_calibration_counts_and_lookup(small_study):
-    _, cal, _, calib = small_study
+    preds, cal, test, calib = small_study
     for ax in ("x", "y", "z"):
         for h in HORIZONS:
             assert calib.n_samples[(ax, horizon_key(h))] == len(cal)
-            assert calib.quantile(ax, h) > 0.0
-    with pytest.raises(NoCalibration):
-        calib.quantile("x", 0.999)
+            assert calib.quantiles[(ax, horizon_key(h))] > 0.0
+    ctx = _context_for(test.exchanges[0], 0.0)
+    with pytest.raises(NoCalibration, match=r"no quantile for \('x', 0.999\)"):
+        build_regions(preds, calib, ctx, [*HORIZONS, 0.999])
 
 
 def test_region_geometry(small_study):
@@ -270,7 +271,7 @@ def _oracle_curve(preds, ex, horizons, lead_time):
 
 
 def _oracle_box(calib, mean, sigma, h):
-    half = np.array([calib.quantile(ax, h) for ax in "xyz"]) * sigma
+    half = np.array([calib.quantiles[(ax, horizon_key(h))] for ax in "xyz"]) * sigma
     return [float(v) for v in mean - half], [float(v) for v in mean + half]
 
 
