@@ -18,9 +18,6 @@ Layers:
                (FORECAST_CHUNK exchanges x 5 members) at control.HORIZONS
   forecast     forecast_ensemble over 600 exchanges at control.HORIZONS
   experiment   run_experiment(seed, 20 episodes, n_cal 600), seeds 11-18
-  episodes     the six base-lead-time rows of run_experiment(11, 20 episodes,
-               n_cal 600) on their prepared step grid, ideal poses and
-               regions: the episodes alone, grading included
   study        run_conformal_study at 8000/4000, alpha 0.1, 5 members
   regions_p50  build_regions, one test context at a time, over 1000
                contexts of a 2000/1000 study's test split (median call)
@@ -35,13 +32,12 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-LAYERS = ("generate", "positions", "forecast", "experiment", "episodes", "study", "regions_p50")
+LAYERS = ("generate", "positions", "forecast", "experiment", "study", "regions_p50")
 
 
 def _timed(call, reps: int) -> list[float]:
@@ -56,8 +52,6 @@ def _timed(call, reps: int) -> list[float]:
 
 def _worker(layer: str) -> float:
     """The layer's figure in ms, from the ttrally on sys.path."""
-    import numpy as np
-
     from ttrally import anticipate, ball, control, synth
 
     predictors = anticipate.physics_baseline_ensemble(1, 5)
@@ -78,25 +72,6 @@ def _worker(layer: str) -> float:
     if layer == "experiment":
         seeds = iter(range(10, 19))  # 10 warms up
         return min(_timed(lambda: control.run_experiment(next(seeds), 20, n_cal=600), 8)) * 1e3
-    if layer == "episodes":
-        params, exchanges = control.SimParams(), synth.generate_exchanges(11, 20)
-        predictors, calib = control.prepare_anticipation(11, params, 600)
-        regions = anticipate.split_regions(predictors, calib, exchanges, control.HORIZONS,
-                                           params.lead_time)
-        grid = control._step_balls(exchanges, params)
-        ideals = control._ideal_poses(exchanges, params.table)
-        rest = control.Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
-                            float(np.mean(exchanges.crossing_pos[:, 2])))
-        rows = [(s, params) for s in control.STRATEGIES]
-        rows += [("anticipatory", replace(params, lam=lam)) for lam in (0.0, 0.5)]
-        rows.append(("anticipatory", replace(params, central=rest)))
-        if hasattr(control, "_episodes"):  # every row's episodes as one set of lanes
-            def call():
-                return control._episodes(exchanges, rows, regions, grid, ideals, {})
-        else:  # a tree that steps each row's episodes one at a time
-            def call():
-                return [control._row(exchanges, s, p, regions, *grid, ideals) for s, p in rows]
-        return min(_timed(call, 30)) * 1e3
     if layer == "study":
         return min(_timed(lambda: anticipate.run_conformal_study(1, 8000, 4000, 5, 0.1), 3)) * 1e3
     if layer == "regions_p50":

@@ -7,12 +7,11 @@ strategy pre-positions toward the conformal prediction region, and an oracle
 pre-positions on the ground-truth interception pose.
 
 Episodes run as array lanes. A lane is one row's episode of one exchange
-(a row being a strategy with its lam, rest pose and lead time); the rows
-that share a lead time share a step grid, so their lanes step together.
-Per exchange, every row shares the ideal interception pose and one turn
-sequence toward it; per grid, the ball sample and the steps at which a
-contact is possible at all; per contact (exchange, time and pose), one
-grading of the return.
+(a row being a strategy with its lam, rest pose and lead time), and every
+lane of an experiment steps together, each on the step grid of its row's
+lead time. Per exchange, every row shares the ideal interception pose and one
+turn sequence toward it; per grid, the steps at which a contact is possible
+at all; per contact (exchange, time and pose), one grading of the return.
 """
 
 from __future__ import annotations
@@ -339,21 +338,26 @@ class EpisodeResult:
     fallback: bool  # anticipation found no coverable region
 
 
-def _step_balls(exchanges: Exchanges, params: SimParams) -> tuple[list[float], np.ndarray,
-                                                                 np.ndarray]:
-    """The robot's step times, each exchange's ball at them (n, m, 3), and
-    the number of those times each exchange's episode reads (n,).
+def _step_balls(exchanges: Exchanges, lead_times: Sequence[float],
+                dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step grid per lead time: the robot's step times (g, m), each
+    exchange's ball at them (n, g, m, 3), and the number of each grid's
+    times that each exchange's episode reads (g, n).
 
-    The times are accumulated as the robot's clock, from -lead_time until one
-    reaches the last exchange's crossing_time + 0.15. Exchange i's episode
-    ends at the first time that reaches its own crossing_time + 0.15.
+    Each grid's times are accumulated as the robot's clock, from -lead_time,
+    in step until every grid has reached the last exchange's crossing_time +
+    0.15. Exchange i's episode ends at the first time that reaches its own
+    crossing_time + 0.15. One ``balls_at`` call samples every grid.
     """
     stops = (exchanges.crossing_time + 0.15).tolist()
     last = max(stops)
-    times = [-params.lead_time]
-    while times[-1] < last:
-        times.append(times[-1] + params.dt)
-    return times, balls_at(exchanges, times), np.searchsorted(times, stops) + 1
+    grids = [[-lead_time] for lead_time in lead_times]
+    while any(grid[-1] < last for grid in grids):
+        for grid in grids:
+            grid.append(grid[-1] + dt)
+    times = np.array(grids)
+    balls = balls_at(exchanges, times.ravel()).reshape(len(exchanges), *times.shape, 3)
+    return times, balls, np.array([np.searchsorted(grid, stops) for grid in grids]) + 1
 
 
 def _ideal_poses(exchanges: Exchanges, table: TableGeometry) -> list[RacketPose]:
@@ -395,11 +399,12 @@ def _prepositions(regions: tuple[np.ndarray, np.ndarray],
 
 
 def _contact_possible(balls: np.ndarray, x_max: float) -> np.ndarray:
-    """(n, m - 1): whether the ball's segment into step i (column i - 1) can
-    pass within RACKET_RADIUS of a racket at x <= x_max, the workspace's
-    largest x; a segment wholly beyond x_max + RACKET_RADIUS cannot."""
-    bx = balls[:, :, 0]
-    return np.minimum(bx[:, :-1], bx[:, 1:]) <= x_max + RACKET_RADIUS + 1e-9
+    """(..., m - 1) of balls (..., m, 3): whether the ball's segment into step
+    i (column i - 1) can pass within RACKET_RADIUS of a racket at x <= x_max,
+    the workspace's largest x; a segment wholly beyond x_max + RACKET_RADIUS
+    cannot."""
+    bx = balls[..., 0]
+    return np.minimum(bx[..., :-1], bx[..., 1:]) <= x_max + RACKET_RADIUS + 1e-9
 
 
 def _segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -450,34 +455,37 @@ def _grade(p: Position, q: Quat, ball: Sequence[float], v_in: Sequence[float],
     return True, returned, deviation, *_pose_errors(pose, ideal)
 
 
-def _episodes(exchanges: Exchanges, rows: Sequence[tuple[str, SimParams]],
-              regions: Optional[tuple[np.ndarray, np.ndarray]], grid: tuple,
-              ideals: list[RacketPose], graded: dict) -> list[list[EpisodeResult]]:
-    """Every row's episodes on one step grid, stepped together as lanes.
+def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeResult]]:
+    """Every row's episodes, stepped together as one set of lanes.
 
-    Lane r * n + e is row r's episode of exchange e; the rows share the grid
-    (``_step_balls``), and so the lead time, and differ only in strategy,
-    lam and central pose. Positions are a (3, lanes) array stepped toward
-    each lane's pre-hit target until the first step after the hit, then
+    A row is (strategy, params, regions), regions being an anticipatory
+    row's region corners at its lead time (``_prepositions``). Rows differ
+    only in strategy, lam, central pose and lead time. Lane r * n + e is row
+    r's episode of exchange e, on the step grid of its lead time
+    (``_step_balls``). Positions are a (3, lanes) array stepped toward each
+    lane's pre-hit target until the first step after its grid's hit, then
     toward its exchange's ideal position. A lane's pose freezes at its
     contact, and its contact test ends at its exchange's last step; its pose
     at the crossing is the last one stepped, up to the contact, at a time t
     with t - dt <= crossing_time <= t. The orientation never depends on the
     position: it is an index into the exchange's one turn sequence from
     IDENTITY toward the ideal, which the oracle starts at step 1 and the
-    other strategies at the first step after the hit. The contact test runs
-    only on steps where a ball segment comes within RACKET_RADIUS of the
-    workspace's x range, and ``graded`` holds the outcome of each distinct
-    contact (exchange, time and pose) across calls.
+    other strategies at the first step after the hit. A lane's contact test
+    runs only on steps where a ball segment of its grid comes within
+    RACKET_RADIUS of the workspace's x range, and each distinct contact
+    (exchange, time and pose) is graded once.
     """
-    times, balls, ends = grid
     params = rows[0][1]
     n, n_rows, dt = len(exchanges), len(rows), params.dt
-    ex = np.tile(np.arange(n), n_rows)  # each lane's exchange
+    lead_times = list(dict.fromkeys(p.lead_time for _, p, _ in rows))
+    times, balls, ends = _step_balls(exchanges, lead_times, dt)
+    ideals = _ideal_poses(exchanges, params.table)
+    row_grid = [lead_times.index(p.lead_time) for _, p, _ in rows]
+    grid, ex = np.repeat(row_grid, n), np.tile(np.arange(n), n_rows)  # per lane
     lo, hi = _column(params.workspace.lo), _column(params.workspace.hi)
     ideal = np.array([_xyz(pose.position) for pose in ideals]).T  # (3, n)
     idle, fallback = [], []
-    for strategy, p in rows:
+    for strategy, p, regions in rows:
         if strategy == "anticipatory":
             target, fell_back = _prepositions(regions, p)
         else:
@@ -485,54 +493,60 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple[str, SimParams]],
             fell_back = np.zeros(n, bool)
         idle.append(target)
         fallback += fell_back.tolist()
-    idle, track = np.concatenate(idle, axis=1), np.tile(ideal, n_rows)
-    pos = np.repeat(np.array([_xyz(p.central) for _, p in rows]).T, n, axis=1)
+    aim, track = np.concatenate(idle, axis=1), np.tile(ideal, n_rows)
+    pos = np.repeat(np.array([_xyz(p.central) for _, p, _ in rows]).T, n, axis=1)
 
-    t, end = np.array(times), ends[ex]
-    ct = exchanges.crossing_time[:, None]
-    ran = np.arange(1, len(times)) < ends[:, None]  # (n, m - 1): the steps of each episode
-    # Step i is column i - 1: the lanes that record a crossing pose there, and
-    # the steps where some exchange's ball comes within reach of the workspace.
-    steps, crossing = np.nonzero((ran & (t[1:] - dt <= ct) & (ct <= t[1:])).T)
-    crossing = crossing[:, None] + n * np.arange(n_rows)
-    crossers = {int(c) + 1: crossing[steps == c].ravel() for c in np.unique(steps)}
-    tests = set((np.flatnonzero((ran & _contact_possible(balls, hi[0, 0])).any(axis=0)
-                                & (t[1:] > 0)) + 1).tolist())
+    m, end = times.shape[1], ends[grid, ex]
+    hit_step = (times < 0).sum(axis=1)  # the index of each grid's first time >= 0
+    turn_at = hit_step[grid] + 1  # the step at which a lane's target becomes the ideal
+    turns = set(turn_at.tolist())
+    ct, t1 = exchanges.crossing_time[:, None], times[:, None, 1:]
+    ran = np.arange(1, m) < ends[:, :, None]  # (g, n, m - 1): the steps of each episode
+    # Step i is column i - 1: the steps at which each lane records a crossing
+    # pose, and those at which it is tested for contact (some ball segment of
+    # its grid within reach of the workspace, and the episode still running).
+    crossing = (ran & (t1 - dt <= ct) & (ct <= t1))[grid, ex]
+    steps, lanes = np.nonzero(crossing.T)
+    crossers = {int(c) + 1: lanes[steps == c] for c in np.unique(steps)}
+    gate = ((ran & _contact_possible(balls, hi[0, 0]).transpose(1, 0, 2)).any(axis=1)
+            & (times[:, 1:] > 0))
+    tested = gate[grid] & ran[grid, ex]
+    tests = {int(c) + 1: tested[:, c] for c in np.flatnonzero(tested.any(axis=0))}
     cross, cross_at = pos.copy(), np.zeros(len(ex), int)
     contact, live = np.zeros(len(ex), int), np.ones(len(ex), bool)
-    size, last = params.v_max * dt, len(times) - 1
-    for i in range(1, len(times)):
-        np.copyto(pos, _move(pos, track if times[i - 1] >= 0 else idle, size, lo, hi),
-                  where=live)
+    size, last = params.v_max * dt, m - 1
+    for i in range(1, m):
+        if i in turns:
+            np.copyto(aim, track, where=turn_at == i)
+        np.copyto(pos, _move(pos, aim, size, lo, hi), where=live)
         if i in crossers:
             lanes = crossers[i][live[crossers[i]]]
             cross[:, lanes], cross_at[lanes] = pos[:, lanes], i
         if i in tests:
-            hit = live & (i < end) & (_segment_distance(pos, balls[ex, i - 1].T, balls[ex, i].T)
-                                      <= RACKET_RADIUS)
+            hit = live & tests[i] & (_segment_distance(pos, balls[ex, grid, i - 1].T,
+                                                       balls[ex, grid, i].T) <= RACKET_RADIUS)
             if hit.any():
                 contact[hit], live[hit] = i, False
                 last = end[live].max(initial=1) - 1  # the last step a lane still takes
         if i >= last:
             break
 
-    hit_step = next((i for i, t_i in enumerate(times) if t_i >= 0), len(times))
-    seqs = [_turns(pose.orientation, params.omega_max * dt, len(times)) for pose in ideals]
-    v_in = exchanges.outgoing.velocities(t[contact.reshape(n_rows, n).T]).tolist()
+    seqs = [_turns(pose.orientation, params.omega_max * dt, m) for pose in ideals]
+    v_in = exchanges.outgoing.velocities(times[grid, contact].reshape(n_rows, n).T).tolist()
     ids, contact, cross_at = exchanges.ids.tolist(), contact.tolist(), cross_at.tolist()
-    pos, cross = pos.T.tolist(), cross.T.tolist()
+    pos, cross, times, graded = pos.T.tolist(), cross.T.tolist(), times.tolist(), {}
     results = []
-    for r, (strategy, p) in enumerate(rows):
-        first = 0 if strategy == "oracle" else hit_step  # its first turn is step first + 1
+    for r, ((strategy, p, _), g) in enumerate(zip(rows, row_grid)):
+        first = 0 if strategy == "oracle" else hit_step[g]  # its first turn is step first + 1
         out = []
         for e in range(n):
             lane, seq, grade = r * n + e, seqs[e], None
             c = contact[lane]
             if c:
                 q = seq[min(max(c - first, 0), len(seq) - 1)]
-                key = (e, times[c], *pos[lane], q)
+                key = (e, times[g][c], *pos[lane], q)
                 if key not in graded:
-                    graded[key] = _grade(pos[lane], q, balls[e, c].tolist(), v_in[e][r],
+                    graded[key] = _grade(pos[lane], q, balls[e, g, c].tolist(), v_in[e][r],
                                          ideals[e], p.table)
                 grade = graded[key]
             if grade is None:
@@ -589,12 +603,10 @@ def run_strategy(
     params: SimParams,
     predictors: Optional[Sequence[ShotPredictor]] = None,
     calib: Optional[ConformalCalibration] = None,
-    regions: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
     """One row over the exchanges: the episode engine with one lane per
-    exchange. ``regions``, if given, are the region corners (lo, hi), each
-    (n, len(HORIZONS), 3), at params.lead_time; else one batched forecast
-    makes them.
+    exchange. An anticipatory row's regions come from one batched forecast
+    at params.lead_time.
 
     Time 0 of an episode is the opponent's hit; the robot is live from
     -lead_time. After the hit every strategy tracks the ideal interception
@@ -605,20 +617,13 @@ def run_strategy(
         raise EmptyDataset("no exchanges")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "anticipatory" and regions is None:
+    regions = None
+    if strategy == "anticipatory":
         if predictors is None or calib is None:
             raise ValueError("anticipatory strategy needs predictors and calibration")
         regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
-    (results,) = _episodes(exchanges, [(strategy, params)], regions,
-                           _step_balls(exchanges, params), _ideal_poses(exchanges, params.table),
-                           {})
+    (results,) = _episodes(exchanges, [(strategy, params, regions)])
     return _aggregate(results, strategy, params), results
-
-
-def _rows(exchanges: Exchanges, rows: list[tuple[str, SimParams]], *shared) -> list[ExperimentRow]:
-    """The rows of one step grid, their episodes stepped together by ``_episodes``."""
-    return [_aggregate(results, strategy, p)
-            for (strategy, p), results in zip(rows, _episodes(exchanges, rows, *shared))]
 
 
 def _anticipation_inputs(
@@ -640,26 +645,28 @@ def prepare_anticipation(
     return predictors, calibrate_ensemble(forecast, params.alpha)
 
 
+LAMS = (0.0, 0.1, 0.5)  # the blending sweep of an experiment
+LEAD_TIMES = (0.1, 0.2, 0.4)  # s, the lead-time sweep of an experiment
+
+
 def run_experiment(
     seed: int,
     n_episodes: int = 500,
     base_params: SimParams = SimParams(),
-    lams: Sequence[float] = (0.0, 0.1, 0.5),
-    lead_times: Sequence[float] = (0.1, 0.2, 0.4),
-    centrals: Optional[Sequence[Vec3]] = None,
     n_cal: int = 600,
 ) -> list[ExperimentRow]:
-    """Strategy comparison plus sweeps over blending, lead time, and rest pose.
+    """Strategy comparison plus sweeps over blending (LAMS), lead time
+    (LEAD_TIMES) and rest pose.
 
-    The baseline and oracle rows are computed once per configuration axis;
-    the anticipatory strategy is recalibrated per lead time (its residual
-    distribution depends on how early the forecast is issued) on the same
-    ensemble and calibration split, whose truth is taken once. Per exchange,
-    every row shares its ideal pose and each distinct contact is graded
-    once. Per lead time, the rows share one step grid, its ball sample and
-    one batched forecast of each exchange's regions, and their episodes run
-    as one set of lanes (row x exchange): the strategy, lam and rest-pose
-    rows at the base lead time, one row at each other lead time.
+    The rows, in order: each strategy at the base configuration, the
+    anticipatory strategy at each other lam, at each other lead time, and at
+    the rest pose (-1.5, mean crossing y, mean crossing z) unless that is
+    the base central pose. The anticipatory strategy is recalibrated per
+    lead time (its residual distribution depends on how early the forecast
+    is issued) on the same ensemble and calibration split, whose truth is
+    taken once; the rows at one lead time share one batched forecast of each
+    exchange's regions. Every row's episodes run as one set of lanes
+    (``_episodes``).
     """
     if n_episodes < 1:
         raise EmptyDataset(f"need at least one episode, got {n_episodes}")
@@ -670,32 +677,24 @@ def run_experiment(
     forecast = forecast_split(predictors, cal, HORIZONS, base_params.lead_time)
     calib = calibrate_ensemble(forecast, base_params.alpha)
     regions = split_regions(predictors, calib, exchanges, HORIZONS, base_params.lead_time)
-    ideals, graded = _ideal_poses(exchanges, base_params.table), {}
-    base = [(s, base_params) for s in STRATEGIES]
-    base += [("anticipatory", replace(base_params, lam=lam)) for lam in lams
+    rows = [(s, base_params, regions) for s in STRATEGIES]
+    rows += [("anticipatory", replace(base_params, lam=lam), regions) for lam in LAMS
              if lam != base_params.lam]
-    if centrals is None:
-        mean_hit_y = float(np.mean(exchanges.crossing_pos[:, 1]))
-        mean_hit_z = float(np.mean(exchanges.crossing_pos[:, 2]))
-        centrals = [Vec3(-1.5, mean_hit_y, mean_hit_z)]
-    # The rest-pose rows, listed last, step with the base rows on their grid.
-    rest = [("anticipatory", replace(base_params, central=c)) for c in centrals
-            if not (c - base_params.central).norm() < 1e-12]
-    rows = _rows(exchanges, base + rest, regions, _step_balls(exchanges, base_params), ideals,
-                 graded)
-    rows, rest_rows = rows[:len(base)], rows[len(base):]
-
-    for lt in lead_times:
+    for lt in LEAD_TIMES:
         if lt == base_params.lead_time:
             continue
         p = replace(base_params, lead_time=lt)
         # Only the forecast depends on the lead time; the split's truth is reused.
         mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lt)
         calib_lt = calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), p.alpha)
-        regions_lt = split_regions(predictors, calib_lt, exchanges, HORIZONS, lt)
-        rows += _rows(exchanges, [("anticipatory", p)], regions_lt, _step_balls(exchanges, p),
-                      ideals, graded)
-    return rows + rest_rows
+        rows.append(("anticipatory", p, split_regions(predictors, calib_lt, exchanges, HORIZONS,
+                                                       lt)))
+    rest = Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
+                float(np.mean(exchanges.crossing_pos[:, 2])))
+    if not (rest - base_params.central).norm() < 1e-12:
+        rows.append(("anticipatory", replace(base_params, central=rest), regions))
+    return [_aggregate(results, strategy, p)
+            for (strategy, p, _), results in zip(rows, _episodes(exchanges, rows))]
 
 
 def write_results(path: str, rows: Sequence[ExperimentRow], seed: int) -> None:

@@ -562,8 +562,7 @@ def test_run_experiment_recalibrates_one_split_per_lead_time(monkeypatch):
 
     monkeypatch.setattr(control, "generate_exchanges", counting)
     base = SimParams()
-    rows = run_experiment(5, n_episodes=4, base_params=base, lams=(),
-                          lead_times=(0.1, 0.2, 0.4), centrals=[], n_cal=60)
+    rows = run_experiment(5, n_episodes=4, base_params=base, n_cal=60)
     assert generated == [5, 5 + 17]  # the episodes and one calibration split
     exchanges = generate_exchanges(5, 4)
     for lead_time in (0.1, 0.4):
@@ -731,10 +730,9 @@ def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
     for dt in (0.01, 0.0025):  # 0.0025 takes four times as many steps
         params = SimParams(dt=dt)
         predictors, calib = prepare_anticipation(5, params, n_cal=60)
-        regions = split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time)
         for strategy in control.STRATEGIES:
             built.clear()
-            _, results = run_strategy(exchanges, strategy, params, regions=regions)
+            _, results = run_strategy(exchanges, strategy, params, predictors, calib)
             assert any(r.contacted for r in results)
             assert sum(built.values()) <= 30 * len(exchanges), (dt, strategy, built)
 
@@ -770,12 +768,12 @@ def test_row_regions_equal_the_single_context_regions(sim_setup, row_exchanges, 
 def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
     params = SimParams(lead_time=lead_time)
     exchanges = row_exchanges[:12]
-    times, balls, ends = control._step_balls(exchanges, params)
-    for ex, got, end in zip(exchanges, balls, ends, strict=True):
+    (times,), balls, (ends,) = control._step_balls(exchanges, [lead_time], params.dt)
+    for ex, (got,), end in zip(exchanges, balls, ends, strict=True):
         own = [-lead_time]  # the clock one episode of its own would step
         while own[-1] < ex.crossing_time + 0.15:
             own.append(own[-1] + params.dt)
-        assert times[:len(own)] == own and end == len(own)
+        assert times[:len(own)].tolist() == own and end == len(own)
         assert got[:end].tobytes() == np.array([ex.truth_at(t).as_array()
                                                 for t in own]).tobytes()
     assert len(set(ends.tolist())) > 1  # the exchanges read prefixes of different lengths
@@ -785,23 +783,14 @@ def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
 def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
     params, exchanges, predictors, calib = sim_setup
     _, results = run_strategy(exchanges, strategy, params, predictors, calib)
-    ones = _ones(exchanges)
     assert results == [run_strategy(one, strategy, params, predictors, calib)[1][0]
-                       for one in ones]
-    built = [build_regions(predictors, calib, _window(ex, params.lead_time), HORIZONS)
-             for ex in exchanges]
-    lo, hi = (np.array([[getattr(r, corner).as_array() for r in regions] for regions in built])
-              for corner in ("lo", "hi"))
-    _, given_regions = run_strategy(exchanges, strategy, params, regions=(lo, hi))
-    assert given_regions == results
-    assert given_regions == [run_strategy(one, strategy, params,
-                                          regions=(lo[i:i + 1], hi[i:i + 1]))[1][0]
-                             for i, one in enumerate(ones)]
+                       for one in _ones(exchanges)]
 
 
 def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(monkeypatch):
-    batched, truth_rows, solved = [], [], []
+    batched, truth_rows, solved, engine = [], [], [], []
     ensemble, positions, solve = anticipate._ensemble, Chains.positions, control.solve_target_pose
+    episodes = control._episodes
 
     def counting(predictors, hit, root_y, horizons):
         batched.append(len(hit))
@@ -822,42 +811,43 @@ def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(mon
     monkeypatch.setattr(anticipate, "_context_arrays", unused)
     monkeypatch.setattr(ExchangeSample, "truth_at", unused)
     monkeypatch.setattr(control, "solve_target_pose", lambda *a: solved.append(a) or solve(*a))
+    monkeypatch.setattr(control, "_episodes", lambda exchanges, rows:
+                        engine.append(len(rows)) or episodes(exchanges, rows))
     rows = run_experiment(5, n_episodes=6, n_cal=60)
     assert len(rows) == 8
     # The calibration split at the base lead time, then each anticipatory
     # lead time's regions; the two other lead times rerun only the ensemble.
     assert batched == [60, 6, 60, 6, 60, 6]
-    # One ball sample per lead time (its outgoing and incoming side), and
-    # one ideal pose per episode for all 8 rows.
-    assert truth_rows == [6] * (2 * 3)
+    # One lane set for all 8 rows, one ball sample for its three grids (an
+    # outgoing and an incoming side) and one ideal pose per episode.
+    assert engine == [8]
+    assert truth_rows == [6] * 2
     assert len(solved) == 6
 
 
-@pytest.mark.parametrize("seed, centrals", [
-    (5, None),
-    (8, [Vec3(-1.6, 0.2, 1.0), SimParams().central, Vec3(-1.4, -0.3, 1.2)]),
-])
-def test_experiment_rows_equal_independent_strategy_rows(seed, centrals):
-    # The shared grids and poses change no row: each equals a run_strategy
-    # call of its own, at the base lead time on the experiment's regions and
-    # at another lead time on a calibration of its own.
-    base, n = SimParams(), 6
-    rows = run_experiment(seed, n_episodes=n, centrals=centrals, n_cal=60)
+@pytest.mark.parametrize("seed, central", [(5, None), (8, "mean_crossing")])
+def test_experiment_rows_equal_independent_strategy_rows(seed, central):
+    # The one lane set changes no row: each equals a run_strategy call of its
+    # own, on a calibration at its lead time. A base central pose at the mean
+    # crossing is the rest pose, and leaves no rest-pose row.
+    n = 6
     exchanges = generate_exchanges(seed, n)
-    regions = split_regions(*prepare_anticipation(seed, base, n_cal=60), exchanges, HORIZONS,
-                            base.lead_time)
-    want = [run_strategy(exchanges, s, base, regions=regions)[0] for s in control.STRATEGIES]
-    want += [run_strategy(exchanges, "anticipatory", replace(base, lam=lam), regions=regions)[0]
+    rest = Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
+                float(np.mean(exchanges.crossing_pos[:, 2])))
+    base = SimParams() if central is None else SimParams(central=rest)
+    rows = run_experiment(seed, n_episodes=n, base_params=base, n_cal=60)
+    anticipation = prepare_anticipation(seed, base, n_cal=60)
+    want = [run_strategy(exchanges, s, base, *anticipation)[0] for s in control.STRATEGIES]
+    want += [run_strategy(exchanges, "anticipatory", replace(base, lam=lam), *anticipation)[0]
              for lam in (0.0, 0.5)]
     for lead_time in (0.1, 0.4):
         p = replace(base, lead_time=lead_time)
         want.append(run_strategy(exchanges, "anticipatory", p,
                                  *prepare_anticipation(seed, p, n_cal=60))[0])
-    if centrals is None:
-        centrals = [Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
-                         float(np.mean(exchanges.crossing_pos[:, 2])))]
-    want += [run_strategy(exchanges, "anticipatory", replace(base, central=c), regions=regions)[0]
-             for c in centrals if c != base.central]
+    if central is None:
+        want.append(run_strategy(exchanges, "anticipatory", replace(base, central=rest),
+                                 *anticipation)[0])
+    assert len(rows) == (8 if central is None else 7)
     assert repr(rows) == repr(want)  # repr: a row without returns holds a NaN deviation
 
 
@@ -887,17 +877,16 @@ def _never_reflects(v, normal):
 
 def _lanes_against_scalar(exchanges, rows, reflects=True):
     """Run ``rows`` as one lane set and each row on the scalar episodes,
-    assert that both give the same results and rows, and return the lanes'."""
-    params = rows[0][1]
-    regions = split_regions(*_calibration(params.lead_time), exchanges, HORIZONS,
-                            params.lead_time)
+    assert that both give the same results and rows, and return the lanes'.
+    Each row's regions are those of a calibration at its lead time."""
+    rows = [(strategy, p, split_regions(*_calibration(p.lead_time), exchanges, HORIZONS,
+                                        p.lead_time)) for strategy, p in rows]
     with (mock.patch.object(control, "racket_reflect", racket_reflect if reflects
                             else _never_reflects),
           mock.patch.object(scalar_episode, "racket_reflect", racket_reflect if reflects
                             else _never_reflects)):
-        got = control._episodes(exchanges, rows, regions, control._step_balls(exchanges, params),
-                                control._ideal_poses(exchanges, params.table), {})
-        for (strategy, p), results in zip(rows, got, strict=True):
+        got = control._episodes(exchanges, rows)
+        for (strategy, p, regions), results in zip(rows, got, strict=True):
             want_row, want = scalar_episode.row(exchanges, strategy, p,
                                                 as_regions(*regions, HORIZONS))
             assert repr(results) == repr(want)
@@ -905,11 +894,15 @@ def _lanes_against_scalar(exchanges, rows, reflects=True):
     return got
 
 
-def _rows_of(params, lams=(), centrals=()):
-    """The strategy rows, lam rows and (strategy, rest pose) rows of one lane set."""
-    return ([(s, params) for s in control.STRATEGIES]
+def _rows_of(params, lams=(), centrals=(), lead_times=()):
+    """The strategy rows, lam rows and (strategy, rest pose) rows of one lane
+    set; row k at lead time lead_times[k] when they are given."""
+    rows = ([(s, params) for s in control.STRATEGIES]
             + [("anticipatory", replace(params, lam=lam)) for lam in lams]
             + [(s, replace(params, central=c)) for s, c in centrals])
+    if lead_times:
+        rows = [(s, replace(p, lead_time=lt)) for (s, p), lt in zip(rows, lead_times)]
+    return rows
 
 
 fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -917,16 +910,18 @@ fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 5), dt=st.sampled_from([0.01, 0.0025]),
-       lead_time=st.sampled_from([0.0, 0.1, 0.4]), narrow=st.booleans(), snap=st.booleans(),
-       reflects=st.booleans(), lams=st.lists(st.floats(0.0, 1.0), max_size=2),
+       lead_times=st.lists(st.sampled_from([0.0, 0.1, 0.4]), min_size=7, max_size=7),
+       narrow=st.booleans(), snap=st.booleans(), reflects=st.booleans(),
+       lams=st.lists(st.floats(0.0, 1.0), max_size=2),
        centrals=st.lists(st.tuples(st.sampled_from(control.STRATEGIES), fractions), max_size=2),
        turn_deg=st.sampled_from([720.0, 30.0]))
-def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_time, narrow, snap, reflects, lams,
+def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_times, narrow, snap, reflects, lams,
                                          centrals, turn_deg):
-    # At 30 deg/s the racket is still turning at most contacts (5-21 deg from
+    # Each row takes its own lead time, so one lane set mixes step grids. At
+    # 30 deg/s the racket is still turning at most contacts (5-21 deg from
     # IDENTITY to the ideal orientation, about 0.25 s after the hit).
     workspace = NARROW if narrow else WORKSPACE
-    params = SimParams(workspace=workspace, dt=dt, lead_time=lead_time,
+    params = SimParams(workspace=workspace, dt=dt, lead_time=lead_times[0],
                        omega_max=math.radians(turn_deg))
     lo, hi = (workspace.lo.as_array(), workspace.hi.as_array())
     rests = [(s, Vec3(*(lo + np.array(f) * (hi - lo)).tolist())) for s, f in centrals]
@@ -937,7 +932,7 @@ def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_time, narrow, snap, r
         control._ideal_poses(exchanges, params.table)
     except Infeasible:
         return
-    _lanes_against_scalar(exchanges, _rows_of(params, lams, rests), reflects)
+    _lanes_against_scalar(exchanges, _rows_of(params, lams, rests, lead_times), reflects)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.0025])
@@ -955,7 +950,7 @@ def test_lanes_cover_fallbacks_misses_and_crossings_on_a_step(dt):
         exchanges = _snapped(generate_exchanges(12, 12), params)
         rows = _rows_of(params, (0.0, 1.0), [("baseline", Vec3(-1.6, 0.02, 1.08))])
         got = _lanes_against_scalar(exchanges, rows, reflects)
-        times = np.array(control._step_balls(exchanges, params)[0])
+        (times,), _, _ = control._step_balls(exchanges, [lead_time], dt)
         ct = exchanges.crossing_time[:, None]
         twice = ((times[1:] - dt <= ct) & (ct <= times[1:])).sum(axis=1) == 2
         for results in got:
@@ -975,7 +970,7 @@ def test_skipped_contact_tests_are_beyond_the_racket():
     skipped = total = 0
     for lead_time, workspace in ((0.0, WORKSPACE), (0.4, NARROW)):
         params = SimParams(workspace=workspace, lead_time=lead_time)
-        _, balls, _ = control._step_balls(generate_exchanges(13, 20), params)
+        balls = control._step_balls(generate_exchanges(13, 20), [lead_time], params.dt)[1][:, 0]
         possible = control._contact_possible(balls, workspace.hi.x)
         e, i = np.nonzero(~possible)
         a, b = balls[e, i], balls[e, i + 1]
@@ -992,7 +987,8 @@ def test_skipped_contact_tests_are_beyond_the_racket():
 def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
     # Over seeds 11-18 the rows of an experiment make 1,129 contacts at 482
     # distinct (exchange, time, pose) keys, and the landing search runs once
-    # per key. Grading every contact afresh gives the same rows.
+    # per key. Grading every contact afresh, each row in a lane set of its
+    # own (where no two lanes share an exchange), gives the same rows.
     landings, contacts = [], Counter()
     landing, aggregate, episodes = DragFlight.landing, control._aggregate, control._episodes
     monkeypatch.setattr(DragFlight, "landing",
@@ -1002,11 +998,8 @@ def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
     rows = [run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]
     assert (len(landings), contacts["contacted"]) == (482, 1129)
 
-    class Forgetful(dict):
-        def __contains__(self, key):
-            return False
-
-    monkeypatch.setattr(control, "_episodes", lambda *args: episodes(*args[:-1], Forgetful()))
+    monkeypatch.setattr(control, "_episodes", lambda exchanges, rows:
+                        [episodes(exchanges, [row])[0] for row in rows])
     landings.clear()
     assert repr([run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]) == repr(rows)
     assert len(landings) > 1000
