@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AXES, Frame3D, TableGeometry, Vec3
+from .core import AXES, Frame3D, Vec3
 from .errors import (
     EnsembleTooSmall,
     InputMismatch,
@@ -141,26 +141,21 @@ class ShotPredictor:
     and drag, producing a spread that reflects genuine shot variability.
     """
 
-    def __init__(self, params: MemberParams, table: TableGeometry = TableGeometry()):
+    def __init__(self, params: MemberParams):
         self.params = params
-        self.table = table
 
 
-def physics_baseline_ensemble(
-    seed: int,
-    k_members: int = 5,
-    table: TableGeometry = TableGeometry(),
-) -> list[ShotPredictor]:
+def physics_baseline_ensemble(seed: int, k_members: int = 5) -> list[ShotPredictor]:
     if k_members < 2:
         raise EnsembleTooSmall(f"need >= 2 members, got {k_members}")
-    return [ShotPredictor(_member_params(seed, i), table) for i in range(k_members)]
+    return [ShotPredictor(_member_params(seed, i)) for i in range(k_members)]
 
 
 def _member_shot(p: ShotPredictor) -> tuple[float, ...]:
-    """The shot a member replays: table half-length and height, bounce x,
+    """The shot a member replays: TABLE's half-length and height, bounce x,
     crossing height, speed and drag (its aim depends on the context)."""
     m = p.params
-    return (p.table.half_length, p.table.height_z, -0.675 + m.d_bounce_x, 1.05 + m.d_z_cross,
+    return (TABLE.half_length, TABLE.height_z, -0.675 + m.d_bounce_x, 1.05 + m.d_z_cross,
             min(max(SHOT_SPEED_MEAN + m.d_speed, SHOT_SPEED_CLIP[0]), SHOT_SPEED_CLIP[1]),
             max(0.19 + m.d_k, 0.02))
 

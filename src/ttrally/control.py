@@ -11,7 +11,7 @@ Episodes run as array lanes. A lane is one row's episode of one exchange
 lane of an experiment steps together, each on the step grid of its row's
 lead time. Per exchange, every row shares the ideal interception pose and one
 turn sequence toward it; per grid, the steps at which a contact is possible
-at all; per contact (exchange, time and pose), one grading of the return.
+at all; per contact (exchange, time and orientation), one grading of the return.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import TableGeometry, Vec3
 from .errors import EmptyDataset, Infeasible, NoContact
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
                        write_lines)
-from .synth import MAX_LEAD_TIME, Exchanges, balls_at, generate_exchanges
+from .synth import MAX_LEAD_TIME, TABLE, Exchanges, balls_at, generate_exchanges
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +110,19 @@ def _partial_turn(rel: Quat, a: float, frac: float) -> Quat:
     return (c * vx, c * vy, c * vz, math.cos(b / 2))
 
 
+def _normal(q: Quat) -> np.ndarray:
+    """The racket normal of orientation q: +x turned by q."""
+    x, y, z, w = q
+    return np.array([x * x - y * y - z * z + w * w, 2 * (x * y + z * w), 2 * (x * z - y * w)])
+
+
 @dataclass
 class RacketPose:
     position: Vec3
     orientation: Quat = IDENTITY
 
     def normal(self) -> np.ndarray:
-        x, y, z, w = self.orientation
-        return np.array([x * x - y * y - z * z + w * w, 2 * (x * y + z * w),
-                         2 * (x * z - y * w)])
-
-    def angle_to(self, other: "RacketPose") -> float:
-        """Relative orientation angle in radians."""
-        return _magnitude(_relative(self.orientation, other.orientation))
+        return _normal(self.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -141,35 +141,29 @@ def racket_reflect(v: Vec3, normal: np.ndarray) -> Vec3:
     return Vec3.from_array(out)
 
 
-@dataclass
-class DragFlight:
-    """Free flight with gravity and linear drag from an initial state."""
+def _landing(p: Sequence[float], v: Sequence[float],
+             z_plane: float) -> Optional[tuple[float, float]]:
+    """Where (x, y) a ball launched from p at velocity v, under gravity and
+    RETURN_DRAG_K's linear drag, first descends through z = z_plane; None
+    when it starts at or below the plane or is still above it at
+    LANDING_T_MAX."""
+    (px, py, pz), (vx, vy, vz) = p, v
+    k = RETURN_DRAG_K
+    vt = -GRAVITY / k  # terminal velocity, along z
 
-    p0: Vec3
-    v0: Vec3
-
-    def position(self, t: float) -> Vec3:
-        k = RETURN_DRAG_K
-        vt = -GRAVITY / k  # terminal velocity, along z
+    def f(t: float) -> float:
         decay = -math.expm1(-k * t) / k
-        p, v = self.p0, self.v0
-        return Vec3(p.x + v.x * decay, p.y + v.y * decay, p.z + vt * t + (v.z - vt) * decay)
+        return pz + vt * t + (vz - vt) * decay - z_plane
 
-    def landing(self, z_plane: float) -> Optional[tuple[float, Vec3]]:
-        """First time, up to LANDING_T_MAX, the flight descends through z = z_plane."""
-
-        def f(t: float) -> float:
-            return self.position(t).z - z_plane
-
-        if f(0.0) <= 0:
-            return None
-        hi = 0.05
-        while hi < LANDING_T_MAX and f(hi) > 0:
-            hi = min(2.0 * hi, LANDING_T_MAX)
-        if f(hi) > 0:
-            return None
-        t_land = float(brentq(f, 1e-9, hi))
-        return t_land, self.position(t_land)
+    if f(0.0) <= 0:
+        return None
+    hi = 0.05
+    while hi < LANDING_T_MAX and f(hi) > 0:
+        hi = min(2.0 * hi, LANDING_T_MAX)
+    if f(hi) > 0:
+        return None
+    decay = -math.expm1(-k * float(brentq(f, 1e-9, hi))) / k
+    return px + vx * decay, py + vy * decay
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +174,9 @@ class DragFlight:
 def aim_point(table: TableGeometry) -> Vec3:
     """Where every return is aimed: the centre of the opponent's table half."""
     return Vec3(table.half_length / 2.0, 0.0, table.height_z)
+
+
+_AIM = aim_point(TABLE)
 
 
 def landing_after_reflection(
@@ -297,7 +294,6 @@ STRATEGIES = ("baseline", "anticipatory", "oracle")
 
 @dataclass
 class SimParams:
-    table: TableGeometry = field(default_factory=TableGeometry)
     workspace: Box = field(
         default_factory=lambda: Box(Vec3(-2.8, -1.4, 0.5), Vec3(-1.2, 1.4, 1.8))
     )
@@ -358,12 +354,6 @@ def _step_balls(exchanges: Exchanges, lead_times: Sequence[float],
     times = np.array(grids)
     balls = balls_at(exchanges, times.ravel()).reshape(len(exchanges), *times.shape, 3)
     return times, balls, np.array([np.searchsorted(grid, stops) for grid in grids]) + 1
-
-
-def _ideal_poses(exchanges: Exchanges, table: TableGeometry) -> list[RacketPose]:
-    """Each exchange's ideal interception pose, on its crossing."""
-    return [solve_target_pose(Vec3(*p), Vec3(*v), table) for p, v in
-            zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
 
 
 def _prepositions(regions: tuple[np.ndarray, np.ndarray],
@@ -429,30 +419,27 @@ def _turns(target: Quat, max_turn: float, n: int) -> list[Quat]:
     return seq
 
 
-def _pose_errors(pose: RacketPose, ideal: RacketPose) -> tuple[float, float]:
-    """Position and orientation error of a pose from the ideal one."""
-    return (pose.position - ideal.position).norm(), pose.angle_to(ideal)
+def _pose_errors(p: Position, q: Quat, ideal_p: Position, ideal_q: Quat) -> tuple[float, float]:
+    """Position and orientation error of the pose (p, q) from the ideal one."""
+    dx, dy, dz = p[0] - ideal_p[0], p[1] - ideal_p[1], p[2] - ideal_p[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz), _magnitude(_relative(q, ideal_q))
 
 
-def _grade(p: Position, q: Quat, ball: Sequence[float], v_in: Sequence[float],
-           ideal: RacketPose, table: TableGeometry) -> Optional[tuple]:
-    """The outcome fields of a contact by the pose (p, q) with the ball at
-    ``ball`` moving at ``v_in``: contacted, returned, deviation and the pose
-    errors; None when the ball is not moving into the racket face."""
-    pose = RacketPose(Vec3(*p), q)
+def _grade(q: Quat, ball: Sequence[float], v_in: Sequence[float]) -> Optional[tuple]:
+    """The outcome of a contact by a racket of orientation q with the ball at
+    ``ball`` moving at ``v_in``: contacted, returned and the landing's
+    distance from the aim point; None when the ball is not moving into the
+    racket face."""
     try:
-        v_after = racket_reflect(Vec3(*v_in), pose.normal())
+        v_after = racket_reflect(Vec3(*v_in), _normal(q))
     except NoContact:
         return None
-    returned, deviation = False, None
-    land = DragFlight(Vec3(*ball), v_after).landing(table.height_z)
-    if land is not None:
-        _, p_land = land
-        aim = aim_point(table)
-        deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
-        returned = (v_after.x > 0 and 0.0 <= p_land.x <= table.half_length
-                    and abs(p_land.y) <= table.half_width)
-    return True, returned, deviation, *_pose_errors(pose, ideal)
+    land = _landing(ball, _xyz(v_after), TABLE.height_z)
+    if land is None:
+        return True, False, None
+    x, y = land
+    return (True, v_after.x > 0 and 0.0 <= x <= TABLE.half_length and abs(y) <= TABLE.half_width,
+            math.hypot(x - _AIM.x, y - _AIM.y))
 
 
 def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeResult]]:
@@ -473,17 +460,20 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
     other strategies at the first step after the hit. A lane's contact test
     runs only on steps where a ball segment of its grid comes within
     RACKET_RADIUS of the workspace's x range, and each distinct contact
-    (exchange, time and pose) is graded once.
+    (exchange, time and orientation) is graded once; a lane's pose errors are
+    taken from its exchange's crossing and ideal orientation.
     """
     params = rows[0][1]
     n, n_rows, dt = len(exchanges), len(rows), params.dt
     lead_times = list(dict.fromkeys(p.lead_time for _, p, _ in rows))
     times, balls, ends = _step_balls(exchanges, lead_times, dt)
-    ideals = _ideal_poses(exchanges, params.table)
+    ideal_p = exchanges.crossing_pos.tolist()
+    ideal_q = [solve_target_pose(Vec3(*p), Vec3(*v), TABLE).orientation
+               for p, v in zip(ideal_p, exchanges.crossing_vel.tolist())]
     row_grid = [lead_times.index(p.lead_time) for _, p, _ in rows]
     grid, ex = np.repeat(row_grid, n), np.tile(np.arange(n), n_rows)  # per lane
     lo, hi = _column(params.workspace.lo), _column(params.workspace.hi)
-    ideal = np.array([_xyz(pose.position) for pose in ideals]).T  # (3, n)
+    ideal = exchanges.crossing_pos.T  # (3, n)
     idle, fallback = [], []
     for strategy, p, regions in rows:
         if strategy == "anticipatory":
@@ -531,7 +521,7 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
         if i >= last:
             break
 
-    seqs = [_turns(pose.orientation, params.omega_max * dt, m) for pose in ideals]
+    seqs = [_turns(q, params.omega_max * dt, m) for q in ideal_q]
     v_in = exchanges.outgoing.velocities(times[grid, contact].reshape(n_rows, n).T).tolist()
     ids, contact, cross_at = exchanges.ids.tolist(), contact.tolist(), cross_at.tolist()
     pos, cross, times, graded = pos.T.tolist(), cross.T.tolist(), times.tolist(), {}
@@ -543,17 +533,17 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
             lane, seq, grade = r * n + e, seqs[e], None
             c = contact[lane]
             if c:
-                q = seq[min(max(c - first, 0), len(seq) - 1)]
-                key = (e, times[g][c], *pos[lane], q)
+                at, q = pos[lane], seq[min(max(c - first, 0), len(seq) - 1)]
+                key = (e, times[g][c], q)  # the landing does not depend on the position
                 if key not in graded:
-                    graded[key] = _grade(pos[lane], q, balls[e, g, c].tolist(), v_in[e][r],
-                                         ideals[e], p.table)
+                    graded[key] = _grade(q, balls[e, g, c].tolist(), v_in[e][r])
                 grade = graded[key]
             if grade is None:
-                q = seq[min(max(cross_at[lane] - first, 0), len(seq) - 1)]
-                grade = (False, False, None,
-                         *_pose_errors(RacketPose(Vec3(*cross[lane]), q), ideals[e]))
-            out.append(EpisodeResult(ids[e], strategy, *grade, fallback[lane]))
+                at, q = cross[lane], seq[min(max(cross_at[lane] - first, 0), len(seq) - 1)]
+                grade = False, False, None
+            out.append(EpisodeResult(ids[e], strategy, *grade,
+                                     *_pose_errors(at, q, ideal_p[e], ideal_q[e]),
+                                     fallback[lane]))
         results.append(out)
     return results
 
@@ -626,12 +616,19 @@ def run_strategy(
     return _aggregate(results, strategy, params), results
 
 
-def _anticipation_inputs(
-    seed: int, table: TableGeometry, n_cal: int
-) -> tuple[list[ShotPredictor], Exchanges]:
-    """The ensemble and its calibration split."""
-    predictors = physics_baseline_ensemble(seed, table=table)
-    return predictors, generate_exchanges(seed + 17, n_cal, id_offset=CAL_ID_OFFSET)
+def _calibrations(seed: int, lead_times: Sequence[float], alpha: float,
+                  n_cal: int) -> tuple[list[ShotPredictor], list[ConformalCalibration]]:
+    """The ensemble and its conformal calibration at each lead time, all on
+    one calibration split whose truth is taken once: only the forecast
+    depends on the lead time."""
+    predictors = physics_baseline_ensemble(seed)
+    cal = generate_exchanges(seed + 17, n_cal, id_offset=CAL_ID_OFFSET)
+    forecast = forecast_split(predictors, cal, HORIZONS, lead_times[0])
+    calibs = [calibrate_ensemble(forecast, alpha)]
+    for lead_time in lead_times[1:]:
+        mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lead_time)
+        calibs.append(calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), alpha))
+    return predictors, calibs
 
 
 def prepare_anticipation(
@@ -640,9 +637,8 @@ def prepare_anticipation(
     n_cal: int = 600,
 ) -> tuple[list[ShotPredictor], ConformalCalibration]:
     """Ensemble plus conformal calibration matched to the deployment lead time."""
-    predictors, cal = _anticipation_inputs(seed, params.table, n_cal)
-    forecast = forecast_split(predictors, cal, HORIZONS, params.lead_time)
-    return predictors, calibrate_ensemble(forecast, params.alpha)
+    predictors, (calib,) = _calibrations(seed, [params.lead_time], params.alpha, n_cal)
+    return predictors, calib
 
 
 LAMS = (0.0, 0.1, 0.5)  # the blending sweep of an experiment
@@ -671,28 +667,20 @@ def run_experiment(
     if n_episodes < 1:
         raise EmptyDataset(f"need at least one episode, got {n_episodes}")
     exchanges = generate_exchanges(seed, n_episodes)
-
-    # Strategy comparison at the base configuration.
-    predictors, cal = _anticipation_inputs(seed, base_params.table, n_cal)
-    forecast = forecast_split(predictors, cal, HORIZONS, base_params.lead_time)
-    calib = calibrate_ensemble(forecast, base_params.alpha)
-    regions = split_regions(predictors, calib, exchanges, HORIZONS, base_params.lead_time)
-    rows = [(s, base_params, regions) for s in STRATEGIES]
-    rows += [("anticipatory", replace(base_params, lam=lam), regions) for lam in LAMS
+    lead_times = [base_params.lead_time] + [lt for lt in LEAD_TIMES
+                                            if lt != base_params.lead_time]
+    predictors, calibs = _calibrations(seed, lead_times, base_params.alpha, n_cal)
+    regions = [split_regions(predictors, calib, exchanges, HORIZONS, lt)
+               for calib, lt in zip(calibs, lead_times)]
+    rows = [(s, base_params, regions[0]) for s in STRATEGIES]
+    rows += [("anticipatory", replace(base_params, lam=lam), regions[0]) for lam in LAMS
              if lam != base_params.lam]
-    for lt in LEAD_TIMES:
-        if lt == base_params.lead_time:
-            continue
-        p = replace(base_params, lead_time=lt)
-        # Only the forecast depends on the lead time; the split's truth is reused.
-        mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lt)
-        calib_lt = calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), p.alpha)
-        rows.append(("anticipatory", p, split_regions(predictors, calib_lt, exchanges, HORIZONS,
-                                                       lt)))
+    rows += [("anticipatory", replace(base_params, lead_time=lt), r)
+             for lt, r in zip(lead_times[1:], regions[1:])]
     rest = Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
                 float(np.mean(exchanges.crossing_pos[:, 2])))
     if not (rest - base_params.central).norm() < 1e-12:
-        rows.append(("anticipatory", replace(base_params, central=rest), regions))
+        rows.append(("anticipatory", replace(base_params, central=rest), regions[0]))
     return [_aggregate(results, strategy, p)
             for (strategy, p, _), results in zip(rows, _episodes(exchanges, rows))]
 

@@ -3,33 +3,73 @@ test oracle.
 
 ``approach`` steps one episode on floats with ``step`` (a straight move, a
 slerp, then the workspace clamp) and tests contact with
-``point_segment_distance``; ``outcome`` grades it; ``row`` runs one strategy
-row episode by episode on the grid of ``step_balls``. The pre-hit target
-comes from the scalar selection: ``select_target_time`` (each region in
-horizon order through ``reachable_covers``) and ``select_preposition``.
-Regions are ``anticipate.Region`` lists, one per exchange. Tests hold the
-engine to these bit for bit.
+``point_segment_distance``; ``outcome`` grades it, landing the return with
+``DragFlight``; ``row`` runs one strategy row episode by episode on the grid
+of ``step_balls``. The pre-hit target comes from the scalar selection:
+``select_target_time`` (each region in horizon order through
+``reachable_covers``) and ``select_preposition``. Regions are
+``anticipate.Region`` lists, one per exchange. Tests hold the engine to these
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ttrally.anticipate import Region
-from ttrally.control import (IDENTITY, RACKET_RADIUS, Box, DragFlight, EpisodeResult,
-                             ExperimentRow, Quat, RacketPose, SimParams, _aggregate, _compose,
-                             _magnitude, _partial_turn, _relative, aim_point, racket_reflect,
-                             solve_target_pose)
+from ttrally.ball import GRAVITY
+from ttrally.control import (IDENTITY, LANDING_T_MAX, RACKET_RADIUS, RETURN_DRAG_K, Box,
+                             EpisodeResult, ExperimentRow, Quat, RacketPose, SimParams,
+                             _aggregate, _compose, _magnitude, _partial_turn, _relative,
+                             aim_point, racket_reflect, solve_target_pose)
 from ttrally.core import Vec3
 from ttrally.errors import NoContact
-from ttrally.synth import Exchanges, balls_at
+from ttrally.synth import TABLE, Exchanges, balls_at
 
 Position = tuple[float, float, float]
 _xyz = attrgetter("x", "y", "z")  # a Vec3 as a Position
+
+
+@dataclass
+class DragFlight:
+    """Free flight with gravity and linear drag from an initial state."""
+
+    p0: Vec3
+    v0: Vec3
+
+    def position(self, t: float) -> Vec3:
+        k = RETURN_DRAG_K
+        vt = -GRAVITY / k  # terminal velocity, along z
+        decay = -math.expm1(-k * t) / k
+        p, v = self.p0, self.v0
+        return Vec3(p.x + v.x * decay, p.y + v.y * decay, p.z + vt * t + (v.z - vt) * decay)
+
+    def landing(self, z_plane: float) -> Optional[tuple[float, Vec3]]:
+        """First time, up to LANDING_T_MAX, the flight descends through z = z_plane."""
+
+        def f(t: float) -> float:
+            return self.position(t).z - z_plane
+
+        if f(0.0) <= 0:
+            return None
+        hi = 0.05
+        while hi < LANDING_T_MAX and f(hi) > 0:
+            hi = min(2.0 * hi, LANDING_T_MAX)
+        if f(hi) > 0:
+            return None
+        t_land = float(brentq(f, 1e-9, hi))
+        return t_land, self.position(t_land)
+
+
+def angle(a: RacketPose, b: RacketPose) -> float:
+    """Relative orientation angle of two poses in radians."""
+    return _magnitude(_relative(a.orientation, b.orientation))
 
 
 class NoFeasibleTime(Exception):
@@ -175,16 +215,16 @@ def outcome(exchange_id: int, strategy: str, params: SimParams, ideal: RacketPos
             pass
         else:
             contacted = True
-            land = DragFlight(Vec3(*ball), v_after).landing(params.table.height_z)
+            land = DragFlight(Vec3(*ball), v_after).landing(TABLE.height_z)
             if land is not None:
                 _, p_land = land
-                aim = aim_point(params.table)
+                aim = aim_point(TABLE)
                 deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
-                returned = (v_after.x > 0 and 0.0 <= p_land.x <= params.table.half_length
-                            and abs(p_land.y) <= params.table.half_width)
+                returned = (v_after.x > 0 and 0.0 <= p_land.x <= TABLE.half_length
+                            and abs(p_land.y) <= TABLE.half_width)
     ref = pose if contacted else RacketPose(Vec3(*crossing[0]), crossing[1])
     return EpisodeResult(exchange_id, strategy, contacted, returned, deviation,
-                         (ref.position - ideal.position).norm(), ref.angle_to(ideal), fallback)
+                         (ref.position - ideal.position).norm(), angle(ref, ideal), fallback)
 
 
 def row(exchanges: Exchanges, strategy: str, params: SimParams,
@@ -192,7 +232,7 @@ def row(exchanges: Exchanges, strategy: str, params: SimParams,
         ) -> tuple[ExperimentRow, list[EpisodeResult]]:
     """One strategy row, episode by episode, on its own grid and ideal poses."""
     times, balls = step_balls(exchanges, params)
-    ideals = [solve_target_pose(Vec3(*p), Vec3(*v), params.table) for p, v in
+    ideals = [solve_target_pose(Vec3(*p), Vec3(*v), TABLE) for p, v in
               zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist())]
     regions = regions or [None] * len(exchanges)
     runs = [approach(ideal, t, strategy, params, r, times, b)

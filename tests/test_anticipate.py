@@ -39,7 +39,7 @@ from ttrally.errors import (
 )
 from ttrally import anticipate
 from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                           context_mask, generate_exchanges)
+                           TABLE, context_mask, generate_exchanges)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 
@@ -257,7 +257,7 @@ def _oracle_trajectory(pred, ctx):
                             -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
     k = max(0.19 + m.d_k, 0.02)
     speed = float(np.clip(SHOT_SPEED_MEAN + m.d_speed, *SHOT_SPEED_CLIP))
-    traj, _ = construct_return_shot(pred.table, hit, -0.675 + m.d_bounce_x, y_cross,
+    traj, _ = construct_return_shot(TABLE, hit, -0.675 + m.d_bounce_x, y_cross,
                                     1.05 + m.d_z_cross, speed, k, k)
     return traj
 

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation, Slerp
 
 import scalar_episode
-from scalar_episode import (NoFeasibleTime, as_regions, clamp, contains_box,
+from scalar_episode import (DragFlight, NoFeasibleTime, angle, as_regions, clamp, contains_box,
                             farthest_corner_distance, point_segment_distance, reachable_covers,
                             select_preposition, select_target_time)
 from scalar_flight import trajectory_of
@@ -25,7 +25,6 @@ from ttrally.control import (
     LANDING_T_MAX,
     RETURN_DRAG_K,
     Box,
-    DragFlight,
     RacketPose,
     SimParams,
     aim_point,
@@ -196,12 +195,12 @@ def test_step_robot_limits_speed_and_turn():
     dt, v_max, omega_max = 0.01, 2.0, math.radians(720.0)
     stepped = step_robot(pose, target, dt, v_max, omega_max, WORKSPACE)
     assert (stepped.position - pose.position).norm() <= v_max * dt + 1e-12
-    assert pose.angle_to(stepped) <= omega_max * dt + 1e-12
+    assert angle(pose, stepped) <= omega_max * dt + 1e-12
     # Converges onto the target and stays put once there.
     for _ in range(200):
         pose = step_robot(pose, target, dt, v_max, omega_max, WORKSPACE)
     assert (pose.position - target.position).norm() < 1e-9
-    assert pose.angle_to(target) < 1e-9
+    assert angle(pose, target) < 1e-9
     again = step_robot(pose, target, dt, v_max, omega_max, WORKSPACE)
     assert (again.position - pose.position).norm() < 1e-12
 
@@ -251,17 +250,17 @@ def test_step_robot_turn_matches_scipy_slerp(pair, log_turn):
 
 @settings(max_examples=300)
 @given(rotation_pairs())
-def test_angle_to_and_normal_match_scipy(pair):
+def test_relative_angle_and_normal_match_scipy(pair):
     a, b = pair
-    assert abs(_pose(a).angle_to(_pose(b)) - (a.inv() * b).magnitude()) <= 1e-12
+    assert abs(angle(_pose(a), _pose(b)) - (a.inv() * b).magnitude()) <= 1e-12
     assert np.abs(_pose(a).normal() - a.apply([1.0, 0.0, 0.0])).max() <= 1e-12
 
 
 @given(rotations)
-def test_angle_to_an_identical_pose_is_exactly_zero(a):
+def test_relative_angle_of_an_identical_orientation_is_exactly_zero(a):
     pose = _pose(a)
-    assert pose.angle_to(pose) == 0.0
-    assert pose.angle_to(_pose(a)) == 0.0
+    assert angle(pose, pose) == 0.0
+    assert angle(pose, _pose(a)) == 0.0
 
 
 def test_turning_steps_keep_the_quaternion_unit():
@@ -306,71 +305,93 @@ def test_solve_target_pose_quaternion_is_scipys_euler_bitwise(y, z, vx, vy, vz):
 
 
 def test_drag_flight_matches_ode_oracle():
-    flight = DragFlight(Vec3(-1.37, 0.2, 1.1), Vec3(6.0, -1.0, 2.0))
+    # The landing against an ODE solve of the same drag law, stopped where
+    # the flight first descends through each plane.
+    p0, v0 = (-1.37, 0.2, 1.1), (6.0, -1.0, 2.0)
 
     def rhs(t, s):
         return [s[3], s[4], s[5],
                 -0.12 * s[3], -0.12 * s[4], -GRAVITY - 0.12 * s[5]]
 
-    sol = solve_ivp(rhs, (0, 0.8), [-1.37, 0.2, 1.1, 6.0, -1.0, 2.0],
-                    dense_output=True, rtol=1e-10, atol=1e-12)
-    for t in (0.1, 0.4, 0.8):
-        want = sol.sol(t)[:3]
-        assert np.allclose(flight.position(t).as_array(), want, atol=1e-7)
+    for plane in (1.05, 0.9, TABLE.height_z):
+        def descends(t, s):
+            return s[2] - plane
+
+        descends.terminal, descends.direction = True, -1
+        sol = solve_ivp(rhs, (0, LANDING_T_MAX), [*p0, *v0], events=descends,
+                        rtol=1e-10, atol=1e-12)
+        (want,) = sol.y_events[0]
+        assert np.allclose(control._landing(p0, v0, plane), want[:2], atol=1e-7)
+
+
+def _heights(p0, v0, ts):
+    """Flight height at times ts, from the drag law in numpy (an oracle, not bitwise)."""
+    k = RETURN_DRAG_K
+    return p0[2] - GRAVITY / k * ts + (v0[2] + GRAVITY / k) * -np.expm1(-k * ts) / k
+
+
+def _landing_time(p0, v0, landing):
+    """The time of a landing, read off the axis the flight crosses faster:
+    x = x0 + vx * (1 - exp(-k t)) / k."""
+    axis = int(abs(v0[1]) > abs(v0[0]))
+    decay = (landing[axis] - p0[axis]) / v0[axis]
+    return -math.log1p(-RETURN_DRAG_K * decay) / RETURN_DRAG_K
 
 
 def test_drag_flight_landing_crosses_plane():
-    flight = DragFlight(Vec3(0.0, 0.0, 1.2), Vec3(5.0, 0.0, 1.0))
-    t_land, p_land = flight.landing(0.76)
-    assert p_land.z == pytest.approx(0.76, abs=1e-9)
-    assert flight.position(t_land - 1e-4).z > 0.76
+    p0, v0 = (0.0, 0.0, 1.2), (5.0, 0.0, 1.0)
+    landing = control._landing(p0, v0, 0.76)
+    t_land = _landing_time(p0, v0, landing)
+    assert landing[1] == 0.0
+    assert _heights(p0, v0, t_land) == pytest.approx(0.76, abs=1e-9)
+    assert _heights(p0, v0, t_land - 1e-4) > 0.76
     # Starting below the plane yields no landing.
-    below = DragFlight(Vec3(0.0, 0.0, 0.5), Vec3(5.0, 0.0, -1.0))
-    assert below.landing(0.76) is None
+    assert control._landing((0.0, 0.0, 0.5), (5.0, 0.0, -1.0), 0.76) is None
 
 
 FLIGHT = dict(
-    p0=st.builds(Vec3, st.floats(-1.5, 1.5), st.floats(-0.8, 0.8), st.floats(0.77, 3.0)),
-    v0=st.builds(Vec3, st.floats(-20.0, 20.0), st.floats(-5.0, 5.0), st.floats(-10.0, 40.0)),
+    p0=st.tuples(st.floats(-1.5, 1.5), st.floats(-0.8, 0.8), st.floats(0.77, 3.0)),
+    v0=st.tuples(st.floats(-20.0, 20.0), st.floats(-5.0, 5.0), st.floats(-10.0, 40.0)),
 )
-
-
-def _dense_heights(flight, ts):
-    """Flight height on a grid, from the drag law in numpy (an oracle, not bitwise)."""
-    k = RETURN_DRAG_K
-    return flight.p0.z - GRAVITY / k * ts + (flight.v0.z + GRAVITY / k) * -np.expm1(-k * ts) / k
 
 
 @settings(max_examples=200)
 @given(**FLIGHT)
 def test_drag_flight_landing_matches_a_dense_grid_root(p0, v0):
-    flight, plane = DragFlight(p0, v0), TABLE.height_z
+    plane = TABLE.height_z
     grid = np.linspace(0.0, LANDING_T_MAX, 20_001)
-    below = np.flatnonzero(_dense_heights(flight, grid) <= plane)
-    landing = flight.landing(plane)
+    below = np.flatnonzero(_heights(p0, v0, grid) <= plane)
+    landing = control._landing(p0, v0, plane)
     if len(below) == 0:
         # Still above the plane at LANDING_T_MAX: no landing in the searched window.
         assert landing is None
         return
     assert landing is not None
-    t_land, p_land = landing
-    step = grid[1] - grid[0]
-    assert grid[below[0]] - step - 1e-9 <= t_land <= grid[below[0]] + 1e-9
-    assert p_land.z == pytest.approx(plane, abs=1e-9)
+    # The landing lies on the flight between the grid's last time above the
+    # plane and its first at or below it.
+    ends = grid[[max(below[0] - 1, 0), below[0]]] + [-1e-9, 1e-9]
+    decay = -np.expm1(-RETURN_DRAG_K * ends) / RETURN_DRAG_K
+    for axis in (0, 1):
+        xs = p0[axis] + v0[axis] * decay
+        assert xs.min() - 1e-9 <= landing[axis] <= xs.max() + 1e-9
+    if max(abs(v0[0]), abs(v0[1])) >= 1.0:  # fast enough across to read its time
+        t_land = _landing_time(p0, v0, landing)
+        assert ends[0] <= t_land <= ends[1]
+        assert _heights(p0, v0, t_land) == pytest.approx(plane, abs=1e-9)
 
 
-def _array_position(flight, t):
-    """DragFlight.position as it was on arrays: the drift and terminal velocity as 3-vectors."""
+def _array_position(p0, v0, t):
+    """The flight's position as it was on arrays: the drift and terminal velocity as 3-vectors."""
     k = RETURN_DRAG_K
     v_term = np.array([0.0, 0.0, -GRAVITY / k])
     decay = -math.expm1(-k * t) / k
-    return Vec3.from_array(flight.p0.as_array() + v_term * t + (flight.v0.as_array() - v_term) * decay)
+    return np.array(p0) + v_term * t + (np.array(v0) - v_term) * decay
 
 
-def _array_landing(flight, z_plane):
-    """DragFlight.landing on its former objective: position(t).z, an array per call."""
+def _array_landing(p0, v0, z_plane):
+    """The landing search on its former objective: the position's z, an array per call."""
     def f(t):
-        return _array_position(flight, t).z - z_plane
+        return float(_array_position(p0, v0, t)[2]) - z_plane
 
     if f(0.0) <= 0:
         return None
@@ -379,17 +400,19 @@ def _array_landing(flight, z_plane):
         hi = min(2.0 * hi, LANDING_T_MAX)
     if f(hi) > 0:
         return None
-    t_land = float(brentq(f, 1e-9, hi))
-    return t_land, _array_position(flight, t_land)
+    x, y, _ = _array_position(p0, v0, float(brentq(f, 1e-9, hi))).tolist()
+    return x, y
 
 
 @settings(max_examples=300)
 @given(**FLIGHT)
 def test_drag_flight_landing_equals_the_array_objective(p0, v0):
-    flight = DragFlight(p0, v0)
-    assert flight.landing(TABLE.height_z) == _array_landing(flight, TABLE.height_z)
-    for t in (0.0, 1e-3, 0.37, 2.0, LANDING_T_MAX):
-        assert flight.position(t) == _array_position(flight, t)
+    # Bit for bit against the array objective and against DragFlight, the
+    # landing search the float one replaced.
+    got = control._landing(p0, v0, TABLE.height_z)
+    assert got == _array_landing(p0, v0, TABLE.height_z)
+    flight = DragFlight(Vec3(*p0), Vec3(*v0)).landing(TABLE.height_z)
+    assert got == (None if flight is None else (flight[1].x, flight[1].y))
 
 
 def test_landing_after_reflection_is_ballistic():
@@ -473,7 +496,7 @@ def test_solve_target_pose_infeasible_beyond_angle_limits():
 def test_sim_params_validates_central_pose():
     with pytest.raises(ValueError):
         SimParams(central=Vec3(5.0, 0.0, 1.0))
-    assert aim_point(SimParams().table) == Vec3(TABLE.half_length / 2.0, 0.0, TABLE.height_z)
+    assert control._AIM == Vec3(TABLE.half_length / 2.0, 0.0, TABLE.height_z)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -582,7 +605,7 @@ def _stepwise_episode(one, strategy, params, predictors=None, calib=None):
     def truth_at(t):
         return outgoing.position(t) if t >= 0 else incoming.position(t)
 
-    ideal = solve_target_pose(ex.crossing_pos, ex.crossing_vel, params.table)
+    ideal = solve_target_pose(ex.crossing_pos, ex.crossing_vel, TABLE)
     fallback = False
     pre_target = None
     if strategy == "oracle":
@@ -628,19 +651,19 @@ def _stepwise_episode(one, strategy, params, predictors=None, calib=None):
     returned = False
     deviation = None
     if contacted:
-        land = DragFlight(contact_pos, v_after).landing(params.table.height_z)
+        land = DragFlight(contact_pos, v_after).landing(TABLE.height_z)
         if land is not None:
             _, p_land = land
-            aim = aim_point(params.table)
+            aim = aim_point(TABLE)
             deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
-            returned = (v_after.x > 0 and 0.0 <= p_land.x <= params.table.half_length
-                        and abs(p_land.y) <= params.table.half_width)
+            returned = (v_after.x > 0 and 0.0 <= p_land.x <= TABLE.half_length
+                        and abs(p_land.y) <= TABLE.half_width)
     ref = pose if contacted else pose_at_crossing
     return control.EpisodeResult(
         exchange_id=ex.exchange_id, strategy=strategy, contacted=contacted,
         returned=returned, return_deviation=deviation,
         position_error=(ref.position - ideal.position).norm(),
-        orientation_error=ref.angle_to(ideal), fallback=fallback,
+        orientation_error=angle(ref, ideal), fallback=fallback,
     )
 
 
@@ -718,10 +741,12 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
 
 
 def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
-    # Episodes step as array lanes: a row builds about 22-26 RacketPose and
-    # Vec3 objects per episode, for its ideal pose and outcome (most in the
-    # landing search), whatever its number of steps. One pose per step would
-    # make about 140 per episode at dt = 0.01.
+    # Episodes step as array lanes and grade on floats: a row builds 4
+    # RacketPose and Vec3 objects per episode for its ideal pose (the
+    # arguments, aim point and result of solve_target_pose) and 2 per contact
+    # (racket_reflect's velocity in and out), 5.6-6.0 per episode whatever its
+    # number of steps. One pose per step would make about 140 per episode at
+    # dt = 0.01.
     exchanges = generate_exchanges(5, 20)
     built = Counter()
     for cls in (RacketPose, Vec3):
@@ -734,7 +759,7 @@ def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
             built.clear()
             _, results = run_strategy(exchanges, strategy, params, predictors, calib)
             assert any(r.contacted for r in results)
-            assert sum(built.values()) <= 30 * len(exchanges), (dt, strategy, built)
+            assert sum(built.values()) <= 6 * len(exchanges), (dt, strategy, built)
 
 
 def test_an_empty_row_or_experiment_raises_empty_dataset():
@@ -815,9 +840,9 @@ def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(mon
                         engine.append(len(rows)) or episodes(exchanges, rows))
     rows = run_experiment(5, n_episodes=6, n_cal=60)
     assert len(rows) == 8
-    # The calibration split at the base lead time, then each anticipatory
-    # lead time's regions; the two other lead times rerun only the ensemble.
-    assert batched == [60, 6, 60, 6, 60, 6]
+    # The calibration split at each lead time (the two after the base rerun
+    # only the ensemble), then each anticipatory lead time's regions.
+    assert batched == [60, 60, 60, 6, 6, 6]
     # One lane set for all 8 rows, one ball sample for its three grids (an
     # outgoing and an incoming side) and one ideal pose per episode.
     assert engine == [8]
@@ -929,7 +954,8 @@ def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_times, narrow, snap, 
     if snap:
         exchanges = _snapped(exchanges, params)
     try:
-        control._ideal_poses(exchanges, params.table)
+        for p, v in zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist()):
+            solve_target_pose(Vec3(*p), Vec3(*v), TABLE)
     except Infeasible:
         return
     _lanes_against_scalar(exchanges, _rows_of(params, lams, rests, lead_times), reflects)
@@ -985,18 +1011,18 @@ def test_skipped_contact_tests_are_beyond_the_racket():
 
 
 def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
-    # Over seeds 11-18 the rows of an experiment make 1,129 contacts at 482
-    # distinct (exchange, time, pose) keys, and the landing search runs once
-    # per key. Grading every contact afresh, each row in a lane set of its
-    # own (where no two lanes share an exchange), gives the same rows.
+    # Over seeds 11-18 the rows of an experiment make 1,129 contacts at 449
+    # distinct (exchange, time, orientation) keys whose racket reflects the
+    # ball (a landing depends on no racket position), and the landing search
+    # runs once per key. Grading every contact afresh, each row in a lane set
+    # of its own (where no two lanes share an exchange), gives the same rows.
     landings, contacts = [], Counter()
-    landing, aggregate, episodes = DragFlight.landing, control._aggregate, control._episodes
-    monkeypatch.setattr(DragFlight, "landing",
-                        lambda self, z: landings.append(1) or landing(self, z))
+    landing, aggregate, episodes = control._landing, control._aggregate, control._episodes
+    monkeypatch.setattr(control, "_landing", lambda *args: landings.append(1) or landing(*args))
     monkeypatch.setattr(control, "_aggregate", lambda results, *rest: contacts.update(
         contacted=sum(r.contacted for r in results)) or aggregate(results, *rest))
     rows = [run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]
-    assert (len(landings), contacts["contacted"]) == (482, 1129)
+    assert (len(landings), contacts["contacted"]) == (449, 1129)
 
     monkeypatch.setattr(control, "_episodes", lambda exchanges, rows:
                         [episodes(exchanges, [row])[0] for row in rows])

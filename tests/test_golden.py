@@ -9,8 +9,9 @@ reconstruction digests were computed with the batched drag fit
 ``fit_parabola``, and the library digest with one ``position_player`` call
 per player and frame and record-by-record file readers. The track digest
 was computed with an emission that projected and drew noise one frame at a
-time. A change that alters them on purpose names the change and why, and
-re-pins here.
+time, and the experiment digests when every contact was graded on ``Vec3``
+and ``RacketPose`` objects. A change that alters them on purpose names the
+change and why, and re-pins here.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 
 from ttrally import pipeline
 from ttrally.cli import EXIT_OK, main
+from ttrally.control import run_experiment
 from ttrally.core import Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
@@ -166,3 +168,23 @@ def test_generated_exchanges_match_golden_hash():
     assert _exchange_digest(full) == EXCHANGES
     for n in (0, 1, 65):  # a shorter call makes the same first exchanges
         assert _exchange_digest(generate_exchanges(7, n)) == _exchange_digest(full[:n])
+
+
+EXPERIMENTS = {  # seed: sha256 of repr(run_experiment(seed, 20, n_cal=600))
+    11: "ee14c7fcc43ede25b262b0a48227b0ad0915f64a11c9c8152e45985851a92f9a",
+    12: "ea49c66d62be4f69a8219bddc5bcc11037c485e8e68f8b0c474a42f767257ea4",
+    13: "bc42fe0de071f22ba9bb36a599e457e81501ddce2babde2d3108a1a768b9aaf4",
+    14: "f82773cea40b25397b62649f1078d4bde64e307b1ce4bcf41bb99a1e94fa80af",
+    15: "0ea67cdbf76aab7c42b6c2a235591063d3f2f29aae6f92061cd7d787056d27f2",
+    16: "fe2222e13f601c8f92d0b005e34f92f718982e400cde470e63dd5d1c2909c77a",
+    17: "37a4f988cc5621de583a53ba544baac9f29034db2b1ffe9de69e558fc392c562",
+    18: "4724f7817876023df289ec0dfcff7c173400fe8a8e0ec8d00436846e3445a53c",
+}
+
+
+def test_experiments_match_golden_hashes():
+    """Every row of the returner experiment on seeds 11-18, 20 episodes each:
+    repr pins each float, the NaN of a row without returns included."""
+    got = {seed: _sha256(repr(run_experiment(seed, 20, n_cal=600)).encode())
+           for seed in EXPERIMENTS}
+    assert got == EXPERIMENTS
