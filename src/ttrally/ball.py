@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -86,14 +87,200 @@ class StokesSegment:
             raise ValueError("k must be positive")
 
 
-def _libm(f, a) -> np.ndarray:
-    """``f`` from the math module, elementwise over an array.
+# ---------------------------------------------------------------------------
+# expm1, exp and log in one fixed order of IEEE operations
+# ---------------------------------------------------------------------------
+#
+# fdlibm's algorithms (Sun Microsystems, 1993: s_expm1.c, e_exp.c and e_log.c,
+# the base of glibc's), on the domain the drag law feeds them: x <= 0 for
+# expm1 and exp, (0, 1] for log. Every step is one + - * / rounded to nearest,
+# or an exact frexp/ldexp, with nothing fused, so the bytes are the same on
+# every CPU and libm. Each function takes a float or an array. An array of up
+# to _FLOAT_LANES elements runs element by element on Python floats, below a
+# ufunc call's fixed cost; a longer one runs its primary-range lanes as ufuncs
+# through the same primary body and each other lane as a float. IEEE rounding
+# makes the two modes agree bit for bit.
 
-    numpy's SIMD expm1/exp/log may differ from libm in the last bit; libm
-    keeps every evaluation of the drag law on the same bytes.
-    """
-    a = np.asarray(a, dtype=float)
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+_FLOAT_LANES = 32  # longest array evaluated element by element on floats
+
+
+def _high_word(hi: int) -> float:
+    """The double with high 32 bits ``hi`` and low bits zero. fdlibm branches
+    on a positive x's high word: ``hx >= hi`` is ``x >= _high_word(hi)``."""
+    return struct.unpack("<d", struct.pack("<Q", hi << 32))[0]
+
+
+def _lanes(x: np.ndarray, scalar, primary, lo: float, hi: float) -> np.ndarray:
+    """``scalar`` elementwise over ``x``, ``primary`` being its branch for
+    lo < x < hi. Up to _FLOAT_LANES elements run on floats, through ``primary``
+    when all are in range. A longer array runs ``primary`` as ufuncs on the
+    lanes in range and ``scalar`` on each other lane, so no lane meets
+    arithmetic outside its own branch."""
+    if x.size <= _FLOAT_LANES:
+        xs = x.ravel().tolist()
+        f = primary if xs and lo < min(xs) and max(xs) < hi else scalar
+        return np.fromiter(map(f, xs), float, len(xs)).reshape(x.shape)
+    fast = (lo < x) & (x < hi)
+    if fast.all():
+        return primary(x)
+    out = np.empty(x.shape)
+    out[fast] = primary(x[fast])
+    slow = ~fast
+    out[slow] = [scalar(v) for v in x[slow].tolist()]
+    return out
+
+
+_LN2_HI = 6.93147180369123816490e-01  # 0x3fe62e42 fee00000
+_LN2_LO = 1.90821492927058770002e-10  # 0x3dea39ef 35793c76
+_INVLN2 = 1.44269504088896338700e+00  # 0x3ff71547 652b82fe
+_HALF_LN2 = _high_word(0x3fd62e43)  # |x| from here on leaves the primary range, 0.5 ln 2
+
+_Q1 = -3.33333333333331316428e-02  # 0xbfa11111 111110f4
+_Q2 = 1.58730158725481460165e-03  # 0x3f5a01a0 19fe5585
+_Q3 = -7.93650757867487942473e-05  # 0xbf14ce19 9eaadbb7
+_Q4 = 4.00821782732936239552e-06  # 0x3ed0cfca 86e65239
+_Q5 = -2.01099218183624371326e-07  # 0xbe8afdb7 6e09c32d
+_EXPM1_FLOOR = _high_word(0x4043687a)  # from -56 ln 2 down, expm1 rounds to -1
+
+
+def _expm1_kernel(r):
+    """fdlibm's expm1 kernel on the primary range: (r*r/2, its correction e)."""
+    hfx = 0.5 * r
+    hxs = r * hfx
+    r1 = 1.0 + hxs * (_Q1 + hxs * (_Q2 + hxs * (_Q3 + hxs * (_Q4 + hxs * _Q5))))
+    t = 3.0 - r1 * hfx
+    return hxs, hxs * ((r1 - t) / (6.0 - r * t))
+
+
+def _expm1_primary(x):
+    # _expm1_kernel inline: on floats, a call per element costs a quarter of
+    # the arithmetic, and expm1 is most of the drag law's evaluations.
+    hfx = 0.5 * x
+    hxs = x * hfx
+    r1 = 1.0 + hxs * (_Q1 + hxs * (_Q2 + hxs * (_Q3 + hxs * (_Q4 + hxs * _Q5))))
+    t = 3.0 - r1 * hfx
+    e = hxs * ((r1 - t) / (6.0 - x * t))
+    return x - (x * e - hxs)  # x itself below 2**-54, as fdlibm's shortcut
+
+
+def _expm1(x):
+    """expm1(x) for x <= 0, a float or an array; within 1 ulp."""
+    if isinstance(x, np.ndarray):
+        return _lanes(x, _expm1, _expm1_primary, -_HALF_LN2, math.inf)
+    if not x <= -_HALF_LN2:
+        return _expm1_primary(x)
+    if x <= -_EXPM1_FLOOR:
+        return -1.0
+    # x = k ln2 + r with |r| <= 0.5 ln 2 and k <= -1; c corrects r's rounding.
+    k = int(_INVLN2 * x - 0.5)  # truncated toward zero, as C converts
+    hi = x - k * _LN2_HI  # exact
+    lo = k * _LN2_LO
+    r = hi - lo
+    c = (hi - r) - lo
+    hxs, e = _expm1_kernel(r)
+    e = r * (e - c) - c
+    e -= hxs
+    if k == -1:
+        return 0.5 * (r - e) - 0.5
+    return math.ldexp(1.0 - (e - r), k) - 1.0
+
+
+_P1 = 1.66666666666666019037e-01  # 0x3fc55555 5555553e
+_P2 = -2.77777777770155933842e-03  # 0xbf66c16c 16bebd93
+_P3 = 6.61375632143793436117e-05  # 0x3f11566a af25de2c
+_P4 = -1.65339022054652515390e-06  # 0xbebbbd41 c5d26bf1
+_P5 = 4.13813679705723846039e-08  # 0x3e663769 72bea4d0
+_EXP_TINY = _high_word(0x3e300000)  # 2**-28: exp(x) below it in |x| is 1 + x
+_EXP_UNDERFLOW = -7.45133219101941108420e+02  # 0xc0874910 d52d3051: exp below it is 0
+
+
+def _exp_kernel(r):
+    t = r * r
+    return r - t * (_P1 + t * (_P2 + t * (_P3 + t * (_P4 + t * _P5))))
+
+
+def _exp_primary(x):
+    c = _exp_kernel(x)
+    return 1.0 - ((x * c) / (c - 2.0) - x)
+
+
+def _exp_near(x):
+    """exp's branches for |x| below 0.5 ln 2: 1 + x if tiny, else the primary one."""
+    if isinstance(x, np.ndarray):
+        return np.where(x > -_EXP_TINY, 1.0 + x, _exp_primary(x))
+    return 1.0 + x if x > -_EXP_TINY else _exp_primary(x)
+
+
+def _exp(x):
+    """exp(x) for x <= 0, a float or an array; within 1 ulp."""
+    if isinstance(x, np.ndarray):
+        return _lanes(x, _exp, _exp_near, -_HALF_LN2, math.inf)
+    if not x <= -_HALF_LN2:
+        return _exp_near(x)
+    if x < _EXP_UNDERFLOW:
+        return 0.0
+    k = int(_INVLN2 * x - 0.5)
+    hi = x - k * _LN2_HI
+    lo = k * _LN2_LO
+    r = hi - lo
+    c = _exp_kernel(r)
+    return math.ldexp(1.0 - ((lo - (r * c) / (2.0 - c)) - hi), k)  # rounds once if subnormal
+
+
+_LG1 = 6.666666666666735130e-01  # 0x3fe55555 55555593
+_LG2 = 3.999999999940941908e-01  # 0x3fd99999 9997fa04
+_LG3 = 2.857142874366239149e-01  # 0x3fd24924 94229359
+_LG4 = 2.222219843214978396e-01  # 0x3fcc71c5 1d8e78af
+_LG5 = 1.818357216161805012e-01  # 0x3fc74664 96cb03de
+_LG6 = 1.531383769920937332e-01  # 0x3fc39a09 d078c69f
+_LG7 = 1.479819860511658591e-01  # 0x3fc2f112 df3e5244
+# fdlibm's x = 2**k * y, y in [sqrt(2)/2, sqrt(2)), branches on y's high word:
+_LOG_HALF_SQRT2 = _high_word(0x3fe6a09c)  # a frexp fraction below it is doubled
+_LOG_NEAR_ONE = _high_word(0x3feffffe)  # from here to _LOG_PAST_ONE, |y - 1| < 2**-20
+_LOG_PAST_ONE = _high_word(0x3ff00001)
+_LOG_LOW = _high_word(0x3fe6b852)  # y below it, or from _LOG_HIGH on, takes the long form
+_LOG_HIGH = _high_word(0x3ff6147a)
+_LOG_ABOVE = math.nextafter(_LOG_LOW, 0.0)  # log's primary range: above it, below _LOG_NEAR_ONE
+
+
+def _log_kernel(f):
+    """fdlibm's log kernel on f = y - 1: (s = f / (2 + f), R)."""
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    t1 = w * (_LG2 + w * (_LG4 + w * _LG6))
+    t2 = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7)))
+    return s, t2 + t1
+
+
+def _log_primary(x):
+    f = x - 1.0
+    s, R = _log_kernel(f)
+    return f - s * (f - R)
+
+
+def _log(x):
+    """log(x) for x in (0, 1], a float or an array; within 1 ulp."""
+    if isinstance(x, np.ndarray):
+        return _lanes(x, _log, _log_primary, _LOG_ABOVE, _LOG_NEAR_ONE)
+    if not (x < _LOG_LOW or x >= _LOG_NEAR_ONE):
+        return _log_primary(x)
+    if x <= 0.0:
+        raise ValueError("math domain error")
+    y, k = math.frexp(x)
+    if y < _LOG_HALF_SQRT2:
+        y, k = 2.0 * y, k - 1
+    f = y - 1.0
+    dk = float(k)
+    # fdlibm's forms for k == 0 and for f == 0 round as these do.
+    if _LOG_NEAR_ONE <= y < _LOG_PAST_ONE:  # |f| < 2**-20
+        R = f * f * (0.5 - 0.33333333333333333 * f)
+        return dk * _LN2_HI - ((R - dk * _LN2_LO) - f)
+    s, R = _log_kernel(f)
+    if y < _LOG_LOW or y >= _LOG_HIGH:
+        hfsq = 0.5 * f * f
+        return dk * _LN2_HI - ((hfsq - (s * (hfsq + R) + dk * _LN2_LO)) - f)
+    return dk * _LN2_HI - ((s * (f - R) - dk * _LN2_LO) - f)
 
 
 # numpy arithmetic that would make a NaN or inf raises instead, as float
@@ -109,7 +296,7 @@ def _anchored(b0, bT, T, k, local, span) -> np.ndarray:
     gravity term as T*frac - t keeps both endpoints exact even when g/k is
     huge (small-k regime).
     """
-    frac = -_libm(math.expm1, -k * local) / span
+    frac = -_expm1(-k * local) / span
     out = b0 + (bT - b0) * frac[..., None]
     out[..., 2] += (GRAVITY / k) * (T * frac - local)
     return out
@@ -122,7 +309,7 @@ def stokes_positions(seg: StokesSegment, ts) -> np.ndarray:
         raise OutOfRange(f"sample times outside [0, {seg.T}]")
     k, T = seg.k, seg.T
     with np.errstate(**RAISE_ON_NONFINITE):
-        return _anchored(seg.b0.as_array(), seg.bT.as_array(), T, k, ts, -math.expm1(-k * T))
+        return _anchored(seg.b0.as_array(), seg.bT.as_array(), T, k, ts, -_expm1(-k * T))
 
 
 def stokes_position(seg: StokesSegment, t: float) -> Vec3:
@@ -175,7 +362,7 @@ class Chains:
         return out
 
     def _span(self) -> np.ndarray:
-        return -_libm(math.expm1, -self.k * self.T)  # each piece's frac denominator
+        return -_expm1(-self.k * self.T)  # each piece's frac denominator
 
     def _times(self, t) -> np.ndarray:
         """Times ``t``, (m,) for every chain or (n, m), as an (n, m) array."""
@@ -206,7 +393,7 @@ class Chains:
         """Velocity of the pieces at the flat indices ``at``, of durations
         ``T``, at ``local``, the closed form's derivative: (..., 3) for local (...)."""
         k = self._at(self.k, at)
-        dfrac = k * _libm(math.exp, -k * local) / self._at(span, at)
+        dfrac = k * _exp(-k * local) / self._at(span, at)
         gk = GRAVITY / k
         d = self._at(self.bT, at) - self._at(self.b0, at)
         v = d * dfrac[..., None]
@@ -570,6 +757,8 @@ def _reprojection(pieces, camera: Camera):
     t_row = T[row]
 
     def sse(k: np.ndarray) -> np.ndarray:
+        # numpy's SIMD expm1, at a seventh of _expm1's cost here, is the last
+        # drag-law evaluation whose bytes (the written reproj) follow the CPU.
         frac = np.expm1(-k[row] * ts) / np.expm1(-k * T)[row]
         c = (GRAVITY / k)[row] * (t_row * frac - ts)
         depth = az + frac * bz + c * cz

@@ -33,7 +33,7 @@ from .anticipate import (
     physics_baseline_ensemble,
     split_regions,
 )
-from .ball import GRAVITY
+from .ball import GRAVITY, _expm1
 from .core import TableGeometry, Vec3
 from .errors import EmptyDataset, Infeasible, NoContact
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
@@ -130,15 +130,17 @@ class RacketPose:
 # ---------------------------------------------------------------------------
 
 
-def racket_reflect(v: Vec3, normal: np.ndarray) -> Vec3:
-    """Lossless mirror reflection of the ball velocity about the racket normal."""
-    n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    vn = float(v.as_array() @ n)
+def racket_reflect(v: Vec3, normal: Sequence[float]) -> Vec3:
+    """Lossless mirror reflection of the ball velocity about the racket normal.
+    Its norm and dot are float sums in x, y, z order, which no BLAS kernel
+    reorders."""
+    nx, ny, nz = map(float, normal)
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    vn = v.x * nx + v.y * ny + v.z * nz
     if vn >= 0:
         raise NoContact("ball not approaching the racket face")
-    out = v.as_array() - 2.0 * vn * n
-    return Vec3.from_array(out)
+    return Vec3(v.x - 2.0 * vn * nx, v.y - 2.0 * vn * ny, v.z - 2.0 * vn * nz)
 
 
 def _landing(p: Sequence[float], v: Sequence[float],
@@ -152,7 +154,7 @@ def _landing(p: Sequence[float], v: Sequence[float],
     vt = -GRAVITY / k  # terminal velocity, along z
 
     def f(t: float) -> float:
-        decay = -math.expm1(-k * t) / k
+        decay = -_expm1(-k * t) / k
         return pz + vt * t + (vz - vt) * decay - z_plane
 
     if f(0.0) <= 0:
@@ -162,7 +164,7 @@ def _landing(p: Sequence[float], v: Sequence[float],
         hi = min(2.0 * hi, LANDING_T_MAX)
     if f(hi) > 0:
         return None
-    decay = -math.expm1(-k * float(brentq(f, 1e-9, hi))) / k
+    decay = -_expm1(-k * float(brentq(f, 1e-9, hi))) / k
     return px + vx * decay, py + vy * decay
 
 
@@ -208,7 +210,8 @@ def solve_target_pose(
     to the target on the table plane, and the racket normal is parallel to
     v_out - v_in. Raises Infeasible when the target is out of range at this
     speed, when no face turned toward the ball reflects it there, or when
-    the normal's yaw or pitch leaves the +-MAX_RACKET_ANGLE_DEG box.
+    the normal's yaw or pitch leaves the +-MAX_RACKET_ANGLE_DEG box. Norms
+    and dots are float sums in x, y, z order, as in racket_reflect.
     """
     if target is None:
         target = aim_point(table)
@@ -219,13 +222,14 @@ def solve_target_pose(
     if disc < 0:
         raise Infeasible("target out of range at the incoming speed")
     # Low arc: tan(elevation) = (s^2 - sqrt(disc)) / (g * horizontal distance).
-    v_out = np.array([GRAVITY * dx, GRAVITY * dy, s2 - math.sqrt(disc)])
-    v_out *= math.sqrt(s2) / np.linalg.norm(v_out)
-    dv = v_out - v_in.as_array()
-    if float(v_in.as_array() @ dv) >= 0:
+    ox, oy, oz = GRAVITY * dx, GRAVITY * dy, s2 - math.sqrt(disc)
+    scale = math.sqrt(s2) / math.sqrt(ox * ox + oy * oy + oz * oz)
+    # The normal is parallel to dv = v_out - v_in.
+    ux, uy, uz = ox * scale - v_in.x, oy * scale - v_in.y, oz * scale - v_in.z
+    if v_in.x * ux + v_in.y * uy + v_in.z * uz >= 0:
         raise Infeasible("no racket face turned toward the ball reflects it there")
-    n = dv / np.linalg.norm(dv)
-    psi, phi = math.atan2(n[1], n[0]), math.asin(n[2])
+    norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+    psi, phi = math.atan2(uy / norm, ux / norm), math.asin(uz / norm)
     lim = math.radians(MAX_RACKET_ANGLE_DEG)
     if abs(psi) > lim or abs(phi) > lim:
         raise Infeasible("racket normal outside the angle limits")

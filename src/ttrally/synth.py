@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ball import GRAVITY, RAISE_ON_NONFINITE, Chains, StokesSegment, _libm, stokes_positions
+from .ball import (GRAVITY, RAISE_ON_NONFINITE, Chains, StokesSegment, _expm1, _log,
+                   stokes_positions)
 from .camera import Camera, Extrinsics, Intrinsics, project, project_many
 from .core import RACKET_HAND_JOINT, Frame3D, TableGeometry, Vec3
 from .errors import AssumptionViolation
@@ -68,8 +69,9 @@ IMAGE_MARGIN_PX = 2.0
 
 
 def _eased(u: np.ndarray) -> np.ndarray:
-    """Cosine easing from 0 to 1 over u in [0, 1], flat outside; libm's cos."""
-    return 0.5 - 0.5 * _libm(math.cos, math.pi * np.clip(u, 0.0, 1.0))
+    """Cosine easing from 0 to 1 over u in [0, 1], flat outside; numpy's
+    float64 cos is libm's."""
+    return 0.5 - 0.5 * np.cos(math.pi * np.clip(u, 0.0, 1.0))
 
 
 @dataclass
@@ -464,10 +466,10 @@ def return_shots(
         t2 = total_t - t1
 
         # Solve the virtual end height so the plane crossing sits at z_cross.
-        denom = -_libm(math.expm1, -k2 * t2)
+        denom = -_expm1(-k2 * t2)
         frac_needed = (x_plane - x_bounce) / (x_end - x_bounce)
-        tc_local = -_libm(math.log, 1.0 - frac_needed * denom) / k2
-        frac_c = -_libm(math.expm1, -k2 * tc_local) / denom
+        tc_local = -_log(1.0 - frac_needed * denom) / k2
+        frac_c = -_expm1(-k2 * tc_local) / denom
         gk = GRAVITY / k2
         anchors[:, 2, 2] = height - gk * t2 + (z_cross - height + gk * tc_local) / frac_c
     durations, k = np.empty((n, 2)), np.empty((n, 2))

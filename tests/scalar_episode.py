@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ttrally.anticipate import Region
-from ttrally.ball import GRAVITY
+from ttrally.ball import GRAVITY, _expm1
 from ttrally.control import (IDENTITY, LANDING_T_MAX, RACKET_RADIUS, RETURN_DRAG_K, Box,
                              EpisodeResult, ExperimentRow, Quat, RacketPose, SimParams,
                              _aggregate, _compose, _magnitude, _partial_turn, _relative,
@@ -46,7 +46,7 @@ class DragFlight:
     def position(self, t: float) -> Vec3:
         k = RETURN_DRAG_K
         vt = -GRAVITY / k  # terminal velocity, along z
-        decay = -math.expm1(-k * t) / k
+        decay = -_expm1(-k * t) / k
         p, v = self.p0, self.v0
         return Vec3(p.x + v.x * decay, p.y + v.y * decay, p.z + vt * t + (v.z - vt) * decay)
 

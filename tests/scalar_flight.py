@@ -2,11 +2,12 @@
 
 ``Trajectory`` evaluates one chain of ``StokesSegment`` pieces at one time
 with the scalar closed form and the analytic velocity below, and
-``construct_return_shot`` solves one return shot on Python floats with the
-``math`` module. Tests hold the array code to these bit for bit. One
-departure from the replaced code: ``position`` at ``t_end`` itself returns
-the end anchor, where the replaced code evaluated the last piece at the
-rounded local time ``t_end - start``, which could fall one ulp short of T.
+``construct_return_shot`` solves one return shot on Python floats, each
+through the float form of ``ball``'s fixed-order expm1, exp and log. Tests
+hold the array code to these bit for bit. One departure from the replaced
+code: ``position`` at ``t_end`` itself returns the end anchor, where the
+replaced code evaluated the last piece at the rounded local time
+``t_end - start``, which could fall one ulp short of T.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ttrally.ball import GRAVITY, Chains, StokesSegment
+from ttrally.ball import GRAVITY, Chains, StokesSegment, _exp, _expm1, _log
 from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import OutOfRange
 from ttrally.synth import BOUNCE_CLEARANCE, SHOT_OVERRUN
@@ -25,7 +26,7 @@ def stokes_position(seg: StokesSegment, t: float) -> Vec3:
     if t < -1e-12 or t > seg.T + 1e-12:
         raise OutOfRange(f"t={t} outside [0, {seg.T}]")
     k, T = seg.k, seg.T
-    frac = -math.expm1(-k * t) / -math.expm1(-k * T)
+    frac = -_expm1(-k * t) / -_expm1(-k * T)
     x = seg.b0.x + (seg.bT.x - seg.b0.x) * frac
     y = seg.b0.y + (seg.bT.y - seg.b0.y) * frac
     z = seg.b0.z + (seg.bT.z - seg.b0.z) * frac + (GRAVITY / k) * (T * frac - t)
@@ -35,7 +36,7 @@ def stokes_position(seg: StokesSegment, t: float) -> Vec3:
 def stokes_velocity(seg: StokesSegment, t: float) -> Vec3:
     """Analytic time derivative of the drag trajectory."""
     k, T = seg.k, seg.T
-    dfrac = k * math.exp(-k * t) / -math.expm1(-k * T)
+    dfrac = k * _exp(-k * t) / -_expm1(-k * T)
     gk = GRAVITY / k
     return Vec3(
         (seg.bT.x - seg.b0.x) * dfrac,
@@ -149,10 +150,10 @@ def construct_return_shot(
     total_t = (l1 + l2) / speed
     t1 = total_t * l1 / (l1 + l2)
     t2 = total_t - t1
-    denom = -math.expm1(-k2 * t2)
+    denom = -_expm1(-k2 * t2)
     frac_needed = (x_plane - x_bounce) / (x_end - x_bounce)
-    tc_local = -math.log(1.0 - frac_needed * denom) / k2
-    frac_c = -math.expm1(-k2 * tc_local) / denom
+    tc_local = -_log(1.0 - frac_needed * denom) / k2
+    frac_c = -_expm1(-k2 * tc_local) / denom
     gk = GRAVITY / k2
     z_end = h - gk * t2 + (z_cross - h + gk * tc_local) / frac_c
     traj = chain_segments(

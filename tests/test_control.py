@@ -19,7 +19,7 @@ from scalar_episode import (DragFlight, NoFeasibleTime, angle, as_regions, clamp
 from scalar_flight import trajectory_of
 from ttrally import anticipate, control, synth
 from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
-from ttrally.ball import GRAVITY, Chains
+from ttrally.ball import GRAVITY, Chains, _expm1
 from ttrally.control import (
     HORIZONS,
     LANDING_T_MAX,
@@ -283,11 +283,11 @@ def _pose_angles(hit, v_in):
     s2 = v_in.norm() ** 2
     drop = hit.z - TABLE.height_z
     disc = s2 * s2 - GRAVITY * (GRAVITY * (dx * dx + dy * dy) - 2.0 * s2 * drop)
-    v_out = np.array([GRAVITY * dx, GRAVITY * dy, s2 - math.sqrt(disc)])
-    v_out *= math.sqrt(s2) / np.linalg.norm(v_out)
-    dv = v_out - v_in.as_array()
-    n = dv / np.linalg.norm(dv)
-    return math.asin(n[2]), math.atan2(n[1], n[0])
+    v_out = [GRAVITY * dx, GRAVITY * dy, s2 - math.sqrt(disc)]
+    scale = math.sqrt(s2) / math.sqrt(sum(c * c for c in v_out))
+    dv = [c * scale - w for c, w in zip(v_out, v_in)]
+    nx, ny, nz = (c / math.sqrt(sum(c * c for c in dv)) for c in dv)
+    return math.asin(nz), math.atan2(ny, nx)
 
 
 @settings(max_examples=300)
@@ -384,7 +384,7 @@ def _array_position(p0, v0, t):
     """The flight's position as it was on arrays: the drift and terminal velocity as 3-vectors."""
     k = RETURN_DRAG_K
     v_term = np.array([0.0, 0.0, -GRAVITY / k])
-    decay = -math.expm1(-k * t) / k
+    decay = -_expm1(-k * t) / k
     return np.array(p0) + v_term * t + (np.array(v0) - v_term) * decay
 
 
