@@ -1,6 +1,6 @@
-"""``ball``'s fixed-order expm1, exp and log: within 1 ulp of libm on every
-branch and branch edge, under 1 ulp of the exact value, the same bytes in
-float and ufunc mode, and quiet on every lane of a steep chain."""
+"""``ball``'s fixed-order expm1, exp and log: fdlibm's bytes on every branch
+and branch edge, within 1 ulp of libm, under 1 ulp of the exact value, the
+same bytes in float and ufunc mode, and quiet on every lane of a steep chain."""
 
 import math
 import struct
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_fdlibm
 from ttrally.ball import (_EXP_TINY, _EXP_UNDERFLOW, _EXPM1_FLOOR, _FLOAT_LANES, _HALF_LN2,
                           _LOG_HALF_SQRT2, _LOG_HIGH, _LOG_LOW, _LOG_NEAR_ONE, _LOG_PAST_ONE,
                           RAISE_ON_NONFINITE, Chains, _exp, _expm1, _high_word, _log)
@@ -64,6 +65,18 @@ LOG_ARGS = st.one_of(
                             _LOG_PAST_ONE / 2, 0.5, 2.0 ** -1022)[:-1] + [1.0, 5e-324]),
 )
 PORTS = [(_expm1, math.expm1, EXPM1_ARGS), (_exp, math.exp, EXP_ARGS), (_log, math.log, LOG_ARGS)]
+
+
+@pytest.mark.parametrize("port, oracle, args", [
+    (_expm1, scalar_fdlibm.expm1, EXPM1_ARGS), (_exp, scalar_fdlibm.exp, EXP_ARGS),
+    (_log, scalar_fdlibm.log, LOG_ARGS)], ids=["expm1", "exp", "log"])
+def test_port_is_fdlibm_bit_for_bit(port, oracle, args):
+    @settings(max_examples=1000)
+    @given(args)
+    def check(x):
+        assert struct.pack("<d", port(x)) == struct.pack("<d", oracle(x))
+
+    check()
 
 
 @pytest.mark.parametrize("port, libm, args", PORTS, ids=["expm1", "exp", "log"])
