@@ -21,6 +21,9 @@ Layers:
   study        run_conformal_study at 8000/4000, alpha 0.1, 5 members
   regions_p50  build_regions, one test context at a time, over 1000
                contexts of a 2000/1000 study's test split (median call)
+  reconstruct  reconstruct_point over the 20 tracks
+               generate_scene(default_rng([1, i]), fps=60, n_hits=3 + i % 4,
+               noise_px=i % 2), i < 20: one call reconstructs all 20
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-LAYERS = ("generate", "positions", "forecast", "experiment", "study", "regions_p50")
+LAYERS = ("generate", "positions", "forecast", "experiment", "study", "regions_p50", "reconstruct")
 
 
 def _timed(call, reps: int) -> list[float]:
@@ -52,7 +55,8 @@ def _timed(call, reps: int) -> list[float]:
 
 def _worker(layer: str) -> float:
     """The layer's figure in ms, from the ttrally on sys.path."""
-    from ttrally import anticipate, ball, control, synth
+    import numpy as np
+    from ttrally import anticipate, ball, control, pipeline, synth
 
     predictors = anticipate.physics_baseline_ensemble(1, 5)
     if layer == "generate":
@@ -83,6 +87,10 @@ def _worker(layer: str) -> float:
         calls = _timed(lambda: anticipate.build_regions(predictors, study.calib, next(contexts),
                                                         horizons), 999)
         return statistics.median(calls) * 1e3
+    if layer == "reconstruct":
+        tracks = [synth.generate_scene(np.random.default_rng([1, i]), fps=60.0, n_hits=3 + i % 4,
+                                       noise_px=float(i % 2))[0] for i in range(20)]
+        return min(_timed(lambda: [pipeline.reconstruct_point(t) for t in tracks], 10)) * 1e3
     raise ValueError(f"unknown layer {layer!r}")
 
 

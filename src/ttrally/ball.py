@@ -19,13 +19,7 @@ import numpy as np
 
 from .camera import Camera, Plane, plane_points
 from .core import TableGeometry, Vec3
-from .errors import (
-    BehindCamera,
-    FitFailed,
-    NoBounceFound,
-    OutOfRange,
-    SegmentRejected,
-)
+from .errors import BehindCamera, NoBounceFound, OutOfRange, SegmentRejected
 
 GRAVITY = 9.81  # m/s^2, magnitude
 
@@ -33,7 +27,6 @@ HIT_MAX_DIST_PX = 30.0  # largest raw ball-racket pixel distance at a hit
 HIT_MIN_GAP = 15  # frames between two accepted hits
 SMOOTH_WINDOW = 5  # samples averaged before hit and bounce minima are searched
 BOUNCE_MARGIN = 2  # frames a bounce candidate keeps from either hit
-NEAR_TIE_RTOL = 1e-6  # bounce screen's near-tie bound, times 1 + its least total
 SCREEN_CHUNK = 1 << 14  # samples the screen gathers per pass: bounds its memory
 K_BOUNDS = (1e-3, 5.0)  # drag coefficient search interval, 1/s
 K_TOL = 1e-6  # golden-section tolerance on k
@@ -501,30 +494,6 @@ def detect_hits(ball: BallTrack2D, rackets: np.ndarray) -> list[HitEvent]:
     return [HitEvent(frame=f, player=p) for f, p, _ in accepted]
 
 
-def fit_parabola(ts: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares quadratic through the samples (ts, vs); returns (coeffs, mse).
-
-    Coefficients are highest degree first. Raises FitFailed for fewer than
-    three distinct abscissae.
-    """
-    ts = np.asarray(ts, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    if len(np.unique(ts)) < 3:
-        raise FitFailed("need at least 3 distinct sample times")
-    # Center for conditioning; expand back afterwards.
-    t0 = ts.mean()
-    a = np.vander(ts - t0, 3)
-    coeffs_c, _, rank, _ = np.linalg.lstsq(a, vs, rcond=None)
-    if rank < 3:
-        raise FitFailed("rank-deficient parabola fit")
-    c2, c1, c0 = coeffs_c
-    coeffs = np.array(
-        [c2, c1 - 2 * c2 * t0, c0 - c1 * t0 + c2 * t0 * t0]
-    )
-    resid = vs - a @ coeffs_c
-    return coeffs, float(np.mean(resid**2))
-
-
 def _screen(ball: BallTrack2D, knots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Split-parabola totals of the knot tuples ``knots[rows]``, (m, n + 2)
     indices into the increasing frames ``knots``; inf where a window holds
@@ -571,48 +540,18 @@ def _window_sse(ball: BallTrack2D, lo, hi, start, size) -> np.ndarray:
     return np.add.reduceat(resid * resid, begin)
 
 
-def _exact_total(ball: BallTrack2D, knots: Sequence[int]) -> Optional[float]:
-    """The left-to-right sum of the knot windows' fit_parabola SSEs; None
-    when fit_parabola turns a window down."""
-    total = 0.0
-    for lo, hi in zip(knots, knots[1:]):
-        frames, pixels = ball.window(lo, hi)
-        try:
-            _, mse = fit_parabola(frames.astype(float), pixels[:, 1])
-        except FitFailed:
-            return None
-        total += mse * len(frames)
-    return total
-
-
 def select_bounces(
     ball: BallTrack2D, h1: int, h2: int, candidates: Sequence[int], n: int
 ) -> tuple[tuple[int, ...], float]:
     """Pick the n ordered bounce frames minimizing the split-parabola total.
 
     The knots (h1, *bounces, h2) split the track into n + 1 windows, and the
-    total is the left-to-right sum of each window's fit_parabola squared
-    error; a bounce frame belongs to both windows it joins, and a window with
-    fewer than 3 samples makes its tuple unusable. Ties break toward the
-    earliest tuple in ``itertools.combinations`` order of the sorted distinct
-    candidates inside (h1, h2).
-
-    The search runs in two steps. The screen (``_screen``) scores every
-    tuple in array passes. The confirm step re-scores with fit_parabola
-    only the tuples whose screened total lies within NEAR_TIE_RTOL * (1 +
-    least screened total) of the least one, and returns the first of them
-    with the least exact total.
-
-    Why the bound holds: both scores are the same least-squares SSE rounded
-    two ways. The screen fits on centered times scaled to [-1, 1], where the
-    normal equations are well conditioned, and sums its own squared
-    residuals (the shortcut sum(v**2) - b.c would cancel), so it differs
-    from the exact total by rounding alone: at most 5e-14 * (1 + total) over
-    the 1,400 searches of 400 generated points at 30-120 fps and 0-3 px of
-    noise. While each tuple's two scores differ by less than half the bound,
-    the exact minimizer lies inside the near-tie set, so the result, total
-    included, is the exhaustive search's to the bit. A tuple whose window
-    fit_parabola turns down is dropped and the near-tie set is drawn again.
+    total is the sum of each window's parabola squared error (``_screen``,
+    every tuple scored in array passes); a bounce frame belongs to both
+    windows it joins, and a window with fewer than 3 samples, or a NaN
+    total, makes its tuple unusable. Ties break toward the earliest tuple in
+    ``itertools.combinations`` order of the sorted distinct candidates
+    inside (h1, h2).
     """
     inside = sorted(set(c for c in candidates if h1 < c < h2))
     knots = np.array([h1, *inside, h2])
@@ -622,19 +561,10 @@ def select_bounces(
     rows[:, 1:-1] = picks.reshape(-1, n)
     rows[:, -1] = last
     screened = _screen(ball, knots, rows) if len(rows) else np.empty(0)
-    while np.isfinite(screened).any():
-        least = screened.min()
-        best: Optional[tuple[float, tuple[int, ...]]] = None
-        for i in np.flatnonzero(screened <= least + NEAR_TIE_RTOL * (1.0 + least)):
-            tuple_knots = knots[rows[i]].tolist()
-            total = _exact_total(ball, tuple_knots)
-            if total is None:  # a window fit_parabola turns down
-                screened[i] = np.inf
-            elif best is None or total < best[0]:
-                best = (total, tuple(tuple_knots[1:-1]))
-        if best is not None:
-            return best[1], best[0]
-    raise NoBounceFound(f"no usable {n}-bounce split of ({h1}, {h2})")
+    if not np.isfinite(screened).any():
+        raise NoBounceFound(f"no usable {n}-bounce split of ({h1}, {h2})")
+    best = int(np.argmin(screened))
+    return tuple(knots[rows[best, 1:-1]].tolist()), float(screened[best])
 
 
 def select_bounce(
@@ -671,24 +601,23 @@ def bounce_candidates(ball: BallTrack2D, h1: int, h2: int) -> list[int]:
     return sorted(out)
 
 
-def golden_section(f, lo, hi, tol: float = K_TOL):
-    """Minimize unimodal functions on the brackets [lo, hi], all in lockstep.
+def golden_section(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimize unimodal functions on the brackets [lo, hi] to K_TOL, all in lockstep.
 
-    ``lo`` and ``hi`` are equal-length arrays, or scalars for one bracket
-    (the result is then a float), and ``f`` maps one abscissa per bracket to
-    one value per bracket. Each bracket runs its own iteration count with the
-    scalar update applied elementwise, so it ends where a search of it alone
-    would. A bracket past its count stops moving; ``f`` is then handed a
-    point it already saw there, and that value is not used.
+    ``lo`` and ``hi`` are equal-length arrays, and ``f`` maps one abscissa
+    per bracket to one value per bracket. Each bracket runs its own iteration
+    count with the scalar update applied elementwise, so it ends where a
+    search of it alone would. A bracket past its count stops moving; ``f`` is
+    then handed a point it already saw there, and that value is not used.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a = np.array(lo, dtype=float, ndmin=1)
-    b = np.array(hi, dtype=float, ndmin=1)
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     h = b - a
-    # Update steps after the first two evaluations; -1: narrower than tol.
+    # Update steps after the first two evaluations; -1: narrower than K_TOL.
     steps = np.array(
-        [math.ceil(math.log(tol / w) / math.log(inv_phi)) - 1 if w > tol else -1 for w in h]
+        [math.ceil(math.log(K_TOL / w) / math.log(inv_phi)) - 1 if w > K_TOL else -1 for w in h]
     )
     c = a + inv_phi2 * h
     d = a + inv_phi * h
@@ -708,8 +637,7 @@ def golden_section(f, lo, hi, tol: float = K_TOL):
         yc = np.where(left, y, yc)
         yd = np.where(right, y, yd)
     x = np.where(yc < yd, (a + d) / 2.0, (c + b) / 2.0)
-    x = np.where(steps < 0, (a + b) / 2.0, x)
-    return x if np.ndim(lo) else float(x[0])
+    return np.where(steps < 0, (a + b) / 2.0, x)
 
 
 @dataclass

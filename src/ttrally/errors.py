@@ -51,10 +51,6 @@ class PlacementFailed(TTRallyError):
 
 # -- ball reconstruction ----------------------------------------------------
 
-class FitFailed(TTRallyError):
-    """Parabola fit is rank deficient (too few distinct samples)."""
-
-
 class NoBounceFound(TTRallyError):
     """No usable bounce candidate between a pair of hits."""
 

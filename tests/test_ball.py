@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from scalar_bounces import B
 from scalar_flight import stokes_position as oracle_position
 from ttrally.ball import (
     BallTrack2D,
@@ -12,10 +13,10 @@ from ttrally.ball import (
     GRAVITY,
     StokesSegment,
     _local_minima,
+    _window_sse,
     bounce_candidates,
     detect_hits,
     fit_drag,
-    fit_parabola,
     golden_section,
     select_bounce,
     select_bounces,
@@ -24,7 +25,7 @@ from ttrally.ball import (
     stokes_positions,
 )
 from ttrally.core import Vec3
-from ttrally.errors import FitFailed, NoBounceFound, OutOfRange
+from ttrally.errors import NoBounceFound, OutOfRange
 from ttrally.synth import tilt_camera
 
 coord = st.floats(-3.0, 3.0)
@@ -137,20 +138,35 @@ def test_local_minima_match_the_loop(values):
     assert _local_minima(np.array(values, dtype=float)).tolist() == _minima_loop(values)
 
 
-def test_fit_parabola_matches_polyfit():
+def _polyfit_sse(frames, vs):
+    return float(np.sum((vs - np.polyval(np.polyfit(frames, vs, 2), frames)) ** 2))
+
+
+def test_window_sse_matches_polyfit():
     rng = np.random.default_rng(0)
-    ts = np.sort(rng.uniform(0, 1, 12))
-    vs = 3.0 * ts**2 - 2.0 * ts + 0.5 + rng.normal(0, 0.05, 12)
-    coeffs, mse = fit_parabola(ts, vs)
-    oracle = np.polyfit(ts, vs, 2)
-    assert np.allclose(coeffs, oracle, atol=1e-8)
-    resid = vs - np.polyval(oracle, ts)
-    assert mse == pytest.approx(float(np.mean(resid**2)), abs=1e-12)
+    frames = np.sort(rng.choice(200, 12, replace=False)) + 40
+    vs = 3e-3 * frames**2 - 2.0 * frames + 500.0 + rng.normal(0, 0.5, 12)
+    track = BallTrack2D(frames, np.column_stack([frames, vs]))
+    lo, hi = np.array([frames[0]]), np.array([frames[-1]])
+    (sse,) = _window_sse(track, lo, hi, np.array([0]), np.array([12]))
+    want = _polyfit_sse(frames, vs)
+    assert want > 1.0
+    assert abs(sse - want) <= B * (1 + want)
 
 
-def test_fit_parabola_needs_three_distinct_times():
-    with pytest.raises(FitFailed):
-        fit_parabola(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+def test_window_sse_scores_each_window_alone():
+    # Three windows in one call: three samples (an exact fit), a partial
+    # window, and every sample; each SSE is its window's own polyfit residual.
+    rng = np.random.default_rng(1)
+    frames = np.cumsum(rng.integers(1, 4, 30))
+    vs = rng.uniform(0.0, 540.0, 30)
+    track = BallTrack2D(frames, np.column_stack([frames, vs]))
+    start, size = np.array([4, 10, 0]), np.array([3, 11, 30])
+    lo, hi = frames[start], frames[start + size - 1]
+    got = _window_sse(track, lo, hi, start, size)
+    for sse, i, m in zip(got, start, size):
+        want = _polyfit_sse(frames[i:i + m], vs[i:i + m])
+        assert abs(sse - want) <= B * (1 + want)
 
 
 def _vee_track(bounce_frame, n=21, slope=5.0):
@@ -257,7 +273,7 @@ def test_detect_hits_min_gap_suppression():
 def test_golden_section_matches_scipy(center, width):
     f = lambda x: (x - center) ** 2 + 1.0
     lo, hi = center - width, center + width / 2
-    ours = golden_section(f, lo, hi, tol=1e-8)
+    (ours,) = golden_section(f, np.array([lo]), np.array([hi]))
     oracle = minimize_scalar(f, bounds=(lo, hi), method="bounded").x
     assert abs(ours - oracle) < 1e-5
 

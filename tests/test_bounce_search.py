@@ -1,20 +1,26 @@
 """The merged bounce search against the searches it replaced.
 
-The oracles below are the earlier searches. ``_exhaustive`` fits every
-window of every candidate tuple with ``fit_parabola``, selecting samples by
-a boolean mask. The two-selector search is kept verbatim apart from the
-``tried`` record: ``select_bounce`` for rally pairs and a separate serve
-selector, both refitting every parabola window per candidate tuple, then a
-+/-1-frame refinement that refits every drag piece per combo.
+The oracles are the earlier searches. ``scalar_bounces`` fits every window
+of every candidate tuple with ``fit_parabola``. The two-selector search
+below is kept verbatim apart from the ``tried`` record: ``select_bounce``
+for rally pairs and a separate serve selector, both refitting every
+parabola window per candidate tuple, then a +/-1-frame refinement that
+refits every drag piece per combo.
+
+The screen's totals differ from the oracles' by rounding alone, so totals
+are held to them within ``B`` times 1 + the oracle's total, and the frames
+of every scene below are the oracle's exactly.
 """
 
 import itertools
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_bounces import B, FitFailed, fit_parabola, split_totals
 from scalar_flight import stokes_position
 from ttrally import ball, pipeline
 from ttrally.ball import (
@@ -26,12 +32,11 @@ from ttrally.ball import (
     bounce_candidates,
     fit_drag,
     fit_drags,
-    fit_parabola,
     select_bounces,
 )
 from ttrally.camera import Plane, plane_points
 from ttrally.core import Vec3
-from ttrally.errors import FitFailed, NoBounceFound, SegmentRejected
+from ttrally.errors import NoBounceFound, SegmentRejected
 from ttrally.synth import generate_scene
 
 
@@ -79,27 +84,6 @@ def _oracle_select_serve_bounces(track, h1, h2, candidates):
     if best is None:
         raise NoBounceFound("no usable bounce pair for the serve")
     return best[1], best[0]
-
-
-def _exhaustive(track, h1, h2, candidates, n):
-    """Every n-tuple of the sorted distinct candidates inside (h1, h2), each
-    window fitted on its own; the first least left-to-right total wins."""
-    best = None
-    for bounces in itertools.combinations(sorted(set(c for c in candidates if h1 < c < h2)), n):
-        knots = (h1, *bounces, h2)
-        total = 0.0
-        for lo, hi in zip(knots, knots[1:]):
-            mask = (track.frames >= lo) & (track.frames <= hi)
-            if mask.sum() < 3:
-                break
-            _, mse = fit_parabola(track.frames[mask].astype(float), track.pixels[mask, 1])
-            total += mse * mask.sum()
-        else:
-            if best is None or total < best[1]:
-                best = (bounces, total)
-    if best is None:
-        raise NoBounceFound("no usable split")
-    return best
 
 
 def _bounce_combos(bounce_frames, h1, h2, pix):
@@ -218,13 +202,49 @@ def searches(draw):
 @given(searches())
 def test_select_bounces_matches_the_exhaustive_oracle(search):
     track, h1, h2, candidates, n = search
-    try:
-        want = _exhaustive(track, h1, h2, candidates, n)
-    except NoBounceFound:
+    totals = split_totals(track, h1, h2, candidates, n)
+    if not totals:
         with pytest.raises(NoBounceFound):
             select_bounces(track, h1, h2, candidates, n)
         return
-    assert select_bounces(track, h1, h2, candidates, n) == want
+    bounces, total = select_bounces(track, h1, h2, candidates, n)
+    first = min(totals, key=totals.get)
+    least = totals[first]
+    assert abs(total - totals[bounces]) <= B * (1 + totals[bounces])
+    assert totals[bounces] - least <= 2 * B * (1 + least)
+    if all(e - least > 2 * B * (1 + least) for t, e in totals.items() if t != first):
+        assert bounces == first
+
+
+@settings(max_examples=200)
+@given(searches())
+def test_screen_drops_the_tuples_the_oracle_drops(search):
+    # A window of fewer than 3 samples makes its tuple unusable in both.
+    track, h1, h2, candidates, n = search
+    knots = np.array([h1, *sorted(set(c for c in candidates if h1 < c < h2)), h2])
+    picks = list(itertools.combinations(range(1, len(knots) - 1), n))
+    usable = []
+    if picks:
+        rows = np.array([(0, *p, len(knots) - 1) for p in picks])
+        finite = np.isfinite(ball._screen(track, knots, rows))
+        usable = [tuple(knots[list(p)].tolist()) for p, f in zip(picks, finite) if f]
+    assert usable == list(split_totals(track, h1, h2, candidates, n))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=40), st.integers(-500, 500),
+       st.data())
+def test_window_sse_matches_fit_parabola(gaps, first, data):
+    # One window at a time, against fit_parabola's mean squared error times
+    # the sample count, as the oracle's tuple totals sum it.
+    frames = first + np.cumsum([0] + gaps)
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1080.0]))
+    v = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(frames),
+                                            max_size=len(frames))))
+    track = BallTrack2D(frames, np.column_stack([frames, v]))
+    (got,) = ball._window_sse(track, frames[:1], frames[-1:], np.array([0]), np.array([len(v)]))
+    want = fit_parabola(frames.astype(float), v)[1] * len(v)
+    assert abs(got - want) <= B * (1 + want)
 
 
 @settings(max_examples=200)
@@ -252,23 +272,6 @@ def test_screen_passes_do_not_change_its_totals(monkeypatch):
     assert ball._screen(ball_track, knots, rows).tobytes() == whole.tobytes()
 
 
-def test_a_window_fit_parabola_rejects_makes_its_tuple_unusable(monkeypatch):
-    # The screen's winner (8,) has a window fit_parabola turns down: the
-    # search moves on to the best tuple without it.
-    frames = np.arange(21)
-    track = BallTrack2D(frames, np.column_stack([frames, np.abs(frames - 8) * 4.0]))
-    fit = ball.fit_parabola
-
-    def reject_from_8(ts, vs):
-        if ts[0] == 8.0:
-            raise FitFailed("rejected")
-        return fit(ts, vs)
-
-    want = _exhaustive(track, 0, 20, [c for c in range(2, 19) if c != 8], 1)
-    monkeypatch.setattr(ball, "fit_parabola", reject_from_8)
-    assert select_bounces(track, 0, 20, list(range(2, 19)), 1) == want
-
-
 def test_a_non_finite_pixel_leaves_no_usable_split():
     # Every split of (h1, h2) covers every sample between them.
     frames = np.arange(21)
@@ -278,7 +281,7 @@ def test_a_non_finite_pixel_leaves_no_usable_split():
         select_bounces(BallTrack2D(frames, np.column_stack([frames, v])), 0, 20, list(range(2, 19)), 1)
 
 
-def test_threshold_sees_the_exact_total():
+def test_threshold_sees_the_reported_total():
     # The threshold is compared with the total select_bounces returns; a
     # threshold one ulp below the largest pair total rejects the point.
     track, _, _ = generate_scene(np.random.default_rng(9), noise_px=2.0, n_hits=4)
@@ -288,32 +291,6 @@ def test_threshold_sees_the_exact_total():
     assert kept.pieces == point.pieces
     with pytest.raises(SegmentRejected):
         pipeline.reconstruct_point(track, mse_threshold=np.nextafter(total, 0))
-
-
-def test_only_near_ties_are_fitted_exactly(monkeypatch):
-    # Per search, fit_parabola runs once per window of each near-tie tuple.
-    screens, fits, searched = [], [], []
-    screen, fit, search = ball._screen, ball.fit_parabola, ball.select_bounces
-
-    def counted_search(track, h1, h2, candidates, n):
-        screens.clear()
-        fits.clear()
-        out = search(track, h1, h2, candidates, n)
-        (screened,) = screens
-        least = screened.min()
-        near = np.count_nonzero(screened <= least + ball.NEAR_TIE_RTOL * (1 + least))
-        searched.append((len(screened), near))
-        assert len(fits) <= (n + 1) * near
-        return out
-
-    monkeypatch.setattr(ball, "_screen", lambda *a: screens.append(screen(*a)) or screens[-1])
-    monkeypatch.setattr(ball, "fit_parabola", lambda *a: fits.append(1) or fit(*a))
-    monkeypatch.setattr(ball, "select_bounces", counted_search)
-    for i, fps in enumerate((60.0, 120.0)):
-        track, _, _ = generate_scene(np.random.default_rng([5, i]), fps=fps, n_hits=5, noise_px=1.0)
-        pipeline.reconstruct_point(track)
-    assert len(searched) == 8
-    assert sum(tuples for tuples, _ in searched) > 10 * sum(near for _, near in searched)
 
 
 # 20 points: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise.
@@ -345,7 +322,10 @@ def runs():
 
 def test_search_matches_two_selector_oracle(runs):
     for point, _, oracle, _ in runs:
-        assert point.pieces == oracle.pieces
+        assert [replace(p, parabola_mse=0.0) for p in point.pieces] == [
+            replace(p, parabola_mse=0.0) for p in oracle.pieces]
+        for piece, want in zip(point.pieces, oracle.pieces):
+            assert abs(piece.parabola_mse - want.parabola_mse) <= B * (1 + want.parabola_mse)
         assert point.bounces == oracle.bounces
         assert [h.frame for h in point.hits] == [h.frame for h in oracle.hits]
 

@@ -152,11 +152,11 @@ def test_fit_drags_error_contract():
 
 def test_lockstep_golden_section_equals_each_bracket_alone():
     centers = np.array([-1.0, 0.3, 2.5, 0.0])
-    lo = centers - np.array([0.5, 4.0, 1e-3, 1e-9])  # the last is narrower than tol
+    lo = centers - np.array([0.5, 4.0, 1e-3, 1e-9])  # the last is narrower than K_TOL
     hi = centers + np.array([2.0, 0.1, 3.0, 1e-9])
-    batch = golden_section(lambda x: (x - centers) ** 2, lo, hi, tol=1e-8)
+    batch = golden_section(lambda x: (x - centers) ** 2, lo, hi)
     for i, c in enumerate(centers):
-        alone = _oracle_golden_section(lambda x: (x - c) ** 2, lo[i], hi[i], tol=1e-8)
+        alone = _oracle_golden_section(lambda x: (x - c) ** 2, lo[i], hi[i])
         assert batch[i] == alone
 
 
