@@ -110,59 +110,24 @@ def _exchange_arrays(exchanges: Exchanges, lead_time: float) -> tuple[np.ndarray
     return _hit_estimate(balls[:, 0], balls[:, 1], *times), exchanges.opp_root_y
 
 
-@dataclass
-class MemberParams:
-    """Deterministic per-member perturbations of the shot model."""
-
-    d_aim: float
-    d_speed: float
-    d_bounce_x: float
-    d_z_cross: float
-    d_k: float
+# A member shifts the shot model by 0.0 + sd * z in aim y, speed, bounce x,
+# crossing height and drag, with these sds.
+MEMBER_SD = (0.10, 0.6, 0.15, 0.05, 0.04)
 
 
-def _member_params(seed: int, index: int) -> MemberParams:
-    z = np.random.default_rng([seed, index]).standard_normal  # normal(0, s) is 0.0 + s * z()
-    return MemberParams(
-        d_aim=0.0 + 0.10 * z(),
-        d_speed=0.0 + 0.6 * z(),
-        d_bounce_x=0.0 + 0.15 * z(),
-        d_z_cross=0.0 + 0.05 * z(),
-        d_k=0.0 + 0.04 * z(),
-    )
-
-
-class ShotPredictor:
-    """One ensemble member: the exchange's shot model with perturbed intent.
-
-    The opponent is assumed to aim where they stand, with the exchange model's
-    gain on root y, crossing-y limit, mean speed and speed clip; the member's
-    perturbations shift aim, speed, bounce depth, crossing height,
-    and drag, producing a spread that reflects genuine shot variability.
-    """
-
-    def __init__(self, params: MemberParams):
-        self.params = params
-
-
-def physics_baseline_ensemble(seed: int, k_members: int = 5) -> list[ShotPredictor]:
+def physics_baseline_ensemble(seed: int, k_members: int = 5) -> np.ndarray:
+    """The member table (k_members, 5), row i taking its z from
+    ``default_rng([seed, i])`` in MEMBER_SD's order. Every member replays
+    the exchange's shot model (the opponent aims where they stand) with its
+    row's shifts, a spread that reflects genuine shot variability."""
     if k_members < 2:
         raise EnsembleTooSmall(f"need >= 2 members, got {k_members}")
-    return [ShotPredictor(_member_params(seed, i)) for i in range(k_members)]
-
-
-def _member_shot(p: ShotPredictor) -> tuple[float, ...]:
-    """The shot a member replays: TABLE's half-length and height, bounce x,
-    crossing height, speed and drag (its aim depends on the context)."""
-    m = p.params
-    return (TABLE.half_length, TABLE.height_z, -0.675 + m.d_bounce_x, 1.05 + m.d_z_cross,
-            min(max(SHOT_SPEED_MEAN + m.d_speed, SHOT_SPEED_CLIP[0]), SHOT_SPEED_CLIP[1]),
-            max(0.19 + m.d_k, 0.02))
+    z = [np.random.default_rng([seed, i]).standard_normal(len(MEMBER_SD)) for i in range(k_members)]
+    return 0.0 + np.multiply(MEMBER_SD, z)
 
 
 def _ensemble(
-    predictors: Sequence[ShotPredictor], hit: np.ndarray, root_y: np.ndarray,
-    horizons: np.ndarray,
+    predictors: np.ndarray, hit: np.ndarray, root_y: np.ndarray, horizons: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every member's shot from every hit estimate (n, 3) and opponent root
     y (n,), sampled at ``horizons``.
@@ -174,12 +139,14 @@ def _ensemble(
         raise EnsembleTooSmall("spread needs >= 2 members")
     n, k = len(hit), len(predictors)
     # Row i * k + j of every array below is exchange i's shot by member j.
-    members = np.tile([_member_shot(p) for p in predictors], (n, 1))
-    d_aim = np.array([p.params.d_aim for p in predictors])
-    y_cross = np.clip(SHOT_AIM_GAIN * root_y[:, None] + d_aim, -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
-    hl, h, x_bounce, z_cross, speed, drag = members.T
-    chains, _ = return_shots(hl, h, np.repeat(hit, k, axis=0), x_bounce, y_cross.ravel(),
-                             z_cross, speed, drag, drag)
+    d_aim, d_speed, d_bounce_x, d_z_cross, d_k = np.tile(predictors, (n, 1)).T
+    y_cross = np.clip(SHOT_AIM_GAIN * np.repeat(root_y, k) + d_aim, -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
+    speed = np.minimum(np.maximum(SHOT_SPEED_MEAN + d_speed, SHOT_SPEED_CLIP[0]),
+                       SHOT_SPEED_CLIP[1])
+    drag = np.maximum(0.19 + d_k, 0.02)
+    chains, _ = return_shots(np.full(n * k, TABLE.half_length), np.full(n * k, TABLE.height_z),
+                             np.repeat(hit, k, axis=0), -0.675 + d_bounce_x, y_cross,
+                             1.05 + d_z_cross, speed, drag, drag)
     preds = chains.positions(horizons).reshape(n, k, len(horizons), 3)
     return preds.mean(axis=1), np.maximum(preds.std(axis=1), SIGMA_FLOOR)
 
@@ -205,7 +172,7 @@ def _chunks(n: int) -> list[slice]:
 
 
 def forecast_ensemble(
-    predictors: Sequence[ShotPredictor],
+    predictors: np.ndarray,
     exchanges: Exchanges,
     horizons: Sequence[float],
     lead_time: float,
@@ -221,7 +188,7 @@ def forecast_ensemble(
 
 
 def forecast_split(
-    predictors: Sequence[ShotPredictor],
+    predictors: np.ndarray,
     exchanges: Exchanges,
     horizons: Sequence[float],
     lead_time: float = 0.0,
@@ -275,7 +242,6 @@ class Region:
     horizon: float
     lo: Vec3
     hi: Vec3
-    mean: Vec3
 
 
 def calibrate_ensemble(forecast: SplitForecast, alpha: float) -> ConformalCalibration:
@@ -304,7 +270,7 @@ def _bounds(
 
 
 def build_regions(
-    predictors: Sequence[ShotPredictor],
+    predictors: np.ndarray,
     calib: ConformalCalibration,
     ctx: ContextWindow,
     horizons: Sequence[float],
@@ -312,12 +278,12 @@ def build_regions(
     (mean,), (sigma,) = _ensemble(predictors, *_context_arrays([ctx]),
                                   np.asarray(horizons, dtype=float))
     lo, hi = _bounds(calib, horizons, mean, sigma)
-    return [Region(horizon=horizon_key(h), lo=Vec3(*l), hi=Vec3(*u), mean=Vec3(*m))
-            for h, l, u, m in zip(horizons, lo.tolist(), hi.tolist(), mean.tolist())]
+    return [Region(horizon=horizon_key(h), lo=Vec3(*l), hi=Vec3(*u))
+            for h, l, u in zip(horizons, lo.tolist(), hi.tolist())]
 
 
 def split_regions(
-    predictors: Sequence[ShotPredictor],
+    predictors: np.ndarray,
     calib: ConformalCalibration,
     exchanges: Exchanges,
     horizons: Sequence[float],
@@ -340,7 +306,6 @@ def check_split(calib: ConformalCalibration, test_exchanges: Exchanges) -> None:
 class CoverageReport:
     per_axis: dict[tuple[str, float], float]
     joint: dict[float, float]
-    n_test: int
 
 
 def evaluate_coverage(calib: ConformalCalibration, forecast: SplitForecast) -> CoverageReport:
@@ -357,7 +322,6 @@ def evaluate_coverage(calib: ConformalCalibration, forecast: SplitForecast) -> C
         per_axis={(ax, k): int(axis_hits[j, i]) / n
                   for i, ax in enumerate(AXES) for j, k in enumerate(keys)},
         joint={k: int(joint_hits[j]) / n for j, k in enumerate(keys)},
-        n_test=n,
     )
 
 
@@ -457,15 +421,14 @@ def run_conformal_study(
     n_test: int = 1000,
     k_members: int = 5,
     alpha: float = 0.1,
-    lead_time: float = 0.0,
 ) -> StudyResult:
     """Calibrate on one split, evaluate coverage/width/bias on a disjoint
-    one, at STUDY_HORIZONS."""
+    one, at STUDY_HORIZONS, each forecast issued at the hit (lead time 0)."""
     cal = generate_exchanges(seed, n_cal, id_offset=0)
     test = generate_exchanges(seed + 1, n_test, id_offset=n_cal)
     predictors = physics_baseline_ensemble(seed, k_members)
-    calib = calibrate_ensemble(forecast_split(predictors, cal, STUDY_HORIZONS, lead_time), alpha)
-    forecast = forecast_split(predictors, test, STUDY_HORIZONS, lead_time)
+    calib = calibrate_ensemble(forecast_split(predictors, cal, STUDY_HORIZONS), alpha)
+    forecast = forecast_split(predictors, test, STUDY_HORIZONS)
     return StudyResult(
         coverage=evaluate_coverage(calib, forecast),
         widths=width_vs_horizon(calib, forecast),

@@ -771,7 +771,7 @@ class ReconstructedPiece:
     end_frame: int
     segment: StokesSegment
     drag: DragFit
-    parabola_mse: float  # summed two-parabola bounce-selection error for the pair
+    parabola_mse: float  # px^2: the pair's bounce-selection SSE over its 2 or 3 parabola windows
 
 
 @dataclass
@@ -803,10 +803,11 @@ def reconstruct_trajectory(
     Hit anchors use the hitter's racket-hand position (``hand_world`` must be
     filled in); bounce anchors come from inverse projection onto the table
     plane. The first hit pair is the serve (two bounces, three pieces).
-    Raises SegmentRejected when the
-    bounce-selection MSE exceeds ``mse_threshold``. Every hit pair's bounces
-    are selected before any piece is fitted, and all pieces of the point are
-    fitted in one fit_drags call.
+    Raises SegmentRejected when a pair's bounce-selection error, the summed
+    squared pixel error (px^2) of its 2 or 3 parabola windows, not a mean,
+    exceeds ``mse_threshold``. Every hit pair's bounces are selected before
+    any piece is fitted, and all pieces of the point are fitted in one
+    fit_drags call.
     """
     if len(hits) < 2:
         raise NoBounceFound("need at least two hits")

@@ -237,6 +237,19 @@ def _pack(intr: Intrinsics, extr: Extrinsics) -> np.ndarray:
     )
 
 
+def _quaternion(rx: float, ry: float, rz: float) -> tuple[float, float, float, float]:
+    """The unit quaternion (x, y, z, w) of a finite rotation vector, in the
+    arithmetic of scipy's ``Rotation.from_rotvec``: its small-angle series
+    below 1e-3 rad, else sin(a/2)/a, and cos(a/2)."""
+    angle = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if angle <= 1e-3:
+        a2 = angle * angle
+        scale = 0.5 - a2 / 48 + a2 * a2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    return scale * rx, scale * ry, scale * rz, math.cos(angle / 2)
+
+
 def _rotations(rotvecs: np.ndarray) -> np.ndarray:
     """Rotation matrices (k, 3, 3) of (k, 3) rotation vectors, in the
     arithmetic of scipy's ``Rotation.from_rotvec(v).as_matrix()`` (rotation
@@ -245,16 +258,10 @@ def _rotations(rotvecs: np.ndarray) -> np.ndarray:
     scipy's does."""
     rows = []
     for rx, ry, rz in rotvecs.tolist():
-        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
-        if angle == math.inf:
+        if math.sqrt(rx * rx + ry * ry + rz * rz) == math.inf:
             rows.append((math.nan,) * 9)
             continue
-        if angle <= 1e-3:
-            a2 = angle * angle
-            scale = 0.5 - a2 / 48 + a2 * a2 / 3840
-        else:
-            scale = math.sin(angle / 2) / angle
-        x, y, z, w = scale * rx, scale * ry, scale * rz, math.cos(angle / 2)
+        x, y, z, w = _quaternion(rx, ry, rz)
         x2, y2, z2, w2 = x * x, y * y, z * z, w * w
         xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
         rows.append((

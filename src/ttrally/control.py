@@ -26,7 +26,6 @@ from scipy.optimize import brentq
 
 from .anticipate import (
     ConformalCalibration,
-    ShotPredictor,
     calibrate_ensemble,
     forecast_ensemble,
     forecast_split,
@@ -34,6 +33,7 @@ from .anticipate import (
     split_regions,
 )
 from .ball import GRAVITY, _expm1
+from .camera import _quaternion
 from .core import TableGeometry, Vec3
 from .errors import EmptyDataset, Infeasible, NoContact
 from .pipeline import (RESULTS_COLUMNS, RESULTS_HEADER, RESULTS_ROW, format_record,
@@ -104,10 +104,7 @@ def _partial_turn(rel: Quat, a: float, frac: float) -> Quat:
     frac, with the small-angle series of scipy's as_rotvec and from_rotvec."""
     x, y, z, _ = rel if rel[3] >= 0 else tuple(-c for c in rel)
     s = 2 + a * a / 12 + 7 * (a * a) * (a * a) / 2880 if a <= 1e-3 else a / math.sin(a / 2)
-    vx, vy, vz = s * x * frac, s * y * frac, s * z * frac
-    b = math.sqrt(vx * vx + vy * vy + vz * vz)
-    c = 0.5 - b * b / 48 + (b * b) * (b * b) / 3840 if b <= 1e-3 else math.sin(b / 2) / b
-    return (c * vx, c * vy, c * vz, math.cos(b / 2))
+    return _quaternion(s * x * frac, s * y * frac, s * z * frac)
 
 
 def _normal(q: Quat) -> np.ndarray:
@@ -595,7 +592,7 @@ def run_strategy(
     exchanges: Exchanges,
     strategy: str,
     params: SimParams,
-    predictors: Optional[Sequence[ShotPredictor]] = None,
+    predictors: Optional[np.ndarray] = None,
     calib: Optional[ConformalCalibration] = None,
 ) -> tuple[ExperimentRow, list[EpisodeResult]]:
     """One row over the exchanges: the episode engine with one lane per
@@ -621,7 +618,7 @@ def run_strategy(
 
 
 def _calibrations(seed: int, lead_times: Sequence[float], alpha: float,
-                  n_cal: int) -> tuple[list[ShotPredictor], list[ConformalCalibration]]:
+                  n_cal: int) -> tuple[np.ndarray, list[ConformalCalibration]]:
     """The ensemble and its conformal calibration at each lead time, all on
     one calibration split whose truth is taken once: only the forecast
     depends on the lead time."""
@@ -639,7 +636,7 @@ def prepare_anticipation(
     seed: int,
     params: SimParams,
     n_cal: int = 600,
-) -> tuple[list[ShotPredictor], ConformalCalibration]:
+) -> tuple[np.ndarray, ConformalCalibration]:
     """Ensemble plus conformal calibration matched to the deployment lead time."""
     predictors, (calib,) = _calibrations(seed, [params.lead_time], params.alpha, n_cal)
     return predictors, calib

@@ -115,7 +115,6 @@ class Frame3D:
     frame_index: int
     ball_world: Vec3
     opponent_joints_world: list[Vec3]
-    ego_root_world: Vec3
 
 
 @dataclass

@@ -60,7 +60,8 @@ class OutOfRange(TTRallyError):
 
 
 class SegmentRejected(TTRallyError):
-    """Bounce-fit MSE exceeds the configured rejection threshold."""
+    """A hit pair's bounce-fit error, the summed squared pixel error (px^2)
+    of its 2 or 3 parabola windows, exceeds the rejection threshold."""
 
 
 # -- pipeline ---------------------------------------------------------------

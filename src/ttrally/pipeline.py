@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -119,10 +119,10 @@ class ReconstructedPoint:
         ]
 
     def frame3d_for_ego(self, ego: int) -> list[Frame3D]:
-        """Exchange view: opponent joints, ego root only, ball."""
-        columns = self.frame_index, self.ball, self.joints[:, 1 - ego], self.roots[:, ego]
-        return [Frame3D(i, Vec3(*b), [Vec3(*j) for j in js if not math.isnan(j[0])], Vec3(*r))
-                for i, b, js, r in zip(*(column.tolist() for column in columns))]
+        """Exchange view: ball and opponent joints."""
+        columns = self.frame_index, self.ball, self.joints[:, 1 - ego]
+        return [Frame3D(i, Vec3(*b), [Vec3(*j) for j in js if not math.isnan(j[0])])
+                for i, b, js in zip(*(column.tolist() for column in columns))]
 
 
 @dataclass
@@ -557,8 +557,9 @@ def reconstruct_point(
 ) -> tuple[Reconstruction, ReconstructedPoint]:
     """Full reconstruction of one point from a validated track file.
 
-    Raises SegmentRejected when a hit pair's bounce-fit MSE exceeds
-    ``mse_threshold`` (None keeps every pair).
+    Raises SegmentRejected when a hit pair's bounce-fit error (summed
+    squared pixel error, px^2) exceeds ``mse_threshold`` (None keeps every
+    pair).
     """
     camera, rms = calibrate_from_track(track, table)
     fps = track.header.fps

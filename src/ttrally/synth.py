@@ -40,7 +40,7 @@ DRAG_K_RANGE = (0.05, 0.5)
 # the return's ego-plane crossing at SHOT_AIM_GAIN times its root y, plus
 # N(0, SHOT_AIM_SD) m, clipped to +-SHOT_Y_LIMIT; the return's speed is
 # N(SHOT_SPEED_MEAN, SHOT_SPEED_SD) m/s clipped to SHOT_SPEED_CLIP.
-# anticipate.ShotPredictor replays the same aim, limit, mean and clip.
+# anticipate's ensemble members replay the same aim, limit, mean and clip.
 SHOT_AIM_GAIN = 0.9
 SHOT_AIM_SD = 0.15
 SHOT_Y_LIMIT = 1.05
@@ -381,13 +381,12 @@ class ExchangeSample:
         root_x = hl + 0.55
         hip = Vec3(root_x, y, 0.95)
         ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
-        ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
         incoming = self._chains[0]
         balls = incoming.positions(CONTEXT_TIMES)[0].tolist()
         rest = np.array([hl + 0.6, y, 1.0])
         approach = _eased(1.0 + CONTEXT_TIMES / CONTEXT_S)[:, None]
         hands = (rest + (incoming.bT[0, -1] - rest) * approach).tolist()
-        return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
+        return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles])
                 for j, (ball, hand) in enumerate(zip(balls, hands))]
 
     @cached_property

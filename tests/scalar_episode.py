@@ -246,6 +246,6 @@ def row(exchanges: Exchanges, strategy: str, params: SimParams,
 
 def as_regions(lo: np.ndarray, hi: np.ndarray, horizons: Sequence[float]) -> list[list[Region]]:
     """Each exchange's Regions from corner arrays (n, len(horizons), 3)."""
-    return [[Region(h, Vec3(*l), Vec3(*u), (Vec3(*l) + Vec3(*u)) * 0.5)
+    return [[Region(h, Vec3(*l), Vec3(*u))
              for h, l, u in zip(horizons, lows, highs)]
             for lows, highs in zip(lo.tolist(), hi.tolist())]

@@ -10,8 +10,6 @@ from ttrally.anticipate import (
     STUDY_HORIZONS,
     ContextWindow,
     ConformalCalibration,
-    MemberParams,
-    ShotPredictor,
     _bounds,
     _context_arrays,
     _ensemble,
@@ -39,7 +37,7 @@ from ttrally.errors import (
 )
 from ttrally import anticipate
 from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                           TABLE, context_mask, generate_exchanges)
+                           TABLE, context_mask, generate_exchanges, return_shots)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 
@@ -54,7 +52,6 @@ def _frame(ball, opp_y=0.4, index=0):
             Vec3(2.2, opp_y - 0.1, 0.0),
             Vec3(2.2, opp_y + 0.1, 0.0),
         ],
-        ego_root_world=Vec3(-2.2, 0.0, 0.95),
     )
 
 
@@ -159,7 +156,7 @@ def test_ensemble_is_deterministic_and_spread_is_floored():
 def test_identical_members_hit_sigma_floor():
     ctx, _ = _linear_context()
     one = physics_baseline_ensemble(3, 2)[0]
-    _, sigma = _ensemble([one, one], *_context_arrays([ctx]), np.array([0.2]))
+    _, sigma = _ensemble(np.vstack([one, one]), *_context_arrays([ctx]), np.array([0.2]))
     assert sigma.tolist() == [[[1e-6, 1e-6, 1e-6]]]
 
 
@@ -195,7 +192,7 @@ def test_region_geometry(small_study):
     regions = build_regions(preds, calib, ctx, HORIZONS)
     assert [r.horizon for r in regions] == [horizon_key(h) for h in HORIZONS]
     for r in regions:
-        assert all(a <= m <= b for a, m, b in zip(r.lo, r.mean, r.hi))
+        assert all(a < b for a, b in zip(r.lo, r.hi))
     single = build_regions(preds, calib, ctx, [HORIZONS[1]])[0]
     assert (single.lo - regions[1].lo).norm() == 0.0
 
@@ -218,7 +215,6 @@ def test_evaluate_coverage_guards_split(small_study):
 def test_small_scale_coverage(small_study):
     _, _, test, calib = small_study
     report = evaluate_coverage(calib, test)
-    assert report.n_test == len(test.exchanges)
     for ax in ("x", "y", "z"):
         for h in HORIZONS:
             rate = report.per_axis[(ax, horizon_key(h))]
@@ -247,18 +243,25 @@ def test_extreme_hit_bias_counts(small_study):
 # per-(axis, horizon) lists. Every statistic must equal it exactly.
 
 
-def _oracle_trajectory(pred, ctx):
+def _member_shot(member):
+    """The shot a member row replays, on Python floats: TABLE's half-length
+    and height, bounce x, crossing height, speed and drag (its aim depends
+    on the context)."""
+    _, d_speed, d_bounce_x, d_z_cross, d_k = member.tolist()
+    return (TABLE.half_length, TABLE.height_z, -0.675 + d_bounce_x, 1.05 + d_z_cross,
+            min(max(SHOT_SPEED_MEAN + d_speed, SHOT_SPEED_CLIP[0]), SHOT_SPEED_CLIP[1]),
+            max(0.19 + d_k, 0.02))
+
+
+def _oracle_trajectory(member, ctx):
     """A member's shot the scalar way: Vec3 hit estimate, construct_return_shot."""
     p0, p1 = ctx.frames[-2].ball_world, ctx.frames[-1].ball_world
     lead = -float(ctx.times[-1])
     hit = p1 + (p1 - p0) * (1.0 / float(ctx.times[-1] - ctx.times[-2])) * lead
-    m = pred.params
-    y_cross = float(np.clip(SHOT_AIM_GAIN * ctx.frames[-1].opponent_joints_world[0].y + m.d_aim,
-                            -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
-    k = max(0.19 + m.d_k, 0.02)
-    speed = float(np.clip(SHOT_SPEED_MEAN + m.d_speed, *SHOT_SPEED_CLIP))
-    traj, _ = construct_return_shot(TABLE, hit, -0.675 + m.d_bounce_x, y_cross,
-                                    1.05 + m.d_z_cross, speed, k, k)
+    y_cross = float(np.clip(SHOT_AIM_GAIN * ctx.frames[-1].opponent_joints_world[0].y
+                            + float(member[0]), -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
+    _, _, x_bounce, z_cross, speed, k = _member_shot(member)
+    traj, _ = construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k, k)
     return traj
 
 
@@ -399,6 +402,29 @@ def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, n, 
         assert truth.tobytes() == forecast.truth[i].tobytes()
 
 
+# Members past both ends of the speed clip, below the drag floor and beyond
+# the crossing-y limit, beside drawn tables.
+CLIPPED = np.array([[0.3, 6.0, 0.1, 0.0, -0.3], [-0.2, -6.0, -0.1, 0.05, 0.0],
+                    [1.5, 0.0, 0.0, -0.05, 0.04]])
+
+
+@pytest.mark.parametrize("members", [physics_baseline_ensemble(4, 5),
+                                     physics_baseline_ensemble(11, 2), CLIPPED])
+def test_ensemble_equals_return_shots_one_member_at_a_time(chunked_exchanges, members):
+    hit, root_y = anticipate._exchange_arrays(chunked_exchanges[:FORECAST_CHUNK], 0.0)
+    hs = np.asarray(STUDY_HORIZONS)
+    per_member = []
+    for member in members:
+        hl, h, x_bounce, z_cross, speed, k = (np.full(len(hit), v) for v in _member_shot(member))
+        y_cross = np.clip(SHOT_AIM_GAIN * root_y + float(member[0]), -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
+        chains, _ = return_shots(hl, h, hit, x_bounce, y_cross, z_cross, speed, k, k)
+        per_member.append(chains.positions(hs))
+    preds = np.stack(per_member, axis=1)  # (n, k, n_horizons, 3)
+    mean, sigma = _ensemble(members, hit, root_y, hs)
+    assert mean.tobytes() == preds.mean(axis=1).tobytes()
+    assert sigma.tobytes() == np.maximum(preds.std(axis=1), 1e-6).tobytes()
+
+
 def test_truth_before_the_hit_follows_the_incoming_ball(chunked_exchanges):
     horizons = [-0.3, -0.05, 0.0, 0.2]
     exchanges = chunked_exchanges[:FORECAST_CHUNK + 1]
@@ -414,9 +440,9 @@ def test_batch_forecast_raises_the_scalar_checks(chunked_exchanges):
     with pytest.raises(InputMismatch):  # one context frame left
         forecast_split(preds, exchanges, HORIZONS, lead_time=0.6)
     # A member bouncing 0.5 mm short of the ego plane, inside the 1 mm clearance.
-    deep = ShotPredictor(MemberParams(0.0, 0.0, -0.6945, 0.0, 0.0))
+    deep = np.array([[0.0, 0.0, -0.6945, 0.0, 0.0]])
     with pytest.raises(ValueError, match="x_bounce"):
-        forecast_split(preds + [deep], exchanges, HORIZONS)
+        forecast_split(np.vstack([preds, deep]), exchanges, HORIZONS)
     # Two frames at one instant: the velocity estimate divides by zero.
     ctx = _context_for(exchanges[0], 0.0)
     ctx.times = ctx.times.copy()

@@ -59,8 +59,7 @@ def _window(ex, lead_time):
 
 
 def _region(lo, hi, horizon=0.2):
-    return Region(horizon=horizon, lo=Vec3(*lo), hi=Vec3(*hi),
-                  mean=(Vec3(*lo) + Vec3(*hi)) * 0.5)
+    return Region(horizon=horizon, lo=Vec3(*lo), hi=Vec3(*hi))
 
 
 def test_box_contains_and_clamp():

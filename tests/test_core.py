@@ -63,7 +63,6 @@ def _point_from_positions(positions, hits, fps=60.0):
             frame_index=i,
             ball_world=Vec3(*p),
             opponent_joints_world=[],
-            ego_root_world=Vec3(0, 0, 0),
         )
         for i, p in enumerate(positions)
     ]

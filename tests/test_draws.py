@@ -11,7 +11,7 @@ must match bit for bit, and the stream must end in the same state.
 import numpy as np
 import pytest
 
-from ttrally.anticipate import _member_params
+from ttrally.anticipate import physics_baseline_ensemble
 from ttrally.camera import project
 from ttrally.core import Vec3
 from ttrally.errors import AssumptionViolation
@@ -139,11 +139,12 @@ def test_rally_draws_equal_the_method_forms(n_hits):
 
 def test_member_draws_equal_the_method_forms():
     for seed in range(20):
-        for index in range(50):
+        table = physics_baseline_ensemble(seed, 50)
+        assert table.shape == (50, 5)
+        for index, row in enumerate(table):
             ref = np.random.default_rng([seed, index])
             want = [ref.normal(0.0, s) for s in (0.10, 0.6, 0.15, 0.05, 0.04)]
-            m = _member_params(seed, index)
-            assert _bits([m.d_aim, m.d_speed, m.d_bounce_x, m.d_z_cross, m.d_k]) == _bits(want)
+            assert _bits(row.tolist()) == _bits(want)
 
 
 def test_generate_exchanges_rejects_a_negative_count():

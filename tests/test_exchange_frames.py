@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ttrally import anticipate, control, core, synth
+from ttrally.anticipate import STUDY_HORIZONS
 from ttrally.ball import Chains
 from ttrally.core import Frame3D, Vec3
 from ttrally.errors import InputMismatch
@@ -53,8 +54,13 @@ def constructed(monkeypatch):
 def test_the_batch_path_builds_no_frame(constructed, lead_time):
     exchanges = generate_exchanges(3, 200)
     assert len(exchanges) == 200
-    study = anticipate.run_conformal_study(3, n_cal=40, n_test=30, lead_time=lead_time)
-    assert study.coverage.n_test == 30
+    # The conformal study's stages, on forecasts issued lead_time before the hit.
+    predictors = anticipate.physics_baseline_ensemble(3)
+    cal, test = (anticipate.forecast_split(predictors, rows, STUDY_HORIZONS, lead_time)
+                 for rows in (exchanges[:40], exchanges[40:70]))
+    calib = anticipate.calibrate_ensemble(cal, 0.1)
+    anticipate.evaluate_coverage(calib, test)
+    anticipate.extreme_hit_bias(calib, test)
     assert constructed == NOTHING
     # The counter sees frames when they are read.
     assert len(exchanges[0].context) == len(CONTEXT_TIMES)
@@ -64,7 +70,7 @@ def test_the_batch_path_builds_no_frame(constructed, lead_time):
 def test_the_drivers_build_no_row_view(constructed):
     study = anticipate.run_conformal_study(3, n_cal=40, n_test=30)
     rows = control.run_experiment(5, n_episodes=6, n_cal=60)
-    assert study.coverage.n_test == 30 and len(rows) == 8
+    assert study.bias.n_extreme > 0 and len(rows) == 8
     assert constructed == NOTHING
     # The counters see a row view, and its two one-row chains once it samples its truth.
     ex = generate_exchanges(5, 6)[2]
@@ -101,10 +107,9 @@ def _eager_context(exchanges, i):
     rest = np.array([hl + 0.6, y, 1.0])
     hands = rest[None] + (exchanges.incoming.bT[i, -1] - rest)[None] * approach[:, None]
     root_x = hl + 0.55
-    ego_root = Vec3(-hl - 0.5, 0.0, 0.0)
     hip = Vec3(root_x, y, 0.95)
     ankles = (Vec3(root_x - 0.08, y, 0.0), Vec3(root_x + 0.08, y, 0.0))
-    return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles], ego_root)
+    return [Frame3D(j, Vec3(*ball), [hip, Vec3(*hand), *ankles])
             for j, (ball, hand) in enumerate(zip(balls.tolist(), hands.tolist()))]
 
 
