@@ -85,15 +85,9 @@ class Camera:
 
 
 def project(camera: Camera, p: Vec3) -> ImagePoint:
-    """Pinhole projection with no distortion."""
-    cam = camera.extrinsics.r @ p.as_array() + camera.extrinsics.t
-    if cam[2] <= 0:
-        raise BehindCamera(f"depth {cam[2]:.6g} <= 0")
-    k = camera.intrinsics
-    return ImagePoint(
-        k.cx + k.fx * cam[0] / cam[2],
-        k.cy - k.fy * cam[1] / cam[2],
-    )
+    """Pinhole projection of one point: project_many's one-row call form."""
+    u, v = project_many(camera, p.as_array()[None])[0]
+    return ImagePoint(u, v)
 
 
 def project_many(camera: Camera, pts: np.ndarray) -> np.ndarray:

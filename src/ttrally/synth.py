@@ -201,12 +201,10 @@ def tilt_camera(
 
 def leg_verticality(camera: Camera, table: TableGeometry) -> float:
     """Worst-case |du| between leg top and bottom over the four corners."""
-    worst = 0.0
-    for corner in table.surface_keypoints()[:4]:
-        top = project(camera, corner)
-        bottom = project(camera, Vec3(corner.x, corner.y, 0.0))
-        worst = max(worst, abs(top.u - bottom.u))
-    return worst
+    tops = np.array([corner.as_array() for corner in table.surface_keypoints()[:4]])
+    feet = np.column_stack([tops[:, :2], np.zeros(4)])
+    u = project_many(camera, np.concatenate([tops, feet]))[:, 0]
+    return float(np.abs(u[:4] - u[4:]).max())
 
 
 def check_camera_assumptions(camera: Camera, table: TableGeometry) -> None:

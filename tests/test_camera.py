@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize._numdiff import approx_derivative
 from scipy.spatial.transform import Rotation
 
+import golden
 import scalar_calibration
 import scalar_positioning as scalar
-from test_golden import SCENES
 from ttrally import camera as camera_module, pipeline
 from ttrally.camera import (
     Camera,
@@ -37,7 +37,7 @@ from ttrally.errors import (
     NoIntersection,
     NoVanishingPoint,
 )
-from ttrally.synth import generate_scene, leg_verticality, sample_camera, tilt_camera
+from ttrally.synth import leg_verticality, sample_camera, tilt_camera
 
 TABLE = TableGeometry()
 
@@ -303,18 +303,15 @@ def test_batched_jacobian_equals_scipy_across_the_depth_guard():
 def library_correspondences():
     """The correspondences calibrate_from_track passes to calibrate for the
     golden library scenes."""
-    seen = []
+    seen, scenes = [], golden.corpus("library")  # read before patching: it refuses under a patch
     with mock.patch.object(pipeline, "calibrate", seen.append):
-        for s, (fps, n_hits, noise) in enumerate(SCENES):
-            track, _, _ = generate_scene(
-                np.random.default_rng([7, s]), fps=fps, n_hits=n_hits, noise_px=noise
-            )
-            pipeline.calibrate_from_track(track, TABLE)
+        for scene in scenes:
+            pipeline.calibrate_from_track(scene.track, TABLE)
     return seen
 
 
 def test_calibrate_equals_the_scalar_rotation_refinement(library_correspondences):
-    assert len(library_correspondences) == len(SCENES)
+    assert len(library_correspondences) == len(golden.corpus("library"))
     for corr in library_correspondences:
         got, rms = calibrate(corr)
         want, want_rms = scalar_calibration.calibrate(corr)

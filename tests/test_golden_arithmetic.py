@@ -4,12 +4,13 @@ they were re-pinned from.
 The drag law's expm1, exp and log once ran through libm element by element,
 and ``racket_reflect`` and ``solve_target_pose`` took their dots and norms
 through BLAS. Both rounded as the CPU's dispatch chose. The fixed-order port
-in ``ball`` and float sums replaced them, and ``tests/test_golden.py``
-re-pinned the digests they moved. The first test recomputes those digests
-with glibc's and numpy's CPU dispatch masked; the second shows that the
-re-pin moved values by a bounded amount and no discrete outcome at all.
-The last holds the bounce re-pin to the exhaustive ``fit_parabola`` search
-it replaced: only the reported totals moved.
+in ``ball`` and float sums replaced them, and ``golden.DIGESTS`` was
+re-pinned. The first test runs ``tests/golden.py`` with glibc's and numpy's
+CPU dispatch masked; the second shows that the re-pin moved values by a
+bounded amount and no discrete outcome at all, its default half on
+``golden.corpus`` and its libm/BLAS half on scenes generated anew. The last
+holds the bounce re-pin to the exhaustive ``fit_parabola`` search it
+replaced, on the corpus's loaded tracks: only the reported totals moved.
 
 Neither mask covers OpenBLAS's DYNAMIC_ARCH kernel choice, and the golden
 bytes follow it too. On a 2-vCPU AVX-512 Xeon, whose default kernel passes,
@@ -20,6 +21,7 @@ well; the stacked ``@`` and LAPACK calls of calibration and
 """
 
 import contextlib
+import json
 import math
 import os
 import subprocess
@@ -31,12 +33,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import golden
 import scalar_bounces
-from test_golden import SCENES, TRACK_SCENES, TRUTH_TIMES
-from ttrally import anticipate, ball, control, pipeline, synth
+from ttrally import anticipate, ball, control, synth
 from ttrally.ball import GRAVITY
 from ttrally.anticipate import STUDY_HORIZONS
-from ttrally.cli import EXIT_OK, main
 from ttrally.control import (HORIZONS, LEAD_TIMES, MAX_RACKET_ANGLE_DEG, RacketPose, aim_point,
                              run_experiment)
 from ttrally.core import TableGeometry, Vec3
@@ -58,13 +59,15 @@ MOVED_BY_DISPATCH = "library"
 
 @pytest.mark.parametrize("mask", sorted(MASKS))
 def test_golden_digests_hold_under_masked_dispatch(mask):
-    env = {**os.environ, **MASKS[mask]}
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py",
-         "-k", f"match and not {MOVED_BY_DISPATCH}"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stdout[-3000:]
-    assert "8 passed" in done.stdout
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "tests/golden.py", "--skip", MOVED_BY_DISPATCH],
+                          cwd=ROOT, env={**os.environ, **MASKS[mask], "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-3000:]
+    got = json.loads(done.stdout)
+    moved = [f"{name}: got {got.get(name)} want {want}" for name, want in golden.DIGESTS.items()
+             if name != MOVED_BY_DISPATCH and got.get(name) != want]
+    assert not moved, "\n".join([mask, *moved])
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +129,25 @@ def _libm_and_blas():
         yield
 
 
-def _outcomes() -> tuple[dict, dict]:
-    """(discrete outcomes, values) of the golden corpora and of the returner on
-    seeds 11-18 and the simulate digest's seed 3, under the arithmetic in force."""
+def _cached(corpus: str, s: int) -> tuple:
+    scene = golden.corpus(corpus)[s]
+    return scene.truth, scene.track, scene.point
+
+
+def _regenerated(corpus: str, s: int) -> tuple:
+    track, truth, _, _ = golden.generate(corpus, s)
+    return truth, track, reconstruct_point(track, point_id=s)[1]
+
+
+def _outcomes(scene) -> tuple[dict, dict]:
+    """(discrete outcomes, values) of the golden corpora, whose scene s
+    ``scene(corpus, s)`` gives as (truth, track, point), and of the returner
+    on seeds 11-18 and the simulate digest's seed 3, under the arithmetic in
+    force."""
     discrete, values = {}, {}
-    for corpus, seed, scenes in (("library", 7, SCENES), ("tracks", 11, TRACK_SCENES)):
-        for s, (fps, n_hits, noise) in enumerate(scenes):
-            track, truth, _ = synth.generate_scene(np.random.default_rng([seed, s]), fps=fps,
-                                                   n_hits=n_hits, noise_px=noise)
-            _, point = reconstruct_point(track, point_id=s)
+    for corpus, (_, scenes) in golden.CORPORA.items():
+        for s in range(len(scenes)):
+            truth, track, point = scene(corpus, s)
             discrete[corpus, s] = ([h[0] for h in truth.hits], [b[0] for b in truth.bounces],
                                    [h.frame for h in point.hits], [b.frame for b in point.bounces])
             values[corpus, "pixels", s] = track.ball
@@ -144,7 +157,7 @@ def _outcomes() -> tuple[dict, dict]:
     exchanges = synth.generate_exchanges(7, 200)
     values["exchanges", "crossing"] = np.concatenate(
         [exchanges.crossing_pos, exchanges.crossing_vel, exchanges.crossing_time[:, None]], 1)
-    values["exchanges", "truth"] = synth.balls_at(exchanges, TRUTH_TIMES)
+    values["exchanges", "truth"] = synth.balls_at(exchanges, golden.TRUTH_TIMES)
 
     episodes, ranks = [], []
     aggregate, quantile = control._aggregate, anticipate.conformal_quantile
@@ -182,9 +195,9 @@ TOLERANCE = {"pixels": 1e-12, "ball": 1e-13, "k": 1e-12, "crossing": 1e-13, "tru
 
 
 def test_repin_keeps_every_discrete_outcome():
-    discrete, values = _outcomes()
+    discrete, values = _outcomes(_cached)
     with _libm_and_blas():
-        old_discrete, old_values = _outcomes()
+        old_discrete, old_values = _outcomes(_regenerated)
     # Every quantile fitted: the study's horizons, then each experiment's lead times.
     assert len(discrete["quantile ranks"]) == 3 * (len(STUDY_HORIZONS)
                                                    + 9 * len(LEAD_TIMES) * len(HORIZONS))
@@ -203,34 +216,21 @@ def test_repin_keeps_every_discrete_outcome():
 # ---------------------------------------------------------------------------
 
 
-def _reconstructions(tmp_path) -> list[list[list[str]]]:
-    """The recon-v1 records, as token lists, of every library and track
-    scene, each written to and loaded from its track file, then of the
-    reconstruct digest's seed-21 scene through the CLI."""
-    out = []
-    track_path, recon_path = tmp_path / "scene.track", tmp_path / "scene.recon"
-    for seed, scenes in ((7, SCENES), (11, TRACK_SCENES)):
-        for s, (fps, n_hits, noise) in enumerate(scenes):
-            track, _, _ = synth.generate_scene(np.random.default_rng([seed, s]), fps=fps,
-                                               n_hits=n_hits, noise_px=noise)
-            pipeline.write_track(track, str(track_path))
-            recon, _ = reconstruct_point(pipeline.load_track(str(track_path)), point_id=s)
-            pipeline.write_reconstruction(recon, str(recon_path))
-            out.append([line.split() for line in recon_path.read_text().splitlines()])
-    assert main(["synth", "--seed", "21", "--out", str(track_path)]) == EXIT_OK
-    assert main(["reconstruct", "--track", str(track_path), "--out", str(recon_path)]) == EXIT_OK
-    out.append([line.split() for line in recon_path.read_text().splitlines()])
-    return out
-
-
 def test_bounce_repin_moves_only_the_reported_totals(tmp_path):
     # The reconstruct and library digests moved when select_bounces began to
     # return the screen's total in place of the exhaustive fit_parabola one.
-    new = _reconstructions(tmp_path)
+    # Compared: the recon-v1 records, as token lists, of every library and
+    # track scene, reconstructed from its loaded track, then of seed 21.
+    scenes = [(s, scene) for corpus in golden.CORPORA
+              for s, scene in enumerate(golden.corpus(corpus))]
+    new = [scene.recon for _, scene in scenes] + [golden.seed21(tmp_path).read_bytes()]
     with mock.patch.object(ball, "select_bounces", scalar_bounces.select_bounces):
-        old = _reconstructions(tmp_path)
+        old = [golden.reconstruct(scene.loaded, s, tmp_path)[1] for s, scene in scenes]
+        old.append(golden.seed21(tmp_path).read_bytes())
     totals = moved = 0
-    for got_lines, want_lines in zip(new, old, strict=True):
+    for got_bytes, want_bytes in zip(new, old, strict=True):
+        got_lines, want_lines = ([line.split() for line in text.decode().splitlines()]
+                                 for text in (got_bytes, want_bytes))
         assert len(got_lines) == len(want_lines)
         for got, want in zip(got_lines, want_lines):
             assert [g.partition("=")[0] for g in got] == [w.partition("=")[0] for w in want]

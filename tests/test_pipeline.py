@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+import golden
 import scalar_positioning as scalar
 from track_columns import comparable, corrupt_track
 from ttrally import core, pipeline
@@ -181,11 +182,6 @@ def test_corrupted_frames_are_skipped_not_fatal(scene):
     assert len(point.frames) <= len(track.frames) - dropped + 2
 
 
-# 40 library scenes: 60 and 120 fps, 3-6 hits, 0-2 px of pixel noise, and
-# joints dropped in some frames so that not every frame is usable.
-SCENES = [(60.0 if s % 2 == 0 else 120.0, 3 + (s // 2) % 4, (s % 5) / 2) for s in range(40)]
-
-
 def _bytes(vecs) -> bytes:
     return np.array([v.as_array() for v in vecs]).tobytes()
 
@@ -206,10 +202,10 @@ def _position_oracle_rows(camera, track, want):
 
 
 def test_stacked_positioning_matches_the_per_frame_oracle():
-    for s, (fps, n_hits, noise) in enumerate(SCENES):
-        rng = np.random.default_rng([7, s])
-        track, _, _ = generate_scene(rng, fps=fps, n_hits=n_hits, noise_px=noise)
-        track = corrupt_track(track, rng, drop_prob=0.05 * (s % 3))
+    # The first 40 library scenes, each scene's generator continuing into
+    # joints dropped in some frames, so that not every frame is usable.
+    for s, scene in enumerate(golden.corpus("library")[:40]):
+        track = corrupt_track(scene.track, scene.rng(), drop_prob=0.05 * (s % 3))
         camera, _ = calibrate_from_track(track, TABLE)
         _position_oracle_rows(camera, track, scalar.positioned(camera, track))
 

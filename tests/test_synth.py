@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from golden import TRUTH_TIMES
 from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
 from track_columns import corrupt_track
 from ttrally.ball import Chains, StokesSegment, stokes_position, stokes_positions
@@ -12,6 +13,8 @@ from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
     BOUNCE_CLEARANCE,
+    CONTEXT_TIMES,
+    balls_at,
     check_camera_assumptions,
     emit_synthetic_track,
     generate_exchanges,
@@ -420,6 +423,16 @@ def test_exchange_rows_and_slices():
     assert part[1].context == exchanges[3].context
     assert part[1].truth_at(0.2) == exchanges[3].truth_at(0.2)
     assert len(generate_exchanges(3, 0)) == 0 and len(exchanges[:0]) == 0
+    # Every 10th row view of the exchange digest's batch, bit for bit against
+    # the balls_at rows and the batch columns that digest hashes.
+    batch = generate_exchanges(7, 200)
+    context, truth = balls_at(batch, CONTEXT_TIMES), balls_at(batch, TRUTH_TIMES)
+    for i in range(0, 200, 10):
+        ex = batch[i]
+        got = [f.ball_world for f in ex.context] + [ex.truth_at(t) for t in TRUTH_TIMES]
+        got += [ex.crossing_pos, ex.crossing_vel]
+        want = [context[i], truth[i], batch.crossing_pos[i:i + 1], batch.crossing_vel[i:i + 1]]
+        assert np.array([p.as_array() for p in got]).tobytes() == np.concatenate(want).tobytes()
 
 
 def test_generate_exchanges_match_the_scalar_flights():
