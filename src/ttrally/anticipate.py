@@ -144,8 +144,7 @@ def _ensemble(
     speed = np.minimum(np.maximum(SHOT_SPEED_MEAN + d_speed, SHOT_SPEED_CLIP[0]),
                        SHOT_SPEED_CLIP[1])
     drag = np.maximum(0.19 + d_k, 0.02)
-    chains, _ = return_shots(np.full(n * k, TABLE.half_length), np.full(n * k, TABLE.height_z),
-                             np.repeat(hit, k, axis=0), -0.675 + d_bounce_x, y_cross,
+    chains, _ = return_shots(np.repeat(hit, k, axis=0), -0.675 + d_bounce_x, y_cross,
                              1.05 + d_z_cross, speed, drag, drag)
     preds = chains.positions(horizons).reshape(n, k, len(horizons), 3)
     return preds.mean(axis=1), np.maximum(preds.std(axis=1), SIGMA_FLOOR)

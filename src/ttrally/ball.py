@@ -427,18 +427,18 @@ class Chains:
                                   self._span())
 
 
-def smooth(values: np.ndarray, window: int = SMOOTH_WINDOW) -> np.ndarray:
-    """Centered moving average with edge shrinking.
+def smooth(values: np.ndarray) -> np.ndarray:
+    """Centered moving average over SMOOTH_WINDOW samples, with edge shrinking.
 
     Each window is summed left to right, one shifted slice at a time, and
-    divided by its count. For windows of up to 7 samples that is the
-    rounding of ``np.mean``, which sums fewer than 8 values in order.
+    divided by its count. That is the rounding of ``np.mean``, which sums
+    fewer than 8 values in order.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if window <= 1 or n < 2:
+    if n < 2:
         return values
-    half = min(window // 2, n - 1)  # a wider window holds the whole series
+    half = min(SMOOTH_WINDOW // 2, n - 1)  # a wider window holds the whole series
     total, count = np.zeros(n), np.zeros(n)
     for d in range(-half, half + 1):
         lo, hi = max(0, -d), min(n, n - d)  # the i with 0 <= i + d < n

@@ -419,10 +419,10 @@ def _chords(points: np.ndarray) -> np.ndarray:
 
 
 def return_shots(
-    half_length, height, hit: np.ndarray, x_bounce, y_cross, z_cross, speed, k1, k2
+    hit: np.ndarray, x_bounce, y_cross, z_cross, speed, k1, k2
 ) -> tuple[Chains, np.ndarray]:
-    """n opponent returns that cross the ego hitting plane, and their (n,)
-    crossing times.
+    """n opponent returns on TABLE that cross the ego hitting plane, and
+    their (n,) crossing times.
 
     ``hit`` is (n, 3) and every other argument (n,). A shot travels hit ->
     bounce at ``x_bounce`` (on the ego half) -> a virtual end anchor
@@ -436,13 +436,13 @@ def return_shots(
     cannot resolve.
     """
     hx, hy = hit[:, 0], hit[:, 1]
-    x_plane = -half_length
-    x_end = -half_length - SHOT_OVERRUN
+    height, x_plane = TABLE.height_z, -TABLE.half_length
+    x_end = x_plane - SHOT_OVERRUN
     ok = (x_plane + BOUNCE_CLEARANCE <= x_bounce) & (x_bounce < hx)
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise ValueError(
-            f"x_bounce={x_bounce[i]} not between the plane x={x_plane[i]} "
+            f"x_bounce={x_bounce[i]} not between the plane x={x_plane} "
             f"(plus {BOUNCE_CLEARANCE} m) and the hit x={hx[i]}"
         )
 
@@ -525,8 +525,8 @@ def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> Exchanges:
 
     y_cross = np.clip(SHOT_AIM_GAIN * opp_root_y + aim_noise, -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
     x_bounce = -(0.45 + 0.45 * xb_out)
-    outgoing, t_cross = return_shots(np.full(n, hl), np.full(n, h), hit, x_bounce, y_cross,
-                                     z_cross, np.clip(speed, *SHOT_SPEED_CLIP), k1, k2)
+    outgoing, t_cross = return_shots(hit, x_bounce, y_cross, z_cross,
+                                     np.clip(speed, *SHOT_SPEED_CLIP), k1, k2)
 
     return Exchanges(
         ids=np.arange(id_offset, id_offset + n),

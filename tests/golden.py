@@ -6,8 +6,9 @@
 JSON. The track digest also checks that a long lens raises after drawing the
 noise of the frames that fit, and the exchange digest that a shorter call
 makes the same first exchanges. ``corpus(name)`` gives the library's or the
-tracks' scenes, with read-only arrays, and refuses while any ttrally
-function is patched: a patched arithmetic builds its own inputs.
+tracks' scenes and ``points(name)`` their reconstructions, with read-only
+arrays, each built on its first call and refused while any ttrally function
+is patched: a patched arithmetic builds its own inputs.
 
 Array forms have since reproduced each digest's scalar origin byte for byte.
 Two re-pins, each held by ``tests/test_golden_arithmetic.py`` to the
@@ -24,7 +25,6 @@ import functools
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -66,12 +66,10 @@ DIGESTS = {
 COMMANDS = {"conformal": ["conformal", "--seed", "5", "--n-cal", "60", "--n-test", "40"],
             "simulate": ["simulate", "--seed", "3", "--episodes", "8"]}
 # Per corpus, the seed's first word and each scene's (fps, hits, pixel noise).
-CORPORA = {
-    "library": (7, [(60.0 if s % 2 == 0 else 120.0, 3 + (s // 2) % 4, (s % 5) / 2)
-                    for s in range(60)]),
-    "tracks": (11, [((30.0, 60.0, 120.0)[s % 3], 2 + s % 5, (s // 5 % 5) / 2)
-                    for s in range(40)]),
-}
+CORPORA = {"library": (7, [(60.0 if s % 2 == 0 else 120.0, 3 + (s // 2) % 4, (s % 5) / 2)
+                           for s in range(60)]),
+           "tracks": (11, [((30.0, 60.0, 120.0)[s % 3], 2 + s % 5, (s // 5 % 5) / 2)
+                           for s in range(40)])}
 TRUTH_TIMES = [0.02 * i for i in range(-30, 41)]  # -0.6 .. 0.8 s around the hit
 
 
@@ -89,8 +87,6 @@ class Scene(NamedTuple):
     state: dict  # the generator's, after generation
     text: bytes  # the track's track-v1 bytes
     loaded: pipeline.TrackFile  # read back from text
-    point: pipeline.ReconstructedPoint  # reconstructed from loaded
-    recon: bytes  # its recon-v1 bytes
 
     def rng(self) -> np.random.Generator:
         """A new generator that continues where the scene's left off."""
@@ -108,11 +104,12 @@ def generate(corpus: str, s: int):
     return *synth.generate_scene(rng, *scenes[s], **header), rng
 
 
-def reconstruct(track: pipeline.TrackFile, point_id: int, tmp: Path):
+def reconstruct(track: pipeline.TrackFile, point_id: int):
     """The point reconstructed from ``track``, and its recon-v1 bytes."""
     recon, point = pipeline.reconstruct_point(track, point_id=point_id)
-    pipeline.write_reconstruction(recon, str(tmp / "scene.recon"))
-    return point, (tmp / "scene.recon").read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        pipeline.write_reconstruction(recon, f"{tmp}/scene.recon")
+        return _read_only(point), Path(tmp, "scene.recon").read_bytes()
 
 
 def _read_only(record):
@@ -122,31 +119,38 @@ def _read_only(record):
     return record
 
 
-_DEFAULT = {(m, name): value for m in (anticipate, ball, camera, control, core, pipeline, synth)
-            for name, value in vars(m).items() if callable(value)}
+def _default_arithmetic(build):
+    """``build``, cached by corpus name, refusing while a ttrally function is patched."""
+    cached = functools.cache(build)
+    default = {(m, k): v for m in (anticipate, ball, camera, control, core, pipeline, synth)
+               for k, v in vars(m).items() if callable(v)}
+
+    def checked(name: str):
+        patched = [f"{m.__name__}.{k}" for (m, k), v in default.items()
+                   if getattr(m, k, None) is not v]
+        assert not patched, f"the corpus is built and read under the default arithmetic: {patched}"
+        return cached(name)
+    return functools.update_wrapper(checked, build)
 
 
+@_default_arithmetic
 def corpus(name: str) -> tuple[Scene, ...]:
-    """Corpus ``name``'s scenes, built on the first call."""
-    patched = [f"{m.__name__}.{k}" for (m, k), v in _DEFAULT.items()
-               if getattr(m, k, None) is not v]
-    assert not patched, f"the corpus is built and read under the default arithmetic: {patched}"
-    return _corpus(name)
-
-
-@functools.cache
-def _corpus(name: str) -> tuple[Scene, ...]:
+    """Corpus ``name``'s scenes: generated, written and read back."""
     scenes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.track"
         for s in range(len(CORPORA[name][1])):
             track, truth, _, rng = generate(name, s)
             pipeline.write_track(track, str(path))
-            loaded = _read_only(pipeline.load_track(str(path)))
-            point, recon = reconstruct(loaded, s, Path(tmp))
             scenes.append(Scene(_read_only(track), _read_only(truth), rng.bit_generator.state,
-                                path.read_bytes(), loaded, _read_only(point), recon))
+                                path.read_bytes(), _read_only(pipeline.load_track(str(path)))))
     return tuple(scenes)
+
+
+@_default_arithmetic
+def points(name: str) -> tuple[tuple[pipeline.ReconstructedPoint, bytes], ...]:
+    """Corpus ``name``'s (point, recon-v1 bytes), reconstructed from each loaded track."""
+    return tuple(reconstruct(scene.loaded, s) for s, scene in enumerate(corpus(name)))
 
 
 def _main(argv: list[str]) -> bytes:
@@ -196,8 +200,7 @@ def _long_lens_draw() -> float:
 def _tracks(tmp: Path) -> dict[str, str]:
     h = hashlib.sha256()
     for scene in corpus("tracks"):
-        h.update(scene.text)
-        h.update(np.float64(scene.rng().random()).tobytes())
+        h.update(scene.text + np.float64(scene.rng().random()).tobytes())
     h.update(np.float64(_long_lens_draw()).tobytes())
     return {"tracks": h.hexdigest()}
 
@@ -206,14 +209,12 @@ def _exchange_digest(exchanges: synth.Exchanges) -> str:
     """sha256 over a row per exchange: its context times and balls, root y,
     hit, crossing, and truth at TRUTH_TIMES, as float64 bytes."""
     n, times = len(exchanges), synth.CONTEXT_TIMES
-
-    def balls(at) -> np.ndarray:
-        return synth.balls_at(exchanges, at).reshape(n, 3 * len(at))
-
+    context, truth = (synth.balls_at(exchanges, at).reshape(n, 3 * len(at))
+                      for at in (times, TRUTH_TIMES))
     return _sha256(np.concatenate([
         np.broadcast_to(times, (n, len(times))), exchanges.opp_root_y[:, None],
-        exchanges.crossing_time[:, None], balls(times), exchanges.incoming.bT[:, -1],
-        exchanges.crossing_pos, exchanges.crossing_vel, balls(TRUTH_TIMES)], axis=1).tobytes())
+        exchanges.crossing_time[:, None], context, exchanges.incoming.bT[:, -1],
+        exchanges.crossing_pos, exchanges.crossing_vel, truth], axis=1).tobytes())
 
 
 def _exchanges(tmp: Path) -> dict[str, str]:
@@ -225,7 +226,7 @@ def _exchanges(tmp: Path) -> dict[str, str]:
 
 GROUPS = {
     "cli": _cli,
-    "library": lambda tmp: {"library": _sha256(b"".join(s.recon for s in corpus("library")))},
+    "library": lambda tmp: {"library": _sha256(b"".join(r for _, r in points("library")))},
     "tracks": _tracks, "exchanges": _exchanges,
     "experiment": lambda tmp: {f"experiment:{seed}": _sha256(
         repr(control.run_experiment(seed, 20, n_cal=600)).encode()) for seed in range(11, 19)},
@@ -246,6 +247,5 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print every golden digest as JSON.")
     parser.add_argument("--skip", action="append", default=[], choices=sorted(GROUPS))
     skip = parser.parse_args().skip
-    json.dump({name: digest(name) for name in DIGESTS if name.partition(":")[0] not in skip},
-              sys.stdout, indent=1)
-    print()
+    print(json.dumps({name: digest(name) for name in DIGESTS
+                      if name.partition(":")[0] not in skip}, indent=1))

@@ -1,5 +1,5 @@
-"""The per-episode returner that ``control``'s lane engine replaced, kept as a
-test oracle.
+"""The per-episode returner that ``control``'s lane engine replaced: the one
+reference the tests hold the episode engine to.
 
 ``approach`` steps one episode on floats with ``step`` (a straight move, a
 slerp, then the workspace clamp) and tests contact with
@@ -9,7 +9,10 @@ of ``step_balls``. The pre-hit target comes from the scalar selection:
 ``select_target_time`` (each region in horizon order through
 ``reachable_covers``) and ``select_preposition``. Regions are
 ``anticipate.Region`` lists, one per exchange. Tests hold the engine to these
-bit for bit.
+bit for bit: ``test_control``'s lane tests run each row of a lane set through
+``row`` too, over mixed lead times (the default 0.2 among them), step sizes,
+narrow workspaces, rest poses, slow turns and a racket that never reflects,
+and count the steps ``step`` clamps and the non-reflecting racket's calls.
 """
 
 from __future__ import annotations

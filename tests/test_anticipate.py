@@ -244,11 +244,10 @@ def test_extreme_hit_bias_counts(small_study):
 
 
 def _member_shot(member):
-    """The shot a member row replays, on Python floats: TABLE's half-length
-    and height, bounce x, crossing height, speed and drag (its aim depends
-    on the context)."""
+    """The shot a member row replays, on Python floats: bounce x, crossing
+    height, speed and drag (its aim depends on the context)."""
     _, d_speed, d_bounce_x, d_z_cross, d_k = member.tolist()
-    return (TABLE.half_length, TABLE.height_z, -0.675 + d_bounce_x, 1.05 + d_z_cross,
+    return (-0.675 + d_bounce_x, 1.05 + d_z_cross,
             min(max(SHOT_SPEED_MEAN + d_speed, SHOT_SPEED_CLIP[0]), SHOT_SPEED_CLIP[1]),
             max(0.19 + d_k, 0.02))
 
@@ -260,7 +259,7 @@ def _oracle_trajectory(member, ctx):
     hit = p1 + (p1 - p0) * (1.0 / float(ctx.times[-1] - ctx.times[-2])) * lead
     y_cross = float(np.clip(SHOT_AIM_GAIN * ctx.frames[-1].opponent_joints_world[0].y
                             + float(member[0]), -SHOT_Y_LIMIT, SHOT_Y_LIMIT))
-    _, _, x_bounce, z_cross, speed, k = _member_shot(member)
+    x_bounce, z_cross, speed, k = _member_shot(member)
     traj, _ = construct_return_shot(TABLE, hit, x_bounce, y_cross, z_cross, speed, k, k)
     return traj
 
@@ -415,9 +414,9 @@ def test_ensemble_equals_return_shots_one_member_at_a_time(chunked_exchanges, me
     hs = np.asarray(STUDY_HORIZONS)
     per_member = []
     for member in members:
-        hl, h, x_bounce, z_cross, speed, k = (np.full(len(hit), v) for v in _member_shot(member))
+        x_bounce, z_cross, speed, k = (np.full(len(hit), v) for v in _member_shot(member))
         y_cross = np.clip(SHOT_AIM_GAIN * root_y + float(member[0]), -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
-        chains, _ = return_shots(hl, h, hit, x_bounce, y_cross, z_cross, speed, k, k)
+        chains, _ = return_shots(hit, x_bounce, y_cross, z_cross, speed, k, k)
         per_member.append(chains.positions(hs))
     preds = np.stack(per_member, axis=1)  # (n, k, n_horizons, 3)
     mean, sigma = _ensemble(members, hit, root_y, hs)

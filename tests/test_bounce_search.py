@@ -1,15 +1,15 @@
-"""The merged bounce search against the searches it replaced.
+"""The merged bounce search against the search it replaced.
 
-The oracles are the earlier searches. ``scalar_bounces`` fits every window
-of every candidate tuple with ``fit_parabola``. The two-selector search
-below is kept verbatim apart from the ``tried`` record: ``select_bounce``
-for rally pairs and a separate serve selector, both refitting every
-parabola window per candidate tuple, then a +/-1-frame refinement that
-refits every drag piece per combo.
+The bounce oracle is ``scalar_bounces``: every window of every candidate
+tuple fitted with ``fit_parabola``. The reconstruction oracle below selects
+with it, two bounces for the serve pair and one for each rally pair, then
+runs the earlier +/-1-frame refinement, which refits every drag piece per
+combo (``_bounce_combos``, ``_fit_pair``, kept as they were apart from the
+``tried`` record).
 
-The screen's totals differ from the oracles' by rounding alone, so totals
-are held to them within ``B`` times 1 + the oracle's total, and the frames
-of every scene below are the oracle's exactly.
+The screen's totals differ from the oracle's by rounding alone, so totals
+are held to it within ``B`` times 1 + the oracle's total, and the frames of
+every scene below are the oracle's exactly.
 """
 
 import itertools
@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from scalar_bounces import B, FitFailed, fit_parabola, split_totals
+import scalar_bounces
+from scalar_bounces import B, fit_parabola, split_totals
 from scalar_flight import stokes_position
 from ttrally import ball, pipeline
 from ttrally.ball import (
@@ -38,52 +39,6 @@ from ttrally.camera import Plane, plane_points
 from ttrally.core import Vec3
 from ttrally.errors import NoBounceFound, SegmentRejected
 from ttrally.synth import generate_scene
-
-
-def _side_sse(track, lo, hi):
-    frames, pixels = track.window(lo, hi)
-    if len(frames) < 3:
-        raise FitFailed(f"only {len(frames)} samples in [{lo}, {hi}]")
-    _, mse = fit_parabola(frames.astype(float), pixels[:, 1])
-    return mse * len(frames)
-
-
-def _oracle_select_bounce(track, h1, h2, candidates):
-    best = None
-    for b in sorted(candidates):
-        if not (h1 < b < h2):
-            continue
-        try:
-            total = _side_sse(track, h1, b) + _side_sse(track, b, h2)
-        except FitFailed:
-            continue
-        if best is None or total < best[0]:
-            best = (total, b)
-    if best is None:
-        raise NoBounceFound("no usable bounce candidate")
-    return best[1], best[0]
-
-
-def _oracle_select_serve_bounces(track, h1, h2, candidates):
-    cands = sorted(set(c for c in candidates if h1 < c < h2))
-    if len(cands) < 2:
-        raise NoBounceFound("need at least two bounce candidates for a serve")
-    best = None
-    for i, ba in enumerate(cands):
-        for bb in cands[i + 1 :]:
-            try:
-                total = (
-                    _side_sse(track, h1, ba)
-                    + _side_sse(track, ba, bb)
-                    + _side_sse(track, bb, h2)
-                )
-            except FitFailed:
-                continue
-            if best is None or total < best[0]:
-                best = (total, (ba, bb))
-    if best is None:
-        raise NoBounceFound("no usable bounce pair for the serve")
-    return best[1], best[0]
 
 
 def _bounce_combos(bounce_frames, h1, h2, pix):
@@ -122,7 +77,8 @@ def _fit_pair(track, camera, table_plane, fps, h1, p1, h2, p2, bounce_frames, pi
 
 
 def _oracle_reconstruct(tried):
-    """The earlier reconstruct_trajectory; adds each fitted (f0, f1) to ``tried``."""
+    """reconstruct_trajectory on the exhaustive search; adds each fitted
+    (f0, f1) to ``tried``."""
 
     def reconstruct(track, hits, camera, table, fps, mse_threshold=None):
         table_plane = Plane("z", table.height_z)
@@ -130,13 +86,8 @@ def _oracle_reconstruct(tried):
         recon = TrajectoryReconstruction()
         for pair_index, (hit1, hit2) in enumerate(zip(hits, hits[1:])):
             h1, h2 = hit1.frame, hit2.frame
-            candidates = bounce_candidates(track, h1, h2)
-            if pair_index == 0:
-                (ba, bb), total = _oracle_select_serve_bounces(track, h1, h2, candidates)
-                bounce_frames = [ba, bb]
-            else:
-                b, total = _oracle_select_bounce(track, h1, h2, candidates)
-                bounce_frames = [b]
+            bounce_frames, total = scalar_bounces.select_bounces(
+                track, h1, h2, bounce_candidates(track, h1, h2), 2 if pair_index == 0 else 1)
             best: Optional[tuple] = None
             for combo in _bounce_combos(bounce_frames, h1, h2, pix):
                 try:
@@ -144,7 +95,7 @@ def _oracle_reconstruct(tried):
                         track, camera, table_plane, fps, h1, hit1.hand_world, h2,
                         hit2.hand_world, combo, pix, total, tried,
                     )
-                except (NoBounceFound, FitFailed):
+                except NoBounceFound:
                     continue
                 if best is None or reproj < best[0]:
                     best = (reproj, pieces, bounces)
@@ -198,8 +149,22 @@ def searches(draw):
     return BallTrack2D(frames, np.column_stack([frames, v])), h1, h2, candidates, n
 
 
+def _heights(v):
+    """A track of the pixel heights ``v`` at frames 0, 1, ..."""
+    frames = np.arange(len(v))
+    return BallTrack2D(frames, np.column_stack([10.0 * frames, v]))
+
+
+# A vee whose bottom is frame 8, and a track mirror-symmetric about frame 8,
+# whose split totals tie in symmetric pairs: both split best at frame 8.
+VEE = _heights(5.0 * np.abs(np.arange(21) - 8.0)), 0, 20, list(range(2, 19)), 1
+MIRROR = _heights(np.abs((np.arange(17) - 8.0) ** 2 - 16.0)), 0, 16, list(range(2, 15)), 1
+
+
 @settings(max_examples=400)
 @given(searches())
+@example(VEE)
+@example(MIRROR)
 def test_select_bounces_matches_the_exhaustive_oracle(search):
     track, h1, h2, candidates, n = search
     totals = split_totals(track, h1, h2, candidates, n)

@@ -14,9 +14,8 @@ from scipy.spatial.transform import Rotation, Slerp
 
 import scalar_episode
 from scalar_episode import (DragFlight, NoFeasibleTime, angle, as_regions, clamp, contains_box,
-                            farthest_corner_distance, point_segment_distance, reachable_covers,
-                            select_preposition, select_target_time)
-from scalar_flight import trajectory_of
+                            farthest_corner_distance, reachable_covers, select_preposition,
+                            select_target_time)
 from ttrally import anticipate, control, synth
 from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
 from ttrally.ball import GRAVITY, Chains, _expm1
@@ -594,117 +593,6 @@ def test_run_experiment_recalibrates_one_split_per_lead_time(monkeypatch):
         assert fresh in [r for r in rows if r.lead_time == lead_time]
 
 
-def _stepwise_episode(one, strategy, params, predictors=None, calib=None):
-    """The episode of the one-exchange batch ``one`` as it stepped before the
-    ball was sampled once per episode: the scalar flights evaluated twice per
-    step, the clock advanced in step."""
-    ex = one[0]
-    incoming, outgoing = trajectory_of(one.incoming), trajectory_of(one.outgoing)
-
-    def truth_at(t):
-        return outgoing.position(t) if t >= 0 else incoming.position(t)
-
-    ideal = solve_target_pose(ex.crossing_pos, ex.crossing_vel, TABLE)
-    fallback = False
-    pre_target = None
-    if strategy == "oracle":
-        pre_target = ideal
-    elif strategy == "anticipatory":
-        regions = build_regions(predictors, calib, _window(ex, params.lead_time), HORIZONS)
-        try:
-            region = select_target_time(regions, params.central, params.workspace,
-                                        params.v_max, params.lead_time)
-            p_star = select_preposition(region, params.central, params.lam, params.workspace)
-            pre_target = RacketPose(position=p_star)
-        except NoFeasibleTime:
-            fallback = True
-
-    pose = RacketPose(position=params.central, orientation=control.IDENTITY)
-    dt = params.dt
-    t = -params.lead_time
-    t_stop = ex.crossing_time + 0.15
-    contacted = False
-    v_after = contact_pos = None
-    pose_at_crossing = pose
-    while t < t_stop:
-        target = ideal if t >= 0 else (pre_target or RacketPose(params.central))
-        prev_ball = truth_at(t)
-        t += dt
-        pose = step_robot(pose, target, dt, params.v_max, params.omega_max, params.workspace)
-        ball = truth_at(t)
-        if t - dt <= ex.crossing_time <= t:
-            pose_at_crossing = pose
-        if t > 0 and not contacted:
-            d = point_segment_distance(
-                (pose.position.x, pose.position.y, pose.position.z),
-                (prev_ball.x, prev_ball.y, prev_ball.z), (ball.x, ball.y, ball.z))
-            if d <= control.RACKET_RADIUS:
-                try:
-                    v_after = racket_reflect(outgoing.velocity(t), pose.normal())
-                except NoContact:
-                    break
-                contacted = True
-                contact_pos = ball
-                break
-
-    returned = False
-    deviation = None
-    if contacted:
-        land = DragFlight(contact_pos, v_after).landing(TABLE.height_z)
-        if land is not None:
-            _, p_land = land
-            aim = aim_point(TABLE)
-            deviation = float(math.hypot(p_land.x - aim.x, p_land.y - aim.y))
-            returned = (v_after.x > 0 and 0.0 <= p_land.x <= TABLE.half_length
-                        and abs(p_land.y) <= TABLE.half_width)
-    ref = pose if contacted else pose_at_crossing
-    return control.EpisodeResult(
-        exchange_id=ex.exchange_id, strategy=strategy, contacted=contacted,
-        returned=returned, return_deviation=deviation,
-        position_error=(ref.position - ideal.position).norm(),
-        orientation_error=angle(ref, ideal), fallback=fallback,
-    )
-
-
-@pytest.mark.parametrize("lead_time", [0.1, 0.2, 0.4])
-def test_run_episode_equals_the_stepwise_loop(lead_time, monkeypatch):
-    # Three passes: the default configuration; a workspace that holds the
-    # central pose but no crossing (x <= -1.45 < -1.37), so the clamp binds;
-    # and a racket that never reflects, patched on both sides (NoContact).
-    params = SimParams(lead_time=lead_time)
-    predictors, calib = prepare_anticipation(11, params, n_cal=60)
-    narrow = replace(params, workspace=Box(Vec3(-1.9, -0.05, 1.0), Vec3(-1.45, 0.05, 1.1)))
-    reached = dict(contact=0, clamp=0, no_contact=0)
-    free = Box(Vec3(-math.inf, -math.inf, -math.inf), Vec3(math.inf, math.inf, math.inf))
-
-    def clamp_counting(pose, target, *rest, step=step_robot):
-        out = step(pose, target, *rest)
-        reached["clamp"] += out.position != step(pose, target, *rest[:-1], free).position
-        return out
-
-    def no_contact(v, normal):
-        reached["no_contact"] += 1
-        raise NoContact("the racket never reflects")
-
-    def compare(params):
-        for one in _ones(generate_exchanges(11, 40)):
-            for strategy in control.STRATEGIES:
-                got = run_strategy(one, strategy, params, predictors, calib)[1][0]
-                assert got == _stepwise_episode(one, strategy, params, predictors, calib)
-                reached["contact"] += got.contacted
-
-    compare(params)
-    assert reached["contact"] > 0  # the contact branch ran
-    monkeypatch.setattr(sys.modules[__name__], "step_robot", clamp_counting)
-    compare(narrow)
-    assert reached["clamp"] > 0  # the workspace clamp moved a stepped position
-    monkeypatch.setattr(control, "racket_reflect", no_contact)
-    monkeypatch.setattr(sys.modules[__name__], "racket_reflect", no_contact)
-    contacts = reached["contact"]
-    compare(params)
-    assert reached["no_contact"] > 0 and reached["contact"] == contacts
-
-
 def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
     # Before the opponent's hit the robot may act only on the context: moving
     # the true crossing must leave every position target it is sent while
@@ -899,16 +787,15 @@ def _never_reflects(v, normal):
     raise NoContact("the racket never reflects")
 
 
-def _lanes_against_scalar(exchanges, rows, reflects=True):
-    """Run ``rows`` as one lane set and each row on the scalar episodes,
-    assert that both give the same results and rows, and return the lanes'.
-    Each row's regions are those of a calibration at its lead time."""
+def _lanes_against_scalar(exchanges, rows, reflect=racket_reflect):
+    """Run ``rows`` as one lane set and each row on the scalar episodes, both
+    with ``reflect`` as the racket, assert that both give the same results and
+    rows, and return the lanes'. Each row's regions are those of a
+    calibration at its lead time."""
     rows = [(strategy, p, split_regions(*_calibration(p.lead_time), exchanges, HORIZONS,
                                         p.lead_time)) for strategy, p in rows]
-    with (mock.patch.object(control, "racket_reflect", racket_reflect if reflects
-                            else _never_reflects),
-          mock.patch.object(scalar_episode, "racket_reflect", racket_reflect if reflects
-                            else _never_reflects)):
+    with (mock.patch.object(control, "racket_reflect", reflect),
+          mock.patch.object(scalar_episode, "racket_reflect", reflect)):
         got = control._episodes(exchanges, rows)
         for (strategy, p, regions), results in zip(rows, got, strict=True):
             want_row, want = scalar_episode.row(exchanges, strategy, p,
@@ -934,7 +821,7 @@ fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 5), dt=st.sampled_from([0.01, 0.0025]),
-       lead_times=st.lists(st.sampled_from([0.0, 0.1, 0.4]), min_size=7, max_size=7),
+       lead_times=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.4]), min_size=7, max_size=7),
        narrow=st.booleans(), snap=st.booleans(), reflects=st.booleans(),
        lams=st.lists(st.floats(0.0, 1.0), max_size=2),
        centrals=st.lists(st.tuples(st.sampled_from(control.STRATEGIES), fractions), max_size=2),
@@ -957,24 +844,38 @@ def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_times, narrow, snap, 
             solve_target_pose(Vec3(*p), Vec3(*v), TABLE)
     except Infeasible:
         return
-    _lanes_against_scalar(exchanges, _rows_of(params, lams, rests, lead_times), reflects)
+    _lanes_against_scalar(exchanges, _rows_of(params, lams, rests, lead_times),
+                          racket_reflect if reflects else _never_reflects)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.0025])
 def test_lanes_cover_fallbacks_misses_and_crossings_on_a_step(dt):
     # The cases the lanes must get right beside a plain contact: an
     # anticipatory fallback, a lane without contact (the narrow workspace
-    # reaches no crossing), a contact step whose racket does not reflect, and
-    # a crossing exactly on a step time, where the later of two qualifying
-    # steps gives the crossing pose.
+    # reaches no crossing), a step the workspace clamp moves, a contact step
+    # whose racket does not reflect, and a crossing exactly on a step time,
+    # where the later of two qualifying steps gives the crossing pose.
     seen = Counter()
-    for lead_time, workspace, reflects in ((0.0, WORKSPACE, True), (0.4, NARROW, True),
-                                           (0.1, WORKSPACE, False)):
+    unbounded = (-math.inf,) * 3, (math.inf,) * 3
+
+    def clamp_counting(*args, step=scalar_episode.step):
+        out = step(*args)
+        seen["clamp"] += out[0] != step(*args[:-2], *unbounded)[0]
+        return out
+
+    def never_reflects(v, normal):
+        seen["non-reflecting racket called"] += 1
+        _never_reflects(v, normal)
+
+    for lead_time, workspace, reflect in ((0.0, WORKSPACE, racket_reflect),
+                                          (0.4, NARROW, racket_reflect),
+                                          (0.1, WORKSPACE, never_reflects)):
         params = SimParams(workspace=workspace, dt=dt, lead_time=lead_time,
                            omega_max=math.radians(30.0))
         exchanges = _snapped(generate_exchanges(12, 12), params)
         rows = _rows_of(params, (0.0, 1.0), [("baseline", Vec3(-1.6, 0.02, 1.08))])
-        got = _lanes_against_scalar(exchanges, rows, reflects)
+        with mock.patch.object(scalar_episode, "step", clamp_counting):
+            got = _lanes_against_scalar(exchanges, rows, reflect)
         (times,), _, _ = control._step_balls(exchanges, [lead_time], dt)
         ct = exchanges.crossing_time[:, None]
         twice = ((times[1:] - dt <= ct) & (ct <= times[1:])).sum(axis=1) == 2
@@ -984,7 +885,7 @@ def test_lanes_cover_fallbacks_misses_and_crossings_on_a_step(dt):
             seen["crossing read on a step"] += sum(not r.contacted and two
                                                    for r, two in zip(results, twice))
         seen["contact"] += sum(r.contacted for results in got for r in results)
-    assert min(seen.values()) > 0 and len(seen) == 4, seen
+    assert min(seen.values()) > 0 and len(seen) == 6, seen
 
 
 def test_skipped_contact_tests_are_beyond_the_racket():

@@ -8,9 +8,10 @@ in ``ball`` and float sums replaced them, and ``golden.DIGESTS`` was
 re-pinned. The first test runs ``tests/golden.py`` with glibc's and numpy's
 CPU dispatch masked; the second shows that the re-pin moved values by a
 bounded amount and no discrete outcome at all, its default half on
-``golden.corpus`` and its libm/BLAS half on scenes generated anew. The last
-holds the bounce re-pin to the exhaustive ``fit_parabola`` search it
-replaced, on the corpus's loaded tracks: only the reported totals moved.
+``golden.corpus`` and ``golden.points`` and its libm/BLAS half on scenes
+generated anew. The last holds the bounce re-pin to the exhaustive
+``fit_parabola`` search it replaced, on the corpus's loaded tracks: only the
+reported totals moved.
 
 Neither mask covers OpenBLAS's DYNAMIC_ARCH kernel choice, and the golden
 bytes follow it too. On a 2-vCPU AVX-512 Xeon, whose default kernel passes,
@@ -131,7 +132,7 @@ def _libm_and_blas():
 
 def _cached(corpus: str, s: int) -> tuple:
     scene = golden.corpus(corpus)[s]
-    return scene.truth, scene.track, scene.point
+    return scene.truth, scene.track, golden.points(corpus)[s][0]
 
 
 def _regenerated(corpus: str, s: int) -> tuple:
@@ -223,9 +224,10 @@ def test_bounce_repin_moves_only_the_reported_totals(tmp_path):
     # track scene, reconstructed from its loaded track, then of seed 21.
     scenes = [(s, scene) for corpus in golden.CORPORA
               for s, scene in enumerate(golden.corpus(corpus))]
-    new = [scene.recon for _, scene in scenes] + [golden.seed21(tmp_path).read_bytes()]
+    new = ([recon for corpus in golden.CORPORA for _, recon in golden.points(corpus)]
+           + [golden.seed21(tmp_path).read_bytes()])
     with mock.patch.object(ball, "select_bounces", scalar_bounces.select_bounces):
-        old = [golden.reconstruct(scene.loaded, s, tmp_path)[1] for s, scene in scenes]
+        old = [golden.reconstruct(scene.loaded, s)[1] for s, scene in scenes]
         old.append(golden.seed21(tmp_path).read_bytes())
     totals = moved = 0
     for got_bytes, want_bytes in zip(new, old, strict=True):

@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "ttrally"
-SETTABLE_VALUES = 63
+SETTABLE_VALUES = 62
 
 
 def _public(name: str) -> bool:

@@ -8,7 +8,7 @@ from golden import TRUTH_TIMES
 from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
 from track_columns import corrupt_track
 from ttrally.ball import Chains, StokesSegment, stokes_position, stokes_positions
-from ttrally.camera import project, project_many
+from ttrally.camera import project_many
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
@@ -142,9 +142,8 @@ def _chain(anchors, durations, ks, t0=0.0):
 
 def _shot(hit, x_bounce, y_cross, z_cross, speed, k1, k2):
     """One return shot as a one-row batch, and its crossing time."""
-    hl, h, xb, yc, zc, v, ka, kb = (np.array([x], dtype=float) for x in (
-        TABLE.half_length, TABLE.height_z, x_bounce, y_cross, z_cross, speed, k1, k2))
-    chains, t_cross = return_shots(hl, h, np.array([hit.as_array()]), xb, yc, zc, v, ka, kb)
+    shot = (np.array([x], dtype=float) for x in (x_bounce, y_cross, z_cross, speed, k1, k2))
+    chains, t_cross = return_shots(np.array([hit.as_array()]), *shot)
     return chains, float(t_cross[0])
 
 
@@ -228,8 +227,7 @@ def test_return_shots_match_construct_return_shot():
                            rng.uniform(0.9, 1.3, n)])
     shot = [rng.uniform(-1.3, -0.1, n), rng.uniform(-1.0, 1.0, n), rng.uniform(0.8, 1.4, n),
             rng.uniform(3.0, 25.0, n), rng.uniform(0.02, 1.0, n), rng.uniform(0.02, 1.0, n)]
-    chains, t_cross = return_shots(np.full(n, TABLE.half_length), np.full(n, TABLE.height_z),
-                                   hit, *shot)
+    chains, t_cross = return_shots(hit, *shot)
     times = np.linspace(-0.2, 1.2, 15)
     positions = chains.positions(times)
     for i in range(n):
@@ -251,8 +249,7 @@ def test_chains_check_their_pieces():
 
 
 def test_chains_rows_sample_as_the_batch():
-    chains, _ = return_shots(np.full(3, TABLE.half_length), np.full(3, TABLE.height_z),
-                             np.array([[1.5, 0.1, 1.0], [1.6, -0.2, 1.1], [1.7, 0.3, 0.95]]),
+    chains, _ = return_shots(np.array([[1.5, 0.1, 1.0], [1.6, -0.2, 1.1], [1.7, 0.3, 0.95]]),
                              np.full(3, -0.7), np.array([0.2, -0.4, 0.6]), np.full(3, 1.0),
                              np.full(3, 11.0), np.full(3, 0.2), np.full(3, 0.25))
     times = np.linspace(-0.1, 0.5, 7)
