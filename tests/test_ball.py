@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+import scalar_bounces
 from scalar_bounces import B, fit_parabola
 from scalar_flight import stokes_position as oracle_position
 from ttrally.ball import (
@@ -172,6 +173,27 @@ def _vee_track(bounce_frame, n=21, slope=5.0):
     v = slope * np.abs(frames - bounce_frame).astype(float)
     u = 10.0 * frames.astype(float)
     return BallTrack2D(frames, np.column_stack([u, v]))
+
+
+def test_select_bounce_matches_brute_force_on_vee():
+    # The vee's bottom is frame 8; the exhaustive oracle splits there too.
+    track = _vee_track(8)
+    frame, total = select_bounce(track, 0, 20, list(range(2, 19)))
+    (want,), want_total = scalar_bounces.select_bounces(track, 0, 20, list(range(2, 19)), 1)
+    assert frame == want == 8
+    assert abs(total - want_total) <= B * (1 + want_total)
+
+
+def test_select_bounce_tie_breaks_earliest():
+    # Mirror-symmetric about frame 8: split totals tie in symmetric pairs, and
+    # both the implementation and the oracle settle on the same frame.
+    frames = np.arange(17)
+    v = np.abs((frames - 8.0) ** 2 - 16.0)
+    track = BallTrack2D(frames, np.column_stack([10.0 * frames, v]))
+    frame, total = select_bounce(track, 0, 16, list(range(2, 15)))
+    (want,), want_total = scalar_bounces.select_bounces(track, 0, 16, list(range(2, 15)), 1)
+    assert frame == want == 8
+    assert abs(total - want_total) <= B * (1 + want_total)
 
 
 def test_select_bounce_no_candidates():

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import scalar_bounces
 from scalar_bounces import B, fit_parabola, split_totals
@@ -149,22 +149,8 @@ def searches(draw):
     return BallTrack2D(frames, np.column_stack([frames, v])), h1, h2, candidates, n
 
 
-def _heights(v):
-    """A track of the pixel heights ``v`` at frames 0, 1, ..."""
-    frames = np.arange(len(v))
-    return BallTrack2D(frames, np.column_stack([10.0 * frames, v]))
-
-
-# A vee whose bottom is frame 8, and a track mirror-symmetric about frame 8,
-# whose split totals tie in symmetric pairs: both split best at frame 8.
-VEE = _heights(5.0 * np.abs(np.arange(21) - 8.0)), 0, 20, list(range(2, 19)), 1
-MIRROR = _heights(np.abs((np.arange(17) - 8.0) ** 2 - 16.0)), 0, 16, list(range(2, 15)), 1
-
-
 @settings(max_examples=400)
 @given(searches())
-@example(VEE)
-@example(MIRROR)
 def test_select_bounces_matches_the_exhaustive_oracle(search):
     track, h1, h2, candidates, n = search
     totals = split_totals(track, h1, h2, candidates, n)
