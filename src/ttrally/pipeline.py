@@ -83,12 +83,10 @@ class TrackFile:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Row view of one frame of a ReconstructedPoint (both players)."""
+    """Row view of one frame of a ReconstructedPoint: its index and ball."""
 
     frame_index: int
     ball: Vec3
-    roots: list[Vec3]
-    joints: list[list[Vec3]]
 
 
 @dataclass
@@ -111,12 +109,8 @@ class ReconstructedPoint:
     @property
     def frames(self) -> list[PointFrame]:
         """Every frame as a row view, built on each read."""
-        return [
-            PointFrame(i, Vec3(*ball), [Vec3(*r) for r in roots],
-                       [[Vec3(*j) for j in js if not math.isnan(j[0])] for js in joints])
-            for i, ball, roots, joints in zip(self.frame_index.tolist(), self.ball.tolist(),
-                                              self.roots.tolist(), self.joints.tolist())
-        ]
+        return [PointFrame(i, Vec3(*ball))
+                for i, ball in zip(self.frame_index.tolist(), self.ball.tolist())]
 
     def frame3d_for_ego(self, ego: int) -> list[Frame3D]:
         """Exchange view: ball and opponent joints."""

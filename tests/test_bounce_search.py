@@ -271,7 +271,7 @@ def runs():
     return out
 
 
-def test_search_matches_two_selector_oracle(runs):
+def test_search_matches_the_exhaustive_oracle(runs):
     for point, _, oracle, _ in runs:
         assert [replace(p, parabola_mse=0.0) for p in point.pieces] == [
             replace(p, parabola_mse=0.0) for p in oracle.pieces]

@@ -13,8 +13,6 @@ import scalar_calibration
 import scalar_positioning as scalar
 from ttrally import camera as camera_module, pipeline
 from ttrally.camera import (
-    Camera,
-    Extrinsics,
     ImagePoint,
     Intrinsics,
     Plane,

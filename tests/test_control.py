@@ -18,7 +18,7 @@ from scalar_episode import (DragFlight, NoFeasibleTime, angle, as_regions, clamp
                             select_target_time)
 from ttrally import anticipate, control, synth
 from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
-from ttrally.ball import GRAVITY, Chains, _expm1
+from ttrally.ball import GRAVITY, Chains
 from ttrally.control import (
     HORIZONS,
     LANDING_T_MAX,
@@ -378,37 +378,11 @@ def test_drag_flight_landing_matches_a_dense_grid_root(p0, v0):
         assert _heights(p0, v0, t_land) == pytest.approx(plane, abs=1e-9)
 
 
-def _array_position(p0, v0, t):
-    """The flight's position as it was on arrays: the drift and terminal velocity as 3-vectors."""
-    k = RETURN_DRAG_K
-    v_term = np.array([0.0, 0.0, -GRAVITY / k])
-    decay = -_expm1(-k * t) / k
-    return np.array(p0) + v_term * t + (np.array(v0) - v_term) * decay
-
-
-def _array_landing(p0, v0, z_plane):
-    """The landing search on its former objective: the position's z, an array per call."""
-    def f(t):
-        return float(_array_position(p0, v0, t)[2]) - z_plane
-
-    if f(0.0) <= 0:
-        return None
-    hi = 0.05
-    while hi < LANDING_T_MAX and f(hi) > 0:
-        hi = min(2.0 * hi, LANDING_T_MAX)
-    if f(hi) > 0:
-        return None
-    x, y, _ = _array_position(p0, v0, float(brentq(f, 1e-9, hi))).tolist()
-    return x, y
-
-
 @settings(max_examples=300)
 @given(**FLIGHT)
-def test_drag_flight_landing_equals_the_array_objective(p0, v0):
-    # Bit for bit against the array objective and against DragFlight, the
-    # landing search the float one replaced.
+def test_drag_flight_landing_equals_the_episode_oracle(p0, v0):
+    # Bit for bit against DragFlight, the landing search the float one replaced.
     got = control._landing(p0, v0, TABLE.height_z)
-    assert got == _array_landing(p0, v0, TABLE.height_z)
     flight = DragFlight(Vec3(*p0), Vec3(*v0)).landing(TABLE.height_z)
     assert got == (None if flight is None else (flight[1].x, flight[1].y))
 

@@ -3,6 +3,8 @@
 The files in tests/data were written by the hand-written writers that the
 codec replaced, so re-writing what the readers load must reproduce them byte
 for byte: a format drift shared by writer and reader still shows here.
+READER_ERRORS, at the end, is the one table of fixed malformed-file cases,
+and one mutation fuzz test draws damaged files beside it.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ DATA = Path(__file__).parent / "data"
 TRACK = DATA / "dashes.track"  # '-' detections, no seed
 RECON = DATA / "two_points.recon"  # partitions '-' and 'train'
 CONFORMAL = DATA / "inf_quantile.conformal"  # finite and +inf quantiles
+READERS = {TRACK: load_track, RECON: read_reconstruction, CONFORMAL: read_calibration}
 
 
 def _run(argv):
@@ -185,121 +188,66 @@ def test_absent_keypoint_keeps_its_position(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# header values
+# the two decode paths and the CLI commands that read each format
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "old, new",
-    [
-        ("fps=60.0", "fps=nan"),
-        ("fps=60.0", "fps=inf"),
-        ("fps=60.0", "fps=0.0"),
-        ("fps=60.0", "fps=-60.0"),
-        ("w=960", "w=0"),
-        ("h=540", "h=-540"),
-    ],
-)
-def test_track_header_rejects_invalid_values(old, new, tmp_path):
-    path = tmp_path / "bad.track"
-    path.write_text(TRACK.read_text().replace(old, new, 1))
-    with pytest.raises(SchemaError) as err:
-        load_track(str(path))
-    assert err.value.line_number == 1
+def _outcome(read, path):
+    """What a reader makes of a file: (its error's class, line and message,
+    None), or (None, a comparable result)."""
+    try:
+        result = read(str(path))
+    except ParseError as exc:
+        return (type(exc), exc.line_number, str(exc)), None
+    if isinstance(result, pipeline.Reconstruction):  # its camera holds arrays
+        ext = result.camera.extrinsics
+        return None, (result.fps, result.seed, result.camera_rms, result.table,
+                      [comparable(point) for point in result.points],
+                      result.camera.intrinsics, ext.r.tolist(), ext.t.tolist())
+    return None, comparable(result)
 
 
-@pytest.mark.parametrize(
-    "old, new, error, line",
-    [
-        ("alpha=0.1", "alpha=abc", SchemaError, 1),
-        ("alpha=0.1", "alpha=2.0", SchemaError, 1),
-        ("conformal-v1 ", "conformal-v12 ", VersionError, 1),
-        ("\tinf\t", "\tnan\t", ParseError, 3),
-    ],
-)
-def test_read_calibration_rejects_invalid_values(old, new, error, line, tmp_path):
-    path = tmp_path / "bad.conformal"
-    path.write_text(CONFORMAL.read_text().replace(old, new, 1))
-    with pytest.raises(ParseError) as err:
-        read_calibration(str(path))
-    assert type(err.value) is error and err.value.line_number == line
+def _both_outcomes(read, path):
+    """The reader's outcome, then the record-by-record reader's."""
+    got = _outcome(read, path)
+    with mock.patch.object(pipeline, "decode_columns", lambda spec, lines: None):
+        return got, _outcome(read, path)
 
 
-# ---------------------------------------------------------------------------
-# malformed files exit 2 from the CLI
-# ---------------------------------------------------------------------------
+def _commands(source, path, directory):
+    """Every CLI command that reads ``source``'s format, run on ``path``."""
+    if source is TRACK:
+        return [["calibrate", "--track", str(path)],
+                ["reconstruct", "--track", str(path), "--out", str(directory / "out.recon")]]
+    if source is RECON:
+        return [["stats", "--recon", str(path)]]
+    return []  # no command reads a conformal file
 
 
-def _sub(pattern, repl):
-    return lambda text: re.sub(pattern, repl, text, count=1, flags=re.M)
+def _assert_cli_outcome(source, path, directory, error):
+    """Each command exits 2 with one ``error:`` line, the reader's message,
+    or, for a file that loads (``error`` None), processes it to exit 0 or 3."""
+    for argv in _commands(source, path, directory):
+        if error is None:
+            assert _run(argv)[0] in (EXIT_OK, EXIT_FAILURE)
+        else:
+            assert _run(argv) == (EXIT_USAGE, [f"error: {error[2]}"])
 
 
-def _hit_before_point(text):
-    lines = text.splitlines()
-    lines.insert(1, lines.pop(next(i for i, s in enumerate(lines) if s.startswith("hit "))))
-    return "\n".join(lines) + "\n"
-
-
-TRACK_PROBES = {
-    "fps-abc": _sub(r"fps=\S+", "fps=abc"),
-    "fps-nan": _sub(r"fps=\S+", "fps=nan"),
-    "w-abc": _sub(r" w=\S+", " w=abc"),
-    "one-ankle": _sub(r"ankles0=([^;\s]+);\S+", r"ankles0=\1"),
-    "version": _sub(r"^v1 ", "v9 "),
-    "bad-pixel": _sub(r"ball=\S+", "ball=oops"),
-    "missing-kp6": _sub(r" kp6=\S+", ""),
-}
-RECON_PROBES = {
-    "hit-before-point": _hit_before_point,
-    "missing-rms": _sub(r" rms=\S+", ""),
-    "missing-id": _sub(r" id=\S+", ""),
-    "rot-xx": _sub(r"^(rot \S+) \S+", r"\1 xx"),
-    "negative-k": _sub(r" k=\S+", " k=-1.0"),
-    "eight-rot": _sub(r"^(rot .*) \S+$", r"\1"),
-    "unknown-tag": _sub(r"^endpoint$", "endpoints"),
-    "no-endpoint": lambda text: text.rsplit("endpoint", 1)[0],
-    "no-table": _sub(r"^table .*\n", ""),
-}
-
-
-def _track_commands(path, tmp_path):
-    return [
-        ["calibrate", "--track", str(path)],
-        ["reconstruct", "--track", str(path), "--out", str(tmp_path / "out.recon")],
-    ]
-
-
-def _recon_commands(path, tmp_path):
-    return [["stats", "--recon", str(path)]]
-
-
-@pytest.mark.parametrize(
-    "source, mutate, commands",
-    [(TRACK, m, _track_commands) for m in TRACK_PROBES.values()]
-    + [(RECON, m, _recon_commands) for m in RECON_PROBES.values()],
-    ids=[f"track-{k}" for k in TRACK_PROBES] + [f"recon-{k}" for k in RECON_PROBES],
-)
-def test_malformed_file_exits_2(source, mutate, commands, tmp_path):
-    path = tmp_path / source.name
-    path.write_text(mutate(source.read_text()))
-    for argv in commands(path, tmp_path):
-        _assert_usage_error(argv)
-
-
-@pytest.mark.parametrize("commands", [_track_commands, _recon_commands])
-def test_directory_or_binary_input_exits_2(commands, tmp_path):
+@pytest.mark.parametrize("source", [TRACK, RECON], ids=["track", "recon"])
+def test_missing_directory_or_binary_input_exits_2(source, tmp_path):
     binary = tmp_path / "binary"
     binary.write_bytes(b"v1 fps=60.0 w=960 h=540\n\xff\xfe\x00\x80\n")
     with pytest.raises(ParseError) as err:
         load_track(str(binary))
     assert err.value.line_number == 2
-    for path in (tmp_path, binary):
-        for argv in commands(path, tmp_path):
+    for path in (tmp_path / "missing", tmp_path, binary):
+        for argv in _commands(source, path, tmp_path):
             _assert_usage_error(argv)
 
 
 # ---------------------------------------------------------------------------
-# mutation fuzzing: every reader loads a damaged file or raises ParseError
+# mutation fuzzing: both decode paths agree, and a damaged file loads or exits 2
 # ---------------------------------------------------------------------------
 
 EDITS = ("truncate", "drop", "duplicate", "garble", "nan", "drop_header_field")
@@ -344,11 +292,8 @@ def _mutate(lines, edit, i, j, junk):
     return lines
 
 
-FUZZ = {
-    "track": (TRACK, load_track, EDITS, _track_commands),
-    "recon": (RECON, read_reconstruction, EDITS + ("move_hit",), _recon_commands),
-    "conformal": (CONFORMAL, read_calibration, EDITS, lambda path, tmp: []),
-}
+FUZZ = {"track": (TRACK, EDITS), "recon": (RECON, EDITS + ("move_hit",)),
+        "conformal": (CONFORMAL, EDITS)}
 
 
 @pytest.fixture(scope="module")
@@ -357,53 +302,31 @@ def fuzz_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "fmt, edit", [(fmt, edit) for fmt, spec in FUZZ.items() for edit in spec[2]]
+    "fmt, edit", [(fmt, edit) for fmt, (_, edits) in FUZZ.items() for edit in edits]
 )
 @settings(max_examples=30)
 @given(i=st.integers(0, 10**6), j=st.integers(0, 10**6), junk=JUNK)
 def test_mutated_file_loads_or_exits_2(fmt, edit, i, j, junk, fuzz_dir):
-    source, read, _, commands = FUZZ[fmt]
+    # Either both decode paths return equal results, or both raise the same
+    # error class, line and message.
+    source = FUZZ[fmt][0]
     path = fuzz_dir / source.name
-    lines = _mutate(source.read_text().splitlines(), edit, i, j, junk)
-    path.write_text("\n".join(lines) + "\n")
-    try:
-        read(str(path))
-    except ParseError:
-        for argv in commands(path, fuzz_dir):
-            _assert_usage_error(argv)
-    else:
+    path.write_text("\n".join(_mutate(source.read_text().splitlines(), edit, i, j, junk)) + "\n")
+    got, want = _both_outcomes(READERS[source], path)
+    assert got == want
+    error, _ = got
+    if error is None:
         # Only these edits can leave a valid file; dropped or duplicated fields,
         # nan values and misplaced records must be rejected.
         assert edit in ("truncate", "garble", "drop_header_field")
-        # A file that loads may still fail processing, but never with a traceback.
-        for argv in commands(path, fuzz_dir)[:1]:
-            assert _run(argv)[0] in (EXIT_OK, EXIT_FAILURE)
+    # On an error every command exits 2 with the reader's message; a file that
+    # loads may still fail processing, but never with a traceback.
+    _assert_cli_outcome(source, path, fuzz_dir, error)
 
 
 # ---------------------------------------------------------------------------
-# the column pass against the record-by-record readers
+# the column pass on valid files
 # ---------------------------------------------------------------------------
-
-
-def _outcome(read, path):
-    """What a reader makes of a file: a comparable result, or its error."""
-    try:
-        result = read(str(path))
-    except ParseError as exc:
-        return type(exc), exc.line_number, str(exc)
-    if isinstance(result, pipeline.Reconstruction):  # its camera holds arrays
-        ext = result.camera.extrinsics
-        return (result.fps, result.seed, result.camera_rms, result.table,
-                [comparable(point) for point in result.points],
-                result.camera.intrinsics, ext.r.tolist(), ext.t.tolist())
-    return comparable(result)
-
-
-def _both_outcomes(read, path):
-    """The reader's outcome, then the record-by-record reader's."""
-    got = _outcome(read, path)
-    with mock.patch.object(pipeline, "decode_columns", lambda spec, lines: None):
-        return got, _outcome(read, path)
 
 
 def _columns(path, spec):
@@ -419,20 +342,6 @@ def test_column_pass_reads_the_golden_files():
         assert got == want
 
 
-@pytest.mark.parametrize("fmt, edit", [(fmt, edit) for fmt in ("track", "recon")
-                                       for edit in FUZZ[fmt][2]])
-@settings(max_examples=30)
-@given(i=st.integers(0, 10**6), j=st.integers(0, 10**6), junk=JUNK)
-def test_column_reader_matches_the_record_reader(fmt, edit, i, j, junk, fuzz_dir):
-    # Either both readers return equal results, or both raise the same error
-    # class, line and message.
-    source, read, _, _ = FUZZ[fmt]
-    path = fuzz_dir / f"columns.{fmt}"
-    path.write_text("\n".join(_mutate(source.read_text().splitlines(), edit, i, j, junk)) + "\n")
-    got, want = _both_outcomes(read, path)
-    assert got == want
-
-
 def _set_fields(source, tmp_path, edits):
     """``source`` with ``field=value`` set in the given body lines (0 is the header)."""
     lines = source.read_text().splitlines()
@@ -443,34 +352,6 @@ def _set_fields(source, tmp_path, edits):
     path = tmp_path / source.name
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-@pytest.mark.parametrize(
-    "source, edits",
-    [
-        # Each column holds the right number of values in total, split wrongly
-        # between two records.
-        (TRACK, [(1, "ball", "1,2,3"), (3, "ball", "4")]),
-        (TRACK, [(1, "ankles0", "1,2"), (2, "ankles0", "1,2;3,4;5,6")]),
-        (TRACK, [(1, "joints1", "1,2,3,4;5,6;7,8,9"), (2, "joints1", "1,2,3;4,5,6;7,8,9")]),
-        (RECON, [(17, "ball", "1,2,3,4"), (24, "ball", "5,6")]),
-        (RECON, [(18, "joints0", "1,2,3;4,5,6"), (25, "joints0", "1,2,3;4,5,6;7,8,9;1,2,3")]),
-    ],
-    ids=["px", "ankles", "joints-xyz", "recon-xyz", "recon-joints"],
-)
-def test_column_pass_rejects_misplaced_values(source, edits, tmp_path):
-    path = _set_fields(source, tmp_path, edits)
-    spec = TRACK_FRAME if source is TRACK else RECON_FRAME
-    assert _columns(path, spec) is None
-    read = load_track if source is TRACK else read_reconstruction
-    got, want = _both_outcomes(read, path)
-    assert got == want and got[0] is ParseError and got[1] == edits[0][0] + 1
-
-
-def test_column_pass_keeps_the_frame_order_check(tmp_path):
-    path = _set_fields(TRACK, tmp_path, [(3, "frame", "1")])
-    got, want = _both_outcomes(load_track, path)
-    assert got == want == (ParseError, 4, "line 4: frame indices must be increasing")
 
 
 def test_column_pass_reads_mixed_joint_counts(tmp_path):
@@ -589,7 +470,7 @@ def test_generated_points_round_trip(point, fuzz_dir):
 
 
 # ---------------------------------------------------------------------------
-# the reader error table: what each reader makes of fixed edits
+# the reader error table: what the readers and the CLI make of fixed edits
 # ---------------------------------------------------------------------------
 
 
@@ -620,14 +501,47 @@ def _copy(n):
     return lambda lines: lines.insert(n, lines[n - 1])
 
 
+def _edited(source, edits, directory):
+    """``source`` with ``edits`` applied to its lines in order, written to ``directory``."""
+    lines = source.read_text().splitlines()
+    for edit in edits:
+        edit(lines)
+    path = directory / source.name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 ORDER = "frame indices must be increasing"
 COORDS = "comma-separated finite numbers"
 NOT_FLOAT = "could not convert string to float: "
-# Case -> (source, edits applied in order, outcome): None when the file
-# loads, else the error's class, line number and message. Recon lines: 6 and
-# 21 open the two point blocks, 7-9 and 22 are hits, 13-17 and 24 pieces,
-# 18-19 and 25-26 frames, 20 and 27 endpoints.
+# The one table of fixed malformed-file cases. Case -> (source, edits applied
+# in order, outcome): None when the file loads, else the error's class, line
+# number and message, the same on both decode paths. Every CLI command that
+# reads a track or recon file exits 2 with that message, or 0 or 3 on a file
+# that loads. Recon lines: 6 and 21 open the two point blocks, 7-9 and 22 are
+# hits, 13-17 and 24 pieces, 18-19 and 25-26 frames, 20 and 27 endpoints.
+POSITIVE = "must be positive and finite"
 READER_ERRORS = {
+    "track-version": (TRACK, [_on(1, r"^v1 ", "v9 ")], (
+        VersionError, 1, "line 1: expected a 'v1' header, found 'v9'")),
+    "track-no-fps": (TRACK, [_on(1, r" fps=\S+", "")], (
+        SchemaError, 1, "line 1: missing field 'fps'")),
+    "track-fps-abc": (TRACK, [_on(1, r"fps=\S+", "fps=abc")], (
+        SchemaError, 1, f"line 1: bad fps 'abc': {NOT_FLOAT}'abc'")),
+    "track-fps-nan": (TRACK, [_on(1, r"fps=\S+", "fps=nan")], (
+        SchemaError, 1, f"line 1: bad fps 'nan': {POSITIVE}")),
+    "track-fps-inf": (TRACK, [_on(1, r"fps=\S+", "fps=inf")], (
+        SchemaError, 1, f"line 1: bad fps 'inf': {POSITIVE}")),
+    "track-fps-zero": (TRACK, [_on(1, r"fps=\S+", "fps=0.0")], (
+        SchemaError, 1, f"line 1: bad fps '0.0': {POSITIVE}")),
+    "track-fps-negative": (TRACK, [_on(1, r"fps=\S+", "fps=-60.0")], (
+        SchemaError, 1, f"line 1: bad fps '-60.0': {POSITIVE}")),
+    "track-w-abc": (TRACK, [_on(1, r" w=\S+", " w=abc")], (
+        SchemaError, 1, "line 1: bad w 'abc': invalid literal for int() with base 10: 'abc'")),
+    "track-w-zero": (TRACK, [_on(1, r" w=\S+", " w=0")], (
+        SchemaError, 1, "line 1: bad w '0': must be positive")),
+    "track-h-negative": (TRACK, [_on(1, r" h=\S+", " h=-540")], (
+        SchemaError, 1, "line 1: bad h '-540': must be positive")),
     "track-truncate": (TRACK, [_cut(4, 60)], (
         ParseError, 4, f"line 4: bad kp1 '276.5493': must be 2 {COORDS}")),
     "track-garble": (TRACK, [_on(3, r"ball=\S+", "ball=oops")], (
@@ -659,6 +573,27 @@ READER_ERRORS = {
     "track-bad-value-then-frame-order": (
         TRACK, [_on(3, r"ball=\S+", "ball=oops"), _on(5, r"frame=3", "frame=1")],
         (ParseError, 3, f"line 3: bad ball 'oops': {NOT_FLOAT}'oops'")),
+    # Each column holds the right number of values in total, split wrongly
+    # between two records, so only the record-by-record pass can place them.
+    "track-misplaced-pixels": (
+        TRACK, [_on(2, r"ball=\S+", "ball=1,2,3"), _on(4, r"ball=\S+", "ball=4")],
+        (ParseError, 2, f"line 2: bad ball '1,2,3': must be 2 {COORDS}")),
+    "track-misplaced-ankles": (
+        TRACK, [_on(2, r"ankles0=\S+", "ankles0=1,2"),
+                _on(3, r"ankles0=\S+", "ankles0=1,2;3,4;5,6")],
+        (ParseError, 2, "line 2: bad ankles0 '1,2': has 1 entries")),
+    "track-misplaced-joint-coordinates": (
+        TRACK, [_on(2, r"joints1=\S+", "joints1=1,2,3,4;5,6;7,8,9"),
+                _on(3, r"joints1=\S+", "joints1=1,2,3;4,5,6;7,8,9")],
+        (ParseError, 2, f"line 2: bad joints1 '1,2,3,4;5,6;7,8,9': must be 3 {COORDS}")),
+    "recon-missing-rms": (RECON, [_on(2, r" rms=\S+", "")], (
+        ParseError, 2, "line 2: missing field 'rms'")),
+    "recon-rot-xx": (RECON, [_on(3, r"^(rot \S+) \S+", r"\1 xx")], (
+        ParseError, 3, f"line 3: bad rot1 'xx': {NOT_FLOAT}'xx'")),
+    "recon-eight-rot": (RECON, [_on(3, r" \S+$", "")], (
+        ParseError, 3, "line 3: expected 9 values, got 8")),
+    "recon-missing-id": (RECON, [_on(6, r" id=\S+", "")], (
+        ParseError, 6, "line 6: missing field 'id'")),
     "recon-truncate-frame": (RECON, [_cut(19, 100)], (
         ParseError, 19, f"line 19: bad root0 '-1.919936149249319': must be 3 {COORDS}")),
     "recon-garble-frame": (RECON, [_on(18, r"ball=\S+", "ball=oops")], (
@@ -699,10 +634,29 @@ READER_ERRORS = {
     "recon-frame-order-then-bad-value": (
         RECON, [_on(19, r"idx=1", "idx=0"), _on(25, r"ball=\S+", "ball=oops")],
         (ParseError, 19, f"line 19: {ORDER}")),
+    "recon-misplaced-coordinates": (
+        RECON, [_on(18, r"ball=\S+", "ball=1,2,3,4"), _on(25, r"ball=\S+", "ball=5,6")],
+        (ParseError, 18, f"line 18: bad ball '1,2,3,4': must be 3 {COORDS}")),
+    "recon-misplaced-joints": (
+        RECON, [_on(19, r"joints0=\S+", "joints0=1,2,3;4,5,6"),
+                _on(26, r"joints0=\S+", "joints0=1,2,3;4,5,6;7,8,9;1,2,3")],
+        (ParseError, 19, "line 19: bad joints0 '1,2,3;4,5,6': has 2 entries")),
+    "recon-no-endpoint": (RECON, [_cut(27, 0)], (
+        ParseError, 27, "line 27: the last point block has no endpoint record")),
+    "conformal-foreign-header": (CONFORMAL, [_on(1, r"^.*$", "other-header")], (
+        VersionError, 1, "line 1: expected a 'conformal-v1' header, found 'other-header'")),
+    "conformal-version": (CONFORMAL, [_on(1, r"^conformal-v1 ", "conformal-v12 ")], (
+        VersionError, 1, "line 1: expected a 'conformal-v1' header, found 'conformal-v12'")),
+    "conformal-no-alpha": (CONFORMAL, [_on(1, r" alpha=\S+", "")], (
+        SchemaError, 1, "line 1: missing field 'alpha'")),
+    "conformal-alpha-above-one": (CONFORMAL, [_on(1, r"alpha=\S+", "alpha=2.0")], (
+        SchemaError, 1, "line 1: bad alpha '2.0': must be in (0, 1)")),
     "conformal-truncate": (CONFORMAL, [_cut(3, 5)], (
         ParseError, 3, "line 3: expected 4 values, got 2")),
     "conformal-nan": (CONFORMAL, [_on(2, r"\t1\.96\d*\t", "\tnan\t")], (
         ParseError, 2, "line 2: bad q 'nan': must be non-negative (inf allowed)")),
+    "conformal-bad-q": (CONFORMAL, [_on(2, r"\t1\.96\d*\t", "\toops\t")], (
+        ParseError, 2, f"line 2: bad q 'oops': {NOT_FLOAT}'oops'")),
     "conformal-bad-axis": (CONFORMAL, [_on(4, r"^y\t", "w\t")], (
         ParseError, 4, "line 4: bad axis 'w': must be x, y or z")),
     "conformal-drop-value": (CONFORMAL, [_on(7, r"\t8$", "")], (
@@ -712,26 +666,18 @@ READER_ERRORS = {
     "conformal-header": (CONFORMAL, [_on(1, r"alpha=\S+", "alpha=abc")], (
         SchemaError, 1, f"line 1: bad alpha 'abc': {NOT_FLOAT}'abc'")),
 }
-READERS = {TRACK: load_track, RECON: read_reconstruction, CONFORMAL: read_calibration}
-
-
-def _error(read, path):
-    try:
-        read(str(path))
-    except ParseError as exc:
-        return type(exc), exc.line_number, str(exc)
-    return None
 
 
 @pytest.mark.parametrize("case", READER_ERRORS)
 def test_reader_error_table(case, tmp_path):
-    source, edits, want = READER_ERRORS[case]
-    lines = source.read_text().splitlines()
-    for edit in edits:
-        edit(lines)
-    path = tmp_path / source.name
-    path.write_text("\n".join(lines) + "\n")
-    read = READERS[source]
-    assert _error(read, path) == want
-    with mock.patch.object(pipeline, "decode_columns", lambda spec, lines: None):
-        assert _error(read, path) == want  # record by record
+    source, edits, error = READER_ERRORS[case]
+    got, want = _both_outcomes(READERS[source], _edited(source, edits, tmp_path))
+    assert got == want  # the column pass, then record by record
+    assert got[0] == error
+
+
+@pytest.mark.parametrize("case", [case for case, (source, _, _) in READER_ERRORS.items()
+                                  if source is not CONFORMAL])
+def test_malformed_file_exits_2(case, tmp_path):
+    source, edits, error = READER_ERRORS[case]
+    _assert_cli_outcome(source, _edited(source, edits, tmp_path), tmp_path, error)
