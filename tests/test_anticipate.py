@@ -36,7 +36,7 @@ from ttrally.errors import (
 )
 from ttrally import anticipate
 from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                           TABLE, context_mask, generate_exchanges)
+                           TABLE, context_mask, generate_exchanges, return_shots)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 
@@ -383,33 +383,44 @@ def chunked_exchanges():
     return generate_exchanges(21, 3 * FORECAST_CHUNK + 5)
 
 
-# Members past both ends of the speed clip, below the drag floor and beyond
-# the crossing-y limit.
-CLIPPED = np.array([[0.3, 6.0, 0.1, 0.0, -0.3], [-0.2, -6.0, -0.1, 0.05, 0.0],
-                    [1.5, 0.0, 0.0, -0.05, 0.04]])
-# The seed-4 table at every batch size around the chunk; two more tables at one.
-MEMBER_TABLES = [
-    *(pytest.param(physics_baseline_ensemble(4, 5), n, id=str(n))
-      for n in (0, 1, FORECAST_CHUNK - 1, FORECAST_CHUNK + 1, 3 * FORECAST_CHUNK + 5)),
-    pytest.param(physics_baseline_ensemble(11, 2), FORECAST_CHUNK + 1, id="seed-11"),
-    pytest.param(CLIPPED, FORECAST_CHUNK + 1, id="clipped"),
-]
-
-
 @pytest.mark.parametrize("lead_time", [0.0, 0.1, 0.2, 0.4])
-@pytest.mark.parametrize("members, n", MEMBER_TABLES)
-def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, members, n,
-                                                          lead_time):
+@pytest.mark.parametrize("n", [0, 1, FORECAST_CHUNK - 1, FORECAST_CHUNK + 1,
+                               3 * FORECAST_CHUNK + 5])
+def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, n, lead_time):
+    preds = physics_baseline_ensemble(4, 5)
     horizons = list(STUDY_HORIZONS)
     exchanges = chunked_exchanges[:n]
-    forecast = forecast_split(members, exchanges, horizons, lead_time)
+    forecast = forecast_split(preds, exchanges, horizons, lead_time)
     assert forecast.mean.shape == forecast.sigma.shape == forecast.truth.shape == (n, 12, 3)
     for i, ex in enumerate(exchanges):
-        curve = _oracle_curve(members, ex, horizons, lead_time)
+        curve = _oracle_curve(preds, ex, horizons, lead_time)
         assert np.array([m for m, _ in curve]).tobytes() == forecast.mean[i].tobytes()
         assert np.array([s for _, s in curve]).tobytes() == forecast.sigma[i].tobytes()
         truth = np.array([ex.truth_at(h).as_array() for h in horizons])
         assert truth.tobytes() == forecast.truth[i].tobytes()
+
+
+# Members past both ends of the speed clip, below the drag floor and beyond
+# the crossing-y limit, beside drawn tables.
+CLIPPED = np.array([[0.3, 6.0, 0.1, 0.0, -0.3], [-0.2, -6.0, -0.1, 0.05, 0.0],
+                    [1.5, 0.0, 0.0, -0.05, 0.04]])
+
+
+@pytest.mark.parametrize("members", [physics_baseline_ensemble(4, 5),
+                                     physics_baseline_ensemble(11, 2), CLIPPED])
+def test_ensemble_equals_return_shots_one_member_at_a_time(chunked_exchanges, members):
+    hit, root_y = anticipate._exchange_arrays(chunked_exchanges[:FORECAST_CHUNK], 0.0)
+    hs = np.asarray(STUDY_HORIZONS)
+    per_member = []
+    for member in members:
+        x_bounce, z_cross, speed, k = (np.full(len(hit), v) for v in _member_shot(member))
+        y_cross = np.clip(SHOT_AIM_GAIN * root_y + float(member[0]), -SHOT_Y_LIMIT, SHOT_Y_LIMIT)
+        chains, _ = return_shots(hit, x_bounce, y_cross, z_cross, speed, k, k)
+        per_member.append(chains.positions(hs))
+    preds = np.stack(per_member, axis=1)  # (n, k, n_horizons, 3)
+    mean, sigma = _ensemble(members, hit, root_y, hs)
+    assert mean.tobytes() == preds.mean(axis=1).tobytes()
+    assert sigma.tobytes() == np.maximum(preds.std(axis=1), 1e-6).tobytes()
 
 
 def test_truth_before_the_hit_follows_the_incoming_ball(chunked_exchanges):

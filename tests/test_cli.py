@@ -95,6 +95,15 @@ def test_simulate_tiny_run(tmp_path, capsys):
     assert len(lines) > 3  # header rows plus sweep rows
 
 
+def test_exit_code_usage_on_bad_input(tmp_path, capsys):
+    missing = tmp_path / "nope.track"
+    assert main(["calibrate", "--track", str(missing)]) == EXIT_USAGE
+    bad = tmp_path / "bad.track"
+    bad.write_text("v9 fps=60.0\n")
+    assert main(["calibrate", "--track", str(bad)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_failure_on_unprocessable_track(tmp_path, capsys):
     # A structurally valid track with no detectable hits fails processing.
     path = tmp_path / "empty.track"

@@ -3,8 +3,8 @@
 The files in tests/data were written by the hand-written writers that the
 codec replaced, so re-writing what the readers load must reproduce them byte
 for byte: a format drift shared by writer and reader still shows here.
-READER_ERRORS, at the end, is the one table of fixed malformed-file cases,
-and one mutation fuzz test draws damaged files beside it.
+READER_ERRORS, at the end, is the table of fixed malformed-file cases; the
+mutation fuzz tests draw damaged files beside it.
 """
 
 import contextlib
@@ -214,36 +214,51 @@ def _both_outcomes(read, path):
         return got, _outcome(read, path)
 
 
-def _commands(source, path, directory):
-    """Every CLI command that reads ``source``'s format, run on ``path``."""
-    if source is TRACK:
-        return [["calibrate", "--track", str(path)],
-                ["reconstruct", "--track", str(path), "--out", str(directory / "out.recon")]]
-    if source is RECON:
-        return [["stats", "--recon", str(path)]]
-    return []  # no command reads a conformal file
+def _track_commands(path, directory):
+    return [["calibrate", "--track", str(path)],
+            ["reconstruct", "--track", str(path), "--out", str(directory / "out.recon")]]
+
+
+def _recon_commands(path, directory):
+    return [["stats", "--recon", str(path)]]
+
+
+# Every CLI command that reads each format; no command reads a conformal file.
+COMMANDS = {TRACK: _track_commands, RECON: _recon_commands, CONFORMAL: lambda path, d: []}
 
 
 def _assert_cli_outcome(source, path, directory, error):
     """Each command exits 2 with one ``error:`` line, the reader's message,
     or, for a file that loads (``error`` None), processes it to exit 0 or 3."""
-    for argv in _commands(source, path, directory):
+    for argv in COMMANDS[source](path, directory):
         if error is None:
             assert _run(argv)[0] in (EXIT_OK, EXIT_FAILURE)
         else:
             assert _run(argv) == (EXIT_USAGE, [f"error: {error[2]}"])
 
 
-@pytest.mark.parametrize("source", [TRACK, RECON], ids=["track", "recon"])
-def test_missing_directory_or_binary_input_exits_2(source, tmp_path):
+@pytest.mark.parametrize("commands", [_track_commands, _recon_commands])
+def test_directory_or_binary_input_exits_2(commands, tmp_path):
     binary = tmp_path / "binary"
     binary.write_bytes(b"v1 fps=60.0 w=960 h=540\n\xff\xfe\x00\x80\n")
     with pytest.raises(ParseError) as err:
         load_track(str(binary))
     assert err.value.line_number == 2
-    for path in (tmp_path / "missing", tmp_path, binary):
-        for argv in _commands(source, path, tmp_path):
+    for path in (tmp_path, binary):
+        for argv in commands(path, tmp_path):
             _assert_usage_error(argv)
+
+
+@pytest.mark.parametrize(
+    "old, new, error, line",
+    [("alpha=0.1", "alpha=abc", SchemaError, 1), ("\tinf\t", "\tnan\t", ParseError, 3)],
+)
+def test_read_calibration_rejects_invalid_values(old, new, error, line, tmp_path):
+    path = tmp_path / "bad.conformal"
+    path.write_text(CONFORMAL.read_text().replace(old, new, 1))
+    with pytest.raises(ParseError) as err:
+        read_calibration(str(path))
+    assert type(err.value) is error and err.value.line_number == line
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +316,23 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _mutated(fmt, edit, i, j, junk, directory):
+    """``fmt``'s source file with one ``edit``, written to ``directory``."""
+    source = FUZZ[fmt][0]
+    path = directory / source.name
+    path.write_text("\n".join(_mutate(source.read_text().splitlines(), edit, i, j, junk)) + "\n")
+    return path
+
+
 @pytest.mark.parametrize(
     "fmt, edit", [(fmt, edit) for fmt, (_, edits) in FUZZ.items() for edit in edits]
 )
 @settings(max_examples=30)
 @given(i=st.integers(0, 10**6), j=st.integers(0, 10**6), junk=JUNK)
 def test_mutated_file_loads_or_exits_2(fmt, edit, i, j, junk, fuzz_dir):
-    # Either both decode paths return equal results, or both raise the same
-    # error class, line and message.
     source = FUZZ[fmt][0]
-    path = fuzz_dir / source.name
-    path.write_text("\n".join(_mutate(source.read_text().splitlines(), edit, i, j, junk)) + "\n")
-    got, want = _both_outcomes(READERS[source], path)
-    assert got == want
-    error, _ = got
+    path = _mutated(fmt, edit, i, j, junk, fuzz_dir)
+    error, _ = _outcome(READERS[source], path)
     if error is None:
         # Only these edits can leave a valid file; dropped or duplicated fields,
         # nan values and misplaced records must be rejected.
@@ -324,8 +342,19 @@ def test_mutated_file_loads_or_exits_2(fmt, edit, i, j, junk, fuzz_dir):
     _assert_cli_outcome(source, path, fuzz_dir, error)
 
 
+@pytest.mark.parametrize("fmt, edit", [(fmt, edit) for fmt in ("track", "recon")
+                                       for edit in FUZZ[fmt][1]])
+@settings(max_examples=30)
+@given(i=st.integers(0, 10**6), j=st.integers(0, 10**6), junk=JUNK)
+def test_column_reader_matches_the_record_reader(fmt, edit, i, j, junk, fuzz_dir):
+    # Either both decode paths return equal results, or both raise the same
+    # error class, line and message.
+    got, want = _both_outcomes(READERS[FUZZ[fmt][0]], _mutated(fmt, edit, i, j, junk, fuzz_dir))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
-# the column pass on valid files
+# the column pass
 # ---------------------------------------------------------------------------
 
 
@@ -352,6 +381,12 @@ def _set_fields(source, tmp_path, edits):
     path = tmp_path / source.name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def test_column_pass_keeps_the_frame_order_check(tmp_path):
+    path = _set_fields(TRACK, tmp_path, [(3, "frame", "1")])
+    got, want = _both_outcomes(load_track, path)
+    assert got == want == ((ParseError, 4, "line 4: frame indices must be increasing"), None)
 
 
 def test_column_pass_reads_mixed_joint_counts(tmp_path):

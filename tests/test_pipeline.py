@@ -8,7 +8,7 @@ import scalar_positioning as scalar
 from track_columns import comparable, corrupt_track
 from ttrally import core, pipeline
 from ttrally.core import TableGeometry
-from ttrally.errors import NoIntersection, NotEnoughHits, SegmentRejected
+from ttrally.errors import NoIntersection, NotEnoughHits, ParseError, SegmentRejected
 from ttrally.pipeline import (
     calibrate_from_track,
     load_track,
@@ -39,6 +39,25 @@ def test_track_round_trip_is_lossless(scene, tmp_path):
     path2 = tmp_path / "b.track"
     write_track(loaded, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_track_reports_line_numbers(tmp_path):
+    path = tmp_path / "bad.track"
+    path.write_text("v1 fps=60.0 w=960 h=540 noise_px=0.0\nframe=0 ball=oops\n")
+    with pytest.raises(ParseError) as err:
+        load_track(str(path))
+    assert err.value.line_number == 2
+
+
+def test_load_track_rejects_decreasing_frames(scene, tmp_path):
+    track, _, _ = scene
+    path = tmp_path / "c.track"
+    write_track(track, str(path))
+    lines = path.read_text().splitlines()
+    lines.append(lines[1])  # repeat the first frame at the end
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError):
+        load_track(str(path))
 
 
 def test_calibrate_from_track_noiseless(scene):
