@@ -102,7 +102,7 @@ def _exchange_arrays(exchanges: Exchanges, lead_time: float) -> tuple[np.ndarray
     (``context_mask``), from the incoming ball at the last two of them: no
     frame is built. Context times increase, so the frames a lead time keeps
     are a prefix."""
-    last = int(context_mask(CONTEXT_TIMES, -lead_time).sum()) - 1
+    last = int(context_mask(lead_time).sum()) - 1
     if last < 1:
         raise InputMismatch("context needs at least two frames")
     times = CONTEXT_TIMES[last - 1:last + 1]

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .camera import Camera, Plane, plane_points
+from .camera import Camera, plane_points
 from .core import TableGeometry, Vec3
 from .errors import BehindCamera, NoBounceFound, OutOfRange, SegmentRejected
 
@@ -811,7 +811,6 @@ def reconstruct_trajectory(
     """
     if len(hits) < 2:
         raise NoBounceFound("need at least two hits")
-    table_plane = Plane("z", table.height_z)
     pix = {int(f): p for f, p in zip(ball.frames, ball.pixels)}
 
     pairs = []  # per hit pair: (knot sets, anchors, pieces by (f0, f1), total)
@@ -849,7 +848,7 @@ def reconstruct_trajectory(
         # One ray cast over every bounce option, in first-seen order, so the
         # first ray that misses the table raises.
         interior = list(dict.fromkeys(f for knots in knot_sets for f in knots[1:-1]))
-        on_table = plane_points(camera, [pix[f] for f in interior], table_plane)
+        on_table = plane_points(camera, [pix[f] for f in interior], table.height_z)
         anchors = {h1: hit1.hand_world, h2: hit2.hand_world}
         anchors.update((f, Vec3(*p)) for f, p in zip(interior, on_table.tolist()))
         pieces: dict[tuple[int, int], tuple] = {}

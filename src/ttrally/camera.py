@@ -23,7 +23,6 @@ from .errors import (
     CalibrationDegenerate,
     CalibrationFailed,
     NoIntersection,
-    NoVanishingPoint,
     PlacementFailed,
 )
 
@@ -35,18 +34,6 @@ class ImagePoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v], dtype=float)
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Axis-aligned world plane {p : p[axis] == offset}; axis in 'xyz'."""
-
-    axis: str
-    offset: float
-
-    @property
-    def index(self) -> int:
-        return "xyz".index(self.axis)
 
 
 @dataclass(frozen=True)
@@ -115,40 +102,22 @@ def pixel_rays(camera: Camera, pixels) -> tuple[np.ndarray, np.ndarray]:
     return camera.extrinsics.center(), dir_cam @ camera.extrinsics.r  # rows R^T d
 
 
-def plane_points(camera: Camera, pixels, plane: Plane) -> np.ndarray:
-    """Intersect the viewing rays through (n, 2) pixels with an axis-aligned
-    world plane: (n, 3). The first ray, in pixel order, that is parallel to
-    the plane or meets it behind the camera raises NoIntersection."""
+def plane_points(camera: Camera, pixels, z: float) -> np.ndarray:
+    """Intersect the viewing rays through (n, 2) pixels with the horizontal
+    world plane at height z: (n, 3). The first ray, in pixel order, that is
+    parallel to the plane or meets it behind the camera raises
+    NoIntersection."""
     origin, directions = pixel_rays(camera, pixels)
-    i = plane.index
-    denom = directions[:, i]
+    denom = directions[:, 2]
     parallel = np.abs(denom) < 1e-12 * np.linalg.norm(directions, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = (plane.offset - origin[i]) / denom
+        s = (z - origin[2]) / denom
     missed = parallel | ~(s > 0)  # a NaN s, from a huge pixel, misses too
     if missed.any():
         if parallel[np.argmax(missed)]:
-            raise NoIntersection(f"ray parallel to plane {plane.axis}={plane.offset}")
+            raise NoIntersection(f"ray parallel to plane z={z}")
         raise NoIntersection("plane intersection behind the camera")
     return origin + s[:, None] * directions
-
-
-Line = tuple[ImagePoint, ImagePoint]
-
-
-def _homogeneous_line(line: Line) -> np.ndarray:
-    a = np.array([line[0].u, line[0].v, 1.0])
-    b = np.array([line[1].u, line[1].v, 1.0])
-    return np.cross(a, b)
-
-
-def vanishing_point(l1: Line, l2: Line) -> ImagePoint:
-    """Intersection of two image lines, each given by two points."""
-    p = np.cross(_homogeneous_line(l1), _homogeneous_line(l2))
-    scale = max(abs(p[0]), abs(p[1]), 1.0)
-    if abs(p[2]) < 1e-9 * scale:
-        raise NoVanishingPoint("lines are parallel in the image")
-    return ImagePoint(p[0] / p[2], p[1] / p[2])
 
 
 def ground_projections(
@@ -158,25 +127,29 @@ def ground_projections(
 
     The near corners p1, p2 drop straight down to the base line. The far
     corners p3, p4 drop down to the lines joining g1, g2 with the vanishing
-    point of the table's two depth edges (p1->p3 and p2->p4).
+    point of the table's two depth edges (p1->p3 and p2->p4): the cross
+    product of the edges' homogeneous lines, each the cross product of its
+    two end points.
     """
     if len(keypoints) < 4:
         raise ValueError("need the four corner keypoints")
     p1, p2, p3, p4 = keypoints[:4]
 
     def drop_far(p_far: ImagePoint, g_near: ImagePoint) -> ImagePoint:
-        du = vp.u - g_near.u
+        du = vp_u - g_near.u
         if abs(du) < 1e-9:
             raise CalibrationDegenerate("ground line is vertical in the image")
-        v = g_near.v + (p_far.u - g_near.u) * (vp.v - g_near.v) / du
+        v = g_near.v + (p_far.u - g_near.u) * (vp_v - g_near.v) / du
         return ImagePoint(p_far.u, v)
 
     # Huge keypoints overflow to non-finite points, which calibrate refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            vp = vanishing_point((p1, p3), (p2, p4))
-        except NoVanishingPoint as exc:
-            raise CalibrationDegenerate("depth edges parallel (head-on camera)") from exc
+        edge13 = np.cross(np.array([p1.u, p1.v, 1.0]), np.array([p3.u, p3.v, 1.0]))
+        edge24 = np.cross(np.array([p2.u, p2.v, 1.0]), np.array([p4.u, p4.v, 1.0]))
+        vp = np.cross(edge13, edge24)
+        if abs(vp[2]) < 1e-9 * max(abs(vp[0]), abs(vp[1]), 1.0):
+            raise CalibrationDegenerate("depth edges parallel (head-on camera)")
+        vp_u, vp_v = vp[0] / vp[2], vp[1] / vp[2]
         g1 = ImagePoint(p1.u, h_base)
         g2 = ImagePoint(p2.u, h_base)
         return [g1, g2, drop_far(p3, g1), drop_far(p4, g2)]
@@ -357,15 +330,12 @@ def calibrate(correspondences: list[tuple[Vec3, ImagePoint]]) -> tuple[Camera, f
     return camera, rms
 
 
-GROUND = Plane("z", 0.0)
-
-
 def ground_roots(camera: Camera, ankles_px) -> np.ndarray:
     """Roots (n, 3) of n players: the ground points under their (n, 2, 2)
     ankle pixels' midpoints. The first ray that misses the ground raises
     NoIntersection."""
     ankles = np.asarray(ankles_px, dtype=float).reshape(-1, 2, 2)
-    return plane_points(camera, (ankles[:, 0] + ankles[:, 1]) / 2.0, GROUND)
+    return plane_points(camera, (ankles[:, 0] + ankles[:, 1]) / 2.0, 0.0)
 
 
 def place_joints(camera: Camera, roots: np.ndarray, joints_cam) -> np.ndarray:

@@ -24,12 +24,12 @@ EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(lines: Sequence[str], out: Optional[str]) -> None:
+    """Write a report's lines to the file ``out``, or to stdout without one."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        pipeline.write_lines(out, lines)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _seed_field(seed: Optional[int]) -> str:
@@ -55,7 +55,7 @@ def cmd_synth(args) -> int:
 def cmd_calibrate(args) -> int:
     track = pipeline.load_track(args.track)
     camera, rms = pipeline.calibrate_from_track(track, TableGeometry())
-    _emit("\n".join(pipeline.camera_lines(camera, rms, track.header.seed)), args.out)
+    _emit(pipeline.camera_lines(camera, rms, track.header.seed), args.out)
     return EXIT_OK
 
 
@@ -86,7 +86,7 @@ def cmd_stats(args) -> int:
         f"speed_p90={stats.speed_p90!r}",
         f"mean_inter_hit_time={stats.mean_inter_hit_time!r}",
     ]
-    _emit("\n".join(lines), args.out)
+    _emit(lines, args.out)
     return EXIT_OK
 
 
@@ -108,7 +108,7 @@ def cmd_conformal(args) -> int:
     lines.append(
         f"extreme_bias={study.bias.fraction_correct!r} n={study.bias.n_extreme}"
     )
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(lines, None)
     return EXIT_OK
 
 

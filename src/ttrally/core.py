@@ -79,13 +79,6 @@ class TableGeometry:
     def half_width(self) -> float:
         return self.width_y / 2.0
 
-    def net_midpoints(self) -> tuple[Vec3, Vec3]:
-        """Net intersections with the near (-y) and far (+y) table edges."""
-        return (
-            Vec3(0.0, -self.half_width, self.height_z),
-            Vec3(0.0, self.half_width, self.height_z),
-        )
-
     def surface_keypoints(self) -> list[Vec3]:
         """The six calibration keypoints on the table surface.
 
@@ -93,14 +86,13 @@ class TableGeometry:
         side, +y), then the two net midpoints (near, far).
         """
         hl, hw, h = self.half_length, self.half_width, self.height_z
-        near, far = self.net_midpoints()
         return [
             Vec3(-hl, -hw, h),
             Vec3(hl, -hw, h),
             Vec3(-hl, hw, h),
             Vec3(hl, hw, h),
-            near,
-            far,
+            Vec3(0.0, -hw, h),
+            Vec3(0.0, hw, h),
         ]
 
     def corner_ground_points(self) -> list[Vec3]:

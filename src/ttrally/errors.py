@@ -33,10 +33,6 @@ class NoIntersection(TTRallyError):
     """Viewing ray is parallel to (or points away from) the target plane."""
 
 
-class NoVanishingPoint(TTRallyError):
-    """The two image lines are parallel; no finite intersection."""
-
-
 class CalibrationDegenerate(TTRallyError):
     """Head-on camera: depth edges are parallel in the image."""
 

@@ -199,23 +199,23 @@ def tilt_camera(
     )
 
 
-def leg_verticality(camera: Camera, table: TableGeometry) -> float:
-    """Worst-case |du| between leg top and bottom over the four corners."""
-    tops = np.array([corner.as_array() for corner in table.surface_keypoints()[:4]])
+def leg_verticality(camera: Camera) -> float:
+    """Worst-case |du| between leg top and bottom over TABLE's four corners."""
+    tops = np.array([corner.as_array() for corner in TABLE.surface_keypoints()[:4]])
     feet = np.column_stack([tops[:, :2], np.zeros(4)])
     u = project_many(camera, np.concatenate([tops, feet]))[:, 0]
     return float(np.abs(u[:4] - u[4:]).max())
 
 
-def check_camera_assumptions(camera: Camera, table: TableGeometry) -> None:
-    """Raise AssumptionViolation unless the fixed-view assumptions hold."""
+def check_camera_assumptions(camera: Camera) -> None:
+    """Raise AssumptionViolation unless the fixed-view assumptions hold for TABLE."""
     center = camera.extrinsics.center()
     if abs(center[0]) > 1e-9:
         raise AssumptionViolation("camera translated along x")
     r = camera.extrinsics.r
     if max(abs(r[0, 1]), abs(r[0, 2]), abs(r[1, 0]), abs(r[2, 0])) > 1e-9:
         raise AssumptionViolation("camera rotation is not about the x axis")
-    if leg_verticality(camera, table) > LEG_VERTICALITY_TOL_PX:
+    if leg_verticality(camera) > LEG_VERTICALITY_TOL_PX:
         raise AssumptionViolation("table legs not vertical in the image")
 
 
@@ -231,7 +231,7 @@ def sample_camera(rng: np.random.Generator) -> Camera:
         v_center = project(cam, Vec3(0.0, 0.0, TABLE.height_z)).v
         cy = IMAGE_HEIGHT / 2.0 - v_center + (-15.0 + (15.0 - -15.0) * rng.random())
         cam = tilt_camera(focal, cx, cy, y_c, z_c, tilt)
-        if leg_verticality(cam, TABLE) <= LEG_VERTICALITY_TOL_PX:
+        if leg_verticality(cam) <= LEG_VERTICALITY_TOL_PX:
             return cam
     raise AssumptionViolation("could not sample a valid camera")
 
@@ -253,7 +253,7 @@ def emit_synthetic_track(
     clean pixels leave the image raises AssumptionViolation after drawing the
     noise of the frames before the first one outside.
     """
-    check_camera_assumptions(camera, TABLE)
+    check_camera_assumptions(camera)
     n = len(rally.frames)
     keypoints = np.array([p.as_array() for p in TABLE.surface_keypoints()])
     base_h = project_many(camera, np.array([[0.0, -TABLE.half_width, 0.0]]))[0, 1]
@@ -318,10 +318,10 @@ def generate_scene(
 # ---------------------------------------------------------------------------
 
 
-def context_mask(times: np.ndarray, t_rel_hit: float) -> np.ndarray:
-    """Which context frames a forecast issued at ``t_rel_hit`` (a negative
-    lead time) may read: those with time <= t_rel_hit, to within 1e-9 s."""
-    return times <= t_rel_hit + 1e-9
+def context_mask(lead_time: float) -> np.ndarray:
+    """Which CONTEXT_TIMES frames a forecast issued ``lead_time`` before the
+    hit may read: those with time <= -lead_time, to within 1e-9 s."""
+    return CONTEXT_TIMES <= -lead_time + 1e-9
 
 
 @dataclass
@@ -349,9 +349,7 @@ class Exchanges:
         if not isinstance(rows, (int, np.integer)):
             return Exchanges(*(getattr(self, f.name)[rows] for f in fields(self)))
         row = range(len(self))[rows]
-        return ExchangeSample(self, row, int(self.ids[row]), float(self.crossing_time[row]),
-                              Vec3.from_array(self.crossing_pos[row]),
-                              Vec3.from_array(self.crossing_vel[row]))
+        return ExchangeSample(self, row, int(self.ids[row]))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -360,14 +358,11 @@ class Exchanges:
 @dataclass(frozen=True)
 class ExchangeSample:
     """Row ``row`` of an Exchanges batch, for a reader that wants one
-    exchange: its id, crossing, context frames and truth."""
+    exchange: its id, context frames and truth."""
 
     batch: Exchanges
     row: int
     exchange_id: int
-    crossing_time: float
-    crossing_pos: Vec3
-    crossing_vel: Vec3
     context_times = CONTEXT_TIMES
 
     @property

@@ -9,7 +9,7 @@ ran over a track. Tests hold the stacked code to these bit for bit.
 
 import numpy as np
 
-from ttrally.camera import Camera, ImagePoint, Plane
+from ttrally.camera import Camera, ImagePoint
 from ttrally.core import ANKLE_JOINTS, Vec3
 from ttrally.errors import NoIntersection
 
@@ -21,13 +21,12 @@ def pixel_ray(camera: Camera, q: ImagePoint) -> tuple[np.ndarray, np.ndarray]:
     return camera.extrinsics.center(), direction
 
 
-def inverse_project_to_plane(camera: Camera, q: ImagePoint, plane: Plane) -> Vec3:
+def inverse_project_to_plane(camera: Camera, q: ImagePoint, z: float) -> Vec3:
     origin, direction = pixel_ray(camera, q)
-    i = plane.index
-    denom = direction[i]
+    denom = direction[2]
     if abs(denom) < 1e-12 * np.linalg.norm(direction):
-        raise NoIntersection(f"ray parallel to plane {plane.axis}={plane.offset}")
-    s = (plane.offset - origin[i]) / denom
+        raise NoIntersection(f"ray parallel to plane z={z}")
+    s = (z - origin[2]) / denom
     if s <= 0:
         raise NoIntersection("plane intersection behind the camera")
     return Vec3.from_array(origin + s * direction)
@@ -40,7 +39,7 @@ def position_player(
         (ankles_px[0].u + ankles_px[1].u) / 2.0,
         (ankles_px[0].v + ankles_px[1].v) / 2.0,
     )
-    root = inverse_project_to_plane(camera, mid, Plane("z", 0.0))
+    root = inverse_project_to_plane(camera, mid, 0.0)
     jc = np.array([j.as_array() for j in joints_cam])
     root_cam = (jc[ANKLE_JOINTS[0]] + jc[ANKLE_JOINTS[1]]) / 2.0
     rt = camera.extrinsics.r.T

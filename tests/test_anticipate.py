@@ -63,7 +63,7 @@ def _linear_context(n=6, dt=0.05, v=Vec3(3.0, 0.5, -0.2)):
 
 def _context_for(ex, lead_time):
     """The ContextWindow of a forecast issued lead_time before ex's hit."""
-    keep = context_mask(ex.context_times, -lead_time)
+    keep = context_mask(lead_time)
     return ContextWindow(times=ex.context_times[keep],
                          frames=[f for f, k in zip(ex.context, keep) if k])
 
@@ -306,16 +306,17 @@ def _oracle_study(preds, cal, test, horizons, alpha, lead_time, extreme_y):
     hs = sorted(horizon_key(h) for h in horizons)
     hw = TableGeometry().half_width
     n_extreme = n_correct = 0
-    for ex in test:
-        if abs(ex.crossing_pos.y) <= extreme_y:
+    for ex, t_cross, (_, y_cross, _) in zip(test, test.crossing_time.tolist(),
+                                            test.crossing_pos.tolist()):
+        if abs(y_cross) <= extreme_y:
             continue
         n_extreme += 1
-        h = min(hs, key=lambda h: abs(h - ex.crossing_time))
+        h = min(hs, key=lambda h: abs(h - t_cross))
         (mean, sigma), = _oracle_curve(preds, ex, [h], lead_time)
         lo, hi = _oracle_box(calib, mean, sigma, h)
         right = 1.0 - max(0.0, min(hi[1], hw) - max(lo[1], 0.0)) / hw
         left = 1.0 - max(0.0, min(hi[1], 0.0) - max(lo[1], -hw)) / hw
-        wrong, correct = (left, right) if ex.crossing_pos.y > 0 else (right, left)
+        wrong, correct = (left, right) if y_cross > 0 else (right, left)
         n_correct += wrong > correct and wrong >= 1.0 / 3.0
     n = len(test)
     return (calib, {k: v / n for k, v in hits.items()}, {k: v / n for k, v in joint.items()},

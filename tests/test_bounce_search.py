@@ -35,7 +35,7 @@ from ttrally.ball import (
     fit_drags,
     select_bounces,
 )
-from ttrally.camera import Plane, plane_points
+from ttrally.camera import plane_points
 from ttrally.core import Vec3
 from ttrally.errors import NoBounceFound, SegmentRejected
 from ttrally.synth import generate_scene
@@ -52,14 +52,14 @@ def _bounce_combos(bounce_frames, h1, h2, pix):
     return [c for c in combos if all(a < b for a, b in zip(c, c[1:]))]
 
 
-def _fit_pair(track, camera, table_plane, fps, h1, p1, h2, p2, bounce_frames, pix,
+def _fit_pair(track, camera, table_z, fps, h1, p1, h2, p2, bounce_frames, pix,
               total_mse, tried):
     anchors = [(h1, p1)]
     bounces = []
     for bf in bounce_frames:
         if bf not in pix:
             raise NoBounceFound(f"no ball sample at bounce frame {bf}")
-        world = Vec3(*plane_points(camera, [pix[bf]], table_plane)[0].tolist())
+        world = Vec3(*plane_points(camera, [pix[bf]], table_z)[0].tolist())
         anchors.append((bf, world))
         bounces.append(BounceEvent(frame=bf, position=world))
     anchors.append((h2, p2))
@@ -81,7 +81,6 @@ def _oracle_reconstruct(tried):
     (f0, f1) to ``tried``."""
 
     def reconstruct(track, hits, camera, table, fps, mse_threshold=None):
-        table_plane = Plane("z", table.height_z)
         pix = {int(f): p for f, p in zip(track.frames, track.pixels)}
         recon = TrajectoryReconstruction()
         for pair_index, (hit1, hit2) in enumerate(zip(hits, hits[1:])):
@@ -92,7 +91,7 @@ def _oracle_reconstruct(tried):
             for combo in _bounce_combos(bounce_frames, h1, h2, pix):
                 try:
                     pieces, bounces, reproj = _fit_pair(
-                        track, camera, table_plane, fps, h1, hit1.hand_world, h2,
+                        track, camera, table.height_z, fps, h1, hit1.hand_world, h2,
                         hit2.hand_world, combo, pix, total, tried,
                     )
                 except NoBounceFound:

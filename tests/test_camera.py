@@ -15,7 +15,6 @@ from ttrally import camera as camera_module, pipeline
 from ttrally.camera import (
     ImagePoint,
     Intrinsics,
-    Plane,
     calibrate,
     ground_projections,
     ground_roots,
@@ -25,7 +24,6 @@ from ttrally.camera import (
     project,
     project_many,
     reprojection_rms,
-    vanishing_point,
 )
 from ttrally.core import TableGeometry, Vec3
 from ttrally.errors import (
@@ -33,7 +31,6 @@ from ttrally.errors import (
     CalibrationDegenerate,
     CalibrationFailed,
     NoIntersection,
-    NoVanishingPoint,
 )
 from ttrally.synth import leg_verticality, sample_camera, tilt_camera
 
@@ -81,7 +78,7 @@ def test_inverse_project_round_trip(x, y, z):
     cam = _camera()
     p = Vec3(x, y, z)
     q = project(cam, p)
-    back = plane_points(cam, [[q.u, q.v]], Plane("z", z))[0]
+    back = plane_points(cam, [[q.u, q.v]], z)[0]
     assert np.allclose(back, p.as_array(), atol=1e-9)
 
 
@@ -90,9 +87,8 @@ def test_inverse_project_round_trip(x, y, z):
        st.sampled_from([0.0, TABLE.height_z]))
 def test_project_inverts_inverse_project_on_the_plane(seed, u, v, z):
     cam = sample_camera(np.random.default_rng(seed))
-    plane = Plane("z", z)
     try:
-        back = Vec3(*plane_points(cam, [[u, v]], plane)[0].tolist())
+        back = Vec3(*plane_points(cam, [[u, v]], z)[0].tolist())
     except NoIntersection:  # the ray meets the plane behind the camera, or never
         return
     assert back.z == pytest.approx(z, abs=1e-9)
@@ -102,10 +98,10 @@ def test_project_inverts_inverse_project_on_the_plane(seed, u, v, z):
 
 def test_inverse_project_parallel_raises():
     cam = tilt_camera(1000.0, 480.0, 300.0, -7.5, 1.0, 0.0)
-    # The ray through the principal point runs parallel to a vertical plane
-    # never intersected in front of the camera.
+    # The ray through the principal point of an untilted camera runs
+    # parallel to every horizontal plane.
     with pytest.raises(NoIntersection):
-        plane_points(cam, [[480.0, 300.0]], Plane("z", 5.0))
+        plane_points(cam, [[480.0, 300.0]], 5.0)
 
 
 def test_project_many_matches_project():
@@ -129,20 +125,25 @@ def test_pixel_ray_hits_projected_point():
 
 
 def test_vanishing_point_of_depth_edges():
+    # Each far corner drops onto the line from its near corner's ground point
+    # to the depth edges' vanishing point. Oracle for that point: the image
+    # of a point far along +y on the depth edge.
     cam = _camera()
     kps = [project(cam, p) for p in TABLE.surface_keypoints()]
-    vp = vanishing_point((kps[0], kps[2]), (kps[1], kps[3]))
-    # Oracle: the image of a point far along +y on either edge.
-    far = project(cam, Vec3(-TABLE.half_length, 5e5, TABLE.height_z))
-    assert vp.u == pytest.approx(far.u, abs=1e-2)
-    assert vp.v == pytest.approx(far.v, abs=1e-2)
+    base_h = project(cam, Vec3(0.0, -TABLE.half_width, 0.0)).v
+    grounds = ground_projections(kps, base_h)
+    for near, x in ((0, -TABLE.half_length), (1, TABLE.half_length)):
+        g, drop = grounds[near], grounds[near + 2]
+        far = project(cam, Vec3(x, 5e8, TABLE.height_z))
+        v_at_far = g.v + (far.u - g.u) * (drop.v - g.v) / (drop.u - g.u)
+        assert v_at_far == pytest.approx(far.v, rel=1e-7)
 
 
 def test_vanishing_point_parallel_lines_raise():
-    a = (ImagePoint(0, 0), ImagePoint(1, 1))
-    b = (ImagePoint(0, 1), ImagePoint(1, 2))
-    with pytest.raises(NoVanishingPoint):
-        vanishing_point(a, b)
+    kps = [ImagePoint(0, 0), ImagePoint(0, 1), ImagePoint(1, 1), ImagePoint(1, 2)]
+    message = re.escape("depth edges parallel (head-on camera)")
+    with pytest.raises(CalibrationDegenerate, match=message):
+        ground_projections(kps, -1.0)
 
 
 def test_ground_projections_match_true_corner_feet():
@@ -393,4 +394,4 @@ def test_sample_camera_satisfies_assumptions():
     for _ in range(5):
         cam = sample_camera(rng)
         assert abs(cam.extrinsics.center()[0]) < 1e-9
-        assert leg_verticality(cam, TABLE) <= 0.1
+        assert leg_verticality(cam) <= 0.1

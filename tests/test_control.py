@@ -53,7 +53,7 @@ def _ones(exchanges):
 
 def _window(ex, lead_time):
     """The ContextWindow of a forecast issued lead_time before ex's hit."""
-    keep = context_mask(ex.context_times, -lead_time)
+    keep = context_mask(lead_time)
     return ContextWindow(ex.context_times[keep], [f for f, k in zip(ex.context, keep) if k])
 
 
@@ -438,8 +438,9 @@ def test_solve_target_pose_normal_and_landing_on_sim_crossings():
     # Sim crossing velocities have large y/z components, where a racket built
     # from the wrong Euler order tilts its normal off the solved direction.
     target = aim_point(TABLE)
-    for ex in generate_exchanges(7, 60):
-        hit, v_in = ex.crossing_pos, ex.crossing_vel
+    exchanges = generate_exchanges(7, 60)
+    for p, v in zip(exchanges.crossing_pos.tolist(), exchanges.crossing_vel.tolist()):
+        hit, v_in = Vec3(*p), Vec3(*v)
         pose = solve_target_pose(hit, v_in, TABLE, target)
         dv = (_low_arc_launch(hit, v_in.norm(), target) - v_in).as_array()
         assert np.linalg.norm(pose.normal() - dv / np.linalg.norm(dv)) < 1e-9
@@ -655,9 +656,10 @@ def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
     params = SimParams(lead_time=lead_time)
     exchanges = row_exchanges[:12]
     (times,), balls, (ends,) = control._step_balls(exchanges, [lead_time], params.dt)
-    for ex, (got,), end in zip(exchanges, balls, ends, strict=True):
+    for ex, t_cross, (got,), end in zip(exchanges, exchanges.crossing_time.tolist(), balls,
+                                        ends, strict=True):
         own = [-lead_time]  # the clock one episode of its own would step
-        while own[-1] < ex.crossing_time + 0.15:
+        while own[-1] < t_cross + 0.15:
             own.append(own[-1] + params.dt)
         assert times[:len(own)].tolist() == own and end == len(own)
         assert got[:end].tobytes() == np.array([ex.truth_at(t).as_array()

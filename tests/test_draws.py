@@ -61,7 +61,7 @@ def _reference_camera(rng):
         v_center = project(cam, Vec3(0.0, 0.0, TABLE.height_z)).v
         cy = IMAGE_HEIGHT / 2.0 - v_center + float(rng.uniform(-15, 15))
         cam = tilt_camera(focal, cx, cy, y_c, z_c, tilt)
-        if leg_verticality(cam, TABLE) <= LEG_VERTICALITY_TOL_PX:
+        if leg_verticality(cam) <= LEG_VERTICALITY_TOL_PX:
             return cam
     raise AssumptionViolation("could not sample a valid camera")
 

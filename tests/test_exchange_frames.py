@@ -129,7 +129,7 @@ def test_context_equals_the_eager_frames(exchanges):
 def test_context_until_equals_the_eager_filter(exchanges, lead_time):
     # The context until a lead time: the frames its context_mask keeps, as a
     # single-context forecast reads them and as the batch forecast does.
-    keep = context_mask(CONTEXT_TIMES, -lead_time)
+    keep = context_mask(lead_time)
     want_times = CONTEXT_TIMES[CONTEXT_TIMES <= -lead_time + 1e-9]  # the eager filter
     assert CONTEXT_TIMES[keep].tobytes() == want_times.tobytes()
     windows = []

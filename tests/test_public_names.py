@@ -13,7 +13,9 @@ attribute load (``x.field``) or a ``getattr`` with the field's name as a
 constant. The check matches names only, not the types they are read on, so
 a field shares its reads with every same-named attribute: it missed
 ``Region.mean`` and ``CoverageReport.n_test``, because ``forecast.mean`` and
-``args.n_test`` read those names too.
+``args.n_test`` read those names too, and ``ExchangeSample.crossing_time``,
+``.crossing_pos`` and ``.crossing_vel``, because the ``Exchanges`` batch has
+columns of those names.
 """
 
 import ast
