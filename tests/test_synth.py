@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, strategies as st
 from golden import TRUTH_TIMES
 from scalar_flight import chain_segments, chains_of, construct_return_shot, trajectory_of
 from track_columns import corrupt_track
+from ttrally import anticipate
 from ttrally.ball import Chains, StokesSegment, stokes_position, stokes_positions
 from ttrally.camera import project_many
+from ttrally.control import HORIZONS
 from ttrally.core import RACKET_HAND_JOINT, TableGeometry, Vec3
 from ttrally.errors import AssumptionViolation
 from ttrally.synth import (
@@ -350,6 +353,38 @@ def test_chain_batch_positions_equal_each_row_and_the_closed_form_bitwise(chains
             want = np.array([traj.velocity(t).as_array() for t in ts.tolist()])
             assert velocities[i].tobytes() == want.tobytes()
             assert chains[i:i + 1].velocities(ts)[0].tobytes() == want.tobytes()
+
+
+def test_forecast_chunk_positions_and_velocities_equal_the_scalar_oracle_bitwise():
+    # One forecast chunk's chains (64 exchanges x 5 members), long enough that
+    # the port runs its lanes as ufuncs: at the horizons for every chain, then
+    # on a per-row grid that mixes both tails, piece insides and each join
+    # +-1e-13 s in one call.
+    shots = []
+
+    def spy(*args):
+        shots.append(return_shots(*args))
+        return shots[-1]
+
+    with mock.patch.object(anticipate, "return_shots", spy):
+        anticipate.forecast_ensemble(anticipate.physics_baseline_ensemble(1, 5),
+                                     generate_exchanges(1, 64), HORIZONS, 0.0)
+    (chains, _), = shots
+    trajs = [trajectory_of(chains, i) for i in range(len(chains.T))]
+    assert len(trajs) == 320
+    grid = np.array([[tr.starts[0] - 0.3, tr.starts[0], *(tr.starts[0] + u * tr.pieces[0].T
+                                                          for u in (0.25, 0.5)),
+                      *(tr.starts[1] + d for d in (-1e-13, 0.0, 1e-13)),
+                      tr.starts[1] + 0.5 * tr.pieces[1].T, tr.t_end, tr.t_end + 0.2]
+                     for tr in trajs])
+    for times, row_times in ((np.array(HORIZONS), [HORIZONS] * len(trajs)), (grid, grid)):
+        positions, velocities = chains.positions(times), chains.velocities(times)
+        for i, (traj, ts) in enumerate(zip(trajs, row_times)):
+            ts = np.asarray(ts).tolist()
+            want = np.array([_closed_form(traj, t) for t in ts])
+            assert positions[i].tobytes() == want.tobytes()
+            want = np.array([traj.velocity(t).as_array() for t in ts])
+            assert velocities[i].tobytes() == want.tobytes()
 
 
 @given(chain=CHAIN)
