@@ -14,8 +14,11 @@ pairs of A / B (above 1 when B is faster) and how many pairs B won.
 Layers:
   generate     synth.generate_exchanges(1, 8000), the size of a benchmark
                study's calibration split
-  positions    Chains.positions on one forecast chunk: the 320 chains
-               (FORECAST_CHUNK exchanges x 5 members) at control.HORIZONS
+  positions    Chains.positions on one 64-exchange forecast chunk: the 320
+               chains (64 exchanges x 5 members) at control.HORIZONS
+  truth        synth.balls_at of 600 exchanges at control.HORIZONS and at
+               synth.CONTEXT_TIMES: the return's and the incoming ball's
+               samples, past each chain's end and before its start
   forecast     forecast_ensemble over 600 exchanges at control.HORIZONS
   experiment   run_experiment(seed, 20 episodes, n_cal 600), seeds 11-18
   study        run_conformal_study at 8000/4000, alpha 0.1, 5 members
@@ -40,7 +43,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-LAYERS = ("generate", "positions", "forecast", "experiment", "study", "regions_p50", "reconstruct")
+LAYERS = ("generate", "positions", "truth", "forecast", "experiment", "study", "regions_p50",
+          "reconstruct")
 
 
 def _timed(call, reps: int) -> list[float]:
@@ -62,13 +66,17 @@ def _worker(layer: str) -> float:
     if layer == "generate":
         return min(_timed(lambda: synth.generate_exchanges(1, 8000), 10)) * 1e3
     if layer == "positions":
-        exchanges = synth.generate_exchanges(1, anticipate.FORECAST_CHUNK)
+        exchanges = synth.generate_exchanges(1, 64)  # one chunk whatever FORECAST_CHUNK is
         seen, positions = [], ball.Chains.positions
         ball.Chains.positions = lambda self, t: seen.append((self, t)) or positions(self, t)
         anticipate.forecast_ensemble(predictors, exchanges, control.HORIZONS, 0.0)
         ball.Chains.positions = positions
         chains, t = seen[-1]  # the ensemble's call; the first samples each context
         return min(_timed(lambda: chains.positions(t), 60)) * 1e3
+    if layer == "truth":
+        exchanges = synth.generate_exchanges(1, 600)
+        return min(_timed(lambda: (synth.balls_at(exchanges, control.HORIZONS),
+                                   synth.balls_at(exchanges, synth.CONTEXT_TIMES)), 40)) * 1e3
     if layer == "forecast":
         exchanges = synth.generate_exchanges(1, 600)
         return min(_timed(lambda: anticipate.forecast_ensemble(

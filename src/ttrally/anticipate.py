@@ -147,7 +147,8 @@ def _ensemble(
     chains, _ = return_shots(np.repeat(hit, k, axis=0), -0.675 + d_bounce_x, y_cross,
                              1.05 + d_z_cross, speed, drag, drag)
     preds = chains.positions(horizons).reshape(n, k, len(horizons), 3)
-    return preds.mean(axis=1), np.maximum(preds.std(axis=1), SIGMA_FLOOR)
+    mean = preds.mean(axis=1)  # std's own mean: sum over members / k
+    return mean, np.maximum(preds.std(axis=1, mean=mean[:, None]), SIGMA_FLOOR)
 
 
 @dataclass

@@ -281,18 +281,25 @@ def _log(x):
 RAISE_ON_NONFINITE = dict(divide="raise", over="raise", invalid="raise")
 
 
-def _anchored(b0, bT, T, k, local, span) -> np.ndarray:
-    """The drag law pinned at both anchors: (..., 3) positions at ``local``.
+def _anchored(b0, bT, T, k, local, span) -> list:
+    """The drag law pinned at both anchors: the [x, y, z] positions at ``local``.
 
-    ``b0``, ``bT`` are (..., 3) and ``T``, ``k``, ``local`` and ``span``
-    (``-expm1(-k T)``, the frac denominator) broadcast to (...). Grouping the
-    gravity term as T*frac - t keeps both endpoints exact even when g/k is
-    huge (small-k regime).
+    ``b0`` and ``bT`` hold each axis's anchor, and ``T``, ``k``, ``local``,
+    ``span`` (``-expm1(-k T)``, the frac denominator) and every anchor are
+    floats or broadcast (N,) columns. Grouping the gravity term as T*frac - t
+    keeps both endpoints exact even when g/k is huge (small-k regime).
     """
     frac = -_expm1(-k * local) / span
-    out = b0 + (bT - b0) * frac[..., None]
-    out[..., 2] += (GRAVITY / k) * (T * frac - local)
-    return out
+    x, y, z = (a + (b - a) * frac for a, b in zip(b0, bT))
+    return [x, y, z + (GRAVITY / k) * (T * frac - local)]
+
+
+def _slope(b0, bT, T, k, local, span) -> list:
+    """The drag law's time derivative on ``_anchored``'s arguments: the [vx, vy, vz] velocities."""
+    dfrac = k * _exp(-k * local) / span
+    gk = GRAVITY / k
+    dx, dy, dz = (b - a for a, b in zip(b0, bT))
+    return [dx * dfrac, dy * dfrac, (dz + gk * T) * dfrac - gk]
 
 
 def stokes_positions(seg: StokesSegment, ts) -> np.ndarray:
@@ -302,7 +309,8 @@ def stokes_positions(seg: StokesSegment, ts) -> np.ndarray:
         raise OutOfRange(f"sample times outside [0, {seg.T}]")
     k, T = seg.k, seg.T
     with np.errstate(**RAISE_ON_NONFINITE):
-        return _anchored(seg.b0.as_array(), seg.bT.as_array(), T, k, ts, -_expm1(-k * T))
+        return np.stack(_anchored(seg.b0.as_array(), seg.bT.as_array(), T, k, ts,
+                                  -_expm1(-k * T)), axis=-1)
 
 
 def stokes_position(seg: StokesSegment, t: float) -> Vec3:
@@ -310,7 +318,7 @@ def stokes_position(seg: StokesSegment, t: float) -> Vec3:
     return Vec3(*stokes_positions(seg, [t])[0].tolist())
 
 
-_CHAIN_FIELDS = ("starts", "b0", "bT", "T", "k")
+_CHAIN_FIELDS = ("starts", "b0", "bT", "T", "k", "_span")
 
 
 @dataclass
@@ -322,6 +330,8 @@ class Chains:
     of the last one on, a chain extends linearly with its end velocity.
     Each piece follows the one anchored closed form, as ``stokes_positions`` does.
     ``positions`` evaluates the law only at times inside a chain, each tail only at its own.
+    Samples are gathered and written at flat indices (row * m + time, and
+    row * P + piece), one (N,) column per axis.
     """
 
     starts: np.ndarray  # (n, P) absolute start time of each piece
@@ -336,13 +346,14 @@ class Chains:
             raise ValueError("T must be positive")
         if (self.k <= 0).any():
             raise ValueError("k must be positive")
+        self._span = -_expm1(-self.k * self.T)  # each piece's frac denominator, once a batch
 
     @staticmethod
     def through(t0, anchors: np.ndarray, durations: np.ndarray, k: np.ndarray) -> "Chains":
         """n chains through ``anchors`` (n, P + 1, 3) from times ``t0`` (n,);
         piece p lasts ``durations[:, p]`` with drag ``k[:, p]``."""
         starts = np.concatenate([t0[:, None], durations[:, :-1]], axis=1).cumsum(axis=1)
-        # Contiguous copies: every flat gather (_at) of a strided view copies it first.
+        # Contiguous copies: the flat gathers (_gather) index their memory.
         return Chains(starts, np.ascontiguousarray(anchors[:, :-1]),
                       np.ascontiguousarray(anchors[:, 1:]), durations, k)
 
@@ -354,77 +365,84 @@ class Chains:
             setattr(out, f, getattr(self, f)[rows])
         return out
 
-    def _span(self) -> np.ndarray:
-        return -_expm1(-self.k * self.T)  # each piece's frac denominator
-
     def _times(self, t) -> np.ndarray:
         """Times ``t``, (m,) for every chain or (n, m), as an (n, m) array."""
         times = np.empty((len(self.T), np.shape(t)[-1]))
         times[:] = t
         return times
 
-    @staticmethod
-    def _at(a: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The (n, P, ...) array ``a`` at the flat piece indices ``at``."""
-        return a.reshape(-1, *a.shape[2:]).take(at, 0)
+    def _gather(self, at: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+        """The start and end anchors, each as [x, y, z] columns, k and span
+        of the pieces at the flat indices ``at`` (row * P + piece)."""
+        at3 = at * 3
+        axes = (at3, at3 + 1, at3 + 2)
+        b0, bT = self.b0.reshape(-1), self.bT.reshape(-1)
+        return ([b0.take(j) for j in axes], [bT.take(j) for j in axes],
+                self.k.reshape(-1).take(at), self._span.reshape(-1).take(at))
 
-    def _locate(self, rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @staticmethod
+    def _put(out: np.ndarray, i: np.ndarray, columns: list) -> None:
+        """Write the [x, y, z] ``columns`` to the (n, m, 3) ``out`` at the flat
+        sample indices ``i`` (row * m + time)."""
+        flat, i = out.reshape(-1), i * 3
+        for a, column in enumerate(columns):
+            flat[i + a] = column
+
+    def _locate(self, rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flat index (row * P + piece) of each time's piece in chain ``rows``
-        (broadcast to t), its duration, and the time local to it clamped to [0, T]."""
+        (both (N,)), its duration, and the time local to it clamped to [0, T]."""
         P = self.T.shape[1]
-        piece = np.zeros(t.shape, dtype=int)
+        at = rows * P
+        starts = self.starts.reshape(-1)
+        piece = np.zeros(len(t), dtype=int)
         for p in range(1, P):
-            piece[t >= self.starts[:, p].take(rows) - 1e-12] = p
-        at = rows * P + piece
-        T = self._at(self.T, at)
-        local = t - self._at(self.starts, at)
+            piece[t >= starts.take(at + p) - 1e-12] = p
+        at += piece
+        T = self.T.reshape(-1).take(at)
+        local = t - starts.take(at)
         local = np.where(0.0 > local, 0.0, local)  # max(local, 0.0)
         local = np.where(T < local, T, local)  # min(local, T)
         return at, T, local
-
-    def _velocity(self, at, T: np.ndarray, local: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """Velocity of the pieces at the flat indices ``at``, of durations
-        ``T``, at ``local``, the closed form's derivative: (..., 3) for local (...)."""
-        k = self._at(self.k, at)
-        dfrac = k * _exp(-k * local) / self._at(span, at)
-        gk = GRAVITY / k
-        d = self._at(self.bT, at) - self._at(self.b0, at)
-        v = d * dfrac[..., None]
-        v[..., 2] = (d[..., 2] + gk * T) * dfrac - gk
-        return v
 
     def positions(self, t) -> np.ndarray:
         """(n, m, 3) positions at times ``t``: (m,) for every chain, or (n, m)."""
         n, P = self.T.shape
         t = self._times(t)
+        m = t.shape[1]
         out = np.empty(t.shape + (3,))
         with np.errstate(**RAISE_ON_NONFINITE):
-            span = self._span()
             t0, t_end = self.starts[:, 0], self.starts[:, -1] + self.T[:, -1]
             before, after = t < t0[:, None], t >= t_end[:, None]
-            inside = ~(before | after)
-            at, T, local = self._locate(np.nonzero(inside)[0], t[inside])
-            out[inside] = _anchored(self._at(self.b0, at), self._at(self.bT, at), T,
-                                    self._at(self.k, at), local, self._at(span, at))
+            flat_t = t.reshape(-1)
+            i = np.flatnonzero(~(before | after))
+            at, T, local = self._locate(i // m, flat_t.take(i))
+            b0, bT, k, span = self._gather(at)
+            self._put(out, i, _anchored(b0, bT, T, k, local, span))
 
             # Linear tails at their piece end's velocity; before, written last, wins where
             # both hold. t_end lands on the end anchor though t_end - start may round below T.
             for tail, p, anchor, t_p, local in ((after, P - 1, self.bT, t_end, self.T[:, -1]),
                                                 (before, 0, self.b0, t0, np.zeros(n))):
-                if tail.any():
-                    v = self._velocity(np.arange(n) * P + p, self.T[:, p], local, span)
-                    rows = np.nonzero(tail)[0]
-                    out[tail] = (anchor[:, p].take(rows, 0)
-                                 + v.take(rows, 0) * (t[tail] - t_p.take(rows))[:, None])
+                i = np.flatnonzero(tail)
+                if len(i):
+                    rows = i // m
+                    v = _slope(self.b0[:, p].T, self.bT[:, p].T, self.T[:, p], self.k[:, p],
+                               local, self._span[:, p])
+                    dt = flat_t.take(i) - t_p.take(rows)
+                    self._put(out, i, [b.take(rows) + u.take(rows) * dt
+                                       for b, u in zip(anchor[:, p].T, v)])
         return out
 
     def velocities(self, t) -> np.ndarray:
         """(n, m, 3) velocities at times ``t``, shaped as for ``positions``;
         the tails move at the velocity of the piece end they extend."""
         t = self._times(t)
+        rows = np.arange(len(t)).repeat(t.shape[1])
         with np.errstate(**RAISE_ON_NONFINITE):
-            return self._velocity(*self._locate(np.arange(len(self.T))[:, None], t),
-                                  self._span())
+            at, T, local = self._locate(rows, t.reshape(-1))
+            b0, bT, k, span = self._gather(at)
+            v = _slope(b0, bT, T, k, local, span)
+        return np.stack(v, axis=-1).reshape(t.shape + (3,))
 
 
 def smooth(values: np.ndarray) -> np.ndarray:

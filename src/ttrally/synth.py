@@ -456,17 +456,19 @@ def return_shots(
         total_t = (l1 + l2) / speed
         t1 = total_t * l1 / (l1 + l2)
         t2 = total_t - t1
+        durations, k = np.empty((n, 2)), np.empty((n, 2))
+        durations[:, 0], durations[:, 1], k[:, 0], k[:, 1] = t1, t2, k1, k2
+        chains = Chains.through(np.zeros(n), anchors, durations, k)
 
-        # Solve the virtual end height so the plane crossing sits at z_cross.
-        denom = -_expm1(-k2 * t2)
+        # Solve the virtual end height so the plane crossing sits at z_cross;
+        # the spans, the chains' own, do not depend on it.
+        denom = chains._span[:, 1]
         frac_needed = (x_plane - x_bounce) / (x_end - x_bounce)
         tc_local = -_log(1.0 - frac_needed * denom) / k2
         frac_c = -_expm1(-k2 * tc_local) / denom
         gk = GRAVITY / k2
-        anchors[:, 2, 2] = height - gk * t2 + (z_cross - height + gk * tc_local) / frac_c
-    durations, k = np.empty((n, 2)), np.empty((n, 2))
-    durations[:, 0], durations[:, 1], k[:, 0], k[:, 1] = t1, t2, k1, k2
-    return Chains.through(np.zeros(n), anchors, durations, k), t1 + tc_local
+        chains.bT[:, 1, 2] = height - gk * t2 + (z_cross - height + gk * tc_local) / frac_c
+    return chains, t1 + tc_local
 
 
 def _draw_exchange(rng: np.random.Generator) -> tuple[float, ...]:
