@@ -257,10 +257,9 @@ def calibrate_ensemble(forecast: SplitForecast, alpha: float) -> ConformalCalibr
 
 
 def _bounds(
-    calib: ConformalCalibration, horizons: Sequence[float], mean: np.ndarray, sigma: np.ndarray
+    calib: ConformalCalibration, keys: Sequence[float], mean: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Region corners mean -/+ q * sigma; ``mean`` and ``sigma`` end in (n_horizons, 3)."""
-    keys = [horizon_key(h) for h in horizons]
+    """Region corners mean -/+ q * sigma at horizon ``keys``; mean and sigma end in (n_h, 3)."""
     try:
         table = [[calib.quantiles[ax, key] for ax in AXES] for key in keys]
     except KeyError as missing:
@@ -275,11 +274,12 @@ def build_regions(
     ctx: ContextWindow,
     horizons: Sequence[float],
 ) -> list[Region]:
+    keys = [horizon_key(h) for h in horizons]
     (mean,), (sigma,) = _ensemble(predictors, *_context_arrays([ctx]),
                                   np.asarray(horizons, dtype=float))
-    lo, hi = _bounds(calib, horizons, mean, sigma)
-    return [Region(horizon=horizon_key(h), lo=Vec3(*l), hi=Vec3(*u))
-            for h, l, u in zip(horizons, lo.tolist(), hi.tolist())]
+    lo, hi = _bounds(calib, keys, mean, sigma)
+    return [Region(horizon=key, lo=Vec3(*l), hi=Vec3(*u))
+            for key, l, u in zip(keys, lo.tolist(), hi.tolist())]
 
 
 def split_regions(
@@ -293,7 +293,7 @@ def split_regions(
     build_regions on every exchange's context up to -lead_time, from one
     forecast_ensemble of the split: no frame is built."""
     mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
-    return _bounds(calib, horizons, mean, sigma)
+    return _bounds(calib, [horizon_key(h) for h in horizons], mean, sigma)
 
 
 def check_split(calib: ConformalCalibration, test_exchanges: Exchanges) -> None:
@@ -313,11 +313,11 @@ def evaluate_coverage(calib: ConformalCalibration, forecast: SplitForecast) -> C
     check_split(calib, forecast.exchanges)
     if not forecast.exchanges:
         raise InputMismatch("empty test split")
-    lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
+    keys = [horizon_key(h) for h in forecast.horizons]
+    lo, hi = _bounds(calib, keys, forecast.mean, forecast.sigma)
     inside = (lo <= forecast.truth) & (forecast.truth <= hi)
     axis_hits, joint_hits = inside.sum(axis=0), inside.all(axis=2).sum(axis=0)
     n = len(forecast.exchanges)
-    keys = [horizon_key(h) for h in forecast.horizons]
     return CoverageReport(
         per_axis={(ax, k): int(axis_hits[j, i]) / n
                   for i, ax in enumerate(AXES) for j, k in enumerate(keys)},
@@ -327,11 +327,12 @@ def evaluate_coverage(calib: ConformalCalibration, forecast: SplitForecast) -> C
 
 def width_vs_horizon(calib: ConformalCalibration, forecast: SplitForecast) -> dict[float, float]:
     """Mean region width (averaged over axes and exchanges) per horizon."""
-    lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
+    keys = [horizon_key(h) for h in forecast.horizons]
+    lo, hi = _bounds(calib, keys, forecast.mean, forecast.sigma)
     widths = np.mean(2.0 * ((hi - lo) * 0.5), axis=2)
     # np.mean of each horizon's column sums it pairwise, as it summed the
     # per-exchange lists; widths.mean(axis=0) would sum sequentially.
-    return {horizon_key(h): float(np.mean(col)) for h, col in zip(forecast.horizons, widths.T)}
+    return {key: float(np.mean(col)) for key, col in zip(keys, widths.T)}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def extreme_hit_bias(calib: ConformalCalibration, forecast: SplitForecast) -> Bi
     by_horizon = np.argsort(keys, kind="stable")
     t_cross, y = forecast.exchanges.crossing_time, forecast.exchanges.crossing_pos[:, 1]
     nearest = by_horizon[np.argmin(np.abs(keys[by_horizon] - t_cross[:, None]), axis=1)]
-    lo, hi = _bounds(calib, forecast.horizons, forecast.mean, forecast.sigma)
+    lo, hi = _bounds(calib, keys.tolist(), forecast.mean, forecast.sigma)
     rows = np.arange(len(y))
     lo_y, hi_y = lo[rows, nearest, 1], hi[rows, nearest, 1]
     # Excluded share of each y half-range [0, hw] and [-hw, 0].

@@ -290,16 +290,17 @@ def _anchored(b0, bT, T, k, local, span) -> list:
     keeps both endpoints exact even when g/k is huge (small-k regime).
     """
     frac = -_expm1(-k * local) / span
-    x, y, z = (a + (b - a) * frac for a, b in zip(b0, bT))
-    return [x, y, z + (GRAVITY / k) * (T * frac - local)]
+    (x0, y0, z0), (x1, y1, z1) = b0, bT
+    return [x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac,
+            z0 + (z1 - z0) * frac + (GRAVITY / k) * (T * frac - local)]
 
 
 def _slope(b0, bT, T, k, local, span) -> list:
     """The drag law's time derivative on ``_anchored``'s arguments: the [vx, vy, vz] velocities."""
     dfrac = k * _exp(-k * local) / span
     gk = GRAVITY / k
-    dx, dy, dz = (b - a for a, b in zip(b0, bT))
-    return [dx * dfrac, dy * dfrac, (dz + gk * T) * dfrac - gk]
+    (x0, y0, z0), (x1, y1, z1) = b0, bT
+    return [(x1 - x0) * dfrac, (y1 - y0) * dfrac, (z1 - z0 + gk * T) * dfrac - gk]
 
 
 def stokes_positions(seg: StokesSegment, ts) -> np.ndarray:
@@ -309,8 +310,7 @@ def stokes_positions(seg: StokesSegment, ts) -> np.ndarray:
         raise OutOfRange(f"sample times outside [0, {seg.T}]")
     k, T = seg.k, seg.T
     with np.errstate(**RAISE_ON_NONFINITE):
-        return np.stack(_anchored(seg.b0.as_array(), seg.bT.as_array(), T, k, ts,
-                                  -_expm1(-k * T)), axis=-1)
+        return np.array(_anchored(tuple(seg.b0), tuple(seg.bT), T, k, ts, -_expm1(-k * T))).T.copy()
 
 
 def stokes_position(seg: StokesSegment, t: float) -> Vec3:
@@ -329,9 +329,8 @@ class Chains:
     and is clamped to that piece; before the first piece and from the end
     of the last one on, a chain extends linearly with its end velocity.
     Each piece follows the one anchored closed form, as ``stokes_positions`` does.
-    ``positions`` evaluates the law only at times inside a chain, each tail only at its own.
-    Samples are gathered and written at flat indices (row * m + time, and
-    row * P + piece), one (N,) column per axis.
+    ``positions`` evaluates the law only at times inside a chain, each tail only at its own,
+    per axis on (N,) columns gathered and written at flat indices.
     """
 
     starts: np.ndarray  # (n, P) absolute start time of each piece
@@ -371,13 +370,13 @@ class Chains:
         times[:] = t
         return times
 
-    def _gather(self, at: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+    def _gather(self, at: np.ndarray) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
         """The start and end anchors, each as [x, y, z] columns, k and span
         of the pieces at the flat indices ``at`` (row * P + piece)."""
-        at3 = at * 3
-        axes = (at3, at3 + 1, at3 + 2)
+        x = at * 3
+        y, z = x + 1, x + 2
         b0, bT = self.b0.reshape(-1), self.bT.reshape(-1)
-        return ([b0.take(j) for j in axes], [bT.take(j) for j in axes],
+        return ((b0.take(x), b0.take(y), b0.take(z)), (bT.take(x), bT.take(y), bT.take(z)),
                 self.k.reshape(-1).take(at), self._span.reshape(-1).take(at))
 
     @staticmethod
@@ -385,10 +384,11 @@ class Chains:
         """Write the [x, y, z] ``columns`` to the (n, m, 3) ``out`` at the flat
         sample indices ``i`` (row * m + time)."""
         flat, i = out.reshape(-1), i * 3
-        for a, column in enumerate(columns):
-            flat[i + a] = column
+        for column in columns:
+            flat[i] = column
+            i += 1
 
-    def _locate(self, rows: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _locate(self, rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flat index (row * P + piece) of each time's piece in chain ``rows``
         (both (N,)), its duration, and the time local to it clamped to [0, T]."""
         P = self.T.shape[1]
