@@ -122,6 +122,7 @@ def cmd_simulate(args) -> int:
     for r in rows:
         print(
             f"{r.strategy} lam={r.lam!r} lead={r.lead_time!r}"
+            f" central={pipeline.CENTRAL.encode([r.central])[0]}"
             f" return_rate={r.return_rate!r} deviation={r.mean_deviation!r}"
         )
     return EXIT_OK

@@ -332,7 +332,7 @@ class EpisodeResult:
     return_deviation: Optional[float]  # m from the aim point, if contacted
     position_error: float  # m from the ideal pose at interception time
     orientation_error: float  # rad from the ideal pose at interception time
-    fallback: bool  # anticipation found no coverable region
+    fallback: bool  # anticipation found no region inside the workspace
 
 
 def _step_balls(exchanges: Exchanges, lead_times: Sequence[float],
@@ -364,11 +364,11 @@ def _prepositions(regions: tuple[np.ndarray, np.ndarray],
     whether it fell back to the central pose (n,).
 
     Each exchange takes its earliest horizon whose region lies inside the
-    workspace (BOX_TOL) and whose farthest corner from the central pose is
-    within v_max * (horizon + lead_time); the target is the blend
-    central * lam + centroid * (1 - lam), clamped into that region and then
-    into the workspace. With no such horizon it is the central pose. lam = 1
-    is the central pose only when the region box contains it.
+    workspace (BOX_TOL); the target is the blend central * lam + centroid *
+    (1 - lam), clamped into that region and then into the workspace. With
+    no such horizon (an infinite conformal quantile leaves every region
+    unbounded) it is the central pose. lam = 1 is the central pose only when
+    the region box contains it.
     """
     lo, hi = regions
     n, ws = len(lo), params.workspace
@@ -376,12 +376,8 @@ def _prepositions(regions: tuple[np.ndarray, np.ndarray],
     inside = ((ws_lo - BOX_TOL <= lo) & (lo <= ws_hi + BOX_TOL)
               & (ws_lo - BOX_TOL <= hi) & (hi <= ws_hi + BOX_TOL)).all(axis=2)
     central = np.array(_xyz(params.central))
-    far = np.maximum(np.abs(lo - central), np.abs(hi - central))
-    reach = params.v_max * (np.array(HORIZONS) + params.lead_time)
-    ff = far * far
-    covers = inside & (np.sqrt(ff[..., 0] + ff[..., 1] + ff[..., 2]) <= reach)
-    first, rows = covers.argmax(axis=1), np.arange(n)
-    fallback = ~covers[rows, first]
+    first, rows = inside.argmax(axis=1), np.arange(n)
+    fallback = ~inside[rows, first]
     box_lo, box_hi = lo[rows, first], hi[rows, first]
     with np.errstate(invalid="ignore"):  # a fallback's unread region may be unbounded
         blend = central * params.lam + ((box_lo + box_hi) * 0.5) * (1.0 - params.lam)
@@ -447,15 +443,17 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
     """Every row's episodes, stepped together as one set of lanes.
 
     A row is (strategy, params, regions), regions being an anticipatory
-    row's region corners at its lead time (``_prepositions``). Rows differ
-    only in strategy, lam, central pose and lead time. Lane r * n + e is row
-    r's episode of exchange e, on the step grid of its lead time
-    (``_step_balls``). Positions are a (3, lanes) array stepped toward each
-    lane's pre-hit target until the first step after its grid's hit, then
-    toward its exchange's ideal position. A lane's pose freezes at its
-    contact, and its contact test ends at its exchange's last step; its pose
-    at the crossing is the last one stepped, up to the contact, at a time t
-    with t - dt <= crossing_time <= t. The orientation never depends on the
+    row's region corners at its lead time. Rows differ only in strategy,
+    lam, central pose and lead time. Lane r * n + e is row r's episode of
+    exchange e, on the step grid of its lead time (``_step_balls``).
+    Positions are a (3, lanes) array stepped toward each lane's pre-hit
+    target (the central pose, the oracle's ideal pose, or the anticipatory
+    blend toward the earliest region inside the workspace, ``_prepositions``)
+    until the first step after its grid's hit, then toward its exchange's
+    ideal position. A lane's pose freezes at its contact, and its contact
+    test ends at its exchange's last step; its pose at the crossing is the
+    last one stepped, up to the contact, at a time t with
+    t - dt <= crossing_time <= t. The orientation never depends on the
     position: it is an index into the exchange's one turn sequence from
     IDENTITY toward the ideal, which the oracle starts at step 1 and the
     other strategies at the first step after the hit. A lane's contact test

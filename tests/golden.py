@@ -16,7 +16,11 @@ arithmetic before it with no discrete outcome moved: the drag law's libm
 calls became a fixed-order port and the returner's BLAS dots float sums
 (simulate, library, tracks, exchanges, experiments 12-18); ``select_bounces``
 began to report its batched screen's total (reconstruct, library: only
-``mse=`` moved, by at most 4.3e-14 times 1 + its value).
+``mse=`` moved, by at most 4.3e-14 times 1 + its value). One behaviour
+re-pin: anticipatory rows stopped requiring a region the robot can cover
+from the central pose in time (simulate, experiments 11-18, which also
+print each row's rest pose); ``experiment:baseline-oracle`` holds the rows
+that read no region, and ``test_control`` the new pre-position rule.
 """
 
 import argparse
@@ -39,8 +43,8 @@ DIGESTS = {
     # COMMANDS: sha256 of the --out file and of stdout
     "cli:conformal-out": "2bb725dbb17ebaa4f879856c5f62366b5c5a29f24290f77a6934d5f9cb2b76a4",
     "cli:conformal-stdout": "81b24a2ac5f26847899ff390f9a73476535f693c73752e6a00a565c896cd7cb6",
-    "cli:simulate-out": "b9adb8829ddc0ae5a42a01e270f9b8093ae7fe9c3fd756b4a4d128ce8d317080",
-    "cli:simulate-stdout": "715d6428d92972d0e9289b308ca0d11bcdce7e75e9348ede110ab204f4cac278",
+    "cli:simulate-out": "1f95cac4cfe41e3ecfe29e3b17c238444be175fa158362509d4312259497eedf",
+    "cli:simulate-stdout": "e9bfc93862f715ea4e303c82ed0a553fd74cd0ed778372330bde99676a96d239",
     # the seed-21 synth track's camera-v1 stdout of calibrate, by --noise-px
     "cli:calibrate-0.0": "2d00f7d295af895ddfcbc1b79f3fd89728d4d815a5d8c0a70a048360ae1e5488",
     "cli:calibrate-1.5": "ff6bc8e4a225d5698a1b359b478c9dbef01e336fb9905d84740ccbaad0758b0a",
@@ -53,15 +57,18 @@ DIGESTS = {
     "tracks": "8f79dbaa15ab54dce82ae124033d5177177217a3fe6d1f59b04050e3a0d1c370",
     # _exchange_digest(generate_exchanges(7, 200))
     "exchanges": "aaddacbc714c41efa8c57497ae2826ad6026dd75fc353d72778cdca60da3b3c1",
+    # repr of the baseline and oracle rows of experiments 11-18, in order: they read
+    # no region, so no change to anticipation may move them
+    "experiment:baseline-oracle": "4ce69e7090a4e32cb2e14938cc6d6462d34cc9cac6a0ca034fa7d4f3f6f88bd7",
     # repr(run_experiment(seed, 20, n_cal=600)), the NaN of a row without returns included
-    "experiment:11": "ee14c7fcc43ede25b262b0a48227b0ad0915f64a11c9c8152e45985851a92f9a",
-    "experiment:12": "77ff3f919965b5a7435a97762fd3389848ede56ad1c489e7614cc406ea68fb1f",
-    "experiment:13": "fd70915510656edca24d98e7409422755180f161741e5f9e1ea4e66e0eff8fe8",
-    "experiment:14": "9fe926f73b54713d638bf3cbe8527848892248c82b741f8f1f7be924bc43eba7",
-    "experiment:15": "4eae5dd9fe1e58a8c03ecb34614f1f795962179c7caf48ec1e3cd1aba7d1e578",
-    "experiment:16": "d683ec4428572acde268de37d523ea7b5d24477eaee501bd867648c4b1d19ee2",
-    "experiment:17": "3e0a69b6a8ee89f830314ec1a95f0f611f6961ace03f1f84a20a94c12431a721",
-    "experiment:18": "9e9563213a521b3ed111cd4a160ec803f34dd2c46a4259da92038985ef65e7ca",
+    "experiment:11": "38e2eafd747e0cf6aec40d7cc0512f453daf5355a77c8e61d03515b202a7fc13",
+    "experiment:12": "e7eee3787709e0583e34b555b95264dbc06adba46c974b92e67c9cbbd7b09f7f",
+    "experiment:13": "f86987e3c36aade87d5eb8a019ea3de79bf42ec8f4a6470b70f36f118484a0d8",
+    "experiment:14": "c71e1fc2bb8f114e8a64e3a0b6ad4b798888cb5ee3c05aff2ab7739230bcd285",
+    "experiment:15": "bffbd576c740c06a8fa760e7f9f11013fb14f0e6d6377094568c4e1a523dbc03",
+    "experiment:16": "14a7250265536fec0f043b2bcda58f2122fa06bcdf44a7e4ad61251ebd6c198b",
+    "experiment:17": "06511542274f69d1a42e1aaa50450c4b1e7458f689c29b3d14accde690f583e5",
+    "experiment:18": "c200390be2254565e95f3405201c179655c90c0d2daf4c9257b73e2a37bcc66a",
 }
 COMMANDS = {"conformal": ["conformal", "--seed", "5", "--n-cal", "60", "--n-test", "40"],
             "simulate": ["simulate", "--seed", "3", "--episodes", "8"]}
@@ -224,12 +231,18 @@ def _exchanges(tmp: Path) -> dict[str, str]:
     return {"exchanges": _exchange_digest(full)}
 
 
+def _experiments(tmp: Path) -> dict[str, str]:
+    rows = {seed: control.run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)}
+    regionless = [r for seed in rows for r in rows[seed] if r.strategy != "anticipatory"]
+    return {"experiment:baseline-oracle": _sha256(repr(regionless).encode()),
+            **{f"experiment:{seed}": _sha256(repr(r).encode()) for seed, r in rows.items()}}
+
+
 GROUPS = {
     "cli": _cli,
     "library": lambda tmp: {"library": _sha256(b"".join(r for _, r in points("library")))},
     "tracks": _tracks, "exchanges": _exchanges,
-    "experiment": lambda tmp: {f"experiment:{seed}": _sha256(
-        repr(control.run_experiment(seed, 20, n_cal=600)).encode()) for seed in range(11, 19)},
+    "experiment": _experiments,
 }
 
 

@@ -6,10 +6,9 @@ slerp, then the workspace clamp) and tests contact with
 ``point_segment_distance``; ``outcome`` grades it, landing the return with
 ``DragFlight``; ``row`` runs one strategy row episode by episode on the grid
 of ``step_balls``. The pre-hit target comes from the scalar selection:
-``select_target_time`` (each region in horizon order through
-``reachable_covers``) and ``select_preposition``. Regions are
-``anticipate.Region`` lists, one per exchange. Tests hold the engine to these
-bit for bit: ``test_control``'s lane tests run each row of a lane set through
+``select_target_time`` (the earliest region inside the workspace) and
+``select_preposition``. Regions are ``anticipate.Region`` lists, one per
+exchange. Tests hold the engine to these bit for bit: ``test_control``'s lane tests run each row of a lane set through
 ``row`` too, over mixed lead times (the default 0.2 among them), step sizes,
 narrow workspaces, rest poses, slow turns and a racket that never reflects,
 and count the steps ``step`` clamps and the non-reflecting racket's calls.
@@ -76,7 +75,7 @@ def angle(a: RacketPose, b: RacketPose) -> float:
 
 
 class NoFeasibleTime(Exception):
-    """No horizon whose region the robot can cover in time: the episode falls back."""
+    """No horizon whose region lies inside the workspace: the episode falls back."""
 
 
 def contains_box(box: Box, lo: Vec3, hi: Vec3) -> bool:
@@ -89,33 +88,12 @@ def clamp(box: Box, p: Vec3) -> Vec3:
                 min(max(p.z, lo.z), hi.z))
 
 
-def farthest_corner_distance(region: Region, p: Vec3) -> float:
-    """Norm of the per-axis farthest offsets, summed in float order, not by BLAS."""
-    lo, hi = region.lo, region.hi
-    dx = max(abs(lo.x - p.x), abs(hi.x - p.x))
-    dy = max(abs(lo.y - p.y), abs(hi.y - p.y))
-    dz = max(abs(lo.z - p.z), abs(hi.z - p.z))
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-def reachable_covers(
-    region: Region, p: Vec3, workspace: Box, v_max: float, available_time: float
-) -> bool:
-    """Can a robot at p cover the whole region within the available time?"""
-    if available_time < 0:
-        return False
-    if not contains_box(workspace, region.lo, region.hi):
-        return False
-    return farthest_corner_distance(region, p) <= v_max * available_time
-
-
-def select_target_time(regions: Sequence[Region], p: Vec3, workspace: Box, v_max: float,
-                       lead_time: float) -> Region:
-    """Earliest-horizon region the robot can fully cover within horizon + lead_time."""
+def select_target_time(regions: Sequence[Region], workspace: Box) -> Region:
+    """The earliest-horizon region that lies inside the workspace."""
     for region in sorted(regions, key=lambda r: r.horizon):
-        if reachable_covers(region, p, workspace, v_max, region.horizon + lead_time):
+        if contains_box(workspace, region.lo, region.hi):
             return region
-    raise NoFeasibleTime("no coverable prediction region")
+    raise NoFeasibleTime("no prediction region inside the workspace")
 
 
 def select_preposition(region: Region, central: Vec3, lam: float, workspace: Box) -> Vec3:
@@ -180,8 +158,7 @@ def approach(ideal: RacketPose, crossing_time: float, strategy: str, params: Sim
         idle = _xyz(ideal.position), ideal.orientation
     elif strategy == "anticipatory":
         try:
-            region = select_target_time(regions, params.central, params.workspace,
-                                        params.v_max, params.lead_time)
+            region = select_target_time(regions, params.workspace)
         except NoFeasibleTime:
             fallback = True
         else:

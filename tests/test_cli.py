@@ -93,6 +93,9 @@ def test_simulate_tiny_run(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "results-v1 seed=3"
     assert len(lines) > 3  # header rows plus sweep rows
+    # Each stdout row names its rest pose as the results-v1 row writes it.
+    assert ([line.split()[3] for line in stdout.splitlines()]
+            == ["central=" + line.split("\t")[3] for line in lines[2:]])
 
 
 def test_exit_code_usage_on_bad_input(tmp_path, capsys):

@@ -14,8 +14,7 @@ from scipy.spatial.transform import Rotation, Slerp
 
 import scalar_episode
 from scalar_episode import (DragFlight, NoFeasibleTime, angle, as_regions, clamp, contains_box,
-                            farthest_corner_distance, reachable_covers, select_preposition,
-                            select_target_time)
+                            select_preposition, select_target_time)
 from ttrally import anticipate, control, synth
 from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
 from ttrally.ball import GRAVITY, Chains
@@ -90,73 +89,15 @@ def test_racket_reflect_head_on_reverses():
     assert (out - Vec3(5.0, 0.0, 0.0)).norm() < 1e-12
 
 
-def test_farthest_corner_distance_matches_corner_enumeration():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        lo = rng.uniform(-2, 0, 3)
-        hi = lo + rng.uniform(0.1, 1.5, 3)
-        p = Vec3(*rng.uniform(-3, 3, 3))
-        region = _region(lo, hi)
-        corners = [
-            np.array([x, y, z])
-            for x in (lo[0], hi[0])
-            for y in (lo[1], hi[1])
-            for z in (lo[2], hi[2])
-        ]
-        oracle = max(np.linalg.norm(c - p.as_array()) for c in corners)
-        assert farthest_corner_distance(region, p) == pytest.approx(oracle)
-
-
-def _numpy_farthest_corner_distance(region, p):
-    """The numpy form farthest_corner_distance replaced: its norm rounds as
-    the BLAS kernel picked at run time does."""
-    lo, hi, q = region.lo.as_array(), region.hi.as_array(), p.as_array()
-    return float(np.linalg.norm(np.maximum(np.abs(lo - q), np.abs(hi - q))))
-
-
-def test_farthest_corner_distance_keeps_every_reachability_decision():
-    # The float sum may differ from the numpy norm by up to 2 ulps, but over
-    # the regions the returner forecasts no reachability decision flips.
-    params, decisions = SimParams(), 0
-    for lead_time in (0.1, 0.2, 0.4):
-        predictors, calib = prepare_anticipation(30, replace(params, lead_time=lead_time), 60)
-        for seed in range(30, 42):
-            rows = as_regions(*split_regions(predictors, calib, generate_exchanges(seed, 60),
-                                             HORIZONS, lead_time), HORIZONS)
-            for region in (r for row in rows for r in row):
-                got = farthest_corner_distance(region, params.central)
-                want = _numpy_farthest_corner_distance(region, params.central)
-                assert abs(got - want) <= 2 * math.ulp(want)
-                reach = params.v_max * (region.horizon + lead_time)
-                assert (got <= reach) == (want <= reach)
-                decisions += got <= reach
-    assert 0 < decisions < 3 * 12 * 60 * len(HORIZONS)  # both outcomes occur
-
-
-def test_reachable_covers_rules():
-    region = _region((-2.0, -0.2, 0.9), (-1.8, 0.2, 1.1))
-    p = Vec3(-1.5, 0.0, 1.0)
-    far = farthest_corner_distance(region, p)
-    assert reachable_covers(region, p, WORKSPACE, v_max=2.0,
-                            available_time=far / 2.0 + 1e-9)
-    assert not reachable_covers(region, p, WORKSPACE, v_max=2.0,
-                                available_time=far / 2.0 - 1e-6)
-    assert not reachable_covers(region, p, WORKSPACE, 2.0, -0.1)
-    outside = _region((-3.5, 0, 0.9), (-3.0, 0.2, 1.1))
-    assert not reachable_covers(outside, p, WORKSPACE, 2.0, 10.0)
-
-
 def test_select_target_time_prefers_earliest_feasible():
-    p = Vec3(-1.5, 0.0, 1.0)
-    near_infeasible = _region((-2.7, -1.3, 0.6), (-1.3, 1.3, 1.7), horizon=0.05)
-    feasible = _region((-1.6, -0.1, 0.95), (-1.4, 0.1, 1.05), horizon=0.2)
+    # Feasible means inside the workspace: however far a region is from the
+    # central pose, the earliest one inside is taken.
+    outside = _region((-3.5, -0.1, 0.95), (-2.9, 0.1, 1.05), horizon=0.05)
+    far = _region((-2.8, -1.4, 0.5), (-2.7, -1.3, 0.6), horizon=0.2)
     later = _region((-1.6, -0.1, 0.95), (-1.4, 0.1, 1.05), horizon=0.4)
-    pick = select_target_time([later, feasible, near_infeasible], p, WORKSPACE,
-                              v_max=2.0, lead_time=0.1)
-    assert pick.horizon == 0.2
+    assert select_target_time([later, far, outside], WORKSPACE).horizon == 0.2
     with pytest.raises(NoFeasibleTime):
-        select_target_time([near_infeasible], p, WORKSPACE, v_max=0.01,
-                           lead_time=0.0)
+        select_target_time([outside], WORKSPACE)
 
 
 def test_select_preposition_blend_endpoints():
@@ -602,6 +543,48 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
     assert anticipated > 0
 
 
+def test_an_exchange_pre_positions_toward_its_earliest_region_in_the_workspace(monkeypatch):
+    # Seed 7 at lead 0.1 and alpha 0.05: every exchange has a region inside
+    # the workspace, but the earliest one's farthest corner from the central
+    # pose lies beyond v_max * (horizon + lead_time). Reach does not matter:
+    # no exchange falls back, and the first target each lane is sent is the
+    # clamped blend toward that region.
+    params = SimParams(lead_time=0.1, alpha=0.05)
+    predictors, calib = prepare_anticipation(7, params)
+    exchanges = generate_exchanges(7, 500)
+    sent = []
+    move = control._move
+    monkeypatch.setattr(control, "_move", lambda pos, target, *rest:
+                        sent.append(target.copy()) or move(pos, target, *rest))
+    _, results = run_strategy(exchanges, "anticipatory", params, predictors, calib)
+    regions = as_regions(*split_regions(predictors, calib, exchanges, HORIZONS, params.lead_time),
+                         HORIZONS)
+    central = params.central.as_array()
+    for e, (result, rows) in enumerate(zip(results, regions, strict=True)):
+        region = select_target_time(rows, params.workspace)
+        far = np.maximum(np.abs(region.lo.as_array() - central),
+                         np.abs(region.hi.as_array() - central))
+        assert np.linalg.norm(far) > params.v_max * (region.horizon + params.lead_time)
+        assert not result.fallback
+        assert Vec3(*sent[0][:, e].tolist()) == select_preposition(
+            region, params.central, params.lam, params.workspace)
+
+
+@pytest.mark.parametrize("lead_time", [0.1, 0.4])
+def test_infinite_quantiles_leave_every_anticipatory_lane_at_the_baseline(lead_time):
+    # With alpha below 1 / (n_cal + 1) every conformal quantile is infinite,
+    # so no region lies inside the workspace: every anticipatory lane falls
+    # back to the central pose and runs exactly as the baseline's.
+    params = SimParams(alpha=0.01, lead_time=lead_time)
+    predictors, calib = prepare_anticipation(7, params, n_cal=20)
+    assert all(math.isinf(q) for q in calib.quantiles.values())
+    exchanges = generate_exchanges(7, 40)
+    _, antic = run_strategy(exchanges, "anticipatory", params, predictors, calib)
+    _, base = run_strategy(exchanges, "baseline", params)
+    assert all(r.fallback for r in antic)
+    assert repr([replace(r, strategy="baseline", fallback=False) for r in antic]) == repr(base)
+
+
 def test_a_row_builds_poses_for_its_outcomes_only(monkeypatch):
     # Episodes step as array lanes and grade on floats: a row builds 4
     # RacketPose and Vec3 objects per episode for its ideal pose (the
@@ -887,7 +870,7 @@ def test_skipped_contact_tests_are_beyond_the_racket():
 
 
 def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
-    # Over seeds 11-18 the rows of an experiment make 1,129 contacts at 449
+    # Over seeds 11-18 the rows of an experiment make 1,233 contacts at 490
     # distinct (exchange, time, orientation) keys whose racket reflects the
     # ball (a landing depends on no racket position), and the landing search
     # runs once per key. Grading every contact afresh, each row in a lane set
@@ -898,7 +881,7 @@ def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
     monkeypatch.setattr(control, "_aggregate", lambda results, *rest: contacts.update(
         contacted=sum(r.contacted for r in results)) or aggregate(results, *rest))
     rows = [run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]
-    assert (len(landings), contacts["contacted"]) == (449, 1129)
+    assert (len(landings), contacts["contacted"]) == (490, 1233)
 
     monkeypatch.setattr(control, "_episodes", lambda exchanges, rows:
                         [episodes(exchanges, [row])[0] for row in rows])

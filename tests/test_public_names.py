@@ -32,7 +32,7 @@ ALLOWED = {
 # Dataclass fields with no read in the program, each kept for a reason.
 ALLOWED_FIELDS = {
     "Region.horizon": "tests/scalar_episode.py, the scalar episode oracle, sorts regions by it",
-    "EpisodeResult.contacted": "the contact flag that ROADMAP item 2's per-row report is to read",
+    "EpisodeResult.contacted": "the contact flag that ROADMAP item 3's per-row report is to read",
 }
 
 
