@@ -8,10 +8,12 @@ pre-positions on the ground-truth interception pose.
 
 Episodes run as array lanes. A lane is one row's episode of one exchange
 (a row being a strategy with its lam, rest pose and lead time), and every
-lane of an experiment steps together, each on the step grid of its row's
-lead time. Per exchange, every row shares the ideal interception pose and one
-turn sequence toward it; per grid, the steps at which a contact is possible
-at all; per contact (exchange, time and orientation), one grading of the return.
+lane of an experiment steps together on one clock of whole steps: the
+opponent's hit is a step, at exactly t = 0, and a row of lead time L starts
+at the first step time at or after -L. Per exchange, every row shares one
+ball sample, the ideal interception pose, one turn sequence toward it and
+the steps at which a contact is possible at all; per contact (exchange, step
+and orientation), one grading of the return.
 """
 
 from __future__ import annotations
@@ -303,7 +305,8 @@ class SimParams:
     omega_max: float = math.radians(720.0)
     dt: float = 0.01
     lam: float = 0.1
-    lead_time: float = 0.2  # anticipation available this long before the hit
+    lead_time: float = 0.2  # anticipation available this long before the hit; the robot
+    # starts floor(lead_time / dt + 1e-9) steps before it, the first step time >= -lead_time
     alpha: float = 0.15
 
     def __post_init__(self):
@@ -335,26 +338,21 @@ class EpisodeResult:
     fallback: bool  # anticipation found no region inside the workspace
 
 
-def _step_balls(exchanges: Exchanges, lead_times: Sequence[float],
+def _step_balls(exchanges: Exchanges, hit_step: int,
                 dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step grid per lead time: the robot's step times (g, m), each
-    exchange's ball at them (n, g, m, 3), and the number of each grid's
-    times that each exchange's episode reads (g, n).
+    """The robot's step times (m,), each exchange's ball at them (n, m, 3),
+    and the number of steps each exchange's episode reads (n,).
 
-    Each grid's times are accumulated as the robot's clock, from -lead_time,
-    in step until every grid has reached the last exchange's crossing_time +
-    0.15. Exchange i's episode ends at the first time that reaches its own
-    crossing_time + 0.15. One ``balls_at`` call samples every grid.
+    Step j is at (j - hit_step) * dt, so the opponent's hit is step
+    hit_step, at exactly t = 0. The steps run until one reaches the last
+    exchange's crossing_time + 0.15; exchange i's episode ends at the first
+    that reaches its own crossing_time + 0.15.
     """
-    stops = (exchanges.crossing_time + 0.15).tolist()
-    last = max(stops)
-    grids = [[-lead_time] for lead_time in lead_times]
-    while any(grid[-1] < last for grid in grids):
-        for grid in grids:
-            grid.append(grid[-1] + dt)
-    times = np.array(grids)
-    balls = balls_at(exchanges, times.ravel()).reshape(len(exchanges), *times.shape, 3)
-    return times, balls, np.array([np.searchsorted(grid, stops) for grid in grids]) + 1
+    stops = exchanges.crossing_time + 0.15
+    times = np.arange(-hit_step, math.ceil(stops.max() / dt) + 2) * dt
+    ends = np.searchsorted(times, stops) + 1
+    times = times[:ends.max()]
+    return times, balls_at(exchanges, times), ends
 
 
 def _prepositions(regions: tuple[np.ndarray, np.ndarray],
@@ -445,32 +443,34 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
     A row is (strategy, params, regions), regions being an anticipatory
     row's region corners at its lead time. Rows differ only in strategy,
     lam, central pose and lead time. Lane r * n + e is row r's episode of
-    exchange e, on the step grid of its lead time (``_step_balls``).
-    Positions are a (3, lanes) array stepped toward each lane's pre-hit
-    target (the central pose, the oracle's ideal pose, or the anticipatory
-    blend toward the earliest region inside the workspace, ``_prepositions``)
-    until the first step after its grid's hit, then toward its exchange's
-    ideal position. A lane's pose freezes at its contact, and its contact
-    test ends at its exchange's last step; its pose at the crossing is the
-    last one stepped, up to the contact, at a time t with
-    t - dt <= crossing_time <= t. The orientation never depends on the
+    exchange e. Every lane reads one clock (``_step_balls``): the hit is
+    step s, at t = 0, s being the most steps any row starts before it, and
+    a row of lead time L starts at step s - floor(L / dt + 1e-9), the first
+    step time at or after -L. Positions are a (3, lanes) array stepped from
+    each lane's start toward its pre-hit target (the central pose, the
+    oracle's ideal pose, or the anticipatory blend toward the earliest
+    region inside the workspace, ``_prepositions``) until step s, then
+    toward its exchange's ideal position. A lane's pose freezes at its
+    contact, and its contact test ends at its exchange's last step; its pose
+    at the crossing is the last one stepped, up to the contact, at a time t
+    with t - dt <= crossing_time <= t. The orientation never depends on the
     position: it is an index into the exchange's one turn sequence from
-    IDENTITY toward the ideal, which the oracle starts at step 1 and the
-    other strategies at the first step after the hit. A lane's contact test
-    runs only on steps where a ball segment of its grid comes within
+    IDENTITY toward the ideal, which the oracle starts at its first step and
+    the other strategies at step s + 1. A lane's contact test runs only on
+    steps after the hit where its exchange's ball segment comes within
     RACKET_RADIUS of the workspace's x range, and each distinct contact
-    (exchange, time and orientation) is graded once; a lane's pose errors are
-    taken from its exchange's crossing and ideal orientation.
+    (exchange, step and orientation) is graded once; a lane's pose errors
+    are taken from its exchange's crossing and ideal orientation.
     """
     params = rows[0][1]
     n, n_rows, dt = len(exchanges), len(rows), params.dt
-    lead_times = list(dict.fromkeys(p.lead_time for _, p, _ in rows))
-    times, balls, ends = _step_balls(exchanges, lead_times, dt)
+    lead = [math.floor(p.lead_time / dt + 1e-9) for _, p, _ in rows]  # steps before the hit
+    s = max(lead)
+    times, balls, ends = _step_balls(exchanges, s, dt)
     ideal_p = exchanges.crossing_pos.tolist()
     ideal_q = [solve_target_pose(Vec3(*p), Vec3(*v), TABLE).orientation
                for p, v in zip(ideal_p, exchanges.crossing_vel.tolist())]
-    row_grid = [lead_times.index(p.lead_time) for _, p, _ in rows]
-    grid, ex = np.repeat(row_grid, n), np.tile(np.arange(n), n_rows)  # per lane
+    begin, ex = np.repeat([s - k for k in lead], n), np.tile(np.arange(n), n_rows)  # per lane
     lo, hi = _column(params.workspace.lo), _column(params.workspace.hi)
     ideal = exchanges.crossing_pos.T  # (3, n)
     idle, fallback = [], []
@@ -482,38 +482,33 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
             fell_back = np.zeros(n, bool)
         idle.append(target)
         fallback += fell_back.tolist()
-    aim, track = np.concatenate(idle, axis=1), np.tile(ideal, n_rows)
+    aim = np.concatenate(idle, axis=1)
     pos = np.repeat(np.array([_xyz(p.central) for _, p, _ in rows]).T, n, axis=1)
 
-    m, end = times.shape[1], ends[grid, ex]
-    hit_step = (times < 0).sum(axis=1)  # the index of each grid's first time >= 0
-    turn_at = hit_step[grid] + 1  # the step at which a lane's target becomes the ideal
-    turns = set(turn_at.tolist())
-    ct, t1 = exchanges.crossing_time[:, None], times[:, None, 1:]
-    ran = np.arange(1, m) < ends[:, :, None]  # (g, n, m - 1): the steps of each episode
+    m, end = len(times), ends[ex]
+    ct, t1 = exchanges.crossing_time[:, None], times[1:]
+    ran = np.arange(1, m) < ends[:, None]  # (n, m - 1): the steps of each episode
     # Step i is column i - 1: the steps at which each lane records a crossing
-    # pose, and those at which it is tested for contact (some ball segment of
-    # its grid within reach of the workspace, and the episode still running).
-    crossing = (ran & (t1 - dt <= ct) & (ct <= t1))[grid, ex]
+    # pose, and those at which it is tested for contact (its ball segment
+    # within reach of the workspace, after the hit, the episode still running).
+    crossing = (ran & (t1 - dt <= ct) & (ct <= t1))[ex]
     steps, lanes = np.nonzero(crossing.T)
     crossers = {int(c) + 1: lanes[steps == c] for c in np.unique(steps)}
-    gate = ((ran & _contact_possible(balls, hi[0, 0]).transpose(1, 0, 2)).any(axis=1)
-            & (times[:, 1:] > 0))
-    tested = gate[grid] & ran[grid, ex]
+    tested = (ran & _contact_possible(balls, hi[0, 0]) & (t1 > 0))[ex]
     tests = {int(c) + 1: tested[:, c] for c in np.flatnonzero(tested.any(axis=0))}
     cross, cross_at = pos.copy(), np.zeros(len(ex), int)
     contact, live = np.zeros(len(ex), int), np.ones(len(ex), bool)
     size, last = params.v_max * dt, m - 1
     for i in range(1, m):
-        if i in turns:
-            np.copyto(aim, track, where=turn_at == i)
-        np.copyto(pos, _move(pos, aim, size, lo, hi), where=live)
+        if i == s + 1:
+            aim = np.tile(ideal, n_rows)
+        np.copyto(pos, _move(pos, aim, size, lo, hi), where=live & (begin < i))
         if i in crossers:
             lanes = crossers[i][live[crossers[i]]]
             cross[:, lanes], cross_at[lanes] = pos[:, lanes], i
         if i in tests:
-            hit = live & tests[i] & (_segment_distance(pos, balls[ex, grid, i - 1].T,
-                                                       balls[ex, grid, i].T) <= RACKET_RADIUS)
+            hit = live & tests[i] & (_segment_distance(pos, balls[ex, i - 1].T,
+                                                       balls[ex, i].T) <= RACKET_RADIUS)
             if hit.any():
                 contact[hit], live[hit] = i, False
                 last = end[live].max(initial=1) - 1  # the last step a lane still takes
@@ -521,21 +516,21 @@ def _episodes(exchanges: Exchanges, rows: Sequence[tuple]) -> list[list[EpisodeR
             break
 
     seqs = [_turns(q, params.omega_max * dt, m) for q in ideal_q]
-    v_in = exchanges.outgoing.velocities(times[grid, contact].reshape(n_rows, n).T).tolist()
+    v_in = exchanges.outgoing.velocities(times[contact].reshape(n_rows, n).T).tolist()
     ids, contact, cross_at = exchanges.ids.tolist(), contact.tolist(), cross_at.tolist()
-    pos, cross, times, graded = pos.T.tolist(), cross.T.tolist(), times.tolist(), {}
+    pos, cross, graded = pos.T.tolist(), cross.T.tolist(), {}
     results = []
-    for r, ((strategy, p, _), g) in enumerate(zip(rows, row_grid)):
-        first = 0 if strategy == "oracle" else hit_step[g]  # its first turn is step first + 1
+    for r, (strategy, p, _) in enumerate(rows):
+        first = s - lead[r] if strategy == "oracle" else s  # its first turn is step first + 1
         out = []
         for e in range(n):
             lane, seq, grade = r * n + e, seqs[e], None
             c = contact[lane]
             if c:
-                at, q = pos[lane], seq[min(max(c - first, 0), len(seq) - 1)]
-                key = (e, times[g][c], q)  # the landing does not depend on the position
+                at, q = pos[lane], seq[min(c - first, len(seq) - 1)]
+                key = (e, c, q)  # the landing does not depend on the position
                 if key not in graded:
-                    graded[key] = _grade(q, balls[e, g, c].tolist(), v_in[e][r])
+                    graded[key] = _grade(q, balls[e, c].tolist(), v_in[e][r])
                 grade = graded[key]
             if grade is None:
                 at, q = cross[lane], seq[min(max(cross_at[lane] - first, 0), len(seq) - 1)]
@@ -597,10 +592,10 @@ def run_strategy(
     exchange. An anticipatory row's regions come from one batched forecast
     at params.lead_time.
 
-    Time 0 of an episode is the opponent's hit; the robot is live from
-    -lead_time. After the hit every strategy tracks the ideal interception
-    pose (reactive perception of the actual shot); they differ in where they
-    stand at the hit.
+    Time 0 of an episode is the opponent's hit, a step; the robot is live
+    from the first step time at or after -lead_time. After the hit every
+    strategy tracks the ideal interception pose (reactive perception of the
+    actual shot); they differ in where they stand at the hit.
     """
     if not exchanges:
         raise EmptyDataset("no exchanges")

@@ -20,7 +20,12 @@ began to report its batched screen's total (reconstruct, library: only
 re-pin: anticipatory rows stopped requiring a region the robot can cover
 from the central pose in time (simulate, experiments 11-18, which also
 print each row's rest pose); ``experiment:baseline-oracle`` holds the rows
-that read no region, and ``test_control`` the new pre-position rule.
+that read no region, and ``test_control`` the new pre-position rule. A
+second: every episode stepped on one integer clock, the hit at exactly t = 0
+(simulate, baseline-oracle, experiments 11-18). ``experiment:discrete``,
+pinned on the accumulated clock before it, holds every outcome of the rows
+not at lead 0.1 s, and ``test_control`` that the baseline no longer depends
+on the lead time.
 """
 
 import argparse
@@ -32,6 +37,7 @@ import json
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
@@ -43,8 +49,8 @@ DIGESTS = {
     # COMMANDS: sha256 of the --out file and of stdout
     "cli:conformal-out": "2bb725dbb17ebaa4f879856c5f62366b5c5a29f24290f77a6934d5f9cb2b76a4",
     "cli:conformal-stdout": "81b24a2ac5f26847899ff390f9a73476535f693c73752e6a00a565c896cd7cb6",
-    "cli:simulate-out": "1f95cac4cfe41e3ecfe29e3b17c238444be175fa158362509d4312259497eedf",
-    "cli:simulate-stdout": "e9bfc93862f715ea4e303c82ed0a553fd74cd0ed778372330bde99676a96d239",
+    "cli:simulate-out": "578141573bba6bc118230b4a93adab1a374c825074e72249bc2494534102dfef",
+    "cli:simulate-stdout": "1fa60a59961e927dd79ea0d00f24d637c89c96e50717b1b9b27b67ee30aa0711",
     # the seed-21 synth track's camera-v1 stdout of calibrate, by --noise-px
     "cli:calibrate-0.0": "2d00f7d295af895ddfcbc1b79f3fd89728d4d815a5d8c0a70a048360ae1e5488",
     "cli:calibrate-1.5": "ff6bc8e4a225d5698a1b359b478c9dbef01e336fb9905d84740ccbaad0758b0a",
@@ -59,16 +65,19 @@ DIGESTS = {
     "exchanges": "aaddacbc714c41efa8c57497ae2826ad6026dd75fc353d72778cdca60da3b3c1",
     # repr of the baseline and oracle rows of experiments 11-18, in order: they read
     # no region, so no change to anticipation may move them
-    "experiment:baseline-oracle": "4ce69e7090a4e32cb2e14938cc6d6462d34cc9cac6a0ca034fa7d4f3f6f88bd7",
+    "experiment:baseline-oracle": "aba1f0598900e459b927678c58c55b7f58a0430844fbd5250be7bfeff22bf466",
+    # every episode's (contacted, returned, fallback) in the rows of experiments 11-18
+    # whose lead time is not 0.1 s, pinned before the episodes took one integer clock
+    "experiment:discrete": "43ed1926170ccd60f0e3ebd8381922a68199a7af41119b5cc305d011d521bca2",
     # repr(run_experiment(seed, 20, n_cal=600)), the NaN of a row without returns included
-    "experiment:11": "38e2eafd747e0cf6aec40d7cc0512f453daf5355a77c8e61d03515b202a7fc13",
-    "experiment:12": "e7eee3787709e0583e34b555b95264dbc06adba46c974b92e67c9cbbd7b09f7f",
-    "experiment:13": "f86987e3c36aade87d5eb8a019ea3de79bf42ec8f4a6470b70f36f118484a0d8",
-    "experiment:14": "c71e1fc2bb8f114e8a64e3a0b6ad4b798888cb5ee3c05aff2ab7739230bcd285",
-    "experiment:15": "bffbd576c740c06a8fa760e7f9f11013fb14f0e6d6377094568c4e1a523dbc03",
-    "experiment:16": "14a7250265536fec0f043b2bcda58f2122fa06bcdf44a7e4ad61251ebd6c198b",
-    "experiment:17": "06511542274f69d1a42e1aaa50450c4b1e7458f689c29b3d14accde690f583e5",
-    "experiment:18": "c200390be2254565e95f3405201c179655c90c0d2daf4c9257b73e2a37bcc66a",
+    "experiment:11": "3d743ed372f2de670b75e0b07dbf1deb7d2f8fdccae9b659053f022c53e3d99e",
+    "experiment:12": "93216850558e5bee15e082ad9bf92d089b6591a79c8ed4233efd0fe9662b248d",
+    "experiment:13": "1d36fb7d3a91ac11410f45c1db7c88551a0b4bfde1e21c3d48e01cb5d60b1335",
+    "experiment:14": "ed9c5cad3b0f23084bdb652ae73e7c5558c672950c23eeb6e7d0576ab53adaf0",
+    "experiment:15": "95f7999f090693dfd84a786e4b1e3122cd51b646cf666bd37e717837fb7f4312",
+    "experiment:16": "6e00c7b66b2c9fbdae442077c43e0c419a68a2c2fe39a8e772319fb9609ca2ea",
+    "experiment:17": "46dd27f87c9b711305812b934478bb533b9ba8069463a79370b921cc6e7d9f69",
+    "experiment:18": "d847259ce7e7a46884236df6235504da0cf156c89e475ca9c90aab4b7792dcd9",
 }
 COMMANDS = {"conformal": ["conformal", "--seed", "5", "--n-cal", "60", "--n-test", "40"],
             "simulate": ["simulate", "--seed", "3", "--episodes", "8"]}
@@ -232,9 +241,21 @@ def _exchanges(tmp: Path) -> dict[str, str]:
 
 
 def _experiments(tmp: Path) -> dict[str, str]:
-    rows = {seed: control.run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)}
+    discrete, episodes = hashlib.sha256(), control._episodes
+
+    def recording(exchanges, rows):
+        results = episodes(exchanges, rows)
+        for (strategy, p, _), row in zip(rows, results, strict=True):
+            if p.lead_time != 0.1:
+                discrete.update(repr([(strategy, p.lam, p.lead_time, r.exchange_id, r.contacted,
+                                       r.returned, r.fallback) for r in row]).encode())
+        return results
+
+    with mock.patch.object(control, "_episodes", recording):
+        rows = {seed: control.run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)}
     regionless = [r for seed in rows for r in rows[seed] if r.strategy != "anticipatory"]
     return {"experiment:baseline-oracle": _sha256(repr(regionless).encode()),
+            "experiment:discrete": discrete.hexdigest(),
             **{f"experiment:{seed}": _sha256(repr(r).encode()) for seed, r in rows.items()}}
 
 

@@ -134,13 +134,15 @@ def point_segment_distance(p: Position, a: Sequence[float], b: Sequence[float]) 
 
 
 def step_balls(exchanges: Exchanges, params: SimParams) -> tuple[list[float], list[list]]:
-    """The step times, accumulated from -lead_time until one reaches the last
-    exchange's crossing_time + 0.15, and each exchange's ball at them up to
-    the first time that reaches its own crossing_time + 0.15."""
+    """The step times (i - s) * dt from i = 0, s being floor(lead_time / dt
+    + 1e-9) (the first is the first step time at or after -lead_time, and
+    step s is the hit at t = 0), until one reaches the last exchange's
+    crossing_time + 0.15; and each exchange's ball at them up to the first
+    time that reaches its own crossing_time + 0.15."""
     stops = (exchanges.crossing_time + 0.15).tolist()
-    times = [-params.lead_time]
-    while times[-1] < max(stops):
-        times.append(times[-1] + params.dt)
+    s, times = math.floor(params.lead_time / params.dt + 1e-9), []
+    while not times or times[-1] < max(stops):
+        times.append((len(times) - s) * params.dt)
     ends = (np.searchsorted(times, stops) + 1).tolist()
     balls = balls_at(exchanges, times).tolist()
     return times, [rows[:end] for rows, end in zip(balls, ends)]

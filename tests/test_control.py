@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation, Slerp
@@ -515,9 +515,7 @@ def test_pre_hit_targets_ignore_the_true_crossing(monkeypatch):
     # t < 0 as it was. (Only the oracle turns before the hit.)
     params = SimParams()
     predictors, calib = prepare_anticipation(11, params, n_cal=60)
-    pre_hit, t = 0, -params.lead_time  # the steps that start before the hit
-    while t < 0:
-        pre_hit, t = pre_hit + 1, t + params.dt
+    pre_hit = round(params.lead_time / params.dt)  # the steps that start before the hit
     targets = []  # the position target of the row's one lane at each step, in order
     move = control._move
     monkeypatch.setattr(control, "_move", lambda pos, target, *rest:
@@ -638,12 +636,14 @@ def test_row_regions_equal_the_single_context_regions(sim_setup, row_exchanges, 
 def test_row_ball_equals_each_exchanges_own_truth(row_exchanges, lead_time):
     params = SimParams(lead_time=lead_time)
     exchanges = row_exchanges[:12]
-    (times,), balls, (ends,) = control._step_balls(exchanges, [lead_time], params.dt)
-    for ex, t_cross, (got,), end in zip(exchanges, exchanges.crossing_time.tolist(), balls,
-                                        ends, strict=True):
-        own = [-lead_time]  # the clock one episode of its own would step
-        while own[-1] < t_cross + 0.15:
-            own.append(own[-1] + params.dt)
+    s = round(lead_time / params.dt)
+    times, balls, ends = control._step_balls(exchanges, s, params.dt)
+    assert times[s] == 0.0  # the hit
+    for ex, t_cross, got, end in zip(exchanges, exchanges.crossing_time.tolist(), balls,
+                                     ends, strict=True):
+        own = []  # the clock one episode of its own would step: (i - s) * dt
+        while not own or own[-1] < t_cross + 0.15:
+            own.append((len(own) - s) * params.dt)
         assert times[:len(own)].tolist() == own and end == len(own)
         assert got[:end].tobytes() == np.array([ex.truth_at(t).as_array()
                                                 for t in own]).tobytes()
@@ -656,6 +656,48 @@ def test_a_row_equals_its_episodes_one_at_a_time(sim_setup, strategy):
     _, results = run_strategy(exchanges, strategy, params, predictors, calib)
     assert results == [run_strategy(one, strategy, params, predictors, calib)[1][0]
                        for one in _ones(exchanges)]
+
+
+@functools.cache
+def _baseline_episodes(lead_time):
+    return run_strategy(generate_exchanges(7, 200), "baseline", SimParams(lead_time=lead_time))[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, MAX_LEAD_TIME))
+@example(0.1)
+@example(0.205)
+def test_the_baseline_is_the_same_at_every_lead_time(lead_time):
+    # The baseline waits at the central pose until the hit, and every clock
+    # puts the hit on a step at t = 0, so no lead time, a multiple of dt or
+    # not, moves an episode. (A clock accumulated from -lead_time by adding
+    # dt missed 0 at lead 0.1 and reacted a step late: 140 returns, not 151.)
+    got = _baseline_episodes(lead_time)
+    assert sum(r.returned for r in got) == 151
+    assert got == _baseline_episodes(0.0)
+
+
+def test_a_row_starts_at_the_first_step_at_or_after_its_lead_time(monkeypatch):
+    # 0.205 s is no multiple of dt: beside a row at 0.4 s, on one clock, the
+    # row's oracle lanes stay at the central pose until the step after its
+    # first, whose time is the first step time at or after -0.205 s.
+    params, n = SimParams(), 4
+    rows = [("oracle", replace(params, lead_time=lt), None) for lt in (0.4, 0.205)]
+    clock, before = [], []
+    step_balls, move = control._step_balls, control._move
+    monkeypatch.setattr(control, "_step_balls", lambda *args: clock.append(
+        step_balls(*args)) or clock[-1])
+    monkeypatch.setattr(control, "_move", lambda pos, *rest: before.append(
+        pos.copy()) or move(pos, *rest))
+    control._episodes(generate_exchanges(7, n), rows)
+    times = clock[0][0]
+    for r, lead_time in enumerate((0.4, 0.205)):
+        lanes = np.stack(before)[:, :, r * n:(r + 1) * n]
+        moved = (lanes != params.central.as_array()[:, None]).any(axis=(1, 2))
+        assert moved.any()
+        first = int(np.argmax(moved)) - 1  # the step the row starts at: it moves on the next
+        assert -lead_time <= times[first] < -lead_time + params.dt
+    assert times[first] == -0.2 and times[40] == 0.0
 
 
 def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(monkeypatch):
@@ -689,8 +731,9 @@ def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(mon
     # The calibration split at each lead time (the two after the base rerun
     # only the ensemble), then each anticipatory lead time's regions.
     assert batched == [60, 60, 60, 6, 6, 6]
-    # One lane set for all 8 rows, one ball sample for its three grids (an
-    # outgoing and an incoming side) and one ideal pose per episode.
+    # One lane set for all 8 rows, one ball sample on its one clock for
+    # every lead time (an outgoing and an incoming side) and one ideal pose
+    # per episode.
     assert engine == [8]
     assert truth_rows == [6] * 2
     assert len(solved) == 6
@@ -733,13 +776,10 @@ def _calibration(lead_time):
 
 
 def _snapped(exchanges, params):
-    """The exchanges with each crossing time moved onto its nearest step time."""
-    times = [-params.lead_time]
-    while times[-1] < exchanges.crossing_time.max() + 0.2:
-        times.append(times[-1] + params.dt)
-    t = np.array(times)
-    return replace(exchanges, crossing_time=t[np.abs(t[:, None] - exchanges.crossing_time)
-                                              .argmin(axis=0)])
+    """The exchanges with each crossing time moved onto its nearest step time
+    k * dt, the time every lane's clock gives the k-th step after the hit."""
+    k = np.round(exchanges.crossing_time / params.dt).astype(int)
+    return replace(exchanges, crossing_time=k * params.dt)
 
 
 def _never_reflects(v, normal):
@@ -780,14 +820,16 @@ fractions = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 5), dt=st.sampled_from([0.01, 0.0025]),
-       lead_times=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.4]), min_size=7, max_size=7),
+       lead_times=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.205, 0.4]), min_size=7,
+                           max_size=7),
        narrow=st.booleans(), snap=st.booleans(), reflects=st.booleans(),
        lams=st.lists(st.floats(0.0, 1.0), max_size=2),
        centrals=st.lists(st.tuples(st.sampled_from(control.STRATEGIES), fractions), max_size=2),
        turn_deg=st.sampled_from([720.0, 30.0]))
 def test_lanes_equal_the_scalar_episodes(seed, n, dt, lead_times, narrow, snap, reflects, lams,
                                          centrals, turn_deg):
-    # Each row takes its own lead time, so one lane set mixes step grids. At
+    # Each row takes its own lead time, so one lane set mixes the steps its
+    # rows start at (0.205 s is no multiple of dt = 0.01). At
     # 30 deg/s the racket is still turning at most contacts (5-21 deg from
     # IDENTITY to the ideal orientation, about 0.25 s after the hit).
     workspace = NARROW if narrow else WORKSPACE
@@ -835,7 +877,7 @@ def test_lanes_cover_fallbacks_misses_and_crossings_on_a_step(dt):
         rows = _rows_of(params, (0.0, 1.0), [("baseline", Vec3(-1.6, 0.02, 1.08))])
         with mock.patch.object(scalar_episode, "step", clamp_counting):
             got = _lanes_against_scalar(exchanges, rows, reflect)
-        (times,), _, _ = control._step_balls(exchanges, [lead_time], dt)
+        times, _, _ = control._step_balls(exchanges, round(lead_time / dt), dt)
         ct = exchanges.crossing_time[:, None]
         twice = ((times[1:] - dt <= ct) & (ct <= times[1:])).sum(axis=1) == 2
         for results in got:
@@ -855,7 +897,8 @@ def test_skipped_contact_tests_are_beyond_the_racket():
     skipped = total = 0
     for lead_time, workspace in ((0.0, WORKSPACE), (0.4, NARROW)):
         params = SimParams(workspace=workspace, lead_time=lead_time)
-        balls = control._step_balls(generate_exchanges(13, 20), [lead_time], params.dt)[1][:, 0]
+        balls = control._step_balls(generate_exchanges(13, 20), round(lead_time / params.dt),
+                                    params.dt)[1]
         possible = control._contact_possible(balls, workspace.hi.x)
         e, i = np.nonzero(~possible)
         a, b = balls[e, i], balls[e, i + 1]
@@ -870,10 +913,11 @@ def test_skipped_contact_tests_are_beyond_the_racket():
 
 
 def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
-    # Over seeds 11-18 the rows of an experiment make 1,233 contacts at 490
-    # distinct (exchange, time, orientation) keys whose racket reflects the
+    # Over seeds 11-18 the rows of an experiment make 1,233 contacts at 181
+    # distinct (exchange, step, orientation) keys whose racket reflects the
     # ball (a landing depends on no racket position), and the landing search
-    # runs once per key. Grading every contact afresh, each row in a lane set
+    # runs once per key. Rows at different lead times share one clock, so
+    # they share keys. Grading every contact afresh, each row in a lane set
     # of its own (where no two lanes share an exchange), gives the same rows.
     landings, contacts = [], Counter()
     landing, aggregate, episodes = control._landing, control._aggregate, control._episodes
@@ -881,7 +925,7 @@ def test_an_experiment_grades_each_distinct_contact_once(monkeypatch):
     monkeypatch.setattr(control, "_aggregate", lambda results, *rest: contacts.update(
         contacted=sum(r.contacted for r in results)) or aggregate(results, *rest))
     rows = [run_experiment(seed, 20, n_cal=600) for seed in range(11, 19)]
-    assert (len(landings), contacts["contacted"]) == (490, 1233)
+    assert (len(landings), contacts["contacted"]) == (181, 1233)
 
     monkeypatch.setattr(control, "_episodes", lambda exchanges, rows:
                         [episodes(exchanges, [row])[0] for row in rows])
