@@ -24,6 +24,8 @@ Layers:
   episodes     control._episodes on the rows of those eight experiments,
                captured from their calls: one figure sums each
                experiment's minimum call
+  calibrations control._calibrations on the arguments of those eight
+               experiments' calls, replayed as captured, summed the same way
   study        run_conformal_study at 8000/4000, alpha 0.1, 5 members
   regions_p50  build_regions, one test context at a time, over 1000
                contexts of a 2000/1000 study's test split (median call)
@@ -46,8 +48,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-LAYERS = ("generate", "positions", "truth", "forecast", "experiment", "episodes", "study",
-          "regions_p50", "reconstruct")
+LAYERS = ("generate", "positions", "truth", "forecast", "experiment", "episodes",
+          "calibrations", "study", "regions_p50", "reconstruct")
 
 
 def _timed(call, reps: int) -> list[float]:
@@ -87,13 +89,14 @@ def _worker(layer: str) -> float:
     if layer == "experiment":
         seeds = iter(range(10, 19))  # 10 warms up
         return min(_timed(lambda: control.run_experiment(next(seeds), 20, n_cal=600), 8)) * 1e3
-    if layer == "episodes":
-        seen, episodes = [], control._episodes
-        control._episodes = lambda *args: seen.append(args) or episodes(*args)
+    if layer in ("episodes", "calibrations"):
+        name = "_" + layer
+        seen, call = [], getattr(control, name)
+        setattr(control, name, lambda *args: seen.append(args) or call(*args))
         for seed in range(11, 19):
             control.run_experiment(seed, 20, n_cal=600)
-        control._episodes = episodes
-        return sum(min(_timed(lambda: episodes(*args), 10)) for args in seen) * 1e3
+        setattr(control, name, call)
+        return sum(min(_timed(lambda: call(*args), 10)) for args in seen) * 1e3
     if layer == "study":
         return min(_timed(lambda: anticipate.run_conformal_study(1, 8000, 4000, 5, 0.1), 3)) * 1e3
     if layer == "regions_p50":

@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 
 from .anticipate import (
     ConformalCalibration,
+    _bounds,
     calibrate_ensemble,
     forecast_ensemble,
     forecast_split,
@@ -355,25 +356,32 @@ def _step_balls(exchanges: Exchanges, hit_step: int,
     return times, balls_at(exchanges, times), ends
 
 
+def _inside(p: np.ndarray, ws: Box) -> np.ndarray:  # of points (..., 3): in ws, to BOX_TOL
+    lo, hi = np.array(_xyz(ws.lo)) - BOX_TOL, np.array(_xyz(ws.hi)) + BOX_TOL
+    return ((lo <= p) & (p <= hi)).all(axis=-1)
+
+
 def _prepositions(regions: tuple[np.ndarray, np.ndarray],
                   params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     """The anticipatory pre-hit target (3, n) of every exchange of the
-    region corners ``regions`` (lo, hi), each (n, len(HORIZONS), 3), and
-    whether it fell back to the central pose (n,).
+    region corners ``regions`` (lo, hi), each (n, n_horizons, 3) at
+    increasing horizons, and whether it fell back to the central pose (n,).
 
     Each exchange takes its earliest horizon whose region lies inside the
     workspace (BOX_TOL); the target is the blend central * lam + centroid *
     (1 - lam), clamped into that region and then into the workspace. With
     no such horizon (an infinite conformal quantile leaves every region
     unbounded) it is the central pose. lam = 1 is the central pose only when
-    the region box contains it.
+    the region box contains it. A region (q in [0, inf], sigma >= SIGMA_FLOOR)
+    holds its mean, rounding being monotone: one whose mean lies outside is unread.
     """
     lo, hi = regions
     n, ws = len(lo), params.workspace
-    ws_lo, ws_hi = np.array(_xyz(ws.lo)), np.array(_xyz(ws.hi))
-    inside = ((ws_lo - BOX_TOL <= lo) & (lo <= ws_hi + BOX_TOL)
-              & (ws_lo - BOX_TOL <= hi) & (hi <= ws_hi + BOX_TOL)).all(axis=2)
     central = np.array(_xyz(params.central))
+    if not lo.shape[1]:  # no horizon to read
+        return np.tile(central[:, None], n), np.ones(n, bool)
+    ws_lo, ws_hi = np.array(_xyz(ws.lo)), np.array(_xyz(ws.hi))
+    inside = _inside(lo, ws) & _inside(hi, ws)
     first, rows = inside.argmax(axis=1), np.arange(n)
     fallback = ~inside[rows, first]
     box_lo, box_hi = lo[rows, first], hi[rows, first]
@@ -610,19 +618,19 @@ def run_strategy(
     return _aggregate(results, strategy, params), results
 
 
-def _calibrations(seed: int, lead_times: Sequence[float], alpha: float,
-                  n_cal: int) -> tuple[np.ndarray, list[ConformalCalibration]]:
-    """The ensemble and its conformal calibration at each lead time, all on
-    one calibration split whose truth is taken once: only the forecast
-    depends on the lead time."""
-    predictors = physics_baseline_ensemble(seed)
+def _calibrations(seed: int, predictors: np.ndarray, horizons: Sequence[float],
+                  lead_times: Sequence[float], alpha: float,
+                  n_cal: int) -> list[ConformalCalibration]:
+    """The ensemble's conformal calibration at ``horizons`` for each lead
+    time, all on one calibration split whose truth is taken once: only the
+    forecast depends on the lead time. A quantile reads no other horizon."""
     cal = generate_exchanges(seed + 17, n_cal, id_offset=CAL_ID_OFFSET)
-    forecast = forecast_split(predictors, cal, HORIZONS, lead_times[0])
+    forecast = forecast_split(predictors, cal, horizons, lead_times[0])
     calibs = [calibrate_ensemble(forecast, alpha)]
     for lead_time in lead_times[1:]:
-        mean, sigma = forecast_ensemble(predictors, cal, HORIZONS, lead_time)
+        mean, sigma = forecast_ensemble(predictors, cal, horizons, lead_time)
         calibs.append(calibrate_ensemble(replace(forecast, mean=mean, sigma=sigma), alpha))
-    return predictors, calibs
+    return calibs
 
 
 def prepare_anticipation(
@@ -631,7 +639,8 @@ def prepare_anticipation(
     n_cal: int = 600,
 ) -> tuple[np.ndarray, ConformalCalibration]:
     """Ensemble plus conformal calibration matched to the deployment lead time."""
-    predictors, (calib,) = _calibrations(seed, [params.lead_time], params.alpha, n_cal)
+    predictors = physics_baseline_ensemble(seed)
+    (calib,) = _calibrations(seed, predictors, HORIZONS, [params.lead_time], params.alpha, n_cal)
     return predictors, calib
 
 
@@ -651,21 +660,27 @@ def run_experiment(
     The rows, in order: each strategy at the base configuration, the
     anticipatory strategy at each other lam, at each other lead time, and at
     the rest pose (-1.5, mean crossing y, mean crossing z) unless that is
-    the base central pose. The anticipatory strategy is recalibrated per
+    the base central pose. The episodes are forecast first, once per lead
+    time at every horizon. The anticipatory strategy is recalibrated per
     lead time (its residual distribution depends on how early the forecast
-    is issued) on the same ensemble and calibration split, whose truth is
-    taken once; the rows at one lead time share one batched forecast of each
-    exchange's regions. Every row's episodes run as one set of lanes
-    (``_episodes``).
+    is issued) on one split whose truth is taken once, at the horizons where
+    some episode's mean at some lead time lies in the workspace, the only
+    ones ``_prepositions`` reads; a quantile reads only its own column of
+    scores. Every row's episodes run as one set of lanes (``_episodes``).
     """
     if n_episodes < 1:
         raise EmptyDataset(f"need at least one episode, got {n_episodes}")
     exchanges = generate_exchanges(seed, n_episodes)
-    lead_times = [base_params.lead_time] + [lt for lt in LEAD_TIMES
-                                            if lt != base_params.lead_time]
-    predictors, calibs = _calibrations(seed, lead_times, base_params.alpha, n_cal)
-    regions = [split_regions(predictors, calib, exchanges, HORIZONS, lt)
-               for calib, lt in zip(calibs, lead_times)]
+    lead_times = [base_params.lead_time] + [lt for lt in LEAD_TIMES if lt != base_params.lead_time]
+    predictors = physics_baseline_ensemble(seed)
+    forecasts = [forecast_ensemble(predictors, exchanges, HORIZONS, lt) for lt in lead_times]
+    cols = np.flatnonzero(np.any([_inside(m, base_params.workspace) for m, _ in forecasts], (0, 1)))
+    horizons = [HORIZONS[j] for j in cols]  # the readable ones, each its own horizon_key
+    regions = [(mean[:, cols],) * 2 for mean, _ in forecasts]  # empty when none is readable
+    if horizons:
+        calibs = _calibrations(seed, predictors, horizons, lead_times, base_params.alpha, n_cal)
+        regions = [_bounds(calib, horizons, mean[:, cols], sigma[:, cols])
+                   for calib, (mean, sigma) in zip(calibs, forecasts)]
     rows = [(s, base_params, regions[0]) for s in STRATEGIES]
     rows += [("anticipatory", replace(base_params, lam=lam), regions[0]) for lam in LAMS
              if lam != base_params.lam]

@@ -41,6 +41,7 @@ from ttrally.synth import MAX_LEAD_TIME, ExchangeSample, context_mask, generate_
 
 TABLE = TableGeometry()
 WORKSPACE = Box(Vec3(-2.8, -1.4, 0.5), Vec3(-1.2, 1.4, 1.8))
+NARROW = Box(Vec3(-1.9, -0.05, 1.0), Vec3(-1.45, 0.05, 1.1))  # the central pose, no crossing
 
 unit = st.floats(-1.0, 1.0)
 
@@ -568,6 +569,46 @@ def test_an_exchange_pre_positions_toward_its_earliest_region_in_the_workspace(m
             region, params.central, params.lam, params.workspace)
 
 
+def _axis(lo, hi):
+    """Coordinates inside and outside [lo, hi], on and beside its BOX_TOL edges."""
+    tol = control.BOX_TOL
+    return st.one_of(st.floats(lo - 0.2, hi + 0.2),
+                     st.sampled_from([lo - 2 * tol, lo - tol, lo, hi, hi + tol, hi + 2 * tol]))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(1, 4), n_h=st.integers(1, 6), lam=st.floats(0.0, 1.0))
+def test_dropping_the_horizons_whose_mean_is_outside_changes_no_preposition(data, n, n_h, lam):
+    # A region mean -/+ q * sigma holds its mean for any q in [0, inf] and
+    # sigma >= SIGMA_FLOOR, so a horizon at which every exchange's mean lies
+    # outside the workspace is never read: dropping it, or every horizon,
+    # leaves each target and fallback as it was, bit for bit.
+    ws = WORKSPACE
+    point = st.tuples(_axis(ws.lo.x, ws.hi.x), _axis(ws.lo.y, ws.hi.y), _axis(ws.lo.z, ws.hi.z))
+    mean = np.array(data.draw(st.lists(point, min_size=n * n_h, max_size=n * n_h)))
+    floor = anticipate.SIGMA_FLOOR
+    sigma = data.draw(st.lists(st.one_of(st.just(floor), st.floats(floor, 0.5)),
+                               min_size=3 * n * n_h, max_size=3 * n * n_h))
+    q = data.draw(st.lists(st.one_of(st.floats(0.0, 3.0), st.just(math.inf)),
+                           min_size=3 * n_h, max_size=3 * n_h))
+    mean = mean.reshape(n, n_h, 3)
+    half = np.reshape(q, (n_h, 3)) * np.reshape(sigma, (n, n_h, 3))  # as anticipate._bounds
+    lo, hi = mean - half, mean + half
+    keep = [j for j in range(n_h) if any(ws.contains(Vec3(*m)) for m in mean[:, j].tolist())]
+    params = SimParams(lam=lam)
+    want = control._prepositions((lo, hi), params)
+    got = control._prepositions((lo[:, keep], hi[:, keep]), params)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_no_horizon_to_read_sends_every_exchange_to_the_central_pose():
+    params = SimParams(central=Vec3(-1.6, 0.1, 1.0))
+    none = np.empty((3, 0, 3))
+    target, fallback = control._prepositions((none, none), params)
+    assert target.tobytes() == np.tile(params.central.as_array()[:, None], 3).tobytes()
+    assert fallback.tolist() == [True] * 3
+
+
 @pytest.mark.parametrize("lead_time", [0.1, 0.4])
 def test_infinite_quantiles_leave_every_anticipatory_lane_at_the_baseline(lead_time):
     # With alpha below 1 / (n_cal + 1) every conformal quantile is infinite,
@@ -700,13 +741,25 @@ def test_a_row_starts_at_the_first_step_at_or_after_its_lead_time(monkeypatch):
     assert times[first] == -0.2 and times[40] == 0.0
 
 
+def _readable(seed, exchanges, params):
+    """The horizons at which some exchange's ensemble mean, forecast at some
+    lead time of an experiment, lies inside the workspace: scalar tests."""
+    predictors = anticipate.physics_baseline_ensemble(seed)
+    means = [anticipate.forecast_ensemble(predictors, exchanges, HORIZONS, lead_time)[0]
+             for lead_time in control.LEAD_TIMES]
+    return [h for j, h in enumerate(HORIZONS)
+            if any(params.workspace.contains(Vec3(*m[j])) for mean in means for m in mean.tolist())]
+
+
 def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(monkeypatch):
-    batched, truth_rows, solved, engine = [], [], [], []
+    batched, truth_rows, cal_truth, solved, engine = [], [], [], [], []
     ensemble, positions, solve = anticipate._ensemble, Chains.positions, control.solve_target_pose
-    episodes = control._episodes
+    episodes, balls_at = control._episodes, anticipate.balls_at
+    readable = _readable(5, generate_exchanges(5, 6), SimParams())
+    assert 0 < len(readable) < len(HORIZONS)
 
     def counting(predictors, hit, root_y, horizons):
-        batched.append(len(hit))
+        batched.append((len(hit), horizons.tolist()))
         return ensemble(predictors, hit, root_y, horizons)
 
     def tracing(self, t):
@@ -720,6 +773,8 @@ def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(mon
         raise AssertionError("called once per episode")
 
     monkeypatch.setattr(anticipate, "_ensemble", counting)
+    monkeypatch.setattr(anticipate, "balls_at", lambda exchanges, times: cal_truth.append(
+        (len(exchanges), list(times))) or balls_at(exchanges, times))
     monkeypatch.setattr(Chains, "positions", tracing)
     monkeypatch.setattr(anticipate, "_context_arrays", unused)
     monkeypatch.setattr(ExchangeSample, "truth_at", unused)
@@ -728,9 +783,12 @@ def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(mon
                         engine.append(len(rows)) or episodes(exchanges, rows))
     rows = run_experiment(5, n_episodes=6, n_cal=60)
     assert len(rows) == 8
-    # The calibration split at each lead time (the two after the base rerun
-    # only the ensemble), then each anticipatory lead time's regions.
-    assert batched == [60, 60, 60, 6, 6, 6]
+    # The episodes at each lead time, at every horizon; then the calibration
+    # split at each lead time (the two after the base rerun only the
+    # ensemble), at the readable horizons alone, as is its one truth.
+    assert [n for n, _ in batched] == [6, 6, 6, 60, 60, 60]
+    assert [h for _, h in batched] == [list(HORIZONS)] * 3 + [readable] * 3
+    assert cal_truth == [(60, readable)]
     # One lane set for all 8 rows, one ball sample on its one clock for
     # every lead time (an outgoing and an incoming side) and one ideal pose
     # per episode.
@@ -739,17 +797,38 @@ def test_an_experiment_forecasts_once_per_row_and_shares_its_grids_and_poses(mon
     assert len(solved) == 6
 
 
-@pytest.mark.parametrize("seed, central", [(5, None), (8, "mean_crossing")])
-def test_experiment_rows_equal_independent_strategy_rows(seed, central):
+SHORT = Box(Vec3(-2.2, -1.0, 0.6), Vec3(-1.3, 1.0, 1.6))  # seed 5 reads 4 horizons, not 7
+
+
+@pytest.mark.parametrize("seed, central, workspace", [
+    pytest.param(5, None, WORKSPACE, id="5-None"),
+    pytest.param(8, "mean_crossing", WORKSPACE, id="8-mean_crossing"),
+    pytest.param(5, None, SHORT, id="5-None-short"),
+    pytest.param(11, None, NARROW, id="11-None-narrow")])
+def test_experiment_rows_equal_independent_strategy_rows(seed, central, workspace):
     # The one lane set changes no row: each equals a run_strategy call of its
-    # own, on a calibration at its lead time. A base central pose at the mean
-    # crossing is the rest pose, and leaves no rest-pose row.
+    # own, on a calibration at its lead time and at every horizon. A base
+    # central pose at the mean crossing is the rest pose, and leaves no
+    # rest-pose row. The experiment calibrates only at the horizons some
+    # episode's mean reaches the workspace at: fewer in a small workspace,
+    # and none in NARROW (which holds seed 11's rest pose), where every
+    # anticipatory lane falls back and no calibration forecast runs.
     n = 6
     exchanges = generate_exchanges(seed, n)
     rest = Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
                 float(np.mean(exchanges.crossing_pos[:, 2])))
-    base = SimParams() if central is None else SimParams(central=rest)
-    rows = run_experiment(seed, n_episodes=n, base_params=base, n_cal=60)
+    base = SimParams(workspace=workspace)
+    base = base if central is None else replace(base, central=rest)
+    readable = _readable(seed, exchanges, base)
+    sizes, ensemble = [], anticipate._ensemble
+    with mock.patch.object(anticipate, "_ensemble", lambda predictors, hit, *args: sizes.append(
+            len(hit)) or ensemble(predictors, hit, *args)):
+        rows = run_experiment(seed, n_episodes=n, base_params=base, n_cal=60)
+    assert sizes == [n] * 3 + [60] * 3 * bool(readable)
+    assert (len(readable) < len(_readable(seed, exchanges, SimParams()))) == (workspace != WORKSPACE)
+    if workspace == NARROW:
+        assert not readable
+        assert all(r.n_fallback == n for r in rows if r.strategy == "anticipatory")
     anticipation = prepare_anticipation(seed, base, n_cal=60)
     want = [run_strategy(exchanges, s, base, *anticipation)[0] for s in control.STRATEGIES]
     want += [run_strategy(exchanges, "anticipatory", replace(base, lam=lam), *anticipation)[0]
@@ -766,9 +845,6 @@ def test_experiment_rows_equal_independent_strategy_rows(seed, central):
 
 
 # The lane engine against the scalar episodes of tests/scalar_episode.py.
-
-NARROW = Box(Vec3(-1.9, -0.05, 1.0), Vec3(-1.45, 0.05, 1.1))  # the central pose, no crossing
-
 
 @functools.cache
 def _calibration(lead_time):

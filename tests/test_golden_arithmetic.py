@@ -22,6 +22,7 @@ well; the stacked ``@`` and LAPACK calls of calibration and
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -172,10 +173,15 @@ def _outcomes(scene) -> tuple[dict, dict]:
         ranks.append(int(np.argsort(residuals, kind="stable")[rank - 1]) if rank <= n else None)
         return quantile(residuals, alpha)
 
-    with mock.patch.object(control, "_aggregate", recorded_aggregate), \
-            mock.patch.object(anticipate, "conformal_quantile", ranked_quantile):
+    experiments = [(3, 8)] + [(seed, 20) for seed in range(11, 19)]
+    with mock.patch.object(anticipate, "conformal_quantile", ranked_quantile):
         study = anticipate.run_conformal_study(5, 60, 40)  # the conformal digest's study
-        for seed, n in [(3, 8)] + [(seed, 20) for seed in range(11, 19)]:
+        # An experiment fits only the quantiles its regions can be read at, a
+        # subset of these: every quantile of each of its lead times.
+        for (seed, _), lead_time in itertools.product(experiments, LEAD_TIMES):
+            control.prepare_anticipation(seed, control.SimParams(lead_time=lead_time), 600)
+    with mock.patch.object(control, "_aggregate", recorded_aggregate):
+        for seed, n in experiments:
             run_experiment(seed, n, n_cal=600)
     discrete["coverage"] = study.coverage.joint
     discrete["quantile ranks"] = ranks
@@ -199,7 +205,7 @@ def test_repin_keeps_every_discrete_outcome():
     discrete, values = _outcomes(_cached)
     with _libm_and_blas():
         old_discrete, old_values = _outcomes(_regenerated)
-    # Every quantile fitted: the study's horizons, then each experiment's lead times.
+    # Every quantile: the study's horizons, then each experiment's lead times.
     assert len(discrete["quantile ranks"]) == 3 * (len(STUDY_HORIZONS)
                                                    + 9 * len(LEAD_TIMES) * len(HORIZONS))
     assert discrete == old_discrete
