@@ -14,8 +14,9 @@ pairs of A / B (above 1 when B is faster) and how many pairs B won.
 Layers:
   generate     synth.generate_exchanges(1, 8000), the size of a benchmark
                study's calibration split
-  positions    Chains.positions on one 64-exchange forecast chunk: the 320
-               chains (64 exchanges x 5 members) at control.HORIZONS
+  positions    Chains.positions on one full forecast pass at
+               control.HORIZONS: the 320 chains (64 exchanges x 5 members),
+               7,360 samples at the 23 horizons
   truth        synth.balls_at of 600 exchanges at control.HORIZONS and at
                synth.CONTEXT_TIMES: the return's and the incoming ball's
                samples, past each chain's end and before its start
@@ -71,7 +72,7 @@ def _worker(layer: str) -> float:
     if layer == "generate":
         return min(_timed(lambda: synth.generate_exchanges(1, 8000), 10)) * 1e3
     if layer == "positions":
-        exchanges = synth.generate_exchanges(1, 64)  # one chunk whatever FORECAST_CHUNK is
+        exchanges = synth.generate_exchanges(1, 64)  # 64 x 5 x 23: one full pass
         seen, positions = [], ball.Chains.positions
         ball.Chains.positions = lambda self, t: seen.append((self, t)) or positions(self, t)
         anticipate.forecast_ensemble(predictors, exchanges, control.HORIZONS, 0.0)

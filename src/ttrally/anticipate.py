@@ -7,9 +7,10 @@ interval [mean +/- q * sigma] per axis covers the truth with the requested
 marginal rate, and the product box covers jointly at 1 - 3*alpha.
 
 A split is one ``synth.Exchanges`` batch: its forecast, truth, calibration,
-coverage and bias read the batch's columns, a chunk of FORECAST_CHUNK rows
-at a time where the arrays grow with the ensemble; ``build_regions`` forecasts
-one ``ContextWindow`` with the same model.
+coverage and bias read the batch's columns. The forecast and its truth run
+in passes of at most FORECAST_SAMPLES samples each, so a pass holds more
+exchanges the fewer members and horizons each one has; ``build_regions``
+forecasts one ``ContextWindow`` with the same model.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .synth import (CONTEXT_TIMES, SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_ME
                     return_shots)
 
 SIGMA_FLOOR = 1e-6
-# Exchanges forecast per ensemble pass: the (exchanges x members x horizons)
-# arrays of a whole split would raise peak memory; this many keep it flat.
-FORECAST_CHUNK = 64
+# Samples per forecast pass: the (exchanges x members x horizons) arrays of a
+# whole split would raise peak memory, and a pass of a few rows pays numpy's
+# fixed cost per call. 64 exchanges x 5 members x 23 horizons.
+FORECAST_SAMPLES = 7_360
 EXTREME_Y = 0.75  # m: a return crossing the ego plane beyond +-this is an extreme shot
 
 
@@ -166,9 +168,12 @@ class SplitForecast:
     truth: np.ndarray
 
 
-def _chunks(n: int) -> list[slice]:
-    """The rows of n exchanges, FORECAST_CHUNK per pass."""
-    return [slice(lo, min(lo + FORECAST_CHUNK, n)) for lo in range(0, n, FORECAST_CHUNK)]
+def _chunks(n: int, per_row: int) -> list[slice]:
+    """The rows of n exchanges of ``per_row`` samples each, in passes of at
+    most FORECAST_SAMPLES samples and at least one row (a row of no samples
+    counts as one)."""
+    step = max(1, FORECAST_SAMPLES // max(1, per_row))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def forecast_ensemble(
@@ -182,7 +187,7 @@ def forecast_ensemble(
     hs = np.asarray(horizons, dtype=float)
     hit, root_y = _exchange_arrays(exchanges, lead_time)
     mean, sigma = (np.empty((len(exchanges), len(hs), 3)) for _ in range(2))
-    for rows in _chunks(len(exchanges)):
+    for rows in _chunks(len(exchanges), len(predictors) * len(hs)):
         mean[rows], sigma[rows] = _ensemble(predictors, hit[rows], root_y[rows], hs)
     return mean, sigma
 
@@ -198,7 +203,7 @@ def forecast_split(
     horizons = list(horizons)
     mean, sigma = forecast_ensemble(predictors, exchanges, horizons, lead_time)
     truth = np.empty_like(mean)
-    for rows in _chunks(len(exchanges)):
+    for rows in _chunks(len(exchanges), len(horizons)):
         truth[rows] = balls_at(exchanges[rows], horizons)
     return SplitForecast(exchanges, horizons, mean, sigma, truth)
 

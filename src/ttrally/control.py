@@ -659,14 +659,15 @@ def run_experiment(
 
     The rows, in order: each strategy at the base configuration, the
     anticipatory strategy at each other lam, at each other lead time, and at
-    the rest pose (-1.5, mean crossing y, mean crossing z) unless that is
-    the base central pose. The episodes are forecast first, once per lead
-    time at every horizon. The anticipatory strategy is recalibrated per
-    lead time (its residual distribution depends on how early the forecast
-    is issued) on one split whose truth is taken once, at the horizons where
-    some episode's mean at some lead time lies in the workspace, the only
-    ones ``_prepositions`` reads; a quantile reads only its own column of
-    scores. Every row's episodes run as one set of lanes (``_episodes``).
+    the rest pose (-1.5, mean crossing y, mean crossing z), clamped into
+    the workspace, unless that is the base central pose. The episodes are
+    forecast first, once per lead time at every horizon. The anticipatory
+    strategy is recalibrated per lead time (its residual distribution
+    depends on how early the forecast is issued) on one split whose truth is
+    taken once, at the horizons where some episode's mean at some lead time
+    lies in the workspace, the only ones ``_prepositions`` reads; a quantile
+    reads only its own column of scores. Every row's episodes run as one set
+    of lanes (``_episodes``).
     """
     if n_episodes < 1:
         raise EmptyDataset(f"need at least one episode, got {n_episodes}")
@@ -686,8 +687,9 @@ def run_experiment(
              if lam != base_params.lam]
     rows += [("anticipatory", replace(base_params, lead_time=lt), r)
              for lt, r in zip(lead_times[1:], regions[1:])]
-    rest = Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
-                float(np.mean(exchanges.crossing_pos[:, 2])))
+    ws = base_params.workspace
+    mean_y, mean_z = (np.mean(exchanges.crossing_pos[:, i]) for i in (1, 2))
+    rest = Vec3(*np.clip([-1.5, mean_y, mean_z], _xyz(ws.lo), _xyz(ws.hi)).tolist())
     if not (rest - base_params.central).norm() < 1e-12:
         rows.append(("anticipatory", replace(base_params, central=rest), regions[0]))
     return [_aggregate(results, strategy, p)

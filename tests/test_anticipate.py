@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from scalar_flight import construct_return_shot
 from ttrally.anticipate import (
-    FORECAST_CHUNK,
+    FORECAST_SAMPLES,
     STUDY_HORIZONS,
     ContextWindow,
     ConformalCalibration,
     _bounds,
+    _chunks,
     _context_arrays,
     _ensemble,
     build_regions,
@@ -35,8 +37,9 @@ from ttrally.errors import (
     SplitLeakage,
 )
 from ttrally import anticipate
+from ttrally.control import HORIZONS as RETURNER_HORIZONS
 from ttrally.synth import (SHOT_AIM_GAIN, SHOT_SPEED_CLIP, SHOT_SPEED_MEAN, SHOT_Y_LIMIT,
-                           TABLE, context_mask, generate_exchanges, return_shots)
+                           TABLE, balls_at, context_mask, generate_exchanges, return_shots)
 
 HORIZONS = [0.1, 0.2, 0.3, 0.4]
 
@@ -374,31 +377,82 @@ def test_study_runs_the_ensemble_once_per_exchange(monkeypatch):
     study = run_conformal_study(3, n_cal=40, n_test=30)
     assert study.bias.n_extreme > 0  # the bias stage ran
     # Every exchange of both splits enters the batch model exactly once,
-    # one pass per split here (both are under a chunk).
+    # one pass per split here (each fits in one pass).
     assert sorted(entered) == list(range(40 + 30))
     assert batched == [40, 30]
 
 
+# Exchanges per pass of 5 members at the 12 study horizons, and of their truth.
+STUDY_PASS = FORECAST_SAMPLES // (5 * len(STUDY_HORIZONS))
+TRUTH_PASS = FORECAST_SAMPLES // len(STUDY_HORIZONS)
+
+
 @pytest.fixture(scope="module")
 def chunked_exchanges():
-    return generate_exchanges(21, 3 * FORECAST_CHUNK + 5)
+    return generate_exchanges(21, 3 * TRUTH_PASS + 5)
 
 
+@pytest.fixture(scope="module")
+def split_oracle(chunked_exchanges):
+    """The scalar curve of each chunked exchange at the study horizons, per
+    lead time: every size below reads a prefix of the same rows."""
+    preds = physics_baseline_ensemble(4, 5)
+    return functools.cache(lambda lead_time: [
+        _oracle_curve(preds, ex, STUDY_HORIZONS, lead_time)
+        for ex in chunked_exchanges[:3 * STUDY_PASS + 5]])
+
+
+# Sizes inside one pass (63, 65), across one boundary (197), either side of
+# a pass and across three.
 @pytest.mark.parametrize("lead_time", [0.0, 0.1, 0.2, 0.4])
-@pytest.mark.parametrize("n", [0, 1, FORECAST_CHUNK - 1, FORECAST_CHUNK + 1,
-                               3 * FORECAST_CHUNK + 5])
-def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, n, lead_time):
+@pytest.mark.parametrize("n", [0, 1, 63, 65, 197, STUDY_PASS - 1, STUDY_PASS + 1,
+                               3 * STUDY_PASS + 5])
+def test_forecast_split_equals_the_scalar_oracle_bytewise(chunked_exchanges, split_oracle, n,
+                                                          lead_time):
     preds = physics_baseline_ensemble(4, 5)
     horizons = list(STUDY_HORIZONS)
     exchanges = chunked_exchanges[:n]
     forecast = forecast_split(preds, exchanges, horizons, lead_time)
     assert forecast.mean.shape == forecast.sigma.shape == forecast.truth.shape == (n, 12, 3)
-    for i, ex in enumerate(exchanges):
-        curve = _oracle_curve(preds, ex, horizons, lead_time)
+    for i, (ex, curve) in enumerate(zip(exchanges, split_oracle(lead_time))):
         assert np.array([m for m, _ in curve]).tobytes() == forecast.mean[i].tobytes()
         assert np.array([s for _, s in curve]).tobytes() == forecast.sigma[i].tobytes()
         truth = np.array([ex.truth_at(h).as_array() for h in horizons])
         assert truth.tobytes() == forecast.truth[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [TRUTH_PASS - 1, TRUTH_PASS + 1, 3 * TRUTH_PASS + 5])
+def test_truth_passes_equal_one_whole_split_sample(chunked_exchanges, monkeypatch, n):
+    exchanges, sampled = chunked_exchanges[:n], []
+    monkeypatch.setattr(anticipate, "balls_at", lambda rows, horizons: sampled.append(
+        len(rows)) or balls_at(rows, horizons))
+    forecast = forecast_split(physics_baseline_ensemble(4, 5), exchanges, STUDY_HORIZONS)
+    assert sampled == [min(TRUTH_PASS, n - lo) for lo in range(0, n, TRUTH_PASS)]
+    assert forecast.truth.tobytes() == balls_at(exchanges, STUDY_HORIZONS).tobytes()
+
+
+def test_a_pass_holds_its_sample_budget_in_rows(chunked_exchanges, monkeypatch):
+    # 5 members at the returner's 23 horizons: the all-horizon callers keep
+    # 64-exchange passes.
+    assert _chunks(130, 5 * len(RETURNER_HORIZONS)) == [slice(0, 64), slice(64, 128),
+                                                        slice(128, 130)]
+    # A returner calibration's truth, 600 exchanges at 7 horizons: one pass.
+    assert _chunks(600, 7) == [slice(0, 600)]
+    # A row over the budget is a pass of its own, never an empty one.
+    assert _chunks(3, 400 * len(RETURNER_HORIZONS)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    # The forecast passes its members x horizons, the truth its horizons.
+    ensembled, sampled = [], []
+    ensemble = anticipate._ensemble
+    monkeypatch.setattr(anticipate, "_ensemble", lambda predictors, hit, *args: ensembled.append(
+        len(hit)) or ensemble(predictors, hit, *args))
+    monkeypatch.setattr(anticipate, "balls_at", lambda rows, horizons: sampled.append(
+        len(rows)) or balls_at(rows, horizons))
+    forecast_split(physics_baseline_ensemble(4, 5), chunked_exchanges[:130], RETURNER_HORIZONS)
+    forecast_split(physics_baseline_ensemble(4, 5), chunked_exchanges[:600],
+                   RETURNER_HORIZONS[:7])
+    forecast_split(physics_baseline_ensemble(4, 400), chunked_exchanges[:3], RETURNER_HORIZONS)
+    assert ensembled == [64, 64, 2] + [210, 210, 180] + [1, 1, 1]
+    assert sampled == [130, 600, 3]
 
 
 # Members past both ends of the speed clip, below the drag floor and beyond
@@ -410,7 +464,7 @@ CLIPPED = np.array([[0.3, 6.0, 0.1, 0.0, -0.3], [-0.2, -6.0, -0.1, 0.05, 0.0],
 @pytest.mark.parametrize("members", [physics_baseline_ensemble(4, 5),
                                      physics_baseline_ensemble(11, 2), CLIPPED])
 def test_ensemble_equals_return_shots_one_member_at_a_time(chunked_exchanges, members):
-    hit, root_y = anticipate._exchange_arrays(chunked_exchanges[:FORECAST_CHUNK], 0.0)
+    hit, root_y = anticipate._exchange_arrays(chunked_exchanges[:64], 0.0)
     hs = np.asarray(STUDY_HORIZONS)
     per_member = []
     for member in members:
@@ -425,8 +479,9 @@ def test_ensemble_equals_return_shots_one_member_at_a_time(chunked_exchanges, me
 
 
 def test_truth_before_the_hit_follows_the_incoming_ball(chunked_exchanges):
+    # Past a pass of 2 members at 4 horizons, and past one of their truth.
     horizons = [-0.3, -0.05, 0.0, 0.2]
-    exchanges = chunked_exchanges[:FORECAST_CHUNK + 1]
+    exchanges = chunked_exchanges[:FORECAST_SAMPLES // len(horizons) + 1]
     forecast = forecast_split(physics_baseline_ensemble(4, 2), exchanges, horizons)
     truth = np.array([[ex.truth_at(h).as_array() for h in horizons] for ex in exchanges])
     assert truth.tobytes() == forecast.truth.tobytes()
@@ -434,8 +489,9 @@ def test_truth_before_the_hit_follows_the_incoming_ball(chunked_exchanges):
 
 def test_batch_forecast_raises_the_scalar_checks(chunked_exchanges):
     preds, exchanges = physics_baseline_ensemble(4, 5), chunked_exchanges[:3]
-    with pytest.raises(EnsembleTooSmall):
-        forecast_split(preds[:1], exchanges, HORIZONS)
+    for members in (preds[:1], preds[:0]):
+        with pytest.raises(EnsembleTooSmall):
+            forecast_split(members, exchanges, HORIZONS)
     with pytest.raises(InputMismatch):  # one context frame left
         forecast_split(preds, exchanges, HORIZONS, lead_time=0.6)
     # A member bouncing 0.5 mm short of the ego plane, inside the 1 mm clearance.

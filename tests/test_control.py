@@ -16,7 +16,7 @@ import scalar_episode
 from scalar_episode import (DragFlight, NoFeasibleTime, angle, as_regions, clamp, contains_box,
                             select_preposition, select_target_time)
 from ttrally import anticipate, control, synth
-from ttrally.anticipate import FORECAST_CHUNK, ContextWindow, Region, build_regions, split_regions
+from ttrally.anticipate import FORECAST_SAMPLES, ContextWindow, Region, build_regions, split_regions
 from ttrally.ball import GRAVITY, Chains
 from ttrally.control import (
     HORIZONS,
@@ -653,13 +653,16 @@ def test_an_empty_row_or_experiment_raises_empty_dataset():
         run_experiment(5, n_episodes=0, n_cal=60)
 
 
+ROW_PASS = FORECAST_SAMPLES // (5 * len(HORIZONS))  # exchanges per pass of 5 members
+
+
 @pytest.fixture(scope="module")
 def row_exchanges():
-    return generate_exchanges(23, FORECAST_CHUNK + 1)
+    return generate_exchanges(23, 3 * ROW_PASS + 5)
 
 
 @pytest.mark.parametrize("lead_time", [0.1, 0.2, 0.4])
-@pytest.mark.parametrize("n", [1, FORECAST_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, ROW_PASS - 1, ROW_PASS + 1, 3 * ROW_PASS + 5])
 def test_row_regions_equal_the_single_context_regions(sim_setup, row_exchanges, n, lead_time):
     _, _, predictors, calib = sim_setup
     exchanges = row_exchanges[:n]
@@ -842,6 +845,20 @@ def test_experiment_rows_equal_independent_strategy_rows(seed, central, workspac
                                  *anticipation)[0])
     assert len(rows) == (8 if central is None else 7)
     assert repr(rows) == repr(want)  # repr: a row without returns holds a NaN deviation
+
+
+def test_a_rest_pose_outside_the_workspace_is_clamped_into_it():
+    # Seed 5's mean crossing lies outside NARROW; its rest-pose row pre-positions
+    # from the nearest pose inside, not from a central pose SimParams refuses.
+    exchanges = generate_exchanges(5, 6)
+    mean_crossing = Vec3(-1.5, float(np.mean(exchanges.crossing_pos[:, 1])),
+                         float(np.mean(exchanges.crossing_pos[:, 2])))
+    assert not NARROW.contains(mean_crossing)
+    rows = run_experiment(5, 6, SimParams(workspace=NARROW), n_cal=60)
+    assert len(rows) == 8
+    rest = rows[-1].central
+    assert NARROW.contains(rest)
+    assert rest == clamp(NARROW, mean_crossing)
 
 
 # The lane engine against the scalar episodes of tests/scalar_episode.py.

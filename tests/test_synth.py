@@ -356,7 +356,7 @@ def test_chain_batch_positions_equal_each_row_and_the_closed_form_bitwise(chains
 
 
 def test_forecast_chunk_positions_and_velocities_equal_the_scalar_oracle_bitwise():
-    # One forecast chunk's chains (64 exchanges x 5 members), long enough that
+    # One full forecast pass's chains (64 exchanges x 5 members), long enough that
     # the port runs its lanes as ufuncs: at the horizons for every chain, then
     # on a per-row grid that mixes both tails, piece insides and each join
     # +-1e-13 s in one call.
