@@ -14,6 +14,8 @@ pairs of A / B (above 1 when B is faster) and how many pairs B won.
 Layers:
   generate     synth.generate_exchanges(1, 8000), the size of a benchmark
                study's calibration split
+  generate_600 synth.generate_exchanges(1, 600), the size of a returner
+               experiment's calibration split
   positions    Chains.positions on one full forecast pass at
                control.HORIZONS: the 320 chains (64 exchanges x 5 members),
                7,360 samples at the 23 horizons
@@ -49,7 +51,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
-LAYERS = ("generate", "positions", "truth", "forecast", "experiment", "episodes",
+LAYERS = ("generate", "generate_600", "positions", "truth", "forecast", "experiment", "episodes",
           "calibrations", "study", "regions_p50", "reconstruct")
 
 
@@ -69,8 +71,9 @@ def _worker(layer: str) -> float:
     from ttrally import anticipate, ball, control, pipeline, synth
 
     predictors = anticipate.physics_baseline_ensemble(1, 5)
-    if layer == "generate":
-        return min(_timed(lambda: synth.generate_exchanges(1, 8000), 10)) * 1e3
+    if layer in ("generate", "generate_600"):
+        n = 600 if layer == "generate_600" else 8000
+        return min(_timed(lambda: synth.generate_exchanges(1, n), 10)) * 1e3
     if layer == "positions":
         exchanges = synth.generate_exchanges(1, 64)  # 64 x 5 x 23: one full pass
         seen, positions = [], ball.Chains.positions

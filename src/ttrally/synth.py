@@ -5,7 +5,10 @@ reconstruction and anticipation stages can be scored against a known answer.
 The generated world follows the same drag-trajectory model the reconstruction
 fits, with hit and bounce anchors snapped to frame boundaries. Exchanges come
 as one ``Exchanges`` batch of arrays; ``ExchangeSample`` is the row view for a
-reader that wants one exchange.
+reader that wants one exchange. The rally and camera draw numpy's scalars one
+call at a time; the exchanges replay the same scalars from one block of the
+stream's 64-bit words, read through the ziggurat tables that the installed
+numpy's ``standard_normal()`` gives at import.
 """
 
 from __future__ import annotations
@@ -471,38 +474,175 @@ def return_shots(
     return chains, t1 + tc_local
 
 
-def _draw_exchange(rng: np.random.Generator) -> tuple[float, ...]:
-    """One exchange's random draws, in the order that fixes every seed's exchanges.
+# One exchange's 17 draws in stream order, as (low, scale, normal): a uniform
+# maps numpy's random() u as ``uniform`` does, low + (high - low) * u (a bare u
+# as 0.0 + 1.0 * u, which is u), and a normal maps standard_normal() z as
+# ``normal`` does, loc + scale * z.
+_EXCHANGE_DRAWS = (
+    (0.0, 1.0, False), (0.0, 0.12, True),  # opponent side, root y noise
+    (0.0, 1.0, False), (0.0, 0.05, True), (0.95, 1.2 - 0.95, False),  # opponent hit
+    (-0.35, 0.35 - -0.35, False), (0.95, 1.15 - 0.95, False),  # previous ego hit y, z
+    (0.45, 1.0 - 0.45, False), (10.0, 1.5, True),  # incoming bounce x, speed
+    (0.1, 0.3 - 0.1, False), (0.1, 0.3 - 0.1, False),  # incoming drags
+    (0.0, SHOT_AIM_SD, True), (0.92, 1.18 - 0.92, False),  # aim noise, crossing z
+    (0.0, 1.0, False), (SHOT_SPEED_MEAN, SHOT_SPEED_SD, True),  # return bounce x, speed
+    (0.1, 0.3 - 0.1, False), (0.1, 0.3 - 0.1, False),  # return drags
+)
+_LOW, _SCALE, _NORMAL = (np.array(column) for column in zip(*_EXCHANGE_DRAWS))
 
-    Each maps one ``random()`` u or ``standard_normal()`` z as numpy's ``uniform``
-    (``low + (high - low) * u``) and ``normal`` (``loc + scale * z``) do, at a quarter
-    of their call cost. A vector draw would reorder the ziggurat normal's words.
+# numpy's PCG64 steps its 128-bit LCG state as s -> s * _PCG_MULT + inc and
+# outputs the new state's XSL-RR: rotate (high ^ low) right by its top 6 bits.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MASK = (1 << 128) - 1
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+_PCG_STEPS = 1 << 12  # words one standard_normal() may take before _replay gives up
+# numpy's ziggurat normal reads one word w: layer w & 0xff, sign bit 8 and
+# rabs the 52 bits above it. When rabs < ki[layer] it returns +-rabs * wi[layer]
+# and reads no other word; otherwise it reads more words (the tail or wedge).
+_RABS_MASK = (1 << 52) - 1
+
+
+def _probe(gen: np.random.Generator, word: int) -> tuple[float, bool]:
+    """numpy's standard_normal() on a stream whose next word is ``word``, and
+    whether it read that word alone.
+
+    With inc 1, the state (word - 1) / _PCG_MULT steps to ``word``, whose
+    high half is 0, so XSL-RR outputs its low half: the word.
     """
-    u, z = rng.random, rng.standard_normal
-    return (
-        u(), 0.0 + 0.12 * z(),  # opponent side, root y noise
-        u(), 0.0 + 0.05 * z(), 0.95 + (1.2 - 0.95) * u(),  # opponent hit
-        -0.35 + (0.35 - -0.35) * u(), 0.95 + (1.15 - 0.95) * u(),  # previous ego hit y, z
-        0.45 + (1.0 - 0.45) * u(), 10.0 + 1.5 * z(),  # incoming bounce x, speed
-        0.1 + (0.3 - 0.1) * u(), 0.1 + (0.3 - 0.1) * u(),  # incoming drags
-        0.0 + SHOT_AIM_SD * z(), 0.92 + (1.18 - 0.92) * u(),  # aim noise, crossing z
-        u(), SHOT_SPEED_MEAN + SHOT_SPEED_SD * z(),  # return bounce x, speed
-        0.1 + (0.3 - 0.1) * u(), 0.1 + (0.3 - 0.1) * u(),  # return drags
-    )
+    state = (word - 1) * _PCG_MULT_INV & _PCG_MASK
+    bitgen = gen.bit_generator
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1},
+                    "has_uint32": 0, "uinteger": 0}
+    return gen.standard_normal(), bitgen.state["state"]["state"] == word
+
+
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The installed numpy's ziggurat (wi, ki), read off standard_normal().
+
+    wi[i] is the draw of layer i's word with rabs 1 and sign +. ki[i] is the
+    smallest rabs whose draw reads a second word: binary-searched in layers
+    0-2, and for i >= 3 floor(wi[i - 1] / wi[i] * 2**52) or one more, which
+    one probe decides.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+
+    def first_slow(layer: int, lo: int, hi: int) -> int:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _probe(gen, mid << 9 | layer)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    wi = [_probe(gen, 1 << 9 | layer)[0] for layer in range(256)]
+    ki = [first_slow(layer, 0, 1 << 52) for layer in range(3)]
+    for layer in range(3, 256):
+        guess = int(wi[layer - 1] / wi[layer] * 2.0**52)
+        ki.append(first_slow(layer, guess, guess + 1))
+    return np.array(wi), np.array(ki, dtype=np.uint64)
+
+
+_WI, _KI = _ziggurat_tables()
+
+
+def _fast(words: np.ndarray) -> np.ndarray:
+    """Which words a standard_normal() returns from alone."""
+    return (words >> 9 & _RABS_MASK) < _KI[words & 0xFF]
+
+
+def _steps(state: int, inc: int, end: int) -> int:
+    """How many PCG64 steps take ``state`` to ``end``."""
+    for steps in range(_PCG_STEPS):
+        if state == end:
+            return steps
+        state = (state * _PCG_MULT + inc) & _PCG_MASK
+    raise RuntimeError(f"a standard_normal() read over {_PCG_STEPS} words")
+
+
+def _replay(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 17): n exchanges' random() and standard_normal() draws, equal to
+    calling them one at a time, and ``rng`` left where those calls leave it.
+
+    ``rng`` must be a PCG64 Generator. Its words are taken in one block and
+    mapped as numpy maps them. A normal whose word leaves the ziggurat's fast
+    path is drawn by numpy itself, from a copy of the stream advanced to that
+    word; the words it reads past its own belong to no slot, and push every
+    later slot one word on.
+    """
+    size = 17 * n
+    helper = np.random.Generator(np.random.PCG64(0))
+    helper.bit_generator.state = rng.bit_generator.state
+    words = block = rng.bit_generator.random_raw(size)
+    slots, values, skipped = [], [], []  # each fallback's slot and draw; the words past theirs
+    taken = 0  # words the helper has passed
+    while len(block):  # then the words that the skipped ones pushed past the end
+        for p in (len(words) - len(block) + np.flatnonzero(~_fast(block))).tolist():
+            slot = p - len(skipped)
+            if p < taken or not _NORMAL[slot % 17]:
+                continue  # read by the last fallback, or a uniform's word
+            helper.bit_generator.advance(p - taken)
+            before = helper.bit_generator.state["state"]
+            values.append(helper.standard_normal())
+            taken = p + _steps(before["state"], before["inc"],
+                               helper.bit_generator.state["state"]["state"])
+            slots.append(slot)
+            skipped.extend(range(p + 1, taken))
+        block = rng.bit_generator.random_raw(size + len(skipped) - len(words))
+        if len(block):
+            words = np.concatenate([words, block])
+    if skipped:
+        words = np.delete(words, skipped)
+    words = words.reshape(n, 17)
+    draws = np.empty((n, 17))
+    draws[:, ~_NORMAL] = (words[:, ~_NORMAL] >> 11) * 2.0**-53
+    z = words[:, _NORMAL]
+    x = (z >> 9 & _RABS_MASK).astype(np.float64) * _WI[z & 0xFF]
+    draws[:, _NORMAL] = np.negative(x, out=x, where=(z >> 8 & 1).astype(bool))
+    draws.reshape(-1)[slots] = values
+    return draws
+
+
+# Seed 98's first 24 exchanges hold five slow normals: a layer-0 tail, a layer-1
+# word, wedge rejections and an exchange with two.
+_REPLAY_CHECK = (98, 24)
+
+
+def _check_replay() -> None:
+    """Raise unless _replay equals numpy's one-at-a-time draws, and leaves the
+    stream where they do, on _REPLAY_CHECK's exchanges."""
+    seed, n = _REPLAY_CHECK
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [ref.standard_normal() if normal else ref.random()
+            for _ in range(n) for normal in _NORMAL]
+    if (_replay(rng, n).tobytes() != np.array(want).tobytes()
+            or rng.bit_generator.state != ref.bit_generator.state):
+        raise RuntimeError(f"numpy {np.__version__}'s random() and standard_normal() do not "
+                           "replay from their words; generate_exchanges cannot run")
+
+
+_check_replay()
+
+
+def _draw_exchanges(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 17): n exchanges' draws in the order that fixes every seed's
+    exchanges, each mapped by its _EXCHANGE_DRAWS row."""
+    return _LOW + _SCALE * _replay(rng, n)
 
 
 def generate_exchanges(seed: int, n: int, id_offset: int = 0) -> Exchanges:
     """n exchanges with intent-correlated opponent returns, ids from ``id_offset``.
 
-    Each exchange takes its draws from one seeded stream in a fixed order;
-    the flights of all n are then built, solved and sampled as arrays.
+    Each exchange takes its 17 draws from one seeded stream in a fixed order,
+    all n replayed at once (``_draw_exchanges``): every value, and the state
+    the stream ends in, equal drawing them one scalar call at a time. The
+    flights of all n are then built, solved and sampled as arrays.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     (side, root_noise, hit_x, hit_y, hit_z, ego_y, ego_z, xb_in, speed_in, k_in1, k_in2,
-     aim_noise, z_cross, xb_out, speed, k1, k2) = np.array(
-        [_draw_exchange(rng) for _ in range(n)]).reshape(n, 17).T  # 17 draws each
+     aim_noise, z_cross, xb_out, speed, k1, k2) = _draw_exchanges(rng, n).T
     hl, h = TABLE.half_length, TABLE.height_z
 
     opp_root_y = np.clip(np.where(side < 0.5, 1.0, -1.0) * 0.5 + root_noise, -0.8, 0.8)
