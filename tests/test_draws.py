@@ -2,10 +2,11 @@
 
 ``src/`` maps each ``random()`` or ``standard_normal()`` draw in numpy's own
 order: ``uniform(low, high)`` is ``low + (high - low) * random()`` and
-``normal(loc, scale)`` is ``loc + scale * standard_normal()``. The rally,
-camera and member generators call them one scalar at a time; the exchanges
-replay them from one block of the stream's 64-bit words, and numpy draws
-only the normals whose word leaves the ziggurat's fast path
+``normal(loc, scale)`` is ``loc + scale * standard_normal()``. The rally
+and camera generators call them one scalar at a time, and each ensemble
+member draws its normals from a stream of its own; the exchanges replay them
+from one block of the stream's 64-bit words, and numpy draws only the
+normals whose word leaves the ziggurat's fast path
 (``synth._draw_exchanges``). The references below draw with the method
 forms (``rng.uniform``, ``rng.normal``) in the same order; every value must
 match bit for bit, and the stream must end in the same state. The exchange
